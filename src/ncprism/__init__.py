@@ -12,7 +12,6 @@ geometry. Every construction verifies itself numerically.
 from .matkernel import (
     DEFAULT_TOL,
     ToleranceConfig,
-    check_order,
     commutant_dimension,
     compress,
     direct_sum,
@@ -62,7 +61,6 @@ from .convexity import (
     prism_member,
     random_prism_point,
     theta_lower_bound,
-    vertex_state_check,
 )
 from .opsys import (
     Certified,

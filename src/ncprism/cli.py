@@ -3,9 +3,10 @@
 Inputs are read as JSON from stdin (or ``--in FILE``); the primary artifact
 is written as JSON to stdout, or to ``--out FILE`` with a short textual
 report on stdout instead. ``--json`` wraps the artifact together with the
-run report (command, input digest, seed, recorded residual checks) in one
-machine-readable object. Outputs are byte-identical for identical inputs
-and seeds.
+run report (command, input digest, seed, checks) in one machine-readable
+object. Every check is a (name, residual, bound) line taken from the residual
+function of the construction the command ran. Outputs are byte-identical for
+identical inputs and seeds.
 
 Exit codes: 0 success or true verdict, 1 false or refuted verdict,
 2 usage or runtime error, 3 unknown verdict.
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 
 import numpy as np
@@ -27,10 +27,10 @@ from .matkernel import (
     DEFAULT_TOL,
     ToleranceConfig,
     commutant_dimension,
-    compress,
-    dagger,
+    commutant_residuals,
+    irreducibility_residual,
     is_hermitian,
-    opnorm,
+    prefixed,
 )
 
 EXIT_OK = 0
@@ -59,7 +59,7 @@ def _read_input(args) -> tuple[dict | None, str]:
 
 
 class Run:
-    """Collects postcondition checks and renders the final report."""
+    """Collects the residual checks and renders the final report."""
 
     def __init__(self, args, input_text: str):
         self.command = args.command + (
@@ -70,15 +70,12 @@ class Run:
         self.checks: list[dict] = []
         self.args = args
 
-    def check(self, name: str, residual: float, bound: float) -> None:
-        self.checks.append(
-            {"name": name, "passed": bool(residual <= bound), "residual": float(residual)}
-        )
-
-    def record(self, name: str, passed: bool, residual: float) -> None:
-        self.checks.append(
-            {"name": name, "passed": bool(passed), "residual": float(residual)}
-        )
+    def add(self, residuals) -> None:
+        for name, residual, bound in residuals:
+            passed = bool(residual <= bound)
+            self.checks.append(
+                {"name": name, "passed": passed, "residual": float(residual), "bound": float(bound)}
+            )
 
     def report(self, artifacts: list[str]) -> dict:
         return {
@@ -102,7 +99,8 @@ class Run:
         elif out:
             for check in self.checks:
                 status = "PASS" if check["passed"] else "FAIL"
-                print(f"{check['name']}: {status} (residual {check['residual']:.3e})")
+                values = f"residual {check['residual']:.3e}, bound {check['bound']:.1e}"
+                print(f"{check['name']}: {status} ({values})")
             print(f"wrote {out}")
         else:
             print(json.dumps(artifact, indent=2))
@@ -125,28 +123,27 @@ def _cmd_dilate(args, run: Run, payload, tol) -> int:
         x = serialize.matrix_from_json(payload)
         if is_hermitian(x, tol.alg_tol):
             big = dilation.halmos_symmetry(x, tol)
-            run.check("symmetry_squares_to_identity", opnorm(big @ big - np.eye(big.shape[0])), tol.spec_tol)
+            run.add(dilation.halmos_symmetry_residuals(x, big, tol))
         else:
             big = dilation.halmos_unitary(x, tol)
-            run.check("unitarity", opnorm(dagger(big) @ big - np.eye(big.shape[0])), tol.spec_tol)
+            run.add(dilation.halmos_unitary_residuals(x, big, tol))
         n = x.shape[0]
-        run.check("corner_reproduces_input", opnorm(big[:n, :n] - x), tol.alg_tol)
         iso = np.vstack([np.eye(n), np.zeros((n, n))]).astype(complex)
         result = dilation.DilationResult(iso, [big], ["dilation"])
         return run.emit(serialize.dilation_result_to_json(result), EXIT_OK)
     if sub == "mirman":
         a = serialize.matrix_from_json(payload)
-        result = dilation.naimark_normal(dilation.triangle_povm(a, tol), tol)
-        nd = result.operators[0]
-        run.check("normality", opnorm(nd @ dagger(nd) - dagger(nd) @ nd), tol.spec_tol)
-        run.check("compression_reproduces_input", opnorm(result.compressions()[0] - a), tol.spec_tol)
+        povm = dilation.triangle_povm(a, tol)
+        result = dilation.naimark_normal(povm, tol)
+        run.add(dilation.povm_residuals(povm.effects, povm.outcome_labels, a, tol))
+        run.add(dilation.naimark_residuals(povm, result, tol))
         return run.emit(serialize.dilation_result_to_json(result), EXIT_OK)
     if sub == "joint":
         a = serialize.matrix_from_json(payload["a"])
         b = serialize.matrix_from_json(payload["b"])
         pair, g = dilation.joint_prism_dilation(a, b, args.k, tol)
-        run.check("w_compression", opnorm(compress(pair.w, g, tol) - a), tol.spec_tol)
-        run.check("v_compression", opnorm(compress(pair.v, g, tol) - b), tol.spec_tol)
+        run.add(reps.pair_residuals(pair, tol))
+        run.add(dilation.joint_residuals(a, b, pair, g, tol))
         artifact = {
             "pair": serialize.rep_pair_to_json(pair),
             "isometry": serialize.matrix_to_json(g),
@@ -155,8 +152,7 @@ def _cmd_dilate(args, run: Run, payload, tol) -> int:
     if sub == "cube":
         mats = serialize.tuple_from_json(payload)
         result = dilation.cube_dilation(mats, tol)
-        for i, small in enumerate(result.compressions()):
-            run.check(f"compression_reproduces_input_{i}", opnorm(small - mats[i]), tol.spec_tol)
+        run.add(dilation.cube_residuals(mats, result, tol))
         return run.emit(serialize.dilation_result_to_json(result), EXIT_OK)
     raise NcprismError(f"unknown dilate subcommand {sub!r}")
 
@@ -165,32 +161,32 @@ def _cmd_rep(args, run: Run, payload, tol) -> int:
     sub = args.subcommand
     if sub == "square":
         st = reps.square_irrep(args.lam)
-        dim, _ = commutant_dimension(st.mats, tol)
-        run.record("commutant_dimension_1", dim == 1, float(dim - 1))
+        run.add(reps.symmetry_tuple_residuals(st.mats, tol))
+        run.add([irreducibility_residual(st.mats, tol)])
         return run.emit(serialize.symmetry_tuple_to_json(st), EXIT_OK)
     if sub == "hadamard":
         st = reps.hadamard_symmetries(args.m)
-        dim, _ = commutant_dimension(st.mats, tol)
-        run.record("commutant_dimension_1", dim == 1, float(dim - 1))
+        run.add(reps.hadamard_residuals(st.mats, tol))
+        run.add([irreducibility_residual(st.mats, tol)])
         return run.emit(serialize.symmetry_tuple_to_json(st), EXIT_OK)
     if sub == "vertex":
         sign = 1 if args.sign in ("+", "+1", "1") else -1
         pair, xi = reps.prism_vertex_rep(args.k, args.j, sign)
-        wval = complex(np.vdot(xi, pair.w @ xi))
-        target = complex(math.cos(2 * math.pi * args.j / args.k), math.sin(2 * math.pi * args.j / args.k))
-        run.check("vertex_state_attains_vertex", abs(wval - target), tol.spec_tol)
+        run.add(reps.pair_residuals(pair, tol))
+        run.add(reps.vertex_residuals(pair, xi, args.j, sign, tol))
         artifact = serialize.rep_pair_to_json(pair)
         artifact["state_vector"] = serialize.matrix_to_json(xi.reshape(-1, 1))
         return run.emit(artifact, EXIT_OK)
     builders = {
-        "s3": reps.s3_pair,
-        "a4": reps.a4_pair,
-        "steinberg": lambda: reps.steinberg_pair(args.q),
-        "assemble": lambda: reps.assemble_dimension(args.n),
+        "s3": (reps.s3_pair, reps.S3_RELATIONS),
+        "a4": (reps.a4_pair, reps.A4_RELATIONS),
+        "steinberg": (lambda: reps.steinberg_pair(args.q), ()),
+        "assemble": (lambda: reps.assemble_dimension(args.n), ()),
     }
     if sub in builders:
-        pair = builders[sub]()
-        run.record("orders_verified", True, 0.0)
+        build, relations = builders[sub]
+        pair = build()
+        run.add(reps.pair_residuals(pair, tol, relations))
         return run.emit(serialize.rep_pair_to_json(pair), EXIT_OK)
     raise NcprismError(f"unknown rep subcommand {sub!r}")
 
@@ -211,12 +207,14 @@ def _membership_artifact(result) -> dict:
 def _cmd_check(args, run: Run, payload, tol) -> int:
     if args.subcommand == "cube":
         mats = serialize.tuple_from_json(payload)
-        result = convexity.max_member(mats, convexity.make_cube(args.d), tol)
+        polytope = convexity.make_cube(args.d)
+        result = convexity.max_member(mats, polytope, tol)
     else:
         a = serialize.matrix_from_json(payload["a"])
         b = serialize.matrix_from_json(payload["b"])
+        polytope = convexity.make_prism(args.k)
         result = convexity.prism_member(a, b, args.k, tol)
-    run.record("membership", True, max(0.0, -result.margin))
+    run.add(convexity.polytope_residuals(polytope))
     return run.emit(_membership_artifact(result), EXIT_OK if result.member else EXIT_FALSE)
 
 
@@ -224,11 +222,7 @@ def _cmd_commutant(args, run: Run, payload, tol) -> int:
     mats = serialize.tuple_from_json(payload)
     dim, basis = commutant_dimension(mats, tol)
     artifact = {"dimension": dim, "basis": [serialize.matrix_to_json(b) for b in basis]}
-    worst = 0.0
-    for b in basis:
-        for a in mats:
-            worst = max(worst, opnorm(b @ a - a @ b))
-    run.check("basis_commutes", worst, tol.spec_tol * mats[0].shape[0] * 10)
+    run.add(commutant_residuals(mats, basis, tol))
     return run.emit(artifact, EXIT_OK)
 
 
@@ -254,10 +248,11 @@ def _cmd_positivity(args, run: Run, payload, tol) -> int:
     )
     artifact = serialize.verdict_to_json(verdict)
     if isinstance(verdict, opsys.Certified):
-        run.check("certificate_residual", verdict.residual, tol.spec_tol)
+        run.add(opsys.certified_residuals(element, verdict, tol))
         return run.emit(artifact, EXIT_OK)
     if isinstance(verdict, opsys.Refuted):
-        run.record("witness_negative_eigenvalue", verdict.min_eigenvalue < -tol.spec_tol, verdict.min_eigenvalue)
+        run.add(prefixed("witness_", reps.pair_residuals(verdict.witness, tol)))
+        run.add(opsys.refuted_residuals(element, verdict, tol))
         return run.emit(artifact, EXIT_FALSE)
     return run.emit(artifact, EXIT_UNKNOWN)
 
@@ -271,7 +266,7 @@ def _cmd_geometry(args, run: Run, payload, tol) -> int:
     }
     if args.d is not None:
         artifact["cube_scaling_constant"] = convexity.cube_scaling_constant(args.d)
-    run.record("geometry_cross_checks", True, 0.0)
+    run.add(convexity.geometry_residuals(args.k))
     if not getattr(args, "json", False) and not getattr(args, "out", None):
         print(f"k = {args.k}")
         print(f"incircle radius r_k      = {artifact['incircle_radius']:.15f}")
@@ -291,7 +286,7 @@ def _cmd_word(args, run: Run, payload, tol) -> int:
         value = dilation.evaluate_compressed_word(pair, iso, word, tol)
     else:
         value = dilation.evaluate_word(pair, word)
-    run.record("word_evaluated", True, 0.0)
+    run.add(reps.pair_residuals(pair, tol))
     return run.emit({"value": serialize.matrix_to_json(value)}, EXIT_OK)
 
 
@@ -300,6 +295,7 @@ def _cmd_quotient(args, run: Run, payload, tol) -> int:
     if sub == "psi":
         x = serialize.diag_tuple_from_json(payload)
         image = opsys.psi_k(x)
+        run.add(opsys.quotient_residuals(x.k, x.q))
         return run.emit(serialize.prism_element_to_json(image), EXIT_OK)
     if sub == "dual-member":
         z = opsys.DualTuple(args.k, np.array([serialize.complex_from_json(v) for v in payload["z"]]))
@@ -309,7 +305,7 @@ def _cmd_quotient(args, run: Run, payload, tol) -> int:
         pair = serialize.rep_pair_from_json(payload["pair"])
         density = serialize.matrix_from_json(payload["density"])
         z = opsys.functional_to_tuple(pair, density, args.k, tol)
-        run.record("lands_in_dual_system", opsys.dual_member(z), 0.0)
+        run.add(opsys.functional_residuals(z, tol))
         artifact = serialize.dual_tuple_to_json(z)
         artifact["dual_member"] = opsys.dual_member(z)
         return run.emit(artifact, EXIT_OK)
@@ -318,14 +314,8 @@ def _cmd_quotient(args, run: Run, payload, tol) -> int:
 
 def _cmd_verify(args, run: Run, payload, tol) -> int:
     results = verify.run_all(size_budget=args.size_budget, seed=run.seed, tol=tol)
-    for res in results:
-        run.record(res.name, res.passed, res.residual)
-    artifact = {
-        "checks": [
-            {"name": r.name, "passed": r.passed, "residual": r.residual} for r in results
-        ],
-        "all_passed": all(r.passed for r in results),
-    }
+    run.add((res.name, res.residual, res.bound) for res in results)
+    artifact = {"checks": run.checks, "all_passed": all(r.passed for r in results)}
     if not getattr(args, "json", False):
         for r in results:
             status = "PASS" if r.passed else "FAIL"

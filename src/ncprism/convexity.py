@@ -4,8 +4,7 @@ A Hermitian tuple belongs to the maximal matrix convex set over a polytope
 exactly when its joint numerical range satisfies every facet inequality,
 which reduces membership at any level to finitely many largest-eigenvalue
 computations. This module builds the cube and prism polytopes, decides
-membership, checks vertex attainment through the representation factory,
-and evaluates the closed-form scaling constants.
+membership, and evaluates the closed-form scaling constants.
 """
 
 from __future__ import annotations
@@ -18,30 +17,32 @@ import numpy as np
 from .errors import ShapeMismatchError
 from .matkernel import (
     DEFAULT_TOL,
+    Residual,
     ToleranceConfig,
     as_matrix,
     hermitize,
     opnorm,
+    require,
     support_value,
 )
-from .reps import prism_vertex_rep
 
 __all__ = [
     "PolytopeSpec",
     "MembershipResult",
-    "VertexCheck",
     "make_polygon",
     "make_prism",
     "make_cube",
     "max_member",
     "prism_member",
-    "vertex_state_check",
     "incircle_radius",
     "circumnorm",
     "theta_lower_bound",
     "cube_scaling_constant",
     "real_imag_parts",
     "random_prism_point",
+    "random_hermitian_contraction",
+    "geometry_residuals",
+    "polytope_residuals",
 ]
 
 _GEOM_TOL = 1e-12
@@ -65,12 +66,17 @@ class PolytopeSpec:
             raise ShapeMismatchError("vertex dimension differs from ambient dimension")
         if self.normals.shape[1] != self.ambient_dim:
             raise ShapeMismatchError("facet dimension differs from ambient dimension")
-        norms = np.linalg.norm(self.normals, axis=1)
-        if np.any(np.abs(norms - 1.0) > _GEOM_TOL):
-            raise ValueError("facet normals must be unit vectors")
-        worst = float((self.vertices @ self.normals.T - self.offsets).max())
-        if worst > _GEOM_TOL:
-            raise ValueError(f"a vertex violates a facet by {worst:.3e}")
+        require(polytope_residuals(self), ValueError, self.name)
+
+
+def polytope_residuals(spec: PolytopeSpec) -> list[Residual]:
+    """Facet normals are unit vectors and every vertex satisfies every facet."""
+    norms = np.linalg.norm(spec.normals, axis=1)
+    worst = float((spec.vertices @ spec.normals.T - spec.offsets).max())
+    return [
+        ("unit_normals", float(np.abs(norms - 1.0).max()), _GEOM_TOL),
+        ("vertices_within_facets", max(0.0, worst), _GEOM_TOL),
+    ]
 
 
 @dataclass(frozen=True)
@@ -91,17 +97,6 @@ class MembershipResult:
 
     def __bool__(self) -> bool:
         return self.member
-
-
-@dataclass(frozen=True)
-class VertexCheck:
-    """Attainment record for one extreme point of the prism."""
-
-    j: int
-    sign: int
-    target: np.ndarray
-    attained: np.ndarray
-    error: float
 
 
 def make_polygon(k: int) -> PolytopeSpec:
@@ -192,43 +187,33 @@ def prism_member(a, b, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> Membership
     return max_member([re, im, b], make_prism(k), tol)
 
 
-def vertex_state_check(k: int, tol: ToleranceConfig = DEFAULT_TOL) -> list[VertexCheck]:
-    """Evaluate the vertex representations at their common eigenvector.
+def _incircle_residual(k: int) -> Residual:
+    """cos(pi/k) against the distance of the k-prism's side facets."""
+    offsets = make_prism(k).offsets[:k]
+    return ("incircle_radius", abs(math.cos(math.pi / k) - float(offsets.min())), _GEOM_TOL)
 
-    For each of the 2k extreme points (cos(2 pi j / k), sin(2 pi j / k),
-    sign) reports the distance between the vector-state evaluation of the
-    vertex representation and the vertex itself.
-    """
-    checks = []
-    for j in range(k):
-        for sign in (1, -1):
-            pair, xi = prism_vertex_rep(k, j, sign)
-            wval = complex(np.vdot(xi, pair.w @ xi))
-            vval = complex(np.vdot(xi, pair.v @ xi))
-            attained = np.array([wval.real, wval.imag, vval.real])
-            target = np.array(
-                [math.cos(2 * math.pi * j / k), math.sin(2 * math.pi * j / k), float(sign)]
-            )
-            error = float(np.linalg.norm(attained - target) + abs(vval.imag))
-            checks.append(VertexCheck(j, sign, target, attained, error))
-    return checks
+
+def _circumnorm_residual(k: int) -> Residual:
+    """sqrt(2) against the largest vertex norm of the k-prism."""
+    value = float(np.linalg.norm(make_prism(k).vertices, axis=1).max())
+    return ("circumnorm", abs(value - math.sqrt(2.0)), _GEOM_TOL)
+
+
+def geometry_residuals(k: int) -> list[Residual]:
+    """The closed-form constants against the k-prism they describe."""
+    return [_incircle_residual(k), _circumnorm_residual(k)]
 
 
 def incircle_radius(k: int) -> float:
     """Incircle radius cos(pi/k) of Conv(C_k), cross-checked against the facets."""
-    r = math.cos(math.pi / k)
-    polygon_offsets = make_prism(k).offsets[:k]
-    if abs(r - float(polygon_offsets.min())) > _GEOM_TOL:
-        raise ValueError("incircle radius disagrees with facet distances")
-    return r
+    require([_incircle_residual(k)], ValueError, f"incircle radius k={k}")
+    return math.cos(math.pi / k)
 
 
 def circumnorm(k: int) -> float:
-    """Largest vertex norm of the k-prism (always sqrt(2))."""
-    value = float(np.linalg.norm(make_prism(k).vertices, axis=1).max())
-    if abs(value - math.sqrt(2.0)) > _GEOM_TOL:
-        raise ValueError("circumscribed norm disagrees with sqrt(2)")
-    return value
+    """Largest vertex norm of the k-prism (always sqrt(2)), cross-checked."""
+    require([_circumnorm_residual(k)], ValueError, f"circumscribed norm k={k}")
+    return math.sqrt(2.0)
 
 
 def theta_lower_bound(k: int) -> float:
@@ -243,6 +228,15 @@ def cube_scaling_constant(d: int) -> float:
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
     return math.sqrt(d)
+
+
+def random_hermitian_contraction(rng: np.random.Generator, n: int, scale=None) -> np.ndarray:
+    """A random Hermitian matrix rescaled to norm ``scale`` (uniform in [0, 1] if None)."""
+    h = hermitize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    norm = opnorm(h)
+    if norm == 0:
+        return h
+    return h / norm * (scale if scale is not None else rng.uniform(0.0, 1.0))
 
 
 def random_prism_point(

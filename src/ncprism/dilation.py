@@ -22,20 +22,29 @@ from .errors import (
     InfeasibleError,
     InvalidPovmError,
     NormExceedsOneError,
+    NotIsometryError,
+    NotSymmetryError,
     NumericalRangeOutsideTriangleError,
     OrderMismatchError,
+    RelationCheckFailedError,
     ShapeMismatchError,
 )
 from .matkernel import (
     DEFAULT_TOL,
+    Residual,
     ToleranceConfig,
     as_matrix,
     dagger,
     direct_sum,
     hermitize,
     opnorm,
+    order_residuals,
+    prefixed,
     psd_sqrt,
+    require,
     require_hermitian,
+    symmetry_residuals,
+    unitary_residual,
 )
 from .reps import RepPair
 
@@ -52,6 +61,12 @@ __all__ = [
     "cube_dilation",
     "evaluate_word",
     "evaluate_compressed_word",
+    "halmos_symmetry_residuals",
+    "halmos_unitary_residuals",
+    "povm_residuals",
+    "naimark_residuals",
+    "joint_residuals",
+    "cube_residuals",
 ]
 
 
@@ -86,22 +101,26 @@ class Povm:
         self.effects = [as_matrix(h) for h in self.effects]
         if len(self.effects) != len(self.outcome_labels):
             raise InvalidPovmError("each effect needs exactly one outcome label")
-
-    def validate(self, tol: ToleranceConfig = DEFAULT_TOL) -> None:
         n = self.effects[0].shape[0]
-        total = np.zeros((n, n), dtype=complex)
-        for h in self.effects:
-            if h.shape != (n, n):
-                raise InvalidPovmError("effects must be square of equal size")
-            require_hermitian(h, tol.alg_tol, "POVM effect")
-            low = float(np.linalg.eigvalsh(hermitize(h)).min())
-            if low < -tol.psd_clamp:
-                raise InvalidPovmError(f"effect has eigenvalue {low:.3e} below clamp")
-            total += h
-        if opnorm(total - np.eye(n)) > tol.spec_tol:
-            raise InvalidPovmError(
-                f"effects sum deviates from identity by {opnorm(total - np.eye(n)):.3e}"
-            )
+        if any(h.shape != (n, n) for h in self.effects):
+            raise InvalidPovmError("effects must be square of equal size")
+
+
+def povm_residuals(effects, labels, a, tol: ToleranceConfig = DEFAULT_TOL) -> list[Residual]:
+    """Effects decompose ``a``: sum(label_j h_j) = a, sum(h_j) = 1, and the
+    summed negative parts of the effects stay within psd_clamp."""
+    n = a.shape[0]
+    total = np.zeros((n, n), dtype=complex)
+    moment = np.zeros((n, n), dtype=complex)
+    for label, h in zip(labels, effects):
+        total += h
+        moment += label * h
+    negative = sum(max(0.0, -float(np.linalg.eigvalsh(hermitize(h)).min())) for h in effects)
+    return [
+        ("first_moment", opnorm(moment - a), tol.spec_tol),
+        ("sum_to_identity", opnorm(total - np.eye(n)), tol.spec_tol),
+        ("effects_positive", negative, tol.psd_clamp),
+    ]
 
 
 @dataclass(frozen=True)
@@ -154,7 +173,15 @@ def halmos_symmetry(b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     base = _contraction_defect_base(b, norm)
     n = b.shape[0]
     d = psd_sqrt(np.eye(n) - base @ base, tol)
-    return np.block([[b, d], [d, -b]])
+    s = np.block([[b, d], [d, -b]])
+    require(halmos_symmetry_residuals(b, s, tol), NotSymmetryError, "halmos_symmetry")
+    return s
+
+
+def halmos_symmetry_residuals(b, s, tol: ToleranceConfig = DEFAULT_TOL) -> list[Residual]:
+    """``s`` is a symmetry with top-left block ``b``."""
+    n = b.shape[0]
+    return [*symmetry_residuals(s, tol), ("corner", opnorm(s[:n, :n] - b), tol.alg_tol)]
 
 
 def halmos_unitary(x, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -173,7 +200,15 @@ def halmos_unitary(x, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     n = x.shape[0]
     d_left = psd_sqrt(np.eye(n) - base @ dagger(base), tol)
     d_right = psd_sqrt(np.eye(n) - dagger(base) @ base, tol)
-    return np.block([[x, d_left], [d_right, -dagger(x)]])
+    u = np.block([[x, d_left], [d_right, -dagger(x)]])
+    require(halmos_unitary_residuals(x, u, tol), NotIsometryError, "halmos_unitary")
+    return u
+
+
+def halmos_unitary_residuals(x, u, tol: ToleranceConfig = DEFAULT_TOL) -> list[Residual]:
+    """``u`` is unitary with top-left block ``x``."""
+    n = x.shape[0]
+    return [unitary_residual(u, tol), ("corner", opnorm(u[:n, :n] - x), tol.alg_tol)]
 
 
 def triangle_povm(a, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
@@ -201,6 +236,7 @@ def triangle_povm(a, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
         # Barycentric functional of Conv C_3: (1 + 2(x cos + y sin)) / 3.
         effects.append(hermitize((eye + 2.0 * (math.cos(theta) * re + math.sin(theta) * im)) / 3.0))
     labels = [np.exp(2j * math.pi * j / 3) for j in range(3)]
+    require(povm_residuals(effects, labels, a, tol), InvalidPovmError, "triangle_povm")
     return Povm(effects, labels)
 
 
@@ -209,9 +245,9 @@ def naimark_normal(povm: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DilationRe
 
     The isometry stacks the square roots of the effects; the normal
     operator is the direct sum of label_j times the identity. Compression
-    returns sum(label_j h_j).
+    returns sum(label_j h_j); effects that do not sum to the identity fail the
+    isometry residual.
     """
-    povm.validate(tol)
     n = povm.effects[0].shape[0]
     m = len(povm.effects)
     blocks = [psd_sqrt(h, tol) for h in povm.effects]
@@ -219,26 +255,24 @@ def naimark_normal(povm: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DilationRe
     normal = np.zeros((m * n, m * n), dtype=complex)
     for j, label in enumerate(povm.outcome_labels):
         normal[j * n : (j + 1) * n, j * n : (j + 1) * n] = label * np.eye(n)
-    return DilationResult(isometry=z, operators=[normal], labels=["normal"])
+    result = DilationResult(isometry=z, operators=[normal], labels=["normal"])
+    require(naimark_residuals(povm, result, tol), InvalidPovmError, "naimark_normal")
+    return result
 
 
-def _negative_part_norm(h: np.ndarray) -> float:
-    w = np.linalg.eigvalsh(hermitize(h))
-    return float(max(0.0, -w.min(initial=0.0)))
-
-
-def _povm_residual(effects, a, omega) -> float:
-    n = a.shape[0]
-    total = np.zeros((n, n), dtype=complex)
-    moment = np.zeros((n, n), dtype=complex)
-    for j, h in enumerate(effects):
-        total += h
-        moment += (omega**j) * h
-    return (
-        opnorm(moment - a)
-        + opnorm(total - np.eye(n))
-        + sum(_negative_part_norm(h) for h in effects)
-    )
+def naimark_residuals(
+    povm: Povm, result: DilationResult, tol: ToleranceConfig = DEFAULT_TOL
+) -> list[Residual]:
+    """Z is an isometry, Z* N Z = sum(label_j h_j), N is normal with spectrum at the labels."""
+    z, nd = result.isometry, result.operators[0]
+    moment = sum(label * h for label, h in zip(povm.outcome_labels, povm.effects))
+    gaps = np.abs(np.subtract.outer(np.linalg.eigvals(nd), np.array(povm.outcome_labels)))
+    return [
+        ("isometry", opnorm(dagger(z) @ z - np.eye(z.shape[1])), tol.spec_tol),
+        ("compression", opnorm(dagger(z) @ nd @ z - moment), tol.spec_tol),
+        ("normal", opnorm(nd @ dagger(nd) - dagger(nd) @ nd), tol.spec_tol),
+        ("spectrum_at_labels", float(gaps.min(axis=1).max()), tol.spec_tol),
+    ]
 
 
 def order_k_povm(
@@ -271,6 +305,7 @@ def order_k_povm(
 
     n = a.shape[0]
     omega = np.exp(2j * np.pi / k)
+    labels = [omega**j for j in range(k)]
     eye = np.eye(n)
     effects = [eye.astype(complex) / k for _ in range(k)]
     target = tol.spec_tol / 2.0
@@ -289,7 +324,7 @@ def order_k_povm(
             w, u = np.linalg.eigh(hermitize(h))
             clamped.append(hermitize((u * np.clip(w, 0.0, None)) @ dagger(u)))
         effects = clamped
-        residual = _povm_residual(effects, a, omega)
+        residual = sum(value for _, value, _ in povm_residuals(effects, labels, a, tol))
         if residual <= target:
             break
     else:
@@ -306,10 +341,8 @@ def order_k_povm(
         raise InfeasibleError("effect sum is too singular to renormalize")
     t = (u * (w**-0.5)) @ dagger(u)
     effects = [hermitize(t @ h @ t) for h in effects]
-    final = _povm_residual(effects, a, omega)
-    if final > tol.spec_tol:
-        raise InfeasibleError(f"renormalized residual {final:.3e} exceeds tolerance")
-    return Povm(effects, [omega**j for j in range(k)])
+    require(povm_residuals(effects, labels, a, tol), InfeasibleError, "renormalized decomposition")
+    return Povm(effects, labels)
 
 
 def joint_prism_dilation(
@@ -342,15 +375,28 @@ def joint_prism_dilation(
     pair = RepPair(
         w_big, v_big, k, provenance=f"joint_prism_dilation(k={k}, level={a.shape[0]})"
     )
-    pair.validate(tol)
+    # V is certified as a symmetry by halmos_symmetry; W's order is checked here.
+    residuals = [*prefixed("w_", order_residuals(w_big, k, tol)), *joint_residuals(a, b, pair, g, tol)]
+    require(residuals, RelationCheckFailedError, pair.provenance)
     return pair, g
+
+
+def joint_residuals(a, b, pair: RepPair, g, tol: ToleranceConfig = DEFAULT_TOL) -> list[Residual]:
+    """G is an isometry with G* W G = a and G* V G = b."""
+    gs = dagger(g)
+    return [
+        ("isometry", opnorm(gs @ g - np.eye(g.shape[1])), tol.spec_tol),
+        ("w_compression", opnorm(gs @ pair.w @ g - a), tol.spec_tol),
+        ("v_compression", opnorm(gs @ pair.v @ g - b), tol.spec_tol),
+    ]
 
 
 def cube_dilation(mats, tol: ToleranceConfig = DEFAULT_TOL) -> DilationResult:
     """Simultaneous Halmos symmetries for a tuple of Hermitian contractions.
 
     All d symmetries act on the common doubled space; the single
-    block-inclusion isometry compresses each one back to its input.
+    block-inclusion isometry compresses each one back to its input, which
+    is the corner identity ``halmos_symmetry`` certifies for each entry.
     """
     mats = [as_matrix(m) for m in mats]
     if not mats:
@@ -363,6 +409,16 @@ def cube_dilation(mats, tol: ToleranceConfig = DEFAULT_TOL) -> DilationResult:
     isometry = np.vstack([np.eye(n), np.zeros((n, n))]).astype(complex)
     labels = [f"s{j + 1}" for j in range(len(mats))]
     return DilationResult(isometry=isometry, operators=symmetries, labels=labels)
+
+
+def cube_residuals(
+    mats, result: DilationResult, tol: ToleranceConfig = DEFAULT_TOL
+) -> list[Residual]:
+    """Each operator is a Halmos symmetry dilation of its entry."""
+    residuals = []
+    for label, m, s in zip(result.labels, mats, result.operators):
+        residuals += prefixed(f"{label}_", halmos_symmetry_residuals(m, s, tol))
+    return residuals
 
 
 def evaluate_word(pair: RepPair, word: GroupWord) -> np.ndarray:

@@ -5,6 +5,11 @@ positivity tests) is built on the handful of operations here: positive
 square roots, commutant computation, support functions of joint numerical
 ranges, block constructions, and the order predicate for unitaries.
 
+Each construction has a residual function beside it returning its defining
+identities as ``(name, residual, bound)`` triples; constructors pass them to
+:func:`require`, and ``verify``, the CLI report and the tests call the same
+function.
+
 Matrices are plain ``numpy.ndarray`` objects with ``complex128`` entries.
 All operations are pure functions; nothing here carries mutable state.
 """
@@ -19,6 +24,7 @@ from .errors import (
     NotHermitianError,
     NotIsometryError,
     NotPSDError,
+    RelationCheckFailedError,
     ShapeMismatchError,
 )
 
@@ -37,8 +43,18 @@ __all__ = [
     "kron",
     "direct_sum",
     "compress",
-    "check_order",
+    "Residual",
+    "require",
+    "prefixed",
+    "unitary_residual",
+    "order_residuals",
+    "symmetry_residuals",
+    "commutant_residuals",
+    "irreducibility_residual",
 ]
+
+Residual = tuple[str, float, float]
+"""A named residual and its bound; the identity holds when residual <= bound."""
 
 
 @dataclass(frozen=True)
@@ -70,6 +86,19 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
+
+
+def require(residuals: list[Residual], error: type[Exception], what: str) -> list[Residual]:
+    """Raise ``error`` at the first residual above its bound; else return the list."""
+    for name, value, bound in residuals:
+        if not value <= bound:
+            raise error(f"{what}: {name} residual {value:.3e} exceeds its bound {bound:.1e}")
+    return residuals
+
+
+def prefixed(prefix: str, residuals: list[Residual]) -> list[Residual]:
+    """The same residuals with ``prefix`` put before each name."""
+    return [(prefix + name, value, bound) for name, value, bound in residuals]
 
 
 def as_matrix(a) -> np.ndarray:
@@ -156,9 +185,30 @@ def commutant_dimension(
     stacked = np.vstack(blocks)
     _, s, vh = np.linalg.svd(stacked)
     cutoff = tol.spec_tol * n
-    null_rows = [vh[i] for i in range(vh.shape[0]) if i >= len(s) or s[i] <= cutoff]
-    basis = [row.reshape(n, n) for row in null_rows]
+    # Null vectors are the columns of V, i.e. the conjugated rows of V^H.
+    basis = [vh[i].conj().reshape(n, n) for i in range(len(s)) if s[i] <= cutoff]
+    require(commutant_residuals(mats, basis, tol), RelationCheckFailedError, "commutant basis")
     return len(basis), basis
+
+
+def commutant_residuals(mats, basis, tol: ToleranceConfig = DEFAULT_TOL) -> list[Residual]:
+    """The basis commutes with every matrix (largest Frobenius norm of XA - AX,
+    within ten times the null-space cutoff) and is Frobenius-orthonormal."""
+    n = mats[0].shape[0]
+    stack = np.array(basis).reshape(len(basis), n, n)
+    commutes = max(float(np.linalg.norm(stack @ a - a @ stack, axis=(1, 2)).max()) for a in mats)
+    flat = stack.reshape(len(basis), n * n)
+    gram = flat.conj() @ flat.T - np.eye(len(basis))
+    return [
+        ("basis_commutes", commutes, tol.spec_tol * n * 10),
+        ("basis_orthonormal", opnorm(gram), tol.spec_tol),
+    ]
+
+
+def irreducibility_residual(mats, tol: ToleranceConfig = DEFAULT_TOL) -> Residual:
+    """Commutant dimension minus one: zero exactly when the set is irreducible."""
+    dim, _ = commutant_dimension(mats, tol)
+    return ("commutant_dimension_1", float(dim - 1), 0.0)
 
 
 def support_value(mats, direction, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -214,12 +264,22 @@ def compress(a, z, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return dagger(z) @ a @ z
 
 
-def check_order(u, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True iff ``u`` is unitary and ``u**k`` is the identity, within tolerance."""
-    u = as_matrix(u)
-    if u.shape[0] != u.shape[1]:
-        raise ShapeMismatchError("check_order requires a square matrix")
-    n = u.shape[0]
-    if opnorm(dagger(u) @ u - np.eye(n)) > tol.spec_tol:
-        return False
-    return opnorm(np.linalg.matrix_power(u, k) - np.eye(n)) <= tol.spec_tol * k
+def unitary_residual(u, tol: ToleranceConfig = DEFAULT_TOL) -> Residual:
+    """||U* U - 1||."""
+    return ("unitary", opnorm(dagger(u) @ u - np.eye(u.shape[1])), tol.spec_tol)
+
+
+def order_residuals(u, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> list[Residual]:
+    """``u`` is unitary and ``u**k`` is the identity (bound spec_tol * k)."""
+    power = opnorm(np.linalg.matrix_power(u, k) - np.eye(u.shape[0]))
+    return [unitary_residual(u, tol), (f"order_{k}", power, tol.spec_tol * k)]
+
+
+def symmetry_residuals(s, tol: ToleranceConfig = DEFAULT_TOL) -> list[Residual]:
+    """``s`` is a symmetry: selfadjoint and squaring to the identity."""
+    if s.shape[0] != s.shape[1]:
+        raise ShapeMismatchError("a symmetry must be square")
+    return [
+        ("selfadjoint", opnorm(s - dagger(s)), tol.spec_tol),
+        ("squares_to_identity", opnorm(s @ s - np.eye(s.shape[0])), tol.spec_tol),
+    ]

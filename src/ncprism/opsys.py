@@ -24,16 +24,19 @@ from .errors import (
     InvalidDensityError,
     NotSelfadjointError,
     OrderMismatchError,
+    RelationCheckFailedError,
     ShapeMismatchError,
     WrongLevelError,
 )
 from .matkernel import (
     DEFAULT_TOL,
+    Residual,
     ToleranceConfig,
     as_matrix,
     dagger,
     hermitize,
     opnorm,
+    require,
 )
 from .reps import RepPair, a4_pair, prism_vertex_rep, s3_pair, steinberg_pair
 from .finitefield import factor_prime_power
@@ -55,6 +58,11 @@ __all__ = [
     "matrix_positivity_prism",
     "element_distance",
     "STRICT_MARGIN",
+    "quotient_residuals",
+    "functional_residuals",
+    "refuted_residuals",
+    "certified_residuals",
+    "min_eigenvalue",
 ]
 
 STRICT_MARGIN = 1e-6
@@ -224,10 +232,36 @@ def psi_k_basis_element(k: int, index: int) -> PrismElement:
     return psi_k(DiagTuple(k, 1, blocks))
 
 
+def quotient_residuals(k: int, q: int = 1) -> list[Residual]:
+    """The quotient map sends (1, ..., 1, -1, -1) to zero and (1, ..., 1) to the unit."""
+    eye = np.eye(q, dtype=complex)
+    zero = psi_k(DiagTuple(k, q, [eye] * k + [-eye, -eye]))
+    unit_gap = element_distance(psi_k(DiagTuple.ones(k, q)), PrismElement.unit(k, q))
+    return [
+        ("kernel_maps_to_zero", max(opnorm(b) for b in [*zero.c, zero.g]), _LINEAR_TOL),
+        ("ones_map_to_unit", unit_gap, _LINEAR_TOL),
+    ]
+
+
+def _dual_balance(z: DualTuple) -> Residual:
+    gap = abs(z.z[: z.k].sum() - z.z[z.k :].sum())
+    return ("dual_balance", float(gap), _LINEAR_TOL * max(1.0, float(np.abs(z.z).max())))
+
+
 def dual_member(z: DualTuple) -> bool:
     """Membership in the dual system: first k coordinates sum to the last two."""
-    gap = z.z[: z.k].sum() - z.z[z.k :].sum()
-    return bool(abs(gap) <= _LINEAR_TOL * max(1.0, float(np.abs(z.z).max())))
+    _, gap, bound = _dual_balance(z)
+    return bool(gap <= bound)
+
+
+def functional_residuals(z: DualTuple, tol: ToleranceConfig = DEFAULT_TOL) -> list[Residual]:
+    """The dual coordinates of a state lie in the dual system and are real
+    and nonnegative."""
+    return [
+        _dual_balance(z),
+        ("nonnegative", max(0.0, -float(z.z.real.min())), tol.alg_tol),
+        ("real", float(np.abs(z.z.imag).max()), tol.alg_tol),
+    ]
 
 
 def functional_to_tuple(
@@ -265,7 +299,9 @@ def functional_to_tuple(
         coords.append(complex(np.trace(density @ qj)) / 2.0)
     coords.append(complex(np.trace(density @ (np.eye(n) + pair.v))) / 4.0)
     coords.append(complex(np.trace(density @ (np.eye(n) - pair.v))) / 4.0)
-    return DualTuple(k, np.array(coords))
+    z = DualTuple(k, np.array(coords))
+    require(functional_residuals(z, tol), RelationCheckFailedError, "functional_to_tuple")
+    return z
 
 
 def scalar_positivity_prism(e: PrismElement) -> ScalarVerdict:
@@ -340,6 +376,30 @@ def _sample_pairs(k: int, samples: int, size_budget: int, seed: int, tol):
     return pairs
 
 
+def min_eigenvalue(e: PrismElement, pair: RepPair) -> float:
+    """Smallest eigenvalue of the evaluation of ``e`` at ``pair``."""
+    return float(np.linalg.eigvalsh(hermitize(e.evaluate(pair))).min())
+
+
+def refuted_residuals(
+    e: PrismElement, verdict: Refuted, tol: ToleranceConfig = DEFAULT_TOL
+) -> list[Residual]:
+    """The witness evaluation of ``e`` has an eigenvalue at or below -spec_tol.
+    The witness pair's own identities are ``reps.pair_residuals``."""
+    return [("witness_min_eigenvalue", min_eigenvalue(e, verdict.witness), -tol.spec_tol)]
+
+
+def certified_residuals(
+    e: PrismElement, verdict: Certified, tol: ToleranceConfig = DEFAULT_TOL
+) -> list[Residual]:
+    """The lift maps onto ``e`` and its blocks are >= STRICT_MARGIN (less psd_clamp)."""
+    shortfall = STRICT_MARGIN - verdict.lift.min_block_eigenvalue()
+    return [
+        ("lift_maps_to_element", element_distance(psi_k(verdict.lift), e), tol.spec_tol),
+        ("lift_strictly_positive", shortfall, tol.psd_clamp),
+    ]
+
+
 def _project_min_eigenvalue(block: np.ndarray, floor: float) -> np.ndarray:
     w, u = np.linalg.eigh(hermitize(block))
     return hermitize((u * np.clip(w, floor, None)) @ dagger(u))
@@ -367,14 +427,13 @@ def matrix_positivity_prism(
     tol: ToleranceConfig = DEFAULT_TOL,
     size_budget: int = 8,
     seed: int = 0,
-    strict_margin: float = STRICT_MARGIN,
 ):
     """Three-valued positivity verdict for a selfadjoint element.
 
     Phase 1 (refutation) evaluates the element on factory representations
     and on random dilated pairs; an eigenvalue below -spec_tol yields
     ``Refuted`` with the witness pair. Phase 2 (certification) searches for
-    a preimage with all blocks >= strict_margin via Dykstra-corrected
+    a preimage with all blocks >= STRICT_MARGIN via Dykstra-corrected
     alternating projections between the strictly-positive product set and
     the affine fiber of the quotient map; success yields ``Certified`` with
     the lift. Otherwise ``Unknown``. Both definite verdicts re-verify from
@@ -386,11 +445,13 @@ def matrix_positivity_prism(
     worst_pair = None
     worst_eig = 0.0
     for pair in _sample_pairs(e.k, samples, size_budget, seed, tol):
-        low = float(np.linalg.eigvalsh(hermitize(e.evaluate(pair))).min())
+        low = min_eigenvalue(e, pair)
         if low < worst_eig:
             worst_eig, worst_pair = low, pair
     if worst_pair is not None and worst_eig < -tol.spec_tol:
-        return Refuted(witness=worst_pair, min_eigenvalue=worst_eig)
+        verdict = Refuted(witness=worst_pair, min_eigenvalue=worst_eig)
+        require(refuted_residuals(e, verdict, tol), RelationCheckFailedError, "refutation")
+        return verdict
 
     k = e.k
     particular = _particular_lift(e).blocks
@@ -400,7 +461,7 @@ def matrix_positivity_prism(
     best_residual = math.inf
     for _ in range(max_iter):
         y = [
-            _project_min_eigenvalue(xb + pb, strict_margin)
+            _project_min_eigenvalue(xb + pb, STRICT_MARGIN)
             for xb, pb in zip(x, p_corr)
         ]
         p_corr = [xb + pb - yb for xb, pb, yb in zip(x, p_corr, y)]
@@ -415,11 +476,13 @@ def matrix_positivity_prism(
         residual = element_distance(psi_k(lift), e)
         best_residual = min(best_residual, residual)
         if residual <= tol.spec_tol:
-            return Certified(
+            verdict = Certified(
                 lift=lift,
                 min_block_eigenvalue=lift.min_block_eigenvalue(),
                 residual=residual,
             )
+            require(certified_residuals(e, verdict, tol), RelationCheckFailedError, "certificate")
+            return verdict
     return Unknown(
         reason=f"no witness below -{tol.spec_tol:.0e} and no strict lift within "
         f"{max_iter} sweeps",

@@ -6,9 +6,12 @@ block-diagonal universal pairs, Hadamard symmetry tuples, prism vertex
 representations, the S3/A4/PSL2(F_q) pairs of order (3, 2), their tensor
 assemblies, and the canonical form of an arbitrary pair of symmetries.
 
-Every constructor verifies its own output (generator orders, defining
-relations, commutant dimension where claimed) and raises rather than
-returning unverified matrices.
+Every constructor requires the residual functions defined beside it (orders
+and relations, symmetries, vertex attainment, canonical-form reconstruction)
+and raises rather than returning unverified matrices. The S3, A4 and
+Steinberg pairs also certify irreducibility; tensor products record their
+commutant dimension. The square and Hadamard constructors do not compute a
+commutant; their irreducibility is checked by the consumers.
 """
 
 from __future__ import annotations
@@ -41,14 +44,19 @@ from .finitefield import (
 )
 from .matkernel import (
     DEFAULT_TOL,
+    Residual,
     ToleranceConfig,
     as_matrix,
-    check_order,
     commutant_dimension,
     dagger,
     direct_sum,
     hermitize,
+    irreducibility_residual,
     opnorm,
+    order_residuals,
+    prefixed,
+    require,
+    symmetry_residuals,
 )
 
 __all__ = [
@@ -66,6 +74,13 @@ __all__ = [
     "tensor_pair",
     "assemble_dimension",
     "generated_group_order",
+    "pair_residuals",
+    "symmetry_tuple_residuals",
+    "hadamard_residuals",
+    "vertex_residuals",
+    "canonical_form_residuals",
+    "S3_RELATIONS",
+    "A4_RELATIONS",
 ]
 
 
@@ -91,32 +106,38 @@ class RepPair:
     def dim(self) -> int:
         return self.w.shape[0]
 
-    def validate(self, tol: ToleranceConfig = DEFAULT_TOL) -> None:
-        if not check_order(self.w, self.k, tol):
-            raise RelationCheckFailedError(
-                f"{self.provenance}: W fails order-{self.k} check"
-            )
-        if not check_order(self.v, 2, tol):
-            raise RelationCheckFailedError(f"{self.provenance}: V fails order-2 check")
+
+def pair_residuals(
+    pair: RepPair, tol: ToleranceConfig = DEFAULT_TOL, relations=()
+) -> list[Residual]:
+    """W has order k and V order 2; each ``(name, residual_fn, bound)`` in
+    ``relations`` adds ``residual_fn(W, V)`` under its name."""
+    return [
+        *prefixed("w_", order_residuals(pair.w, pair.k, tol)),
+        *prefixed("v_", order_residuals(pair.v, 2, tol)),
+        *((name, float(fn(pair.w, pair.v)), bound) for name, fn, bound in relations),
+    ]
 
 
 @dataclass
 class SymmetryTuple:
-    """A tuple of selfadjoint unitaries of common size."""
+    """A tuple of selfadjoint unitaries of common size, checked on creation."""
 
     mats: list[np.ndarray]
     provenance: str = ""
 
     def __post_init__(self):
         self.mats = [as_matrix(m) for m in self.mats]
+        require(symmetry_tuple_residuals(self.mats), NotSymmetryError, self.provenance)
 
     @property
     def dim(self) -> int:
         return self.mats[0].shape[0]
 
-    def validate(self, tol: ToleranceConfig = DEFAULT_TOL) -> None:
-        for m in self.mats:
-            _require_symmetry(m, tol, self.provenance)
+
+def symmetry_tuple_residuals(mats, tol: ToleranceConfig = DEFAULT_TOL) -> list[Residual]:
+    """Every entry is a symmetry; names carry the entry index."""
+    return [r for i, m in enumerate(mats) for r in prefixed(f"s{i}_", symmetry_residuals(m, tol))]
 
 
 @dataclass
@@ -159,15 +180,6 @@ class CanonicalForm:
             v2[pos : pos + d, pos : pos + d] = b2
             pos += d
         return v1, v2
-
-
-def _require_symmetry(m: np.ndarray, tol: ToleranceConfig, what: str) -> None:
-    m = as_matrix(m)
-    n = m.shape[0]
-    if m.shape[0] != m.shape[1]:
-        raise ShapeMismatchError(f"{what}: symmetry must be square")
-    if opnorm(m - dagger(m)) > tol.spec_tol or opnorm(m @ m - np.eye(n)) > tol.spec_tol:
-        raise NotSymmetryError(f"{what}: matrix is not a symmetry within tolerance")
 
 
 def _lambda_block(lam: float) -> np.ndarray:
@@ -229,8 +241,7 @@ def two_symmetry_canonical_form(
     The returned conjugator reconstructs the input from the canonical pair.
     """
     v1, v2 = as_matrix(v1), as_matrix(v2)
-    _require_symmetry(v1, tol, "two_symmetry_canonical_form")
-    _require_symmetry(v2, tol, "two_symmetry_canonical_form")
+    require(symmetry_tuple_residuals([v1, v2], tol), NotSymmetryError, "canonical form input")
     if v1.shape != v2.shape:
         raise ShapeMismatchError("the two symmetries must have equal size")
     n = v1.shape[0]
@@ -288,15 +299,18 @@ def two_symmetry_canonical_form(
 
     conj = np.column_stack(columns) if columns else np.zeros((n, 0), dtype=complex)
     form = CanonicalForm(lambdas, tuple(char_counts), conj)
-    c1, c2 = form.canonical_pair()
-    err = max(
-        opnorm(conj @ c1 @ dagger(conj) - v1), opnorm(conj @ c2 @ dagger(conj) - v2)
-    )
-    if err > tol.spec_tol:
-        raise RelationCheckFailedError(
-            f"canonical form reconstruction error {err:.3e} exceeds tolerance"
-        )
+    require(canonical_form_residuals(v1, v2, form, tol), RelationCheckFailedError, "canonical form")
     return form
+
+
+def canonical_form_residuals(
+    v1, v2, form: CanonicalForm, tol: ToleranceConfig = DEFAULT_TOL
+) -> list[Residual]:
+    """The conjugator carries the canonical pair back to (v1, v2)."""
+    u = form.conjugator
+    c1, c2 = form.canonical_pair()
+    err = max(opnorm(u @ c1 @ dagger(u) - v1), opnorm(u @ c2 @ dagger(u) - v2))
+    return [("reconstruction", err, tol.spec_tol)]
 
 
 def hadamard_symmetries(m: int, max_dim: int = 4096) -> SymmetryTuple:
@@ -322,7 +336,20 @@ def hadamard_symmetries(m: int, max_dim: int = 4096) -> SymmetryTuple:
     for _ in range(m):
         h = np.kron(h, h2)
     mats.append((h / math.sqrt(n)).astype(complex))
-    return SymmetryTuple(mats, provenance=f"hadamard_symmetries(m={m})")
+    st = SymmetryTuple(mats, provenance=f"hadamard_symmetries(m={m})")
+    require([_heads_commute(st.mats, DEFAULT_TOL)], RelationCheckFailedError, st.provenance)
+    return st
+
+
+def _heads_commute(mats, tol: ToleranceConfig) -> Residual:
+    heads = mats[:-1]
+    gaps = [opnorm(a @ b - b @ a) for i, a in enumerate(heads) for b in heads[i + 1 :]]
+    return ("heads_commute", max(gaps, default=0.0), tol.alg_tol)
+
+
+def hadamard_residuals(mats, tol: ToleranceConfig = DEFAULT_TOL) -> list[Residual]:
+    """A symmetry tuple whose entries other than the last commute pairwise."""
+    return [*symmetry_tuple_residuals(mats, tol), _heads_commute(mats, tol)]
 
 
 def cyclic_shift(k: int) -> np.ndarray:
@@ -352,8 +379,22 @@ def prism_vertex_rep(k: int, j: int, sign: int) -> tuple[RepPair, np.ndarray]:
     v = sign * direct_sum(swap, np.eye(k - 2))
     xi = np.ones(k, dtype=complex) / math.sqrt(k)
     pair = RepPair(w, v, k, provenance=f"prism_vertex_rep(k={k}, j={j}, sign={sign:+d})")
-    pair.validate()
+    residuals = [*pair_residuals(pair), *vertex_residuals(pair, xi, j, sign)]
+    require(residuals, RelationCheckFailedError, pair.provenance)
     return pair, xi
+
+
+def vertex_residuals(
+    pair: RepPair, xi, j: int, sign: int, tol: ToleranceConfig = DEFAULT_TOL
+) -> list[Residual]:
+    """The vector state of ``xi`` maps (W, V) to the vertex (omega^j, sign)."""
+    wval = complex(np.vdot(xi, pair.w @ xi))
+    vval = complex(np.vdot(xi, pair.v @ xi))
+    angle = 2 * math.pi * j / pair.k
+    attained = np.array([wval.real, wval.imag, vval.real])
+    target = np.array([math.cos(angle), math.sin(angle), float(sign)])
+    error = float(np.linalg.norm(attained - target) + abs(vval.imag))
+    return [("vertex_attained", error, tol.alg_tol)]
 
 
 def generated_group_order(
@@ -389,36 +430,25 @@ def generated_group_order(
 
 
 def _verified_pair(
-    w,
-    v,
-    k: int,
-    provenance: str,
-    relations=(),
-    group_order: int | None = None,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    relation_tol: float = 1e-10,
+    w, v, k: int, provenance: str, relations=(), tol: ToleranceConfig = DEFAULT_TOL
 ) -> RepPair:
-    """Build a RepPair and run the build-time guards; raise on any failure."""
+    """Build a RepPair, check its orders and relations and certify irreducibility."""
     pair = RepPair(w, v, k, provenance=provenance)
-    pair.validate(tol)
-    for name, lhs, rhs in relations:
-        if opnorm(lhs - rhs) > relation_tol:
-            raise RelationCheckFailedError(
-                f"{provenance}: relation {name} fails by {opnorm(lhs - rhs):.3e}"
-            )
-    dim, _ = commutant_dimension([pair.w, pair.v], tol)
-    if dim != 1:
-        raise RelationCheckFailedError(
-            f"{provenance}: commutant dimension {dim} != 1, pair is reducible"
-        )
-    if group_order is not None:
-        order = generated_group_order([pair.w, pair.v])
-        if order != group_order:
-            raise RelationCheckFailedError(
-                f"{provenance}: generated group has order {order}, expected {group_order}"
-            )
+    residuals = [*pair_residuals(pair, tol, relations), irreducibility_residual([pair.w, pair.v], tol)]
+    require(residuals, RelationCheckFailedError, provenance)
     pair.commutant_dim = 1
     return pair
+
+
+# (name, residual function of (W, V), bound) for pair_residuals.
+S3_RELATIONS = (
+    ("VWV = W^-1", lambda w, v: opnorm(v @ w @ v - w @ w), 1e-10),
+    ("group_order_6", lambda w, v: abs(generated_group_order([w, v]) - 6), 0.0),
+)
+A4_RELATIONS = (
+    ("WVW = VW^2V", lambda w, v: opnorm(w @ v @ w - v @ w @ w @ v), 1e-10),
+    ("group_order_12", lambda w, v: abs(generated_group_order([w, v]) - 12), 0.0),
+)
 
 
 def s3_pair() -> RepPair:
@@ -430,14 +460,7 @@ def s3_pair() -> RepPair:
     c, s = math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3)
     w = np.array([[c, -s], [s, c]], dtype=complex)
     v = np.diag([1.0, -1.0]).astype(complex)
-    return _verified_pair(
-        w,
-        v,
-        3,
-        "s3_pair",
-        relations=[("VWV = W^-1", v @ w @ v, np.linalg.matrix_power(w, 2))],
-        group_order=6,
-    )
+    return _verified_pair(w, v, 3, "s3_pair", S3_RELATIONS)
 
 
 def a4_pair() -> RepPair:
@@ -449,16 +472,7 @@ def a4_pair() -> RepPair:
     w = np.zeros((3, 3), dtype=complex)
     w[1, 0] = w[2, 1] = w[0, 2] = 1.0
     v = np.diag([-1.0, -1.0, 1.0]).astype(complex)
-    return _verified_pair(
-        w,
-        v,
-        3,
-        "a4_pair",
-        relations=[
-            ("WVW = VW^2V", w @ v @ w, v @ np.linalg.matrix_power(w, 2) @ v)
-        ],
-        group_order=12,
-    )
+    return _verified_pair(w, v, 3, "a4_pair", A4_RELATIONS)
 
 
 def steinberg_pair(q: int, field: FiniteFieldSpec | None = None) -> RepPair:
@@ -536,7 +550,7 @@ def tensor_pair(p1: RepPair, p2: RepPair, tol: ToleranceConfig = DEFAULT_TOL) ->
         p1.k,
         provenance=f"tensor({p1.provenance}, {p2.provenance})",
     )
-    pair.validate(tol)
+    require(pair_residuals(pair, tol), RelationCheckFailedError, pair.provenance)
     pair.commutant_dim, _ = commutant_dimension([pair.w, pair.v], tol)
     pair.provenance += f"[commutant_dim={pair.commutant_dim}]"
     return pair
@@ -561,7 +575,7 @@ def assemble_dimension(n: int, tol: ToleranceConfig = DEFAULT_TOL) -> RepPair:
             provenance="character(j=0, sign=+1)",
             commutant_dim=1,
         )
-        pair.validate(tol)
+        require(pair_residuals(pair, tol), RelationCheckFailedError, pair.provenance)
         return pair
 
     factors = []

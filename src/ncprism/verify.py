@@ -1,8 +1,11 @@
 """Seeded end-to-end invariant suite, exposed through the CLI.
 
-Each check exercises one construction against its defining identities and
-returns the worst residual seen, so a report line documents not just
-pass/fail but how much numerical slack remains.
+Each check is a row of ``_CHECKS``: a name, a bound, a seeded sampler that
+builds a construction and yields the arguments of a residual function, and
+that function: the construction's catalogue residual functions (the ones its
+constructor requires), or for the scalar positivity grid and compression
+monotonicity a comparison kept here. A check reports the worst residual seen,
+so a report line documents not just pass/fail but how much slack remains.
 """
 
 from __future__ import annotations
@@ -16,11 +19,10 @@ from . import convexity, dilation, opsys, reps
 from .matkernel import (
     DEFAULT_TOL,
     ToleranceConfig,
-    commutant_dimension,
     compress,
     dagger,
     hermitize,
-    opnorm,
+    irreducibility_residual,
 )
 
 __all__ = ["CheckResult", "run_all"]
@@ -31,198 +33,130 @@ class CheckResult:
     name: str
     passed: bool
     residual: float
-    detail: str = ""
+    bound: float
 
 
-def _random_hermitian_contraction(rng, n):
-    h = hermitize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    norm = opnorm(h)
-    return h / norm * rng.uniform(0.0, 1.0) if norm > 0 else h
-
-
-def _check_halmos(rng, budget, tol):
-    worst = 0.0
+def _halmos(rng, budget, tol):
     for _ in range(50):
         n = int(rng.integers(1, min(budget, 8) + 1))
-        b = _random_hermitian_contraction(rng, n)
-        s = dilation.halmos_symmetry(b, tol)
-        m = s.shape[0]
-        worst = max(
-            worst,
-            opnorm(s - dagger(s)),
-            opnorm(s @ s - np.eye(m)),
-            opnorm(s[:n, :n] - b),
-        )
-    return CheckResult("halmos_symmetry", worst <= 1e-8, worst)
+        b = convexity.random_hermitian_contraction(rng, n)
+        yield b, dilation.halmos_symmetry(b, tol), tol
 
 
-def _check_mirman(rng, budget, tol):
-    worst = 0.0
+def _mirman(rng, budget, tol):
     omega = np.exp(2j * np.pi / 3)
     for _ in range(25):
         big, small = 12, 4
         spectrum = np.array([omega ** int(rng.integers(0, 3)) for _ in range(big)])
-        normal = np.diag(spectrum)
         raw = rng.standard_normal((big, small)) + 1j * rng.standard_normal((big, small))
         z0, _ = np.linalg.qr(raw)
-        a = dagger(z0) @ normal @ z0
-        result = dilation.naimark_normal(dilation.triangle_povm(a, tol), tol)
-        nd = result.operators[0]
-        targets = np.array([1.0, omega, omega**2])
-        spectrum_gap = np.abs(
-            np.subtract.outer(np.linalg.eigvals(nd), targets)
-        ).min(axis=1)
-        worst = max(
-            worst,
-            opnorm(nd @ dagger(nd) - dagger(nd) @ nd),
-            float(spectrum_gap.max()),
-            opnorm(result.compressions()[0] - a),
-        )
-    return CheckResult("mirman_roundtrip", worst <= 1e-8, worst)
+        a = dagger(z0) @ np.diag(spectrum) @ z0
+        povm = dilation.triangle_povm(a, tol)
+        yield a, povm, dilation.naimark_normal(povm, tol), tol
 
 
-def _check_joint_dilation(rng, budget, tol):
-    worst = 0.0
+def _mirman_residuals(a, povm, result, tol):
+    return [
+        *dilation.povm_residuals(povm.effects, povm.outcome_labels, a, tol),
+        *dilation.naimark_residuals(povm, result, tol),
+    ]
+
+
+def _joint(rng, budget, tol):
     for _ in range(25):
         n = int(rng.integers(1, min(budget, 6) + 1))
         a, b = convexity.random_prism_point(rng, n, 3)
-        pair, g = dilation.joint_prism_dilation(a, b, 3, tol)
-        eye = np.eye(pair.dim)
-        worst = max(
-            worst,
-            opnorm(np.linalg.matrix_power(pair.w, 3) - eye),
-            opnorm(pair.v @ pair.v - eye),
-            opnorm(compress(pair.w, g, tol) - a),
-            opnorm(compress(pair.v, g, tol) - b),
-        )
-    return CheckResult("joint_prism_dilation", worst <= 1e-8, worst)
+        yield (a, b, *dilation.joint_prism_dilation(a, b, 3, tol), tol)
 
 
-def _check_square(rng, budget, tol):
-    worst = 0.0
-    ok = True
+def _joint_residuals(a, b, pair, g, tol):
+    return [*reps.pair_residuals(pair, tol), *dilation.joint_residuals(a, b, pair, g, tol)]
+
+
+def _square(rng, budget, tol):
     for lam in (0.0, 0.5, -0.5, 0.9, -0.9):
-        pair = reps.square_irrep(lam)
-        dim, _ = commutant_dimension(pair.mats, tol)
-        ok &= dim == 1
-        raw = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        u, _ = np.linalg.qr(raw)
-        conj = [u @ m @ dagger(u) for m in pair.mats]
-        form = reps.two_symmetry_canonical_form(conj[0], conj[1], tol)
-        ok &= len(form.lambdas) == 1
-        if form.lambdas:
-            worst = max(worst, abs(form.lambdas[0] - lam))
-    return CheckResult("square_classification", ok and worst <= 1e-8, worst)
+        st = reps.square_irrep(lam)
+        u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        v1, v2 = (u @ m @ dagger(u) for m in st.mats)
+        yield lam, st, v1, v2, reps.two_symmetry_canonical_form(v1, v2, tol), tol
 
 
-def _check_hadamard(rng, budget, tol):
-    worst = 0.0
-    ok = True
-    max_m = max(1, min(3, int(math.log2(max(2, budget)))))
-    for m in range(1, max_m + 1):
-        st = reps.hadamard_symmetries(m)
-        n = st.dim
-        for mat in st.mats:
-            worst = max(worst, opnorm(mat - dagger(mat)), opnorm(mat @ mat - np.eye(n)))
-        for i in range(m):
-            for j in range(i + 1, m):
-                worst = max(worst, opnorm(st.mats[i] @ st.mats[j] - st.mats[j] @ st.mats[i]))
-        dim, _ = commutant_dimension(st.mats, tol)
-        ok &= dim == 1
-    return CheckResult("hadamard_symmetries", ok and worst <= 1e-8, worst)
+def _square_residuals(lam, st, v1, v2, form, tol):
+    recovered = abs(form.lambdas[0] - lam) if len(form.lambdas) == 1 else math.inf
+    return [
+        irreducibility_residual(st.mats, tol),
+        *reps.canonical_form_residuals(v1, v2, form, tol),
+        ("coupling_recovered", recovered, tol.spec_tol),
+    ]
 
 
-def _check_group_pairs(rng, budget, tol):
-    worst = 0.0
-    ok = True
-    s3 = reps.s3_pair()
-    worst = max(worst, opnorm(s3.v @ s3.w @ s3.v - np.linalg.matrix_power(s3.w, 2)))
-    a4 = reps.a4_pair()
-    worst = max(
-        worst,
-        opnorm(a4.w @ a4.v @ a4.w - a4.v @ np.linalg.matrix_power(a4.w, 2) @ a4.v),
-    )
-    ok &= s3.commutant_dim == 1 and a4.commutant_dim == 1
+def _hadamard(rng, budget, tol):
+    for m in range(1, max(1, min(3, int(math.log2(max(2, budget))))) + 1):
+        yield reps.hadamard_symmetries(m).mats, tol
+
+
+def _hadamard_residuals(mats, tol):
+    return [*reps.hadamard_residuals(mats, tol), irreducibility_residual(mats, tol)]
+
+
+def _group_pairs(rng, budget, tol):
+    yield reps.s3_pair(), reps.S3_RELATIONS, tol
+    yield reps.a4_pair(), reps.A4_RELATIONS, tol
     if budget >= 5:
-        st = reps.steinberg_pair(5)
-        ok &= st.commutant_dim == 1 and st.dim == 5
-    return CheckResult("group_pairs", ok and worst <= 1e-10, worst)
+        yield reps.steinberg_pair(5), (), tol
 
 
-def _check_vertices(rng, budget, tol):
-    worst = 0.0
+def _group_residuals(pair, relations, tol):
+    recorded = ("commutant_dimension_1", float(pair.commutant_dim - 1), 0.0)
+    return [*reps.pair_residuals(pair, tol, relations), recorded]
+
+
+def _vertices(rng, budget, tol):
     for k in (3, 4, 5):
-        for record in convexity.vertex_state_check(k, tol):
-            worst = max(worst, record.error)
-    return CheckResult("vertex_attainment", worst <= 1e-10, worst)
+        for j in range(k):
+            for sign in (1, -1):
+                yield (*reps.prism_vertex_rep(k, j, sign), j, sign, tol)
 
 
-def _check_geometry(rng, budget, tol):
-    worst = 0.0
+def _geometry(rng, budget, tol):
     for k in range(3, 65):
-        worst = max(worst, abs(convexity.incircle_radius(k) - math.cos(math.pi / k)))
-    for k in (3, 4, 6, 12):
-        worst = max(worst, abs(convexity.circumnorm(k) - math.sqrt(2.0)))
-    worst = max(worst, abs(convexity.theta_lower_bound(3) - 3.0 / (2.0 * math.sqrt(2.0))))
-    for d in (2, 3, 9):
-        worst = max(worst, abs(convexity.cube_scaling_constant(d) - math.sqrt(d)))
-    return CheckResult("scaling_geometry", worst <= 1e-12, worst)
+        yield (k,)
 
 
-def _check_quotient(rng, budget, tol):
-    worst = 0.0
+def _quotient(rng, budget, tol):
     for k in (3, 4, 5):
         for q in (1, 2):
-            eye = np.eye(q, dtype=complex)
-            kernel = opsys.DiagTuple(k, q, [eye] * k + [-eye, -eye])
-            zero = opsys.psi_k(kernel)
-            worst = max(worst, max(opnorm(b) for b in [*zero.c, zero.g]))
-            unit_image = opsys.psi_k(opsys.DiagTuple.ones(k, q))
-            worst = max(worst, opsys.element_distance(unit_image, opsys.PrismElement.unit(k, q)))
-    return CheckResult("quotient_kernel_unit", worst <= 1e-12, worst)
+            yield k, q
 
 
-def _check_dual(rng, budget, tol):
-    ok = True
-    low = 0.0
+def _dual(rng, budget, tol):
     for _ in range(20):
         k = int(rng.choice([3, 4, 5]))
         j = int(rng.integers(0, k))
-        pair, xi = reps.prism_vertex_rep(k, j, int(rng.choice([1, -1])))
+        pair, _ = reps.prism_vertex_rep(k, j, int(rng.choice([1, -1])))
         raw = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
         rho = raw @ dagger(raw)
         rho = hermitize(rho / np.trace(rho).real)
-        z = opsys.functional_to_tuple(pair, rho, k, tol)
-        ok &= opsys.dual_member(z)
-        low = min(low, float(z.z.real.min()), -float(np.abs(z.z.imag).max()))
-    return CheckResult("dual_embedding", ok and low >= -1e-10, -low)
+        yield opsys.functional_to_tuple(pair, rho, k, tol), tol
 
 
-def _check_positivity(rng, budget, tol):
-    ok = True
-    worst = 0.0
+def _positivity(rng, budget, tol):
     pairs = [reps.prism_vertex_rep(3, j, s)[0] for j in range(3) for s in (1, -1)]
     pairs += [reps.s3_pair(), reps.a4_pair()]
     for cval in np.linspace(-0.8, 0.8, 3):
         for gval in np.linspace(-0.8, 0.8, 3):
-            blocks = [
-                np.array([[1.0]], dtype=complex),
-                np.array([[cval]], dtype=complex),
-                np.array([[cval]], dtype=complex),
-            ]
-            e = opsys.PrismElement(3, 1, blocks, np.array([[gval]], dtype=complex))
-            verdict = opsys.scalar_positivity_prism(e)
-            sampled = min(
-                float(np.linalg.eigvalsh(hermitize(e.evaluate(p))).min()) for p in pairs
-            )
-            worst = max(worst, abs(sampled - verdict.margin))
-            ok &= abs(sampled - verdict.margin) <= 1e-8
-    return CheckResult("scalar_positivity_grid", ok, worst)
+            blocks = [np.array([[1.0]]), np.array([[cval]]), np.array([[cval]])]
+            e = opsys.PrismElement(3, 1, blocks, np.array([[gval]]))
+            yield e, opsys.scalar_positivity_prism(e), pairs
 
 
-def _check_monotone(rng, budget, tol):
-    ok = True
-    worst = -math.inf
+def _positivity_residuals(e, verdict, pairs):
+    """The exact vertex margin against the evaluations on factory pairs."""
+    sampled = min(opsys.min_eigenvalue(e, p) for p in pairs)
+    return [("margin_matches_samples", abs(sampled - verdict.margin), 1e-8)]
+
+
+def _monotone(rng, budget, tol):
     prism = convexity.make_prism(3)
     for _ in range(20):
         n = int(rng.integers(2, min(budget, 6) + 1))
@@ -232,25 +166,28 @@ def _check_monotone(rng, budget, tol):
         z, _ = np.linalg.qr(raw)
         re, im = convexity.real_imag_parts(a)
         small = [compress(re, z, tol), compress(im, z, tol), compress(b, z, tol)]
-        verdict = convexity.max_member(small, prism, tol)
-        ok &= verdict.member
-        worst = max(worst, -verdict.margin)
-    return CheckResult("compression_monotonicity", ok, max(0.0, worst))
+        yield convexity.max_member(small, prism, tol), tol
 
 
+def _monotone_residuals(verdict, tol):
+    return [("compressed_margin", max(0.0, -verdict.margin), tol.spec_tol)]
+
+
+# (name, bound on the worst residual, sampler, residual function). Each
+# check draws from its own generator, seeded with seed + row index.
 _CHECKS = [
-    _check_halmos,
-    _check_mirman,
-    _check_joint_dilation,
-    _check_square,
-    _check_hadamard,
-    _check_group_pairs,
-    _check_vertices,
-    _check_geometry,
-    _check_quotient,
-    _check_dual,
-    _check_positivity,
-    _check_monotone,
+    ("halmos_symmetry", 1e-8, _halmos, dilation.halmos_symmetry_residuals),
+    ("mirman_roundtrip", 1e-8, _mirman, _mirman_residuals),
+    ("joint_prism_dilation", 1e-8, _joint, _joint_residuals),
+    ("square_classification", 1e-8, _square, _square_residuals),
+    ("hadamard_symmetries", 1e-8, _hadamard, _hadamard_residuals),
+    ("group_pairs", 1e-10, _group_pairs, _group_residuals),
+    ("vertex_attainment", 1e-10, _vertices, reps.vertex_residuals),
+    ("scaling_geometry", 1e-12, _geometry, convexity.geometry_residuals),
+    ("quotient_kernel_unit", 1e-12, _quotient, opsys.quotient_residuals),
+    ("dual_embedding", 1e-10, _dual, opsys.functional_residuals),
+    ("scalar_positivity_grid", 1e-8, _positivity, _positivity_residuals),
+    ("compression_monotonicity", 1e-8, _monotone, _monotone_residuals),
 ]
 
 
@@ -259,7 +196,9 @@ def run_all(
 ) -> list[CheckResult]:
     """Run every invariant check with a fresh seeded generator per check."""
     results = []
-    for i, check in enumerate(_CHECKS):
+    for i, (name, bound, sampler, residual_fn) in enumerate(_CHECKS):
         rng = np.random.default_rng(seed + i)
-        results.append(check(rng, size_budget, tol))
+        samples = sampler(rng, size_budget, tol)
+        worst = max(value for args in samples for _, value, _ in residual_fn(*args))
+        results.append(CheckResult(name, worst <= bound, worst, bound))
     return results

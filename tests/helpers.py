@@ -2,19 +2,20 @@
 
 import numpy as np
 
-from ncprism.matkernel import dagger, hermitize, opnorm
+from ncprism.matkernel import dagger, hermitize
+
+
+def within_bounds(residuals):
+    """True when every (name, residual, bound) triple has residual <= bound."""
+    return all(value <= bound for _, value, bound in residuals)
+
+
+def worst(residuals):
+    return max(value for _, value, _ in residuals)
 
 
 def random_hermitian(rng, n):
     return hermitize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-
-
-def random_hermitian_contraction(rng, n, scale=None):
-    h = random_hermitian(rng, n)
-    norm = opnorm(h)
-    if norm == 0:
-        return h
-    return h / norm * (scale if scale is not None else rng.uniform(0.0, 1.0))
 
 
 def random_unitary(rng, n):
@@ -34,3 +35,25 @@ def random_psd_trace_one(rng, n):
     raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     rho = raw @ dagger(raw)
     return hermitize(rho / np.trace(rho).real)
+
+
+def closure_order_oracle(mats, digits=6):
+    """Independent group-closure enumeration using rounded-entry keys."""
+    def key(m):
+        return tuple(np.round(m, digits).ravel().tolist())
+
+    n = mats[0].shape[0]
+    elements = {key(np.eye(n, dtype=complex)): np.eye(n, dtype=complex)}
+    frontier = [np.eye(n, dtype=complex)]
+    while frontier:
+        fresh = []
+        for e in frontier:
+            for g in mats:
+                cand = e @ g
+                k = key(cand)
+                if k not in elements:
+                    elements[k] = cand
+                    fresh.append(cand)
+        frontier = fresh
+        assert len(elements) <= 1000
+    return len(elements)

@@ -10,60 +10,17 @@ import numpy as np
 import pytest
 
 from helpers import (
-    random_hermitian_contraction,
+    closure_order_oracle,
     random_isometry,
     random_psd_trace_one,
     random_unitary,
+    within_bounds,
+    worst,
 )
 
-from ncprism.convexity import (
-    circumnorm,
-    cube_scaling_constant,
-    incircle_radius,
-    make_prism,
-    max_member,
-    random_prism_point,
-    real_imag_parts,
-    theta_lower_bound,
-    vertex_state_check,
-)
-from ncprism.dilation import (
-    halmos_symmetry,
-    joint_prism_dilation,
-    naimark_normal,
-    triangle_povm,
-)
+from ncprism import convexity, dilation, opsys, reps
 from ncprism.errors import UnsupportedQError
-from ncprism.matkernel import (
-    check_order,
-    commutant_dimension,
-    compress,
-    dagger,
-    hermitize,
-    opnorm,
-)
-from ncprism.opsys import (
-    Certified,
-    DiagTuple,
-    PrismElement,
-    Refuted,
-    dual_member,
-    element_distance,
-    functional_to_tuple,
-    matrix_positivity_prism,
-    psi_k,
-    scalar_positivity_prism,
-)
-from ncprism.reps import (
-    a4_pair,
-    assemble_dimension,
-    hadamard_symmetries,
-    prism_vertex_rep,
-    s3_pair,
-    square_irrep,
-    steinberg_pair,
-    two_symmetry_canonical_form,
-)
+from ncprism.matkernel import compress, dagger, hermitize, irreducibility_residual, opnorm
 
 OMEGA = np.exp(2j * np.pi / 3)
 
@@ -72,140 +29,100 @@ def report(number, text):
     print(f"[criterion {number:2d}] PASS: {text}")
 
 
-def closure_order(mats, digits=6):
-    def key(m):
-        return tuple(np.round(m, digits).ravel().tolist())
-
-    n = mats[0].shape[0]
-    elements = {key(np.eye(n, dtype=complex))}
-    frontier = [np.eye(n, dtype=complex)]
-    store = [np.eye(n, dtype=complex)]
-    while frontier:
-        fresh = []
-        for e in frontier:
-            for g in mats:
-                cand = e @ g
-                k = key(cand)
-                if k not in elements:
-                    elements.add(k)
-                    fresh.append(cand)
-                    store.append(cand)
-        frontier = fresh
-    return len(elements)
-
-
 def test_criterion_01_halmos_suite():
     rng = np.random.default_rng(101)
-    worst = 0.0
+    largest = 0.0
     for _ in range(200):
         n = int(rng.integers(1, 9))
-        b = random_hermitian_contraction(rng, n)
-        s = halmos_symmetry(b)
+        b = convexity.random_hermitian_contraction(rng, n)
+        s = dilation.halmos_symmetry(b)
         assert np.array_equal(s[:n, :n], b), "corner block must equal input exactly"
-        worst = max(worst, opnorm(s - dagger(s)), opnorm(s @ s - np.eye(2 * n)))
-    assert worst <= 1e-8
-    report(1, f"200 Halmos symmetry dilations, worst residual {worst:.2e}")
+        largest = max(largest, worst(dilation.halmos_symmetry_residuals(b, s)))
+    assert largest <= 1e-8
+    report(1, f"200 Halmos symmetry dilations, worst residual {largest:.2e}")
 
 
 def test_criterion_02_mirman_suite():
     rng = np.random.default_rng(102)
     targets = np.array([1.0, OMEGA, OMEGA**2])
-    worst = 0.0
+    largest = 0.0
     for _ in range(100):
         spectrum = targets[rng.integers(0, 3, size=12)]
-        normal = np.diag(spectrum)
         iso = random_isometry(rng, 4, 12)
-        a = dagger(iso) @ normal @ iso
-        result = naimark_normal(triangle_povm(a))
-        nd = result.operators[0]
-        gaps = np.abs(np.subtract.outer(np.linalg.eigvals(nd), targets)).min(axis=1)
-        worst = max(
-            worst,
-            opnorm(nd @ dagger(nd) - dagger(nd) @ nd),
-            float(gaps.max()),
+        a = dagger(iso) @ np.diag(spectrum) @ iso
+        povm = dilation.triangle_povm(a)
+        result = dilation.naimark_normal(povm)
+        largest = max(
+            largest,
+            worst(dilation.povm_residuals(povm.effects, povm.outcome_labels, a)),
+            worst(dilation.naimark_residuals(povm, result)),
             opnorm(result.compressions()[0] - a),
         )
-    assert worst <= 1e-8
-    report(2, f"100 normal dilations with vertex spectrum, worst residual {worst:.2e}")
+    assert largest <= 1e-8
+    report(2, f"100 normal dilations with vertex spectrum, worst residual {largest:.2e}")
 
 
 def test_criterion_03_joint_dilation_suite():
     rng = np.random.default_rng(103)
-    worst = 0.0
+    largest = 0.0
     for i in range(100):
         n = 1 + i % 6
-        a, b = random_prism_point(rng, n, 3)
-        pair, g = joint_prism_dilation(a, b, 3)
-        eye = np.eye(pair.dim)
-        worst = max(
-            worst,
-            opnorm(np.linalg.matrix_power(pair.w, 3) - eye),
-            opnorm(pair.v @ pair.v - eye),
-            opnorm(compress(pair.w, g) - a),
-            opnorm(compress(pair.v, g) - b),
-        )
-    assert worst <= 1e-8
-    report(3, f"100 joint order-(3,2) dilations at levels 1..6, worst residual {worst:.2e}")
+        a, b = convexity.random_prism_point(rng, n, 3)
+        pair, g = dilation.joint_prism_dilation(a, b, 3)
+        joint = [*reps.pair_residuals(pair), *dilation.joint_residuals(a, b, pair, g)]
+        largest = max(largest, worst(joint))
+    assert largest <= 1e-8
+    report(3, f"100 joint order-(3,2) dilations at levels 1..6, worst residual {largest:.2e}")
 
 
 def test_criterion_04_square_classification():
     rng = np.random.default_rng(104)
-    worst = 0.0
+    largest = 0.0
     for lam in (0.0, 0.5, -0.5, 0.9, -0.9, 0.99):
-        st = square_irrep(lam)
-        dim, _ = commutant_dimension(st.mats)
-        assert dim == 1
+        st = reps.square_irrep(lam)
+        assert within_bounds(reps.symmetry_tuple_residuals(st.mats))
+        assert within_bounds([irreducibility_residual(st.mats)])
         u = random_unitary(rng, 2)
-        form = two_symmetry_canonical_form(
-            u @ st.mats[0] @ dagger(u), u @ st.mats[1] @ dagger(u)
-        )
+        v1, v2 = u @ st.mats[0] @ dagger(u), u @ st.mats[1] @ dagger(u)
+        form = reps.two_symmetry_canonical_form(v1, v2)
+        assert within_bounds(reps.canonical_form_residuals(v1, v2, form))
         assert len(form.lambdas) == 1
-        worst = max(worst, abs(form.lambdas[0] - lam))
-    assert worst <= 1e-8
-    report(4, f"square family irreducible and coupling recovered, worst error {worst:.2e}")
+        largest = max(largest, abs(form.lambdas[0] - lam))
+    assert largest <= 1e-8
+    report(4, f"square family irreducible and coupling recovered, worst error {largest:.2e}")
 
 
 def test_criterion_05_hadamard_symmetries():
     for m in (1, 2, 3, 4):
-        st = hadamard_symmetries(m)
-        n = 2**m
-        for mat in st.mats:
-            assert opnorm(mat - dagger(mat)) <= 1e-12
-            assert opnorm(mat @ mat - np.eye(n)) <= 1e-12
+        st = reps.hadamard_symmetries(m)
+        assert worst(reps.hadamard_residuals(st.mats)) <= 1e-12
         for i in range(m):
             for j in range(i + 1, m):
                 assert np.array_equal(st.mats[i] @ st.mats[j], st.mats[j] @ st.mats[i])
-        dim, _ = commutant_dimension(st.mats)
-        assert dim == 1
+        assert within_bounds([irreducibility_residual(st.mats)])
     report(5, "Hadamard tuples for m=1..4: symmetries, commuting heads, irreducible")
 
 
 def test_criterion_06_finite_level_prism_extremes():
-    s3 = s3_pair()
-    assert opnorm(s3.v @ s3.w @ s3.v - np.linalg.matrix_power(s3.w, 2)) <= 1e-10
-    assert commutant_dimension([s3.w, s3.v])[0] == 1
-    assert closure_order([s3.w, s3.v]) == 6
-
-    a4 = a4_pair()
-    lhs = a4.w @ a4.v @ a4.w
-    rhs = a4.v @ np.linalg.matrix_power(a4.w, 2) @ a4.v
-    assert opnorm(lhs - rhs) <= 1e-10
-    assert commutant_dimension([a4.w, a4.v])[0] == 1
-    assert closure_order([a4.w, a4.v]) == 12
+    groups = ((reps.s3_pair(), reps.S3_RELATIONS, 6), (reps.a4_pair(), reps.A4_RELATIONS, 12))
+    for pair, relations, order in groups:
+        assert worst(reps.pair_residuals(pair, relations=relations)) <= 1e-10
+        assert within_bounds([irreducibility_residual([pair.w, pair.v])])
+        assert closure_order_oracle([pair.w, pair.v]) == order
 
     for q in (5, 7, 11, 13):
-        pair = steinberg_pair(q)
+        pair = reps.steinberg_pair(q)
         assert pair.dim == q
-        assert check_order(pair.w, 3) and check_order(pair.v, 2)
-        assert commutant_dimension([pair.w, pair.v])[0] == 1
+        assert within_bounds(reps.pair_residuals(pair))
+        assert within_bounds([irreducibility_residual([pair.w, pair.v])])
 
     with pytest.raises(UnsupportedQError):
-        steinberg_pair(9)
+        reps.steinberg_pair(9)
 
     for n in (1, 2, 3, 4, 5, 6, 7, 8, 10):
-        pair = assemble_dimension(n)
+        pair = reps.assemble_dimension(n)
         assert pair.dim == n
-        assert check_order(pair.w, 3) and check_order(pair.v, 2)
+        assert within_bounds(reps.pair_residuals(pair))
         assert pair.commutant_dim is not None
         if n in (1, 2, 3, 5, 6, 7):
             assert pair.commutant_dim == 1
@@ -213,61 +130,47 @@ def test_criterion_06_finite_level_prism_extremes():
 
 
 def test_criterion_07_vertex_attainment():
-    worst = 0.0
+    largest = 0.0
     for k in (3, 4, 5, 12):
-        records = vertex_state_check(k)
-        assert len(records) == 2 * k
-        worst = max(worst, max(r.error for r in records))
-    assert worst <= 1e-10
-    report(7, f"all extreme points attained for k in {{3,4,5,12}}, worst error {worst:.2e}")
+        for j in range(k):
+            for sign in (1, -1):
+                pair, xi = reps.prism_vertex_rep(k, j, sign)
+                largest = max(largest, worst(reps.vertex_residuals(pair, xi, j, sign)))
+    assert largest <= 1e-10
+    report(7, f"all extreme points attained for k in {{3,4,5,12}}, worst error {largest:.2e}")
 
 
 def test_criterion_08_geometry():
-    worst = 0.0
-    for k in range(3, 65):
-        worst = max(worst, abs(incircle_radius(k) - math.cos(math.pi / k)))
-        worst = max(worst, abs(circumnorm(k) - math.sqrt(2.0)))
-    assert worst <= 1e-12
-    assert abs(theta_lower_bound(3) - 1.060660171779821) <= 1e-12
+    largest = max(worst(convexity.geometry_residuals(k)) for k in range(3, 65))
+    assert largest <= 1e-12
+    assert abs(convexity.theta_lower_bound(3) - 1.060660171779821) <= 1e-12
     for d in (2, 3, 4, 9, 16):
-        assert cube_scaling_constant(d) == math.sqrt(d)
-    report(8, f"incircle/circumnorm/theta/cube constants verified, worst gap {worst:.2e}")
+        assert convexity.cube_scaling_constant(d) == math.sqrt(d)
+    report(8, f"incircle/circumnorm/theta/cube constants verified, worst gap {largest:.2e}")
 
 
 def test_criterion_09_quotient_and_dual():
-    worst = 0.0
-    for k in (3, 4, 5):
-        eye = np.eye(1, dtype=complex)
-        kernel = DiagTuple(k, 1, [eye] * k + [-eye, -eye])
-        zero = psi_k(kernel)
-        worst = max(worst, max(opnorm(b) for b in [*zero.c, zero.g]))
-        unit_gap = element_distance(psi_k(DiagTuple.ones(k, 1)), PrismElement.unit(k, 1))
-        worst = max(worst, unit_gap)
-    assert worst <= 1e-12
+    largest = max(worst(opsys.quotient_residuals(k, 1)) for k in (3, 4, 5))
+    assert largest <= 1e-12
 
     rng = np.random.default_rng(109)
-    low = 0.0
     for _ in range(100):
         k = int(rng.choice([3, 4, 5]))
-        pair, _ = prism_vertex_rep(k, int(rng.integers(0, k)), int(rng.choice([1, -1])))
+        pair, _ = reps.prism_vertex_rep(k, int(rng.integers(0, k)), int(rng.choice([1, -1])))
         rho = random_psd_trace_one(rng, pair.dim)
-        z = functional_to_tuple(pair, rho, k)
-        assert dual_member(z)
-        low = min(low, float(z.z.real.min()))
-        assert float(np.abs(z.z.imag).max()) <= 1e-10
-    assert low >= -1e-10
-    report(9, f"kernel/unit residual {worst:.2e}; 100 functionals in the dual cone")
+        assert within_bounds(opsys.functional_residuals(opsys.functional_to_tuple(pair, rho, k)))
+    report(9, f"kernel/unit residual {largest:.2e}; 100 functionals in the dual cone")
 
 
 def test_criterion_10_positivity_oracles():
     rng = np.random.default_rng(110)
     # Evaluation pool: factory representations plus random dilated pairs.
-    pool = [prism_vertex_rep(3, j, s)[0] for j in range(3) for s in (1, -1)]
-    pool += [s3_pair(), a4_pair(), steinberg_pair(5)]
+    pool = [reps.prism_vertex_rep(3, j, s)[0] for j in range(3) for s in (1, -1)]
+    pool += [reps.s3_pair(), reps.a4_pair(), reps.steinberg_pair(5)]
     for _ in range(10):
         n = int(rng.integers(1, 4))
-        a, b = random_prism_point(rng, n, 3)
-        pool.append(joint_prism_dilation(a, b, 3)[0])
+        a, b = convexity.random_prism_point(rng, n, 3)
+        pool.append(dilation.joint_prism_dilation(a, b, 3)[0])
 
     # Random unit states per pair; states plus eigen-minima give the
     # brute-force sample (>= 10^4 evaluation points per grid cell).
@@ -285,8 +188,8 @@ def test_criterion_10_positivity_oracles():
     for cval in grid:
         for gval in grid:
             blocks = [np.eye(1), cval * np.eye(1), cval * np.eye(1)]
-            e = PrismElement(3, 1, blocks, gval * np.eye(1))
-            margin = scalar_positivity_prism(e).margin
+            e = opsys.PrismElement(3, 1, blocks, gval * np.eye(1))
+            margin = opsys.scalar_positivity_prism(e).margin
 
             brute = math.inf
             for idx, pair in enumerate(pool):
@@ -298,22 +201,19 @@ def test_criterion_10_positivity_oracles():
             worst_gap = max(worst_gap, abs(brute - margin))
             assert abs(brute - margin) <= 1e-8
 
-            verdict = matrix_positivity_prism(
+            verdict = opsys.matrix_positivity_prism(
                 e, samples=3, max_iter=400, size_budget=3, seed=7
             )
-            if isinstance(verdict, Certified) and margin < -1e-10:
+            if isinstance(verdict, opsys.Certified) and margin < -1e-10:
                 contradictions += 1
-            if isinstance(verdict, Refuted) and margin > 1e-8:
+            if isinstance(verdict, opsys.Refuted) and margin > 1e-8:
                 contradictions += 1
             # Definite verdicts re-verify from their payloads alone.
-            if isinstance(verdict, Certified):
-                assert element_distance(psi_k(verdict.lift), e) <= 1e-8
-                assert verdict.lift.min_block_eigenvalue() >= 1e-6 - 1e-12
-            if isinstance(verdict, Refuted):
-                witness = verdict.witness
-                assert check_order(witness.w, 3) and check_order(witness.v, 2)
-                low = float(np.linalg.eigvalsh(hermitize(e.evaluate(witness))).min())
-                assert low <= -1e-8
+            if isinstance(verdict, opsys.Certified):
+                assert within_bounds(opsys.certified_residuals(e, verdict))
+            if isinstance(verdict, opsys.Refuted):
+                assert within_bounds(reps.pair_residuals(verdict.witness))
+                assert within_bounds(opsys.refuted_residuals(e, verdict))
 
     assert contradictions == 0
     report(
@@ -325,13 +225,13 @@ def test_criterion_10_positivity_oracles():
 
 def test_criterion_11_membership_monotonicity():
     rng = np.random.default_rng(111)
-    prism = make_prism(3)
+    prism = convexity.make_prism(3)
     for _ in range(100):
         n = int(rng.integers(2, 7))
-        a, b = random_prism_point(rng, n, 3)
-        re, im = real_imag_parts(a)
+        a, b = convexity.random_prism_point(rng, n, 3)
+        re, im = convexity.real_imag_parts(a)
         m = int(rng.integers(1, n))
         z = random_isometry(rng, m, n)
         small = [compress(x, z) for x in (re, im, b)]
-        assert max_member(small, prism).member
+        assert convexity.max_member(small, prism).member
     report(11, "100 seeded compressions of prism points remain members")

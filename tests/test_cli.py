@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from helpers import random_unitary
+
 from ncprism import cli
-from ncprism.serialize import matrix_to_json
+from ncprism.serialize import matrix_from_json, matrix_to_json
 
 
 def run_cli(capsys, monkeypatch, args, stdin_obj=None):
@@ -49,6 +51,23 @@ class TestRepAndCommutant:
         code, out, _ = run_cli(capsys, monkeypatch, ["commutant"], stdin_obj=tuple_json)
         assert code == 0
         assert json.loads(out)["dimension"] == 1
+
+    def test_commutant_of_complex_tuple_commutes(self, capsys, monkeypatch):
+        u = random_unitary(np.random.default_rng(5), 4)
+        mat = u @ np.diag([1.0, 1.0, -1.0, -1.0]) @ u.conj().T
+        payload = {"tuple": [matrix_to_json(mat)]}
+        code, out, _ = run_cli(capsys, monkeypatch, ["commutant"], stdin_obj=payload)
+        assert code == 0
+        basis = [matrix_from_json(b) for b in json.loads(out)["basis"]]
+        assert len(basis) == 8
+        assert max(np.linalg.norm(b @ mat - mat @ b, 2) for b in basis) <= 1e-8
+
+    def test_s3_reports_orders_and_relations(self, capsys, monkeypatch):
+        _, out, _ = run_cli(capsys, monkeypatch, ["rep", "s3", "--json"])
+        checks = {c["name"]: c for c in json.loads(out)["report"]["checks"]}
+        names = ("w_unitary", "w_order_3", "v_unitary", "v_order_2", "VWV = W^-1", "group_order_6")
+        for name in names:
+            assert checks[name]["passed"] and checks[name]["residual"] <= checks[name]["bound"]
 
     def test_vertex_rep_artifact(self, capsys, monkeypatch):
         code, out, _ = run_cli(

@@ -17,11 +17,10 @@ from ncprism.convexity import (
     random_prism_point,
     real_imag_parts,
     theta_lower_bound,
-    vertex_state_check,
 )
 from ncprism.errors import ShapeMismatchError
 from ncprism.matkernel import compress, dagger
-from ncprism.reps import prism_vertex_rep
+from ncprism.reps import prism_vertex_rep, vertex_residuals
 
 
 class TestPolytopes:
@@ -96,9 +95,10 @@ class TestPrismMember:
 class TestVertexAttainment:
     @pytest.mark.parametrize("k", [3, 4, 12])
     def test_all_vertices_attained(self, k):
-        records = vertex_state_check(k)
-        assert len(records) == 2 * k
-        assert max(r.error for r in records) <= 1e-10
+        for j in range(k):
+            for sign in (1, -1):
+                (_, error, _), = vertex_residuals(*prism_vertex_rep(k, j, sign), j, sign)
+                assert error <= 1e-10
 
 
 class TestGeometry:

@@ -3,20 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_hermitian_contraction
+from helpers import within_bounds
 
-from ncprism.convexity import random_prism_point
+from ncprism.convexity import random_hermitian_contraction, random_prism_point
 from ncprism.dilation import (
     GroupWord,
     Povm,
     cube_dilation,
+    cube_residuals,
     evaluate_compressed_word,
     evaluate_word,
     halmos_symmetry,
     halmos_unitary,
+    halmos_unitary_residuals,
     joint_prism_dilation,
+    joint_residuals,
     naimark_normal,
+    naimark_residuals,
     order_k_povm,
+    povm_residuals,
     triangle_povm,
 )
 from ncprism.errors import (
@@ -27,8 +32,8 @@ from ncprism.errors import (
     NumericalRangeOutsideTriangleError,
     OrderMismatchError,
 )
-from ncprism.matkernel import check_order, compress, dagger, opnorm
-from ncprism.reps import prism_vertex_rep
+from ncprism.matkernel import DEFAULT_TOL, compress, dagger, opnorm
+from ncprism.reps import pair_residuals, prism_vertex_rep
 
 OMEGA = np.exp(2j * np.pi / 3)
 
@@ -43,6 +48,11 @@ class TestHalmosSymmetry:
         assert np.allclose(
             halmos_symmetry(np.array([[1.0]])), np.diag([1.0, -1.0]), atol=1e-12
         )
+        # Norms up to 1 + psd_clamp pass the self-check; beyond that, refused.
+        for norm in (1.0, 1.0 + DEFAULT_TOL.psd_clamp / 2):
+            halmos_symmetry(np.diag([norm, -0.5]))
+        with pytest.raises(NormExceedsOneError):
+            halmos_symmetry(np.diag([1.0 + 2 * DEFAULT_TOL.psd_clamp, -0.5]))
 
     def test_half(self):
         s = halmos_symmetry(np.array([[0.5]]))
@@ -76,13 +86,16 @@ class TestHalmosUnitary:
         u = halmos_unitary(np.array([[1j]]))
         assert np.allclose(u, np.diag([1j, 1j]), atol=1e-12)
         assert opnorm(dagger(u) @ u - np.eye(2)) <= 1e-12
+        for norm in (1.0, 1.0 + DEFAULT_TOL.psd_clamp / 2):
+            halmos_unitary(np.array([[0.0, norm], [0.0, 0.0]]))
+        with pytest.raises(NormExceedsOneError):
+            halmos_unitary(np.array([[0.0, 1.0 + 2 * DEFAULT_TOL.psd_clamp], [0.0, 0.0]]))
 
     def test_nilpotent_contraction(self):
         x = np.array([[0.0, 0.8], [0.0, 0.0]])
         u = halmos_unitary(x)
         assert u.shape == (4, 4)
-        assert opnorm(dagger(u) @ u - np.eye(4)) <= 1e-8
-        assert opnorm(u[:2, :2] - x) <= 1e-8
+        assert within_bounds(halmos_unitary_residuals(x, u))
 
 
 class TestTrianglePovm:
@@ -105,7 +118,7 @@ class TestTrianglePovm:
         rng = np.random.default_rng(2)
         a, _ = random_prism_point(rng, 4, 3, scale=0.9)
         povm = triangle_povm(a)
-        povm.validate()
+        assert within_bounds(povm_residuals(povm.effects, povm.outcome_labels, a))
         recombined = sum(
             label * h for label, h in zip(povm.outcome_labels, povm.effects)
         )
@@ -155,24 +168,20 @@ class TestOrderKPovm:
         assert len(povm.effects) == 3
 
     def test_vertex_k4(self):
-        povm = order_k_povm(np.array([[1j]]), 4)
-        povm.validate()
-        recombined = sum(l * h for l, h in zip(povm.outcome_labels, povm.effects))
-        assert abs(complex(recombined[0, 0]) - 1j) <= 1e-8
+        a = np.array([[1j]])
+        povm = order_k_povm(a, 4)
+        assert within_bounds(povm_residuals(povm.effects, povm.outcome_labels, a))
 
     def test_center_k4(self):
-        povm = order_k_povm(np.array([[0.0]]), 4)
-        povm.validate()
-        recombined = sum(l * h for l, h in zip(povm.outcome_labels, povm.effects))
-        assert abs(complex(recombined[0, 0])) <= 1e-8
+        a = np.array([[0.0]])
+        povm = order_k_povm(a, 4)
+        assert within_bounds(povm_residuals(povm.effects, povm.outcome_labels, a))
 
     def test_matrix_level_k5(self):
         rng = np.random.default_rng(4)
         a, _ = random_prism_point(rng, 2, 5, scale=0.8)
         povm = order_k_povm(a, 5)
-        povm.validate()
-        recombined = sum(l * h for l, h in zip(povm.outcome_labels, povm.effects))
-        assert opnorm(recombined - a) <= 1e-8
+        assert within_bounds(povm_residuals(povm.effects, povm.outcome_labels, a))
 
     def test_infeasible_outside_polygon(self):
         with pytest.raises(InfeasibleError):
@@ -185,7 +194,7 @@ class TestJointPrismDilation:
         assert pair.dim == 6
         assert abs(complex(compress(pair.w, g)[0, 0])) <= 1e-10
         assert abs(complex(compress(pair.v, g)[0, 0])) <= 1e-10
-        assert check_order(pair.w, 3) and check_order(pair.v, 2)
+        assert within_bounds(pair_residuals(pair))
 
     def test_vertex_pair(self):
         pair, g = joint_prism_dilation(np.array([[1.0]]), np.array([[1.0]]), 3)
@@ -198,16 +207,13 @@ class TestJointPrismDilation:
         b = np.diag([1.0, -1.0, 1.0]).astype(complex)
         pair, g = joint_prism_dilation(shift, b, 3)
         assert pair.dim == 18
-        assert opnorm(compress(pair.w, g) - shift) <= 1e-8
-        assert opnorm(compress(pair.v, g) - b) <= 1e-8
+        assert within_bounds(joint_residuals(shift, b, pair, g))
 
     def test_order_four(self):
         rng = np.random.default_rng(8)
         a, b = random_prism_point(rng, 2, 4, scale=0.7)
         pair, g = joint_prism_dilation(a, b, 4)
-        assert check_order(pair.w, 4)
-        assert opnorm(compress(pair.w, g) - a) <= 1e-8
-        assert opnorm(compress(pair.v, g) - b) <= 1e-8
+        assert within_bounds([*pair_residuals(pair), *joint_residuals(a, b, pair, g)])
 
 
 class TestCubeDilation:
@@ -226,10 +232,8 @@ class TestCubeDilation:
         rng = np.random.default_rng(31)
         mats = [random_hermitian_contraction(rng, 4) for _ in range(3)]
         result = cube_dilation(mats)
-        for op, small, original in zip(result.operators, result.compressions(), mats):
-            assert op.shape == (8, 8)
-            assert opnorm(op @ op - np.eye(8)) <= 1e-8
-            assert opnorm(small - original) <= 1e-10
+        assert [op.shape for op in result.operators] == [(8, 8)] * 3
+        assert within_bounds(cube_residuals(mats, result))
 
 
 class TestWords:
@@ -280,10 +284,8 @@ class TestMirmanInvariant:
         raw = rng.standard_normal((12, 4)) + 1j * rng.standard_normal((12, 4))
         z0, _ = np.linalg.qr(raw)
         a = dagger(z0) @ normal @ z0
-        result = naimark_normal(triangle_povm(a))
-        nd = result.operators[0]
-        assert opnorm(nd @ dagger(nd) - dagger(nd) @ nd) <= 1e-8
-        targets = np.array([1.0, OMEGA, OMEGA**2])
-        gaps = np.abs(np.subtract.outer(np.linalg.eigvals(nd), targets)).min(axis=1)
-        assert gaps.max() <= 1e-8
+        povm = triangle_povm(a)
+        result = naimark_normal(povm)
+        assert within_bounds(povm_residuals(povm.effects, povm.outcome_labels, a))
+        assert within_bounds(naimark_residuals(povm, result))
         assert opnorm(result.compressions()[0] - a) <= 1e-8

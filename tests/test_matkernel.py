@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_hermitian, random_unitary
+from helpers import random_hermitian, random_unitary, within_bounds
 
 from ncprism.errors import (
     NotHermitianError,
@@ -11,13 +11,13 @@ from ncprism.errors import (
 )
 from ncprism.matkernel import (
     ToleranceConfig,
-    check_order,
     commutant_dimension,
     compress,
     dagger,
     direct_sum,
     kron,
     opnorm,
+    order_residuals,
     psd_sqrt,
     support_value,
 )
@@ -192,16 +192,16 @@ class TestBlocks:
 
 class TestCheckOrder:
     def test_identity_order_one(self):
-        assert check_order(np.eye(3), 1)
+        assert within_bounds(order_residuals(np.eye(3), 1))
 
     def test_roots_of_unity(self):
         omega = np.exp(2j * np.pi / 3)
-        assert check_order(np.diag([1.0, omega, omega**2]), 3)
+        assert within_bounds(order_residuals(np.diag([1.0, omega, omega**2]), 3))
 
     def test_wrong_order_rejected(self):
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert check_order(swap, 2)
-        assert not check_order(swap, 3)
+        assert within_bounds(order_residuals(swap, 2))
+        assert not within_bounds(order_residuals(swap, 3))
 
     def test_non_unitary_rejected(self):
-        assert not check_order(np.diag([0.5, 1.0]), 1)
+        assert not within_bounds(order_residuals(np.diag([0.5, 1.0]), 1))
