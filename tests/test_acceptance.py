@@ -56,6 +56,7 @@ def test_criterion_02_mirman_suite():
             largest,
             worst(dilation.povm_residuals(povm.effects, povm.outcome_labels, a)),
             worst(dilation.naimark_residuals(povm, result)),
+            float(np.abs(np.array(povm.outcome_labels) - targets).max()),
             opnorm(result.compressions()[0] - a),
         )
     assert largest <= 1e-8

@@ -77,7 +77,7 @@ CASES = {
         POVM, replace(NAIMARK, isometry=shift(NAIMARK.isometry, on))
     ),
     "v_compression": lambda on: dilation.joint_residuals(A, shift(B, on), *JOINT),
-    "s1_corner": lambda on: dilation.cube_residuals([shift(HALF, on)], CUBE),
+    "s1_compression": lambda on: dilation.cube_residuals([shift(HALF, on)], CUBE),
     "w_unitary": lambda on: reps.pair_residuals(reps.RepPair(shift(S3.w, on), S3.v, 3)),
     "VWV = W^-1": lambda on: reps.pair_residuals(
         reps.RepPair(S3.w, shift(S3.v, on), 3), relations=reps.S3_RELATIONS[:1]
@@ -85,7 +85,7 @@ CASES = {
     "s0_squares_to_identity": lambda on: reps.symmetry_tuple_residuals(
         [shift(SQUARE[0], on), SQUARE[1]]
     ),
-    "heads_commute": lambda on: reps.hadamard_residuals([shift(m, on) for m in HADAMARD.mats]),
+    "heads_diagonal_signs": lambda on: reps.hadamard_residuals([shift(m, on) for m in HADAMARD.mats]),
     "reconstruction": lambda on: reps.canonical_form_residuals(
         shift(SQUARE[0], on), SQUARE[1], FORM
     ),
@@ -126,6 +126,7 @@ def test_residual_function_flags_shifted_output(name):
         ("psd_sqrt", lambda: dilation.halmos_unitary(HALF), NotIsometryError),
         ("psd_sqrt", lambda: dilation.cube_dilation([HALF, HALF]), NotSymmetryError),
         ("psd_sqrt", lambda: dilation.naimark_normal(POVM), InvalidPovmError),
+        ("psd_sqrt", lambda: dilation.joint_prism_dilation(A, B, 3), InvalidPovmError),
         ("halmos_symmetry", lambda: dilation.joint_prism_dilation(A, B, 3), RelationCheckFailedError),
         ("direct_sum", lambda: dilation.joint_prism_dilation(A, B, 3), RelationCheckFailedError),
     ],

@@ -288,4 +288,5 @@ class TestMirmanInvariant:
         result = naimark_normal(povm)
         assert within_bounds(povm_residuals(povm.effects, povm.outcome_labels, a))
         assert within_bounds(naimark_residuals(povm, result))
+        assert np.allclose(povm.outcome_labels, [1.0, OMEGA, OMEGA**2], atol=1e-12)
         assert opnorm(result.compressions()[0] - a) <= 1e-8
