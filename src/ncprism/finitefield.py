@@ -144,7 +144,12 @@ class FiniteFieldSpec:
 
 
 class GaloisField:
-    """Arithmetic in GF(p^e); elements are coefficient tuples of length e."""
+    """Arithmetic in GF(p^e); elements are coefficient tuples of length e.
+
+    Multiplication and inversion look up log/antilog tables over a
+    primitive element, built once per field with q - 1 polynomial products
+    per candidate element.
+    """
 
     def __init__(self, spec: FiniteFieldSpec):
         self.spec = spec
@@ -153,6 +158,30 @@ class GaloisField:
         self.q = spec.q
         self.zero = (0,) * self.e
         self.one = (1,) + (0,) * (self.e - 1)
+        self._exp, self._log = self._power_tables()
+
+    def _power_tables(self) -> tuple[list, dict]:
+        """Powers of the first primitive element and their exponents."""
+        for g in self.elements()[1:]:
+            powers = [self.one]
+            x = g
+            while x != self.one:
+                powers.append(x)
+                x = self._poly_mul(x, g)
+            if len(powers) == self.q - 1:
+                return powers, {x: i for i, x in enumerate(powers)}
+        raise AssertionError("the multiplicative group of a finite field is cyclic")
+
+    def _poly_mul(self, a, b):
+        """Product as polynomials reduced by the modulus (builds the tables)."""
+        prod = [0] * (2 * self.e - 1)
+        for i, x in enumerate(a):
+            if x == 0:
+                continue
+            for j, y in enumerate(b):
+                prod[i + j] = (prod[i + j] + x * y) % self.p
+        _, rem = _poly_divmod(tuple(prod), self.spec.modulus, self.p)
+        return tuple(rem) + (0,) * (self.e - len(rem))
 
     def elements(self):
         return [tuple(t) for t in itertools.product(range(self.p), repeat=self.e)]
@@ -167,28 +196,14 @@ class GaloisField:
         return tuple((-x) % self.p for x in a)
 
     def mul(self, a, b):
-        prod = [0] * (2 * self.e - 1)
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                prod[i + j] = (prod[i + j] + x * y) % self.p
-        _, rem = _poly_divmod(tuple(prod), self.spec.modulus, self.p)
-        return tuple(rem) + (0,) * (self.e - len(rem))
+        if a == self.zero or b == self.zero:
+            return self.zero
+        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
 
     def inv(self, a):
         if a == self.zero:
             raise ZeroDivisionError("inverse of zero in a finite field")
-        # q is tiny here, so a^(q-2) by repeated squaring is plenty fast.
-        result = self.one
-        base = a
-        exp = self.q - 2
-        while exp:
-            if exp & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            exp >>= 1
-        return result
+        return self._exp[-self._log[a] % (self.q - 1)]
 
 
 def projective_line(gf: GaloisField) -> list[tuple[tuple, tuple]]:
@@ -237,7 +252,6 @@ def sl2_involutions(gf: GaloisField):
     +/- identity, yielded as ((a, b), (c, d)) field-element matrices.
     """
     elems = gf.elements()
-    out = []
     for a in elems:
         d = gf.neg(a)
         for b in elems:
@@ -247,8 +261,7 @@ def sl2_involutions(gf: GaloisField):
                     continue
                 if b == gf.zero and c == gf.zero and gf.mul(a, a) == gf.one:
                     continue
-                out.append(((a, b), (c, d)))
-    return out
+                yield ((a, b), (c, d))
 
 
 def permutation_closure_size(generators, limit: int) -> int:
@@ -266,7 +279,7 @@ def permutation_closure_size(generators, limit: int) -> int:
         next_frontier = []
         for perm in frontier:
             for g in gens:
-                composed = tuple(g[perm[i]] for i in range(n))
+                composed = tuple(map(g.__getitem__, perm))
                 if composed not in seen:
                     seen.add(composed)
                     next_frontier.append(composed)

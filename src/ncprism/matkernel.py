@@ -164,10 +164,25 @@ def commutant_dimension(
 ) -> tuple[int, list[np.ndarray]]:
     """Dimension and orthonormal basis of the joint commutant of a set.
 
-    Computes ``{X : XA = AX for all A}`` as the null space of the stacked
-    linear maps ``X -> XA - AX``; singular values below ``spec_tol * n`` are
-    treated as zero. The basis is orthonormal in the Frobenius inner
-    product. Dimension 1 certifies that the set is irreducible.
+    The commutant ``{X : XA = AX for all A}`` is the null space of the
+    stacked linear maps ``X -> XA - AX``; singular values at or below
+    ``spec_tol * n`` are treated as zero. The basis is orthonormal in the
+    Frobenius inner product. Dimension 1 certifies that the set is
+    irreducible.
+
+    The null space is solved blockwise. For a normal A, A* is a polynomial
+    in A, so the Hermitian element H = sum c_i (A_i + A_i*) + d_i i(A_i - A_i*)
+    over the normal inputs (fixed generic weights) lies in the algebra they
+    generate, and every X in the commutant commutes with H: X is block
+    diagonal over H's eigenspaces. Only those sum d_b^2 unknowns enter the
+    solve (n of them when H's spectrum is simple, as for an irreducible
+    pair). The kernel lies inside this block subspace, and restricting a map
+    to a subspace that contains its kernel can only raise its smallest
+    nonzero singular value, so the ``spec_tol * n`` cutoff classifies every
+    singular value as the full n^2-unknown solve would. Eigenvalues closer
+    than the merge gap share a block: clustering may merge eigenspaces but
+    never splits one that a perturbation within the cutoff could have split.
+    With no normal input H is 0 and the single block is the full problem.
     """
     mats = [as_matrix(a) for a in mats]
     if not mats:
@@ -178,16 +193,114 @@ def commutant_dimension(
             raise ShapeMismatchError(
                 f"all matrices must be square of equal size, got {a.shape} vs ({n}, {n})"
             )
-    eye = np.eye(n)
-    # Row-major vec: vec(XA) = (I (x) A^T) vec(X), vec(AX) = (A (x) I) vec(X).
-    blocks = [np.kron(eye, a.T) - np.kron(a, eye) for a in mats]
-    stacked = np.vstack(blocks)
-    _, s, vh = np.linalg.svd(stacked)
+    stack = np.array(mats)
     cutoff = tol.spec_tol * n
-    # Null vectors are the columns of V, i.e. the conjugated rows of V^H.
-    basis = [vh[i].conj().reshape(n, n) for i in range(len(s)) if s[i] <= cutoff]
+    eigvecs, sizes = _hermitian_eigenspaces(stack, cutoff)
+    null = _block_null_space(dagger(eigvecs) @ stack @ eigvecs, sizes, cutoff)
+    # Unknowns are the block-diagonal entries in row-major order, which lists
+    # each block's entries contiguously (row-major vec of that block).
+    block_of = np.repeat(np.arange(len(sizes)), sizes)
+    rows, cols = np.nonzero(block_of[:, None] == block_of[None, :])
+    coords = np.zeros((len(null), n, n), dtype=complex)
+    coords[:, rows, cols] = null
+    basis = list(eigvecs @ coords @ dagger(eigvecs))
     require(commutant_residuals(mats, basis, tol), RelationCheckFailedError, "commutant basis")
     return len(basis), basis
+
+
+# An input enters H only when its normality defect ||AA* - A*A||_F is at
+# rounding level: at most this times n ||B||_F^2, with B = A - (tr A / n) 1 its
+# traceless part (the defect does not change under A -> A + z 1, so neither
+# may the bound). Computed unitaries and symmetries show at most about
+# eps / 2 times n ||B||_F^2. A merely near-normal input is left out, which
+# costs speed but cannot drop a commutant element.
+_NORMALITY_TOL = 10 * np.finfo(float).eps
+
+
+def _hermitian_eigenspaces(stack: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors of H and the sizes of its eigenvalue clusters, in order.
+
+    The weights (c_i, d_i) of H are fixed and generic (seeded uniform draws
+    in [0.5, 1)), so that H's eigenvalues do not coincide by an accident of
+    the weights. Consecutive eigenvalues closer than the merge gap share a
+    cluster. The gap is 100 * L * cutoff, with L = 2 * sum(c_i + d_i) over the
+    normal inputs, the Lipschitz constant of the inputs -> H map: moving each
+    input by at most the cutoff moves each eigenvalue of H by at most
+    L * cutoff, so an exactly repeated eigenvalue, perturbed within the
+    tolerance, stays inside one cluster.
+    """
+    n = stack.shape[1]
+    adj = stack.conj().transpose(0, 2, 1)
+    defect = np.linalg.norm(stack @ adj - adj @ stack, axis=(1, 2))
+    traceless = stack - np.trace(stack, axis1=1, axis2=2)[:, None, None] * np.eye(n) / n
+    normal = defect <= _NORMALITY_TOL * n * np.linalg.norm(traceless, axis=(1, 2)) ** 2
+    c, d = np.random.default_rng(0).uniform(0.5, 1.0, (len(stack), 2))[normal].T
+    a, a_adj = stack[normal], adj[normal]
+    h = np.tensordot(c, a + a_adj, 1) + 1j * np.tensordot(d, a - a_adj, 1)
+    w, eigvecs = np.linalg.eigh(hermitize(h))
+    gap = 100.0 * 2.0 * float(np.sum(c + d)) * cutoff
+    ends = np.append(np.flatnonzero(np.diff(w) > gap) + 1, n)
+    return eigvecs, np.diff(ends, prepend=0)
+
+
+def _block_null_space(rotated: np.ndarray, sizes: np.ndarray, cutoff: float) -> np.ndarray:
+    """Null vectors (rows, unit norm) of X -> [X, A_i] on block-diagonal X.
+
+    ``rotated`` holds the inputs in H's eigenbasis and ``sizes`` the block
+    sizes. Block (c, e) of [X, A] is Y_c A_ce - A_ce Y_e, so blocks (c, e)
+    and (e, c) together form a small system in the unknowns of Y_c and Y_e.
+    The systems of all block pairs of one shape are reduced at once to their
+    QR triangles, which keep the singular values with far fewer rows; the
+    triangles are stacked, reduced again by one QR, and solved by an SVD.
+    """
+    m = rotated.shape[0]
+    starts = np.cumsum(sizes) - sizes
+    offsets = np.cumsum(sizes**2) - sizes**2
+    first, second = np.triu_indices(len(sizes))
+    classes = []
+    for p, r in sorted(set(zip(sizes[first].tolist(), sizes[second].tolist()))):
+        pick = (sizes[first] == p) & (sizes[second] == r)
+        classes.append((p, r, first[pick], second[pick], min(2 * m * p * r, p * p + r * r)))
+    height = sum(len(c) * h for _, _, c, _, h in classes)
+    system = np.zeros((height, int(np.sum(sizes**2))), dtype=complex)
+    row = 0
+    for p, r, c, e, h in classes:
+        rows_c = (starts[c, None] + np.arange(p))[:, :, None]
+        rows_e = (starts[e, None] + np.arange(r))[:, :, None]
+        a_ce = rotated[:, rows_c, rows_e.transpose(0, 2, 1)]
+        a_ec = rotated[:, rows_e, rows_c.transpose(0, 2, 1)]
+        local = np.concatenate(
+            [
+                np.concatenate([_times_right(a_ce), -_times_left(a_ce)], axis=-1),
+                np.concatenate([-_times_left(a_ec), _times_right(a_ec)], axis=-1),
+            ],
+            axis=-2,
+        )
+        # A diagonal pair (c = e) lists its equations twice: scale them by
+        # 1/sqrt(2) to keep their Gram matrix, and add the two column groups,
+        # which are the same unknowns; Q [R1 R2] = [A B] gives A + B = Q (R1 + R2).
+        local[:, c == e] /= np.sqrt(2.0)
+        local = local.transpose(1, 0, 2, 3).reshape(len(c), 2 * m * p * r, p * p + r * r)
+        tri = np.linalg.qr(local, mode="r")
+        at = row + np.arange(len(c) * h).reshape(len(c), h, 1)
+        system[at, offsets[c, None, None] + np.arange(p * p)] = tri[..., : p * p]
+        system[at, offsets[e, None, None] + np.arange(r * r)] += tri[..., p * p :]
+        row += len(c) * h
+    _, s, vh = np.linalg.svd(np.linalg.qr(system, mode="r"))
+    # Null vectors are the columns of V, i.e. the conjugated rows of V^H.
+    return vh[s <= cutoff].conj()
+
+
+def _times_right(a: np.ndarray) -> np.ndarray:
+    """Matrices (batched over leading axes) of Y -> Y a on row-major vec(Y)."""
+    p, r = a.shape[-2:]
+    return np.einsum("ac,...kj->...ajck", np.eye(p), a).reshape(*a.shape[:-2], p * r, p * p)
+
+
+def _times_left(a: np.ndarray) -> np.ndarray:
+    """Matrices (batched over leading axes) of Y -> a Y on row-major vec(Y)."""
+    p, r = a.shape[-2:]
+    return np.einsum("...ak,jl->...ajkl", a, np.eye(r)).reshape(*a.shape[:-2], p * r, r * r)
 
 
 def commutant_residuals(mats, basis, tol: ToleranceConfig = DEFAULT_TOL) -> list[Residual]:

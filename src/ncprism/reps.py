@@ -404,31 +404,48 @@ def generated_group_order(
 ) -> int:
     """Order of the matrix group generated by the given unitaries.
 
-    Closure enumeration with tolerance-based deduplication; raises
-    RelationCheckFailedError if the closure exceeds ``max_order`` elements.
+    Closure enumeration; a candidate is new unless it lies within ``tol`` of
+    a known element in operator norm. Known elements sit in buckets keyed on
+    one rounded linear functional of their entries, with unit Frobenius
+    weights and bucket width 2 sqrt(n) tol. Two elements within ``tol`` differ
+    by at most sqrt(n) tol in that functional, so a candidate is compared
+    only with the elements of its own bucket and the two adjacent ones.
+    Raises RelationCheckFailedError if the closure exceeds ``max_order``
+    elements.
     """
     gens = [as_matrix(g) for g in generators]
     n = gens[0].shape[0]
-    elements = [np.eye(n, dtype=complex)]
+    weights = np.random.default_rng(0).standard_normal((n, n))
+    weights /= np.linalg.norm(weights)
+    width = 2.0 * math.sqrt(n) * tol
+    buckets: dict[int, list[np.ndarray]] = {}
 
-    def seen(candidate):
-        return any(opnorm(candidate - e) <= tol for e in elements)
+    def is_new(candidate) -> bool:
+        """True, with the candidate filed, unless a known element is within tol."""
+        key = math.floor(float(np.vdot(weights, candidate).real) / width)
+        near = (e for k in (key - 1, key, key + 1) for e in buckets.get(k, ()))
+        if any(opnorm(candidate - e) <= tol for e in near):
+            return False
+        buckets.setdefault(key, []).append(candidate)
+        return True
 
-    frontier = [np.eye(n, dtype=complex)]
+    identity = np.eye(n, dtype=complex)
+    is_new(identity)
+    order, frontier = 1, [identity]
     while frontier:
         new_frontier = []
         for e in frontier:
             for g in gens:
                 candidate = e @ g
-                if not seen(candidate):
-                    elements.append(candidate)
+                if is_new(candidate):
                     new_frontier.append(candidate)
-                    if len(elements) > max_order:
+                    order += 1
+                    if order > max_order:
                         raise RelationCheckFailedError(
                             f"group closure exceeded {max_order} elements"
                         )
         frontier = new_frontier
-    return len(elements)
+    return order
 
 
 def _verified_pair(

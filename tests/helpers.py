@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from ncprism.matkernel import dagger, hermitize
+from ncprism.matkernel import DEFAULT_TOL, dagger, hermitize
 
 
 def within_bounds(residuals):
@@ -57,3 +57,18 @@ def closure_order_oracle(mats, digits=6):
         frontier = fresh
         assert len(elements) <= 1000
     return len(elements)
+
+
+def commutant_oracle(mats, tol=DEFAULT_TOL):
+    """Commutant by a thin SVD of the full n^2-unknown Kronecker stack.
+
+    The direct algorithm, O(m n^6): returns the dimension (singular values
+    at or below spec_tol * n) and the orthogonal projector onto the null
+    space in row-major vec coordinates.
+    """
+    n = mats[0].shape[0]
+    eye = np.eye(n)
+    stack = np.vstack([np.kron(eye, a.T) - np.kron(a, eye) for a in mats])
+    _, s, vh = np.linalg.svd(stack, full_matrices=False)
+    null = vh[s <= tol.spec_tol * n].conj()
+    return len(null), null.T @ null.conj()

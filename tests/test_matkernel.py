@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_hermitian, random_unitary, within_bounds
+from helpers import commutant_oracle, random_hermitian, random_unitary, within_bounds
 
 from ncprism.errors import (
     NotHermitianError,
@@ -21,6 +21,7 @@ from ncprism.matkernel import (
     psd_sqrt,
     support_value,
 )
+from ncprism.reps import a4_pair, hadamard_symmetries, s3_pair, square_irrep
 
 
 class TestToleranceConfig:
@@ -132,6 +133,107 @@ class TestCommutant:
             commutant_dimension([np.eye(2), np.eye(3)])
         with pytest.raises(ShapeMismatchError):
             commutant_dimension([])
+
+
+def block_sum(*tuples):
+    """Entrywise direct sum of equally long matrix tuples."""
+    out = list(tuples[0])
+    for t in tuples[1:]:
+        out = [direct_sum(a, b) for a, b in zip(out, t)]
+    return out
+
+
+def conjugated(rng, mats):
+    u = random_unitary(rng, mats[0].shape[0])
+    return [u @ m @ dagger(u) for m in mats]
+
+
+IRREPS = {
+    "s3": lambda: [s3_pair().w, s3_pair().v],
+    "a4": lambda: [a4_pair().w, a4_pair().v],
+    "square(0.3)": lambda: square_irrep(0.3).mats,
+    "square(-0.6)": lambda: square_irrep(-0.6).mats,
+}
+
+
+class TestCommutantAgainstFullStack:
+    """The blockwise kernel against the direct n^2-unknown solve."""
+
+    def assert_matches(self, mats, expected=None):
+        dim, basis = commutant_dimension(mats)
+        oracle_dim, projector = commutant_oracle(mats)
+        assert dim == oracle_dim
+        if expected is not None:
+            assert dim == expected
+        # Same null space: the basis lies in the oracle's span.
+        flat = np.array([b.ravel() for b in basis])
+        assert np.linalg.norm(flat - flat @ projector.T) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "multiplicities",
+        [
+            {"s3": 2},
+            {"a4": 3},
+            {"s3": 1, "a4": 1},
+            {"s3": 2, "a4": 1, "square(0.3)": 1},
+            {"square(0.3)": 2, "square(-0.6)": 1},
+            {"s3": 1, "a4": 2, "square(-0.6)": 2},
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_conjugated_block_sums(self, multiplicities, seed):
+        parts = [IRREPS[name]() for name, count in multiplicities.items() for _ in range(count)]
+        mats = conjugated(np.random.default_rng(seed), block_sum(*parts))
+        self.assert_matches(mats, sum(c * c for c in multiplicities.values()))
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_jordan_block(self, n):
+        self.assert_matches([np.eye(n, k=1)], n)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_no_normal_entry(self, seed):
+        rng = np.random.default_rng(seed)
+        pair = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2)]
+        self.assert_matches(pair, 1)
+        self.assert_matches(conjugated(rng, block_sum(pair, pair)), 4)
+
+    def test_normal_and_non_normal_entries(self):
+        rng = np.random.default_rng(4)
+        mixed = square_irrep(0.3).mats + [np.eye(2, k=1)]
+        self.assert_matches(conjugated(rng, mixed), 1)
+        self.assert_matches(conjugated(rng, block_sum(mixed, mixed)), 4)
+
+    @pytest.mark.parametrize("copies", [2, 3])
+    def test_repeated_eigenvalue_of_h(self, copies):
+        # Equal summands: every eigenvalue of H is repeated `copies` times.
+        t = square_irrep(0.3).mats
+        mats = conjugated(np.random.default_rng(copies), block_sum(*[t] * copies))
+        self.assert_matches(mats, copies * copies)
+
+    @pytest.mark.parametrize(
+        "parts, expected",
+        [
+            ((square_irrep(0.3).mats, square_irrep(-0.6).mats), 2),
+            ((square_irrep(0.3).mats, square_irrep(0.3).mats), 4),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_perturbed_within_tolerance(self, parts, expected, seed):
+        # Hermitian noise of norm 0.1 * spec_tol keeps every entry normal, so
+        # each enters H, and splits H's repeated eigenvalues by about 1e-9;
+        # each split eigenvalue must stay inside one cluster.
+        rng = np.random.default_rng(seed)
+        mats = []
+        for m in conjugated(rng, block_sum(*parts)):
+            noise = random_hermitian(rng, m.shape[0])
+            mats.append(m + 0.1 * ToleranceConfig().spec_tol * noise / opnorm(noise))
+        self.assert_matches(mats, expected)
+
+    def test_hadamard_sixty_four_is_feasible(self):
+        # The full stack would be a (7 * 4096) x 4096 system.
+        dim, basis = commutant_dimension(hadamard_symmetries(6).mats)
+        assert dim == 1
+        assert opnorm(basis[0] - basis[0][0, 0] * np.eye(64)) <= 1e-10
 
 
 class TestSupportValue:

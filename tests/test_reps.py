@@ -27,6 +27,7 @@ from ncprism.reps import (
     a4_pair,
     assemble_dimension,
     canonical_form_residuals,
+    generated_group_order,
     hadamard_residuals,
     hadamard_symmetries,
     pair_residuals,
@@ -219,6 +220,31 @@ class TestGroupPairs:
         pair = a4_pair()
         assert closure_order_oracle([pair.w, pair.v]) == 12
 
+    @pytest.mark.parametrize("factory, order", [(s3_pair, 6), (a4_pair, 12)])
+    def test_group_order_matches_oracle(self, factory, order):
+        pair = factory()
+        gens = [pair.w, pair.v]
+        assert generated_group_order(gens) == closure_order_oracle(gens) == order
+        u = random_unitary(np.random.default_rng(order), pair.dim)
+        conj = [u @ g @ u.conj().T for g in gens]
+        assert generated_group_order(conj) == closure_order_oracle(conj) == order
+
+    @pytest.mark.parametrize("factory, order", [(s3_pair, 6), (a4_pair, 12)])
+    def test_group_order_finds_neighbours_across_buckets(self, factory, order):
+        # With tol = 1e-2 the buckets are a few 1e-2 wide. Generators in a
+        # random frame, perturbed by 1e-3, put near-repeats (at most ~3e-3
+        # apart) across a bucket boundary in about one trial in ten; every
+        # near-repeat must still be recognised.
+        pair = factory()
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            u = random_unitary(rng, pair.dim)
+            gens = []
+            for g in (pair.w, pair.v):
+                noise = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+                gens.append(u @ g @ u.conj().T + 1e-3 * noise / np.linalg.norm(noise))
+            assert generated_group_order(gens, tol=1e-2) == order
+
     def test_a4_irreducible(self):
         pair = a4_pair()
         assert commutant_dimension([pair.w, pair.v])[0] == 1
@@ -239,6 +265,38 @@ def projective_perm_oracle(q, mat):
         return (num * pow(den, -1, q)) % q
 
     return {pt: act(pt) for pt in points}
+
+
+class TestFiniteField:
+    FIELDS = [(5, 1), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]
+
+    @pytest.mark.parametrize("p, e", FIELDS)
+    def test_tables_match_polynomial_arithmetic(self, p, e):
+        from ncprism.finitefield import GaloisField
+
+        gf = GaloisField(FiniteFieldSpec(p, e))
+        elems = gf.elements()
+        for a in elems:
+            for b in elems:
+                assert gf.mul(a, b) == gf._poly_mul(a, b)
+            if a != gf.zero:
+                assert gf._poly_mul(a, gf.inv(a)) == gf.one
+
+    @pytest.mark.parametrize("p, e", [(2, 3), (3, 2)])
+    def test_involutions_in_enumeration_order(self, p, e):
+        from ncprism.finitefield import GaloisField, sl2_involutions
+
+        gf = GaloisField(FiniteFieldSpec(p, e))
+        elems, mul = gf.elements(), gf._poly_mul
+        expected = [
+            ((a, b), (c, gf.neg(a)))
+            for a in elems
+            for b in elems
+            for c in elems
+            if gf.add(mul(a, gf.neg(a)), gf.neg(mul(b, c))) == gf.one
+            and not (b == c == gf.zero and mul(a, a) == gf.one)
+        ]
+        assert list(sl2_involutions(gf)) == expected
 
 
 class TestSteinberg:
