@@ -34,10 +34,12 @@ from .matkernel import (
     Residual,
     ToleranceConfig,
     as_matrix,
+    clamp_spectrum,
     dagger,
     direct_sum,
     hermitize,
     opnorm,
+    opnorms,
     order_residuals,
     prefixed,
     psd_sqrt,
@@ -108,18 +110,20 @@ class Povm:
 
 def povm_residuals(effects, labels, a, tol: ToleranceConfig = DEFAULT_TOL) -> list[Residual]:
     """Effects decompose ``a``: sum(label_j h_j) = a, sum(h_j) = 1, and the
-    summed negative parts of the effects stay within psd_clamp."""
-    n = a.shape[0]
-    total = np.zeros((n, n), dtype=complex)
-    moment = np.zeros((n, n), dtype=complex)
-    for label, h in zip(labels, effects):
-        total += h
-        moment += label * h
-    negative = sum(max(0.0, -float(np.linalg.eigvalsh(hermitize(h)).min())) for h in effects)
+    summed negative parts of the effects stay within psd_clamp.
+
+    ``effects`` is a list of n x n effects or their (k, n, n) stack."""
+    effects = np.asarray(effects)
+    gaps = np.stack([
+        np.tensordot(np.asarray(labels), effects, axes=1) - a,
+        effects.sum(axis=0) - np.eye(a.shape[0]),
+    ])
+    moment_gap, sum_gap = opnorms(gaps)
+    lowest = np.linalg.eigvalsh(hermitize(effects)).min(axis=-1)
     return [
-        ("first_moment", opnorm(moment - a), tol.spec_tol),
-        ("sum_to_identity", opnorm(total - np.eye(n)), tol.spec_tol),
-        ("effects_positive", negative, tol.psd_clamp),
+        ("first_moment", float(moment_gap), tol.spec_tol),
+        ("sum_to_identity", float(sum_gap), tol.spec_tol),
+        ("effects_positive", float(np.clip(-lowest, 0.0, None).sum()), tol.psd_clamp),
     ]
 
 
@@ -285,8 +289,11 @@ def order_k_povm(
     between the PSD product cone and the affine constraints
     sum(h_j) = 1, sum(omega^j h_j) = a. Failure to converge is reported as
     InfeasibleError; it proves nothing about infeasibility unless the
-    numerical-range precondition itself fails.
+    numerical-range precondition itself fails. Each sweep acts on the
+    (k, n, n) stack of effects at once.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatchError("order_k_povm requires a square matrix")
@@ -305,25 +312,19 @@ def order_k_povm(
 
     n = a.shape[0]
     omega = np.exp(2j * np.pi / k)
-    labels = [omega**j for j in range(k)]
+    labels = np.array([omega**j for j in range(k)])
     eye = np.eye(n)
-    effects = [eye.astype(complex) / k for _ in range(k)]
+    effects = np.repeat((eye.astype(complex) / k)[None], k, axis=0)
     target = tol.spec_tol / 2.0
     residual = math.inf
     for _ in range(max_iter):
         # Project onto the affine constraints (least-norm correction).
-        r0 = eye - sum(effects)
-        r1 = a - sum((omega**j) * h for j, h in enumerate(effects))
-        effects = [
-            hermitize(h + (r0 + (omega ** (-j)) * r1 + (omega**j) * dagger(r1)) / k)
-            for j, h in enumerate(effects)
-        ]
+        r0 = eye - effects.sum(axis=0)
+        r1 = a - np.tensordot(labels, effects, axes=1)
+        weights = labels[:, None, None]
+        step = r0 + weights.conj() * r1 + weights * dagger(r1)
         # Project onto the PSD product cone.
-        clamped = []
-        for h in effects:
-            w, u = np.linalg.eigh(hermitize(h))
-            clamped.append(hermitize((u * np.clip(w, 0.0, None)) @ dagger(u)))
-        effects = clamped
+        effects = clamp_spectrum(effects + step / k, 0.0)
         residual = sum(value for _, value, _ in povm_residuals(effects, labels, a, tol))
         if residual <= target:
             break
@@ -335,14 +336,13 @@ def order_k_povm(
 
     # Exact renormalization: congruence by (sum h_j)^(-1/2) restores the
     # identity sum at machine precision while keeping every effect PSD.
-    total = hermitize(sum(effects))
-    w, u = np.linalg.eigh(total)
+    w, u = np.linalg.eigh(hermitize(effects.sum(axis=0)))
     if w.min() <= 0.5:
         raise InfeasibleError("effect sum is too singular to renormalize")
     t = (u * (w**-0.5)) @ dagger(u)
-    effects = [hermitize(t @ h @ t) for h in effects]
+    effects = hermitize(t @ effects @ t)
     require(povm_residuals(effects, labels, a, tol), InfeasibleError, "renormalized decomposition")
-    return Povm(effects, labels)
+    return Povm(list(effects), labels.tolist())
 
 
 def joint_prism_dilation(

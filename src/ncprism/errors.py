@@ -75,8 +75,9 @@ class RelationCheckFailedError(NcprismError):
     """A build-time verification of group relations or irreducibility failed."""
 
 
-class UnsupportedQError(NcprismError):
-    """The prime power q admits no two-generator construction here."""
+class UnsupportedQError(NcprismError, ValueError):
+    """q is not a prime power, or the prime power q admits no two-generator
+    construction here."""
 
 
 class NoIrreduciblePolynomialError(NcprismError):

@@ -35,9 +35,11 @@ __all__ = [
     "dagger",
     "hermitize",
     "opnorm",
+    "opnorms",
     "is_hermitian",
     "require_hermitian",
     "psd_sqrt",
+    "clamp_spectrum",
     "commutant_dimension",
     "support_value",
     "kron",
@@ -113,12 +115,12 @@ def as_matrix(a) -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
+    """Conjugate transpose; on an (m, n, n) stack, of each slice."""
+    return np.swapaxes(a.conj(), -1, -2)
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto the Hermitian matrices."""
+    """Orthogonal projection onto the Hermitian matrices (slicewise on a stack)."""
     return (a + dagger(a)) / 2.0
 
 
@@ -127,6 +129,11 @@ def opnorm(a: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))
+
+
+def opnorms(stack: np.ndarray) -> np.ndarray:
+    """Spectral norm of each slice of an (m, n, n) stack, by one batched SVD."""
+    return np.linalg.svd(stack, compute_uv=False)[..., 0]
 
 
 def is_hermitian(a: np.ndarray, tol: float) -> bool:
@@ -157,6 +164,17 @@ def psd_sqrt(h, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
         )
     w = np.clip(w, 0.0, None)
     return hermitize((u * np.sqrt(w)) @ dagger(u))
+
+
+def clamp_spectrum(stack: np.ndarray, floor: float) -> np.ndarray:
+    """Nearest Hermitian matrices with spectrum >= ``floor``, one per slice.
+
+    Each slice of the (m, n, n) stack is hermitized and its eigenvalues below
+    ``floor`` are raised to it: the Frobenius-norm projection onto
+    {X = X*, X >= floor}. One batched ``eigh`` serves the whole stack.
+    """
+    w, u = np.linalg.eigh(hermitize(stack))
+    return hermitize((u * np.clip(w, floor, None)[..., None, :]) @ dagger(u))
 
 
 def commutant_dimension(

@@ -13,8 +13,9 @@ independently checkable witnesses and certificates.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .errors import (
     OrderMismatchError,
     RelationCheckFailedError,
     ShapeMismatchError,
+    UnsupportedQError,
     WrongLevelError,
 )
 from .matkernel import (
@@ -33,13 +35,14 @@ from .matkernel import (
     Residual,
     ToleranceConfig,
     as_matrix,
+    clamp_spectrum,
     dagger,
     hermitize,
     opnorm,
+    opnorms,
     require,
 )
 from .reps import RepPair, a4_pair, prism_vertex_rep, s3_pair, steinberg_pair
-from .finitefield import factor_prime_power
 
 __all__ = [
     "PrismElement",
@@ -154,9 +157,7 @@ class DiagTuple:
         return cls(k, q, [np.eye(q, dtype=complex) for _ in range(k + 2)])
 
     def min_block_eigenvalue(self) -> float:
-        return min(
-            float(np.linalg.eigvalsh(hermitize(b)).min()) for b in self.blocks
-        )
+        return float(np.linalg.eigvalsh(hermitize(np.stack(self.blocks))).min())
 
 
 @dataclass(frozen=True)
@@ -211,18 +212,33 @@ def psi_k(x: DiagTuple) -> PrismElement:
 
     psi(x) = (1/2) [ sum_j x_j (x) q_j + x_+ (x) (1+v)/2 + x_- (x) (1-v)/2 ]
     with q_j the spectral averages of w. The all-ones tuple maps to the
-    unit and (1, ..., 1, -1, -1) spans the kernel.
+    unit and (1, ..., 1, -1, -1) spans the kernel. One (k+1) x (k+2)
+    coefficient matrix acts on the stacked blocks of ``x``.
     """
-    k, q = x.k, x.q
+    blocks = np.tensordot(_psi_matrix(x.k), np.stack(x.blocks), axes=1)
+    return PrismElement(x.k, x.q, list(blocks[: x.k]), blocks[x.k])
+
+
+def _psi_matrix(k: int) -> np.ndarray:
+    """Coefficients of the quotient map: row m (m < k) gives c_m and row k
+    gives g as combinations of the k + 2 blocks of the source tuple."""
     omega = np.exp(2j * np.pi / k)
-    xs, x_plus, x_minus = x.blocks[:k], x.blocks[k], x.blocks[k + 1]
-    c = []
-    total = sum(xs)
-    c.append(total / (2.0 * k) + (x_plus + x_minus) / 4.0)
-    for m in range(1, k):
-        c.append(sum((omega ** (-j * m)) * xs[j] for j in range(k)) / (2.0 * k))
-    g = (x_plus - x_minus) / 4.0
-    return PrismElement(k, q, c, g)
+    coeffs = np.zeros((k + 1, k + 2), dtype=complex)
+    for m in range(k):
+        coeffs[m, :k] = [omega ** (-j * m) / (2.0 * k) for j in range(k)]
+    coeffs[0, k:] = 0.25
+    coeffs[k, k:] = [0.25, -0.25]
+    return coeffs
+
+
+def _stacked(e: PrismElement) -> np.ndarray:
+    """The (k + 1, q, q) stack of coefficient blocks c_0, ..., c_(k-1), g."""
+    return np.stack([*e.c, e.g])
+
+
+def _stack_distance(s1: np.ndarray, s2: np.ndarray) -> float:
+    """Largest operator-norm distance between corresponding slices."""
+    return float(opnorms(s1 - s2).max())
 
 
 def psi_k_basis_element(k: int, index: int) -> PrismElement:
@@ -345,13 +361,17 @@ def element_distance(e1: PrismElement, e2: PrismElement) -> float:
     """Largest operator-norm distance between corresponding coefficient blocks."""
     if (e1.k, e1.q) != (e2.k, e2.q):
         raise ShapeMismatchError("elements live in different systems")
-    gaps = [opnorm(a - b) for a, b in zip(e1.c, e2.c)]
-    gaps.append(opnorm(e1.g - e2.g))
-    return max(gaps)
+    return _stack_distance(_stacked(e1), _stacked(e2))
 
 
-def _sample_pairs(k: int, samples: int, size_budget: int, seed: int, tol):
-    """Factory representations up to the size budget plus random dilated pairs."""
+@functools.lru_cache(maxsize=8)
+def _sample_pairs(k: int, samples: int, size_budget: int, seed: int, tol) -> tuple[RepPair, ...]:
+    """Factory representations up to the size budget plus random dilated pairs.
+
+    A pure function of its arguments, memoised so that repeated positivity
+    calls share one sample set. The cached arrays are read-only, and a
+    ``Refuted`` witness is a copy of its pair.
+    """
     pairs = []
     for j in range(k):
         for sign in (1, -1):
@@ -361,19 +381,19 @@ def _sample_pairs(k: int, samples: int, size_budget: int, seed: int, tol):
         pairs.append(a4_pair())
         for q in range(4, size_budget + 1):
             try:
-                p, e = factor_prime_power(q)
-            except ValueError:
+                pairs.append(steinberg_pair(q))
+            except UnsupportedQError:
                 continue
-            if q == 9:
-                continue
-            pairs.append(steinberg_pair(q))
     rng = np.random.default_rng(seed)
     for _ in range(samples):
         n = int(rng.integers(1, 4))
         a, b = random_prism_point(rng, n, k)
         pair, _ = joint_prism_dilation(a, b, k, tol)
         pairs.append(pair)
-    return pairs
+    for pair in pairs:
+        pair.w.setflags(write=False)
+        pair.v.setflags(write=False)
+    return tuple(pairs)
 
 
 def min_eigenvalue(e: PrismElement, pair: RepPair) -> float:
@@ -398,11 +418,6 @@ def certified_residuals(
         ("lift_maps_to_element", element_distance(psi_k(verdict.lift), e), tol.spec_tol),
         ("lift_strictly_positive", shortfall, tol.psd_clamp),
     ]
-
-
-def _project_min_eigenvalue(block: np.ndarray, floor: float) -> np.ndarray:
-    w, u = np.linalg.eigh(hermitize(block))
-    return hermitize((u * np.clip(w, floor, None)) @ dagger(u))
 
 
 def _particular_lift(e: PrismElement) -> DiagTuple:
@@ -437,8 +452,14 @@ def matrix_positivity_prism(
     alternating projections between the strictly-positive product set and
     the affine fiber of the quotient map; success yields ``Certified`` with
     the lift. Otherwise ``Unknown``. Both definite verdicts re-verify from
-    their payloads alone.
+    their payloads alone. Each sweep acts on the (k + 2, q, q) stack of lift
+    blocks; the sample set is memoised on (k, samples, size_budget, seed,
+    tol). Raises ValueError for max_iter < 1 or samples < 0.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     if not e.is_selfadjoint():
         raise NotSelfadjointError("positivity requires a selfadjoint element")
 
@@ -449,33 +470,34 @@ def matrix_positivity_prism(
         if low < worst_eig:
             worst_eig, worst_pair = low, pair
     if worst_pair is not None and worst_eig < -tol.spec_tol:
-        verdict = Refuted(witness=worst_pair, min_eigenvalue=worst_eig)
+        witness = replace(worst_pair, w=worst_pair.w.copy(), v=worst_pair.v.copy())
+        verdict = Refuted(witness=witness, min_eigenvalue=worst_eig)
         require(refuted_residuals(e, verdict, tol), RelationCheckFailedError, "refutation")
         return verdict
 
+    # Every sweep acts on (k + 2, q, q) stacks; kernel_signs spans the
+    # quotient map's kernel, (1, ..., 1, -1, -1).
     k = e.k
-    particular = _particular_lift(e).blocks
-    x = [b.copy() for b in particular]
-    p_corr = [np.zeros_like(b) for b in x]
-    q_corr = [np.zeros_like(b) for b in x]
+    coeffs = _psi_matrix(k)
+    target = _stacked(e)
+    kernel_signs = np.array([1.0] * k + [-1.0, -1.0])
+    particular = np.stack(_particular_lift(e).blocks)
+    x = particular.copy()
+    p_corr = np.zeros_like(x)
+    q_corr = np.zeros_like(x)
     best_residual = math.inf
     for _ in range(max_iter):
-        y = [
-            _project_min_eigenvalue(xb + pb, STRICT_MARGIN)
-            for xb, pb in zip(x, p_corr)
-        ]
-        p_corr = [xb + pb - yb for xb, pb, yb in zip(x, p_corr, y)]
-        shifted = [yb + qb for yb, qb in zip(y, q_corr)]
-        diff = [s - p for s, p in zip(shifted, particular)]
-        ycomp = hermitize((sum(diff[:k]) - diff[k] - diff[k + 1]) / (k + 2))
-        kernel = [ycomp] * k + [-ycomp, -ycomp]
-        x = [hermitize(p + kv) for p, kv in zip(particular, kernel)]
-        q_corr = [s - xb for s, xb in zip(shifted, x)]
+        y = clamp_spectrum(x + p_corr, STRICT_MARGIN)
+        p_corr = x + p_corr - y
+        shifted = y + q_corr
+        ycomp = hermitize(np.tensordot(kernel_signs, shifted - particular, axes=1) / (k + 2))
+        x = hermitize(particular + kernel_signs[:, None, None] * ycomp)
+        q_corr = shifted - x
 
-        lift = DiagTuple(e.k, e.q, [b.copy() for b in y])
-        residual = element_distance(psi_k(lift), e)
+        residual = _stack_distance(np.tensordot(coeffs, y, axes=1), target)
         best_residual = min(best_residual, residual)
         if residual <= tol.spec_tol:
+            lift = DiagTuple(k, e.q, list(y))
             verdict = Certified(
                 lift=lift,
                 min_block_eigenvalue=lift.min_block_eigenvalue(),

@@ -508,9 +508,13 @@ def steinberg_pair(q: int, field: FiniteFieldSpec | None = None) -> RepPair:
     generate only a proper subgroup, so the involution is found instead by
     a deterministic search over trace-zero elements, with generation
     certified by counting the permutation closure. PSL2(F_9) is not
-    generated by any order-(3, 2) pair and is rejected, as are q <= 3.
+    generated by any order-(3, 2) pair and is rejected, as are q <= 3 and
+    any q that is not a prime power.
     """
-    p, e = factor_prime_power(q)
+    try:
+        p, e = factor_prime_power(q)
+    except ValueError as exc:
+        raise UnsupportedQError(str(exc)) from exc
     if q <= 3 or q == 9:
         raise UnsupportedQError(
             f"q = {q} is unsupported: no order-(3, 2) generating pair exists "

@@ -144,6 +144,20 @@ class TestPositivity:
         assert code == 0
         assert json.loads(out)["verdict"] == "certified"
 
+    @pytest.mark.parametrize("flags", [["--max-iter", "0"], ["--max-iter", "-5"], ["--samples", "-1"]])
+    def test_matrix_rejects_bad_budgets(self, capsys, monkeypatch, flags):
+        one, zero = scalar(1.0), scalar(0.0)
+        element = {"k": 3, "q": 1, "c": [one, zero, zero], "g": zero}
+        code, out, err = run_cli(
+            capsys,
+            monkeypatch,
+            ["positivity", "matrix", "--k", "3", "--json", *flags],
+            stdin_obj=element,
+        )
+        assert code == 2
+        assert out == ""
+        assert flags[0].strip("-").replace("-", "_") in err
+
     def test_cube_rule(self, capsys, monkeypatch):
         code, out, _ = run_cli(
             capsys,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import within_bounds
+from helpers import order_k_povm_oracle, within_bounds
 
 from ncprism.convexity import random_hermitian_contraction, random_prism_point
 from ncprism.dilation import (
@@ -186,6 +186,32 @@ class TestOrderKPovm:
     def test_infeasible_outside_polygon(self):
         with pytest.raises(InfeasibleError):
             order_k_povm(np.array([[1.5]]), 4)
+
+    def test_rejects_iteration_budget_below_one(self):
+        for k in (3, 4):
+            with pytest.raises(ValueError, match="max_iter"):
+                order_k_povm(np.array([[0.0]]), k, max_iter=0)
+        with pytest.raises(ValueError, match="max_iter"):
+            order_k_povm(np.array([[0.0]]), 4, max_iter=-1)
+
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_batched_sweeps_match_per_effect_loop(self, k, n):
+        rng = np.random.default_rng([k, n])
+        a, _ = random_prism_point(rng, n, k, scale=0.75)
+        povm = order_k_povm(a, k)
+        expected = order_k_povm_oracle(a, k)
+        assert max(float(np.abs(h - g).max()) for h, g in zip(povm.effects, expected)) <= 1e-12
+
+    @pytest.mark.parametrize("k", [4, 6])
+    def test_batched_stall_matches_per_effect_loop(self, k):
+        a, _ = random_prism_point(np.random.default_rng(k), 2, k, scale=0.95)
+        with pytest.raises(InfeasibleError) as expected:
+            order_k_povm_oracle(a, k, max_iter=3)
+        with pytest.raises(InfeasibleError) as got:
+            order_k_povm(a, k, max_iter=3)
+        assert str(got.value) == str(expected.value)
+        assert "after 3 sweeps (not a proof" in str(got.value)
 
 
 class TestJointPrismDilation:

@@ -11,10 +11,12 @@ from ncprism.errors import (
 )
 from ncprism.matkernel import (
     ToleranceConfig,
+    clamp_spectrum,
     commutant_dimension,
     compress,
     dagger,
     direct_sum,
+    hermitize,
     kron,
     opnorm,
     order_residuals,
@@ -290,6 +292,32 @@ class TestBlocks:
     def test_compress_rejects_non_isometry(self):
         with pytest.raises(NotIsometryError):
             compress(np.eye(2), np.array([[1.0], [1.0]]))
+
+
+class TestStacks:
+    """Slicewise kernels on (m, n, n) stacks agree with the 2-D call per slice."""
+
+    STACK = np.random.default_rng(31).standard_normal((4, 3, 3, 2)) @ np.array([1.0, 1j])
+
+    def test_dagger_and_hermitize_act_per_slice(self):
+        for fn in (dagger, hermitize):
+            out = fn(self.STACK)
+            assert out.shape == self.STACK.shape
+            for got, block in zip(out, self.STACK):
+                assert np.array_equal(got, fn(block))
+
+    def test_clamp_spectrum_matches_per_block_projection(self):
+        out = clamp_spectrum(self.STACK, 0.25)
+        for got, block in zip(out, self.STACK):
+            w, u = np.linalg.eigh(hermitize(block))
+            expected = hermitize((u * np.clip(w, 0.25, None)) @ dagger(u))
+            assert np.abs(got - expected).max() <= 1e-13
+            assert np.linalg.eigvalsh(got).min() >= 0.25 - 1e-13
+            assert np.array_equal(got, dagger(got))
+
+    def test_clamp_spectrum_keeps_blocks_above_the_floor(self):
+        blocks = np.stack([np.diag([1.0, 2.0]), np.diag([0.5, 3.0])]).astype(complex)
+        assert np.abs(clamp_spectrum(blocks, 0.1) - blocks).max() <= 1e-14
 
 
 class TestCheckOrder:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_psd_trace_one, within_bounds
+from helpers import certification_oracle, random_psd_trace_one, within_bounds
 
 from ncprism.convexity import random_prism_point
 from ncprism.dilation import joint_prism_dilation
@@ -10,9 +10,11 @@ from ncprism.errors import (
     NotSelfadjointError,
     WrongLevelError,
 )
-from ncprism.matkernel import hermitize, opnorm
+from ncprism.matkernel import DEFAULT_TOL, dagger, hermitize, opnorm
 from ncprism.opsys import (
     Certified,
+    Unknown,
+    _sample_pairs,
     DiagTuple,
     DualTuple,
     PrismElement,
@@ -210,6 +212,85 @@ class TestMatrixPositivity:
     def test_rejects_non_selfadjoint(self):
         with pytest.raises(NotSelfadjointError):
             matrix_positivity_prism(scalar_element(3, [0, 1, 0], 0))
+
+    def test_rejects_bad_budgets(self):
+        unit = PrismElement.unit(3, 1)
+        for max_iter in (0, -1):
+            with pytest.raises(ValueError, match="max_iter"):
+                matrix_positivity_prism(unit, max_iter=max_iter)
+        with pytest.raises(ValueError, match="samples"):
+            matrix_positivity_prism(unit, samples=-1)
+
+    def test_witness_is_a_copy_of_the_cached_pair(self):
+        e = scalar_element(3, [1, 1, 1], 1)
+        first = matrix_positivity_prism(e, samples=4)
+        # A caller scribbling on the witness must not reach the cached sample set.
+        first.witness.v[...] = -5.0 * np.eye(first.witness.dim)
+        again = matrix_positivity_prism(e, samples=4)
+        assert isinstance(again, Refuted)
+        assert again.min_eigenvalue == first.min_eigenvalue
+        assert within_bounds([*pair_residuals(again.witness), *refuted_residuals(e, again)])
+
+
+def preimage_element(q, boundary, seed):
+    """psi of a tuple of blocks >= 0.2; ``boundary`` puts a common null vector
+    into x_0 and x_+, which leaves no strictly positive preimage."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for _ in range(5):
+        raw = rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))
+        h = raw @ dagger(raw)
+        blocks.append(h / opnorm(h) + 0.2 * np.eye(q))
+    if boundary:
+        vec = rng.standard_normal((q, 1)) + 1j * rng.standard_normal((q, 1))
+        rest = np.eye(q) - vec @ dagger(vec) / float(np.vdot(vec, vec).real)
+        for idx in (0, 3):
+            blocks[idx] = hermitize(rest @ blocks[idx] @ rest)
+    return psi_k(DiagTuple(3, q, blocks))
+
+
+class TestBatchedCertification:
+    """The stacked Dykstra sweeps against the per-block loop they replace."""
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_certified_lift_matches(self, q):
+        e = preimage_element(q, False, 40 + q)
+        verdict = matrix_positivity_prism(e, samples=2)
+        kind, lift = certification_oracle(e)
+        assert isinstance(verdict, Certified) and kind == "certified"
+        assert max(float(np.abs(x - y).max()) for x, y in zip(verdict.lift.blocks, lift)) <= 1e-12
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_boundary_residual_matches(self, q):
+        e = preimage_element(q, True, 50 + q)
+        verdict = matrix_positivity_prism(e, samples=2, max_iter=300)
+        kind, best = certification_oracle(e, max_iter=300)
+        assert isinstance(verdict, Unknown) and kind == "unknown"
+        # The residual is a difference of O(1) blocks: allow rounding of those.
+        assert verdict.residual == pytest.approx(best, rel=1e-12, abs=1e-15)
+
+
+class TestSamplePairs:
+    def test_memoised_tuple_of_read_only_pairs(self):
+        pairs = _sample_pairs(3, 2, 8, 0, DEFAULT_TOL)
+        assert isinstance(pairs, tuple)
+        assert _sample_pairs(3, 2, 8, 0, DEFAULT_TOL) is pairs
+        assert not pairs[0].w.flags.writeable
+
+    def test_factory_part_skips_unsupported_q(self):
+        # Steinberg pairs at q = 4, 5, 7, 8; q = 6, 9, 10 are rejected by steinberg_pair.
+        names = [pair.provenance for pair in _sample_pairs(3, 0, 10, 0, DEFAULT_TOL)]
+        vertices = [f"prism_vertex_rep(k=3, j={j}, sign={s:+d})" for j in range(3) for s in (1, -1)]
+        steinberg = [f"steinberg_pair(q={q})" for q in (4, 5, 7, 8)]
+        assert names == [*vertices, "s3_pair", "a4_pair", *steinberg]
+
+    def test_seed_changes_only_the_random_part(self):
+        base = _sample_pairs(3, 2, 8, 0, DEFAULT_TOL)
+        other = _sample_pairs(3, 2, 8, 1, DEFAULT_TOL)
+        for p1, p2 in zip(base[:-2], other[:-2]):
+            assert np.array_equal(p1.w, p2.w) and np.array_equal(p1.v, p2.v)
+        for p1, p2 in zip(base[-2:], other[-2:]):
+            assert p1.w.shape != p2.w.shape or not np.allclose(p1.v, p2.v)
 
 
 class TestDualPairing:

@@ -357,6 +357,12 @@ class TestSteinberg:
             with pytest.raises(UnsupportedQError):
                 steinberg_pair(q)
 
+    def test_non_prime_power_rejected(self):
+        for q in (6, 10, 12):
+            with pytest.raises(UnsupportedQError, match="not a prime power"):
+                steinberg_pair(q)
+        assert issubclass(UnsupportedQError, ValueError)
+
     def test_explicit_field_spec(self):
         pair = steinberg_pair(4, FiniteFieldSpec(2, 2, (1, 1, 1)))
         assert pair.dim == 4
