@@ -149,12 +149,11 @@ def _cmd_dilate(args, run: Run, payload, tol) -> int:
             "isometry": serialize.matrix_to_json(g),
         }
         return run.emit(artifact, EXIT_OK)
-    if sub == "cube":
-        mats = serialize.tuple_from_json(payload)
-        result = dilation.cube_dilation(mats, tol)
-        run.add(dilation.cube_residuals(mats, result, tol))
-        return run.emit(serialize.dilation_result_to_json(result), EXIT_OK)
-    raise NcprismError(f"unknown dilate subcommand {sub!r}")
+    # "cube": the subparser admits no other choice.
+    mats = serialize.tuple_from_json(payload)
+    result = dilation.cube_dilation(mats, tol)
+    run.add(dilation.cube_residuals(mats, result, tol))
+    return run.emit(serialize.dilation_result_to_json(result), EXIT_OK)
 
 
 def _cmd_rep(args, run: Run, payload, tol) -> int:
@@ -183,12 +182,10 @@ def _cmd_rep(args, run: Run, payload, tol) -> int:
         "steinberg": (lambda: reps.steinberg_pair(args.q), ()),
         "assemble": (lambda: reps.assemble_dimension(args.n), ()),
     }
-    if sub in builders:
-        build, relations = builders[sub]
-        pair = build()
-        run.add(reps.pair_residuals(pair, tol, relations))
-        return run.emit(serialize.rep_pair_to_json(pair), EXIT_OK)
-    raise NcprismError(f"unknown rep subcommand {sub!r}")
+    build, relations = builders[sub]
+    pair = build()
+    run.add(reps.pair_residuals(pair, tol, relations))
+    return run.emit(serialize.rep_pair_to_json(pair), EXIT_OK)
 
 
 def _membership_artifact(result) -> dict:
@@ -301,15 +298,14 @@ def _cmd_quotient(args, run: Run, payload, tol) -> int:
         z = opsys.DualTuple(args.k, np.array([serialize.complex_from_json(v) for v in payload["z"]]))
         member = opsys.dual_member(z)
         return run.emit({"member": member}, EXIT_OK if member else EXIT_FALSE)
-    if sub == "functional":
-        pair = serialize.rep_pair_from_json(payload["pair"])
-        density = serialize.matrix_from_json(payload["density"])
-        z = opsys.functional_to_tuple(pair, density, args.k, tol)
-        run.add(opsys.functional_residuals(z, tol))
-        artifact = serialize.dual_tuple_to_json(z)
-        artifact["dual_member"] = opsys.dual_member(z)
-        return run.emit(artifact, EXIT_OK)
-    raise NcprismError(f"unknown quotient subcommand {sub!r}")
+    # "functional": the subparser admits no other choice.
+    pair = serialize.rep_pair_from_json(payload["pair"])
+    density = serialize.matrix_from_json(payload["density"])
+    z = opsys.functional_to_tuple(pair, density, args.k, tol)
+    run.add(opsys.functional_residuals(z, tol))
+    artifact = serialize.dual_tuple_to_json(z)
+    artifact["dual_member"] = opsys.dual_member(z)
+    return run.emit(artifact, EXIT_OK)
 
 
 def _cmd_verify(args, run: Run, payload, tol) -> int:

@@ -23,7 +23,7 @@ from .matkernel import (
     hermitize,
     opnorm,
     require,
-    support_value,
+    support_values,
 )
 
 __all__ = [
@@ -142,28 +142,24 @@ def max_member(
 
     Exact for polytopes: the joint numerical range is convex and compact,
     so it lies inside the body iff every facet support inequality
-    support_value(mats, normal) <= offset holds (within spec_tol).
+    support_value(mats, normal) <= offset holds (within spec_tol). One call
+    to ``support_values`` evaluates every facet.
     """
     mats = [as_matrix(a) for a in mats]
     if len(mats) != polytope.ambient_dim:
         raise ShapeMismatchError(
             f"tuple has {len(mats)} entries, polytope is {polytope.ambient_dim}-dimensional"
         )
-    margin = math.inf
-    worst = 0
-    worst_support = 0.0
-    for i, (normal, offset) in enumerate(zip(polytope.normals, polytope.offsets)):
-        s = support_value(mats, normal, tol)
-        slack = float(offset - s)
-        if slack < margin:
-            margin, worst, worst_support = slack, i, s
+    supports = support_values(mats, polytope.normals, tol)
+    slacks = polytope.offsets - supports
+    worst = int(np.argmin(slacks))  # the first minimum, in facet order
     return MembershipResult(
-        member=margin >= -tol.spec_tol,
-        margin=margin,
+        member=bool(slacks[worst] >= -tol.spec_tol),
+        margin=float(slacks[worst]),
         facet_index=worst,
         normal=polytope.normals[worst].copy(),
         offset=float(polytope.offsets[worst]),
-        support=worst_support,
+        support=float(supports[worst]),
     )
 
 
@@ -251,10 +247,7 @@ def random_prism_point(
     polygon = make_polygon(k)
     raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     re, im = real_imag_parts(raw)
-    reach = max(
-        support_value([re, im], normal) / offset
-        for normal, offset in zip(polygon.normals, polygon.offsets)
-    )
+    reach = float((support_values([re, im], polygon.normals) / polygon.offsets).max())
     factor = scale if scale is not None else rng.uniform(0.0, 1.0)
     a = raw * (factor / reach) if reach > 0 else raw
     hraw = hermitize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))

@@ -35,6 +35,7 @@ from .matkernel import (
     ToleranceConfig,
     as_matrix,
     clamp_spectrum,
+    compress,
     dagger,
     direct_sum,
     hermitize,
@@ -448,6 +449,4 @@ def evaluate_compressed_word(
     pair: RepPair, isometry, word: GroupWord, tol: ToleranceConfig = DEFAULT_TOL
 ) -> np.ndarray:
     """Value Z* (word in W, V) Z of the compressed extension on a group word."""
-    from .matkernel import compress
-
     return compress(evaluate_word(pair, word), isometry, tol)

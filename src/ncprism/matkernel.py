@@ -42,6 +42,7 @@ __all__ = [
     "clamp_spectrum",
     "commutant_dimension",
     "support_value",
+    "support_values",
     "kron",
     "direct_sum",
     "compress",
@@ -341,28 +342,39 @@ def irreducibility_residual(mats, tol: ToleranceConfig = DEFAULT_TOL) -> Residua
     return ("commutant_dimension_1", float(dim - 1), 0.0)
 
 
+def support_values(mats, directions, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Support function of the joint numerical range in many real directions.
+
+    Returns ``lambda_max(sum_j d_j a_j)`` for each row ``d`` of the (m, len(mats))
+    array ``directions``, for a tuple of Hermitian matrices of equal size.
+    Each entry is validated once and one batched ``eigvalsh`` takes every
+    lambda_max. The combinations are summed term by term in tuple order, as a
+    per-direction loop sums them, so near-ties between directions round alike.
+    """
+    mats = [as_matrix(a) for a in mats]
+    directions = np.asarray(directions, dtype=float)
+    if not mats:
+        raise ShapeMismatchError("support_value of an empty tuple is undefined")
+    if directions.ndim != 2 or directions.shape[1] != len(mats):
+        raise ShapeMismatchError(
+            f"directions have shape {directions.shape}, expected (m, {len(mats)})"
+        )
+    n = mats[0].shape[0]
+    for a in mats:
+        if a.shape != (n, n):
+            raise ShapeMismatchError("tuple entries must all have equal square shape")
+        require_hermitian(a, tol.alg_tol, "support_value tuple entry")
+    combos = (directions[:, :, None, None] * np.stack(mats)).sum(axis=1)
+    return np.linalg.eigvalsh(hermitize(combos)).max(axis=-1)
+
+
 def support_value(mats, direction, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Support function of the joint numerical range in a real direction.
 
     Returns ``lambda_max(sum_j direction_j a_j)`` for a tuple of Hermitian
-    matrices of equal size.
+    matrices of equal size: the one-direction case of :func:`support_values`.
     """
-    mats = [as_matrix(a) for a in mats]
-    direction = np.asarray(direction, dtype=float)
-    if not mats:
-        raise ShapeMismatchError("support_value of an empty tuple is undefined")
-    if direction.shape != (len(mats),):
-        raise ShapeMismatchError(
-            f"direction has length {direction.shape}, expected ({len(mats)},)"
-        )
-    n = mats[0].shape[0]
-    acc = np.zeros((n, n), dtype=complex)
-    for c, a in zip(direction, mats):
-        if a.shape != (n, n):
-            raise ShapeMismatchError("tuple entries must all have equal square shape")
-        require_hermitian(a, tol.alg_tol, "support_value tuple entry")
-        acc += c * a
-    return float(np.linalg.eigvalsh(hermitize(acc)).max())
+    return float(support_values(mats, np.asarray(direction, dtype=float)[None], tol)[0])
 
 
 def kron(a, b) -> np.ndarray:
@@ -370,12 +382,15 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def direct_sum(a, b) -> np.ndarray:
-    """Block-diagonal sum ``a (+) b``."""
-    a, b = as_matrix(a), as_matrix(b)
-    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=complex)
-    out[: a.shape[0], : a.shape[1]] = a
-    out[a.shape[0] :, a.shape[1] :] = b
+def direct_sum(*blocks) -> np.ndarray:
+    """Block-diagonal sum ``b_1 (+) b_2 (+) ...`` of any number of blocks."""
+    blocks = [as_matrix(b) for b in blocks]
+    rows, cols = sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)
+    out = np.zeros((rows, cols), dtype=complex)
+    r = c = 0
+    for b in blocks:
+        out[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
     return out
 
 

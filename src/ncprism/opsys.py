@@ -6,7 +6,8 @@ coefficient blocks in the basis {1, w, ..., w^(k-1), v}. The quotient map
 from the diagonal source system sends the first k slots through the
 spectral averages of w and the last two through (1 +/- v)/2, halved so the
 all-ones tuple maps to the unit; its kernel is spanned by
-(1, ..., 1, -1, -1). Scalar positivity is decided exactly by vertex
+(1, ..., 1, -1, -1). Every formula for it is read off the Fourier matrix
+F[j, m] = omega^(j m). Scalar positivity is decided exactly by vertex
 enumeration; matrix-level positivity gets a three-valued verdict with
 independently checkable witnesses and certificates.
 """
@@ -72,6 +73,15 @@ STRICT_MARGIN = 1e-6
 _LINEAR_TOL = 1e-12
 
 
+def _square_blocks(blocks, q: int) -> list[np.ndarray]:
+    """The blocks as complex matrices, each checked to be q x q."""
+    blocks = [as_matrix(b) for b in blocks]
+    for b in blocks:
+        if b.shape != (q, q):
+            raise ShapeMismatchError(f"blocks must be {q} x {q}, got {b.shape}")
+    return blocks
+
+
 @dataclass
 class PrismElement:
     """Coefficient form of an element of the level-q prism system.
@@ -88,15 +98,9 @@ class PrismElement:
     def __post_init__(self):
         if self.k < 3:
             raise ValueError(f"k must be >= 3, got {self.k}")
-        self.c = [as_matrix(block) for block in self.c]
-        self.g = as_matrix(self.g)
+        *self.c, self.g = _square_blocks([*self.c, self.g], self.q)
         if len(self.c) != self.k:
             raise ShapeMismatchError(f"need {self.k} power blocks, got {len(self.c)}")
-        for block in [*self.c, self.g]:
-            if block.shape != (self.q, self.q):
-                raise ShapeMismatchError(
-                    f"blocks must be {self.q} x {self.q}, got {block.shape}"
-                )
 
     @classmethod
     def unit(cls, k: int, q: int = 1) -> "PrismElement":
@@ -105,16 +109,11 @@ class PrismElement:
         return cls(k, q, blocks, zero.copy())
 
     def is_selfadjoint(self, tol: float = 1e-10) -> bool:
-        """True iff c_0, g are Hermitian and c_(k-m) = c_m* for 1 <= m < k."""
-        scale = max(1.0, *(opnorm(b) for b in [*self.c, self.g]))
-        if opnorm(self.c[0] - dagger(self.c[0])) > tol * scale:
-            return False
-        if opnorm(self.g - dagger(self.g)) > tol * scale:
-            return False
-        for m in range(1, self.k):
-            if opnorm(self.c[self.k - m] - dagger(self.c[m])) > tol * scale:
-                return False
-        return True
+        """True iff c_(-m mod k) = c_m* for every m and g is Hermitian."""
+        stack = _stacked(self)
+        mirror = [(-m) % self.k for m in range(self.k)] + [self.k]
+        scale = max(1.0, float(opnorms(stack).max()))
+        return bool(opnorms(stack - dagger(stack[mirror])).max() <= tol * scale)
 
     def evaluate(self, pair: RepPair) -> np.ndarray:
         """The operator sum_m c_m (x) W^m + g (x) V on the q n dimensional space."""
@@ -122,14 +121,10 @@ class PrismElement:
             raise OrderMismatchError(
                 f"element has order {self.k}, pair has order {pair.k}"
             )
-        n = pair.dim
-        acc = np.zeros((self.q * n, self.q * n), dtype=complex)
-        power = np.eye(n, dtype=complex)
-        for m in range(self.k):
-            acc += np.kron(self.c[m], power)
-            power = power @ pair.w
-        acc += np.kron(self.g, pair.v)
-        return acc
+        stack, ops = _stacked(self), _basis_operators(pair)
+        qn = self.q * pair.dim
+        # Every Kronecker product stack[r] (x) ops[r] in one broadcast, summed over r.
+        return (stack[:, :, None, :, None] * ops[:, None, :, None, :]).sum(axis=0).reshape(qn, qn)
 
 
 @dataclass
@@ -141,16 +136,11 @@ class DiagTuple:
     blocks: list[np.ndarray]
 
     def __post_init__(self):
-        self.blocks = [as_matrix(b) for b in self.blocks]
+        self.blocks = _square_blocks(self.blocks, self.q)
         if len(self.blocks) != self.k + 2:
             raise ShapeMismatchError(
                 f"need {self.k + 2} blocks, got {len(self.blocks)}"
             )
-        for b in self.blocks:
-            if b.shape != (self.q, self.q):
-                raise ShapeMismatchError(
-                    f"blocks must be {self.q} x {self.q}, got {b.shape}"
-                )
 
     @classmethod
     def ones(cls, k: int, q: int = 1) -> "DiagTuple":
@@ -219,16 +209,24 @@ def psi_k(x: DiagTuple) -> PrismElement:
     return PrismElement(x.k, x.q, list(blocks[: x.k]), blocks[x.k])
 
 
+def _fourier(k: int) -> np.ndarray:
+    """F[j, m] = omega^(j m): row j evaluates 1, w, ..., w^(k-1) at omega^j."""
+    return np.exp(2j * np.pi / k) ** np.outer(np.arange(k), np.arange(k))
+
+
 def _psi_matrix(k: int) -> np.ndarray:
     """Coefficients of the quotient map: row m (m < k) gives c_m and row k
-    gives g as combinations of the k + 2 blocks of the source tuple."""
-    omega = np.exp(2j * np.pi / k)
+    gives g as combinations of the k + 2 blocks; the first k columns are F^H/2k."""
     coeffs = np.zeros((k + 1, k + 2), dtype=complex)
-    for m in range(k):
-        coeffs[m, :k] = [omega ** (-j * m) / (2.0 * k) for j in range(k)]
+    coeffs[:k, :k] = _fourier(k).conj().T / (2.0 * k)
     coeffs[0, k:] = 0.25
     coeffs[k, k:] = [0.25, -0.25]
     return coeffs
+
+
+def _kernel(k: int) -> np.ndarray:
+    """(1, ..., 1, -1, -1), which spans the kernel of the quotient map."""
+    return np.array([1.0] * k + [-1.0, -1.0])
 
 
 def _stacked(e: PrismElement) -> np.ndarray:
@@ -236,31 +234,31 @@ def _stacked(e: PrismElement) -> np.ndarray:
     return np.stack([*e.c, e.g])
 
 
-def _stack_distance(s1: np.ndarray, s2: np.ndarray) -> float:
-    """Largest operator-norm distance between corresponding slices."""
-    return float(opnorms(s1 - s2).max())
+def _basis_operators(pair: RepPair) -> np.ndarray:
+    """The (k + 1, n, n) stack W^0, ..., W^(k-1), V that those blocks multiply."""
+    powers = [np.eye(pair.dim, dtype=complex)]
+    for _ in range(pair.k - 1):
+        powers.append(powers[-1] @ pair.w)
+    return np.stack([*powers, pair.v])
 
 
 def psi_k_basis_element(k: int, index: int) -> PrismElement:
     """Image under the quotient map of the index-th canonical basis vector."""
-    blocks = [np.zeros((1, 1), dtype=complex) for _ in range(k + 2)]
-    blocks[index] = np.eye(1, dtype=complex)
-    return psi_k(DiagTuple(k, 1, blocks))
+    return psi_k(DiagTuple(k, 1, list(np.eye(k + 2)[index, :, None, None])))
 
 
 def quotient_residuals(k: int, q: int = 1) -> list[Residual]:
     """The quotient map sends (1, ..., 1, -1, -1) to zero and (1, ..., 1) to the unit."""
-    eye = np.eye(q, dtype=complex)
-    zero = psi_k(DiagTuple(k, q, [eye] * k + [-eye, -eye]))
+    zero = psi_k(DiagTuple(k, q, list(_kernel(k)[:, None, None] * np.eye(q))))
     unit_gap = element_distance(psi_k(DiagTuple.ones(k, q)), PrismElement.unit(k, q))
     return [
-        ("kernel_maps_to_zero", max(opnorm(b) for b in [*zero.c, zero.g]), _LINEAR_TOL),
+        ("kernel_maps_to_zero", float(opnorms(_stacked(zero)).max()), _LINEAR_TOL),
         ("ones_map_to_unit", unit_gap, _LINEAR_TOL),
     ]
 
 
 def _dual_balance(z: DualTuple) -> Residual:
-    gap = abs(z.z[: z.k].sum() - z.z[z.k :].sum())
+    gap = abs(_kernel(z.k) @ z.z)
     return ("dual_balance", float(gap), _LINEAR_TOL * max(1.0, float(np.abs(z.z).max())))
 
 
@@ -286,8 +284,9 @@ def functional_to_tuple(
     """Dual coordinates of the state trace(density . (W, V)-evaluation).
 
     The i-th coordinate is the state applied to the image of the i-th
-    canonical basis vector under the quotient map; the result always lands
-    in the dual system with entrywise nonnegative values for PSD densities.
+    canonical basis vector under the quotient map (the transposed quotient
+    matrix applied to the moments tr(rho W^m), tr(rho V)); the result always
+    lands in the dual system, entrywise nonnegative for PSD densities.
     """
     if pair.k != k:
         raise OrderMismatchError(f"pair has order {pair.k}, expected {k}")
@@ -304,18 +303,8 @@ def functional_to_tuple(
     if abs(eigs.sum() - 1.0) > tol.spec_tol:
         raise InvalidDensityError(f"density trace {eigs.sum():.12f} differs from 1")
 
-    omega = np.exp(2j * np.pi / k)
-    n = pair.dim
-    powers = [np.eye(n, dtype=complex)]
-    for _ in range(k - 1):
-        powers.append(powers[-1] @ pair.w)
-    coords = []
-    for j in range(k):
-        qj = sum((omega ** (-j * m)) * powers[m] for m in range(k)) / k
-        coords.append(complex(np.trace(density @ qj)) / 2.0)
-    coords.append(complex(np.trace(density @ (np.eye(n) + pair.v))) / 4.0)
-    coords.append(complex(np.trace(density @ (np.eye(n) - pair.v))) / 4.0)
-    z = DualTuple(k, np.array(coords))
+    moments = np.einsum("ij,mji->m", density, _basis_operators(pair))
+    z = DualTuple(k, _psi_matrix(k).T @ moments)
     require(functional_residuals(z, tol), RelationCheckFailedError, "functional_to_tuple")
     return z
 
@@ -325,26 +314,19 @@ def scalar_positivity_prism(e: PrismElement) -> ScalarVerdict:
 
     The element is positive iff its evaluation at every extreme point
     (omega^j, sign) of the prism is >= 0; the margin is the minimum such
-    value and is exact because the scalar-level states are convex
-    combinations of the vertex evaluations.
+    value F c +/- g (ties to the first vertex in (j, sign) order), exact as
+    the scalar-level states are convex combinations of vertex evaluations.
     """
     if e.q != 1:
         raise WrongLevelError(f"scalar test requires level q = 1, got q = {e.q}")
     if not e.is_selfadjoint():
         raise NotSelfadjointError("scalar positivity requires a selfadjoint element")
-    omega = np.exp(2j * np.pi / e.k)
-    coeffs = [complex(block[0, 0]) for block in e.c]
-    gval = complex(e.g[0, 0]).real
-    margin = math.inf
-    worst = (0, 1)
-    for j in range(e.k):
-        t = omega**j
-        base = sum(cm * t**m for m, cm in enumerate(coeffs)).real
-        for sign in (1, -1):
-            value = float(base + gval * sign)
-            if value < margin:
-                margin, worst = value, (j, sign)
-    return ScalarVerdict(bool(margin >= -_LINEAR_TOL), float(margin), worst)
+    base = (_fourier(e.k) @ _stacked(e)[: e.k, 0, 0]).real
+    gval = e.g[0, 0].real
+    values = np.column_stack([base + gval, base - gval])
+    j, side = np.unravel_index(np.argmin(values), values.shape)
+    margin = float(values[j, side])
+    return ScalarVerdict(margin >= -_LINEAR_TOL, margin, (int(j), 1 - 2 * int(side)))
 
 
 def scalar_positivity_cube(alpha: float, beta) -> tuple[bool, float]:
@@ -361,7 +343,7 @@ def element_distance(e1: PrismElement, e2: PrismElement) -> float:
     """Largest operator-norm distance between corresponding coefficient blocks."""
     if (e1.k, e1.q) != (e2.k, e2.q):
         raise ShapeMismatchError("elements live in different systems")
-    return _stack_distance(_stacked(e1), _stacked(e2))
+    return float(opnorms(_stacked(e1) - _stacked(e2)).max())
 
 
 @functools.lru_cache(maxsize=8)
@@ -372,10 +354,7 @@ def _sample_pairs(k: int, samples: int, size_budget: int, seed: int, tol) -> tup
     calls share one sample set. The cached arrays are read-only, and a
     ``Refuted`` witness is a copy of its pair.
     """
-    pairs = []
-    for j in range(k):
-        for sign in (1, -1):
-            pairs.append(prism_vertex_rep(k, j, sign)[0])
+    pairs = [prism_vertex_rep(k, j, sign)[0] for j in range(k) for sign in (1, -1)]
     if k == 3:
         pairs.append(s3_pair())
         pairs.append(a4_pair())
@@ -420,19 +399,14 @@ def certified_residuals(
     ]
 
 
-def _particular_lift(e: PrismElement) -> DiagTuple:
-    """A Hermitian preimage of ``e`` under the quotient map (alpha = 1 gauge)."""
-    k, q = e.k, e.q
-    omega = np.exp(2j * np.pi / k)
-    eye = np.eye(q, dtype=complex)
-    xs = []
-    for j in range(k):
-        xs.append(
-            hermitize(eye + 2.0 * sum((omega ** (j * m)) * e.c[m] for m in range(1, k)))
-        )
-    x_plus = hermitize(2.0 * e.c[0] - eye + 2.0 * e.g)
-    x_minus = hermitize(2.0 * e.c[0] - eye - 2.0 * e.g)
-    return DiagTuple(k, q, [*xs, x_plus, x_minus])
+def _particular_lift(e: PrismElement) -> np.ndarray:
+    """A Hermitian preimage of ``e`` under the quotient map (alpha = 1 gauge):
+    the stack of 1 + 2 F[:, 1:] c, then 2 c_0 - 1 +/- 2 g."""
+    stack = _stacked(e)
+    eye = np.eye(e.q)
+    xs = eye + 2.0 * np.tensordot(_fourier(e.k)[:, 1:], stack[1 : e.k], axes=1)
+    c0 = 2.0 * stack[0] - eye
+    return hermitize(np.concatenate([xs, [c0 + 2.0 * stack[e.k], c0 - 2.0 * stack[e.k]]]))
 
 
 def matrix_positivity_prism(
@@ -463,38 +437,34 @@ def matrix_positivity_prism(
     if not e.is_selfadjoint():
         raise NotSelfadjointError("positivity requires a selfadjoint element")
 
-    worst_pair = None
-    worst_eig = 0.0
-    for pair in _sample_pairs(e.k, samples, size_budget, seed, tol):
-        low = min_eigenvalue(e, pair)
-        if low < worst_eig:
-            worst_eig, worst_pair = low, pair
-    if worst_pair is not None and worst_eig < -tol.spec_tol:
-        witness = replace(worst_pair, w=worst_pair.w.copy(), v=worst_pair.v.copy())
-        verdict = Refuted(witness=witness, min_eigenvalue=worst_eig)
+    pairs = _sample_pairs(e.k, samples, size_budget, seed, tol)
+    lows = [min_eigenvalue(e, pair) for pair in pairs]
+    worst = int(np.argmin(lows))  # the first pair with the lowest eigenvalue
+    if lows[worst] < -tol.spec_tol:
+        witness = replace(pairs[worst], w=pairs[worst].w.copy(), v=pairs[worst].v.copy())
+        verdict = Refuted(witness=witness, min_eigenvalue=lows[worst])
         require(refuted_residuals(e, verdict, tol), RelationCheckFailedError, "refutation")
         return verdict
 
-    # Every sweep acts on (k + 2, q, q) stacks; kernel_signs spans the
-    # quotient map's kernel, (1, ..., 1, -1, -1).
+    # Sweeps act on (k + 2, q, q) stacks. Dykstra's correction is needed on the
+    # cone side only: the affine side's z - P_A(z) pairs with the kernel to a
+    # skew-Hermitian matrix, which hermitize removes exactly; x, a real
+    # combination of Hermitian blocks, is Hermitian as it stands.
     k = e.k
     coeffs = _psi_matrix(k)
+    kernel = _kernel(k)
     target = _stacked(e)
-    kernel_signs = np.array([1.0] * k + [-1.0, -1.0])
-    particular = np.stack(_particular_lift(e).blocks)
-    x = particular.copy()
+    particular = _particular_lift(e)
+    x = particular
     p_corr = np.zeros_like(x)
-    q_corr = np.zeros_like(x)
     best_residual = math.inf
     for _ in range(max_iter):
         y = clamp_spectrum(x + p_corr, STRICT_MARGIN)
         p_corr = x + p_corr - y
-        shifted = y + q_corr
-        ycomp = hermitize(np.tensordot(kernel_signs, shifted - particular, axes=1) / (k + 2))
-        x = hermitize(particular + kernel_signs[:, None, None] * ycomp)
-        q_corr = shifted - x
+        ycomp = hermitize(np.tensordot(kernel, y - particular, axes=1) / (k + 2))
+        x = particular + kernel[:, None, None] * ycomp
 
-        residual = _stack_distance(np.tensordot(coeffs, y, axes=1), target)
+        residual = float(opnorms(np.tensordot(coeffs, y, axes=1) - target).max())
         best_residual = min(best_residual, residual)
         if residual <= tol.spec_tol:
             lift = DiagTuple(k, e.q, list(y))

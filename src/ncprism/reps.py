@@ -177,15 +177,7 @@ class CanonicalForm:
             for _ in range(count):
                 blocks1.append(np.array([[float(s1)]]))
                 blocks2.append(np.array([[float(s2)]]))
-        v1 = np.zeros((self.dim, self.dim), dtype=complex)
-        v2 = np.zeros((self.dim, self.dim), dtype=complex)
-        pos = 0
-        for b1, b2 in zip(blocks1, blocks2):
-            d = b1.shape[0]
-            v1[pos : pos + d, pos : pos + d] = b1
-            v2[pos : pos + d, pos : pos + d] = b2
-            pos += d
-        return v1, v2
+        return direct_sum(*blocks1), direct_sum(*blocks2)
 
 
 def _lambda_block(lam: float) -> np.ndarray:
@@ -223,11 +215,8 @@ def universal_square_pair(lambdas) -> SymmetryTuple:
     for lam in lambdas:
         if not -1.0 < lam <= 1.0:
             raise LambdaOutOfRangeError(f"coupling {lam} outside (-1, 1]")
-    u1 = np.diag([-1.0, 1.0]).astype(complex)
-    big1, big2 = u1, _lambda_block(lambdas[0])
-    for lam in lambdas[1:]:
-        big1 = direct_sum(big1, u1)
-        big2 = direct_sum(big2, _lambda_block(lam))
+    big1 = direct_sum(*[np.diag([-1.0, 1.0])] * len(lambdas))
+    big2 = direct_sum(*[_lambda_block(lam) for lam in lambdas])
     return _verified_tuple([big1, big2], f"universal_square_pair(n={len(lambdas)})")
 
 
@@ -544,13 +533,8 @@ def steinberg_pair(q: int, field: FiniteFieldSpec | None = None) -> RepPair:
                 "order-3 element was found"
             )
 
-    def perm_matrix(perm):
-        mat = np.zeros((q + 1, q + 1), dtype=complex)
-        for src, dst in enumerate(perm):
-            mat[dst, src] = 1.0
-        return mat
-
-    pu, pv = perm_matrix(perm_u), perm_matrix(perm_v)
+    # Column src of a permutation matrix is the basis vector e_perm[src].
+    pu, pv = (np.eye(q + 1, dtype=complex)[:, perm] for perm in (perm_u, perm_v))
     ones = np.ones((q + 1, 1))
     qmat, _ = np.linalg.qr(ones, mode="complete")
     z = qmat[:, 1:]

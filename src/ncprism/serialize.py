@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dilation import DilationResult, Povm
+from .dilation import DilationResult
 from .errors import ShapeMismatchError
 from .matkernel import as_matrix
 from .opsys import Certified, DiagTuple, DualTuple, PrismElement, Refuted, Unknown
@@ -27,7 +27,6 @@ __all__ = [
     "rep_pair_from_json",
     "symmetry_tuple_to_json",
     "dilation_result_to_json",
-    "povm_to_json",
     "prism_element_to_json",
     "prism_element_from_json",
     "diag_tuple_to_json",
@@ -104,13 +103,6 @@ def dilation_result_to_json(result: DilationResult) -> dict:
         "isometry": matrix_to_json(result.isometry),
         "operators": [matrix_to_json(op) for op in result.operators],
         "labels": list(result.labels),
-    }
-
-
-def povm_to_json(povm: Povm) -> dict:
-    return {
-        "effects": [matrix_to_json(h) for h in povm.effects],
-        "outcome_labels": [complex_to_json(z) for z in povm.outcome_labels],
     }
 
 

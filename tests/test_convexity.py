@@ -18,8 +18,8 @@ from ncprism.convexity import (
     real_imag_parts,
     theta_lower_bound,
 )
-from ncprism.errors import ShapeMismatchError
-from ncprism.matkernel import compress, dagger
+from ncprism.errors import NotHermitianError, ShapeMismatchError
+from ncprism.matkernel import compress, dagger, support_value
 from ncprism.reps import prism_vertex_rep, vertex_residuals
 
 
@@ -67,6 +67,32 @@ class TestMaxMember:
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             max_member([np.eye(2)], make_cube(2))
+
+    def test_matches_a_per_facet_support_loop(self):
+        rng = np.random.default_rng(19)
+        for spec in [make_prism(3), make_prism(5), make_cube(2), make_cube(3)]:
+            for _ in range(10):
+                n = int(rng.integers(1, 5))
+                mats = [random_hermitian(rng, n) * 0.3 for _ in range(spec.ambient_dim)]
+                slacks = [o - support_value(mats, d) for d, o in zip(spec.normals, spec.offsets)]
+                result = max_member(mats, spec)
+                assert result.facet_index == int(np.argmin(slacks))
+                assert result.margin == pytest.approx(min(slacks), abs=1e-12)
+                assert result.member == (min(slacks) >= -1e-8)
+
+    def test_all_zero_tuple_ties_to_the_first_facet(self):
+        result = max_member([np.zeros((2, 2))] * 3, make_cube(3))
+        assert result.member
+        assert result.facet_index == 0
+        assert result.margin == 1.0
+
+    def test_rejects_bad_entries(self):
+        with pytest.raises(ShapeMismatchError):
+            max_member([np.eye(2), np.eye(3)], make_cube(2))
+        with pytest.raises(ShapeMismatchError):
+            max_member([np.ones((2, 3)), np.ones((2, 3))], make_cube(2))
+        with pytest.raises(NotHermitianError):
+            max_member([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])], make_cube(2))
 
     def test_unitary_invariance(self):
         rng = np.random.default_rng(23)

@@ -276,6 +276,14 @@ class TestBlocks:
         out = direct_sum(np.array([[1.0]]), np.array([[-1.0]]))
         assert np.array_equal(out, np.diag([1.0, -1.0]).astype(complex))
 
+    def test_direct_sum_of_one_and_of_three_blocks(self):
+        rng = np.random.default_rng(12)
+        a, b, c = (random_hermitian(rng, n) for n in (1, 3, 2))
+        assert np.array_equal(direct_sum(b), b)
+        assert direct_sum(b).dtype == complex
+        assert np.array_equal(direct_sum(a, b, c), direct_sum(direct_sum(a, b), c))
+        assert np.array_equal(direct_sum(a, b, c), direct_sum(a, direct_sum(b, c)))
+
     def test_compress_corner(self):
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
         e1 = np.array([[1.0], [0.0]])

@@ -24,13 +24,14 @@ from ncprism.opsys import (
     element_distance,
     functional_to_tuple,
     matrix_positivity_prism,
+    min_eigenvalue,
     psi_k,
     psi_k_basis_element,
     refuted_residuals,
     scalar_positivity_cube,
     scalar_positivity_prism,
 )
-from ncprism.reps import pair_residuals, prism_vertex_rep
+from ncprism.reps import RepPair, pair_residuals, prism_vertex_rep
 
 
 def scalar_element(k, coeffs, g):
@@ -117,6 +118,20 @@ class TestFunctionalToTuple:
             assert dual_member(z)
             assert z.z.real.min() >= -1e-10
 
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_coordinates_are_the_state_on_basis_images(self, k):
+        # z_i = tr(rho . psi(e_i)(W, V)) on random joint dilations, not only
+        # on vertex representations and characters.
+        rng = np.random.default_rng(40 + k)
+        for _ in range(5):
+            a, b = random_prism_point(rng, int(rng.integers(1, 4)), k)
+            pair, _ = joint_prism_dilation(a, b, k)
+            rho = random_psd_trace_one(rng, pair.dim)
+            z = functional_to_tuple(pair, rho, k)
+            for i in range(k + 2):
+                value = np.trace(rho @ psi_k_basis_element(k, i).evaluate(pair))
+                assert abs(z.z[i] - value) <= 1e-12
+
     def test_rejects_bad_density(self):
         pair, _ = prism_vertex_rep(3, 0, 1)
         with pytest.raises(InvalidDensityError):
@@ -145,6 +160,24 @@ class TestScalarPositivity:
     def test_requires_selfadjoint(self):
         with pytest.raises(NotSelfadjointError):
             scalar_positivity_prism(scalar_element(3, [0, 1, 0], 0))
+
+    @pytest.mark.parametrize("k", [4, 6])
+    def test_margin_is_the_minimum_over_characters(self, k):
+        # The 2k one-dimensional characters (omega^j, sign) are the vertices;
+        # worst_vertex is the first minimum in (j, sign) order.
+        rng = np.random.default_rng(k)
+        omega = np.exp(2j * np.pi / k)
+        for _ in range(20):
+            raw = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+            coeffs = (raw + raw[-np.arange(k) % k].conj()) / 2  # c_(k-m) = conj(c_m)
+            e = scalar_element(k, coeffs, rng.standard_normal())
+            vertices = [(j, sign) for j in range(k) for sign in (1, -1)]
+            values = [
+                min_eigenvalue(e, RepPair([[omega**j]], [[sign]], k)) for j, sign in vertices
+            ]
+            verdict = scalar_positivity_prism(e)
+            assert verdict.margin == pytest.approx(min(values), abs=1e-12)
+            assert verdict.worst_vertex == vertices[int(np.argmin(values))]
 
     def test_requires_scalar_level(self):
         with pytest.raises(WrongLevelError):
@@ -319,6 +352,21 @@ class TestSelfadjointness:
         assert e.is_selfadjoint()
         bad = PrismElement(3, 2, [np.eye(2), c1, c1], np.eye(2))
         assert not bad.is_selfadjoint()
+
+    @pytest.mark.parametrize("slot", ["g", 0, 2])
+    def test_defect_in_one_hermitian_block_is_rejected(self, slot):
+        # At k = 4, c_0, c_2 (its own mirror) and g must each be Hermitian.
+        rng = np.random.default_rng(11)
+        c1 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        c = [np.eye(2), c1, np.diag([0.5, -0.25]), c1.conj().T]
+        g = np.diag([0.3, 0.1])
+        assert PrismElement(4, 2, c, g).is_selfadjoint()
+        defect = np.array([[0.0, 1e-3], [0.0, 0.0]])
+        if slot == "g":
+            g = g + defect
+        else:
+            c[slot] = c[slot] + defect
+        assert not PrismElement(4, 2, c, g).is_selfadjoint()
 
     def test_evaluation_is_hermitian_for_selfadjoint(self):
         rng = np.random.default_rng(9)
