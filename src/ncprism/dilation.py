@@ -7,11 +7,16 @@ summing to the identity, dilate that decomposition to a normal operator
 with spectrum at the polygon's vertices, carry the second operator to the
 enlarged space, and close with a 2x2 Halmos symmetry block. Compressing
 back through the composite isometry recovers the original pair exactly.
+
+Every positive decomposition starts from the Fourier-minimal effects
+(1 + omega^-j a + omega^j a*)/k, whose Fourier modes other than 0, 1 and
+k - 1 vanish. At k = 3 these are the barycentric coordinates; for k >= 4
+``matkernel.lmi_floor`` searches the free modes 2 .. k-2 for effects that
+are all positive, or proves that none are.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +43,10 @@ from .matkernel import (
     compress,
     dagger,
     direct_sum,
+    fourier_matrix,
+    hermitian_basis,
     hermitize,
+    lmi_floor,
     opnorm,
     opnorms,
     order_residuals,
@@ -221,7 +229,8 @@ def triangle_povm(a, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
 
     For W(a) inside Conv{1, omega, omega^2} the affine barycentric
     coordinate functionals of the triangle, applied to (Re a, Im a), give
-    effects h_j >= 0 with sum(h_j) = 1 and sum(omega^j h_j) = a.
+    effects h_j >= 0 with sum(h_j) = 1 and sum(omega^j h_j) = a: they are the
+    Fourier-minimal effects (1 + omega^-j a + omega^j a*)/3.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
@@ -233,16 +242,18 @@ def triangle_povm(a, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
             f"numerical range leaves the triangle: facet {verdict.facet_index} "
             f"violated by {-verdict.margin:.3e}"
         )
-    n = a.shape[0]
-    eye = np.eye(n)
-    effects = []
-    for j in range(3):
-        theta = 2.0 * math.pi * j / 3.0
-        # Barycentric functional of Conv C_3: (1 + 2(x cos + y sin)) / 3.
-        effects.append(hermitize((eye + 2.0 * (math.cos(theta) * re + math.sin(theta) * im)) / 3.0))
-    labels = [np.exp(2j * math.pi * j / 3) for j in range(3)]
+    labels = fourier_matrix(3)[:, 1]
+    effects = _fourier_base(a, labels)
     require(povm_residuals(effects, labels, a, tol), InvalidPovmError, "triangle_povm")
-    return Povm(effects, labels)
+    return Povm(list(effects), labels.tolist())
+
+
+def _fourier_base(a: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The (k, n, n) stack (1 + omega^-j a + omega^j a*)/k over the k roots of
+    unity ``labels``: it sums to 1, its first moment is a, and its Fourier
+    modes 2 .. k-2 vanish."""
+    roots = labels[:, None, None]
+    return hermitize((np.eye(a.shape[0]) + roots.conj() * a + roots * dagger(a)) / len(labels))
 
 
 def naimark_normal(povm: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DilationResult:
@@ -280,21 +291,25 @@ def naimark_residuals(
     ]
 
 
-def order_k_povm(
-    a, k: int, tol: ToleranceConfig = DEFAULT_TOL, max_iter: int = 5000
-) -> Povm:
+def order_k_povm(a, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
     """Positive decomposition of ``a`` over the k-th roots of unity.
 
-    For k = 3 the barycentric formula applies directly. For k >= 4 no
-    closed form exists and the effects are found by alternating projections
-    between the PSD product cone and the affine constraints
-    sum(h_j) = 1, sum(omega^j h_j) = a. Failure to converge is reported as
-    InfeasibleError; it proves nothing about infeasibility unless the
-    numerical-range precondition itself fails. Each sweep acts on the
-    (k, n, n) stack of effects at once.
+    For k = 3 the barycentric formula applies directly. For k >= 4 the
+    effects are the Fourier-minimal base (1 + omega^-j a + omega^j a*)/k
+    plus any Hermitian combination of the Fourier modes m = 2 .. k-2 (the
+    (k-3) n^2 real unknowns that keep sum(h_j) = 1 and sum(omega^j h_j) = a),
+    and ``matkernel.lmi_floor`` decides whether their smallest eigenvalue
+    can reach 0. Its floor t_lo and bound t_hi give the outcome:
+
+    - t_lo > 0: those effects, unclamped;
+    - t_lo >= -band, band = spec_tol / 4k: the effects clamped to >= 0 and
+      renormalised, which moves the moments by at most about 2k band;
+    - t_hi < 0, from a re-checked primal point: ``InfeasibleError``, a proof
+      that no positive decomposition exists;
+    - otherwise ``InfeasibleError`` naming the undecided bracket.
+
+    Returned effects always pass ``povm_residuals``.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatchError("order_k_povm requires a square matrix")
@@ -312,37 +327,36 @@ def order_k_povm(
         )
 
     n = a.shape[0]
-    omega = np.exp(2j * np.pi / k)
-    labels = np.array([omega**j for j in range(k)])
-    eye = np.eye(n)
-    effects = np.repeat((eye.astype(complex) / k)[None], k, axis=0)
-    target = tol.spec_tol / 2.0
-    residual = math.inf
-    for _ in range(max_iter):
-        # Project onto the affine constraints (least-norm correction).
-        r0 = eye - effects.sum(axis=0)
-        r1 = a - np.tensordot(labels, effects, axes=1)
-        weights = labels[:, None, None]
-        step = r0 + weights.conj() * r1 + weights * dagger(r1)
-        # Project onto the PSD product cone.
-        effects = clamp_spectrum(effects + step / k, 0.0)
-        residual = sum(value for _, value, _ in povm_residuals(effects, labels, a, tol))
-        if residual <= target:
-            break
-    else:
-        raise InfeasibleError(
-            f"alternating projections stalled at residual {residual:.3e} "
-            f"after {max_iter} sweeps (not a proof of infeasibility)"
-        )
-
-    # Exact renormalization: congruence by (sum h_j)^(-1/2) restores the
-    # identity sum at machine precision while keeping every effect PSD.
-    w, u = np.linalg.eigh(hermitize(effects.sum(axis=0)))
-    if w.min() <= 0.5:
-        raise InfeasibleError("effect sum is too singular to renormalize")
-    t = (u * (w**-0.5)) @ dagger(u)
-    effects = hermitize(t @ effects @ t)
-    require(povm_residuals(effects, labels, a, tol), InfeasibleError, "renormalized decomposition")
+    fourier = fourier_matrix(k)
+    labels = fourier[:, 1]
+    base = _fourier_base(a, labels)
+    # The Hermitian modes m = 2 .. k-2 as real vectors over j: Re F[:, m] up
+    # to k/2, Im F[:, m] beyond (they pair with modes k - m).
+    modes = [fourier[:, m].real if 2 * m <= k else fourier[:, m].imag for m in range(2, k - 1)]
+    directions = np.einsum("mj,eab->mejab", modes, hermitian_basis(n)).reshape(-1, k, n, n)
+    result = lmi_floor(base, directions, 0.0)
+    effects = hermitize(base + np.tensordot(result.y, directions, axes=1))
+    if result.t_lo <= 0.0:
+        bracket = f"[{result.t_lo:.3e}, {result.t_hi:.3e}]"
+        if result.t_lo < -tol.spec_tol / (4 * k):
+            if result.t_hi < 0.0:
+                raise InfeasibleError(
+                    f"no positive decomposition over C_{k}: the smallest effect eigenvalue "
+                    f"is at most {result.t_hi:.3e}, bracket {bracket} (primal certificate)"
+                )
+            raise InfeasibleError(
+                f"undecided after {result.steps} Newton steps: the best smallest effect "
+                f"eigenvalue lies in {bracket} (not a proof of infeasibility)"
+            )
+        # Exact renormalization: congruence by (sum h_j)^(-1/2) restores the
+        # identity sum at machine precision while keeping every effect PSD.
+        effects = clamp_spectrum(effects, 0.0)
+        w, u = np.linalg.eigh(hermitize(effects.sum(axis=0)))
+        if w.min() <= 0.5:
+            raise InfeasibleError("effect sum is too singular to renormalize")
+        t = (u * (w**-0.5)) @ dagger(u)
+        effects = hermitize(t @ effects @ t)
+    require(povm_residuals(effects, labels, a, tol), InfeasibleError, "order_k_povm decomposition")
     return Povm(list(effects), labels.tolist())
 
 

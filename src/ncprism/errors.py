@@ -44,10 +44,12 @@ class InvalidPovmError(NcprismError):
 
 
 class InfeasibleError(NcprismError):
-    """The feasibility search stalled above tolerance.
+    """No feasible point was returned.
 
-    This reports a failed search, not a proof of infeasibility, except where
-    a necessary condition (such as numerical-range membership) already fails.
+    The message says which case holds: a proof of infeasibility (a failed
+    necessary condition such as numerical-range membership, or a re-checked
+    primal certificate), or a search that ended undecided, which is not a
+    proof.
     """
 
 

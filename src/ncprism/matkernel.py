@@ -3,7 +3,11 @@
 Everything downstream (dilations, representation factories, membership and
 positivity tests) is built on the handful of operations here: positive
 square roots, commutant computation, support functions of joint numerical
-ranges, block constructions, and the order predicate for unitaries.
+ranges, block constructions, the order predicate for unitaries, the Fourier
+matrix of the k-th roots of unity, and ``lmi_floor``, the one iterative
+solver: it decides whether an affine stack of Hermitian blocks can be lifted
+above a floor, for the positive decompositions of ``dilation`` and the
+positivity certificates of ``opsys``.
 
 Each construction has a residual function beside it returning its defining
 identities as ``(name, residual, bound)`` triples; constructors pass them to
@@ -16,6 +20,7 @@ All operations are pure functions; nothing here carries mutable state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +45,10 @@ __all__ = [
     "require_hermitian",
     "psd_sqrt",
     "clamp_spectrum",
+    "fourier_matrix",
+    "hermitian_basis",
+    "FloorResult",
+    "lmi_floor",
     "commutant_dimension",
     "support_value",
     "support_values",
@@ -176,6 +185,173 @@ def clamp_spectrum(stack: np.ndarray, floor: float) -> np.ndarray:
     """
     w, u = np.linalg.eigh(hermitize(stack))
     return hermitize((u * np.clip(w, floor, None)[..., None, :]) @ dagger(u))
+
+
+def fourier_matrix(k: int) -> np.ndarray:
+    """F[j, m] = omega^(j m) with omega = exp(2 pi i / k): row j evaluates
+    1, w, ..., w^(k-1) at omega^j, and column 1 lists the k-th roots of unity."""
+    return np.exp(2j * np.pi / k) ** np.outer(np.arange(k), np.arange(k))
+
+
+def hermitian_basis(n: int) -> np.ndarray:
+    """An (n^2, n, n) stack that is an orthonormal basis of the n x n Hermitian
+    matrices (real Frobenius inner product): the diagonal units, then
+    (E_ab + E_ba)/sqrt 2 and i(E_ab - E_ba)/sqrt 2 for a < b."""
+    rows, cols = np.triu_indices(n, 1)
+    sym = n + np.arange(len(rows))
+    skew = sym + len(rows)
+    basis = np.zeros((n * n, n, n), dtype=complex)
+    basis[np.arange(n), np.arange(n), np.arange(n)] = 1.0
+    basis[sym, rows, cols] = basis[sym, cols, rows] = math.sqrt(0.5)
+    basis[skew, rows, cols] = 1j * math.sqrt(0.5)
+    basis[skew, cols, rows] = -1j * math.sqrt(0.5)
+    return basis
+
+
+# lmi_floor's cap on Newton steps, its stopping gap t_hi - t_lo (absolute, as
+# its callers pose problems with O(1) data), and the fraction of the way to
+# the boundary of the PSD cone that one step may go.
+_LMI_STEPS = 50
+_LMI_GAP = 1e-12
+_LMI_REACH = 0.95
+
+
+@dataclass(frozen=True)
+class FloorResult:
+    """What :func:`lmi_floor` found.
+
+    ``y`` is the best point and ``t_lo`` its floor, the smallest eigenvalue of
+    base + sum_i y_i directions[i]. ``t_hi`` = <base, x> bounds every floor
+    from above through the primal point ``x``: PSD blocks of total trace 1,
+    orthogonal to every direction. While no such point is known, ``t_hi`` is
+    inf and ``x`` is None. ``steps`` counts Newton steps.
+    """
+
+    y: np.ndarray
+    t_lo: float
+    t_hi: float
+    x: np.ndarray | None
+    steps: int
+
+
+def lmi_floor(base, directions, threshold: float) -> FloorResult:
+    """Decide whether max t s.t. base + sum_i y_i directions[i] >= t 1 reaches
+    ``threshold``.
+
+    ``base`` is an (m, n, n) stack of Hermitian blocks, ``directions`` a
+    (p, m, n, n) stack of p such stacks, and the order holds block by block.
+    The result decides in one of three ways: t_lo >= threshold, with the
+    first point y found whose floor clears it; t_hi < threshold, with a
+    primal point x that proves no y can; or neither, a bracket left after
+    ``_LMI_STEPS`` Newton steps, at a gap of ``_LMI_GAP`` or at a step that
+    fails numerically (no ``LinAlgError`` escapes). Before return the floor
+    of y is recomputed with a batched ``eigvalsh``, and x was accepted only
+    with no negative eigenvalue.
+
+    y = 0 is tried first, so a base already above the threshold costs one
+    ``eigvalsh``. Otherwise an infeasible-start primal-dual interior-point
+    method (Mehrotra's predictor-corrector on the HKM direction:
+    Vandenberghe and Boyd, "Semidefinite programming", 1996; Helmberg,
+    Rendl, Vanderbei and Wolkowicz, 1996) solves
+
+        max t          s.t. S = base + sum_i y_i D_i - t 1 >= 0,
+        min <base, X>  s.t. X >= 0, sum tr X = 1, <D_i, X> = 0 for all i,
+
+    where <S, X> = <base, X> - t >= 0 makes each feasible X an upper bound.
+    S is recomputed from (y, t), so the dual iterates stay feasible; each
+    primal iterate, projected onto the linear constraints, is a bound once
+    the projection is PSD. A Newton step solves one (p+1) x (p+1) Schur
+    system (a predictor and a corrector right-hand side), built from the
+    products X A_j S^-1: O(p m n^3 + p^2 m n^2 + p^3) flops, with
+    p = (k-3) n^2 for a positive decomposition over the k-th roots of unity
+    at level n and p = q^2 for a level-q lift through the prism quotient.
+    The method is deterministic and draws no random numbers.
+    """
+    base = hermitize(np.asarray(base, dtype=complex))
+    m, n, _ = base.shape
+    directions = np.asarray(directions, dtype=complex).reshape(-1, m, n, n)
+    y, t_lo = np.zeros(len(directions)), _floor(base)
+    if t_lo >= threshold:
+        return FloorResult(y, t_lo, math.inf, None, 0)
+    # The constraint matrices A_i: -D_i for each y_i, then the identity for t,
+    # so that S = base - sum_i z_i A_i with z = (y, t), and the primal
+    # constraints read <A_i, X> = b_i. For Hermitian A_i, <A_i, X> is the real
+    # part of pair @ vec(X).
+    eye = np.broadcast_to(np.eye(n), base.shape)
+    a = np.concatenate([-directions, eye[None]])
+    pair = a.reshape(len(a), -1).conj()
+    b = np.zeros(len(a))
+    b[-1] = 1.0
+    gram = (pair @ a.reshape(len(a), -1).T).real
+    x = eye / (m * n)
+    z = np.append(y, t_lo - 1.0)
+    t_hi, x_hi, steps = math.inf, None, 0
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            while True:
+                s = hermitize(base - np.tensordot(z, a, axes=1))
+                w, u = np.linalg.eigh(s)
+                if z[-1] + w.min() > t_lo:
+                    y, t_lo = z[:-1].copy(), float(z[-1] + w.min())
+                shift = np.linalg.solve(gram, b - (pair @ x.ravel()).real)
+                projected = hermitize(x + np.tensordot(shift, a, axes=1))
+                if np.linalg.eigvalsh(projected).min() >= 0.0:
+                    bound = float(np.vdot(base, projected).real)
+                    if bound < t_hi:
+                        t_hi, x_hi = bound, projected
+                if t_lo >= threshold or t_hi < threshold or t_hi - t_lo <= _LMI_GAP:
+                    break
+                if steps == _LMI_STEPS:
+                    break
+                dz, ds, dx = _newton_step(x, s, (u / w[..., None, :]) @ dagger(u), a, pair, b)
+                x = x + _step_length(x, dx) * dx
+                z = z + _step_length(s, ds) * dz
+                steps += 1
+    except (np.linalg.LinAlgError, FloatingPointError):
+        pass
+    t_lo = _floor(base + np.tensordot(y, directions, axes=1))
+    return FloorResult(y, t_lo, t_hi, x_hi, steps)
+
+
+def _floor(stack: np.ndarray) -> float:
+    """Smallest eigenvalue over the blocks of a Hermitian stack."""
+    return float(np.linalg.eigvalsh(hermitize(stack)).min())
+
+
+def _newton_step(x, s, s_inv, a, pair, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mehrotra's predictor-corrector on the HKM direction at (x, s): the
+    steps (dz, dS, dX), with dS = -sum_i dz_i A_i.
+
+    Linearising X S = sigma mu 1 with A(dX) = b - A(X) and dS = -A^T(dz)
+    gives dX = W - X dS S^-1 (then hermitized) and the Schur system
+    M dz = b - A(W + X), M_ij = Re tr(A_i X A_j S^-1), with
+    W = -X for the predictor and W = sigma mu S^-1 - X - dX' dS' S^-1 for the
+    corrector, sigma = (mu' / mu)^3 from the predictor's reach mu'.
+    """
+    size = x.shape[0] * x.shape[1]
+    schur = (pair @ (x[None] @ a @ s_inv[None]).reshape(len(a), -1).T).real
+    schur = (schur + schur.T) / 2.0
+
+    def solve(rhs, w):
+        dz = np.linalg.solve(schur, rhs)
+        ds = -np.tensordot(dz, a, axes=1)
+        return dz, ds, hermitize(w - x @ ds @ s_inv)
+
+    dz, ds, dx = solve(b, -x)
+    mu = np.vdot(x, s).real / size
+    reach = np.vdot(x + _step_length(x, dx) * dx, s + _step_length(s, ds) * ds).real / size
+    target = (reach / mu) ** 3 * mu
+    second = dx @ ds @ s_inv
+    rhs = b - target * (pair @ s_inv.ravel()).real + (pair @ second.ravel()).real
+    return solve(rhs, target * s_inv - x - second)
+
+
+def _step_length(x: np.ndarray, dx: np.ndarray) -> float:
+    """The largest step in (0, 1] that goes at most ``_LMI_REACH`` of the way
+    from the positive definite stack x to the PSD boundary along dx."""
+    root = np.linalg.inv(np.linalg.cholesky(x))
+    low = float(np.linalg.eigvalsh(hermitize(root @ dx @ dagger(root))).min())
+    return min(1.0, _LMI_REACH / -low) if low < 0.0 else 1.0
 
 
 def commutant_dimension(

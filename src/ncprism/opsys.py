@@ -7,21 +7,20 @@ from the diagonal source system sends the first k slots through the
 spectral averages of w and the last two through (1 +/- v)/2, halved so the
 all-ones tuple maps to the unit; its kernel is spanned by
 (1, ..., 1, -1, -1). Every formula for it is read off the Fourier matrix
-F[j, m] = omega^(j m). Scalar positivity is decided exactly by vertex
-enumeration; matrix-level positivity gets a three-valued verdict with
-independently checkable witnesses and certificates.
+F[j, m] = omega^(j m) (``matkernel.fourier_matrix``). Scalar positivity is
+decided exactly by vertex enumeration; matrix-level positivity gets a
+three-valued verdict with independently checkable witnesses and
+certificates: sampled representations refute, and ``matkernel.lmi_floor``
+searches the lifts through the quotient map for a strictly positive one.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .convexity import random_prism_point
-from .dilation import joint_prism_dilation
 from .errors import (
     InvalidDensityError,
     NotSelfadjointError,
@@ -36,14 +35,16 @@ from .matkernel import (
     Residual,
     ToleranceConfig,
     as_matrix,
-    clamp_spectrum,
     dagger,
+    fourier_matrix,
+    hermitian_basis,
     hermitize,
+    lmi_floor,
     opnorm,
     opnorms,
     require,
 )
-from .reps import RepPair, a4_pair, prism_vertex_rep, s3_pair, steinberg_pair
+from .reps import RepPair, a4_pair, pair_residuals, prism_vertex_rep, s3_pair, steinberg_pair
 
 __all__ = [
     "PrismElement",
@@ -74,7 +75,9 @@ _LINEAR_TOL = 1e-12
 
 
 def _square_blocks(blocks, q: int) -> list[np.ndarray]:
-    """The blocks as complex matrices, each checked to be q x q."""
+    """The blocks as complex matrices, each checked to be q x q with q >= 1."""
+    if q < 1:
+        raise ValueError(f"q must be >= 1, got {q}")
     blocks = [as_matrix(b) for b in blocks]
     for b in blocks:
         if b.shape != (q, q):
@@ -209,16 +212,11 @@ def psi_k(x: DiagTuple) -> PrismElement:
     return PrismElement(x.k, x.q, list(blocks[: x.k]), blocks[x.k])
 
 
-def _fourier(k: int) -> np.ndarray:
-    """F[j, m] = omega^(j m): row j evaluates 1, w, ..., w^(k-1) at omega^j."""
-    return np.exp(2j * np.pi / k) ** np.outer(np.arange(k), np.arange(k))
-
-
 def _psi_matrix(k: int) -> np.ndarray:
     """Coefficients of the quotient map: row m (m < k) gives c_m and row k
     gives g as combinations of the k + 2 blocks; the first k columns are F^H/2k."""
     coeffs = np.zeros((k + 1, k + 2), dtype=complex)
-    coeffs[:k, :k] = _fourier(k).conj().T / (2.0 * k)
+    coeffs[:k, :k] = fourier_matrix(k).conj().T / (2.0 * k)
     coeffs[0, k:] = 0.25
     coeffs[k, k:] = [0.25, -0.25]
     return coeffs
@@ -321,7 +319,7 @@ def scalar_positivity_prism(e: PrismElement) -> ScalarVerdict:
         raise WrongLevelError(f"scalar test requires level q = 1, got q = {e.q}")
     if not e.is_selfadjoint():
         raise NotSelfadjointError("scalar positivity requires a selfadjoint element")
-    base = (_fourier(e.k) @ _stacked(e)[: e.k, 0, 0]).real
+    base = (fourier_matrix(e.k) @ _stacked(e)[: e.k, 0, 0]).real
     gval = e.g[0, 0].real
     values = np.column_stack([base + gval, base - gval])
     j, side = np.unravel_index(np.argmin(values), values.shape)
@@ -348,11 +346,14 @@ def element_distance(e1: PrismElement, e2: PrismElement) -> float:
 
 @functools.lru_cache(maxsize=8)
 def _sample_pairs(k: int, samples: int, size_budget: int, seed: int, tol) -> tuple[RepPair, ...]:
-    """Factory representations up to the size budget plus random dilated pairs.
+    """Factory representations up to the size budget plus random pairs.
 
-    A pure function of its arguments, memoised so that repeated positivity
-    calls share one sample set. The cached arrays are read-only, and a
-    ``Refuted`` witness is a copy of its pair.
+    Each random pair is W = U diag(omega^(j_i)) U* and V = U' diag(+/-1) U'*
+    at dimension 2 k n, n in {1, 2, 3}, with Haar-random U, U' and random
+    labels: a representation by construction at every k, checked by
+    ``reps.pair_residuals``. A pure function of its arguments, memoised so
+    that repeated positivity calls share one sample set. The cached arrays
+    are read-only, and a ``Refuted`` witness is a copy of its pair.
     """
     pairs = [prism_vertex_rep(k, j, sign)[0] for j in range(k) for sign in (1, -1)]
     if k == 3:
@@ -364,15 +365,27 @@ def _sample_pairs(k: int, samples: int, size_budget: int, seed: int, tol) -> tup
             except UnsupportedQError:
                 continue
     rng = np.random.default_rng(seed)
+    roots = fourier_matrix(k)[:, 1]
     for _ in range(samples):
-        n = int(rng.integers(1, 4))
-        a, b = random_prism_point(rng, n, k)
-        pair, _ = joint_prism_dilation(a, b, k, tol)
+        dim = 2 * k * int(rng.integers(1, 4))
+        w = _conjugated(rng, roots[rng.integers(0, k, dim)])
+        v = _conjugated(rng, rng.choice([1.0, -1.0], dim))
+        pair = RepPair(w, hermitize(v), k, provenance=f"random_pair(k={k}, dim={dim})")
+        require(pair_residuals(pair, tol), RelationCheckFailedError, pair.provenance)
         pairs.append(pair)
     for pair in pairs:
         pair.w.setflags(write=False)
         pair.v.setflags(write=False)
     return tuple(pairs)
+
+
+def _conjugated(rng: np.random.Generator, diagonal: np.ndarray) -> np.ndarray:
+    """U diag(d) U* for a Haar-random unitary U (QR of a complex Gaussian
+    matrix, with the phases of R's diagonal moved into Q)."""
+    n = len(diagonal)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    return (u * diagonal) @ dagger(u)
 
 
 def min_eigenvalue(e: PrismElement, pair: RepPair) -> float:
@@ -404,7 +417,7 @@ def _particular_lift(e: PrismElement) -> np.ndarray:
     the stack of 1 + 2 F[:, 1:] c, then 2 c_0 - 1 +/- 2 g."""
     stack = _stacked(e)
     eye = np.eye(e.q)
-    xs = eye + 2.0 * np.tensordot(_fourier(e.k)[:, 1:], stack[1 : e.k], axes=1)
+    xs = eye + 2.0 * np.tensordot(fourier_matrix(e.k)[:, 1:], stack[1 : e.k], axes=1)
     c0 = 2.0 * stack[0] - eye
     return hermitize(np.concatenate([xs, [c0 + 2.0 * stack[e.k], c0 - 2.0 * stack[e.k]]]))
 
@@ -412,7 +425,6 @@ def _particular_lift(e: PrismElement) -> np.ndarray:
 def matrix_positivity_prism(
     e: PrismElement,
     samples: int = 20,
-    max_iter: int = 2000,
     tol: ToleranceConfig = DEFAULT_TOL,
     size_budget: int = 8,
     seed: int = 0,
@@ -420,18 +432,17 @@ def matrix_positivity_prism(
     """Three-valued positivity verdict for a selfadjoint element.
 
     Phase 1 (refutation) evaluates the element on factory representations
-    and on random dilated pairs; an eigenvalue below -spec_tol yields
-    ``Refuted`` with the witness pair. Phase 2 (certification) searches for
-    a preimage with all blocks >= STRICT_MARGIN via Dykstra-corrected
-    alternating projections between the strictly-positive product set and
-    the affine fiber of the quotient map; success yields ``Certified`` with
-    the lift. Otherwise ``Unknown``. Both definite verdicts re-verify from
-    their payloads alone. Each sweep acts on the (k + 2, q, q) stack of lift
-    blocks; the sample set is memoised on (k, samples, size_budget, seed,
-    tol). Raises ValueError for max_iter < 1 or samples < 0.
+    and on random pairs; an eigenvalue below -spec_tol yields ``Refuted``
+    with the witness pair. Phase 2 (certification) asks
+    ``matkernel.lmi_floor`` whether some lift of ``e`` through the quotient
+    map, the particular lift plus kernel (x) Y over Hermitian q x q Y, has
+    every block >= STRICT_MARGIN; such a lift yields ``Certified``. Otherwise
+    ``Unknown``, whose residual is the shortfall STRICT_MARGIN - t_lo of the
+    best lift and whose reason gives the solver's bracket [t_lo, t_hi] on the
+    best floor. Both definite verdicts re-verify from their payloads alone.
+    The sample set is memoised on (k, samples, size_budget, seed, tol).
+    Raises ValueError for samples < 0.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
     if not e.is_selfadjoint():
@@ -446,37 +457,26 @@ def matrix_positivity_prism(
         require(refuted_residuals(e, verdict, tol), RelationCheckFailedError, "refutation")
         return verdict
 
-    # Sweeps act on (k + 2, q, q) stacks. Dykstra's correction is needed on the
-    # cone side only: the affine side's z - P_A(z) pairs with the kernel to a
-    # skew-Hermitian matrix, which hermitize removes exactly; x, a real
-    # combination of Hermitian blocks, is Hermitian as it stands.
-    k = e.k
-    coeffs = _psi_matrix(k)
-    kernel = _kernel(k)
-    target = _stacked(e)
-    particular = _particular_lift(e)
-    x = particular
-    p_corr = np.zeros_like(x)
-    best_residual = math.inf
-    for _ in range(max_iter):
-        y = clamp_spectrum(x + p_corr, STRICT_MARGIN)
-        p_corr = x + p_corr - y
-        ycomp = hermitize(np.tensordot(kernel, y - particular, axes=1) / (k + 2))
-        x = particular + kernel[:, None, None] * ycomp
-
-        residual = float(opnorms(np.tensordot(coeffs, y, axes=1) - target).max())
-        best_residual = min(best_residual, residual)
-        if residual <= tol.spec_tol:
-            lift = DiagTuple(k, e.q, list(y))
-            verdict = Certified(
-                lift=lift,
-                min_block_eigenvalue=lift.min_block_eigenvalue(),
-                residual=residual,
-            )
-            require(certified_residuals(e, verdict, tol), RelationCheckFailedError, "certificate")
-            return verdict
+    base = _particular_lift(e)
+    directions = _kernel(e.k)[:, None, None] * hermitian_basis(e.q)[:, None]
+    result = lmi_floor(base, directions, STRICT_MARGIN)
+    if result.t_lo >= STRICT_MARGIN:
+        blocks = hermitize(base + np.tensordot(result.y, directions, axes=1))
+        lift = DiagTuple(e.k, e.q, list(blocks))
+        verdict = Certified(
+            lift=lift,
+            min_block_eigenvalue=lift.min_block_eigenvalue(),
+            residual=element_distance(psi_k(lift), e),
+        )
+        require(certified_residuals(e, verdict, tol), RelationCheckFailedError, "certificate")
+        return verdict
+    bracket = f"[{result.t_lo:.3e}, {result.t_hi:.3e}]"
+    if result.t_hi < STRICT_MARGIN:
+        found = f"the best lift's smallest block eigenvalue lies in {bracket}"
+    else:
+        found = f"undecided after {result.steps} Newton steps, bracket {bracket}"
     return Unknown(
-        reason=f"no witness below -{tol.spec_tol:.0e} and no strict lift within "
-        f"{max_iter} sweeps",
-        residual=best_residual,
+        reason=f"no witness below -{tol.spec_tol:.0e} and no lift with blocks >= "
+        f"{STRICT_MARGIN:.0e}: {found}",
+        residual=STRICT_MARGIN - result.t_lo,
     )

@@ -55,6 +55,8 @@ def matrix_to_json(a) -> dict:
 
 def matrix_from_json(obj) -> np.ndarray:
     rows, cols = int(obj["rows"]), int(obj["cols"])
+    if rows < 1 or cols < 1:
+        raise ShapeMismatchError(f"matrix JSON needs rows and cols >= 1, got {rows}x{cols}")
     data = obj["data"]
     if len(data) != rows * cols:
         raise ShapeMismatchError(

@@ -178,7 +178,10 @@ _CHECKS = [
 def run_all(
     size_budget: int = 8, seed: int = 0, tol: ToleranceConfig = DEFAULT_TOL
 ) -> list[CheckResult]:
-    """Run every invariant check with a fresh seeded generator per check."""
+    """Run every invariant check with a fresh seeded generator per check.
+    Raises ValueError for size_budget < 1."""
+    if size_budget < 1:
+        raise ValueError(f"size_budget must be >= 1, got {size_budget}")
     results = []
     for i, (name, bound, sampler) in enumerate(_CHECKS):
         rng = np.random.default_rng(seed + i)

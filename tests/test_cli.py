@@ -5,7 +5,7 @@ import pytest
 
 from helpers import random_unitary
 
-from ncprism import cli
+from ncprism import cli, verify
 from ncprism.serialize import matrix_from_json, matrix_to_json
 
 
@@ -144,7 +144,16 @@ class TestPositivity:
         assert code == 0
         assert json.loads(out)["verdict"] == "certified"
 
-    @pytest.mark.parametrize("flags", [["--max-iter", "0"], ["--max-iter", "-5"], ["--samples", "-1"]])
+    def test_matrix_unit_certified_at_k5(self, capsys, monkeypatch):
+        one, zero = scalar(1.0), scalar(0.0)
+        element = {"k": 5, "q": 1, "c": [one, zero, zero, zero, zero], "g": zero}
+        code, out, _ = run_cli(
+            capsys, monkeypatch, ["positivity", "matrix", "--k", "5"], stdin_obj=element
+        )
+        assert code == 0
+        assert json.loads(out)["verdict"] == "certified"
+
+    @pytest.mark.parametrize("flags", [["--samples", "-1"]])
     def test_matrix_rejects_bad_budgets(self, capsys, monkeypatch, flags):
         one, zero = scalar(1.0), scalar(0.0)
         element = {"k": 3, "q": 1, "c": [one, zero, zero], "g": zero}
@@ -227,3 +236,39 @@ class TestVerify:
         )
         assert code == 0
         assert "all checks passed" in out
+
+    def test_size_budget_below_one_is_rejected(self, capsys, monkeypatch):
+        with pytest.raises(ValueError, match="size_budget"):
+            verify.run_all(size_budget=0)
+        code, out, err = run_cli(capsys, monkeypatch, ["verify", "all", "--size-budget", "0"])
+        assert code == 2
+        assert out == ""
+        assert "size_budget" in err
+
+
+EMPTY = {"rows": 0, "cols": 0, "data": []}
+
+
+class TestMalformedMatrices:
+    @pytest.mark.parametrize(
+        "args, payload",
+        [
+            (["positivity", "matrix", "--k", "3"], {"k": 3, "q": 0, "c": [EMPTY] * 3, "g": EMPTY}),
+            (["dilate", "mirman"], EMPTY),
+            (["dilate", "halmos"], EMPTY),
+            (["commutant"], {"tuple": [EMPTY]}),
+            (["check", "prism", "--k", "3"], {"a": EMPTY, "b": EMPTY}),
+        ],
+    )
+    def test_empty_matrix_exits_two(self, capsys, monkeypatch, args, payload):
+        code, out, err = run_cli(capsys, monkeypatch, args, stdin_obj=payload)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_nan_entry_exits_two(self, capsys, monkeypatch):
+        payload = {"rows": 1, "cols": 1, "data": [[float("nan"), 0.0]]}
+        code, out, err = run_cli(capsys, monkeypatch, ["dilate", "halmos"], stdin_obj=payload)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err

@@ -16,8 +16,11 @@ from ncprism.matkernel import (
     compress,
     dagger,
     direct_sum,
+    fourier_matrix,
+    hermitian_basis,
     hermitize,
     kron,
+    lmi_floor,
     opnorm,
     order_residuals,
     psd_sqrt,
@@ -326,6 +329,69 @@ class TestStacks:
     def test_clamp_spectrum_keeps_blocks_above_the_floor(self):
         blocks = np.stack([np.diag([1.0, 2.0]), np.diag([0.5, 3.0])]).astype(complex)
         assert np.abs(clamp_spectrum(blocks, 0.1) - blocks).max() <= 1e-14
+
+
+class TestLmiFloor:
+    """Two 1 x 1 blocks, base (0, 1) and the one direction (1, -1): the best
+    floor is max_y min(y, 1 - y) = 1/2, and x = (1/2, 1/2) attains the bound."""
+
+    BASE = np.array([[[0.0]], [[1.0]]])
+    DIRECTIONS = np.array([[[[1.0]], [[-1.0]]]])
+
+    def floor_of(self, y, directions=DIRECTIONS):
+        return np.linalg.eigvalsh(self.BASE + np.tensordot(y, directions, axes=1)).min()
+
+    def test_hermitian_basis_is_orthonormal(self):
+        for n in range(1, 5):
+            basis = hermitian_basis(n)
+            assert basis.shape == (n * n, n, n)
+            assert np.array_equal(basis, dagger(basis))
+            gram = np.einsum("aij,bji->ab", basis, basis)
+            assert np.abs(gram - np.eye(n * n)).max() <= 1e-15
+
+    def test_fourier_matrix(self):
+        for k in (3, 4, 7):
+            f = fourier_matrix(k)
+            assert np.abs(f[:, 1] - np.exp(2j * np.pi * np.arange(k) / k)).max() <= 1e-15
+            assert np.abs(f @ dagger(f) - k * np.eye(k)).max() <= 1e-13
+
+    def test_base_above_threshold_takes_no_step(self):
+        result = lmi_floor(self.BASE + 1.0, self.DIRECTIONS, 0.5)
+        assert result.steps == 0 and result.t_lo == 1.0
+        assert np.array_equal(result.y, [0.0])
+
+    def test_first_point_above_threshold(self):
+        result = lmi_floor(self.BASE, self.DIRECTIONS, 0.4)
+        assert 0 < result.steps < 50
+        assert 0.4 <= result.t_lo <= 0.5
+        assert result.t_lo == self.floor_of(result.y)
+
+    def test_primal_point_proves_threshold_out_of_reach(self):
+        result = lmi_floor(self.BASE, self.DIRECTIONS, 0.6)
+        x = result.x
+        assert result.t_lo < 0.6 and 0.5 <= result.t_hi < 0.6
+        assert np.linalg.eigvalsh(x).min() >= 0.0
+        assert abs(np.trace(x, axis1=1, axis2=2).sum() - 1.0) <= 1e-14
+        assert abs(np.vdot(self.DIRECTIONS[0], x)) <= 1e-14
+        assert np.vdot(self.BASE, x).real == result.t_hi
+
+    def test_threshold_at_the_optimum_leaves_a_tight_bracket(self):
+        result = lmi_floor(self.BASE, self.DIRECTIONS, 0.5)
+        assert result.t_lo <= 0.5 + 1e-15 and result.t_hi >= 0.5 - 1e-15
+        assert result.t_hi - result.t_lo <= 1e-9
+
+    def test_deterministic(self):
+        first, again = (lmi_floor(self.BASE, self.DIRECTIONS, 0.6) for _ in range(2))
+        assert np.array_equal(first.y, again.y) and np.array_equal(first.x, again.x)
+        assert (first.t_lo, first.t_hi, first.steps) == (again.t_lo, again.t_hi, again.steps)
+
+    def test_dependent_directions_raise_no_linalg_error(self):
+        # A repeated direction makes the Newton systems singular; the solver
+        # stops and still reports a sound floor for its best point.
+        twice = np.concatenate([self.DIRECTIONS, self.DIRECTIONS])
+        result = lmi_floor(self.BASE, twice, 0.6)
+        assert result.t_lo == self.floor_of(result.y, twice) <= 0.5
+        assert result.t_hi >= 0.5 - 1e-15
 
 
 class TestCheckOrder:

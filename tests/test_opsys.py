@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import certification_oracle, random_psd_trace_one, within_bounds
+from helpers import random_psd_trace_one, within_bounds
 
 from ncprism.convexity import random_prism_point
 from ncprism.dilation import joint_prism_dilation
@@ -12,6 +14,7 @@ from ncprism.errors import (
 )
 from ncprism.matkernel import DEFAULT_TOL, dagger, hermitize, opnorm
 from ncprism.opsys import (
+    STRICT_MARGIN,
     Certified,
     Unknown,
     _sample_pairs,
@@ -228,7 +231,7 @@ class TestMatrixPositivity:
         # certification at strict margin is impossible, so Unknown is the
         # honest outcome (Certified would also be sound if slack existed).
         e = scalar_element(3, [1, 0, 0], 1)
-        verdict = matrix_positivity_prism(e, samples=4, max_iter=300)
+        verdict = matrix_positivity_prism(e, samples=4)
         assert not isinstance(verdict, Refuted)
 
     def test_consistency_with_scalar_rule_on_grid(self):
@@ -236,7 +239,7 @@ class TestMatrixPositivity:
             for gval in np.linspace(-1.0, 1.0, 5):
                 e = scalar_element(3, [1.0, cval, cval], gval)
                 scalar = scalar_positivity_prism(e)
-                verdict = matrix_positivity_prism(e, samples=3, max_iter=400)
+                verdict = matrix_positivity_prism(e, samples=3)
                 if isinstance(verdict, Certified):
                     assert scalar.margin >= -1e-10
                 if isinstance(verdict, Refuted):
@@ -248,9 +251,6 @@ class TestMatrixPositivity:
 
     def test_rejects_bad_budgets(self):
         unit = PrismElement.unit(3, 1)
-        for max_iter in (0, -1):
-            with pytest.raises(ValueError, match="max_iter"):
-                matrix_positivity_prism(unit, max_iter=max_iter)
         with pytest.raises(ValueError, match="samples"):
             matrix_positivity_prism(unit, samples=-1)
 
@@ -282,25 +282,56 @@ def preimage_element(q, boundary, seed):
     return psi_k(DiagTuple(3, q, blocks))
 
 
-class TestBatchedCertification:
-    """The stacked Dykstra sweeps against the per-block loop they replace."""
+class TestLiftSolver:
+    """The certification phase: the best lift through the quotient map."""
 
     @pytest.mark.parametrize("q", [1, 2])
-    def test_certified_lift_matches(self, q):
+    def test_certified_lift(self, q):
         e = preimage_element(q, False, 40 + q)
         verdict = matrix_positivity_prism(e, samples=2)
-        kind, lift = certification_oracle(e)
-        assert isinstance(verdict, Certified) and kind == "certified"
-        assert max(float(np.abs(x - y).max()) for x, y in zip(verdict.lift.blocks, lift)) <= 1e-12
+        assert isinstance(verdict, Certified)
+        assert within_bounds(certified_residuals(e, verdict))
+        assert verdict.min_block_eigenvalue >= STRICT_MARGIN
+        assert verdict.residual == element_distance(psi_k(verdict.lift), e)
 
     @pytest.mark.parametrize("q", [1, 2])
-    def test_boundary_residual_matches(self, q):
+    def test_boundary_stays_unknown(self, q):
+        # No strictly positive lift exists (the best floor is 0): the solver
+        # proves the floor stays below STRICT_MARGIN, and the residual is the
+        # shortfall of the best lift found.
         e = preimage_element(q, True, 50 + q)
-        verdict = matrix_positivity_prism(e, samples=2, max_iter=300)
-        kind, best = certification_oracle(e, max_iter=300)
-        assert isinstance(verdict, Unknown) and kind == "unknown"
-        # The residual is a difference of O(1) blocks: allow rounding of those.
-        assert verdict.residual == pytest.approx(best, rel=1e-12, abs=1e-15)
+        verdict = matrix_positivity_prism(e, samples=2)
+        assert isinstance(verdict, Unknown)
+        assert "smallest block eigenvalue lies in [" in verdict.reason
+        assert STRICT_MARGIN <= verdict.residual < 1e-4
+
+    @pytest.mark.parametrize("k", [4, 5, 6, 7, 8])
+    def test_unit_certified_at_every_k(self, k):
+        unit = PrismElement.unit(k, 1)
+        verdict = matrix_positivity_prism(unit)
+        assert isinstance(verdict, Certified)
+        assert within_bounds(certified_residuals(unit, verdict))
+
+    @settings(max_examples=40)
+    @given(
+        k=st.integers(3, 8),
+        q=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        shift=st.floats(-1.0, 3.0),
+    )
+    def test_selfadjoint_elements_get_a_checked_verdict(self, k, q, seed, shift):
+        rng = np.random.default_rng(seed)
+        raw = (rng.standard_normal((k + 1, q, q)) + 1j * rng.standard_normal((k + 1, q, q))) / k
+        c = [(raw[m] + dagger(raw[(-m) % k])) / 2 for m in range(k)]
+        c[0] = c[0] + shift * np.eye(q)
+        e = PrismElement(k, q, c, hermitize(raw[k]))
+        verdict = matrix_positivity_prism(e, samples=4)
+        if isinstance(verdict, Refuted):
+            assert within_bounds([*pair_residuals(verdict.witness), *refuted_residuals(e, verdict)])
+        elif isinstance(verdict, Certified):
+            assert within_bounds(certified_residuals(e, verdict))
+        else:
+            assert isinstance(verdict, Unknown)
 
 
 class TestSamplePairs:
@@ -341,6 +372,14 @@ class TestDualPairing:
             weights = rng.uniform(0.0, 1.0, k + 2)
             paired = sum(w * b for w, b in zip(weights, x.blocks))
             assert np.linalg.eigvalsh(hermitize(paired)).min() >= -1e-10
+
+
+class TestLevels:
+    def test_level_zero_is_rejected(self):
+        with pytest.raises(ValueError, match="q must be >= 1"):
+            PrismElement(3, 0, [np.zeros((0, 0))] * 3, np.zeros((0, 0)))
+        with pytest.raises(ValueError, match="q must be >= 1"):
+            DiagTuple(3, 0, [np.zeros((0, 0))] * 5)
 
 
 class TestSelfadjointness:

@@ -43,6 +43,11 @@ class TestMatrixFormat:
         text = json.dumps(matrix_to_json(matrix_from_json(obj)))
         assert json.loads(text)["data"] == [[value, -value]]
 
+    @pytest.mark.parametrize("rows, cols", [(0, 0), (0, 2), (2, 0), (-1, -1)])
+    def test_empty_matrix_rejected(self, rows, cols):
+        with pytest.raises(ShapeMismatchError, match="rows and cols >= 1"):
+            matrix_from_json({"rows": rows, "cols": cols, "data": []})
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ShapeMismatchError):
             matrix_from_json({"rows": 2, "cols": 2, "data": [[1.0, 0.0]]})
