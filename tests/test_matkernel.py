@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -338,8 +340,9 @@ class TestLmiFloor:
     BASE = np.array([[[0.0]], [[1.0]]])
     DIRECTIONS = np.array([[[[1.0]], [[-1.0]]]])
 
-    def floor_of(self, y, directions=DIRECTIONS):
-        return np.linalg.eigvalsh(self.BASE + np.tensordot(y, directions, axes=1)).min()
+    @staticmethod
+    def floor_of(y, base=BASE, directions=DIRECTIONS):
+        return np.linalg.eigvalsh(hermitize(base + np.tensordot(y, directions, axes=1))).min()
 
     def test_hermitian_basis_is_orthonormal(self):
         for n in range(1, 5):
@@ -385,12 +388,31 @@ class TestLmiFloor:
         assert np.array_equal(first.y, again.y) and np.array_equal(first.x, again.x)
         assert (first.t_lo, first.t_hi, first.steps) == (again.t_lo, again.t_hi, again.steps)
 
+    def test_floor_is_recomputed_from_y(self):
+        # 3 x 3 blocks: the floor the iterates carry differs from a fresh
+        # eigvalsh in the last bits, and the returned t_lo is the fresh one.
+        rng = np.random.default_rng(0)
+        base, directions = (
+            hermitize(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            for shape in ((4, 3, 3), (3, 4, 3, 3))
+        )
+        for threshold in (-1.5, -0.5):
+            result = lmi_floor(base, directions, threshold)
+            assert result.steps > 0
+            assert result.t_lo == self.floor_of(result.y, base, directions)
+
+    def test_projection_that_is_not_psd_bounds_nothing(self):
+        # Direction (1, 3) is PSD, so every floor is reachable; the primal
+        # constraints force x = (3/2, -1/2), which is no certificate.
+        result = lmi_floor(np.zeros((2, 1, 1)), np.array([[[[1.0]], [[3.0]]]]), 1.0)
+        assert result.t_lo >= 1.0 and result.t_hi == math.inf and result.x is None
+
     def test_dependent_directions_raise_no_linalg_error(self):
         # A repeated direction makes the Newton systems singular; the solver
         # stops and still reports a sound floor for its best point.
         twice = np.concatenate([self.DIRECTIONS, self.DIRECTIONS])
         result = lmi_floor(self.BASE, twice, 0.6)
-        assert result.t_lo == self.floor_of(result.y, twice) <= 0.5
+        assert result.t_lo == self.floor_of(result.y, directions=twice) <= 0.5
         assert result.t_hi >= 0.5 - 1e-15
 
 
