@@ -299,9 +299,8 @@ def lmi_floor(base, directions, threshold: float) -> FloorResult:
                     bound = float(np.vdot(base, projected).real)
                     if bound < t_hi:
                         t_hi, x_hi = bound, projected
-                if t_lo >= threshold or t_hi < threshold or t_hi - t_lo <= _LMI_GAP:
-                    break
-                if steps == _LMI_STEPS:
+                decided = t_lo >= threshold or t_hi < threshold
+                if decided or t_hi - t_lo <= _LMI_GAP or steps == _LMI_STEPS:
                     break
                 dz, ds, dx = _newton_step(x, s, (u / w[..., None, :]) @ dagger(u), a, pair, b)
                 x = x + _step_length(x, dx) * dx
