@@ -1,6 +1,7 @@
 """Command-line front end with JSON input/output and verification reports.
 
-Inputs are read as JSON from stdin (or ``--in FILE``); the primary artifact
+Inputs are read as JSON from stdin (or ``--in FILE``) by the commands that
+take one; ``rep``, ``geometry`` and ``verify`` read nothing. The primary artifact
 is written as JSON to stdout, or to ``--out FILE`` with a short textual
 report on stdout instead. ``--json`` wraps the artifact together with the
 run report (command, input digest, seed, checks) in one machine-readable
@@ -421,11 +422,16 @@ _HANDLERS = {
 }
 
 
+# Commands that take no JSON input. They never read stdin, so an open one
+# cannot block them, and their report carries the digest of the empty input.
+_NO_INPUT = {"rep", "geometry", "verify"}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        payload, text = _read_input(args)
+        payload, text = (None, "") if args.command in _NO_INPUT else _read_input(args)
         run = Run(args, text)
         tol = _tolerances(args)
         return _HANDLERS[args.command](args, run, payload, tol)

@@ -5,6 +5,11 @@ arithmetic modulo an irreducible modulus found by exhaustive search, which
 is adequate for the small degrees (e <= 4) used by the representation
 factory. Field elements are coefficient tuples of length ``e`` in ascending
 powers.
+
+The Steinberg construction certifies that its permutations of P^1(F_q)
+generate PSL2(F_q) by the exact order of the group they generate, which
+``permutation_closure_size`` computes with a deterministic Schreier-Sims
+base and strong generating set instead of listing the group's elements.
 """
 
 from __future__ import annotations
@@ -265,25 +270,119 @@ def sl2_involutions(gf: GaloisField):
 
 
 def permutation_closure_size(generators, limit: int) -> int:
-    """Size of the permutation group generated, capped at ``limit`` + 1.
+    """Order of the permutation group generated, capped at ``limit`` + 1.
 
-    Breadth-first closure under composition; returns early with limit + 1
-    once the group is known to exceed ``limit``.
+    ``generators`` are permutations of one range(n), each a sequence whose
+    i-th entry is the image of i; an empty list, unequal lengths or a
+    sequence that is not a permutation raise ValueError. The order is exact:
+    a deterministic Schreier-Sims computation (Sims 1970, "Computational
+    methods in the study of permutation groups"; Seress, "Permutation Group
+    Algorithms", 2003, ch. 4) builds a base and a strong generating set, and
+    the order is the product of the basic orbit sizes. Every Schreier
+    generator of a level is sifted through the deeper levels once; a
+    non-identity residue becomes a strong generator of the levels whose base
+    points it fixes (and adds a base point if it fixes them all), and those
+    levels are checked again from the deepest up. Nothing is drawn at random
+    and the group is never enumerated.
     """
+    gens = _permutations(generators)
+    identity = tuple(range(len(gens[0])))
+    chain: list[_Level] = []
+
+    def fixed_levels(g) -> int:
+        """Number of leading base points that g fixes."""
+        depth = 0
+        while depth < len(chain) and g[chain[depth].point] == chain[depth].point:
+            depth += 1
+        return depth
+
+    def add(g, top: int) -> int:
+        """Make g a strong generator of levels top .. its deepest one."""
+        deepest = fixed_levels(g)
+        if deepest == len(chain):
+            chain.append(_Level(next(x for x in identity if g[x] != x), identity))
+        for level in chain[top : deepest + 1]:
+            level.add(g)
+        return deepest
+
+    def residue(depth: int):
+        """Residue of the first unchecked Schreier generator of a level that
+        does not sift to the identity through the deeper levels, or None."""
+        level = chain[depth]
+        for beta, (u, _) in level.reps.items():
+            for index, s in enumerate(level.gens):
+                if (beta, index) in level.checked:
+                    continue
+                moved = tuple(map(s.__getitem__, u))
+                target, back = level.reps[s[beta]]
+                h = identity if moved == target else tuple(map(back.__getitem__, moved))
+                for deeper in chain[depth + 1 :]:
+                    if h == identity:
+                        break
+                    rep = deeper.reps.get(h[deeper.point])
+                    if rep is None:
+                        break
+                    h = tuple(map(rep[1].__getitem__, h))
+                if h != identity:
+                    return h
+                level.checked.add((beta, index))
+        return None
+
+    for g in gens:
+        if g != identity:
+            add(g, 0)
+    depth = len(chain) - 1
+    while depth >= 0:
+        h = residue(depth)
+        depth = depth - 1 if h is None else add(h, depth + 1)
+    order = 1
+    for level in chain:
+        order *= len(level.reps)
+    return min(order, limit + 1)
+
+
+def _permutations(generators) -> list[tuple[int, ...]]:
+    """The generators as tuples, checked to permute one common range(n)."""
     gens = [tuple(g) for g in generators]
+    if not gens:
+        raise ValueError("no generators given, so the degree is unknown")
     n = len(gens[0])
-    identity = tuple(range(n))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        next_frontier = []
-        for perm in frontier:
-            for g in gens:
-                composed = tuple(map(g.__getitem__, perm))
-                if composed not in seen:
-                    seen.add(composed)
-                    next_frontier.append(composed)
-                    if len(seen) > limit:
-                        return limit + 1
-        frontier = next_frontier
-    return len(seen)
+    for g in gens:
+        if len(g) != n:
+            raise ValueError(f"generators of unequal length: {n} and {len(g)}")
+        if sorted(g) != list(range(n)):
+            raise ValueError(f"generator {list(g)} is not a permutation of range({n})")
+    return gens
+
+
+class _Level:
+    """One level of a stabilizer chain: a base point, the strong generators
+    that fix the base points above it, the orbit of the point under them
+    with a coset representative u (u[point] = orbit point) and its inverse,
+    and the (orbit point, generator index) pairs whose Schreier generator
+    has sifted to the identity. Representatives never change once set, so
+    a checked pair stays checked."""
+
+    def __init__(self, point: int, identity: tuple[int, ...]):
+        self.point = point
+        self.gens: list[tuple[int, ...]] = []
+        self.reps = {point: (identity, identity)}
+        self.checked: set[tuple[int, int]] = set()
+
+    def add(self, g: tuple[int, ...]) -> None:
+        """Append a generator and extend the orbit: the old points under g
+        alone, the new points under every generator."""
+        self.gens.append(g)
+        orbit = list(self.reps)
+        old = len(orbit)
+        for i, beta in enumerate(orbit):
+            u = self.reps[beta][0]
+            for s in self.gens if i >= old else (g,):
+                gamma = s[beta]
+                if gamma not in self.reps:
+                    v = tuple(map(s.__getitem__, u))
+                    inverse = [0] * len(v)
+                    for x, image in enumerate(v):
+                        inverse[image] = x
+                    self.reps[gamma] = (v, tuple(inverse))
+                    orbit.append(gamma)

@@ -60,6 +60,28 @@ def closure_order_oracle(mats, digits=6):
     return len(elements)
 
 
+def permutation_closure_oracle(generators, limit):
+    """Breadth-first closure of the generated permutation group under
+    composition: its size, or limit + 1 once the group exceeds ``limit``."""
+    gens = [tuple(g) for g in generators]
+    n = len(gens[0])
+    identity = tuple(range(n))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        next_frontier = []
+        for perm in frontier:
+            for g in gens:
+                composed = tuple(map(g.__getitem__, perm))
+                if composed not in seen:
+                    seen.add(composed)
+                    next_frontier.append(composed)
+                    if len(seen) > limit:
+                        return limit + 1
+        frontier = next_frontier
+    return len(seen)
+
+
 def commutant_oracle(mats, tol=DEFAULT_TOL):
     """Commutant by a thin SVD of the full n^2-unknown Kronecker stack.
 

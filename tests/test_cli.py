@@ -1,10 +1,15 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from helpers import random_unitary
 
+import ncprism
 from ncprism import cli, verify
 from ncprism.serialize import matrix_from_json, matrix_to_json
 
@@ -227,6 +232,31 @@ class TestReportAndDeterminism:
         code, _, err = run_cli(capsys, monkeypatch, ["commutant"], stdin_obj={"nope": 1})
         assert code == 2
         assert err.startswith("error:")
+
+
+    @pytest.mark.parametrize(
+        "args", [["geometry", "--k", "3"], ["rep", "steinberg", "--q", "8"], ["verify", "all", "--size-budget", "2"]]
+    )
+    def test_input_free_command_ignores_open_stdin(self, args, tmp_path):
+        # stdin is a pipe that is never written to or closed, as under a
+        # background job or a CI step; a command that read it would block.
+        src = os.path.dirname(os.path.dirname(ncprism.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        target = tmp_path / "out.json"
+        with open(target, "w") as out:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "ncprism.cli", *args, "--json"],
+                stdin=subprocess.PIPE,
+                stdout=out,
+                env=env,
+            )
+            try:
+                assert proc.wait(timeout=60) == 0
+            finally:
+                proc.kill()
+                proc.stdin.close()
+        report = json.loads(target.read_text())["report"]
+        assert report["inputs"] == hashlib.sha256(b"").hexdigest()
 
 
 class TestVerify:

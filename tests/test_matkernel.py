@@ -415,6 +415,18 @@ class TestLmiFloor:
         assert result.t_lo == self.floor_of(result.y, directions=twice) <= 0.5
         assert result.t_hi >= 0.5 - 1e-15
 
+    def test_dependent_directions_still_decide(self):
+        # The solver falls back to an orthonormal basis of the span of the
+        # directions and reports y in the caller's coordinates.
+        twice = np.concatenate([self.DIRECTIONS, self.DIRECTIONS])
+        above = lmi_floor(self.BASE, twice, 0.6)
+        assert above.t_lo < 0.6 and 0.5 - 1e-12 <= above.t_hi < 0.6
+        assert np.linalg.eigvalsh(above.x).min() >= 0.0
+        assert max(abs(np.vdot(d, above.x)) for d in twice) <= 1e-12
+        below = lmi_floor(self.BASE, twice, 0.4)
+        assert 0.4 <= below.t_lo <= 0.5 and below.steps > 0
+        assert below.t_lo == self.floor_of(below.y, directions=twice)
+
 
 class TestCheckOrder:
     def test_identity_order_one(self):

@@ -1,12 +1,23 @@
+import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from helpers import closure_order_oracle, random_unitary, within_bounds, worst
+from helpers import (
+    closure_order_oracle,
+    permutation_closure_oracle,
+    random_unitary,
+    within_bounds,
+    worst,
+)
+
+import ncprism.reps
 
 from ncprism.errors import (
     AssemblyFailedError,
+    NoIrreduciblePolynomialError,
     IndexOutOfRangeError,
     LambdaOutOfRangeError,
     NotSymmetryError,
@@ -366,6 +377,54 @@ class TestSteinberg:
     def test_explicit_field_spec(self):
         pair = steinberg_pair(4, FiniteFieldSpec(2, 2, (1, 1, 1)))
         assert pair.dim == 4
+
+    @staticmethod
+    def moduli(p, e):
+        """Every monic irreducible degree-e modulus over F_p, in ascending
+        order of its coefficient tuple."""
+        specs = []
+        for tail in itertools.product(range(p), repeat=e):
+            try:
+                specs.append(FiniteFieldSpec(p, e, tail + (1,)))
+            except NoIrreduciblePolynomialError:
+                pass
+        return specs
+
+    @pytest.mark.parametrize(
+        "q, p, e, count", [(4, 2, 2, None), (8, 2, 3, None), (16, 2, 4, None), (25, 5, 2, 2), (27, 3, 3, 2)]
+    )
+    def test_involution_matches_breadth_first_selection(self, monkeypatch, q, p, e, count):
+        # The exact group order must accept the same first generating
+        # involution as the breadth-first closure, so W and V are unchanged.
+        specs = self.moduli(p, e)[:count]
+        pairs = [steinberg_pair(q, spec) for spec in specs]
+        monkeypatch.setattr(ncprism.reps, "permutation_closure_size", permutation_closure_oracle)
+        for spec, pair in zip(specs, pairs):
+            oracle = steinberg_pair(q, spec)
+            assert pair.w.tobytes() == oracle.w.tobytes()
+            assert pair.v.tobytes() == oracle.v.tobytes()
+
+    @pytest.mark.parametrize(
+        "q, digest",
+        [
+            (25, "2fe61b0c0f182abde1ba645d596d48395963b17e802da659c819ba6d3d3d2dd1"),
+            (27, "d62a1142d376df40c2e18b6e04c78354c8faa3abd1847dd6f03697e9f18c1857"),
+        ],
+    )
+    def test_default_modulus_permutations_pinned(self, q, digest):
+        # W and V compress permutation matrices P to the complement of the
+        # all-ones vector, so P = Z X Z* + J / (q + 1) recovers P exactly
+        # after rounding; the digest pins the permutations, not the last
+        # bits of a platform's BLAS.
+        pair = steinberg_pair(q)
+        ones = np.ones((q + 1, 1))
+        z = np.linalg.qr(ones, mode="complete")[0][:, 1:]
+        perms = []
+        for x in (pair.w, pair.v):
+            full = (z @ x @ dagger(z)).real + 1.0 / (q + 1)
+            assert np.abs(full - np.round(full)).max() <= 1e-9
+            perms.append(np.argmax(np.round(full), axis=0))
+        assert hashlib.sha256(np.array(perms, dtype=np.int64).tobytes()).hexdigest() == digest
 
 
 class TestTensorAndAssembly:
