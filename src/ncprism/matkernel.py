@@ -246,9 +246,9 @@ def lmi_floor(base, directions, threshold: float) -> FloorResult:
     ``_LMI_STEPS`` Newton steps, at a gap of ``_LMI_GAP`` or at a step that
     fails numerically (no ``LinAlgError`` escapes). Before return the floor
     of y is recomputed with a batched ``eigvalsh``, and x was accepted only
-    with no negative eigenvalue. Linearly dependent directions make the
-    projection's Gram matrix singular; then the same method runs over an
-    orthonormal basis of their span and y is mapped back.
+    with no negative eigenvalue. Directions whose Gram matrix is singular to
+    rounding are replaced by an orthonormal basis of their span, and y is
+    mapped back; independent ones are used as given.
 
     y = 0 is tried first, so a base already above the threshold costs one
     ``eigvalsh``. Otherwise an infeasible-start primal-dual interior-point
@@ -281,9 +281,8 @@ def lmi_floor(base, directions, threshold: float) -> FloorResult:
         # their span, then map y back to the caller's coordinates.
         to_caller = _span_basis(directions)
         found = _interior_point(base, np.tensordot(to_caller.T, directions, axes=1), threshold, t_lo)
-        if found is not None:
-            found = (to_caller @ found[0], *found[1:])
-    y, t_hi, x_hi, steps = found or (y, math.inf, None, 0)
+        found = (to_caller @ found[0], *found[1:])
+    y, t_hi, x_hi, steps = found
     t_lo = _floor(base + np.tensordot(y, directions, axes=1))
     return FloorResult(y, t_lo, t_hi, x_hi, steps)
 
@@ -291,8 +290,8 @@ def lmi_floor(base, directions, threshold: float) -> FloorResult:
 def _interior_point(base, directions, threshold: float, t_lo: float):
     """:func:`lmi_floor`'s Newton loop from y = 0, whose floor is ``t_lo``:
     the best y, t_hi, the primal point behind t_hi and the step count. None
-    when the primal constraints are linearly dependent, so that the Gram
-    matrix of their projection is singular and no step can be taken."""
+    when the Gram matrix of the directions is singular to rounding, which
+    would leave the primal projection singular or its points no bound."""
     m, n, _ = base.shape
     # The constraint matrices A_i: -D_i for each y_i, then the identity for t,
     # so that S = base - sum_i z_i A_i with z = (y, t), and the primal
@@ -304,9 +303,8 @@ def _interior_point(base, directions, threshold: float, t_lo: float):
     b = np.zeros(len(a))
     b[-1] = 1.0
     gram = (pair @ a.reshape(len(a), -1).T).real
-    try:
-        np.linalg.solve(gram, b)
-    except np.linalg.LinAlgError:
+    lam = np.linalg.eigvalsh(gram[:-1, :-1])
+    if np.any(lam <= _rank_cut(lam, pair.shape[1])):
         return None
     y = np.zeros(len(directions))
     x = eye / (m * n)
@@ -340,12 +338,19 @@ def _interior_point(base, directions, threshold: float, t_lo: float):
 def _span_basis(directions: np.ndarray) -> np.ndarray:
     """Coefficients C (p x r) such that the stacks sum_i C_ik directions[i]
     are orthonormal in the real trace inner product and span the directions:
-    the Gram matrix's eigenvectors scaled by 1/sqrt(eigenvalue), dropping
-    eigenvalues below numpy's default rank cut for it."""
-    flat = directions.reshape(len(directions), -1)
+    the eigenvectors of their Gram matrix over the square roots of the
+    eigenvalues above :func:`_rank_cut`."""
+    flat = directions.reshape(len(directions), math.prod(directions.shape[1:]))
     lam, vec = np.linalg.eigh((flat.conj() @ flat.T).real)
-    keep = lam > lam.max(initial=0.0) * len(lam) * np.finfo(float).eps
+    keep = lam > _rank_cut(lam, flat.shape[1])
     return vec[:, keep] / np.sqrt(lam[keep])
+
+
+def _rank_cut(lam: np.ndarray, width: int) -> float:
+    """Gram eigenvalues at or below this are zero to rounding: numpy's
+    default rank cut for a p x p matrix, widened to the length of the
+    vectors whose inner products formed it."""
+    return float(lam.max(initial=0.0)) * max(len(lam), width) * np.finfo(float).eps
 
 
 def _floor(stack: np.ndarray) -> float:
