@@ -289,16 +289,12 @@ def permutation_closure_size(generators, limit: int) -> int:
     identity = tuple(range(len(gens[0])))
     chain: list[_Level] = []
 
-    def fixed_levels(g) -> int:
-        """Number of leading base points that g fixes."""
-        depth = 0
-        while depth < len(chain) and g[chain[depth].point] == chain[depth].point:
-            depth += 1
-        return depth
-
     def add(g, top: int) -> int:
-        """Make g a strong generator of levels top .. its deepest one."""
-        deepest = fixed_levels(g)
+        """Make g a strong generator of the levels from ``top`` to the first
+        whose base point it moves; return that level."""
+        deepest = 0
+        while deepest < len(chain) and g[chain[deepest].point] == chain[deepest].point:
+            deepest += 1
         if deepest == len(chain):
             chain.append(_Level(next(x for x in identity if g[x] != x), identity))
         for level in chain[top : deepest + 1]:

@@ -495,11 +495,10 @@ def steinberg_pair(q: int, field: FiniteFieldSpec | None = None) -> RepPair:
     being the mod-p reduction of the modular-group generators. For genuine
     prime powers both classical matrices lie in the prime subfield and
     generate only a proper subgroup, so the involution is found instead by
-    a deterministic search over trace-zero elements: the first one whose
-    permutation generates, with U's, a group of order |PSL2(F_q)| (exact,
-    by Schreier-Sims) is taken. PSL2(F_9) is not
-    generated by any order-(3, 2) pair and is rejected, as are q <= 3 and
-    any q that is not a prime power.
+    a deterministic search over trace-zero elements: the first whose
+    permutation generates, with U's, a group of order |PSL2(F_q)|, computed
+    exactly by Schreier-Sims. PSL2(F_9) is not generated by any order-(3, 2)
+    pair and is rejected, as are q <= 3 and any q that is not a prime power.
     """
     try:
         p, e = factor_prime_power(q)
