@@ -233,7 +233,6 @@ class TestReportAndDeterminism:
         assert code == 2
         assert err.startswith("error:")
 
-
     @pytest.mark.parametrize(
         "args", [["geometry", "--k", "3"], ["rep", "steinberg", "--q", "8"], ["verify", "all", "--size-budget", "2"]]
     )

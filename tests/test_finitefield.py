@@ -49,13 +49,13 @@ class TestPermutationClosureSize:
     @pytest.mark.parametrize("n", range(2, 31))
     def test_symmetric_group(self, n):
         order = math.factorial(n)
-        assert permutation_closure_size(symmetric_generators(n), order) == order
+        assert permutation_closure_size(symmetric_generators(n), 10 * order) == order
 
     @pytest.mark.parametrize("n", [3, 4, 7, 12, 20, 30])
     def test_alternating_group_from_three_cycles(self, n):
         gens = [cycle(n, [0, 1, i]) for i in range(2, n)]
         order = math.factorial(n) // 2
-        assert permutation_closure_size(gens, order) == order
+        assert permutation_closure_size(gens, 10 * order) == order
 
     @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
     def test_classical_pair_generates_psl2(self, q):
