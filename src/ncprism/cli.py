@@ -49,7 +49,7 @@ def _tolerances(args) -> ToleranceConfig:
 
 
 def _read_input(args) -> tuple[dict | None, str]:
-    if getattr(args, "infile", None):
+    if args.infile:
         with open(args.infile, "r", encoding="utf-8") as fh:
             text = fh.read()
     elif not sys.stdin.isatty():
@@ -110,12 +110,17 @@ class Run:
         return exit_code
 
 
-def _add_common(sub):
+def _add_common(sub, reads_input: bool = True):
+    """The options every subcommand shares. ``--in`` only where the command
+    reads JSON input: the others never read stdin, so an open one cannot
+    block them, and their report carries the digest of the empty input."""
     sub.add_argument("--tol", type=float, default=None, help="override spec tolerance")
     sub.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
     sub.add_argument("--out", default=None, help="write the artifact JSON to a file")
     sub.add_argument("--json", action="store_true", help="emit report plus artifact as JSON")
-    sub.add_argument("--in", dest="infile", default=None, help="read input JSON from a file")
+    if reads_input:
+        sub.add_argument("--in", dest="infile", default=None, help="read input JSON from a file")
+    sub.set_defaults(reads_input=reads_input)
 
 
 def _cmd_dilate(args, run: Run, payload, tol) -> int:
@@ -340,24 +345,24 @@ def build_parser() -> argparse.ArgumentParser:
     rep_sub = rep.add_subparsers(dest="subcommand", required=True)
     sp = rep_sub.add_parser("square")
     sp.add_argument("--lambda", dest="lam", type=float, required=True)
-    _add_common(sp)
+    _add_common(sp, reads_input=False)
     sp = rep_sub.add_parser("hadamard")
     sp.add_argument("--m", type=int, required=True)
-    _add_common(sp)
+    _add_common(sp, reads_input=False)
     sp = rep_sub.add_parser("vertex")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--j", type=int, required=True)
     sp.add_argument("--sign", default="+", choices=["+", "-", "+1", "-1", "1"])
-    _add_common(sp)
+    _add_common(sp, reads_input=False)
     for name in ("s3", "a4"):
         sp = rep_sub.add_parser(name)
-        _add_common(sp)
+        _add_common(sp, reads_input=False)
     sp = rep_sub.add_parser("steinberg")
     sp.add_argument("--q", type=int, required=True)
-    _add_common(sp)
+    _add_common(sp, reads_input=False)
     sp = rep_sub.add_parser("assemble")
     sp.add_argument("--n", type=int, required=True)
-    _add_common(sp)
+    _add_common(sp, reads_input=False)
 
     chk = commands.add_parser("check", help="membership in max-type convex sets")
     chk_sub = chk.add_subparsers(dest="subcommand", required=True)
@@ -386,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     geo = commands.add_parser("geometry", help="scaling-constant geometry table")
     geo.add_argument("--k", type=int, required=True)
     geo.add_argument("--d", type=int, default=None)
-    _add_common(geo)
+    _add_common(geo, reads_input=False)
 
     word = commands.add_parser("word", help="evaluate a group word on a pair")
     word.add_argument("--k", type=int, required=True)
@@ -404,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver_sub = ver.add_subparsers(dest="subcommand", required=True)
     sp = ver_sub.add_parser("all")
     sp.add_argument("--size-budget", type=int, default=8)
-    _add_common(sp)
+    _add_common(sp, reads_input=False)
 
     return parser
 
@@ -422,16 +427,11 @@ _HANDLERS = {
 }
 
 
-# Commands that take no JSON input. They never read stdin, so an open one
-# cannot block them, and their report carries the digest of the empty input.
-_NO_INPUT = {"rep", "geometry", "verify"}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        payload, text = (None, "") if args.command in _NO_INPUT else _read_input(args)
+        payload, text = _read_input(args) if args.reads_input else (None, "")
         run = Run(args, text)
         tol = _tolerances(args)
         return _HANDLERS[args.command](args, run, payload, tol)

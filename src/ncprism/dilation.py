@@ -369,13 +369,16 @@ def joint_prism_dilation(
     decomposition, carries ``b`` to the enlarged space as z b z*, dilates
     that to a Halmos symmetry, and extends y by the identity on the second
     summand. The returned isometry G satisfies G* W G = a and G* V G = b.
+    The symmetry's defect takes one square root at the level of ``b`` (see
+    ``_carried_symmetry``), so its identities are checked here.
     """
     a, b = as_matrix(a), as_matrix(b)
     if a.shape != b.shape:
         raise DimensionMismatchError(f"a and b must have equal size, got {a.shape}, {b.shape}")
     require_hermitian(b, tol.alg_tol, "joint_prism_dilation input b")
-    if opnorm(b) > 1.0 + tol.psd_clamp:
-        raise NormExceedsOneError(f"||b|| = {opnorm(b):.12f} exceeds 1")
+    norm = opnorm(b)
+    if norm > 1.0 + tol.psd_clamp:
+        raise NormExceedsOneError(f"||b|| = {norm:.12f} exceeds 1")
 
     povm = order_k_povm(a, k, tol)
     naimark = naimark_normal(povm, tol)
@@ -384,17 +387,36 @@ def joint_prism_dilation(
     kn = y.shape[0]
 
     b_tilde = hermitize(z @ b @ dagger(z))
-    v_big = halmos_symmetry(b_tilde, tol)
+    v_big = _carried_symmetry(b_tilde, z, _contraction_defect_base(hermitize(b), norm), tol)
     w_big = direct_sum(y, np.eye(kn))
     g = np.vstack([z, np.zeros((kn, z.shape[1]), dtype=complex)])
     pair = RepPair(
         w_big, v_big, k, provenance=f"joint_prism_dilation(k={k}, level={a.shape[0]})"
     )
-    # halmos_symmetry certified V; naimark_normal certified G*G = Z*Z = 1 and
-    # G*WG = Z*NZ, which triangle/order_k_povm tied to a. Left: W's order, G*VG = b.
-    residuals = [*prefixed("w_", order_residuals(w_big, k, tol)), _v_compression(b, pair, g, tol)]
+    # naimark_normal certified G*G = Z*Z = 1 and G*WG = Z*NZ, which
+    # triangle/order_k_povm tied to a. Left: V a symmetry with corner Z b Z*,
+    # W's order, G*VG = b.
+    residuals = [
+        *prefixed("v_", halmos_symmetry_residuals(b_tilde, v_big, tol)),
+        *prefixed("w_", order_residuals(w_big, k, tol)),
+        _v_compression(b, pair, g, tol),
+    ]
     require(residuals, RelationCheckFailedError, pair.provenance)
     return pair, g
+
+
+def _carried_symmetry(b_tilde, z, base, tol: ToleranceConfig) -> np.ndarray:
+    """The Halmos symmetry [[b~, D], [D, -b~]] of b~ = Z b Z*, with its defect
+    D = sqrt(1 - b~^2) taken at the level of b.
+
+    Z*Z = 1 splits 1 - (Z b Z*)^2 = (1 - Z Z*) + Z (1 - b^2) Z* into PSD terms
+    with orthogonal ranges, so D = (1 - Z Z*) + Z sqrt(1 - b^2) Z*, that is
+    1 + Z (sqrt(1 - b^2) - 1) Z*. ``base`` is b rescaled into the unit ball,
+    as in :func:`halmos_symmetry`; the caller checks the result."""
+    n = z.shape[1]
+    root = psd_sqrt(np.eye(n) - base @ base, tol)
+    d = hermitize(np.eye(z.shape[0]) + z @ (root - np.eye(n)) @ dagger(z))
+    return np.block([[b_tilde, d], [d, -b_tilde]])
 
 
 def _v_compression(b, pair: RepPair, g, tol: ToleranceConfig) -> Residual:

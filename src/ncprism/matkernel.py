@@ -147,7 +147,10 @@ def opnorms(stack: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(a: np.ndarray, tol: float) -> bool:
-    return opnorm(a - dagger(a)) <= tol * max(1.0, opnorm(a))
+    """||A - A*|| <= tol * max(1, ||A||); ||A|| is computed only when the
+    skew part exceeds tol, since otherwise the verdict cannot depend on it."""
+    skew = opnorm(a - dagger(a))
+    return skew <= tol or skew <= tol * opnorm(a)
 
 
 def require_hermitian(a: np.ndarray, tol: float, what: str = "matrix") -> None:
@@ -246,9 +249,14 @@ def lmi_floor(base, directions, threshold: float) -> FloorResult:
     ``_LMI_STEPS`` Newton steps, at a gap of ``_LMI_GAP`` or at a step that
     fails numerically (no ``LinAlgError`` escapes). Before return the floor
     of y is recomputed with a batched ``eigvalsh``, and x was accepted only
-    with no negative eigenvalue. Directions whose Gram matrix is singular to
-    rounding are replaced by an orthonormal basis of their span, and y is
-    mapped back; independent ones are used as given.
+    with no negative eigenvalue and with sum tr x = 1 and <D_i, x> = 0 to
+    rounding for the caller's directions. Directions whose Gram matrix is
+    singular to rounding are replaced by an orthonormal basis of their span,
+    and y is mapped back; independent ones are used as given. When the Gram
+    matrix of the constraints, the identity's row included, is singular to
+    rounding, the identity lies in the span: every floor is reachable, no
+    primal point exists, and y moves along the identity's coordinates with
+    t_hi = inf.
 
     y = 0 is tried first, so a base already above the threshold costs one
     ``eigvalsh``. Otherwise an infeasible-start primal-dual interior-point
@@ -275,37 +283,50 @@ def lmi_floor(base, directions, threshold: float) -> FloorResult:
     y, t_lo = np.zeros(len(directions)), _floor(base)
     if t_lo >= threshold:
         return FloorResult(y, t_lo, math.inf, None, 0)
-    found = _interior_point(base, directions, threshold, t_lo)
+    found = _interior_point(base, directions, threshold, t_lo, directions)
     if found is None:
         # Linearly dependent directions: solve over an orthonormal basis of
         # their span, then map y back to the caller's coordinates.
         to_caller = _span_basis(directions)
-        found = _interior_point(base, np.tensordot(to_caller.T, directions, axes=1), threshold, t_lo)
+        basis = np.tensordot(to_caller.T, directions, axes=1)
+        found = _interior_point(base, basis, threshold, t_lo, directions)
         found = (to_caller @ found[0], *found[1:])
     y, t_hi, x_hi, steps = found
     t_lo = _floor(base + np.tensordot(y, directions, axes=1))
     return FloorResult(y, t_lo, t_hi, x_hi, steps)
 
 
-def _interior_point(base, directions, threshold: float, t_lo: float):
+def _interior_point(base, directions, threshold: float, t_lo: float, caller):
     """:func:`lmi_floor`'s Newton loop from y = 0, whose floor is ``t_lo``:
     the best y, t_hi, the primal point behind t_hi and the step count. None
     when the Gram matrix of the directions is singular to rounding, which
-    would leave the primal projection singular or its points no bound."""
+    would leave the primal projection singular or its points no bound.
+    A primal point is a bound only if it also meets the constraints of the
+    ``caller``'s directions, which ``directions`` may only approximately span."""
     m, n, _ = base.shape
-    # The constraint matrices A_i: -D_i for each y_i, then the identity for t,
-    # so that S = base - sum_i z_i A_i with z = (y, t), and the primal
-    # constraints read <A_i, X> = b_i. For Hermitian A_i, <A_i, X> is the real
-    # part of pair @ vec(X).
     eye = np.broadcast_to(np.eye(n), base.shape)
-    a = np.concatenate([-directions, eye[None]])
-    pair = a.reshape(len(a), -1).conj()
-    b = np.zeros(len(a))
-    b[-1] = 1.0
+    a, pair, b = _constraints(directions, eye)
     gram = (pair @ a.reshape(len(a), -1).T).real
-    lam = np.linalg.eigvalsh(gram[:-1, :-1])
-    if np.any(lam <= _rank_cut(lam, pair.shape[1])):
-        return None
+    width = pair.shape[1]
+    # By interlacing, a full Gram matrix that passes the rank test has a
+    # directions block that passes it too.
+    lam = np.linalg.eigvalsh(gram)
+    if np.any(lam <= _rank_cut(lam, width)):
+        lam = np.linalg.eigvalsh(gram[:-1, :-1])
+        if np.any(lam <= _rank_cut(lam, width)):
+            return None
+        # The identity lies in the span of the directions, so every floor is
+        # reachable and no primal point exists: <1, X> = tr X would be a
+        # combination of the <D_i, X> = 0. Move along the identity's
+        # coordinates by twice the shortfall plus one, a margin that rounding
+        # cannot take back at the O(1) scale of the callers' data.
+        unit = np.linalg.solve(gram[:-1, :-1], -gram[:-1, -1])
+        return (2.0 * (threshold - t_lo) + 1.0) * unit, math.inf, None, 0
+    # A projected point bounds the floors only if tr X = 1 and <D_i, X> = 0
+    # hold for the caller's D_i to the rounding of the products, which an
+    # ill-conditioned projection need not achieve.
+    _, checked, target = (a, pair, b) if caller is directions else _constraints(caller, eye)
+    slack_cut = width * np.finfo(float).eps * np.linalg.norm(checked, axis=1)
     y = np.zeros(len(directions))
     x = eye / (m * n)
     z = np.append(y, t_lo - 1.0)
@@ -321,7 +342,7 @@ def _interior_point(base, directions, threshold: float, t_lo: float):
                 projected = hermitize(x + np.tensordot(shift, a, axes=1))
                 if np.linalg.eigvalsh(projected).min() >= 0.0:
                     bound = float(np.vdot(base, projected).real)
-                    if bound < t_hi:
+                    if bound < t_hi and _meets(projected, checked, target, slack_cut):
                         t_hi, x_hi = bound, projected
                 decided = t_lo >= threshold or t_hi < threshold
                 if decided or t_hi - t_lo <= _LMI_GAP or steps == _LMI_STEPS:
@@ -333,6 +354,23 @@ def _interior_point(base, directions, threshold: float, t_lo: float):
     except (np.linalg.LinAlgError, FloatingPointError):
         pass
     return y, t_hi, x_hi, steps
+
+
+def _constraints(directions: np.ndarray, eye: np.ndarray):
+    """The constraint matrices A_i: -D_i for each y_i, then the identity for
+    t, so that S = base - sum_i z_i A_i with z = (y, t), and the primal
+    constraints read <A_i, X> = b_i. Returns A, the rows ``pair`` whose
+    product with vec(X) has real part <A_i, X> (for Hermitian A_i), and b."""
+    a = np.concatenate([-directions, eye[None]])
+    b = np.zeros(len(a))
+    b[-1] = 1.0
+    return a, a.reshape(len(a), -1).conj(), b
+
+
+def _meets(x: np.ndarray, rows: np.ndarray, target: np.ndarray, cut: np.ndarray) -> bool:
+    """Re <rows_i, vec(x)> = target_i for every i, to within cut_i ||x||_F."""
+    slack = np.abs(target - (rows @ x.ravel()).real)
+    return bool((slack <= cut * math.sqrt(np.vdot(x, x).real)).all())
 
 
 def _span_basis(directions: np.ndarray) -> np.ndarray:
@@ -626,14 +664,32 @@ def compress(a, z, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 
 def unitary_residual(u, tol: ToleranceConfig = DEFAULT_TOL) -> Residual:
-    """||U* U - 1||_F."""
-    return ("unitary", _frobenius(dagger(u) @ u - np.eye(u.shape[1])), tol.spec_tol)
+    """||U* U - 1||_F; for an exactly diagonal U, || |d|^2 - 1 || over its
+    diagonal d, the same quantity without a matrix product."""
+    d = _exact_diagonal(u)
+    gap = dagger(u) @ u - np.eye(u.shape[1]) if d is None else (d.conj() * d).real - 1.0
+    return ("unitary", _frobenius(gap), tol.spec_tol)
 
 
 def order_residuals(u, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> list[Residual]:
-    """``u`` is unitary and ``u**k`` is the identity (bound spec_tol * k)."""
-    power = _frobenius(np.linalg.matrix_power(u, k) - np.eye(u.shape[0]))
-    return [unitary_residual(u, tol), (f"order_{k}", power, tol.spec_tol * k)]
+    """``u`` is unitary and ``u**k`` is the identity (bound spec_tol * k);
+    for an exactly diagonal U the order gap is || d^k - 1 || over its diagonal."""
+    d = _exact_diagonal(u)
+    gap = np.linalg.matrix_power(u, k) - np.eye(u.shape[0]) if d is None else d**k - 1.0
+    return [unitary_residual(u, tol), (f"order_{k}", _frobenius(gap), tol.spec_tol * k)]
+
+
+def _exact_diagonal(u: np.ndarray) -> np.ndarray | None:
+    """The diagonal of a square ``u`` whose off-diagonal entries are all
+    exactly 0, else None: the residuals of such a matrix equal their dense
+    Frobenius norms and are taken on the diagonal alone."""
+    n = u.shape[0]
+    if u.shape[1] != n:
+        return None
+    # After the first entry, the flat matrix runs in rows of n + 1 entries
+    # whose last is the next diagonal entry: the rest are the off-diagonal ones.
+    off_diagonal = u.ravel()[1:].reshape(n - 1, n + 1)[:, :-1]
+    return None if off_diagonal.any() else np.diagonal(u)
 
 
 def symmetry_residuals(s, tol: ToleranceConfig = DEFAULT_TOL) -> list[Residual]:

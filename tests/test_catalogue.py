@@ -127,7 +127,7 @@ def test_residual_function_flags_shifted_output(name):
         ("psd_sqrt", lambda: dilation.cube_dilation([HALF, HALF]), NotSymmetryError),
         ("psd_sqrt", lambda: dilation.naimark_normal(POVM), InvalidPovmError),
         ("psd_sqrt", lambda: dilation.joint_prism_dilation(A, B, 3), InvalidPovmError),
-        ("halmos_symmetry", lambda: dilation.joint_prism_dilation(A, B, 3), RelationCheckFailedError),
+        ("_carried_symmetry", lambda: dilation.joint_prism_dilation(A, B, 3), RelationCheckFailedError),
         ("direct_sum", lambda: dilation.joint_prism_dilation(A, B, 3), RelationCheckFailedError),
     ],
 )
@@ -136,3 +136,19 @@ def test_constructor_refuses_corrupted_block(monkeypatch, block, build, error):
     monkeypatch.setattr(dilation, block, lambda *args: shift(original(*args)))
     with pytest.raises(error):
         build()
+
+
+def test_joint_dilation_refuses_a_corrupted_defect_block(monkeypatch):
+    # G = [Z; 0] sees only V's top-left block, so G*VG = b cannot catch a
+    # corrupted lower-right block; V's own symmetry residual must.
+    original = dilation._carried_symmetry
+
+    def corrupted(*args):
+        v = original(*args)
+        half = v.shape[0] // 2
+        v[half:, half:] += 1e-6 * np.eye(half)
+        return v
+
+    monkeypatch.setattr(dilation, "_carried_symmetry", corrupted)
+    with pytest.raises(RelationCheckFailedError, match="v_squares_to_identity"):
+        dilation.joint_prism_dilation(A, B, 3)

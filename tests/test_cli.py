@@ -257,6 +257,17 @@ class TestReportAndDeterminism:
         report = json.loads(target.read_text())["report"]
         assert report["inputs"] == hashlib.sha256(b"").hexdigest()
 
+    @pytest.mark.parametrize(
+        "args", [["geometry", "--k", "3"], ["rep", "steinberg", "--q", "8"], ["verify", "all", "--size-budget", "2"]]
+    )
+    def test_input_free_command_rejects_in_flag(self, capsys, args, tmp_path):
+        source = tmp_path / "x.json"
+        source.write_text("{}")
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*args, "--in", str(source)])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --in" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_small_budget_suite(self, capsys, monkeypatch):

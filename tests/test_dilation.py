@@ -16,6 +16,7 @@ from ncprism.dilation import (
     evaluate_compressed_word,
     evaluate_word,
     halmos_symmetry,
+    halmos_symmetry_residuals,
     halmos_unitary,
     halmos_unitary_residuals,
     joint_prism_dilation,
@@ -34,7 +35,7 @@ from ncprism.errors import (
     NumericalRangeOutsideTriangleError,
     OrderMismatchError,
 )
-from ncprism.matkernel import DEFAULT_TOL, compress, dagger, opnorm
+from ncprism.matkernel import DEFAULT_TOL, compress, dagger, hermitize, opnorm
 from ncprism.reps import pair_residuals, prism_vertex_rep
 
 OMEGA = np.exp(2j * np.pi / 3)
@@ -279,6 +280,61 @@ class TestJointPrismDilation:
         a, b = random_prism_point(rng, 2, 4, scale=0.7)
         pair, g = joint_prism_dilation(a, b, 4)
         assert within_bounds([*pair_residuals(pair), *joint_residuals(a, b, pair, g)])
+
+    @staticmethod
+    def assert_symmetry_of_carried_b(a, b, k, bound=DEFAULT_TOL.spec_tol):
+        """V is a symmetry with corner Z b Z*, equals the Halmos symmetry of
+        Z b Z* built at level k n within ``bound``, and the whole output
+        passes its residuals."""
+        pair, g = joint_prism_dilation(a, b, k)
+        z = g[: pair.dim // 2]
+        carried = hermitize(z @ b @ dagger(z))
+        reference = halmos_symmetry(carried)
+        assert opnorm(pair.v - reference) <= bound
+        assert within_bounds(halmos_symmetry_residuals(carried, pair.v))
+        assert within_bounds([*pair_residuals(pair), *joint_residuals(a, b, pair, g)])
+
+    # Scales up to 1/2 keep W(a) inside the square where the k = 4
+    # Fourier-minimal effects are already positive, so no level-32 solve runs.
+    @settings(max_examples=30)
+    @given(
+        k=st.sampled_from([3, 4]),
+        n=st.sampled_from([1, 2, 8, 32]),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(0.05, 0.5),
+    )
+    def test_symmetry_matches_halmos_of_carried_b(self, k, n, seed, scale):
+        a, b = random_prism_point(np.random.default_rng(seed), n, k, scale=scale)
+        self.assert_symmetry_of_carried_b(a, b, k)
+
+    @pytest.mark.parametrize(
+        "b",
+        [
+            np.diag([1.0, -0.3, 0.2]),
+            np.diag([1.0 + DEFAULT_TOL.psd_clamp / 2, -0.5, 0.1]),
+            np.eye(3),
+            -np.eye(3),
+        ],
+        ids=["norm_one", "norm_one_plus_half_clamp", "plus_one", "minus_one"],
+    )
+    def test_boundary_contractions(self, b):
+        # The defect 1 - b^2 has eigenvalues at 0, whose computed square roots
+        # are fixed only to sqrt(psd_clamp), so the two constructions of V
+        # agree to that bound; both are symmetries within spec_tol.
+        rng = np.random.default_rng(3)
+        u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+        a, _ = random_prism_point(rng, 3, 3, scale=0.8)
+        for contraction in (b, u @ b @ dagger(u)):
+            self.assert_symmetry_of_carried_b(a, contraction, 3, math.sqrt(DEFAULT_TOL.psd_clamp))
+
+    def test_singular_effects_on_a_triangle_edge(self):
+        # Points on the edge [1, omega] and at the vertex omega^2: the effects
+        # are singular, so the Naimark isometry has rank-deficient blocks.
+        a = np.diag([0.3 + 0.7 * OMEGA, 0.5 + 0.5 * OMEGA, OMEGA**2])
+        u = np.linalg.qr(np.arange(9.0).reshape(3, 3) + 1j * np.eye(3))[0]
+        for b in (np.diag([0.9, -0.4, 0.2]), np.diag([0.9, -0.4, 1.0])):
+            for rotated in (a, u @ a @ dagger(u)):
+                self.assert_symmetry_of_carried_b(rotated, b, 3, math.sqrt(DEFAULT_TOL.psd_clamp))
 
 
 class TestCubeDilation:

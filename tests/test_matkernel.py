@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import commutant_oracle, random_hermitian, random_unitary, within_bounds
 
@@ -27,6 +29,7 @@ from ncprism.matkernel import (
     order_residuals,
     psd_sqrt,
     support_value,
+    unitary_residual,
 )
 from ncprism.reps import a4_pair, hadamard_symmetries, s3_pair, square_irrep
 
@@ -427,6 +430,44 @@ class TestLmiFloor:
         assert 0.4 <= below.t_lo <= 0.5 and below.steps > 0
         assert below.t_lo == self.floor_of(below.y, directions=twice)
 
+    @settings(max_examples=60)
+    @given(
+        m=st.integers(1, 3),
+        n=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        threshold=st.floats(-2.0, 2.0),
+    )
+    def test_identity_in_the_span_reaches_every_threshold(self, m, n, seed, threshold):
+        # m n^2 random Hermitian directions span every block-diagonal stack,
+        # the identity included: no primal point exists and every floor is
+        # reachable, so no t_hi may fall below the re-checked t_lo.
+        rng = np.random.default_rng(seed)
+        base, directions = (
+            hermitize(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            for shape in ((m, n, n), (m * n * n, m, n, n))
+        )
+        result = lmi_floor(base, directions, threshold)
+        assert result.t_lo == self.floor_of(result.y, base, directions)
+        assert result.t_lo >= threshold
+        assert result.t_hi == math.inf and result.x is None
+        assert result.t_hi >= result.t_lo
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-7, 3e-8])
+    @pytest.mark.parametrize("threshold", [0.4, 0.6])
+    def test_primal_point_must_meet_the_callers_constraints(self, delta, threshold):
+        # Base (0, 1, -2) and directions (1, -1, 0), (1, -1, delta): every
+        # floor below 1/2 is reachable (the second direction lifts the third
+        # block), so no bound may fall below 1/2. The nearly parallel
+        # directions make the primal projection ill-conditioned, or (at
+        # delta = 3e-8) dependent to rounding, and a projected point then
+        # misses <D_i, X> = 0 by far more than rounding.
+        base = np.array([0.0, 1.0, -2.0]).reshape(3, 1, 1)
+        directions = np.array([[1.0, -1.0, 0.0], [1.0, -1.0, delta]]).reshape(2, 3, 1, 1)
+        result = lmi_floor(base, directions, threshold)
+        assert result.t_hi >= 0.5 - 1e-12 and result.t_hi >= result.t_lo
+        if result.x is not None:
+            assert max(abs(np.vdot(d, result.x)) for d in directions) <= 1e-14
+
 
 class TestCheckOrder:
     def test_identity_order_one(self):
@@ -443,3 +484,40 @@ class TestCheckOrder:
 
     def test_non_unitary_rejected(self):
         assert not within_bounds(order_residuals(np.diag([0.5, 1.0]), 1))
+
+
+class TestDiagonalResiduals:
+    """Exactly diagonal matrices have their unitary and order residuals taken
+    on the diagonal; anything else takes the dense products."""
+
+    @pytest.mark.parametrize("n", [1, 5, 64])
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_diagonal_values_match_the_dense_formulas(self, n, k):
+        rng = np.random.default_rng(n * k)
+        d = np.exp(2j * np.pi * rng.integers(0, k, n) / k) * (1 + 1e-9 * rng.standard_normal(n))
+        u = np.diag(d)
+        dense_unitary = np.linalg.norm(dagger(u) @ u - np.eye(n))
+        dense_order = np.linalg.norm(np.linalg.matrix_power(u, k) - np.eye(n))
+        unitary, order = order_residuals(u, k)
+        assert unitary == unitary_residual(u)
+        assert abs(unitary[1] - dense_unitary) <= 1e-14 * n
+        assert abs(order[1] - dense_order) <= 1e-14 * n
+
+    def test_tiny_off_diagonal_entry_takes_the_dense_path(self, monkeypatch):
+        calls = []
+        dense_power = np.linalg.matrix_power
+        monkeypatch.setattr(np.linalg, "matrix_power", lambda *args: calls.append(1) or dense_power(*args))
+        diagonal = np.diag(np.exp(2j * np.pi * np.arange(4) / 4))
+        order_residuals(diagonal, 4)
+        assert calls == []
+        for row, col in zip(*np.nonzero(~np.eye(4, dtype=bool))):
+            u = diagonal.copy()
+            u[row, col] = 1e-300
+            assert within_bounds(order_residuals(u, 4))
+        assert len(calls) == 12
+
+    def test_shifted_diagonal_is_flagged(self):
+        u = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
+        assert within_bounds(order_residuals(u, 3))
+        flagged = [value > bound for _, value, bound in order_residuals(u + 1e-6 * np.eye(3), 3)]
+        assert flagged == [True, True]
