@@ -250,13 +250,13 @@ def lmi_floor(base, directions, threshold: float) -> FloorResult:
     fails numerically (no ``LinAlgError`` escapes). Before return the floor
     of y is recomputed with a batched ``eigvalsh``, and x was accepted only
     with no negative eigenvalue and with sum tr x = 1 and <D_i, x> = 0 to
-    rounding for the caller's directions. Directions whose Gram matrix is
-    singular to rounding are replaced by an orthonormal basis of their span,
-    and y is mapped back; independent ones are used as given. When the Gram
-    matrix of the constraints, the identity's row included, is singular to
-    rounding, the identity lies in the span: every floor is reachable, no
-    primal point exists, and y moves along the identity's coordinates with
-    t_hi = inf.
+    rounding for the caller's directions. Rank is judged from singular
+    values. Directions that are linearly dependent to rounding are replaced
+    by an orthonormal basis of their span, and y is mapped back; independent
+    ones are used as given. When the constraints, the identity included, are
+    dependent to rounding, the identity lies in the span: every floor is
+    reachable, no primal point exists, and y moves along the identity's
+    coordinates with t_hi = inf.
 
     y = 0 is tried first, so a base already above the threshold costs one
     ``eigvalsh``. Otherwise an infeasible-start primal-dual interior-point
@@ -299,8 +299,8 @@ def lmi_floor(base, directions, threshold: float) -> FloorResult:
 def _interior_point(base, directions, threshold: float, t_lo: float, caller):
     """:func:`lmi_floor`'s Newton loop from y = 0, whose floor is ``t_lo``:
     the best y, t_hi, the primal point behind t_hi and the step count. None
-    when the Gram matrix of the directions is singular to rounding, which
-    would leave the primal projection singular or its points no bound.
+    when the directions are linearly dependent to rounding, which would
+    leave the primal projection singular or its points no bound.
     A primal point is a bound only if it also meets the constraints of the
     ``caller``'s directions, which ``directions`` may only approximately span."""
     m, n, _ = base.shape
@@ -308,12 +308,10 @@ def _interior_point(base, directions, threshold: float, t_lo: float, caller):
     a, pair, b = _constraints(directions, eye)
     gram = (pair @ a.reshape(len(a), -1).T).real
     width = pair.shape[1]
-    # By interlacing, a full Gram matrix that passes the rank test has a
-    # directions block that passes it too.
-    lam = np.linalg.eigvalsh(gram)
-    if np.any(lam <= _rank_cut(lam, width)):
-        lam = np.linalg.eigvalsh(gram[:-1, :-1])
-        if np.any(lam <= _rank_cut(lam, width)):
+    # By interlacing, a constraint matrix of full rank has a directions block
+    # of full rank too.
+    if not _full_rank(a, gram):
+        if not _full_rank(a[:-1], gram[:-1, :-1]):
             return None
         # The identity lies in the span of the directions, so every floor is
         # reachable and no primal point exists: <1, X> = tr X would be a
@@ -376,19 +374,36 @@ def _meets(x: np.ndarray, rows: np.ndarray, target: np.ndarray, cut: np.ndarray)
 def _span_basis(directions: np.ndarray) -> np.ndarray:
     """Coefficients C (p x r) such that the stacks sum_i C_ik directions[i]
     are orthonormal in the real trace inner product and span the directions:
-    the eigenvectors of their Gram matrix over the square roots of the
-    eigenvalues above :func:`_rank_cut`."""
-    flat = directions.reshape(len(directions), math.prod(directions.shape[1:]))
-    lam, vec = np.linalg.eigh((flat.conj() @ flat.T).real)
-    keep = lam > _rank_cut(lam, flat.shape[1])
-    return vec[:, keep] / np.sqrt(lam[keep])
+    the left singular vectors of :func:`_row_svd` over the singular values
+    above the rank cut."""
+    u, sigma, keep = _row_svd(directions)
+    return u[:, keep] / sigma[keep]
 
 
-def _rank_cut(lam: np.ndarray, width: int) -> float:
-    """Gram eigenvalues at or below this are zero to rounding: numpy's
-    default rank cut for a p x p matrix, widened to the length of the
-    vectors whose inner products formed it."""
-    return float(lam.max(initial=0.0)) * max(len(lam), width) * np.finfo(float).eps
+def _full_rank(stack: np.ndarray, gram: np.ndarray) -> bool:
+    """The matrices of ``stack``, whose real Gram matrix is ``gram``, are
+    linearly independent to rounding by the singular values of
+    :func:`_row_svd`. The Gram eigenvalues are those singular values squared,
+    to within about p width eps of the largest, so a smallest one above
+    sqrt(eps) of the largest proves full rank without an SVD."""
+    lam = np.linalg.eigvalsh(gram)
+    if lam.min() > math.sqrt(np.finfo(float).eps) * lam.max():
+        return True
+    return int(_row_svd(stack)[2].sum()) == len(stack)
+
+
+def _row_svd(stack: np.ndarray):
+    """The matrices of ``stack`` as the rows of one real matrix, real and
+    imaginary parts side by side, so that row products are the real trace
+    inner products: its left singular vectors, its singular values, and which
+    of them exceed numpy's default rank cut (the largest times the larger
+    side times eps). Judging rank from the singular values, not from the
+    eigenvalues of the Gram matrix, keeps directions whose smallest singular
+    value is far below sqrt(eps) of the largest but well above rounding."""
+    flat = stack.reshape(len(stack), math.prod(stack.shape[1:]))
+    rows = np.concatenate([flat.real, flat.imag], axis=1)
+    u, sigma, _ = np.linalg.svd(rows, full_matrices=False)
+    return u, sigma, sigma > sigma.max(initial=0.0) * max(rows.shape) * np.finfo(float).eps
 
 
 def _floor(stack: np.ndarray) -> float:

@@ -457,14 +457,18 @@ class TestLmiFloor:
     def test_primal_point_must_meet_the_callers_constraints(self, delta, threshold):
         # Base (0, 1, -2) and directions (1, -1, 0), (1, -1, delta): every
         # floor below 1/2 is reachable (the second direction lifts the third
-        # block), so no bound may fall below 1/2. The nearly parallel
-        # directions make the primal projection ill-conditioned, or (at
-        # delta = 3e-8) dependent to rounding, and a projected point then
-        # misses <D_i, X> = 0 by far more than rounding.
+        # block), so no bound may fall below 1/2, and a threshold below 1/2
+        # is reached. The nearly parallel directions make the primal
+        # projection ill-conditioned (its Gram matrix is singular to rounding
+        # at delta = 3e-8, though the directions are not), and a projected
+        # point then misses <D_i, X> = 0 by far more than rounding.
         base = np.array([0.0, 1.0, -2.0]).reshape(3, 1, 1)
         directions = np.array([[1.0, -1.0, 0.0], [1.0, -1.0, delta]]).reshape(2, 3, 1, 1)
         result = lmi_floor(base, directions, threshold)
         assert result.t_hi >= 0.5 - 1e-12 and result.t_hi >= result.t_lo
+        if threshold < 0.5:
+            assert result.t_lo >= threshold
+            assert result.t_lo == self.floor_of(result.y, base, directions)
         if result.x is not None:
             assert max(abs(np.vdot(d, result.x)) for d in directions) <= 1e-14
 

@@ -17,6 +17,9 @@ from ncprism.opsys import (
     STRICT_MARGIN,
     Certified,
     Unknown,
+    _basis_operators,
+    _sample_groups,
+    _sample_lows,
     _sample_pairs,
     DiagTuple,
     DualTuple,
@@ -40,6 +43,23 @@ from ncprism.reps import RepPair, pair_residuals, prism_vertex_rep
 def scalar_element(k, coeffs, g):
     blocks = [np.array([[complex(c)]]) for c in coeffs]
     return PrismElement(k, 1, blocks, np.array([[complex(g)]]))
+
+
+def random_selfadjoint_element(k, q, seed, shift):
+    """c_m = (r_m + r_(-m)*)/2 from random blocks r, plus shift on c_0."""
+    rng = np.random.default_rng(seed)
+    raw = (rng.standard_normal((k + 1, q, q)) + 1j * rng.standard_normal((k + 1, q, q))) / k
+    c = [(raw[m] + dagger(raw[(-m) % k])) / 2 for m in range(k)]
+    c[0] = c[0] + shift * np.eye(q)
+    return PrismElement(k, q, c, hermitize(raw[k]))
+
+
+def kronecker_sum(e, pair):
+    """sum_m c_m (x) W^m + g (x) V, one np.kron at a time."""
+    total, power = np.kron(e.g, pair.v), np.eye(pair.dim)
+    for block in e.c:
+        total, power = total + np.kron(block, power), power @ pair.w
+    return total
 
 
 class TestPsiK:
@@ -257,12 +277,69 @@ class TestMatrixPositivity:
     def test_witness_is_a_copy_of_the_cached_pair(self):
         e = scalar_element(3, [1, 1, 1], 1)
         first = matrix_positivity_prism(e, samples=4)
+        groups = _sample_groups(3, 4, 8, 0, DEFAULT_TOL)
+        before = [ops.copy() for _, ops in groups]
         # A caller scribbling on the witness must not reach the cached sample set.
         first.witness.v[...] = -5.0 * np.eye(first.witness.dim)
+        first.witness.w[...] = 0.0
+        assert all(np.array_equal(ops, old) for (_, ops), old in zip(groups, before))
         again = matrix_positivity_prism(e, samples=4)
         assert isinstance(again, Refuted)
         assert again.min_eigenvalue == first.min_eigenvalue
         assert within_bounds([*pair_residuals(again.witness), *refuted_residuals(e, again)])
+
+    @pytest.mark.parametrize("shift", [0, 1, 2])
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_witness_is_the_first_near_lowest_pair(self, shift, flip):
+        # A scalar element with x_0 + x_+ = -0.6, rotated and flipped: its
+        # lowest vertex value is also reached, up to rounding, by Steinberg
+        # and random pairs later in the sample set. The first pair within
+        # alg_tol of the lowest, a vertex representation, is the witness,
+        # whatever the rounding of the rest.
+        rng = np.random.default_rng(17)
+        blocks = list(rng.uniform(0.2, 1.2, 5))
+        blocks[0] -= blocks[0] + blocks[3] + 0.6
+        blocks = blocks[shift:3] + blocks[:shift] + (blocks[4:2:-1] if flip else blocks[3:])
+        e = psi_k(DiagTuple(3, 1, [np.array([[x]]) for x in blocks]))
+        verdict = matrix_positivity_prism(e)
+        lows = _sample_lows(e, 20, 8, 0, DEFAULT_TOL)
+        first = int(np.flatnonzero(lows <= lows.min() + DEFAULT_TOL.alg_tol)[0])
+        assert isinstance(verdict, Refuted)
+        assert verdict.witness.provenance == _sample_pairs(3, 20, 8, 0, DEFAULT_TOL)[first].provenance
+        assert verdict.witness.provenance.startswith("prism_vertex_rep")
+        assert verdict.min_eigenvalue == lows[first]
+        assert abs(verdict.min_eigenvalue - scalar_positivity_prism(e).margin) <= 1e-14
+
+
+class TestBoundaryVerdicts:
+    """q = 1 elements c_0 + (w + w*)/4 + v/2 whose exact vertex margin sits at
+    the refutation tolerance spec_tol or just above the certification margin."""
+
+    @staticmethod
+    def element(k, margin):
+        low = 0.5 * np.cos(2 * np.pi * (k // 2) / k) - 0.5  # the lowest vertex value
+        coeffs = [margin - low, 0.25, *[0.0] * (k - 3), 0.25]
+        return scalar_element(k, coeffs, 0.5)
+
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_margin_twice_spec_tol_below_zero_is_refuted(self, k):
+        e = self.element(k, -2 * DEFAULT_TOL.spec_tol)
+        verdict = matrix_positivity_prism(e)
+        assert isinstance(verdict, Refuted)
+        assert abs(verdict.min_eigenvalue + 2 * DEFAULT_TOL.spec_tol) <= DEFAULT_TOL.spec_tol
+        assert within_bounds([*pair_residuals(verdict.witness), *refuted_residuals(e, verdict)])
+
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_margin_half_spec_tol_below_zero_is_unknown(self, k):
+        verdict = matrix_positivity_prism(self.element(k, -DEFAULT_TOL.spec_tol / 2))
+        assert isinstance(verdict, Unknown)
+
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_margin_twice_strict_margin_is_certified(self, k):
+        e = self.element(k, 2 * STRICT_MARGIN)
+        verdict = matrix_positivity_prism(e)
+        assert isinstance(verdict, Certified)
+        assert within_bounds(certified_residuals(e, verdict))
 
 
 def preimage_element(q, boundary, seed):
@@ -320,11 +397,7 @@ class TestLiftSolver:
         shift=st.floats(-1.0, 3.0),
     )
     def test_selfadjoint_elements_get_a_checked_verdict(self, k, q, seed, shift):
-        rng = np.random.default_rng(seed)
-        raw = (rng.standard_normal((k + 1, q, q)) + 1j * rng.standard_normal((k + 1, q, q))) / k
-        c = [(raw[m] + dagger(raw[(-m) % k])) / 2 for m in range(k)]
-        c[0] = c[0] + shift * np.eye(q)
-        e = PrismElement(k, q, c, hermitize(raw[k]))
+        e = random_selfadjoint_element(k, q, seed, shift)
         verdict = matrix_positivity_prism(e, samples=4)
         if isinstance(verdict, Refuted):
             assert within_bounds([*pair_residuals(verdict.witness), *refuted_residuals(e, verdict)])
@@ -340,6 +413,30 @@ class TestSamplePairs:
         assert isinstance(pairs, tuple)
         assert _sample_pairs(3, 2, 8, 0, DEFAULT_TOL) is pairs
         assert not pairs[0].w.flags.writeable
+
+    def test_memoised_groups_of_read_only_basis_stacks(self):
+        pairs = _sample_pairs(3, 20, 8, 0, DEFAULT_TOL)
+        groups = _sample_groups(3, 20, 8, 0, DEFAULT_TOL)
+        assert _sample_groups(3, 20, 8, 0, DEFAULT_TOL) is groups
+        # Dimensions 3, 2, 4, 5, 7, 8 of the factory pairs, then 18, 6, 12.
+        assert [ops.shape[-1] for _, ops in groups] == [3, 2, 4, 5, 7, 8, 18, 6, 12]
+        assert sorted(np.concatenate([index for index, _ in groups])) == list(range(len(pairs)))
+        for index, ops in groups:
+            assert not index.flags.writeable and not ops.flags.writeable
+            for i, basis in zip(index, ops):
+                assert np.array_equal(basis, _basis_operators(pairs[i]))
+
+    @settings(max_examples=30)
+    @given(k=st.integers(3, 8), q=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_batched_lows_match_each_pair(self, k, q, seed):
+        e = random_selfadjoint_element(k, q, seed, 0.0)
+        pairs = _sample_pairs(k, 4, 8, 0, DEFAULT_TOL)
+        scale = max(1.0, max(opnorm(b) for b in [*e.c, e.g]))
+        lows = _sample_lows(e, 4, 8, 0, DEFAULT_TOL)
+        each = [min_eigenvalue(e, pair) for pair in pairs]
+        assert np.abs(lows - each).max() <= 1e-12 * scale
+        for pair in (pairs[0], pairs[-1]):
+            assert opnorm(e.evaluate(pair) - kronecker_sum(e, pair)) <= 1e-12 * scale
 
     def test_factory_part_skips_unsupported_q(self):
         # Steinberg pairs at q = 4, 5, 7, 8; q = 6, 9, 10 are rejected by steinberg_pair.
