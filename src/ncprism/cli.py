@@ -246,7 +246,7 @@ def _cmd_positivity(args, run: Run, payload, tol) -> int:
             "worst_vertex": {"j": verdict.worst_vertex[0], "sign": verdict.worst_vertex[1]},
         }
         return run.emit(artifact, EXIT_OK if verdict.positive else EXIT_FALSE)
-    verdict = opsys.matrix_positivity_prism(element, samples=args.samples, tol=tol, seed=run.seed)
+    verdict = opsys.matrix_positivity_prism(element, tol)
     artifact = serialize.verdict_to_json(verdict)
     if isinstance(verdict, opsys.Certified):
         run.add(opsys.certified_residuals(element, verdict, tol))
@@ -383,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp = pos_sub.add_parser("matrix")
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--samples", type=int, default=20)
     _add_common(sp)
     sp = pos_sub.add_parser("cube")
     _add_common(sp)

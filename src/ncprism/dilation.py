@@ -298,14 +298,15 @@ def order_k_povm(a, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
     effects are the Fourier-minimal base (1 + omega^-j a + omega^j a*)/k
     plus any Hermitian combination of the Fourier modes m = 2 .. k-2 (the
     (k-3) n^2 real unknowns that keep sum(h_j) = 1 and sum(omega^j h_j) = a),
-    and ``matkernel.lmi_floor`` decides whether their smallest eigenvalue
-    can reach 0. Its floor t_lo and bound t_hi give the outcome:
+    and ``matkernel.lmi_floor`` brackets their best smallest eigenvalue
+    against the band (-band, 0), band = spec_tol / 4k. Its floor t_lo and
+    bound t_hi give the outcome:
 
     - t_lo > 0: those effects, unclamped;
-    - t_lo >= -band, band = spec_tol / 4k: the effects clamped to >= 0 and
-      renormalised, which moves the moments by at most about 2k band;
-    - t_hi < 0, from a re-checked primal point: ``InfeasibleError``, a proof
-      that no positive decomposition exists;
+    - t_lo >= -band: the effects clamped to >= 0 and renormalised, which
+      moves the moments by at most about 2k band;
+    - t_hi < -band, from a re-checked primal point: ``InfeasibleError``, a
+      proof that no positive decomposition exists;
     - otherwise ``InfeasibleError`` naming the undecided bracket.
 
     Returned effects always pass ``povm_residuals``.
@@ -334,12 +335,13 @@ def order_k_povm(a, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
     # to k/2, Im F[:, m] beyond (they pair with modes k - m).
     modes = [fourier[:, m].real if 2 * m <= k else fourier[:, m].imag for m in range(2, k - 1)]
     directions = np.einsum("mj,eab->mejab", modes, hermitian_basis(n)).reshape(-1, k, n, n)
-    result = lmi_floor(base, directions, 0.0)
+    band = tol.spec_tol / (4 * k)
+    result = lmi_floor(base, directions, (-band, 0.0))
     effects = hermitize(base + np.tensordot(result.y, directions, axes=1))
     if result.t_lo <= 0.0:
         bracket = f"[{result.t_lo:.3e}, {result.t_hi:.3e}]"
-        if result.t_lo < -tol.spec_tol / (4 * k):
-            if result.t_hi < 0.0:
+        if result.t_lo < -band:
+            if result.t_hi < -band:
                 raise InfeasibleError(
                     f"no positive decomposition over C_{k}: the smallest effect eigenvalue "
                     f"is at most {result.t_hi:.3e}, bracket {bracket} (primal certificate)"
@@ -380,7 +382,16 @@ def joint_prism_dilation(
     if norm > 1.0 + tol.psd_clamp:
         raise NormExceedsOneError(f"||b|| = {norm:.12f} exceeds 1")
 
-    povm = order_k_povm(a, k, tol)
+    return _dilate_povm(order_k_povm(a, k, tol), b, k, norm, tol)
+
+
+def _dilate_povm(
+    povm: Povm, b: np.ndarray, k: int, norm: float, tol: ToleranceConfig
+) -> tuple[RepPair, np.ndarray]:
+    """The joint dilation of :func:`joint_prism_dilation` from a given POVM
+    with labels at the k-th roots of unity and a Hermitian contraction b of
+    norm ``norm``: G* W^m G = sum_j omega^(j m) h_j for every m, and
+    G* V G = b."""
     naimark = naimark_normal(povm, tol)
     z = naimark.isometry
     y = naimark.operators[0]
@@ -391,10 +402,10 @@ def joint_prism_dilation(
     w_big = direct_sum(y, np.eye(kn))
     g = np.vstack([z, np.zeros((kn, z.shape[1]), dtype=complex)])
     pair = RepPair(
-        w_big, v_big, k, provenance=f"joint_prism_dilation(k={k}, level={a.shape[0]})"
+        w_big, v_big, k, provenance=f"joint_prism_dilation(k={k}, level={b.shape[0]})"
     )
-    # naimark_normal certified G*G = Z*Z = 1 and G*WG = Z*NZ, which
-    # triangle/order_k_povm tied to a. Left: V a symmetry with corner Z b Z*,
+    # naimark_normal certified G*G = Z*Z = 1 and G*WG = Z*NZ, which the
+    # POVM ties to its first moment. Left: V a symmetry with corner Z b Z*,
     # W's order, G*VG = b.
     residuals = [
         *prefixed("v_", halmos_symmetry_residuals(b_tilde, v_big, tol)),

@@ -237,28 +237,30 @@ class FloorResult:
     steps: int
 
 
-def lmi_floor(base, directions, threshold: float) -> FloorResult:
-    """Decide whether max t s.t. base + sum_i y_i directions[i] >= t 1 reaches
-    ``threshold``.
+def lmi_floor(base, directions, band: tuple[float, float]) -> FloorResult:
+    """Bracket max t s.t. base + sum_i y_i directions[i] >= t 1 against the
+    band (low, high), low <= high.
 
     ``base`` is an (m, n, n) stack of Hermitian blocks, ``directions`` a
     (p, m, n, n) stack of p such stacks, and the order holds block by block.
-    The result decides in one of three ways: t_lo >= threshold, with the
-    first point y found whose floor clears it; t_hi < threshold, with a
-    primal point x that proves no y can; or neither, a bracket left after
-    ``_LMI_STEPS`` Newton steps, at a gap of ``_LMI_GAP`` or at a step that
-    fails numerically (no ``LinAlgError`` escapes). Before return the floor
-    of y is recomputed with a batched ``eigvalsh``, and x was accepted only
-    with no negative eigenvalue and with sum tr x = 1 and <D_i, x> = 0 to
-    rounding for the caller's directions. Rank is judged from singular
-    values. Directions that are linearly dependent to rounding are replaced
-    by an orthonormal basis of their span, and y is mapped back; independent
-    ones are used as given. When the constraints, the identity included, are
+    The solver stops at the first bracket [t_lo, t_hi] that places the best
+    floor against the band: t_lo >= high, with the first point y found whose
+    floor clears the band; t_hi < low, with a primal point x that proves no
+    y reaches it; or low <= t_lo and t_hi < high, a bracket inside the band.
+    A band (t, t) asks whether the floor reaches t. Otherwise it leaves a
+    bracket after ``_LMI_STEPS`` Newton steps, at a gap of ``_LMI_GAP`` or
+    at a step that fails numerically (no ``LinAlgError`` escapes). Before
+    return the floor of y is recomputed with a batched ``eigvalsh``, and x
+    was accepted only with no negative eigenvalue and with sum tr x = 1 and
+    <D_i, x> = 0 to rounding for the caller's directions. Rank is judged
+    from singular values. Directions that are linearly dependent to rounding
+    are replaced by an orthonormal basis of their span, and y is mapped
+    back; independent ones are used as given. When the constraints, the identity included, are
     dependent to rounding, the identity lies in the span: every floor is
     reachable, no primal point exists, and y moves along the identity's
     coordinates with t_hi = inf.
 
-    y = 0 is tried first, so a base already above the threshold costs one
+    y = 0 is tried first, so a base already above the band costs one
     ``eigvalsh``. Otherwise an infeasible-start primal-dual interior-point
     method (Mehrotra's predictor-corrector on the HKM direction:
     Vandenberghe and Boyd, "Semidefinite programming", 1996; Helmberg,
@@ -277,32 +279,36 @@ def lmi_floor(base, directions, threshold: float) -> FloorResult:
     at level n and p = q^2 for a level-q lift through the prism quotient.
     The method is deterministic and draws no random numbers.
     """
+    low, high = band
+    if not low <= high:
+        raise ValueError(f"band must have low <= high, got ({low}, {high})")
     base = hermitize(np.asarray(base, dtype=complex))
     m, n, _ = base.shape
     directions = np.asarray(directions, dtype=complex).reshape(-1, m, n, n)
     y, t_lo = np.zeros(len(directions)), _floor(base)
-    if t_lo >= threshold:
+    if t_lo >= high:
         return FloorResult(y, t_lo, math.inf, None, 0)
-    found = _interior_point(base, directions, threshold, t_lo, directions)
+    found = _interior_point(base, directions, band, t_lo, directions)
     if found is None:
         # Linearly dependent directions: solve over an orthonormal basis of
         # their span, then map y back to the caller's coordinates.
         to_caller = _span_basis(directions)
         basis = np.tensordot(to_caller.T, directions, axes=1)
-        found = _interior_point(base, basis, threshold, t_lo, directions)
+        found = _interior_point(base, basis, band, t_lo, directions)
         found = (to_caller @ found[0], *found[1:])
     y, t_hi, x_hi, steps = found
     t_lo = _floor(base + np.tensordot(y, directions, axes=1))
     return FloorResult(y, t_lo, t_hi, x_hi, steps)
 
 
-def _interior_point(base, directions, threshold: float, t_lo: float, caller):
+def _interior_point(base, directions, band: tuple[float, float], t_lo: float, caller):
     """:func:`lmi_floor`'s Newton loop from y = 0, whose floor is ``t_lo``:
     the best y, t_hi, the primal point behind t_hi and the step count. None
     when the directions are linearly dependent to rounding, which would
     leave the primal projection singular or its points no bound.
     A primal point is a bound only if it also meets the constraints of the
     ``caller``'s directions, which ``directions`` may only approximately span."""
+    low, high = band
     m, n, _ = base.shape
     eye = np.broadcast_to(np.eye(n), base.shape)
     a, pair, b = _constraints(directions, eye)
@@ -319,7 +325,7 @@ def _interior_point(base, directions, threshold: float, t_lo: float, caller):
         # coordinates by twice the shortfall plus one, a margin that rounding
         # cannot take back at the O(1) scale of the callers' data.
         unit = np.linalg.solve(gram[:-1, :-1], -gram[:-1, -1])
-        return (2.0 * (threshold - t_lo) + 1.0) * unit, math.inf, None, 0
+        return (2.0 * (high - t_lo) + 1.0) * unit, math.inf, None, 0
     # A projected point bounds the floors only if tr X = 1 and <D_i, X> = 0
     # hold for the caller's D_i to the rounding of the products, which an
     # ill-conditioned projection need not achieve.
@@ -342,7 +348,7 @@ def _interior_point(base, directions, threshold: float, t_lo: float, caller):
                     bound = float(np.vdot(base, projected).real)
                     if bound < t_hi and _meets(projected, checked, target, slack_cut):
                         t_hi, x_hi = bound, projected
-                decided = t_lo >= threshold or t_hi < threshold
+                decided = t_lo >= high or t_hi < low or (t_lo >= low and t_hi < high)
                 if decided or t_hi - t_lo <= _LMI_GAP or steps == _LMI_STEPS:
                     break
                 dz, ds, dx = _newton_step(x, s, (u / w[..., None, :]) @ dagger(u), a, pair, b)

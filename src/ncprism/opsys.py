@@ -10,14 +10,15 @@ all-ones tuple maps to the unit; its kernel is spanned by
 F[j, m] = omega^(j m) (``matkernel.fourier_matrix``). Scalar positivity is
 decided exactly by vertex enumeration; matrix-level positivity gets a
 three-valued verdict with independently checkable witnesses and
-certificates: sampled representations refute, and ``matkernel.lmi_floor``
-searches the lifts through the quotient map for a strictly positive one.
+certificates, all from one ``matkernel.lmi_floor`` solve over the lifts
+through the quotient map: a strictly positive lift certifies, and the
+solver's primal point, a matrix state that separates the element, dilates to
+a refuting representation.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .errors import (
     OrderMismatchError,
     RelationCheckFailedError,
     ShapeMismatchError,
-    UnsupportedQError,
     WrongLevelError,
 )
 from .matkernel import (
@@ -44,7 +44,8 @@ from .matkernel import (
     opnorms,
     require,
 )
-from .reps import RepPair, a4_pair, pair_residuals, prism_vertex_rep, s3_pair, steinberg_pair
+from .dilation import Povm, _dilate_povm
+from .reps import RepPair
 
 __all__ = [
     "PrismElement",
@@ -124,7 +125,10 @@ class PrismElement:
             raise OrderMismatchError(
                 f"element has order {self.k}, pair has order {pair.k}"
             )
-        return _evaluations(self, _basis_operators(pair)[None])[0]
+        size = self.q * pair.dim
+        # Every Kronecker product c_m (x) W^m and g (x) V in one contraction.
+        products = np.einsum("sab,sij->aibj", _stacked(self), _basis_operators(pair))
+        return products.reshape(size, size)
 
 
 @dataclass
@@ -191,7 +195,8 @@ class Certified:
 
 @dataclass(frozen=True)
 class Unknown:
-    """Neither a witness nor a certificate was found within the budget."""
+    """The solver's bracket on the best lift's floor lies neither above
+    STRICT_MARGIN nor below -spec_tol."""
 
     reason: str
     residual: float
@@ -235,14 +240,6 @@ def _basis_operators(pair: RepPair) -> np.ndarray:
     for _ in range(pair.k - 1):
         powers.append(powers[-1] @ pair.w)
     return np.stack([*powers, pair.v])
-
-
-def _evaluations(e: PrismElement, ops: np.ndarray) -> np.ndarray:
-    """The operators sum_m c_m (x) W^m + g (x) V at r pairs of dimension n,
-    given their (r, k + 1, n, n) stack of basis operators: an (r, q n, q n) stack."""
-    r, _, n, _ = ops.shape
-    # Every Kronecker product c_s (x) ops[t, s] in one contraction over s.
-    return np.einsum("sab,tsij->taibj", _stacked(e), ops).reshape(r, e.q * n, e.q * n)
 
 
 def psi_k_basis_element(k: int, index: int) -> PrismElement:
@@ -349,81 +346,6 @@ def element_distance(e1: PrismElement, e2: PrismElement) -> float:
     return float(opnorms(_stacked(e1) - _stacked(e2)).max())
 
 
-@functools.lru_cache(maxsize=8)
-def _sample_pairs(k: int, samples: int, size_budget: int, seed: int, tol) -> tuple[RepPair, ...]:
-    """Factory representations up to the size budget plus random pairs.
-
-    Each random pair is W = U diag(omega^(j_i)) U* and V = U' diag(+/-1) U'*
-    at dimension 2 k n, n in {1, 2, 3}, with Haar-random U, U' and random
-    labels: a representation by construction at every k, checked by
-    ``reps.pair_residuals``. A pure function of its arguments, memoised so
-    that repeated positivity calls share one sample set. The cached arrays
-    are read-only, and a ``Refuted`` witness is a copy of its pair.
-    """
-    pairs = [prism_vertex_rep(k, j, sign)[0] for j in range(k) for sign in (1, -1)]
-    if k == 3:
-        pairs.append(s3_pair())
-        pairs.append(a4_pair())
-        for q in range(4, size_budget + 1):
-            try:
-                pairs.append(steinberg_pair(q))
-            except UnsupportedQError:
-                continue
-    rng = np.random.default_rng(seed)
-    roots = fourier_matrix(k)[:, 1]
-    for _ in range(samples):
-        dim = 2 * k * int(rng.integers(1, 4))
-        w = _conjugated(rng, roots[rng.integers(0, k, dim)])
-        v = _conjugated(rng, rng.choice([1.0, -1.0], dim))
-        pair = RepPair(w, hermitize(v), k, provenance=f"random_pair(k={k}, dim={dim})")
-        require(pair_residuals(pair, tol), RelationCheckFailedError, pair.provenance)
-        pairs.append(pair)
-    for pair in pairs:
-        pair.w.setflags(write=False)
-        pair.v.setflags(write=False)
-    return tuple(pairs)
-
-
-@functools.lru_cache(maxsize=8)
-def _sample_groups(
-    k: int, samples: int, size_budget: int, seed: int, tol
-) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The pairs of ``_sample_pairs`` grouped by dimension n, in order of first
-    appearance: per group the sample indices of its r pairs and their
-    (r, k + 1, n, n) stack of basis operators W^0, ..., W^(k-1), V. Memoised on
-    the same key, so the powers of W are formed once per sample set; the
-    cached arrays are read-only."""
-    pairs = _sample_pairs(k, samples, size_budget, seed, tol)
-    dims = np.array([pair.dim for pair in pairs])
-    groups = []
-    for n in dict.fromkeys(dims.tolist()):
-        index = np.flatnonzero(dims == n)
-        ops = np.stack([_basis_operators(pairs[i]) for i in index])
-        index.setflags(write=False)
-        ops.setflags(write=False)
-        groups.append((index, ops))
-    return tuple(groups)
-
-
-def _conjugated(rng: np.random.Generator, diagonal: np.ndarray) -> np.ndarray:
-    """U diag(d) U* for a Haar-random unitary U (QR of a complex Gaussian
-    matrix, with the phases of R's diagonal moved into Q)."""
-    n = len(diagonal)
-    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    u = q * (np.diag(r) / np.abs(np.diag(r)))
-    return (u * diagonal) @ dagger(u)
-
-
-def _sample_lows(e: PrismElement, samples: int, size_budget: int, seed: int, tol) -> np.ndarray:
-    """Smallest eigenvalue of the evaluation of ``e`` at each pair of the
-    sample set, in sample order: one batched ``eigvalsh`` per dimension."""
-    groups = _sample_groups(e.k, samples, size_budget, seed, tol)
-    lows = np.empty(sum(len(index) for index, _ in groups))
-    for index, ops in groups:
-        lows[index] = np.linalg.eigvalsh(hermitize(_evaluations(e, ops))).min(axis=1)
-    return lows
-
-
 def min_eigenvalue(e: PrismElement, pair: RepPair) -> float:
     """Smallest eigenvalue of the evaluation of ``e`` at ``pair``."""
     return float(np.linalg.eigvalsh(hermitize(e.evaluate(pair))).min())
@@ -458,50 +380,32 @@ def _particular_lift(e: PrismElement) -> np.ndarray:
     return hermitize(np.concatenate([xs, [c0 + 2.0 * stack[e.k], c0 - 2.0 * stack[e.k]]]))
 
 
-def matrix_positivity_prism(
-    e: PrismElement,
-    samples: int = 20,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    size_budget: int = 8,
-    seed: int = 0,
-):
+def matrix_positivity_prism(e: PrismElement, tol: ToleranceConfig = DEFAULT_TOL):
     """Three-valued positivity verdict for a selfadjoint element.
 
-    Phase 1 (refutation) evaluates the element on factory representations
-    and on random pairs, one batched ``eigvalsh`` per pair dimension. Many
-    pairs reach the same lowest eigenvalue up to rounding (a vertex value
-    shows up in vertex, Steinberg and random pairs alike), so the witness is
-    the first pair in sample order whose lowest eigenvalue is within
-    alg_tol of the lowest over all pairs; if its own lowest eigenvalue, which
-    ``Refuted.min_eigenvalue`` reports, is below -spec_tol, the verdict is
-    ``Refuted`` with a copy of that pair. Phase 2 (certification) asks
-    ``matkernel.lmi_floor`` whether some lift of ``e`` through the quotient
-    map, the particular lift plus kernel (x) Y over Hermitian q x q Y, has
-    every block >= STRICT_MARGIN; such a lift yields ``Certified``. Otherwise
-    ``Unknown``, whose residual is the shortfall STRICT_MARGIN - t_lo of the
-    best lift and whose reason gives the solver's bracket [t_lo, t_hi] on the
-    best floor. Both definite verdicts re-verify from their payloads alone.
-    The sample set and its grouped basis operators are memoised on
-    (k, samples, size_budget, seed, tol).
-    Raises ValueError for samples < 0.
+    ``matkernel.lmi_floor`` brackets the best floor of the lifts of ``e``
+    through the quotient map, the particular lift plus kernel (x) Y over
+    Hermitian q x q Y, against the band (-spec_tol, STRICT_MARGIN):
+
+    - t_lo >= STRICT_MARGIN: a lift with every block >= STRICT_MARGIN, and
+      the verdict is ``Certified``;
+    - t_hi < -spec_tol: the solver's primal point is a matrix state that
+      separates ``e`` from the positive cone, and its dilation
+      (``_dual_witness``) is a representation at which ``e`` has an
+      eigenvalue <= t_hi. The verdict is ``Refuted`` with that pair and its
+      own lowest eigenvalue;
+    - otherwise ``Unknown``, whose residual is the shortfall STRICT_MARGIN -
+      t_lo of the best lift and whose reason gives the bracket [t_lo, t_hi]
+      and whether the band or the step cap stopped the solver.
+
+    Both definite verdicts re-verify from their payloads alone.
     """
-    if samples < 0:
-        raise ValueError(f"samples must be >= 0, got {samples}")
     if not e.is_selfadjoint():
         raise NotSelfadjointError("positivity requires a selfadjoint element")
 
-    pairs = _sample_pairs(e.k, samples, size_budget, seed, tol)
-    lows = _sample_lows(e, samples, size_budget, seed, tol)
-    worst = int(np.argmax(lows <= lows.min() + tol.alg_tol))
-    if lows[worst] < -tol.spec_tol:
-        witness = replace(pairs[worst], w=pairs[worst].w.copy(), v=pairs[worst].v.copy())
-        verdict = Refuted(witness=witness, min_eigenvalue=float(lows[worst]))
-        require(refuted_residuals(e, verdict, tol), RelationCheckFailedError, "refutation")
-        return verdict
-
     base = _particular_lift(e)
     directions = _kernel(e.k)[:, None, None] * hermitian_basis(e.q)[:, None]
-    result = lmi_floor(base, directions, STRICT_MARGIN)
+    result = lmi_floor(base, directions, (-tol.spec_tol, STRICT_MARGIN))
     if result.t_lo >= STRICT_MARGIN:
         blocks = hermitize(base + np.tensordot(result.y, directions, axes=1))
         lift = DiagTuple(e.k, e.q, list(blocks))
@@ -512,13 +416,51 @@ def matrix_positivity_prism(
         )
         require(certified_residuals(e, verdict, tol), RelationCheckFailedError, "certificate")
         return verdict
+    if result.t_hi < -tol.spec_tol:
+        witness = _dual_witness(result.x, e.k, tol)
+        verdict = Refuted(witness=witness, min_eigenvalue=min_eigenvalue(e, witness))
+        require(refuted_residuals(e, verdict, tol), RelationCheckFailedError, "refutation")
+        return verdict
     bracket = f"[{result.t_lo:.3e}, {result.t_hi:.3e}]"
-    if result.t_hi < STRICT_MARGIN:
-        found = f"the best lift's smallest block eigenvalue lies in {bracket}"
+    if result.t_lo >= -tol.spec_tol and result.t_hi < STRICT_MARGIN:
+        found = f"the best lift's smallest block eigenvalue lies in {bracket}, inside the band"
     else:
-        found = f"undecided after {result.steps} Newton steps, bracket {bracket}"
+        found = (
+            f"undecided after {result.steps} Newton steps (step cap, stopping gap or "
+            f"failed step), bracket {bracket}"
+        )
     return Unknown(
         reason=f"no witness below -{tol.spec_tol:.0e} and no lift with blocks >= "
         f"{STRICT_MARGIN:.0e}: {found}",
         residual=STRICT_MARGIN - result.t_lo,
     )
+
+
+# Eigenvalues of R at or below this fraction of its largest are outside the
+# support on which the dual witness's effects are normalised.
+_SUPPORT_CUT = 1e-12
+
+
+def _dual_witness(x: np.ndarray, k: int, tol: ToleranceConfig) -> RepPair:
+    """A representation built from a primal point x = (Z_0 .. Z_(k-1), Z_+, Z_-)
+    of the lift solver: PSD blocks of total trace 1 with the kernel balance
+    sum_j Z_j = Z_+ + Z_-.
+
+    With R = sum_j Z_j^T, restricted to its support, the effects
+    h_j = R^-1/2 Z_j^T R^-1/2 form a POVM with labels omega^j and
+    b = R^-1/2 (Z_+ - Z_-)^T R^-1/2 is a Hermitian contraction; their joint
+    dilation (W, V, G) is the witness. The vector xi = (1 (x) G R^1/2) Omega,
+    Omega = sum_a e_a (x) e_a, has <xi, e(W, V) xi> = <base, x> ||xi||^2 for
+    every lift's base, so e(W, V) has an eigenvalue at most t_hi = <base, x>.
+    The dilation checks its own identities, and the caller checks that
+    eigenvalue.
+    """
+    zt = np.swapaxes(x, -1, -2)
+    lam, u = np.linalg.eigh(hermitize(zt[:k].sum(axis=0)))
+    support = lam > _SUPPORT_CUT * lam.max()
+    root = u[:, support] / np.sqrt(lam[support])
+    parts = hermitize(dagger(root) @ zt @ root)
+    b = parts[k] - parts[k + 1]
+    povm = Povm(list(parts[:k]), fourier_matrix(k)[:, 1].tolist())
+    pair, _ = _dilate_povm(povm, b, k, opnorm(b), tol)
+    return pair

@@ -202,7 +202,7 @@ def test_criterion_10_positivity_oracles():
             worst_gap = max(worst_gap, abs(brute - margin))
             assert abs(brute - margin) <= 1e-8
 
-            verdict = opsys.matrix_positivity_prism(e, samples=3, size_budget=3, seed=7)
+            verdict = opsys.matrix_positivity_prism(e)
             if isinstance(verdict, opsys.Certified) and margin < -1e-10:
                 contradictions += 1
             if isinstance(verdict, opsys.Refuted) and margin > 1e-8:

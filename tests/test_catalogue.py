@@ -36,9 +36,9 @@ BASIS = matkernel.commutant_dimension(SQUARE)[1]
 PRISM = convexity.make_prism(3)
 STATE = opsys.functional_to_tuple(VERTEX[0], np.outer(VERTEX[1], VERTEX[1].conj()), 3)
 UNIT = opsys.PrismElement.unit(3, 1)
-CERTIFIED = opsys.matrix_positivity_prism(UNIT, samples=2)
+CERTIFIED = opsys.matrix_positivity_prism(UNIT)
 NEGATIVE = opsys.PrismElement(3, 1, [np.eye(1)] * 3, np.eye(1))
-REFUTED = opsys.matrix_positivity_prism(NEGATIVE, samples=2)
+REFUTED = opsys.matrix_positivity_prism(NEGATIVE)
 
 
 def _element(e, c0):

@@ -22,6 +22,7 @@ from ncprism.dilation import (
     joint_prism_dilation,
     joint_residuals,
     naimark_normal,
+    _dilate_povm,
     naimark_residuals,
     order_k_povm,
     povm_residuals,
@@ -35,7 +36,7 @@ from ncprism.errors import (
     NumericalRangeOutsideTriangleError,
     OrderMismatchError,
 )
-from ncprism.matkernel import DEFAULT_TOL, compress, dagger, hermitize, opnorm
+from ncprism.matkernel import DEFAULT_TOL, compress, dagger, fourier_matrix, hermitize, opnorm
 from ncprism.reps import pair_residuals, prism_vertex_rep
 
 OMEGA = np.exp(2j * np.pi / 3)
@@ -254,6 +255,36 @@ class TestOrderKPovm:
         assert within_bounds(povm_residuals(povm.effects, povm.outcome_labels, a))
 
 
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_scaled_vertex_switches_outcome_once(self, k):
+        # a = v (1 + delta) at a vertex v sits outside the polygon by about
+        # delta, inside max_member's tolerance. Its best floor falls through
+        # -band = -spec_tol / 4k at delta = 2.5e-9: every outcome is a checked
+        # decomposition or a proof with t_hi < -band, except that the floor
+        # at exactly -band leaves an undecided bracket around it.
+        band = DEFAULT_TOL.spec_tol / (4 * k)
+        for vertex in fourier_matrix(k)[:2, 1]:
+            outcomes = []
+            for delta in np.linspace(1e-9, 5e-9, 17):
+                a = np.array([[vertex * (1 + delta)]])
+                try:
+                    povm = order_k_povm(a, k)
+                except InfeasibleError as exc:
+                    low, high = (float(x) for x in str(exc).split("[")[1].split("]")[0].split(","))
+                    if str(exc).startswith("no positive decomposition"):
+                        assert "(primal certificate)" in str(exc) and high < -band
+                        outcomes.append("proof")
+                    else:
+                        assert str(exc).startswith("undecided") and low <= -band <= high
+                        outcomes.append("undecided")
+                else:
+                    assert within_bounds(povm_residuals(povm.effects, povm.outcome_labels, a))
+                    outcomes.append("povm")
+            switches = [x for i, x in enumerate(outcomes) if i == 0 or x != outcomes[i - 1]]
+            assert switches in (["povm", "proof"], ["povm", "undecided", "proof"])
+            assert outcomes.count("undecided") <= 1
+
+
 class TestJointPrismDilation:
     def test_zero_pair(self):
         pair, g = joint_prism_dilation(np.array([[0.0]]), np.array([[0.0]]), 3)
@@ -335,6 +366,32 @@ class TestJointPrismDilation:
         for b in (np.diag([0.9, -0.4, 0.2]), np.diag([0.9, -0.4, 1.0])):
             for rotated in (a, u @ a @ dagger(u)):
                 self.assert_symmetry_of_carried_b(rotated, b, 3, math.sqrt(DEFAULT_TOL.psd_clamp))
+
+
+    @pytest.mark.parametrize("k", [3, 4, 6, 8])
+    def test_dilation_of_a_given_povm(self, k):
+        # A random POVM with labels at the k-th roots of unity, not one that
+        # order_k_povm would return: G* W^m G = sum_j omega^(j m) h_j for every
+        # m, and G* V G = b.
+        rng = np.random.default_rng(k)
+        n = 3
+        raw = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+        parts = raw @ dagger(raw)
+        w, u = np.linalg.eigh(parts.sum(axis=0))
+        root = (u / np.sqrt(w)) @ dagger(u)
+        effects = hermitize(root @ parts @ root)
+        b = hermitize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        b = 0.9 * b / opnorm(b)
+        povm = Povm(list(effects), fourier_matrix(k)[:, 1].tolist())
+        pair, g = _dilate_povm(povm, b, k, opnorm(b), DEFAULT_TOL)
+        assert pair.dim == 2 * k * n
+        assert within_bounds(pair_residuals(pair))
+        power = np.eye(pair.dim)
+        for m in range(k):
+            moment = np.tensordot(fourier_matrix(k)[:, m], effects, axes=1)
+            assert opnorm(dagger(g) @ power @ g - moment) <= 1e-10
+            power = power @ pair.w
+        assert opnorm(dagger(g) @ pair.v @ g - b) <= 1e-10
 
 
 class TestCubeDilation:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -362,18 +363,18 @@ class TestLmiFloor:
             assert np.abs(f @ dagger(f) - k * np.eye(k)).max() <= 1e-13
 
     def test_base_above_threshold_takes_no_step(self):
-        result = lmi_floor(self.BASE + 1.0, self.DIRECTIONS, 0.5)
+        result = lmi_floor(self.BASE + 1.0, self.DIRECTIONS, (0.5, 0.5))
         assert result.steps == 0 and result.t_lo == 1.0
         assert np.array_equal(result.y, [0.0])
 
     def test_first_point_above_threshold(self):
-        result = lmi_floor(self.BASE, self.DIRECTIONS, 0.4)
+        result = lmi_floor(self.BASE, self.DIRECTIONS, (0.4, 0.4))
         assert 0 < result.steps < 50
         assert 0.4 <= result.t_lo <= 0.5
         assert result.t_lo == self.floor_of(result.y)
 
     def test_primal_point_proves_threshold_out_of_reach(self):
-        result = lmi_floor(self.BASE, self.DIRECTIONS, 0.6)
+        result = lmi_floor(self.BASE, self.DIRECTIONS, (0.6, 0.6))
         x = result.x
         assert result.t_lo < 0.6 and 0.5 <= result.t_hi < 0.6
         assert np.linalg.eigvalsh(x).min() >= 0.0
@@ -382,12 +383,54 @@ class TestLmiFloor:
         assert np.vdot(self.BASE, x).real == result.t_hi
 
     def test_threshold_at_the_optimum_leaves_a_tight_bracket(self):
-        result = lmi_floor(self.BASE, self.DIRECTIONS, 0.5)
+        result = lmi_floor(self.BASE, self.DIRECTIONS, (0.5, 0.5))
         assert result.t_lo <= 0.5 + 1e-15 and result.t_hi >= 0.5 - 1e-15
         assert result.t_hi - result.t_lo <= 1e-9
 
+    def test_band_stops_once_the_bracket_is_inside(self):
+        # The best floor is 1/2: the band (0.4, 0.6) can neither be cleared nor
+        # ruled out, so the solver stops at the first bracket inside it, no
+        # later than the tight bracket that the band (0.5, 0.5) runs to.
+        result = lmi_floor(self.BASE, self.DIRECTIONS, (0.4, 0.6))
+        assert 0.4 <= result.t_lo <= 0.5 <= result.t_hi < 0.6
+        assert result.t_lo == self.floor_of(result.y)
+        assert 0 < result.steps <= lmi_floor(self.BASE, self.DIRECTIONS, (0.5, 0.5)).steps
+
+    def test_band_sides_decide_as_thresholds(self):
+        # Each side of a band decides as a threshold does: a floor of 1/2
+        # clears the band (0.3, 0.4) and is ruled out of (0.6, 0.7).
+        assert lmi_floor(self.BASE, self.DIRECTIONS, (0.3, 0.4)).t_lo >= 0.4
+        above = lmi_floor(self.BASE, self.DIRECTIONS, (0.6, 0.7))
+        assert 0.5 <= above.t_hi < 0.6
+
+    def test_band_must_be_ordered(self):
+        with pytest.raises(ValueError, match="low <= high"):
+            lmi_floor(self.BASE, self.DIRECTIONS, (0.6, 0.4))
+
+    def test_single_point_band_keeps_the_threshold_stops(self):
+        # 60 random problems x 4 thresholds t: the step count and the side
+        # that stopped the band (t, t) ("lo": t_lo >= t, "hi": t_hi < t,
+        # "none": the gap, the cap or a failed step) hash the same as for the
+        # single-threshold solver the band replaced.
+        stops = []
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            m, n = 1 + seed % 3, 1 + (seed // 3) % 3
+            p = int(rng.integers(1, max(2, m * n * n)))
+            base = hermitize(rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n)))
+            directions = hermitize(
+                rng.standard_normal((p, m, n, n)) + 1j * rng.standard_normal((p, m, n, n))
+            )
+            for lift in (0.05, 0.5, 1.0, 2.0):
+                t = float(np.linalg.eigvalsh(base).min() + lift)
+                result = lmi_floor(base, directions, (t, t))
+                side = "lo" if result.t_lo >= t else "hi" if result.t_hi < t else "none"
+                stops.append((result.steps, side))
+        digest = hashlib.sha256(repr(stops).encode()).hexdigest()
+        assert digest == "3d922719e1a07bd68e5d015d65555fbbd0e49b0de85a90c79799a38703d843bd"
+
     def test_deterministic(self):
-        first, again = (lmi_floor(self.BASE, self.DIRECTIONS, 0.6) for _ in range(2))
+        first, again = (lmi_floor(self.BASE, self.DIRECTIONS, (0.6, 0.6)) for _ in range(2))
         assert np.array_equal(first.y, again.y) and np.array_equal(first.x, again.x)
         assert (first.t_lo, first.t_hi, first.steps) == (again.t_lo, again.t_hi, again.steps)
 
@@ -400,21 +443,21 @@ class TestLmiFloor:
             for shape in ((4, 3, 3), (3, 4, 3, 3))
         )
         for threshold in (-1.5, -0.5):
-            result = lmi_floor(base, directions, threshold)
+            result = lmi_floor(base, directions, (threshold, threshold))
             assert result.steps > 0
             assert result.t_lo == self.floor_of(result.y, base, directions)
 
     def test_projection_that_is_not_psd_bounds_nothing(self):
         # Direction (1, 3) is PSD, so every floor is reachable; the primal
         # constraints force x = (3/2, -1/2), which is no certificate.
-        result = lmi_floor(np.zeros((2, 1, 1)), np.array([[[[1.0]], [[3.0]]]]), 1.0)
+        result = lmi_floor(np.zeros((2, 1, 1)), np.array([[[[1.0]], [[3.0]]]]), (1.0, 1.0))
         assert result.t_lo >= 1.0 and result.t_hi == math.inf and result.x is None
 
     def test_dependent_directions_raise_no_linalg_error(self):
         # A repeated direction makes the Newton systems singular; the solver
         # stops and still reports a sound floor for its best point.
         twice = np.concatenate([self.DIRECTIONS, self.DIRECTIONS])
-        result = lmi_floor(self.BASE, twice, 0.6)
+        result = lmi_floor(self.BASE, twice, (0.6, 0.6))
         assert result.t_lo == self.floor_of(result.y, directions=twice) <= 0.5
         assert result.t_hi >= 0.5 - 1e-15
 
@@ -422,11 +465,11 @@ class TestLmiFloor:
         # The solver falls back to an orthonormal basis of the span of the
         # directions and reports y in the caller's coordinates.
         twice = np.concatenate([self.DIRECTIONS, self.DIRECTIONS])
-        above = lmi_floor(self.BASE, twice, 0.6)
+        above = lmi_floor(self.BASE, twice, (0.6, 0.6))
         assert above.t_lo < 0.6 and 0.5 - 1e-12 <= above.t_hi < 0.6
         assert np.linalg.eigvalsh(above.x).min() >= 0.0
         assert max(abs(np.vdot(d, above.x)) for d in twice) <= 1e-12
-        below = lmi_floor(self.BASE, twice, 0.4)
+        below = lmi_floor(self.BASE, twice, (0.4, 0.4))
         assert 0.4 <= below.t_lo <= 0.5 and below.steps > 0
         assert below.t_lo == self.floor_of(below.y, directions=twice)
 
@@ -446,7 +489,7 @@ class TestLmiFloor:
             hermitize(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
             for shape in ((m, n, n), (m * n * n, m, n, n))
         )
-        result = lmi_floor(base, directions, threshold)
+        result = lmi_floor(base, directions, (threshold, threshold))
         assert result.t_lo == self.floor_of(result.y, base, directions)
         assert result.t_lo >= threshold
         assert result.t_hi == math.inf and result.x is None
@@ -464,7 +507,7 @@ class TestLmiFloor:
         # point then misses <D_i, X> = 0 by far more than rounding.
         base = np.array([0.0, 1.0, -2.0]).reshape(3, 1, 1)
         directions = np.array([[1.0, -1.0, 0.0], [1.0, -1.0, delta]]).reshape(2, 3, 1, 1)
-        result = lmi_floor(base, directions, threshold)
+        result = lmi_floor(base, directions, (threshold, threshold))
         assert result.t_hi >= 0.5 - 1e-12 and result.t_hi >= result.t_lo
         if threshold < 0.5:
             assert result.t_lo >= threshold

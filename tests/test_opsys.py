@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_psd_trace_one, within_bounds
+from helpers import random_psd_trace_one, random_unitary, within_bounds
 
 from ncprism.convexity import random_prism_point
 from ncprism.dilation import joint_prism_dilation
@@ -12,15 +12,14 @@ from ncprism.errors import (
     NotSelfadjointError,
     WrongLevelError,
 )
-from ncprism.matkernel import DEFAULT_TOL, dagger, hermitize, opnorm
+from ncprism.matkernel import DEFAULT_TOL, dagger, hermitian_basis, hermitize, lmi_floor, opnorm
 from ncprism.opsys import (
     STRICT_MARGIN,
     Certified,
     Unknown,
-    _basis_operators,
-    _sample_groups,
-    _sample_lows,
-    _sample_pairs,
+    _dual_witness,
+    _kernel,
+    _particular_lift,
     DiagTuple,
     DualTuple,
     PrismElement,
@@ -224,14 +223,14 @@ class TestScalarCube:
 
 class TestMatrixPositivity:
     def test_unit_certified(self):
-        verdict = matrix_positivity_prism(PrismElement.unit(3, 1), samples=4)
+        verdict = matrix_positivity_prism(PrismElement.unit(3, 1))
         assert isinstance(verdict, Certified)
         # Re-verify the certificate from its payload alone.
         assert within_bounds(certified_residuals(PrismElement.unit(3, 1), verdict))
 
     def test_negative_element_refuted_with_sound_witness(self):
         e = scalar_element(3, [1, 1, 1], 1)
-        verdict = matrix_positivity_prism(e, samples=4)
+        verdict = matrix_positivity_prism(e)
         assert isinstance(verdict, Refuted)
         assert within_bounds([*pair_residuals(verdict.witness), *refuted_residuals(e, verdict)])
 
@@ -242,7 +241,7 @@ class TestMatrixPositivity:
         blocks = [1.5 * np.eye(2), perturb, perturb.conj().T]
         e = PrismElement(3, 2, blocks, np.zeros((2, 2)))
         assert e.is_selfadjoint()
-        verdict = matrix_positivity_prism(e, samples=4)
+        verdict = matrix_positivity_prism(e)
         assert isinstance(verdict, Certified)
         assert within_bounds(certified_residuals(e, verdict))
 
@@ -251,64 +250,48 @@ class TestMatrixPositivity:
         # certification at strict margin is impossible, so Unknown is the
         # honest outcome (Certified would also be sound if slack existed).
         e = scalar_element(3, [1, 0, 0], 1)
-        verdict = matrix_positivity_prism(e, samples=4)
+        verdict = matrix_positivity_prism(e)
         assert not isinstance(verdict, Refuted)
 
     def test_consistency_with_scalar_rule_on_grid(self):
+        # At q = 1 the best lift's floor is the exact vertex margin, so the
+        # verdict follows the margin outside the band (-spec_tol, STRICT_MARGIN).
         for cval in np.linspace(-1.0, 1.0, 5):
             for gval in np.linspace(-1.0, 1.0, 5):
                 e = scalar_element(3, [1.0, cval, cval], gval)
                 scalar = scalar_positivity_prism(e)
-                verdict = matrix_positivity_prism(e, samples=3)
+                verdict = matrix_positivity_prism(e)
                 if isinstance(verdict, Certified):
                     assert scalar.margin >= -1e-10
                 if isinstance(verdict, Refuted):
                     assert scalar.margin <= 1e-8
+                    assert verdict.min_eigenvalue >= scalar.margin - 1e-12
+                if scalar.margin < -1e-6:
+                    assert isinstance(verdict, Refuted)
+                if scalar.margin > 1e-5:
+                    assert isinstance(verdict, Certified)
 
     def test_rejects_non_selfadjoint(self):
         with pytest.raises(NotSelfadjointError):
             matrix_positivity_prism(scalar_element(3, [0, 1, 0], 0))
 
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(3, 8), q=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_evaluate_matches_kronecker_sum(self, k, q, seed):
+        # At W = U diag(omega^j_i) U*, V = U' diag(+/-1) U'* of dimension 2k.
+        rng = np.random.default_rng(seed)
+        e = random_selfadjoint_element(k, q, seed, 0.0)
+        u, u2 = random_unitary(rng, 2 * k), random_unitary(rng, 2 * k)
+        w = (u * np.exp(2j * np.pi * rng.integers(0, k, 2 * k) / k)) @ dagger(u)
+        pair = RepPair(w, (u2 * rng.choice([1.0, -1.0], 2 * k)) @ dagger(u2), k)
+        scale = max(1.0, max(opnorm(b) for b in [*e.c, e.g]))
+        assert opnorm(e.evaluate(pair) - kronecker_sum(e, pair)) <= 1e-12 * scale
+
     def test_rejects_bad_budgets(self):
-        unit = PrismElement.unit(3, 1)
-        with pytest.raises(ValueError, match="samples"):
-            matrix_positivity_prism(unit, samples=-1)
-
-    def test_witness_is_a_copy_of_the_cached_pair(self):
-        e = scalar_element(3, [1, 1, 1], 1)
-        first = matrix_positivity_prism(e, samples=4)
-        groups = _sample_groups(3, 4, 8, 0, DEFAULT_TOL)
-        before = [ops.copy() for _, ops in groups]
-        # A caller scribbling on the witness must not reach the cached sample set.
-        first.witness.v[...] = -5.0 * np.eye(first.witness.dim)
-        first.witness.w[...] = 0.0
-        assert all(np.array_equal(ops, old) for (_, ops), old in zip(groups, before))
-        again = matrix_positivity_prism(e, samples=4)
-        assert isinstance(again, Refuted)
-        assert again.min_eigenvalue == first.min_eigenvalue
-        assert within_bounds([*pair_residuals(again.witness), *refuted_residuals(e, again)])
-
-    @pytest.mark.parametrize("shift", [0, 1, 2])
-    @pytest.mark.parametrize("flip", [False, True])
-    def test_witness_is_the_first_near_lowest_pair(self, shift, flip):
-        # A scalar element with x_0 + x_+ = -0.6, rotated and flipped: its
-        # lowest vertex value is also reached, up to rounding, by Steinberg
-        # and random pairs later in the sample set. The first pair within
-        # alg_tol of the lowest, a vertex representation, is the witness,
-        # whatever the rounding of the rest.
-        rng = np.random.default_rng(17)
-        blocks = list(rng.uniform(0.2, 1.2, 5))
-        blocks[0] -= blocks[0] + blocks[3] + 0.6
-        blocks = blocks[shift:3] + blocks[:shift] + (blocks[4:2:-1] if flip else blocks[3:])
-        e = psi_k(DiagTuple(3, 1, [np.array([[x]]) for x in blocks]))
-        verdict = matrix_positivity_prism(e)
-        lows = _sample_lows(e, 20, 8, 0, DEFAULT_TOL)
-        first = int(np.flatnonzero(lows <= lows.min() + DEFAULT_TOL.alg_tol)[0])
-        assert isinstance(verdict, Refuted)
-        assert verdict.witness.provenance == _sample_pairs(3, 20, 8, 0, DEFAULT_TOL)[first].provenance
-        assert verdict.witness.provenance.startswith("prism_vertex_rep")
-        assert verdict.min_eigenvalue == lows[first]
-        assert abs(verdict.min_eigenvalue - scalar_positivity_prism(e).margin) <= 1e-14
+        # The oracle draws no sample set, so it takes no sample budget.
+        for budget in ("samples", "size_budget", "seed"):
+            with pytest.raises(TypeError, match=budget):
+                matrix_positivity_prism(PrismElement.unit(3, 1), **{budget: 4})
 
 
 class TestBoundaryVerdicts:
@@ -365,7 +348,7 @@ class TestLiftSolver:
     @pytest.mark.parametrize("q", [1, 2])
     def test_certified_lift(self, q):
         e = preimage_element(q, False, 40 + q)
-        verdict = matrix_positivity_prism(e, samples=2)
+        verdict = matrix_positivity_prism(e)
         assert isinstance(verdict, Certified)
         assert within_bounds(certified_residuals(e, verdict))
         assert verdict.min_block_eigenvalue >= STRICT_MARGIN
@@ -377,10 +360,18 @@ class TestLiftSolver:
         # proves the floor stays below STRICT_MARGIN, and the residual is the
         # shortfall of the best lift found.
         e = preimage_element(q, True, 50 + q)
-        verdict = matrix_positivity_prism(e, samples=2)
+        verdict = matrix_positivity_prism(e)
         assert isinstance(verdict, Unknown)
         assert "smallest block eigenvalue lies in [" in verdict.reason
         assert STRICT_MARGIN <= verdict.residual < 1e-4
+
+    def test_step_cap_is_named_in_the_reason(self, monkeypatch):
+        # With one Newton step allowed, a floor 1e-3 below 0 is not yet placed.
+        e = gap_probe_element(6, 3, 0, -1e-3)
+        monkeypatch.setattr("ncprism.matkernel._LMI_STEPS", 1)
+        verdict = matrix_positivity_prism(e)
+        assert isinstance(verdict, Unknown)
+        assert "undecided after 1 Newton steps (step cap" in verdict.reason
 
     @pytest.mark.parametrize("k", [4, 5, 6, 7, 8])
     def test_unit_certified_at_every_k(self, k):
@@ -398,7 +389,7 @@ class TestLiftSolver:
     )
     def test_selfadjoint_elements_get_a_checked_verdict(self, k, q, seed, shift):
         e = random_selfadjoint_element(k, q, seed, shift)
-        verdict = matrix_positivity_prism(e, samples=4)
+        verdict = matrix_positivity_prism(e)
         if isinstance(verdict, Refuted):
             assert within_bounds([*pair_residuals(verdict.witness), *refuted_residuals(e, verdict)])
         elif isinstance(verdict, Certified):
@@ -407,52 +398,92 @@ class TestLiftSolver:
             assert isinstance(verdict, Unknown)
 
 
-class TestSamplePairs:
-    def test_memoised_tuple_of_read_only_pairs(self):
-        pairs = _sample_pairs(3, 2, 8, 0, DEFAULT_TOL)
-        assert isinstance(pairs, tuple)
-        assert _sample_pairs(3, 2, 8, 0, DEFAULT_TOL) is pairs
-        assert not pairs[0].w.flags.writeable
+def gap_probe_element(k, q, seed, target):
+    """A random selfadjoint element (blocks 0.3 complex Gaussian) with c_0
+    shifted so that its best lift's floor t* is ``target``: t* is found by
+    bisection on lmi_floor's band (t, t), narrowed by each bracket."""
+    rng = np.random.default_rng(seed)
+    raw = 0.3 * (rng.standard_normal((k + 1, q, q)) + 1j * rng.standard_normal((k + 1, q, q)))
+    c = [(raw[m] + dagger(raw[(-m) % k])) / 2 for m in range(k)]
+    e = PrismElement(k, q, c, hermitize(raw[k]))
+    base, directions = lift_problem(e)
+    low, high = -10.0, 10.0
+    while high - low > 1e-9:
+        mid = (low + high) / 2
+        result = lmi_floor(base, directions, (mid, mid))
+        if result.t_lo >= mid:
+            low = result.t_lo
+        elif result.t_hi < mid:
+            high = result.t_hi
+        else:
+            low, high = result.t_lo, result.t_hi
+    c[0] = c[0] + (target - (low + high) / 2) * np.eye(q)
+    return PrismElement(k, q, c, e.g)
 
-    def test_memoised_groups_of_read_only_basis_stacks(self):
-        pairs = _sample_pairs(3, 20, 8, 0, DEFAULT_TOL)
-        groups = _sample_groups(3, 20, 8, 0, DEFAULT_TOL)
-        assert _sample_groups(3, 20, 8, 0, DEFAULT_TOL) is groups
-        # Dimensions 3, 2, 4, 5, 7, 8 of the factory pairs, then 18, 6, 12.
-        assert [ops.shape[-1] for _, ops in groups] == [3, 2, 4, 5, 7, 8, 18, 6, 12]
-        assert sorted(np.concatenate([index for index, _ in groups])) == list(range(len(pairs)))
-        for index, ops in groups:
-            assert not index.flags.writeable and not ops.flags.writeable
-            for i, basis in zip(index, ops):
-                assert np.array_equal(basis, _basis_operators(pairs[i]))
 
-    @settings(max_examples=30)
-    @given(k=st.integers(3, 8), q=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-    def test_batched_lows_match_each_pair(self, k, q, seed):
-        e = random_selfadjoint_element(k, q, seed, 0.0)
-        pairs = _sample_pairs(k, 4, 8, 0, DEFAULT_TOL)
-        scale = max(1.0, max(opnorm(b) for b in [*e.c, e.g]))
-        lows = _sample_lows(e, 4, 8, 0, DEFAULT_TOL)
-        each = [min_eigenvalue(e, pair) for pair in pairs]
-        assert np.abs(lows - each).max() <= 1e-12 * scale
-        for pair in (pairs[0], pairs[-1]):
-            assert opnorm(e.evaluate(pair) - kronecker_sum(e, pair)) <= 1e-12 * scale
+def lift_problem(e):
+    """The particular lift and the kernel directions the oracle solves over."""
+    return _particular_lift(e), _kernel(e.k)[:, None, None] * hermitian_basis(e.q)[:, None]
 
-    def test_factory_part_skips_unsupported_q(self):
-        # Steinberg pairs at q = 4, 5, 7, 8; q = 6, 9, 10 are rejected by steinberg_pair.
-        names = [pair.provenance for pair in _sample_pairs(3, 0, 10, 0, DEFAULT_TOL)]
-        vertices = [f"prism_vertex_rep(k=3, j={j}, sign={s:+d})" for j in range(3) for s in (1, -1)]
-        steinberg = [f"steinberg_pair(q={q})" for q in (4, 5, 7, 8)]
-        assert names == [*vertices, "s3_pair", "a4_pair", *steinberg]
 
-    def test_seed_changes_only_the_random_part(self):
-        base = _sample_pairs(3, 2, 8, 0, DEFAULT_TOL)
-        other = _sample_pairs(3, 2, 8, 1, DEFAULT_TOL)
-        for p1, p2 in zip(base[:-2], other[:-2]):
-            assert np.array_equal(p1.w, p2.w) and np.array_equal(p1.v, p2.v)
-        for p1, p2 in zip(base[-2:], other[-2:]):
-            assert p1.w.shape != p2.w.shape or not np.allclose(p1.v, p2.v)
+class TestDualWitness:
+    """Refutations built from the lift solver's primal point."""
 
+    @pytest.mark.parametrize("k, q, seed", [(3, 2, 9), (3, 2, 23), (6, 3, 0), (6, 3, 2)])
+    def test_gap_probe_elements_are_decided(self, k, q, seed):
+        # Elements whose best floor sits 1e-3 below or above 0. A sampled
+        # refutation pass left the ones below Unknown; the solver proves them.
+        below = gap_probe_element(k, q, seed, -1e-3)
+        verdict = matrix_positivity_prism(below)
+        assert isinstance(verdict, Refuted)
+        assert within_bounds([*pair_residuals(verdict.witness), *refuted_residuals(below, verdict)])
+        assert verdict.min_eigenvalue >= -1e-3 - 1e-8
+        above = gap_probe_element(k, q, seed, 1e-3)
+        verdict = matrix_positivity_prism(above)
+        assert isinstance(verdict, Certified)
+        assert within_bounds(certified_residuals(above, verdict))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        k=st.integers(3, 8),
+        q=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        shift=st.floats(-1.0, 0.5),
+    )
+    def test_witness_is_a_checked_pair_below_the_bound(self, k, q, seed, shift):
+        e = random_selfadjoint_element(k, q, seed, shift)
+        result = lmi_floor(*lift_problem(e), (-DEFAULT_TOL.spec_tol, STRICT_MARGIN))
+        verdict = matrix_positivity_prism(e)
+        assert isinstance(verdict, Refuted) == (
+            result.t_lo < STRICT_MARGIN and result.t_hi < -DEFAULT_TOL.spec_tol
+        )
+        if isinstance(verdict, Refuted):
+            assert within_bounds([*pair_residuals(verdict.witness), *refuted_residuals(e, verdict)])
+            assert verdict.witness.dim <= 2 * k * q
+            scale = max(1.0, max(opnorm(b) for b in [*e.c, e.g]))
+            assert verdict.min_eigenvalue <= result.t_hi + 1e-12 * scale
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_rank_deficient_primal_point(self, k):
+        # A q = 2 direct sum of a scalar element with vertex value -0.3 at
+        # (omega^0, +1) and 2 times the unit. The primal point on that vertex
+        # of the first coordinate alone has R = diag(1/2, 0), singular, and
+        # b = 1 on its support; the witness lives on the support, at
+        # dimension 2k, and bounds the element by that vertex value.
+        c = [np.diag([-0.7, 2.0]), np.diag([0.1, 0.0])]
+        c += [np.zeros((2, 2))] * (k - 3) + [np.diag([0.1, 0.0])]
+        e = PrismElement(k, 2, c, np.diag([0.2, 0.0]))
+        x = np.zeros((k + 2, 2, 2))
+        x[0, 0, 0] = x[k, 0, 0] = 0.5
+        bound = float(np.vdot(_particular_lift(e), x).real)
+        assert bound == pytest.approx(-0.3, abs=1e-14)
+        witness = _dual_witness(x, k, DEFAULT_TOL)
+        assert witness.dim == 2 * k
+        assert within_bounds(pair_residuals(witness))
+        assert min_eigenvalue(e, witness) <= bound + 1e-12
+        verdict = matrix_positivity_prism(e)
+        assert isinstance(verdict, Refuted)
+        assert within_bounds([*pair_residuals(verdict.witness), *refuted_residuals(e, verdict)])
 
 class TestDualPairing:
     def test_entrywise_pairing_nonnegative(self):
