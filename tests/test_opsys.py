@@ -417,6 +417,7 @@ def gap_probe_element(k, q, seed, target):
             high = result.t_hi
         else:
             low, high = result.t_lo, result.t_hi
+            break
     c[0] = c[0] + (target - (low + high) / 2) * np.eye(q)
     return PrismElement(k, q, c, e.g)
 
@@ -431,8 +432,9 @@ class TestDualWitness:
 
     @pytest.mark.parametrize("k, q, seed", [(3, 2, 9), (3, 2, 23), (6, 3, 0), (6, 3, 2)])
     def test_gap_probe_elements_are_decided(self, k, q, seed):
-        # Elements whose best floor sits 1e-3 below or above 0. A sampled
-        # refutation pass left the ones below Unknown; the solver proves them.
+        # Elements whose best floor sits 1e-3 below or above 0. At these seeds
+        # no vertex representation has a negative eigenvalue below -spec_tol,
+        # so only the solver's dual witness refutes them.
         below = gap_probe_element(k, q, seed, -1e-3)
         verdict = matrix_positivity_prism(below)
         assert isinstance(verdict, Refuted)
@@ -454,9 +456,7 @@ class TestDualWitness:
         e = random_selfadjoint_element(k, q, seed, shift)
         result = lmi_floor(*lift_problem(e), (-DEFAULT_TOL.spec_tol, STRICT_MARGIN))
         verdict = matrix_positivity_prism(e)
-        assert isinstance(verdict, Refuted) == (
-            result.t_lo < STRICT_MARGIN and result.t_hi < -DEFAULT_TOL.spec_tol
-        )
+        assert isinstance(verdict, Refuted) == (result.t_hi < -DEFAULT_TOL.spec_tol)
         if isinstance(verdict, Refuted):
             assert within_bounds([*pair_residuals(verdict.witness), *refuted_residuals(e, verdict)])
             assert verdict.witness.dim <= 2 * k * q
