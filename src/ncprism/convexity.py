@@ -41,7 +41,6 @@ __all__ = [
     "real_imag_parts",
     "random_prism_point",
     "random_hermitian_contraction",
-    "geometry_residuals",
     "polytope_residuals",
 ]
 
@@ -99,10 +98,14 @@ class MembershipResult:
         return self.member
 
 
-def make_polygon(k: int) -> PolytopeSpec:
-    """Convex hull of the k-th roots of unity in the plane."""
+def _check_polygon(k: int) -> None:
     if k < 3:
         raise ValueError(f"polygon needs k >= 3, got {k}")
+
+
+def make_polygon(k: int) -> PolytopeSpec:
+    """Convex hull of the k-th roots of unity in the plane."""
+    _check_polygon(k)
     angles = 2.0 * np.pi * np.arange(k) / k
     vertices = np.column_stack([np.cos(angles), np.sin(angles)])
     mid = (2.0 * np.arange(k) + 1.0) * np.pi / k
@@ -183,32 +186,15 @@ def prism_member(a, b, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> Membership
     return max_member([re, im, b], make_prism(k), tol)
 
 
-def _incircle_residual(k: int) -> Residual:
-    """cos(pi/k) against the distance of the k-prism's side facets."""
-    offsets = make_prism(k).offsets[:k]
-    return ("incircle_radius", abs(math.cos(math.pi / k) - float(offsets.min())), _GEOM_TOL)
-
-
-def _circumnorm_residual(k: int) -> Residual:
-    """sqrt(2) against the largest vertex norm of the k-prism."""
-    value = float(np.linalg.norm(make_prism(k).vertices, axis=1).max())
-    return ("circumnorm", abs(value - math.sqrt(2.0)), _GEOM_TOL)
-
-
-def geometry_residuals(k: int) -> list[Residual]:
-    """The closed-form constants against the k-prism they describe."""
-    return [_incircle_residual(k), _circumnorm_residual(k)]
-
-
 def incircle_radius(k: int) -> float:
-    """Incircle radius cos(pi/k) of Conv(C_k), cross-checked against the facets."""
-    require([_incircle_residual(k)], ValueError, f"incircle radius k={k}")
+    """Incircle radius cos(pi/k) of Conv(C_k), the offset of its facets."""
+    _check_polygon(k)
     return math.cos(math.pi / k)
 
 
 def circumnorm(k: int) -> float:
-    """Largest vertex norm of the k-prism (always sqrt(2)), cross-checked."""
-    require([_circumnorm_residual(k)], ValueError, f"circumscribed norm k={k}")
+    """Largest vertex norm of the k-prism: always sqrt(2)."""
+    _check_polygon(k)
     return math.sqrt(2.0)
 
 

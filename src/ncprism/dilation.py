@@ -230,7 +230,9 @@ def triangle_povm(a, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
     For W(a) inside Conv{1, omega, omega^2} the affine barycentric
     coordinate functionals of the triangle, applied to (Re a, Im a), give
     effects h_j >= 0 with sum(h_j) = 1 and sum(omega^j h_j) = a: they are the
-    Fourier-minimal effects (1 + omega^-j a + omega^j a*)/3.
+    Fourier-minimal effects (1 + omega^-j a + omega^j a*)/3, the only
+    decomposition. On W(a) just outside the triangle they follow the band rule
+    of :func:`order_k_povm` with k = 3, their smallest eigenvalue as the floor.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
@@ -244,8 +246,43 @@ def triangle_povm(a, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
         )
     labels = fourier_matrix(3)[:, 1]
     effects = _fourier_base(a, labels)
+    if verdict.margin <= 0.0:
+        # The smallest effect eigenvalue is 2/3 of the facet margin, so only a
+        # boundary input needs it; the decomposition is unique, so it is exact.
+        floor = float(np.linalg.eigvalsh(effects).min())
+        effects = _settle(effects, floor, floor, 0, tol.spec_tol / (4 * 3))
     require(povm_residuals(effects, labels, a, tol), InvalidPovmError, "triangle_povm")
     return Povm(list(effects), labels.tolist())
+
+
+def _settle(effects: np.ndarray, t_lo: float, t_hi: float, steps: int, band: float) -> np.ndarray:
+    """The band rule of :func:`order_k_povm` for effects over the k roots of
+    unity whose best smallest eigenvalue lies in [t_lo, t_hi], after
+    ``steps`` Newton steps."""
+    if t_lo > 0.0:
+        return effects
+    k = len(effects)
+    # A one-point bracket is the exact floor: it is printed to full precision.
+    show = repr if t_lo == t_hi else "{:.3e}".format
+    bracket = f"[{show(t_lo)}, {show(t_hi)}]"
+    if t_lo < -band:
+        if t_hi < -band:
+            raise InfeasibleError(
+                f"no positive decomposition over C_{k}: the smallest effect eigenvalue "
+                f"is at most {t_hi:.3e}, bracket {bracket} (primal certificate)"
+            )
+        raise InfeasibleError(
+            f"undecided after {steps} Newton steps: the best smallest effect "
+            f"eigenvalue lies in {bracket} (not a proof of infeasibility)"
+        )
+    # Exact renormalization: congruence by (sum h_j)^(-1/2) restores the
+    # identity sum at machine precision while keeping every effect PSD.
+    effects = clamp_spectrum(effects, 0.0)
+    w, u = np.linalg.eigh(hermitize(effects.sum(axis=0)))
+    if w.min() <= 0.5:
+        raise InfeasibleError("effect sum is too singular to renormalize")
+    t = (u * (w**-0.5)) @ dagger(u)
+    return hermitize(t @ effects @ t)
 
 
 def _fourier_base(a: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -294,8 +331,9 @@ def naimark_residuals(
 def order_k_povm(a, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
     """Positive decomposition of ``a`` over the k-th roots of unity.
 
-    For k = 3 the barycentric formula applies directly. For k >= 4 the
-    effects are the Fourier-minimal base (1 + omega^-j a + omega^j a*)/k
+    For k = 3 the barycentric effects of :func:`triangle_povm` are the only
+    decomposition, so t_lo = t_hi below is their smallest eigenvalue. For
+    k >= 4 the effects are the Fourier-minimal base (1 + omega^-j a + omega^j a*)/k
     plus any Hermitian combination of the Fourier modes m = 2 .. k-2 (the
     (k-3) n^2 real unknowns that keep sum(h_j) = 1 and sum(omega^j h_j) = a),
     and ``matkernel.lmi_floor`` brackets their best smallest eigenvalue
@@ -338,26 +376,7 @@ def order_k_povm(a, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
     band = tol.spec_tol / (4 * k)
     result = lmi_floor(base, directions, (-band, 0.0))
     effects = hermitize(base + np.tensordot(result.y, directions, axes=1))
-    if result.t_lo <= 0.0:
-        bracket = f"[{result.t_lo:.3e}, {result.t_hi:.3e}]"
-        if result.t_lo < -band:
-            if result.t_hi < -band:
-                raise InfeasibleError(
-                    f"no positive decomposition over C_{k}: the smallest effect eigenvalue "
-                    f"is at most {result.t_hi:.3e}, bracket {bracket} (primal certificate)"
-                )
-            raise InfeasibleError(
-                f"undecided after {result.steps} Newton steps: the best smallest effect "
-                f"eigenvalue lies in {bracket} (not a proof of infeasibility)"
-            )
-        # Exact renormalization: congruence by (sum h_j)^(-1/2) restores the
-        # identity sum at machine precision while keeping every effect PSD.
-        effects = clamp_spectrum(effects, 0.0)
-        w, u = np.linalg.eigh(hermitize(effects.sum(axis=0)))
-        if w.min() <= 0.5:
-            raise InfeasibleError("effect sum is too singular to renormalize")
-        t = (u * (w**-0.5)) @ dagger(u)
-        effects = hermitize(t @ effects @ t)
+    effects = _settle(effects, result.t_lo, result.t_hi, result.steps, band)
     require(povm_residuals(effects, labels, a, tol), InfeasibleError, "order_k_povm decomposition")
     return Povm(list(effects), labels.tolist())
 

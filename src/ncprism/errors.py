@@ -35,10 +35,6 @@ class NormExceedsOneError(NcprismError):
     """An operator that must be a contraction has norm > 1."""
 
 
-class NumericalRangeOutsideTriangleError(NcprismError):
-    """The numerical range of the input leaves the target triangle."""
-
-
 class InvalidPovmError(NcprismError):
     """Effects are not positive or do not sum to the identity."""
 
@@ -51,6 +47,11 @@ class InfeasibleError(NcprismError):
     primal certificate), or a search that ended undecided, which is not a
     proof.
     """
+
+
+class NumericalRangeOutsideTriangleError(InfeasibleError):
+    """The numerical range of the input leaves the target triangle, so no
+    decomposition over its vertices exists."""
 
 
 class DimensionMismatchError(NcprismError):

@@ -11,16 +11,21 @@ positivity certificates of ``opsys``.
 
 Each construction has a residual function beside it returning its defining
 identities as ``(name, residual, bound)`` triples; constructors pass them to
-:func:`require`, and ``verify``, the CLI report and the tests call the same
-function.
+:func:`require`, and the tests call the same function. Inside a
+:func:`measured` block, ``require`` also records every residual it checks,
+which is how ``verify`` and the CLI report what the constructors measured.
 
 Matrices are plain ``numpy.ndarray`` objects with ``complex128`` entries.
-All operations are pure functions; nothing here carries mutable state.
+All operations are pure functions; the only state is the collector that
+:func:`measured` opens for the block it encloses.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +61,9 @@ __all__ = [
     "direct_sum",
     "compress",
     "Residual",
+    "Measured",
     "require",
+    "measured",
     "prefixed",
     "unitary_residual",
     "order_residuals",
@@ -100,9 +107,32 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
+Measured = tuple[str, float, float, str]
+"""A residual that :func:`require` checked, with the ``what`` it was checked for."""
+
+_COLLECTOR: ContextVar[list[Measured] | None] = ContextVar("ncprism_measured", default=None)
+
+
+@contextmanager
+def measured() -> Iterator[list[Measured]]:
+    """Collect every ``(name, residual, bound, what)`` that :func:`require`
+    checks inside the block, in order. A block nested inside another
+    receives its own records only; outside every block nothing is kept."""
+    records: list[Measured] = []
+    token = _COLLECTOR.set(records)
+    try:
+        yield records
+    finally:
+        _COLLECTOR.reset(token)
+
+
 def require(residuals: list[Residual], error: type[Exception], what: str) -> None:
-    """Raise ``error`` at the first residual above its bound."""
+    """Raise ``error`` at the first residual above its bound, recording each
+    one checked into the innermost :func:`measured` block, if any."""
+    records = _COLLECTOR.get()
     for name, value, bound in residuals:
+        if records is not None:
+            records.append((name, value, bound, what))
         if not value <= bound:
             raise error(f"{what}: {name} residual {value:.3e} exceeds its bound {bound:.1e}")
 

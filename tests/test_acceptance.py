@@ -142,7 +142,13 @@ def test_criterion_07_vertex_attainment():
 
 
 def test_criterion_08_geometry():
-    largest = max(worst(convexity.geometry_residuals(k)) for k in range(3, 65))
+    # The closed forms against the facets and vertices of the built prism.
+    gaps = []
+    for k in range(3, 65):
+        prism = convexity.make_prism(k)
+        gaps.append(abs(convexity.incircle_radius(k) - prism.offsets[:k].min()))
+        gaps.append(abs(convexity.circumnorm(k) - np.linalg.norm(prism.vertices, axis=1).max()))
+    largest = max(gaps)
     assert largest <= 1e-12
     assert abs(convexity.theta_lower_bound(3) - 1.060660171779821) <= 1e-12
     for d in (2, 3, 4, 9, 16):

@@ -45,17 +45,6 @@ def _element(e, c0):
     return opsys.PrismElement(e.k, e.q, [c0, *e.c[1:]], e.g)
 
 
-def _geometry(on):
-    make = convexity.make_prism
-
-    def shifted(k):
-        prism = make(k)
-        return SimpleNamespace(**{**vars(prism), "offsets": shift(prism.offsets, on)})
-
-    with mock.patch.object(convexity, "make_prism", shifted):
-        return convexity.geometry_residuals(3)
-
-
 def _quotient(on):
     psi = opsys.psi_k
     with mock.patch.object(opsys, "psi_k", lambda x: _element(psi(x), shift(psi(x).c[0], on))):
@@ -96,10 +85,12 @@ CASES = {
     "commutant_dimension_1": lambda on: [
         matkernel.irreducibility_residual(SQUARE[:1] if on else SQUARE)
     ],
-    "incircle_radius": _geometry,
     "kernel_maps_to_zero": _quotient,
     "unit_normals": lambda on: convexity.polytope_residuals(
         SimpleNamespace(**{**vars(PRISM), "normals": shift(PRISM.normals, on)})
+    ),
+    "vertices_within_facets": lambda on: convexity.polytope_residuals(
+        SimpleNamespace(**{**vars(PRISM), "vertices": shift(PRISM.vertices, on)})
     ),
     "dual_balance": lambda on: opsys.functional_residuals(opsys.DualTuple(3, shift(STATE.z, on))),
     "lift_maps_to_element": lambda on: opsys.certified_residuals(

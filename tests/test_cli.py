@@ -74,6 +74,43 @@ class TestRepAndCommutant:
         for name in names:
             assert checks[name]["passed"] and checks[name]["residual"] <= checks[name]["bound"]
 
+    def test_s3_report_is_what_the_factory_measured(self, capsys, monkeypatch):
+        _, out, _ = run_cli(capsys, monkeypatch, ["rep", "s3", "--json"])
+        checks = json.loads(out)["report"]["checks"]
+        assert [c["name"] for c in checks].count("group_order_6") == 1
+        irreducible = [c for c in checks if c["name"] == "commutant_dimension_1"]
+        assert irreducible == [
+            {"name": "commutant_dimension_1", "passed": True, "residual": 0.0, "bound": 0.0, "of": "s3_pair"}
+        ]
+
+    @pytest.mark.parametrize(
+        "args, payload, stub",
+        [
+            # The handlers check what no constructor does: a word's input pair
+            # (here W = 1/2, not of order 3), the quotient map, and the
+            # irreducibility of the square family. The last two pass on every
+            # real input, so their residual functions are stubbed to fail.
+            (["word", "--k", "3", "--letters", "wv"], {"k": 3, "W": scalar(0.5), "V": scalar(1.0)}, None),
+            (
+                ["quotient", "psi", "--k", "3"],
+                {"k": 3, "q": 1, "blocks": [scalar(1.0)] * 5},
+                (cli.opsys, "quotient_residuals", lambda k, q: [("kernel_maps_to_zero", 1.0, 1e-12)]),
+            ),
+            (
+                ["rep", "square", "--lambda", "0"],
+                None,
+                (cli, "irreducibility_residual", lambda mats, tol: ("commutant_dimension_1", 1.0, 0.0)),
+            ),
+        ],
+    )
+    def test_handler_check_failure_exits_two(self, capsys, monkeypatch, args, payload, stub):
+        if stub is not None:
+            monkeypatch.setattr(*stub)
+        code, out, err = run_cli(capsys, monkeypatch, args, stdin_obj=payload)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "exceeds its bound" in err
+
     def test_vertex_rep_artifact(self, capsys, monkeypatch):
         code, out, _ = run_cli(
             capsys, monkeypatch, ["rep", "vertex", "--k", "3", "--j", "1", "--sign", "-"]
@@ -237,7 +274,7 @@ class TestReportAndDeterminism:
         assert err.startswith("error:")
 
     @pytest.mark.parametrize(
-        "args", [["geometry", "--k", "3"], ["rep", "steinberg", "--q", "8"], ["verify", "all", "--size-budget", "2"]]
+        "args", [["geometry", "--k", "3"], ["rep", "steinberg", "--q", "8"], ["verify", "all"]]
     )
     def test_input_free_command_ignores_open_stdin(self, args, tmp_path):
         # stdin is a pipe that is never written to or closed, as under a
@@ -261,7 +298,7 @@ class TestReportAndDeterminism:
         assert report["inputs"] == hashlib.sha256(b"").hexdigest()
 
     @pytest.mark.parametrize(
-        "args", [["geometry", "--k", "3"], ["rep", "steinberg", "--q", "8"], ["verify", "all", "--size-budget", "2"]]
+        "args", [["geometry", "--k", "3"], ["rep", "steinberg", "--q", "8"], ["verify", "all"]]
     )
     def test_input_free_command_rejects_in_flag(self, capsys, args, tmp_path):
         source = tmp_path / "x.json"
@@ -275,18 +312,18 @@ class TestReportAndDeterminism:
 class TestVerify:
     def test_small_budget_suite(self, capsys, monkeypatch):
         code, out, _ = run_cli(
-            capsys, monkeypatch, ["verify", "all", "--size-budget", "4"]
+            capsys, monkeypatch, ["verify", "all"]
         )
         assert code == 0
         assert "all checks passed" in out
 
-    def test_size_budget_below_one_is_rejected(self, capsys, monkeypatch):
-        with pytest.raises(ValueError, match="size_budget"):
-            verify.run_all(size_budget=0)
-        code, out, err = run_cli(capsys, monkeypatch, ["verify", "all", "--size-budget", "0"])
-        assert code == 2
-        assert out == ""
-        assert "size_budget" in err
+    def test_json_rows_are_the_checks_and_the_report_has_none(self, capsys, monkeypatch):
+        code, out, _ = run_cli(capsys, monkeypatch, ["verify", "all", "--json"])
+        payload = json.loads(out)
+        assert code == 0 and payload["result"]["all_passed"]
+        assert [c["name"] for c in payload["result"]["checks"]] == [name for name, _, _ in verify._CHECKS]
+        # Each row collects its own residuals; none reach the command's report.
+        assert payload["report"]["checks"] == []
 
 
 EMPTY = {"rows": 0, "cols": 0, "data": []}
@@ -311,6 +348,17 @@ class TestMalformedMatrices:
 
     def test_nan_entry_exits_two(self, capsys, monkeypatch):
         payload = {"rows": 1, "cols": 1, "data": [[float("nan"), 0.0]]}
+        code, out, err = run_cli(capsys, monkeypatch, ["dilate", "halmos"], stdin_obj=payload)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    # Python's json reads and writes the Infinity and NaN tokens.
+    @pytest.mark.parametrize(
+        "entry", [[float("inf"), 0.0], [float("-inf"), 0.0], [0.0, float("nan")]], ids=["inf", "-inf", "nan-imaginary"]
+    )
+    def test_non_finite_entry_exits_two(self, capsys, monkeypatch, entry):
+        payload = {"rows": 1, "cols": 1, "data": [entry]}
         code, out, err = run_cli(capsys, monkeypatch, ["dilate", "halmos"], stdin_obj=payload)
         assert code == 2
         assert out == ""

@@ -134,10 +134,13 @@ class TestGeometry:
     def test_incircle_matches_facets(self):
         for k in range(3, 65):
             assert incircle_radius(k) == pytest.approx(math.cos(math.pi / k), abs=1e-15)
+            assert incircle_radius(k) == pytest.approx(make_prism(k).offsets[:k].min(), abs=1e-12)
 
-    @pytest.mark.parametrize("k", [3, 4, 6])
+    @pytest.mark.parametrize("k", range(3, 65))
     def test_circumnorm(self, k):
         assert circumnorm(k) == pytest.approx(math.sqrt(2.0), abs=1e-12)
+        largest = np.linalg.norm(make_prism(k).vertices, axis=1).max()
+        assert circumnorm(k) == pytest.approx(largest, abs=1e-12)
 
     def test_theta_bound_three(self):
         assert theta_lower_bound(3) == pytest.approx(1.060660171779821, abs=1e-12)

@@ -255,13 +255,14 @@ class TestOrderKPovm:
         assert within_bounds(povm_residuals(povm.effects, povm.outcome_labels, a))
 
 
-    @pytest.mark.parametrize("k", [4, 5, 6])
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
     def test_scaled_vertex_switches_outcome_once(self, k):
         # a = v (1 + delta) at a vertex v sits outside the polygon by about
         # delta, inside max_member's tolerance. Its best floor falls through
         # -band = -spec_tol / 4k at delta = 2.5e-9: every outcome is a checked
         # decomposition or a proof with t_hi < -band, except that the floor
-        # at exactly -band leaves an undecided bracket around it.
+        # at exactly -band leaves an undecided bracket around it. At k = 3 the
+        # barycentric effects are the only decomposition, so the bracket is exact.
         band = DEFAULT_TOL.spec_tol / (4 * k)
         for vertex in fourier_matrix(k)[:2, 1]:
             outcomes = []

@@ -26,6 +26,7 @@ from ncprism.matkernel import (
     hermitize,
     kron,
     lmi_floor,
+    measured,
     opnorm,
     order_residuals,
     psd_sqrt,
@@ -514,6 +515,30 @@ class TestLmiFloor:
             assert result.t_lo == self.floor_of(result.y, base, directions)
         if result.x is not None:
             assert max(abs(np.vdot(d, result.x)) for d in directions) <= 1e-14
+
+
+class TestMeasured:
+    def test_no_block_open_records_nothing(self):
+        with measured() as closed:
+            s3_pair()
+        count = len(closed)
+        s3_pair()
+        with measured() as fresh:
+            pass
+        assert count > 0 and len(closed) == count and fresh == []
+
+    def test_nested_block_receives_only_its_own_records(self):
+        with measured() as outer:
+            s3_pair()
+            with measured() as inner:
+                square = square_irrep(0.3)
+            hadamard_symmetries(1)
+        assert {what for *_, what in inner} == {square.provenance}
+        assert {what for *_, what in outer} == {"commutant basis", "s3_pair", "hadamard_symmetries(m=1)"}
+        # In check order, each with the bound it was checked against.
+        names = [name for name, _, _, what in outer if what == "s3_pair"]
+        assert names[:2] == ["w_unitary", "w_order_3"] and names[-1] == "commutant_dimension_1"
+        assert all(value <= bound for _, value, bound, _ in outer + inner)
 
 
 class TestCheckOrder:
