@@ -90,7 +90,10 @@ class Run:
             "artifacts": artifacts,
         }
 
-    def emit(self, artifact: dict, exit_code: int) -> int:
+    def emit(self, artifact: dict, exit_code: int, table: list[str] | None = None) -> int:
+        """Write the artifact to ``--out``, print the report and artifact with
+        ``--json``, and otherwise print ``table`` if the command has one, else
+        the artifact."""
         out = getattr(self.args, "out", None)
         as_json = getattr(self.args, "json", False)
         artifacts = [out] if out else ["stdout"]
@@ -106,6 +109,8 @@ class Run:
                 values = f"residual {check['residual']:.3e}, bound {check['bound']:.1e}"
                 print(f"{check['name']} of {check['of']}: {status} ({values})")
             print(f"wrote {out}")
+        elif table is not None:
+            print("\n".join(table))
         else:
             print(json.dumps(artifact, indent=2))
         return exit_code
@@ -244,15 +249,15 @@ def _cmd_geometry(args, run: Run, payload, tol) -> int:
     }
     if args.d is not None:
         artifact["cube_scaling_constant"] = convexity.cube_scaling_constant(args.d)
-    if not getattr(args, "json", False) and not getattr(args, "out", None):
-        print(f"k = {args.k}")
-        print(f"incircle radius r_k      = {artifact['incircle_radius']:.15f}")
-        print(f"circumscribed norm       = {artifact['circumnorm']:.15f}")
-        print(f"theta lower bound        = {artifact['theta_lower_bound']:.15f}")
-        if args.d is not None:
-            print(f"cube scaling constant    = {artifact['cube_scaling_constant']:.15f}")
-        return EXIT_OK
-    return run.emit(artifact, EXIT_OK)
+    table = [
+        f"k = {args.k}",
+        f"incircle radius r_k      = {artifact['incircle_radius']:.15f}",
+        f"circumscribed norm       = {artifact['circumnorm']:.15f}",
+        f"theta lower bound        = {artifact['theta_lower_bound']:.15f}",
+    ]
+    if args.d is not None:
+        table.append(f"cube scaling constant    = {artifact['cube_scaling_constant']:.15f}")
+    return run.emit(artifact, EXIT_OK, table)
 
 
 def _cmd_word(args, run: Run, payload, tol) -> int:
@@ -291,13 +296,9 @@ def _cmd_quotient(args, run: Run, payload, tol) -> int:
 def _cmd_verify(args, run: Run, payload, tol) -> int:
     results = verify.run_all(seed=run.seed, tol=tol)
     artifact = {"checks": [asdict(r) for r in results], "all_passed": all(r.passed for r in results)}
-    if not getattr(args, "json", False):
-        for r in results:
-            status = "PASS" if r.passed else "FAIL"
-            print(f"{status}  {r.name}  (worst residual {r.residual:.3e})")
-        print("all checks passed" if artifact["all_passed"] else "SOME CHECKS FAILED")
-        return EXIT_OK if artifact["all_passed"] else EXIT_FALSE
-    return run.emit(artifact, EXIT_OK if artifact["all_passed"] else EXIT_FALSE)
+    table = [f"{'PASS' if r.passed else 'FAIL'}  {r.name}  (worst residual {r.residual:.3e})" for r in results]
+    table.append("all checks passed" if artifact["all_passed"] else "SOME CHECKS FAILED")
+    return run.emit(artifact, EXIT_OK if artifact["all_passed"] else EXIT_FALSE, table)
 
 
 def build_parser() -> argparse.ArgumentParser:

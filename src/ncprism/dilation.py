@@ -296,15 +296,14 @@ def _fourier_base(a: np.ndarray, labels: np.ndarray) -> np.ndarray:
 def naimark_normal(povm: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DilationResult:
     """Dilate a POVM to a normal operator with spectrum at the outcome labels.
 
-    The isometry stacks the square roots of the effects; the normal
-    operator is the direct sum of label_j times the identity. Compression
-    returns sum(label_j h_j); effects that do not sum to the identity fail the
-    isometry residual.
+    The isometry stacks the square roots of the effects, taken by one
+    batched :func:`psd_sqrt`; the normal operator is the direct sum of
+    label_j times the identity. Compression returns sum(label_j h_j); effects
+    that do not sum to the identity fail the isometry residual.
     """
     n = povm.effects[0].shape[0]
     m = len(povm.effects)
-    blocks = [psd_sqrt(h, tol) for h in povm.effects]
-    z = np.vstack(blocks)
+    z = psd_sqrt(np.stack(povm.effects), tol).reshape(m * n, n)
     normal = np.zeros((m * n, m * n), dtype=complex)
     for j, label in enumerate(povm.outcome_labels):
         normal[j * n : (j + 1) * n, j * n : (j + 1) * n] = label * np.eye(n)

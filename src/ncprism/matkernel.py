@@ -165,40 +165,52 @@ def hermitize(a: np.ndarray) -> np.ndarray:
 
 
 def opnorm(a: np.ndarray) -> float:
-    """Spectral (operator 2-) norm."""
-    if a.size == 0:
+    """Spectral (operator 2-) norm; 0.0 without an SVD when no entry is
+    nonzero (the value the SVD gives), which includes the empty matrix."""
+    if not a.any():
         return 0.0
     return float(np.linalg.norm(a, 2))
 
 
 def opnorms(stack: np.ndarray) -> np.ndarray:
-    """Spectral norm of each slice of an (m, n, n) stack, by one batched SVD."""
+    """Spectral norm of each slice of an (..., n, n) stack, by one batched
+    SVD; zeros without one when no entry of the stack is nonzero."""
+    if not stack.any():
+        return np.zeros(stack.shape[:-2])
     return np.linalg.svd(stack, compute_uv=False)[..., 0]
 
 
 def is_hermitian(a: np.ndarray, tol: float) -> bool:
-    """||A - A*|| <= tol * max(1, ||A||); ||A|| is computed only when the
-    skew part exceeds tol, since otherwise the verdict cannot depend on it."""
-    skew = opnorm(a - dagger(a))
-    return skew <= tol or skew <= tol * opnorm(a)
+    """||A - A*|| <= tol * max(1, ||A||), for a matrix or for every slice of
+    an (..., n, n) stack; the norms of A are computed only when some skew
+    part exceeds tol, since otherwise the verdict cannot depend on them."""
+    skew = opnorms(a - dagger(a))
+    return bool((skew <= tol).all() or (skew <= tol * np.maximum(1.0, opnorms(a))).all())
 
 
 def require_hermitian(a: np.ndarray, tol: float, what: str = "matrix") -> None:
-    if a.shape[0] != a.shape[1]:
+    """Raise unless ``a`` (a matrix, or each slice of a stack) is square and
+    Hermitian by :func:`is_hermitian`."""
+    if a.shape[-2] != a.shape[-1]:
         raise ShapeMismatchError(f"{what} must be square, got shape {a.shape}")
     if not is_hermitian(a, tol):
         raise NotHermitianError(
-            f"{what} is not Hermitian: ||A - A*|| = {opnorm(a - dagger(a)):.3e}"
+            f"{what} is not Hermitian: ||A - A*|| = {opnorms(a - dagger(a)).max():.3e}"
         )
 
 
 def psd_sqrt(h, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Positive square root of a positive semidefinite Hermitian matrix.
+    """Positive square root of a positive semidefinite Hermitian matrix, or
+    of each slice of an (..., n, n) stack by one batched ``eigh``.
 
     Eigenvalues in ``[-psd_clamp, 0)`` are clamped to zero; an eigenvalue
     below ``-psd_clamp`` raises :class:`NotPSDError`.
     """
-    h = as_matrix(h)
+    h = np.asarray(h, dtype=complex)
+    if h.ndim < 3:
+        h = as_matrix(h)
+    elif not np.isfinite(h).all():
+        raise ValueError("matrix entries must be finite")
     require_hermitian(h, tol.alg_tol, "psd_sqrt input")
     w, u = np.linalg.eigh(hermitize(h))
     if w.min(initial=0.0) < -tol.psd_clamp:
@@ -206,7 +218,7 @@ def psd_sqrt(h, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
             f"matrix has eigenvalue {w.min():.3e} below -psd_clamp={-tol.psd_clamp:.1e}"
         )
     w = np.clip(w, 0.0, None)
-    return hermitize((u * np.sqrt(w)) @ dagger(u))
+    return hermitize((u * np.sqrt(w)[..., None, :]) @ dagger(u))
 
 
 def clamp_spectrum(stack: np.ndarray, floor: float) -> np.ndarray:
@@ -342,7 +354,8 @@ def _interior_point(base, directions, band: tuple[float, float], t_lo: float, ca
     m, n, _ = base.shape
     eye = np.broadcast_to(np.eye(n), base.shape)
     a, pair, b = _constraints(directions, eye)
-    gram = (pair @ a.reshape(len(a), -1).T).real
+    flat = a.reshape(len(a), -1)
+    gram = (pair @ flat.T).real
     width = pair.shape[1]
     # By interlacing, a constraint matrix of full rank has a directions block
     # of full rank too.
@@ -368,12 +381,12 @@ def _interior_point(base, directions, band: tuple[float, float], t_lo: float, ca
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             while True:
-                s = hermitize(base - np.tensordot(z, a, axes=1))
+                s = hermitize(base - (z @ flat).reshape(base.shape))
                 w, u = np.linalg.eigh(s)
                 if z[-1] + w.min() > t_lo:
                     y, t_lo = z[:-1].copy(), float(z[-1] + w.min())
                 shift = np.linalg.solve(gram, b - (pair @ x.ravel()).real)
-                projected = hermitize(x + np.tensordot(shift, a, axes=1))
+                projected = hermitize(x + (shift @ flat).reshape(x.shape))
                 if np.linalg.eigvalsh(projected).min() >= 0.0:
                     bound = float(np.vdot(base, projected).real)
                     if bound < t_hi and _meets(projected, checked, target, slack_cut):
@@ -381,9 +394,10 @@ def _interior_point(base, directions, band: tuple[float, float], t_lo: float, ca
                 decided = t_lo >= high or t_hi < low or (t_lo >= low and t_hi < high)
                 if decided or t_hi - t_lo <= _LMI_GAP or steps == _LMI_STEPS:
                     break
-                dz, ds, dx = _newton_step(x, s, (u / w[..., None, :]) @ dagger(u), a, pair, b)
-                x = x + _step_length(x, dx) * dx
-                z = z + _step_length(s, ds) * dz
+                s_inv = (u / w[..., None, :]) @ dagger(u)
+                dz, dx, (step_x, step_z) = _newton_step(x, s, s_inv, a, pair, b)
+                x = x + step_x * dx
+                z = z + step_z * dz
                 steps += 1
     except (np.linalg.LinAlgError, FloatingPointError):
         pass
@@ -449,38 +463,50 @@ def _floor(stack: np.ndarray) -> float:
 
 def _newton_step(x, s, s_inv, a, pair, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mehrotra's predictor-corrector on the HKM direction at (x, s): the
-    steps (dz, dS, dX), with dS = -sum_i dz_i A_i.
+    steps dz and dX (dS = -sum_i dz_i A_i), and the lengths to take them by,
+    for x and for z.
 
     Linearising X S = sigma mu 1 with A(dX) = b - A(X) and dS = -A^T(dz)
     gives dX = W - X dS S^-1 (then hermitized) and the Schur system
     M dz = b - A(W + X), M_ij = Re tr(A_i X A_j S^-1), with
     W = -X for the predictor and W = sigma mu S^-1 - X - dX' dS' S^-1 for the
     corrector, sigma = (mu' / mu)^3 from the predictor's reach mu'.
+
+    X and S are factored once, by one batched Cholesky factorisation and
+    inverse, and the predictor's reach and the corrector's step each take
+    both step lengths from one batched ``eigvalsh`` (:func:`_step_lengths`).
     """
     size = x.shape[0] * x.shape[1]
+    flat = a.reshape(len(a), -1)
+    factors = np.linalg.inv(np.linalg.cholesky(np.stack([x, s])))
     schur = (pair @ (x[None] @ a @ s_inv[None]).reshape(len(a), -1).T).real
     schur = (schur + schur.T) / 2.0
 
     def solve(rhs, w):
         dz = np.linalg.solve(schur, rhs)
-        ds = -np.tensordot(dz, a, axes=1)
-        return dz, ds, hermitize(w - x @ ds @ s_inv)
+        ds = -(dz @ flat).reshape(x.shape)
+        dx = hermitize(w - x @ ds @ s_inv)
+        return dz, ds, dx, _step_lengths(factors, np.stack([dx, ds]))
 
-    dz, ds, dx = solve(b, -x)
+    dz, ds, dx, (step_x, step_s) = solve(b, -x)
     mu = np.vdot(x, s).real / size
-    reach = np.vdot(x + _step_length(x, dx) * dx, s + _step_length(s, ds) * ds).real / size
+    reach = np.vdot(x + step_x * dx, s + step_s * ds).real / size
     target = (reach / mu) ** 3 * mu
     second = dx @ ds @ s_inv
     rhs = b - target * (pair @ s_inv.ravel()).real + (pair @ second.ravel()).real
-    return solve(rhs, target * s_inv - x - second)
+    dz, _, dx, steps = solve(rhs, target * s_inv - x - second)
+    return dz, dx, steps
 
 
-def _step_length(x: np.ndarray, dx: np.ndarray) -> float:
-    """The largest step in (0, 1] that goes at most ``_LMI_REACH`` of the way
-    from the positive definite stack x to the PSD boundary along dx."""
-    root = np.linalg.inv(np.linalg.cholesky(x))
-    low = float(np.linalg.eigvalsh(hermitize(root @ dx @ dagger(root))).min())
-    return min(1.0, _LMI_REACH / -low) if low < 0.0 else 1.0
+def _step_lengths(factors: np.ndarray, moves: np.ndarray) -> np.ndarray:
+    """For each positive definite stack P = L L*, given by ``factors`` L^-1,
+    and its move dP in ``moves``: the largest step in (0, 1] that goes at
+    most ``_LMI_REACH`` of the way from P to the PSD boundary along dP. One
+    batched ``eigvalsh`` of the L^-1 dP L^-* serves every pair."""
+    low = np.linalg.eigvalsh(hermitize(factors @ moves @ dagger(factors)))
+    low = low.reshape(len(moves), -1).min(axis=1)
+    # min(1, reach / -low) for low < 0 and 1 otherwise, without dividing by 0.
+    return _LMI_REACH / np.maximum(-low, _LMI_REACH)
 
 
 def commutant_dimension(

@@ -356,17 +356,35 @@ def refuted_residuals(
 ) -> list[Residual]:
     """The witness evaluation of ``e`` has an eigenvalue at or below -spec_tol.
     The witness pair's own identities are ``reps.pair_residuals``."""
-    return [("witness_min_eigenvalue", min_eigenvalue(e, verdict.witness), -tol.spec_tol)]
+    return _refuted(e, verdict.witness, tol)[1]
+
+
+def _refuted(
+    e: PrismElement, witness: RepPair, tol: ToleranceConfig
+) -> tuple[Refuted, list[Residual]]:
+    """The verdict that ``witness`` refutes ``e`` and its residuals, from one
+    evaluation of ``e`` at the witness."""
+    low = min_eigenvalue(e, witness)
+    return Refuted(witness, low), [("witness_min_eigenvalue", low, -tol.spec_tol)]
 
 
 def certified_residuals(
     e: PrismElement, verdict: Certified, tol: ToleranceConfig = DEFAULT_TOL
 ) -> list[Residual]:
     """The lift maps onto ``e`` and its blocks are >= STRICT_MARGIN (less psd_clamp)."""
-    shortfall = STRICT_MARGIN - verdict.lift.min_block_eigenvalue()
-    return [
-        ("lift_maps_to_element", element_distance(psi_k(verdict.lift), e), tol.spec_tol),
-        ("lift_strictly_positive", shortfall, tol.psd_clamp),
+    return _certified(e, verdict.lift, tol)[1]
+
+
+def _certified(
+    e: PrismElement, lift: DiagTuple, tol: ToleranceConfig
+) -> tuple[Certified, list[Residual]]:
+    """The verdict that ``lift`` certifies ``e`` and its residuals, from one
+    image of the lift and one pass over its block eigenvalues."""
+    low = lift.min_block_eigenvalue()
+    distance = element_distance(psi_k(lift), e)
+    return Certified(lift, low, distance), [
+        ("lift_maps_to_element", distance, tol.spec_tol),
+        ("lift_strictly_positive", STRICT_MARGIN - low, tol.psd_clamp),
     ]
 
 
@@ -408,18 +426,12 @@ def matrix_positivity_prism(e: PrismElement, tol: ToleranceConfig = DEFAULT_TOL)
     result = lmi_floor(base, directions, (-tol.spec_tol, STRICT_MARGIN))
     if result.t_lo >= STRICT_MARGIN:
         blocks = hermitize(base + np.tensordot(result.y, directions, axes=1))
-        lift = DiagTuple(e.k, e.q, list(blocks))
-        verdict = Certified(
-            lift=lift,
-            min_block_eigenvalue=lift.min_block_eigenvalue(),
-            residual=element_distance(psi_k(lift), e),
-        )
-        require(certified_residuals(e, verdict, tol), RelationCheckFailedError, "certificate")
+        verdict, residuals = _certified(e, DiagTuple(e.k, e.q, list(blocks)), tol)
+        require(residuals, RelationCheckFailedError, "certificate")
         return verdict
     if result.t_hi < -tol.spec_tol:
-        witness = _dual_witness(result.x, e.k, tol)
-        verdict = Refuted(witness=witness, min_eigenvalue=min_eigenvalue(e, witness))
-        require(refuted_residuals(e, verdict, tol), RelationCheckFailedError, "refutation")
+        verdict, residuals = _refuted(e, _dual_witness(result.x, e.k, tol), tol)
+        require(residuals, RelationCheckFailedError, "refutation")
         return verdict
     bracket = f"[{result.t_lo:.3e}, {result.t_hi:.3e}]"
     if result.t_lo >= -tol.spec_tol and result.t_hi < STRICT_MARGIN:

@@ -325,6 +325,13 @@ class TestVerify:
         # Each row collects its own residuals; none reach the command's report.
         assert payload["report"]["checks"] == []
 
+    def test_out_writes_the_result_of_json_mode(self, capsys, monkeypatch, tmp_path):
+        target = tmp_path / "verify.json"
+        code, out, _ = run_cli(capsys, monkeypatch, ["verify", "all", "--out", str(target)])
+        assert code == 0 and f"wrote {target}" in out
+        _, json_out, _ = run_cli(capsys, monkeypatch, ["verify", "all", "--json"])
+        assert json.loads(target.read_text()) == json.loads(json_out)["result"]
+
 
 EMPTY = {"rows": 0, "cols": 0, "data": []}
 

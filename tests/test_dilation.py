@@ -33,6 +33,7 @@ from ncprism.errors import (
     InvalidPovmError,
     NormExceedsOneError,
     NotHermitianError,
+    NotPSDError,
     NumericalRangeOutsideTriangleError,
     OrderMismatchError,
 )
@@ -164,6 +165,23 @@ class TestNaimark:
             naimark_normal(
                 Povm([np.array([[0.9]]), np.array([[0.3]])], [1.0, -1.0])
             )
+
+    @pytest.mark.parametrize("k", [3, 4, 6])
+    def test_effect_eigenvalue_at_the_clamp_edge(self, k):
+        # Effects diag(low, 1/k), diag(2/k - low, 1/k), then 1/k: they sum to
+        # the identity, and one batched root takes all k of them.
+        clamp = DEFAULT_TOL.psd_clamp
+
+        def povm(low):
+            effects = np.stack([np.eye(2, dtype=complex) / k] * k)
+            effects[0, 0, 0], effects[1, 0, 0] = low, 2.0 / k - low
+            return Povm(list(effects), fourier_matrix(k)[:, 1].tolist())
+
+        result = naimark_normal(povm(-clamp / 2))
+        assert result.isometry[0, 0] == 0.0
+        assert within_bounds(naimark_residuals(povm(-clamp / 2), result))
+        with pytest.raises(NotPSDError):
+            naimark_normal(povm(-2 * clamp))
 
 
 class TestOrderKPovm:
@@ -358,6 +376,19 @@ class TestJointPrismDilation:
         a, _ = random_prism_point(rng, 3, 3, scale=0.8)
         for contraction in (b, u @ b @ dagger(u)):
             self.assert_symmetry_of_carried_b(a, contraction, 3, math.sqrt(DEFAULT_TOL.psd_clamp))
+
+    @pytest.mark.parametrize("k", [3, 4, 6])
+    def test_norm_at_the_clamp_edge(self, k):
+        # ||b|| = 1 and 1 + psd_clamp/2 give a checked pair; 1 + 2 psd_clamp
+        # is refused.
+        clamp = DEFAULT_TOL.psd_clamp
+        a, _ = random_prism_point(np.random.default_rng(k), 2, k, scale=0.5)
+        for top in (1.0, 1.0 + clamp / 2):
+            b = np.diag([top, -0.4])
+            pair, g = joint_prism_dilation(a, b, k)
+            assert within_bounds([*pair_residuals(pair), *joint_residuals(a, b, pair, g)])
+        with pytest.raises(NormExceedsOneError):
+            joint_prism_dilation(a, np.diag([1.0 + 2 * clamp, -0.4]), k)
 
     def test_singular_effects_on_a_triangle_edge(self):
         # Points on the edge [1, omega] and at the vertex omega^2: the effects

@@ -15,7 +15,9 @@ from ncprism.errors import (
     ShapeMismatchError,
 )
 from ncprism.matkernel import (
+    _LMI_REACH,
     ToleranceConfig,
+    _step_lengths,
     clamp_spectrum,
     commutant_dimension,
     compress,
@@ -28,6 +30,7 @@ from ncprism.matkernel import (
     lmi_floor,
     measured,
     opnorm,
+    opnorms,
     order_residuals,
     psd_sqrt,
     support_value,
@@ -94,6 +97,110 @@ class TestPsdSqrt:
             s = psd_sqrt(h)
             assert opnorm(s @ s - h) <= 1e-8 * (1 + opnorm(h))
             assert np.linalg.eigvalsh(s).min() >= -1e-12
+
+    def test_stack_matches_slice_by_slice(self):
+        rng = np.random.default_rng(11)
+        raw = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
+        stack = raw @ dagger(raw)
+        stack[1, 2] = np.diag([1.0, -0.5e-12, 2.0, 0.0])
+        roots = psd_sqrt(stack)
+        assert roots.shape == stack.shape
+        for index in np.ndindex(stack.shape[:2]):
+            assert np.abs(roots[index] - psd_sqrt(stack[index])).max() <= 1e-15
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (np.diag([1.0, -0.1]), NotPSDError),
+            (np.array([[0.0, 1.0], [0.0, 0.0]]), NotHermitianError),
+            (np.diag([np.nan, 1.0]), ValueError),
+        ],
+        ids=["indefinite", "non_hermitian", "nan"],
+    )
+    def test_stack_raises_as_its_bad_slice(self, bad, error):
+        for h in (bad, np.stack([np.eye(2), bad]), np.stack([[np.eye(2)], [bad]])):
+            with pytest.raises(error):
+                psd_sqrt(h)
+
+    def test_stack_must_have_square_slices(self):
+        with pytest.raises(ShapeMismatchError):
+            psd_sqrt(np.zeros((2, 2, 3)))
+
+    def test_hermiticity_is_judged_per_slice(self):
+        # A skew part of 1e-7 passes next to a norm of 1e4 (tol 1e-10 times
+        # the norm) but not next to a norm of 1, whatever the other slices.
+        skew = 1e-7 * np.array([[0.0, 1.0], [0.0, 0.0]])
+        large, small = 1e4 * np.eye(2) + skew, np.eye(2) + skew
+        psd_sqrt(np.stack([large, np.eye(2)]))
+        with pytest.raises(NotHermitianError):
+            psd_sqrt(np.stack([large, small]))
+
+
+class TestOpnormZero:
+    """An argument with no nonzero entry has norm 0.0, taken without an SVD."""
+
+    @pytest.mark.parametrize(
+        "zero",
+        [np.zeros((3, 3)), -np.zeros((3, 3)), np.full((3, 3), complex(-0.0, -0.0)), np.zeros((0, 0))],
+        ids=["zero", "negative_zero", "complex_zero", "empty"],
+    )
+    def test_zero_gives_positive_zero_without_an_svd(self, monkeypatch, zero):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("SVD of a zero argument")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        monkeypatch.setattr(np.linalg, "norm", no_svd)
+        assert opnorm(zero) == 0.0 and not math.copysign(1.0, opnorm(zero)) < 0
+        norms = opnorms(np.stack([zero, zero]))
+        assert norms.shape == (2,) and np.array_equal(norms, [0.0, 0.0])
+        assert not np.signbit(norms).any()
+
+    def test_nan_is_left_to_the_svd(self):
+        # NaN is nonzero, so the SVD decides, as without the zero path: LAPACK
+        # either reports no convergence or returns NaN.
+        nan = np.array([[np.nan, 0.0], [0.0, 0.0]])
+        for norm_of, arg in ((opnorm, nan), (opnorms, np.stack([np.eye(2), nan]))):
+            try:
+                value = norm_of(arg)
+            except np.linalg.LinAlgError:
+                continue
+            assert np.isnan(value).any()
+
+    def test_empty_stack_has_no_norms(self):
+        assert opnorms(np.zeros((0, 2, 2))).shape == (0,)
+
+
+class TestStepLengths:
+    """The batched step lengths of the Newton step against the Cholesky
+    route: the largest step in (0, 1] going at most _LMI_REACH of the way to
+    the PSD boundary, from L^-1 dP L^-* with P = L L*."""
+
+    @staticmethod
+    def cholesky_route(p, dp):
+        root = np.linalg.inv(np.linalg.cholesky(p))
+        low = float(np.linalg.eigvalsh(hermitize(root @ dp @ dagger(root))).min())
+        return min(1.0, _LMI_REACH / -low) if low < 0.0 else 1.0
+
+    @settings(max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 4),
+        n=st.integers(1, 4),
+        scale=st.sampled_from([1e-3, 1.0, 30.0]),
+    )
+    def test_batched_lengths_match_the_cholesky_route(self, seed, m, n, scale):
+        rng = np.random.default_rng(seed)
+        raw, moves = (
+            rng.standard_normal((2, m, n, n)) + 1j * rng.standard_normal((2, m, n, n))
+            for _ in range(2)
+        )
+        x, s = hermitize(raw @ dagger(raw)) + 0.1 * np.eye(n)
+        dx, ds = scale * hermitize(moves)
+        factors = np.linalg.inv(np.linalg.cholesky(np.stack([x, s])))
+        lengths = _step_lengths(factors, np.stack([dx, ds]))
+        assert lengths.shape == (2,)
+        assert abs(lengths[0] - self.cholesky_route(x, dx)) <= 1e-12
+        assert abs(lengths[1] - self.cholesky_route(s, ds)) <= 1e-12
 
 
 class TestCommutant:
