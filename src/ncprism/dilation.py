@@ -38,6 +38,7 @@ from .matkernel import (
     DEFAULT_TOL,
     Residual,
     ToleranceConfig,
+    _exact_diagonal,
     as_matrix,
     clamp_spectrum,
     compress,
@@ -123,12 +124,18 @@ def povm_residuals(effects, labels, a, tol: ToleranceConfig = DEFAULT_TOL) -> li
 
     ``effects`` is a list of n x n effects or their (k, n, n) stack."""
     effects = np.asarray(effects)
+    return _povm_residuals(effects, labels, a, np.linalg.eigvalsh(hermitize(effects)), tol)
+
+
+def _povm_residuals(effects, labels, a, spectra, tol: ToleranceConfig) -> list[Residual]:
+    """:func:`povm_residuals` of an effect stack whose (k, n) eigenvalues,
+    those of its Hermitian parts, are ``spectra``."""
     gaps = np.stack([
         np.tensordot(np.asarray(labels), effects, axes=1) - a,
         effects.sum(axis=0) - np.eye(a.shape[0]),
     ])
     moment_gap, sum_gap = opnorms(gaps)
-    lowest = np.linalg.eigvalsh(hermitize(effects)).min(axis=-1)
+    lowest = spectra.min(axis=-1)
     return [
         ("first_moment", float(moment_gap), tol.spec_tol),
         ("sum_to_identity", float(sum_gap), tol.spec_tol),
@@ -186,8 +193,17 @@ def halmos_symmetry(b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     base = _contraction_defect_base(b, norm)
     n = b.shape[0]
     d = psd_sqrt(np.eye(n) - base @ base, tol)
-    s = np.block([[b, d], [d, -b]])
+    s = _symmetry_block(b, d)
     require(halmos_symmetry_residuals(b, s, tol), NotSymmetryError, "halmos_symmetry")
+    return s
+
+
+def _symmetry_block(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The block matrix [[P, Q], [Q, -P]] of two m x m blocks."""
+    m = len(p)
+    s = np.empty((2 * m, 2 * m), dtype=complex)
+    s[:m, :m], s[:m, m:], s[m:, :m] = p, q, q
+    np.negative(p, out=s[m:, m:])
     return s
 
 
@@ -233,26 +249,38 @@ def triangle_povm(a, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
     Fourier-minimal effects (1 + omega^-j a + omega^j a*)/3, the only
     decomposition. On W(a) just outside the triangle they follow the band rule
     of :func:`order_k_povm` with k = 3, their smallest eigenvalue as the floor.
+
+    One batched ``eigvalsh`` of the effects decides membership as well: the
+    slack of the facet opposite the vertex omega^j, facet (j + 1) mod 3 of
+    ``convexity.make_polygon(3)``, is 3/2 lambda_min(h_j), and W(a) lies in
+    the triangle when the smallest slack, the first in facet order, is
+    >= -spec_tol. The same eigenvalues give ``effects_positive`` unless the
+    band rule changed the effects.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatchError("triangle_povm requires a square matrix")
-    re, im = real_imag_parts(a)
-    verdict = max_member([re, im], make_polygon(3), tol)
-    if not verdict.member:
-        raise NumericalRangeOutsideTriangleError(
-            f"numerical range leaves the triangle: facet {verdict.facet_index} "
-            f"violated by {-verdict.margin:.3e}"
-        )
     labels = fourier_matrix(3)[:, 1]
     effects = _fourier_base(a, labels)
-    if verdict.margin <= 0.0:
-        # The smallest effect eigenvalue is 2/3 of the facet margin, so only a
-        # boundary input needs it; the decomposition is unique, so it is exact.
-        floor = float(np.linalg.eigvalsh(effects).min())
-        effects = _settle(effects, floor, floor, 0, tol.spec_tol / (4 * 3))
-    require(povm_residuals(effects, labels, a, tol), InvalidPovmError, "triangle_povm")
-    return Povm(list(effects), labels.tolist())
+    spectra = np.linalg.eigvalsh(effects)
+    # Facet i is opposite the vertex omega^(i - 1): slacks in facet order.
+    slacks = 1.5 * spectra.min(axis=-1)[[2, 0, 1]]
+    margin = float(slacks.min())
+    if not margin >= -tol.spec_tol:
+        # Slacks equal up to the rounding of the effects (two facets meeting
+        # at a vertex) name the first of them, as exact slacks would.
+        tie = 16 * np.finfo(float).eps * max(1.0, float(np.abs(spectra).max()))
+        facet = int(np.argmax(slacks <= margin + tie))
+        raise NumericalRangeOutsideTriangleError(
+            f"numerical range leaves the triangle: facet {facet} violated by {-margin:.3e}"
+        )
+    # The decomposition is unique, so its smallest eigenvalue is the exact floor.
+    floor = float(spectra.min())
+    settled = _settle(effects, floor, floor, 0, tol.spec_tol / (4 * 3))
+    if settled is not effects:
+        spectra = np.linalg.eigvalsh(settled)
+    require(_povm_residuals(settled, labels, a, spectra, tol), InvalidPovmError, "triangle_povm")
+    return Povm(list(settled), labels.tolist())
 
 
 def _settle(effects: np.ndarray, t_lo: float, t_hi: float, steps: int, band: float) -> np.ndarray:
@@ -319,11 +347,18 @@ def naimark_residuals(
     matrix of the labels (so normal with spectrum at the labels)."""
     z, nd = result.isometry, result.operators[0]
     moment = sum(label * h for label, h in zip(povm.outcome_labels, povm.effects))
-    diagonal = np.diag(np.repeat(povm.outcome_labels, z.shape[1]))
+    labels = np.repeat(povm.outcome_labels, z.shape[1])
+    # An exactly diagonal N acts through its diagonal, and its entries off
+    # the diagonal add nothing to the largest deviation from the labels.
+    d = _exact_diagonal(nd)
+    if d is None:
+        nz, deviation = nd @ z, nd - np.diag(labels)
+    else:
+        nz, deviation = d[:, None] * z, d - labels
     return [
         ("isometry", opnorm(dagger(z) @ z - np.eye(z.shape[1])), tol.spec_tol),
-        ("compression", opnorm(dagger(z) @ nd @ z - moment), tol.spec_tol),
-        ("labels_on_diagonal", float(np.abs(nd - diagonal).max()), tol.alg_tol),
+        ("compression", opnorm(dagger(z) @ nz - moment), tol.spec_tol),
+        ("labels_on_diagonal", float(np.abs(deviation).max()), tol.alg_tol),
     ]
 
 
@@ -445,11 +480,17 @@ def _carried_symmetry(b_tilde, z, base, tol: ToleranceConfig) -> np.ndarray:
     n = z.shape[1]
     root = psd_sqrt(np.eye(n) - base @ base, tol)
     d = hermitize(np.eye(z.shape[0]) + z @ (root - np.eye(n)) @ dagger(z))
-    return np.block([[b_tilde, d], [d, -b_tilde]])
+    return _symmetry_block(b_tilde, d)
 
 
 def _v_compression(b, pair: RepPair, g, tol: ToleranceConfig) -> Residual:
-    return ("v_compression", opnorm(dagger(g) @ pair.v @ g - b), tol.spec_tol)
+    """G* V G = b; for G = [Z; 0] with an exactly zero lower half, as
+    :func:`_dilate_povm` builds it, G* V G is Z* V_11 Z."""
+    rows = g.shape[0] // 2
+    if g[rows:].any():
+        rows = g.shape[0]
+    z = g[:rows]
+    return ("v_compression", opnorm(dagger(z) @ pair.v[:rows, :rows] @ z - b), tol.spec_tol)
 
 
 def joint_residuals(a, b, pair: RepPair, g, tol: ToleranceConfig = DEFAULT_TOL) -> list[Residual]:

@@ -156,7 +156,7 @@ def as_matrix(a) -> np.ndarray:
 
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose; on an (m, n, n) stack, of each slice."""
-    return np.swapaxes(a.conj(), -1, -2)
+    return a.conj().swapaxes(-1, -2)
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -182,9 +182,15 @@ def opnorms(stack: np.ndarray) -> np.ndarray:
 
 def is_hermitian(a: np.ndarray, tol: float) -> bool:
     """||A - A*|| <= tol * max(1, ||A||), for a matrix or for every slice of
-    an (..., n, n) stack; the norms of A are computed only when some skew
-    part exceeds tol, since otherwise the verdict cannot depend on them."""
-    skew = opnorms(a - dagger(a))
+    an (..., n, n) stack. Skew parts whose Frobenius norm, over the whole
+    stack, is at most tol pass without an SVD, since the Frobenius norm
+    bounds the spectral norm of each; the norms of A are computed only when
+    some skew part exceeds tol, since otherwise the verdict cannot depend on
+    them."""
+    skew = a - dagger(a)
+    if _frobenius(skew) <= tol:
+        return True
+    skew = opnorms(skew)
     return bool((skew <= tol).all() or (skew <= tol * np.maximum(1.0, opnorms(a))).all())
 
 
@@ -254,11 +260,13 @@ def hermitian_basis(n: int) -> np.ndarray:
 
 
 # lmi_floor's cap on Newton steps, its stopping gap t_hi - t_lo (absolute, as
-# its callers pose problems with O(1) data), and the fraction of the way to
-# the boundary of the PSD cone that one step may go.
+# its callers pose problems with O(1) data), the fraction of the way to the
+# boundary of the PSD cone that one step may go, and how many times a step
+# whose iterate fails to factor is halved and taken again.
 _LMI_STEPS = 50
 _LMI_GAP = 1e-12
 _LMI_REACH = 0.95
+_LMI_HALVINGS = 8
 
 
 @dataclass(frozen=True)
@@ -291,7 +299,10 @@ def lmi_floor(base, directions, band: tuple[float, float]) -> FloorResult:
     y reaches it; or low <= t_lo and t_hi < high, a bracket inside the band.
     A band (t, t) asks whether the floor reaches t. Otherwise it leaves a
     bracket after ``_LMI_STEPS`` Newton steps, at a gap of ``_LMI_GAP`` or
-    at a step that fails numerically (no ``LinAlgError`` escapes). Before
+    at a step that fails numerically (no ``LinAlgError`` escapes). A step
+    whose new iterate (X, S) is not positive definite in rounding, so that
+    its Cholesky factorisation fails, is taken again from the last good
+    iterate at half the step lengths, up to ``_LMI_HALVINGS`` times. Before
     return the floor of y is recomputed with a batched ``eigvalsh``, and x
     was accepted only with no negative eigenvalue and with sum tr x = 1 and
     <D_i, x> = 0 to rounding for the caller's directions. Rank is judged
@@ -315,8 +326,9 @@ def lmi_floor(base, directions, band: tuple[float, float]) -> FloorResult:
     S is recomputed from (y, t), so the dual iterates stay feasible; each
     primal iterate, projected onto the linear constraints, is a bound once
     the projection is PSD. A Newton step solves one (p+1) x (p+1) Schur
-    system (a predictor and a corrector right-hand side), built from the
-    products X A_j S^-1: O(p m n^3 + p^2 m n^2 + p^3) flops, with
+    system (a predictor and a corrector right-hand side), built block by
+    block from the products X_b A_jb S_b^-1 (:func:`_schur`):
+    O(p m n^3 + p^2 m n^2 + p^3) flops, with
     p = (k-3) n^2 for a positive decomposition over the k-th roots of unity
     at level n and p = q^2 for a level-q lift through the prism quotient.
     The method is deterministic and draws no random numbers.
@@ -355,6 +367,8 @@ def _interior_point(base, directions, band: tuple[float, float], t_lo: float, ca
     eye = np.broadcast_to(np.eye(n), base.shape)
     a, pair, b = _constraints(directions, eye)
     flat = a.reshape(len(a), -1)
+    # Block b of `cols` is the row of blocks [A_1b | ... | A_Pb].
+    cols = a.transpose(1, 2, 0, 3).reshape(m, n, -1)
     gram = (pair @ flat.T).real
     width = pair.shape[1]
     # By interlacing, a constraint matrix of full rank has a directions block
@@ -377,7 +391,7 @@ def _interior_point(base, directions, band: tuple[float, float], t_lo: float, ca
     y = np.zeros(len(directions))
     x = eye / (m * n)
     z = np.append(y, t_lo - 1.0)
-    t_hi, x_hi, steps = math.inf, None, 0
+    t_hi, x_hi, steps, halvings = math.inf, None, 0, 0
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             while True:
@@ -394,10 +408,22 @@ def _interior_point(base, directions, band: tuple[float, float], t_lo: float, ca
                 decided = t_lo >= high or t_hi < low or (t_lo >= low and t_hi < high)
                 if decided or t_hi - t_lo <= _LMI_GAP or steps == _LMI_STEPS:
                     break
+                try:
+                    factors = np.linalg.inv(np.linalg.cholesky(np.stack([x, s])))
+                except np.linalg.LinAlgError:
+                    # The last step left the cone in rounding: take it again
+                    # from the last good iterate at half its lengths.
+                    if steps == 0 or halvings == _LMI_HALVINGS:
+                        break
+                    halvings += 1
+                    step_x, step_z = step_x / 2.0, step_z / 2.0
+                    x, z = x_good + step_x * dx, z_good + step_z * dz
+                    continue
+                halvings = 0
                 s_inv = (u / w[..., None, :]) @ dagger(u)
-                dz, dx, (step_x, step_z) = _newton_step(x, s, s_inv, a, pair, b)
-                x = x + step_x * dx
-                z = z + step_z * dz
+                dz, dx, (step_x, step_z) = _newton_step(x, s, s_inv, factors, (flat, cols, pair, b))
+                x_good, z_good = x, z
+                x, z = x + step_x * dx, z + step_z * dz
                 steps += 1
     except (np.linalg.LinAlgError, FloatingPointError):
         pass
@@ -461,10 +487,12 @@ def _floor(stack: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(hermitize(stack)).min())
 
 
-def _newton_step(x, s, s_inv, a, pair, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _newton_step(x, s, s_inv, factors, constraints) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mehrotra's predictor-corrector on the HKM direction at (x, s): the
     steps dz and dX (dS = -sum_i dz_i A_i), and the lengths to take them by,
-    for x and for z.
+    for x and for z. ``factors`` holds L^-1 for the Cholesky factors L of X
+    and of S, and ``constraints`` the constraint matrices A_i flattened, as
+    rows of blocks (see :func:`_schur`) and conjugated, then b.
 
     Linearising X S = sigma mu 1 with A(dX) = b - A(X) and dS = -A^T(dz)
     gives dX = W - X dS S^-1 (then hermitized) and the Schur system
@@ -472,15 +500,14 @@ def _newton_step(x, s, s_inv, a, pair, b) -> tuple[np.ndarray, np.ndarray, np.nd
     W = -X for the predictor and W = sigma mu S^-1 - X - dX' dS' S^-1 for the
     corrector, sigma = (mu' / mu)^3 from the predictor's reach mu'.
 
-    X and S are factored once, by one batched Cholesky factorisation and
-    inverse, and the predictor's reach and the corrector's step each take
-    both step lengths from one batched ``eigvalsh`` (:func:`_step_lengths`).
+    X and S are factored once per iterate, by one batched Cholesky
+    factorisation and inverse, and the predictor's reach and the corrector's
+    step each take both step lengths from one batched ``eigvalsh``
+    (:func:`_step_lengths`).
     """
+    flat, cols, pair, b = constraints
     size = x.shape[0] * x.shape[1]
-    flat = a.reshape(len(a), -1)
-    factors = np.linalg.inv(np.linalg.cholesky(np.stack([x, s])))
-    schur = (pair @ (x[None] @ a @ s_inv[None]).reshape(len(a), -1).T).real
-    schur = (schur + schur.T) / 2.0
+    schur = _schur(x, s_inv, cols, pair)
 
     def solve(rhs, w):
         dz = np.linalg.solve(schur, rhs)
@@ -496,6 +523,20 @@ def _newton_step(x, s, s_inv, a, pair, b) -> tuple[np.ndarray, np.ndarray, np.nd
     rhs = b - target * (pair @ s_inv.ravel()).real + (pair @ second.ravel()).real
     dz, _, dx, steps = solve(rhs, target * s_inv - x - second)
     return dz, dx, steps
+
+
+def _schur(x: np.ndarray, s_inv: np.ndarray, cols: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """The Schur matrix M_ij = Re tr(A_i X A_j S^-1), symmetrised, for the
+    (m, n, n) blocks X_b and S_b^-1 and constraint blocks A_ib given as the
+    rows of blocks ``cols``[b] = [A_1b | ... | A_Pb] and as the conjugated
+    flat rows ``pair``. Per block b, one product gives [X_b A_1b | ... |
+    X_b A_Pb] and one more, restacked, every (X_b A_ib) S_b^-1."""
+    m, n, _ = x.shape
+    count = cols.shape[-1] // n
+    left = (x @ cols).reshape(m, n, count, n).transpose(0, 2, 1, 3).reshape(m, count * n, n)
+    products = (left @ s_inv).reshape(m, count, n, n).swapaxes(0, 1).reshape(count, -1)
+    schur = (pair @ products.T).real
+    return (schur + schur.T) / 2.0
 
 
 def _step_lengths(factors: np.ndarray, moves: np.ndarray) -> np.ndarray:
@@ -769,17 +810,39 @@ def _exact_diagonal(u: np.ndarray) -> np.ndarray | None:
     return None if off_diagonal.any() else np.diagonal(u)
 
 
+def _halmos_half(s: np.ndarray) -> int | None:
+    """Half the size m of a square ``s`` = [[P, Q], [Q, -P]] of m x m blocks
+    whose lower blocks are exactly Q and -P (the form of a Halmos symmetry),
+    else None. Exact subtraction gives 0 only for equal finite entries."""
+    m, odd = divmod(s.shape[0], 2)
+    if odd or np.count_nonzero(s[m:, :m] - s[:m, m:]) or np.count_nonzero(s[m:, m:] + s[:m, :m]):
+        return None
+    return m
+
+
 def symmetry_residuals(s, tol: ToleranceConfig = DEFAULT_TOL) -> list[Residual]:
-    """``s`` is a symmetry: selfadjoint and squaring to the identity."""
+    """``s`` is a symmetry: selfadjoint and squaring to the identity.
+
+    In the Halmos block form s = [[P, Q], [Q, -P]] (:func:`_halmos_half`)
+    the lower block rows of S - S* and S^2 - 1 repeat the upper ones up to
+    order and sign, so both Frobenius norms are taken from the upper rows:
+    ||S - S*||^2 = 2 (||P - P*||^2 + ||Q - Q*||^2) and
+    ||S^2 - 1||^2 = 2 (||P^2 + Q^2 - 1||^2 + ||PQ - QP||^2), the upper row
+    of S^2 being [P, Q] S = [P^2 + Q^2, PQ - QP]."""
     if s.shape[0] != s.shape[1]:
         raise ShapeMismatchError("a symmetry must be square")
+    m = _halmos_half(s)
+    rows, scale = (len(s), 1.0) if m is None else (m, math.sqrt(2.0))
+    square = s[:rows] @ s
+    square.ravel()[:: len(s) + 1] -= 1.0
     return [
-        ("selfadjoint", _frobenius(s - dagger(s)), tol.spec_tol),
-        ("squares_to_identity", _frobenius(s @ s - np.eye(s.shape[0])), tol.spec_tol),
+        ("selfadjoint", scale * _frobenius(s[:rows] - dagger(s[:, :rows])), tol.spec_tol),
+        ("squares_to_identity", scale * _frobenius(square), tol.spec_tol),
     ]
 
 
 def _frobenius(a: np.ndarray) -> float:
-    """Frobenius norm: an upper bound on ``opnorm`` that needs no SVD, used for
-    the unitary, order and symmetry residuals of large dilations."""
-    return float(np.linalg.norm(a))
+    """Frobenius norm (of a stack, as one vector): an upper bound on ``opnorm``
+    that needs no SVD, used for the unitary, order and symmetry residuals of
+    large dilations and for the Hermitian test."""
+    return math.sqrt(np.vdot(a, a).real)

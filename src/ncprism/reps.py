@@ -225,52 +225,45 @@ def two_symmetry_canonical_form(
 ) -> CanonicalForm:
     """Decompose a pair of symmetries into 2x2 couplings plus characters.
 
-    With p = (1 + v1)/2 and q = (1 + v2)/2, the eigenvalues t of p q p
-    restricted to range(p) classify the pair: t within spec_tol of 1 or 0
-    gives a joint eigenvector (character), and interior t gives an
-    irreducible 2x2 block whose coupling satisfies (1 - coupling)/2 = t.
-    The returned conjugator reconstructs the input from the canonical pair.
+    With p = (1 + v1)/2 and q = (1 + v2)/2, the eigenvectors x of p q p on
+    range(p), with eigenvalues t, classify the pair by their coupling
+    c = ||(1 - p) q x|| = sqrt(t (1 - t)), the off-diagonal entry 2c of v2
+    that a joint eigenvector would drop: c <= spec_tol / 4 gives a character
+    (+1 if t > 1/2, else -1 for v2), and any larger c an irreducible 2x2
+    block whose coupling satisfies (1 - coupling)/2 = t. The eigenvectors of
+    (1 - p) q (1 - p) on range(1 - p) are classified alike by ||p q x||;
+    those that are not characters belong to the blocks. Near t = 0 or 1 the
+    coupling is taken from the vectors, not from t, whose rounding would
+    dominate sqrt(t). The returned conjugator reconstructs the input from
+    the canonical pair.
     """
     v1, v2 = as_matrix(v1), as_matrix(v2)
     require(symmetry_tuple_residuals([v1, v2], tol), NotSymmetryError, "canonical form input")
     if v1.shape != v2.shape:
         raise ShapeMismatchError("the two symmetries must have equal size")
     n = v1.shape[0]
-    cluster = tol.spec_tol
+    cut = tol.spec_tol / 4.0
 
     w1, u1vecs = np.linalg.eigh(hermitize(v1))
     plus = u1vecs[:, w1 > 0.0]
     minus = u1vecs[:, w1 <= 0.0]
     q = (np.eye(n) + hermitize(v2)) / 2.0
-    one_minus_p = minus @ dagger(minus)
 
     lambdas: list[float] = []
     pairs: list[tuple[float, np.ndarray, np.ndarray]] = []
     chars = {case: [] for case in CanonicalForm._char_cases}
 
-    if plus.shape[1] > 0:
-        m_plus = hermitize(dagger(plus) @ q @ plus)
-        tvals, tvecs = np.linalg.eigh(m_plus)
-        for t, vec in zip(tvals, tvecs.T):
-            x = plus @ vec
-            if t >= 1.0 - cluster:
-                chars[(1, 1)].append(x)
-            elif t <= cluster:
-                chars[(1, -1)].append(x)
-            else:
-                y = one_minus_p @ (q @ x)
-                y = y / np.linalg.norm(y)
-                pairs.append((1.0 - 2.0 * float(t), y, x))
-
-    if minus.shape[1] > 0:
-        m_minus = hermitize(dagger(minus) @ q @ minus)
-        tvals, tvecs = np.linalg.eigh(m_minus)
-        for t, vec in zip(tvals, tvecs.T):
-            if t >= 1.0 - cluster:
-                chars[(-1, 1)].append(minus @ vec)
-            elif t <= cluster:
-                chars[(-1, -1)].append(minus @ vec)
-            # Interior eigenvalues here belong to the 2x2 blocks found above.
+    for sign, inside, outside in ((1, plus, minus), (-1, minus, plus)):
+        tvals, tvecs = np.linalg.eigh(hermitize(dagger(inside) @ q @ inside))
+        xs = inside @ tvecs
+        across = outside @ (dagger(outside) @ (q @ xs))
+        couplings = np.linalg.norm(across, axis=0)
+        for t, x, y, c in zip(tvals, xs.T, across.T, couplings):
+            if c <= cut:
+                chars[(sign, 1 if t > 0.5 else -1)].append(x)
+            elif sign == 1:
+                pairs.append((1.0 - 2.0 * float(t), y / c, x))
+            # Coupled vectors of range(1 - p) belong to the blocks found above.
 
     pairs.sort(key=lambda item: item[0])
     columns = []

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,14 @@ from hypothesis import strategies as st
 
 from helpers import within_bounds
 
-from ncprism.convexity import random_hermitian_contraction, random_prism_point, real_imag_parts
+from ncprism import dilation
+from ncprism.convexity import (
+    make_polygon,
+    max_member,
+    random_hermitian_contraction,
+    random_prism_point,
+    real_imag_parts,
+)
 from ncprism.dilation import (
     GroupWord,
     Povm,
@@ -134,6 +142,77 @@ class TestTrianglePovm:
             triangle_povm(np.array([[1.2]]))
 
 
+class TestTriangleMembership:
+    """triangle_povm decides membership from the spectra of its effects as
+    max_member does from the facets' support values: the same verdict, error
+    class and facet index."""
+
+    SPEC = DEFAULT_TOL.spec_tol
+
+    @staticmethod
+    def outcome(a):
+        try:
+            triangle_povm(a)
+            return "povm", None
+        except NumericalRangeOutsideTriangleError as err:
+            return "outside", int(re.search(r"facet (\d)", str(err)).group(1))
+        except InfeasibleError:
+            return "infeasible", None
+
+    def expected(self, a):
+        verdict = max_member(list(real_imag_parts(a)), make_polygon(3))
+        if not verdict.member:
+            return "outside", verdict.facet_index
+        # The smallest effect eigenvalue is 2/3 of the margin; the band rule
+        # clamps it above -spec_tol / 12 and refuses it below.
+        return ("povm" if 2 * verdict.margin / 3 >= -self.SPEC / 12 else "infeasible"), None
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 5),
+        # The margin -spec_tol itself is the membership threshold, where
+        # rounding decides in either computation: it is approached from both
+        # sides at a relative 1e-6, as is the band edge -spec_tol / 8.
+        target=st.sampled_from(
+            [SPEC, -SPEC * (1 - 1e-6), -SPEC * (1 + 1e-6), 1e-9, -1e-9,
+             -SPEC / 8 * (1 - 1e-3), -SPEC / 8 * (1 + 1e-3), 0.1, -0.1]
+        ),
+    )
+    def test_margins_decide_as_max_member(self, seed, n, target):
+        # Inside the disc of radius 0.3 every slack is at least 0.2; moving a
+        # out along the worst facet's normal lowers that slack to the target
+        # and raises the others, so the worst facet stays the worst.
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a *= 0.3 / opnorm(a)
+        verdict = max_member(list(real_imag_parts(a)), make_polygon(3))
+        normal = np.exp(1j * np.pi * (2 * verdict.facet_index + 1) / 3)
+        a = a + (verdict.margin - target) * normal * np.eye(n)
+        assert self.outcome(a) == self.expected(a)
+
+    @pytest.mark.parametrize("j", range(3))
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("outward", [0.0, 1e-9, 3e-8, 1e-3, 0.5])
+    def test_vertex_ties_name_the_first_facet(self, j, n, outward):
+        # The two facets through the vertex omega^j tie, and both tests name
+        # the first of them in facet order.
+        a = (1.0 + outward) * OMEGA**j * np.eye(n)
+        outside = outward / 2 > self.SPEC
+        first = min(j, (j - 1) % 3)
+        assert self.outcome(a) == self.expected(a)
+        assert self.outcome(a) == (("outside", first) if outside else ("povm", None))
+
+    def test_no_support_values_are_taken(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("max_member called")
+
+        monkeypatch.setattr(dilation, "max_member", refuse)
+        triangle_povm(0.2 * np.eye(2))
+        with pytest.raises(NumericalRangeOutsideTriangleError, match="facet 0"):
+            triangle_povm(np.array([[1.2]]))
+
+
 class TestNaimark:
     def test_scalar_centroid(self):
         povm = Povm(
@@ -182,6 +261,37 @@ class TestNaimark:
         assert within_bounds(naimark_residuals(povm(-clamp / 2), result))
         with pytest.raises(NotPSDError):
             naimark_normal(povm(-2 * clamp))
+
+
+class TestStructuredResiduals:
+    """The Naimark and V-compression residuals apply an exactly diagonal N
+    through its diagonal and G = [Z; 0] through Z, with the values of the
+    dense products; any other N or G takes the dense products."""
+
+    def dense_naimark(self, povm, result):
+        z, nd = result.isometry, result.operators[0]
+        moment = sum(label * h for label, h in zip(povm.outcome_labels, povm.effects))
+        labels = np.diag(np.repeat(povm.outcome_labels, z.shape[1]))
+        return [opnorm(dagger(z) @ nd @ z - moment), np.abs(nd - labels).max()]
+
+    @pytest.mark.parametrize("shift", [0.0, 1e-6])
+    def test_naimark_values_match_the_dense_products(self, shift):
+        a, _ = random_prism_point(np.random.default_rng(5), 4, 3, scale=0.8)
+        povm = triangle_povm(a)
+        result = naimark_normal(povm)
+        result.operators[0][0, -1] += shift
+        values = [value for _, value, _ in naimark_residuals(povm, result)[1:]]
+        assert values == pytest.approx(self.dense_naimark(povm, result), rel=1e-12, abs=1e-15)
+        assert within_bounds(naimark_residuals(povm, result)) == (shift == 0.0)
+
+    @pytest.mark.parametrize("lower", [0.0, 1e-6])
+    def test_v_compression_matches_the_dense_product(self, lower):
+        rng = np.random.default_rng(6)
+        a, b = random_prism_point(rng, 4, 3, scale=0.8)
+        pair, g = joint_prism_dilation(a, b, 3)
+        g[-1, 0] += lower
+        (_, value, _), = joint_residuals(a, b, pair, g)[2:]
+        assert value == pytest.approx(opnorm(dagger(g) @ pair.v @ g - b), rel=1e-12, abs=1e-15)
 
 
 class TestOrderKPovm:

@@ -27,6 +27,7 @@ from ncprism.errors import (
 )
 from ncprism.finitefield import FiniteFieldSpec
 from ncprism.matkernel import (
+    DEFAULT_TOL,
     commutant_dimension,
     dagger,
     direct_sum,
@@ -149,6 +150,34 @@ class TestCanonicalForm:
     def test_rejects_non_symmetry(self):
         with pytest.raises(NotSymmetryError):
             two_symmetry_canonical_form(np.diag([0.5, 1.0]), np.eye(2))
+
+    @pytest.mark.parametrize("distance", [0.0, 0.5, 2.0, 10.0])
+    @pytest.mark.parametrize("near_one", [False, True])
+    @pytest.mark.parametrize("conjugated", [False, True])
+    def test_couplings_near_0_and_1_are_classified_once(self, distance, near_one, conjugated):
+        # The block (diag(-1, 1), [[l, mu], [mu, -l]]) with l = 1 - 2t, where
+        # t lies `distance` spec_tol from 0 or 1, beside a block of coupling
+        # 0.4. At t = 0 or 1 it is two characters; at t within spec_tol of 0
+        # or 1 its off-diagonal mu = 2 sqrt(t (1 - t)) is still about 1e-4,
+        # so it is a 2 x 2 block, which a character would miss by mu.
+        t = distance * DEFAULT_TOL.spec_tol
+        t = 1.0 - t if near_one else t
+        lam, mu = 1.0 - 2.0 * t, 2.0 * math.sqrt(t * (1.0 - t))
+        v1 = direct_sum(np.diag([-1.0, 1.0]), square_irrep(0.4).mats[0])
+        v2 = direct_sum(np.array([[lam, mu], [mu, -lam]]), square_irrep(0.4).mats[1])
+        if conjugated:
+            u = random_unitary(np.random.default_rng(14), 4)
+            v1, v2 = u @ v1 @ dagger(u), u @ v2 @ dagger(u)
+        form, again = (two_symmetry_canonical_form(v1, v2) for _ in range(2))
+        assert form.lambdas == again.lambdas and form.char_counts == again.char_counts
+        assert np.array_equal(form.conjugator, again.conjugator)
+        if distance == 0.0:
+            assert form.lambdas == pytest.approx([0.4], abs=1e-12)
+            assert form.char_counts == ((1, 0, 0, 1) if near_one else (0, 1, 1, 0))
+        else:
+            assert form.lambdas == pytest.approx(sorted([lam, 0.4]), abs=1e-12)
+            assert form.char_counts == (0, 0, 0, 0)
+        assert within_bounds(canonical_form_residuals(v1, v2, form))
 
 
 class TestHadamard:
