@@ -146,7 +146,10 @@ def max_member(
     Exact for polytopes: the joint numerical range is convex and compact,
     so it lies inside the body iff every facet support inequality
     support_value(mats, normal) <= offset holds (within spec_tol). One call
-    to ``support_values`` evaluates every facet.
+    to ``support_values`` evaluates every facet. The reported facet is the
+    first, in facet order, whose slack is within rounding of the least (a
+    few eps times |offset| + |support|), so exactly tied facets name the first
+    of them; the margin is the least slack.
     """
     mats = [as_matrix(a) for a in mats]
     if len(mats) != polytope.ambient_dim:
@@ -155,10 +158,12 @@ def max_member(
         )
     supports = support_values(mats, polytope.normals, tol)
     slacks = polytope.offsets - supports
-    worst = int(np.argmin(slacks))  # the first minimum, in facet order
+    margin = float(slacks.min())
+    tie = 8 * np.finfo(float).eps * (np.abs(polytope.offsets) + np.abs(supports))
+    worst = int(np.argmax(slacks <= margin + tie))
     return MembershipResult(
-        member=bool(slacks[worst] >= -tol.spec_tol),
-        margin=float(slacks[worst]),
+        member=bool(margin >= -tol.spec_tol),
+        margin=margin,
         facet_index=worst,
         normal=polytope.normals[worst].copy(),
         offset=float(polytope.offsets[worst]),

@@ -17,11 +17,13 @@ which is how ``verify`` and the CLI report what the constructors measured.
 
 Matrices are plain ``numpy.ndarray`` objects with ``complex128`` entries.
 All operations are pure functions; the only state is the collector that
-:func:`measured` opens for the block it encloses.
+:func:`measured` opens for the block it encloses, and the read-only weights
+that :func:`commutant_dimension` draws once per input count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -567,13 +569,27 @@ def commutant_dimension(
     generate, and every X in the commutant commutes with H: X is block
     diagonal over H's eigenspaces. Only those sum d_b^2 unknowns enter the
     solve (n of them when H's spectrum is simple, as for an irreducible
-    pair). The kernel lies inside this block subspace, and restricting a map
-    to a subspace that contains its kernel can only raise its smallest
-    nonzero singular value, so the ``spec_tol * n`` cutoff classifies every
-    singular value as the full n^2-unknown solve would. Eigenvalues closer
-    than the merge gap share a block: clustering may merge eigenspaces but
-    never splits one that a perturbation within the cutoff could have split.
-    With no normal input H is 0 and the single block is the full problem.
+    pair). Eigenvalues closer than the merge gap share a block: clustering
+    may merge eigenspaces but never splits one that a perturbation within
+    the cutoff could have split. With no normal input H is 0 and the single
+    block is the full problem.
+
+    The count is that of the full n^2-unknown solve. Restricting the map to
+    the blocks never lowers its k-th smallest singular value s_k, nor raises
+    an s_k <= cutoff above (1 + R / g) s_k / 0.99, for g the least gap
+    between clusters and R = 2 ||A|| L (||A||^2 = sum ||A_i||_2^2, L as in
+    the merge gap). An X with sum ||[X, A_i]||^2 = s^2 has ||[X, H]|| <= L s,
+    so its part off the blocks has norm at most L s / g <= 0.01 ||X|| (as
+    g > 100 L cutoff), and the map moves that part by at most 2 ||A|| times
+    its norm. So a block solve whose singular values avoid
+    (cutoff, (1 + R / g) cutoff / 0.99] counts as the full one. Otherwise the
+    clusters closer than the gap that would settle it are merged and the
+    solve repeated, at worst up to the single block.
+
+    Each basis element is scaled by the unit phase that makes its trace real
+    and non-negative, unless the trace is at rounding level (then the element
+    is left as the solve gave it). An irreducible set therefore returns one
+    element, +1/sqrt(n) times the identity to rounding.
     """
     mats = [as_matrix(a) for a in mats]
     if not mats:
@@ -586,17 +602,41 @@ def commutant_dimension(
             )
     stack = np.array(mats)
     cutoff = tol.spec_tol * n
-    eigvecs, sizes = _hermitian_eigenspaces(stack, cutoff)
-    null = _block_null_space(dagger(eigvecs) @ stack @ eigvecs, sizes, cutoff)
+    eigvecs, w, lipschitz = _hermitian_spectrum(stack)
+    rotated = dagger(eigvecs) @ stack @ eigvecs
+    # ||A_i||_2^2 <= ||A_i||_1 ||A_i||_inf.
+    norms = np.linalg.norm(stack, 1, axis=(1, 2)) * np.linalg.norm(stack, np.inf, axis=(1, 2))
+    reach = 2.0 * math.sqrt(float(np.sum(norms))) * lipschitz
+    merge = 100.0 * lipschitz * cutoff
+    while True:
+        ends = np.append(np.flatnonzero(np.diff(w) > merge) + 1, n)
+        sizes = np.diff(ends, prepend=0)
+        null, above = _block_null_space(rotated, sizes, cutoff)
+        gap = float(np.diff(w)[ends[:-1] - 1].min(initial=np.inf))
+        if len(sizes) == 1 or above > (1.0 + reach / gap) * cutoff / 0.99:
+            break
+        # The least gap at which ``above`` would settle the count.
+        margin = 0.99 * above / cutoff - 1.0
+        merge = max(gap, reach / margin) if margin > 0 else np.inf
     # Unknowns are the block-diagonal entries in row-major order, which lists
     # each block's entries contiguously (row-major vec of that block).
     block_of = np.repeat(np.arange(len(sizes)), sizes)
     rows, cols = np.nonzero(block_of[:, None] == block_of[None, :])
     coords = np.zeros((len(null), n, n), dtype=complex)
     coords[:, rows, cols] = null
+    # tr X = tr coords, since eigvecs is unitary. Turn each trace real and
+    # non-negative unless it is at rounding level (|tr X| <= sqrt(n) here).
+    traces = np.trace(coords, axis1=1, axis2=2)
+    turn = np.abs(traces) > _TRACE_ROUNDING * n
+    coords[turn] *= (traces[turn].conj() / np.abs(traces[turn]))[:, None, None]
     basis = list(eigvecs @ coords @ dagger(eigvecs))
     require(commutant_residuals(mats, basis, tol), RelationCheckFailedError, "commutant basis")
     return len(basis), basis
+
+
+# A basis element's trace at or below this times n is rounding: its phase is
+# left as the solve gave it.
+_TRACE_ROUNDING = 10 * np.finfo(float).eps
 
 
 # An input enters H only when its normality defect ||AA* - A*A||_F is at
@@ -608,78 +648,125 @@ def commutant_dimension(
 _NORMALITY_TOL = 10 * np.finfo(float).eps
 
 
-def _hermitian_eigenspaces(stack: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors of H and the sizes of its eigenvalue clusters, in order.
+def _hermitian_spectrum(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Eigenvectors and ascending eigenvalues of H, and L = 2 sum(c_i + d_i).
 
     The weights (c_i, d_i) of H are fixed and generic (seeded uniform draws
     in [0.5, 1)), so that H's eigenvalues do not coincide by an accident of
-    the weights. Consecutive eigenvalues closer than the merge gap share a
-    cluster. The gap is 100 * L * cutoff, with L = 2 * sum(c_i + d_i) over the
-    normal inputs, the Lipschitz constant of the inputs -> H map: moving each
-    input by at most the cutoff moves each eigenvalue of H by at most
-    L * cutoff, so an exactly repeated eigenvalue, perturbed within the
-    tolerance, stays inside one cluster.
+    the weights. Consecutive eigenvalues closer than the merge gap
+    100 * L * cutoff share a cluster. L, summed over the normal inputs, is the
+    Lipschitz constant of the inputs -> H map: moving each input by at most
+    the cutoff moves each eigenvalue of H by at most L * cutoff, so an exactly
+    repeated eigenvalue, perturbed within the tolerance, stays inside one
+    cluster. For normal A_i, ||[X, A_i*]||_F = ||[X, A_i]||_F, so also
+    ||[X, H]||_F <= L max_i ||[X, A_i]||_F.
     """
     n = stack.shape[1]
     adj = stack.conj().transpose(0, 2, 1)
     defect = np.linalg.norm(stack @ adj - adj @ stack, axis=(1, 2))
     traceless = stack - np.trace(stack, axis1=1, axis2=2)[:, None, None] * np.eye(n) / n
     normal = defect <= _NORMALITY_TOL * n * np.linalg.norm(traceless, axis=(1, 2)) ** 2
-    c, d = np.random.default_rng(0).uniform(0.5, 1.0, (len(stack), 2))[normal].T
-    a, a_adj = stack[normal], adj[normal]
-    h = np.tensordot(c, a + a_adj, 1) + 1j * np.tensordot(d, a - a_adj, 1)
-    w, eigvecs = np.linalg.eigh(hermitize(h))
-    gap = 100.0 * 2.0 * float(np.sum(c + d)) * cutoff
-    ends = np.append(np.flatnonzero(np.diff(w) > gap) + 1, n)
-    return eigvecs, np.diff(ends, prepend=0)
+    c, d = _h_weights(len(stack))[normal].T
+    # c (A + A*) + d i(A - A*) = G + G* with G = (c + i d) A: exactly Hermitian.
+    g = np.tensordot(c + 1j * d, stack[normal], 1)
+    w, eigvecs = np.linalg.eigh(g + dagger(g))
+    return eigvecs, w, 2.0 * float(np.sum(c + d))
 
 
-def _block_null_space(rotated: np.ndarray, sizes: np.ndarray, cutoff: float) -> np.ndarray:
-    """Null vectors (rows, unit norm) of X -> [X, A_i] on block-diagonal X.
+@functools.lru_cache(maxsize=32)
+def _h_weights(count: int) -> np.ndarray:
+    """The weights (c_i, d_i) of H for ``count`` inputs, drawn once: a
+    read-only (count, 2) array of seeded uniform draws in [0.5, 1)."""
+    weights = np.random.default_rng(0).uniform(0.5, 1.0, (count, 2))
+    weights.flags.writeable = False
+    return weights
+
+
+# Each fold adds whole block pairs' rows, of every shape, to the running
+# triangle (at most P x P): at least _FOLD_ROWS * P rows, so the folds' QRs do at most
+# 1 / _FOLD_ROWS more work than one QR of every row, and up to _FOLD_ENTRIES
+# entries where that is more, so a small problem folds in one call.
+_FOLD_ROWS = 4
+_FOLD_ENTRIES = 2**16
+
+
+def _block_null_space(rotated: np.ndarray, sizes: np.ndarray, cutoff: float) -> tuple[np.ndarray, float]:
+    """Null vectors (rows, unit norm) of X -> [X, A_i] on block-diagonal X,
+    and its least singular value above the cutoff (inf if there is none).
 
     ``rotated`` holds the inputs in H's eigenbasis and ``sizes`` the block
     sizes. Block (c, e) of [X, A] is Y_c A_ce - A_ce Y_e, so blocks (c, e)
     and (e, c) together form a small system in the unknowns of Y_c and Y_e.
-    The systems of all block pairs of one shape are reduced at once to their
-    QR triangles, which keep the singular values with far fewer rows; the
-    triangles are stacked, reduced again by one QR, and solved by an SVD.
+    Any rows with the same Gram matrix keep its singular values and null
+    space. The systems of all block pairs of one shape are reduced at once to
+    their QR triangles; a pair of 1 x 1 blocks c < e, whose rows
+    a_i (x_c - x_e) and -b_i (x_c - x_e) have rank one, to the one real row
+    rho (e_c - e_e) with rho = ||(a, b)||, and a 1 x 1 block with itself to
+    nothing. The triangles are folded, a few P rows at a time, into a running
+    triangle of at most P rows over the P unknowns, which an SVD solves.
     """
     m = rotated.shape[0]
     starts = np.cumsum(sizes) - sizes
     offsets = np.cumsum(sizes**2) - sizes**2
+    width = int(np.sum(sizes**2))
+    fold = max(_FOLD_ROWS * width, _FOLD_ENTRIES // width)
+    # The running triangle and the rows not yet folded into it.
+    stacked, pending = [np.zeros((0, width))], 0
     first, second = np.triu_indices(len(sizes))
-    classes = []
     for p, r in sorted(set(zip(sizes[first].tolist(), sizes[second].tolist()))):
         pick = (sizes[first] == p) & (sizes[second] == r)
-        classes.append((p, r, first[pick], second[pick], min(2 * m * p * r, p * p + r * r)))
-    height = sum(len(c) * h for _, _, c, _, h in classes)
-    system = np.zeros((height, int(np.sum(sizes**2))), dtype=complex)
-    row = 0
-    for p, r, c, e, h in classes:
-        rows_c = (starts[c, None] + np.arange(p))[:, :, None]
-        rows_e = (starts[e, None] + np.arange(r))[:, :, None]
-        a_ce = rotated[:, rows_c, rows_e.transpose(0, 2, 1)]
-        a_ec = rotated[:, rows_e, rows_c.transpose(0, 2, 1)]
-        local = np.concatenate(
-            [
-                np.concatenate([_times_right(a_ce), -_times_left(a_ce)], axis=-1),
-                np.concatenate([-_times_left(a_ec), _times_right(a_ec)], axis=-1),
-            ],
-            axis=-2,
-        )
-        # A diagonal pair (c = e) lists its equations twice: scale them by
-        # 1/sqrt(2) to keep their Gram matrix, and add the two column groups,
-        # which are the same unknowns; Q [R1 R2] = [A B] gives A + B = Q (R1 + R2).
-        local[:, c == e] /= np.sqrt(2.0)
-        local = local.transpose(1, 0, 2, 3).reshape(len(c), 2 * m * p * r, p * p + r * r)
-        tri = np.linalg.qr(local, mode="r")
-        at = row + np.arange(len(c) * h).reshape(len(c), h, 1)
-        system[at, offsets[c, None, None] + np.arange(p * p)] = tri[..., : p * p]
-        system[at, offsets[e, None, None] + np.arange(r * r)] += tri[..., p * p :]
-        row += len(c) * h
-    _, s, vh = np.linalg.svd(np.linalg.qr(system, mode="r"))
+        if p == r == 1:
+            pick &= first != second
+        pairs_c, pairs_e = first[pick], second[pick]
+        h = 1 if p == r == 1 else min(2 * m * p * r, p * p + r * r)
+        chunk = max(1, fold // h)
+        for lo in range(0, len(pairs_c), chunk):
+            c, e = pairs_c[lo : lo + chunk], pairs_e[lo : lo + chunk]
+            if p == r == 1:
+                a_ce, a_ec = rotated[:, starts[c], starts[e]], rotated[:, starts[e], starts[c]]
+                rho = np.hypot(np.linalg.norm(a_ce, axis=0), np.linalg.norm(a_ec, axis=0))
+                tri = rho[:, None, None] * np.array([1.0, -1.0])
+            else:
+                tri = _pair_triangles(rotated, starts[c], starts[e], c == e, p, r)
+            rows = np.zeros((len(c) * h, width), dtype=tri.dtype)
+            at = np.arange(len(c) * h).reshape(len(c), h, 1)
+            rows[at, offsets[c, None, None] + np.arange(p * p)] = tri[..., : p * p]
+            rows[at, offsets[e, None, None] + np.arange(r * r)] += tri[..., p * p :]
+            stacked.append(rows)
+            pending += len(rows)
+            if pending >= fold:
+                stacked, pending = [np.linalg.qr(np.concatenate(stacked), mode="r")], 0
+    if pending:
+        stacked = [np.linalg.qr(np.concatenate(stacked), mode="r")]
+    _, s, vh = np.linalg.svd(stacked[0])
+    # Fewer rows than unknowns: the rows of V^H past s span their null space.
+    s = np.append(s, np.zeros(width - len(s)))
     # Null vectors are the columns of V, i.e. the conjugated rows of V^H.
-    return vh[s <= cutoff].conj()
+    return vh[s <= cutoff].conj(), float(s[s > cutoff].min(initial=np.inf))
+
+
+def _pair_triangles(rotated, start_c, start_e, diagonal, p: int, r: int) -> np.ndarray:
+    """QR triangles of the block-pair systems of X -> [X, A_i] in the unknowns
+    (Y_c, Y_e), for blocks c of size p and e of size r starting at the given
+    rows, batched over the pairs."""
+    m = rotated.shape[0]
+    rows_c = (start_c[:, None] + np.arange(p))[:, :, None]
+    rows_e = (start_e[:, None] + np.arange(r))[:, :, None]
+    a_ce = rotated[:, rows_c, rows_e.transpose(0, 2, 1)]
+    a_ec = rotated[:, rows_e, rows_c.transpose(0, 2, 1)]
+    local = np.concatenate(
+        [
+            np.concatenate([_times_right(a_ce), -_times_left(a_ce)], axis=-1),
+            np.concatenate([-_times_left(a_ec), _times_right(a_ec)], axis=-1),
+        ],
+        axis=-2,
+    )
+    # A diagonal pair (c = e) lists its equations twice: scale them by
+    # 1/sqrt(2) to keep their Gram matrix; the caller adds the two column
+    # groups, which are the same unknowns: Q [R1 R2] = [A B] gives A + B = Q (R1 + R2).
+    local[:, diagonal] /= np.sqrt(2.0)
+    local = local.transpose(1, 0, 2, 3).reshape(len(start_c), 2 * m * p * r, p * p + r * r)
+    return np.linalg.qr(local, mode="r")
 
 
 def _times_right(a: np.ndarray) -> np.ndarray:

@@ -18,7 +18,8 @@ from ncprism.convexity import (
     real_imag_parts,
     theta_lower_bound,
 )
-from ncprism.errors import NotHermitianError, ShapeMismatchError
+from ncprism.dilation import triangle_povm
+from ncprism.errors import NotHermitianError, NumericalRangeOutsideTriangleError, ShapeMismatchError
 from ncprism.matkernel import compress, dagger, support_value
 from ncprism.reps import prism_vertex_rep, vertex_residuals
 
@@ -85,6 +86,20 @@ class TestMaxMember:
         assert result.member
         assert result.facet_index == 0
         assert result.margin == 1.0
+
+    @pytest.mark.parametrize("d", [3e-8, 1e-3])
+    def test_tied_facets_name_the_first_as_triangle_povm_does(self, d):
+        # W(a) is the side [omega, omega^2] scaled by 1 + d: all three facets
+        # of the triangle have slack -d/2.
+        omega = np.exp(2j * np.pi / 3)
+        a = (1 + d) * np.diag([omega, omega**2])
+        with pytest.raises(NumericalRangeOutsideTriangleError, match="facet 0 violated"):
+            triangle_povm(a)
+        result = max_member(list(real_imag_parts(a)), make_polygon(3))
+        assert result.facet_index == 0
+        assert result.margin == pytest.approx(-d / 2, rel=1e-6)
+        assert result.offset - result.support == pytest.approx(result.margin, rel=1e-6)
+        assert prism_member(a, np.zeros((2, 2)), 3).facet_index == 0
 
     def test_rejects_bad_entries(self):
         with pytest.raises(ShapeMismatchError):

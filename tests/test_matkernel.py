@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from ncprism.matkernel import (
     _LMI_REACH,
     DEFAULT_TOL,
     ToleranceConfig,
+    _h_weights,
     _halmos_half,
     _schur,
     _step_lengths,
@@ -42,7 +44,7 @@ from ncprism.matkernel import (
     symmetry_residuals,
     unitary_residual,
 )
-from ncprism.reps import a4_pair, hadamard_symmetries, s3_pair, square_irrep
+from ncprism.reps import a4_pair, hadamard_symmetries, s3_pair, square_irrep, steinberg_pair
 
 
 class TestToleranceConfig:
@@ -363,6 +365,22 @@ class TestCommutant:
             reconstructed = sum(c * nb.ravel() for c, nb in zip(coeffs, basis2))
             assert np.linalg.norm(reconstructed - target) <= 1e-6
 
+    @pytest.mark.parametrize(
+        "mats",
+        [*([steinberg_pair(q).w, steinberg_pair(q).v] for q in (5, 8, 27)), hadamard_symmetries(3).mats],
+        ids=["steinberg(5)", "steinberg(8)", "steinberg(27)", "hadamard(3)"],
+    )
+    def test_irreducible_basis_is_the_positive_identity(self, mats):
+        n = mats[0].shape[0]
+        dim, basis = commutant_dimension(mats)
+        assert dim == 1
+        assert opnorm(basis[0] - np.eye(n) / np.sqrt(n)) <= 1e-12
+
+    def test_weights_of_h_are_drawn_once_and_read_only(self):
+        assert _h_weights(3) is _h_weights(3)
+        assert not _h_weights(3).flags.writeable
+        assert np.array_equal(_h_weights(3), np.random.default_rng(0).uniform(0.5, 1.0, (3, 2)))
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             commutant_dimension([np.eye(2), np.eye(3)])
@@ -388,6 +406,9 @@ IRREPS = {
     "a4": lambda: [a4_pair().w, a4_pair().v],
     "square(0.3)": lambda: square_irrep(0.3).mats,
     "square(-0.6)": lambda: square_irrep(-0.6).mats,
+    "trivial": lambda: [np.eye(1), np.eye(1)],
+    "sign": lambda: [np.eye(1), -np.eye(1)],
+    **{f"steinberg({q})": lambda q=q: [steinberg_pair(q).w, steinberg_pair(q).v] for q in (5, 7, 8)},
 }
 
 
@@ -403,6 +424,10 @@ class TestCommutantAgainstFullStack:
         # Same null space: the basis lies in the oracle's span.
         flat = np.array([b.ravel() for b in basis])
         assert np.linalg.norm(flat - flat @ projector.T) <= 1e-6
+        # Each trace is real and non-negative, or at rounding level.
+        traces = np.trace(np.array(basis), axis1=1, axis2=2)
+        big = np.abs(traces) > 1e-12
+        assert np.all(np.abs(traces[big].imag) <= 1e-12) and np.all(traces[big].real > 0)
 
     @pytest.mark.parametrize(
         "multiplicities",
@@ -413,6 +438,13 @@ class TestCommutantAgainstFullStack:
             {"s3": 2, "a4": 1, "square(0.3)": 1},
             {"square(0.3)": 2, "square(-0.6)": 1},
             {"s3": 1, "a4": 2, "square(-0.6)": 2},
+            # Simple spectrum of H: every block pair is 1 x 1.
+            {"steinberg(5)": 1},
+            {"steinberg(7)": 1},
+            {"steinberg(8)": 1},
+            {"s3": 1, "trivial": 1, "sign": 1},
+            # Blocks of sizes 2 and 1: both 1 x 1 pairs and larger ones.
+            {"s3": 2, "trivial": 1, "sign": 1},
         ],
     )
     @pytest.mark.parametrize("seed", [0, 1])
@@ -463,6 +495,32 @@ class TestCommutantAgainstFullStack:
             noise = random_hermitian(rng, m.shape[0])
             mats.append(m + 0.1 * ToleranceConfig().spec_tol * noise / opnorm(noise))
         self.assert_matches(mats, expected)
+
+    @pytest.mark.parametrize("factor", [0.1, 10.0])
+    def test_diagonal_unitary_with_a_coupling_near_the_cutoff(self, factor):
+        # Distinct eigenvalues make every block 1 x 1; the coupling's rows
+        # have singular values about 3 factor times the cutoff, so the
+        # commutant is the diagonal (0.1) or the scalars (10). Two of H's
+        # eigenvalues lie 0.077 apart, so at 0.1 the first block solve counts
+        # 3: the count is settled only after those clusters are merged.
+        n = 5
+        diagonal = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+        coupling = factor * ToleranceConfig().spec_tol * n * (np.ones((n, n)) - np.eye(n))
+        self.assert_matches([diagonal, coupling], n if factor < 1 else 1)
+        self.assert_matches(conjugated(np.random.default_rng(8), [diagonal, coupling]), n if factor < 1 else 1)
+
+    def test_hadamard_one_twenty_eight_in_bounded_memory(self):
+        # The triangles are folded into a running 128 x 128 one: the whole
+        # call stays within a few copies of the (8, 128, 128) input stack.
+        mats = hadamard_symmetries(7).mats
+        tracemalloc.start()
+        try:
+            dim, _ = commutant_dimension(mats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dim == 1
+        assert peak <= 16e6
 
     def test_hadamard_sixty_four_is_feasible(self):
         # The full stack would be a (7 * 4096) x 4096 system.
