@@ -10,8 +10,6 @@ geometry. Every construction verifies itself numerically.
 """
 
 from .matkernel import (
-    DEFAULT_TOL,
-    ToleranceConfig,
     commutant_dimension,
     compress,
     direct_sum,

@@ -8,6 +8,7 @@ run report (command, input digest, seed, checks) in one machine-readable
 object. The checks are the residuals the library required while building the
 artifact, each a (name, residual, bound) line with the construction it was
 checked ``of``. Outputs are byte-identical for identical inputs and seeds.
+Every verdict is decided at the fixed tolerances of ``matkernel``.
 
 Exit codes: 0 success or true verdict, 1 false or refuted verdict,
 2 usage or runtime error, 3 unknown verdict.
@@ -26,8 +27,7 @@ import numpy as np
 from . import convexity, dilation, opsys, reps, serialize, verify
 from .errors import NcprismError, RelationCheckFailedError
 from .matkernel import (
-    DEFAULT_TOL,
-    ToleranceConfig,
+    ALG_TOL,
     commutant_dimension,
     irreducibility_residual,
     is_hermitian,
@@ -39,14 +39,6 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_ERROR = 2
 EXIT_UNKNOWN = 3
-
-
-def _tolerances(args) -> ToleranceConfig:
-    if args.tol is None:
-        return DEFAULT_TOL
-    spec = float(args.tol)
-    alg = min(1e-10, spec)
-    return ToleranceConfig(alg_tol=alg, spec_tol=spec, psd_clamp=min(1e-12, alg))
 
 
 def _read_input(args) -> tuple[dict | None, str]:
@@ -120,7 +112,6 @@ def _add_common(sub, reads_input: bool = True):
     """The options every subcommand shares. ``--in`` only where the command
     reads JSON input: the others never read stdin, so an open one cannot
     block them, and their report carries the digest of the empty input."""
-    sub.add_argument("--tol", type=float, default=None, help="override spec tolerance")
     sub.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
     sub.add_argument("--out", default=None, help="write the artifact JSON to a file")
     sub.add_argument("--json", action="store_true", help="emit report plus artifact as JSON")
@@ -129,27 +120,27 @@ def _add_common(sub, reads_input: bool = True):
     sub.set_defaults(reads_input=reads_input)
 
 
-def _cmd_dilate(args, run: Run, payload, tol) -> int:
+def _cmd_dilate(args, run: Run, payload) -> int:
     sub = args.subcommand
     if sub == "halmos":
         x = serialize.matrix_from_json(payload)
-        if is_hermitian(x, tol.alg_tol):
-            big = dilation.halmos_symmetry(x, tol)
+        if is_hermitian(x, ALG_TOL):
+            big = dilation.halmos_symmetry(x)
         else:
-            big = dilation.halmos_unitary(x, tol)
+            big = dilation.halmos_unitary(x)
         n = x.shape[0]
         iso = np.vstack([np.eye(n), np.zeros((n, n))]).astype(complex)
         result = dilation.DilationResult(iso, [big], ["dilation"])
         return run.emit(serialize.dilation_result_to_json(result), EXIT_OK)
     if sub == "mirman":
         a = serialize.matrix_from_json(payload)
-        povm = dilation.triangle_povm(a, tol)
-        result = dilation.naimark_normal(povm, tol)
+        povm = dilation.triangle_povm(a)
+        result = dilation.naimark_normal(povm)
         return run.emit(serialize.dilation_result_to_json(result), EXIT_OK)
     if sub == "joint":
         a = serialize.matrix_from_json(payload["a"])
         b = serialize.matrix_from_json(payload["b"])
-        pair, g = dilation.joint_prism_dilation(a, b, args.k, tol)
+        pair, g = dilation.joint_prism_dilation(a, b, args.k)
         artifact = {
             "pair": serialize.rep_pair_to_json(pair),
             "isometry": serialize.matrix_to_json(g),
@@ -157,16 +148,16 @@ def _cmd_dilate(args, run: Run, payload, tol) -> int:
         return run.emit(artifact, EXIT_OK)
     # "cube": the subparser admits no other choice.
     mats = serialize.tuple_from_json(payload)
-    result = dilation.cube_dilation(mats, tol)
+    result = dilation.cube_dilation(mats)
     return run.emit(serialize.dilation_result_to_json(result), EXIT_OK)
 
 
-def _cmd_rep(args, run: Run, payload, tol) -> int:
+def _cmd_rep(args, run: Run, payload) -> int:
     sub = args.subcommand
     if sub in ("square", "hadamard"):
         # Irreducible by theory: their constructors compute no commutant.
         st = reps.square_irrep(args.lam) if sub == "square" else reps.hadamard_symmetries(args.m)
-        require([irreducibility_residual(st.mats, tol)], RelationCheckFailedError, st.provenance)
+        require([irreducibility_residual(st.mats)], RelationCheckFailedError, st.provenance)
         return run.emit(serialize.symmetry_tuple_to_json(st), EXIT_OK)
     if sub == "vertex":
         sign = 1 if args.sign in ("+", "+1", "1") else -1
@@ -196,25 +187,25 @@ def _membership_artifact(result) -> dict:
     }
 
 
-def _cmd_check(args, run: Run, payload, tol) -> int:
+def _cmd_check(args, run: Run, payload) -> int:
     if args.subcommand == "cube":
         mats = serialize.tuple_from_json(payload)
-        result = convexity.max_member(mats, convexity.make_cube(args.d), tol)
+        result = convexity.max_member(mats, convexity.make_cube(args.d))
     else:
         a = serialize.matrix_from_json(payload["a"])
         b = serialize.matrix_from_json(payload["b"])
-        result = convexity.prism_member(a, b, args.k, tol)
+        result = convexity.prism_member(a, b, args.k)
     return run.emit(_membership_artifact(result), EXIT_OK if result.member else EXIT_FALSE)
 
 
-def _cmd_commutant(args, run: Run, payload, tol) -> int:
+def _cmd_commutant(args, run: Run, payload) -> int:
     mats = serialize.tuple_from_json(payload)
-    dim, basis = commutant_dimension(mats, tol)
+    dim, basis = commutant_dimension(mats)
     artifact = {"dimension": dim, "basis": [serialize.matrix_to_json(b) for b in basis]}
     return run.emit(artifact, EXIT_OK)
 
 
-def _cmd_positivity(args, run: Run, payload, tol) -> int:
+def _cmd_positivity(args, run: Run, payload) -> int:
     sub = args.subcommand
     if sub == "cube":
         positive, margin = opsys.scalar_positivity_cube(payload["alpha"], payload["beta"])
@@ -231,7 +222,7 @@ def _cmd_positivity(args, run: Run, payload, tol) -> int:
             "worst_vertex": {"j": verdict.worst_vertex[0], "sign": verdict.worst_vertex[1]},
         }
         return run.emit(artifact, EXIT_OK if verdict.positive else EXIT_FALSE)
-    verdict = opsys.matrix_positivity_prism(element, tol)
+    verdict = opsys.matrix_positivity_prism(element)
     artifact = serialize.verdict_to_json(verdict)
     if isinstance(verdict, opsys.Certified):
         return run.emit(artifact, EXIT_OK)
@@ -240,7 +231,7 @@ def _cmd_positivity(args, run: Run, payload, tol) -> int:
     return run.emit(artifact, EXIT_UNKNOWN)
 
 
-def _cmd_geometry(args, run: Run, payload, tol) -> int:
+def _cmd_geometry(args, run: Run, payload) -> int:
     artifact = {
         "k": args.k,
         "incircle_radius": convexity.incircle_radius(args.k),
@@ -260,19 +251,19 @@ def _cmd_geometry(args, run: Run, payload, tol) -> int:
     return run.emit(artifact, EXIT_OK, table)
 
 
-def _cmd_word(args, run: Run, payload, tol) -> int:
+def _cmd_word(args, run: Run, payload) -> int:
     pair = serialize.rep_pair_from_json(payload["pair"] if "pair" in payload else payload)
-    require(reps.pair_residuals(pair, tol), RelationCheckFailedError, "input pair")
+    require(reps.pair_residuals(pair), RelationCheckFailedError, "input pair")
     word = dilation.GroupWord.from_string(args.letters, args.k)
     if "isometry" in payload:
         iso = serialize.matrix_from_json(payload["isometry"])
-        value = dilation.evaluate_compressed_word(pair, iso, word, tol)
+        value = dilation.evaluate_compressed_word(pair, iso, word)
     else:
         value = dilation.evaluate_word(pair, word)
     return run.emit({"value": serialize.matrix_to_json(value)}, EXIT_OK)
 
 
-def _cmd_quotient(args, run: Run, payload, tol) -> int:
+def _cmd_quotient(args, run: Run, payload) -> int:
     sub = args.subcommand
     if sub == "psi":
         x = serialize.diag_tuple_from_json(payload)
@@ -287,14 +278,14 @@ def _cmd_quotient(args, run: Run, payload, tol) -> int:
     # "functional": the subparser admits no other choice.
     pair = serialize.rep_pair_from_json(payload["pair"])
     density = serialize.matrix_from_json(payload["density"])
-    z = opsys.functional_to_tuple(pair, density, args.k, tol)
+    z = opsys.functional_to_tuple(pair, density, args.k)
     artifact = serialize.dual_tuple_to_json(z)
     artifact["dual_member"] = opsys.dual_member(z)
     return run.emit(artifact, EXIT_OK)
 
 
-def _cmd_verify(args, run: Run, payload, tol) -> int:
-    results = verify.run_all(seed=run.seed, tol=tol)
+def _cmd_verify(args, run: Run, payload) -> int:
+    results = verify.run_all(seed=run.seed)
     artifact = {"checks": [asdict(r) for r in results], "all_passed": all(r.passed for r in results)}
     table = [f"{'PASS' if r.passed else 'FAIL'}  {r.name}  (worst residual {r.residual:.3e})" for r in results]
     table.append("all checks passed" if artifact["all_passed"] else "SOME CHECKS FAILED")
@@ -406,9 +397,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, text = _read_input(args) if args.reads_input else (None, "")
-        tol = _tolerances(args)
         with measured() as records:
-            return _HANDLERS[args.command](args, Run(args, text, records), payload, tol)
+            return _HANDLERS[args.command](args, Run(args, text, records), payload)
     except (NcprismError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -16,9 +16,8 @@ import numpy as np
 
 from .errors import ShapeMismatchError
 from .matkernel import (
-    DEFAULT_TOL,
+    SPEC_TOL,
     Residual,
-    ToleranceConfig,
     as_matrix,
     hermitize,
     opnorm,
@@ -83,7 +82,7 @@ class MembershipResult:
     """Outcome of a facet-by-facet membership test.
 
     ``margin`` is the smallest facet slack (offset minus support value);
-    membership holds when it is >= -spec_tol. The worst facet is reported
+    membership holds when it is >= -SPEC_TOL. The worst facet is reported
     for diagnostics.
     """
 
@@ -138,14 +137,12 @@ def make_cube(d: int) -> PolytopeSpec:
     return PolytopeSpec(d, vertices, normals, offsets, name=f"cube:{d}")
 
 
-def max_member(
-    mats, polytope: PolytopeSpec, tol: ToleranceConfig = DEFAULT_TOL
-) -> MembershipResult:
+def max_member(mats, polytope: PolytopeSpec) -> MembershipResult:
     """Decide membership of a Hermitian tuple in the maximal set over a polytope.
 
     Exact for polytopes: the joint numerical range is convex and compact,
     so it lies inside the body iff every facet support inequality
-    support_value(mats, normal) <= offset holds (within spec_tol). One call
+    support_value(mats, normal) <= offset holds (within SPEC_TOL). One call
     to ``support_values`` evaluates every facet. The reported facet is the
     first, in facet order, whose slack is within rounding of the least (a
     few eps times |offset| + |support|), so exactly tied facets name the first
@@ -156,13 +153,13 @@ def max_member(
         raise ShapeMismatchError(
             f"tuple has {len(mats)} entries, polytope is {polytope.ambient_dim}-dimensional"
         )
-    supports = support_values(mats, polytope.normals, tol)
+    supports = support_values(mats, polytope.normals)
     slacks = polytope.offsets - supports
     margin = float(slacks.min())
     tie = 8 * np.finfo(float).eps * (np.abs(polytope.offsets) + np.abs(supports))
     worst = int(np.argmax(slacks <= margin + tie))
     return MembershipResult(
-        member=bool(margin >= -tol.spec_tol),
+        member=bool(margin >= -SPEC_TOL),
         margin=margin,
         facet_index=worst,
         normal=polytope.normals[worst].copy(),
@@ -177,7 +174,7 @@ def real_imag_parts(a) -> tuple[np.ndarray, np.ndarray]:
     return hermitize(a), hermitize(a / 1j)
 
 
-def prism_member(a, b, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> MembershipResult:
+def prism_member(a, b, k: int) -> MembershipResult:
     """Membership of (a, b) in the maximal prism set at its level.
 
     Tests the triple (Re a, Im a, b) against the facets of the k-prism; for
@@ -188,7 +185,7 @@ def prism_member(a, b, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> Membership
     b = as_matrix(b)
     if b.shape != re.shape:
         raise ShapeMismatchError(f"a and b must have equal size, got {re.shape}, {b.shape}")
-    return max_member([re, im, b], make_prism(k), tol)
+    return max_member([re, im, b], make_prism(k))
 
 
 def incircle_radius(k: int) -> float:

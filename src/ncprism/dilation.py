@@ -35,9 +35,10 @@ from .errors import (
     ShapeMismatchError,
 )
 from .matkernel import (
-    DEFAULT_TOL,
+    ALG_TOL,
+    PSD_CLAMP,
+    SPEC_TOL,
     Residual,
-    ToleranceConfig,
     _exact_diagonal,
     as_matrix,
     clamp_spectrum,
@@ -118,16 +119,16 @@ class Povm:
             raise InvalidPovmError("effects must be square of equal size")
 
 
-def povm_residuals(effects, labels, a, tol: ToleranceConfig = DEFAULT_TOL) -> list[Residual]:
+def povm_residuals(effects, labels, a) -> list[Residual]:
     """Effects decompose ``a``: sum(label_j h_j) = a, sum(h_j) = 1, and the
-    summed negative parts of the effects stay within psd_clamp.
+    summed negative parts of the effects stay within PSD_CLAMP.
 
     ``effects`` is a list of n x n effects or their (k, n, n) stack."""
     effects = np.asarray(effects)
-    return _povm_residuals(effects, labels, a, np.linalg.eigvalsh(hermitize(effects)), tol)
+    return _povm_residuals(effects, labels, a, np.linalg.eigvalsh(hermitize(effects)))
 
 
-def _povm_residuals(effects, labels, a, spectra, tol: ToleranceConfig) -> list[Residual]:
+def _povm_residuals(effects, labels, a, spectra) -> list[Residual]:
     """:func:`povm_residuals` of an effect stack whose (k, n) eigenvalues,
     those of its Hermitian parts, are ``spectra``."""
     gaps = np.stack([
@@ -137,9 +138,9 @@ def _povm_residuals(effects, labels, a, spectra, tol: ToleranceConfig) -> list[R
     moment_gap, sum_gap = opnorms(gaps)
     lowest = spectra.min(axis=-1)
     return [
-        ("first_moment", float(moment_gap), tol.spec_tol),
-        ("sum_to_identity", float(sum_gap), tol.spec_tol),
-        ("effects_positive", float(np.clip(-lowest, 0.0, None).sum()), tol.psd_clamp),
+        ("first_moment", float(moment_gap), SPEC_TOL),
+        ("sum_to_identity", float(sum_gap), SPEC_TOL),
+        ("effects_positive", float(np.clip(-lowest, 0.0, None).sum()), PSD_CLAMP),
     ]
 
 
@@ -178,23 +179,23 @@ def _contraction_defect_base(x: np.ndarray, norm: float) -> np.ndarray:
     return x / norm if norm > 1.0 else x
 
 
-def halmos_symmetry(b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def halmos_symmetry(b) -> np.ndarray:
     """Dilate a Hermitian contraction to a symmetry on the doubled space.
 
     Returns S = [[b, D], [D, -b]] with D = psd_sqrt(1 - b^2): S is
-    Hermitian, S^2 is the identity within spec_tol, and the top-left block
+    Hermitian, S^2 is the identity within SPEC_TOL, and the top-left block
     equals ``b`` exactly.
     """
     b = as_matrix(b)
-    require_hermitian(b, tol.alg_tol, "halmos_symmetry input")
+    require_hermitian(b, ALG_TOL, "halmos_symmetry input")
     norm = opnorm(b)
-    if norm > 1.0 + tol.psd_clamp:
+    if norm > 1.0 + PSD_CLAMP:
         raise NormExceedsOneError(f"||b|| = {norm:.12f} exceeds 1")
     base = _contraction_defect_base(b, norm)
     n = b.shape[0]
-    d = psd_sqrt(np.eye(n) - base @ base, tol)
+    d = psd_sqrt(np.eye(n) - base @ base)
     s = _symmetry_block(b, d)
-    require(halmos_symmetry_residuals(b, s, tol), NotSymmetryError, "halmos_symmetry")
+    require(halmos_symmetry_residuals(b, s), NotSymmetryError, "halmos_symmetry")
     return s
 
 
@@ -207,40 +208,40 @@ def _symmetry_block(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return s
 
 
-def halmos_symmetry_residuals(b, s, tol: ToleranceConfig = DEFAULT_TOL) -> list[Residual]:
+def halmos_symmetry_residuals(b, s) -> list[Residual]:
     """``s`` is a symmetry with top-left block ``b``."""
     n = b.shape[0]
-    return [*symmetry_residuals(s, tol), ("corner", opnorm(s[:n, :n] - b), tol.alg_tol)]
+    return [*symmetry_residuals(s), ("corner", opnorm(s[:n, :n] - b), ALG_TOL)]
 
 
-def halmos_unitary(x, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def halmos_unitary(x) -> np.ndarray:
     """Dilate a contraction to a unitary on the doubled space.
 
     Returns U = [[x, psd_sqrt(1 - x x*)], [psd_sqrt(1 - x* x), -x*]], which
-    is unitary within spec_tol with top-left block ``x``.
+    is unitary within SPEC_TOL with top-left block ``x``.
     """
     x = as_matrix(x)
     if x.shape[0] != x.shape[1]:
         raise ShapeMismatchError("halmos_unitary requires a square matrix")
     norm = opnorm(x)
-    if norm > 1.0 + tol.psd_clamp:
+    if norm > 1.0 + PSD_CLAMP:
         raise NormExceedsOneError(f"||x|| = {norm:.12f} exceeds 1")
     base = _contraction_defect_base(x, norm)
     n = x.shape[0]
-    d_left = psd_sqrt(np.eye(n) - base @ dagger(base), tol)
-    d_right = psd_sqrt(np.eye(n) - dagger(base) @ base, tol)
+    d_left = psd_sqrt(np.eye(n) - base @ dagger(base))
+    d_right = psd_sqrt(np.eye(n) - dagger(base) @ base)
     u = np.block([[x, d_left], [d_right, -dagger(x)]])
-    require(halmos_unitary_residuals(x, u, tol), NotIsometryError, "halmos_unitary")
+    require(halmos_unitary_residuals(x, u), NotIsometryError, "halmos_unitary")
     return u
 
 
-def halmos_unitary_residuals(x, u, tol: ToleranceConfig = DEFAULT_TOL) -> list[Residual]:
+def halmos_unitary_residuals(x, u) -> list[Residual]:
     """``u`` is unitary with top-left block ``x``."""
     n = x.shape[0]
-    return [unitary_residual(u, tol), ("corner", opnorm(u[:n, :n] - x), tol.alg_tol)]
+    return [unitary_residual(u), ("corner", opnorm(u[:n, :n] - x), ALG_TOL)]
 
 
-def triangle_povm(a, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
+def triangle_povm(a) -> Povm:
     """Barycentric decomposition of an operator over the root-of-unity triangle.
 
     For W(a) inside Conv{1, omega, omega^2} the affine barycentric
@@ -254,7 +255,7 @@ def triangle_povm(a, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
     slack of the facet opposite the vertex omega^j, facet (j + 1) mod 3 of
     ``convexity.make_polygon(3)``, is 3/2 lambda_min(h_j), and W(a) lies in
     the triangle when the smallest slack, the first in facet order, is
-    >= -spec_tol. The same eigenvalues give ``effects_positive`` unless the
+    >= -SPEC_TOL. The same eigenvalues give ``effects_positive`` unless the
     band rule changed the effects.
     """
     a = as_matrix(a)
@@ -266,7 +267,7 @@ def triangle_povm(a, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
     # Facet i is opposite the vertex omega^(i - 1): slacks in facet order.
     slacks = 1.5 * spectra.min(axis=-1)[[2, 0, 1]]
     margin = float(slacks.min())
-    if not margin >= -tol.spec_tol:
+    if not margin >= -SPEC_TOL:
         # Slacks equal up to the rounding of the effects (two facets meeting
         # at a vertex) name the first of them, as exact slacks would.
         tie = 16 * np.finfo(float).eps * max(1.0, float(np.abs(spectra).max()))
@@ -276,10 +277,10 @@ def triangle_povm(a, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
         )
     # The decomposition is unique, so its smallest eigenvalue is the exact floor.
     floor = float(spectra.min())
-    settled = _settle(effects, floor, floor, 0, tol.spec_tol / (4 * 3))
+    settled = _settle(effects, floor, floor, 0, SPEC_TOL / (4 * 3))
     if settled is not effects:
         spectra = np.linalg.eigvalsh(settled)
-    require(_povm_residuals(settled, labels, a, spectra, tol), InvalidPovmError, "triangle_povm")
+    require(_povm_residuals(settled, labels, a, spectra), InvalidPovmError, "triangle_povm")
     return Povm(list(settled), labels.tolist())
 
 
@@ -321,7 +322,7 @@ def _fourier_base(a: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return hermitize((np.eye(a.shape[0]) + roots.conj() * a + roots * dagger(a)) / len(labels))
 
 
-def naimark_normal(povm: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DilationResult:
+def naimark_normal(povm: Povm) -> DilationResult:
     """Dilate a POVM to a normal operator with spectrum at the outcome labels.
 
     The isometry stacks the square roots of the effects, taken by one
@@ -331,18 +332,16 @@ def naimark_normal(povm: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DilationRe
     """
     n = povm.effects[0].shape[0]
     m = len(povm.effects)
-    z = psd_sqrt(np.stack(povm.effects), tol).reshape(m * n, n)
+    z = psd_sqrt(np.stack(povm.effects)).reshape(m * n, n)
     normal = np.zeros((m * n, m * n), dtype=complex)
     for j, label in enumerate(povm.outcome_labels):
         normal[j * n : (j + 1) * n, j * n : (j + 1) * n] = label * np.eye(n)
     result = DilationResult(isometry=z, operators=[normal], labels=["normal"])
-    require(naimark_residuals(povm, result, tol), InvalidPovmError, "naimark_normal")
+    require(naimark_residuals(povm, result), InvalidPovmError, "naimark_normal")
     return result
 
 
-def naimark_residuals(
-    povm: Povm, result: DilationResult, tol: ToleranceConfig = DEFAULT_TOL
-) -> list[Residual]:
+def naimark_residuals(povm: Povm, result: DilationResult) -> list[Residual]:
     """Z is an isometry, Z* N Z = sum(label_j h_j), and N is the diagonal
     matrix of the labels (so normal with spectrum at the labels)."""
     z, nd = result.isometry, result.operators[0]
@@ -356,13 +355,13 @@ def naimark_residuals(
     else:
         nz, deviation = d[:, None] * z, d - labels
     return [
-        ("isometry", opnorm(dagger(z) @ z - np.eye(z.shape[1])), tol.spec_tol),
-        ("compression", opnorm(dagger(z) @ nz - moment), tol.spec_tol),
-        ("labels_on_diagonal", float(np.abs(deviation).max()), tol.alg_tol),
+        ("isometry", opnorm(dagger(z) @ z - np.eye(z.shape[1])), SPEC_TOL),
+        ("compression", opnorm(dagger(z) @ nz - moment), SPEC_TOL),
+        ("labels_on_diagonal", float(np.abs(deviation).max()), ALG_TOL),
     ]
 
 
-def order_k_povm(a, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
+def order_k_povm(a, k: int) -> Povm:
     """Positive decomposition of ``a`` over the k-th roots of unity.
 
     For k = 3 the barycentric effects of :func:`triangle_povm` are the only
@@ -371,7 +370,7 @@ def order_k_povm(a, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
     plus any Hermitian combination of the Fourier modes m = 2 .. k-2 (the
     (k-3) n^2 real unknowns that keep sum(h_j) = 1 and sum(omega^j h_j) = a),
     and ``matkernel.lmi_floor`` brackets their best smallest eigenvalue
-    against the band (-band, 0), band = spec_tol / 4k. Its floor t_lo and
+    against the band (-band, 0), band = SPEC_TOL / 4k. Its floor t_lo and
     bound t_hi give the outcome:
 
     - t_lo > 0: those effects, unclamped;
@@ -389,10 +388,10 @@ def order_k_povm(a, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
     if k == 3:
-        return triangle_povm(a, tol)
+        return triangle_povm(a)
 
     re, im = real_imag_parts(a)
-    verdict = max_member([re, im], make_polygon(k), tol)
+    verdict = max_member([re, im], make_polygon(k))
     if not verdict.member:
         raise InfeasibleError(
             f"numerical range of a leaves Conv(C_{k}) "
@@ -407,17 +406,15 @@ def order_k_povm(a, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
     # to k/2, Im F[:, m] beyond (they pair with modes k - m).
     modes = [fourier[:, m].real if 2 * m <= k else fourier[:, m].imag for m in range(2, k - 1)]
     directions = np.einsum("mj,eab->mejab", modes, hermitian_basis(n)).reshape(-1, k, n, n)
-    band = tol.spec_tol / (4 * k)
+    band = SPEC_TOL / (4 * k)
     result = lmi_floor(base, directions, (-band, 0.0))
     effects = hermitize(base + np.tensordot(result.y, directions, axes=1))
     effects = _settle(effects, result.t_lo, result.t_hi, result.steps, band)
-    require(povm_residuals(effects, labels, a, tol), InfeasibleError, "order_k_povm decomposition")
+    require(povm_residuals(effects, labels, a), InfeasibleError, "order_k_povm decomposition")
     return Povm(list(effects), labels.tolist())
 
 
-def joint_prism_dilation(
-    a, b, k: int, tol: ToleranceConfig = DEFAULT_TOL
-) -> tuple[RepPair, np.ndarray]:
+def joint_prism_dilation(a, b, k: int) -> tuple[RepPair, np.ndarray]:
     """Common dilation of (a, b) to unitaries of orders k and 2.
 
     Builds the normal dilation (y, z) of ``a`` from its positive
@@ -430,28 +427,26 @@ def joint_prism_dilation(
     a, b = as_matrix(a), as_matrix(b)
     if a.shape != b.shape:
         raise DimensionMismatchError(f"a and b must have equal size, got {a.shape}, {b.shape}")
-    require_hermitian(b, tol.alg_tol, "joint_prism_dilation input b")
+    require_hermitian(b, ALG_TOL, "joint_prism_dilation input b")
     norm = opnorm(b)
-    if norm > 1.0 + tol.psd_clamp:
+    if norm > 1.0 + PSD_CLAMP:
         raise NormExceedsOneError(f"||b|| = {norm:.12f} exceeds 1")
 
-    return _dilate_povm(order_k_povm(a, k, tol), b, k, norm, tol)
+    return _dilate_povm(order_k_povm(a, k), b, k, norm)
 
 
-def _dilate_povm(
-    povm: Povm, b: np.ndarray, k: int, norm: float, tol: ToleranceConfig
-) -> tuple[RepPair, np.ndarray]:
+def _dilate_povm(povm: Povm, b: np.ndarray, k: int, norm: float) -> tuple[RepPair, np.ndarray]:
     """The joint dilation of :func:`joint_prism_dilation` from a given POVM
     with labels at the k-th roots of unity and a Hermitian contraction b of
     norm ``norm``: G* W^m G = sum_j omega^(j m) h_j for every m, and
     G* V G = b."""
-    naimark = naimark_normal(povm, tol)
+    naimark = naimark_normal(povm)
     z = naimark.isometry
     y = naimark.operators[0]
     kn = y.shape[0]
 
     b_tilde = hermitize(z @ b @ dagger(z))
-    v_big = _carried_symmetry(b_tilde, z, _contraction_defect_base(hermitize(b), norm), tol)
+    v_big = _carried_symmetry(b_tilde, z, _contraction_defect_base(hermitize(b), norm))
     w_big = direct_sum(y, np.eye(kn))
     g = np.vstack([z, np.zeros((kn, z.shape[1]), dtype=complex)])
     pair = RepPair(
@@ -461,15 +456,15 @@ def _dilate_povm(
     # POVM ties to its first moment. Left: V a symmetry with corner Z b Z*,
     # W's order, G*VG = b.
     residuals = [
-        *prefixed("v_", halmos_symmetry_residuals(b_tilde, v_big, tol)),
-        *prefixed("w_", order_residuals(w_big, k, tol)),
-        _v_compression(b, pair, g, tol),
+        *prefixed("v_", halmos_symmetry_residuals(b_tilde, v_big)),
+        *prefixed("w_", order_residuals(w_big, k)),
+        _v_compression(b, pair, g),
     ]
     require(residuals, RelationCheckFailedError, pair.provenance)
     return pair, g
 
 
-def _carried_symmetry(b_tilde, z, base, tol: ToleranceConfig) -> np.ndarray:
+def _carried_symmetry(b_tilde, z, base) -> np.ndarray:
     """The Halmos symmetry [[b~, D], [D, -b~]] of b~ = Z b Z*, with its defect
     D = sqrt(1 - b~^2) taken at the level of b.
 
@@ -478,32 +473,32 @@ def _carried_symmetry(b_tilde, z, base, tol: ToleranceConfig) -> np.ndarray:
     1 + Z (sqrt(1 - b^2) - 1) Z*. ``base`` is b rescaled into the unit ball,
     as in :func:`halmos_symmetry`; the caller checks the result."""
     n = z.shape[1]
-    root = psd_sqrt(np.eye(n) - base @ base, tol)
+    root = psd_sqrt(np.eye(n) - base @ base)
     d = hermitize(np.eye(z.shape[0]) + z @ (root - np.eye(n)) @ dagger(z))
     return _symmetry_block(b_tilde, d)
 
 
-def _v_compression(b, pair: RepPair, g, tol: ToleranceConfig) -> Residual:
+def _v_compression(b, pair: RepPair, g) -> Residual:
     """G* V G = b; for G = [Z; 0] with an exactly zero lower half, as
     :func:`_dilate_povm` builds it, G* V G is Z* V_11 Z."""
     rows = g.shape[0] // 2
     if g[rows:].any():
         rows = g.shape[0]
     z = g[:rows]
-    return ("v_compression", opnorm(dagger(z) @ pair.v[:rows, :rows] @ z - b), tol.spec_tol)
+    return ("v_compression", opnorm(dagger(z) @ pair.v[:rows, :rows] @ z - b), SPEC_TOL)
 
 
-def joint_residuals(a, b, pair: RepPair, g, tol: ToleranceConfig = DEFAULT_TOL) -> list[Residual]:
+def joint_residuals(a, b, pair: RepPair, g) -> list[Residual]:
     """G is an isometry with G* W G = a and G* V G = b."""
     gs = dagger(g)
     return [
-        ("isometry", opnorm(gs @ g - np.eye(g.shape[1])), tol.spec_tol),
-        ("w_compression", opnorm(gs @ pair.w @ g - a), tol.spec_tol),
-        _v_compression(b, pair, g, tol),
+        ("isometry", opnorm(gs @ g - np.eye(g.shape[1])), SPEC_TOL),
+        ("w_compression", opnorm(gs @ pair.w @ g - a), SPEC_TOL),
+        _v_compression(b, pair, g),
     ]
 
 
-def cube_dilation(mats, tol: ToleranceConfig = DEFAULT_TOL) -> DilationResult:
+def cube_dilation(mats) -> DilationResult:
     """Simultaneous Halmos symmetries for a tuple of Hermitian contractions.
 
     All d symmetries act on the common doubled space; the single
@@ -518,20 +513,18 @@ def cube_dilation(mats, tol: ToleranceConfig = DEFAULT_TOL) -> DilationResult:
     for m in mats:
         if m.shape != (n, n):
             raise ShapeMismatchError("all tuple entries must have equal square shape")
-    symmetries = [halmos_symmetry(m, tol) for m in mats]
+    symmetries = [halmos_symmetry(m) for m in mats]
     isometry = np.vstack([np.eye(n), np.zeros((n, n))]).astype(complex)
     labels = [f"s{j + 1}" for j in range(len(mats))]
     return DilationResult(isometry=isometry, operators=symmetries, labels=labels)
 
 
-def cube_residuals(
-    mats, result: DilationResult, tol: ToleranceConfig = DEFAULT_TOL
-) -> list[Residual]:
+def cube_residuals(mats, result: DilationResult) -> list[Residual]:
     """Each operator is a symmetry that the isometry compresses to its entry."""
     residuals = []
     for label, m, s, small in zip(result.labels, mats, result.operators, result.compressions()):
-        compression = ("compression", opnorm(small - m), tol.alg_tol)
-        residuals += prefixed(f"{label}_", [*symmetry_residuals(s, tol), compression])
+        compression = ("compression", opnorm(small - m), ALG_TOL)
+        residuals += prefixed(f"{label}_", [*symmetry_residuals(s), compression])
     return residuals
 
 
@@ -551,8 +544,6 @@ def evaluate_word(pair: RepPair, word: GroupWord) -> np.ndarray:
     return product
 
 
-def evaluate_compressed_word(
-    pair: RepPair, isometry, word: GroupWord, tol: ToleranceConfig = DEFAULT_TOL
-) -> np.ndarray:
+def evaluate_compressed_word(pair: RepPair, isometry, word: GroupWord) -> np.ndarray:
     """Value Z* (word in W, V) Z of the compressed extension on a group word."""
-    return compress(evaluate_word(pair, word), isometry, tol)
+    return compress(evaluate_word(pair, word), isometry)

@@ -41,8 +41,9 @@ from .errors import (
 )
 
 __all__ = [
-    "ToleranceConfig",
-    "DEFAULT_TOL",
+    "ALG_TOL",
+    "SPEC_TOL",
+    "PSD_CLAMP",
     "as_matrix",
     "dagger",
     "hermitize",
@@ -78,35 +79,14 @@ Residual = tuple[str, float, float]
 """A named residual and its bound; the identity holds when residual <= bound."""
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Numerical tolerances used throughout the package.
-
-    Attributes
-    ----------
-    alg_tol : float
-        Tolerance for identities of exact block constructions.
-    spec_tol : float
-        Tolerance for identities passing through eigensolvers.
-    psd_clamp : float
-        Eigenvalues in ``[-psd_clamp, 0)`` are clamped to zero before
-        positive square roots; anything below is an error.
-    """
-
-    alg_tol: float = 1e-10
-    spec_tol: float = 1e-8
-    psd_clamp: float = 1e-12
-
-    def __post_init__(self):
-        if not (0.0 < self.psd_clamp <= self.alg_tol <= self.spec_tol < 1.0):
-            raise ValueError(
-                "tolerances must satisfy 0 < psd_clamp <= alg_tol <= spec_tol < 1, "
-                f"got psd_clamp={self.psd_clamp}, alg_tol={self.alg_tol}, "
-                f"spec_tol={self.spec_tol}"
-            )
-
-
-DEFAULT_TOL = ToleranceConfig()
+# The fixed tolerances every verdict is decided at, 0 < PSD_CLAMP <= ALG_TOL
+# <= SPEC_TOL < 1. ALG_TOL bounds identities of exact block constructions,
+# SPEC_TOL those that pass through eigensolvers, and eigenvalues in
+# [-PSD_CLAMP, 0) are clamped to zero before positive square roots (anything
+# below is an error).
+ALG_TOL = 1e-10
+SPEC_TOL = 1e-8
+PSD_CLAMP = 1e-12
 
 
 Measured = tuple[str, float, float, str]
@@ -207,23 +187,23 @@ def require_hermitian(a: np.ndarray, tol: float, what: str = "matrix") -> None:
         )
 
 
-def psd_sqrt(h, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def psd_sqrt(h) -> np.ndarray:
     """Positive square root of a positive semidefinite Hermitian matrix, or
     of each slice of an (..., n, n) stack by one batched ``eigh``.
 
-    Eigenvalues in ``[-psd_clamp, 0)`` are clamped to zero; an eigenvalue
-    below ``-psd_clamp`` raises :class:`NotPSDError`.
+    Eigenvalues in ``[-PSD_CLAMP, 0)`` are clamped to zero; an eigenvalue
+    below ``-PSD_CLAMP`` raises :class:`NotPSDError`.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim < 3:
         h = as_matrix(h)
     elif not np.isfinite(h).all():
         raise ValueError("matrix entries must be finite")
-    require_hermitian(h, tol.alg_tol, "psd_sqrt input")
+    require_hermitian(h, ALG_TOL, "psd_sqrt input")
     w, u = np.linalg.eigh(hermitize(h))
-    if w.min(initial=0.0) < -tol.psd_clamp:
+    if w.min(initial=0.0) < -PSD_CLAMP:
         raise NotPSDError(
-            f"matrix has eigenvalue {w.min():.3e} below -psd_clamp={-tol.psd_clamp:.1e}"
+            f"matrix has eigenvalue {w.min():.3e} below -PSD_CLAMP={-PSD_CLAMP:.1e}"
         )
     w = np.clip(w, 0.0, None)
     return hermitize((u * np.sqrt(w)[..., None, :]) @ dagger(u))
@@ -552,14 +532,12 @@ def _step_lengths(factors: np.ndarray, moves: np.ndarray) -> np.ndarray:
     return _LMI_REACH / np.maximum(-low, _LMI_REACH)
 
 
-def commutant_dimension(
-    mats, tol: ToleranceConfig = DEFAULT_TOL
-) -> tuple[int, list[np.ndarray]]:
+def commutant_dimension(mats) -> tuple[int, list[np.ndarray]]:
     """Dimension and orthonormal basis of the joint commutant of a set.
 
     The commutant ``{X : XA = AX for all A}`` is the null space of the
     stacked linear maps ``X -> XA - AX``; singular values at or below
-    ``spec_tol * n`` are treated as zero. The basis is orthonormal in the
+    ``SPEC_TOL * n`` are treated as zero. The basis is orthonormal in the
     Frobenius inner product. Dimension 1 certifies that the set is
     irreducible.
 
@@ -601,7 +579,7 @@ def commutant_dimension(
                 f"all matrices must be square of equal size, got {a.shape} vs ({n}, {n})"
             )
     stack = np.array(mats)
-    cutoff = tol.spec_tol * n
+    cutoff = SPEC_TOL * n
     eigvecs, w, lipschitz = _hermitian_spectrum(stack)
     rotated = dagger(eigvecs) @ stack @ eigvecs
     # ||A_i||_2^2 <= ||A_i||_1 ||A_i||_inf.
@@ -630,7 +608,7 @@ def commutant_dimension(
     turn = np.abs(traces) > _TRACE_ROUNDING * n
     coords[turn] *= (traces[turn].conj() / np.abs(traces[turn]))[:, None, None]
     basis = list(eigvecs @ coords @ dagger(eigvecs))
-    require(commutant_residuals(mats, basis, tol), RelationCheckFailedError, "commutant basis")
+    require(commutant_residuals(mats, basis), RelationCheckFailedError, "commutant basis")
     return len(basis), basis
 
 
@@ -662,10 +640,15 @@ def _hermitian_spectrum(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, floa
     ||[X, H]||_F <= L max_i ||[X, A_i]||_F.
     """
     n = stack.shape[1]
-    adj = stack.conj().transpose(0, 2, 1)
-    defect = np.linalg.norm(stack @ adj - adj @ stack, axis=(1, 2))
-    traceless = stack - np.trace(stack, axis1=1, axis2=2)[:, None, None] * np.eye(n) / n
-    normal = defect <= _NORMALITY_TOL * n * np.linalg.norm(traceless, axis=(1, 2)) ** 2
+    eye = np.eye(n)
+    # One input at a time, so that the temporaries are a few n x n matrices:
+    # the defects and the norms of the traceless parts.
+    defect, traceless = np.zeros(len(stack)), np.zeros(len(stack))
+    for i, a in enumerate(stack):
+        adj = a.conj().T
+        defect[i] = np.linalg.norm(a @ adj - adj @ a, axis=(0, 1))
+        traceless[i] = np.linalg.norm(a - np.trace(a) * eye / n, axis=(0, 1))
+    normal = defect <= _NORMALITY_TOL * n * traceless**2
     c, d = _h_weights(len(stack))[normal].T
     # c (A + A*) + d i(A - A*) = G + G* with G = (c + i d) A: exactly Hermitian.
     g = np.tensordot(c + 1j * d, stack[normal], 1)
@@ -781,7 +764,7 @@ def _times_left(a: np.ndarray) -> np.ndarray:
     return np.einsum("...ak,jl->...ajkl", a, np.eye(r)).reshape(*a.shape[:-2], p * r, r * r)
 
 
-def commutant_residuals(mats, basis, tol: ToleranceConfig = DEFAULT_TOL) -> list[Residual]:
+def commutant_residuals(mats, basis) -> list[Residual]:
     """The basis commutes with every matrix (largest Frobenius norm of XA - AX,
     within ten times the null-space cutoff) and is Frobenius-orthonormal."""
     n = mats[0].shape[0]
@@ -790,18 +773,18 @@ def commutant_residuals(mats, basis, tol: ToleranceConfig = DEFAULT_TOL) -> list
     flat = stack.reshape(len(basis), n * n)
     gram = flat.conj() @ flat.T - np.eye(len(basis))
     return [
-        ("basis_commutes", commutes, tol.spec_tol * n * 10),
-        ("basis_orthonormal", opnorm(gram), tol.spec_tol),
+        ("basis_commutes", commutes, SPEC_TOL * n * 10),
+        ("basis_orthonormal", opnorm(gram), SPEC_TOL),
     ]
 
 
-def irreducibility_residual(mats, tol: ToleranceConfig = DEFAULT_TOL) -> Residual:
+def irreducibility_residual(mats) -> Residual:
     """Commutant dimension minus one: zero exactly when the set is irreducible."""
-    dim, _ = commutant_dimension(mats, tol)
+    dim, _ = commutant_dimension(mats)
     return ("commutant_dimension_1", float(dim - 1), 0.0)
 
 
-def support_values(mats, directions, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def support_values(mats, directions) -> np.ndarray:
     """Support function of the joint numerical range in many real directions.
 
     Returns ``lambda_max(sum_j d_j a_j)`` for each row ``d`` of the (m, len(mats))
@@ -822,18 +805,18 @@ def support_values(mats, directions, tol: ToleranceConfig = DEFAULT_TOL) -> np.n
     for a in mats:
         if a.shape != (n, n):
             raise ShapeMismatchError("tuple entries must all have equal square shape")
-        require_hermitian(a, tol.alg_tol, "support_value tuple entry")
+        require_hermitian(a, ALG_TOL, "support_value tuple entry")
     combos = (directions[:, :, None, None] * np.stack(mats)).sum(axis=1)
     return np.linalg.eigvalsh(hermitize(combos)).max(axis=-1)
 
 
-def support_value(mats, direction, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def support_value(mats, direction) -> float:
     """Support function of the joint numerical range in a real direction.
 
     Returns ``lambda_max(sum_j direction_j a_j)`` for a tuple of Hermitian
     matrices of equal size: the one-direction case of :func:`support_values`.
     """
-    return float(support_values(mats, np.asarray(direction, dtype=float)[None], tol)[0])
+    return float(support_values(mats, np.asarray(direction, dtype=float)[None])[0])
 
 
 def kron(a, b) -> np.ndarray:
@@ -853,7 +836,7 @@ def direct_sum(*blocks) -> np.ndarray:
     return out
 
 
-def compress(a, z, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def compress(a, z) -> np.ndarray:
     """Corner compression ``Z* A Z`` through an isometry ``Z``."""
     a, z = as_matrix(a), as_matrix(z)
     if a.shape[0] != a.shape[1] or z.shape[0] != a.shape[0]:
@@ -861,27 +844,27 @@ def compress(a, z, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
             f"cannot compress {a.shape} through isometry of shape {z.shape}"
         )
     gram = dagger(z) @ z
-    if opnorm(gram - np.eye(z.shape[1])) > tol.alg_tol:
+    if opnorm(gram - np.eye(z.shape[1])) > ALG_TOL:
         raise NotIsometryError(
             f"Z*Z deviates from identity by {opnorm(gram - np.eye(z.shape[1])):.3e}"
         )
     return dagger(z) @ a @ z
 
 
-def unitary_residual(u, tol: ToleranceConfig = DEFAULT_TOL) -> Residual:
+def unitary_residual(u) -> Residual:
     """||U* U - 1||_F; for an exactly diagonal U, || |d|^2 - 1 || over its
     diagonal d, the same quantity without a matrix product."""
     d = _exact_diagonal(u)
     gap = dagger(u) @ u - np.eye(u.shape[1]) if d is None else (d.conj() * d).real - 1.0
-    return ("unitary", _frobenius(gap), tol.spec_tol)
+    return ("unitary", _frobenius(gap), SPEC_TOL)
 
 
-def order_residuals(u, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> list[Residual]:
-    """``u`` is unitary and ``u**k`` is the identity (bound spec_tol * k);
+def order_residuals(u, k: int) -> list[Residual]:
+    """``u`` is unitary and ``u**k`` is the identity (bound SPEC_TOL * k);
     for an exactly diagonal U the order gap is || d^k - 1 || over its diagonal."""
     d = _exact_diagonal(u)
     gap = np.linalg.matrix_power(u, k) - np.eye(u.shape[0]) if d is None else d**k - 1.0
-    return [unitary_residual(u, tol), (f"order_{k}", _frobenius(gap), tol.spec_tol * k)]
+    return [unitary_residual(u), (f"order_{k}", _frobenius(gap), SPEC_TOL * k)]
 
 
 def _exact_diagonal(u: np.ndarray) -> np.ndarray | None:
@@ -907,7 +890,7 @@ def _halmos_half(s: np.ndarray) -> int | None:
     return m
 
 
-def symmetry_residuals(s, tol: ToleranceConfig = DEFAULT_TOL) -> list[Residual]:
+def symmetry_residuals(s) -> list[Residual]:
     """``s`` is a symmetry: selfadjoint and squaring to the identity.
 
     In the Halmos block form s = [[P, Q], [Q, -P]] (:func:`_halmos_half`)
@@ -923,8 +906,8 @@ def symmetry_residuals(s, tol: ToleranceConfig = DEFAULT_TOL) -> list[Residual]:
     square = s[:rows] @ s
     square.ravel()[:: len(s) + 1] -= 1.0
     return [
-        ("selfadjoint", scale * _frobenius(s[:rows] - dagger(s[:, :rows])), tol.spec_tol),
-        ("squares_to_identity", scale * _frobenius(square), tol.spec_tol),
+        ("selfadjoint", scale * _frobenius(s[:rows] - dagger(s[:, :rows])), SPEC_TOL),
+        ("squares_to_identity", scale * _frobenius(square), SPEC_TOL),
     ]
 
 

@@ -18,6 +18,7 @@ a refuting representation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +32,10 @@ from .errors import (
     WrongLevelError,
 )
 from .matkernel import (
-    DEFAULT_TOL,
+    ALG_TOL,
+    PSD_CLAMP,
+    SPEC_TOL,
     Residual,
-    ToleranceConfig,
     as_matrix,
     dagger,
     fourier_matrix,
@@ -112,12 +114,12 @@ class PrismElement:
         blocks = [np.eye(q, dtype=complex)] + [zero.copy() for _ in range(k - 1)]
         return cls(k, q, blocks, zero.copy())
 
-    def is_selfadjoint(self, tol: float = 1e-10) -> bool:
+    def is_selfadjoint(self) -> bool:
         """True iff c_(-m mod k) = c_m* for every m and g is Hermitian."""
         stack = _stacked(self)
         mirror = [(-m) % self.k for m in range(self.k)] + [self.k]
         scale = max(1.0, float(opnorms(stack).max()))
-        return bool(opnorms(stack - dagger(stack[mirror])).max() <= tol * scale)
+        return bool(opnorms(stack - dagger(stack[mirror])).max() <= ALG_TOL * scale)
 
     def evaluate(self, pair: RepPair) -> np.ndarray:
         """The operator sum_m c_m (x) W^m + g (x) V on the q n dimensional space."""
@@ -196,7 +198,7 @@ class Certified:
 @dataclass(frozen=True)
 class Unknown:
     """The solver's bracket on the best lift's floor lies neither above
-    STRICT_MARGIN nor below -spec_tol."""
+    STRICT_MARGIN nor below -SPEC_TOL."""
 
     reason: str
     residual: float
@@ -268,19 +270,17 @@ def dual_member(z: DualTuple) -> bool:
     return bool(gap <= bound)
 
 
-def functional_residuals(z: DualTuple, tol: ToleranceConfig = DEFAULT_TOL) -> list[Residual]:
+def functional_residuals(z: DualTuple) -> list[Residual]:
     """The dual coordinates of a state lie in the dual system and are real
     and nonnegative."""
     return [
         _dual_balance(z),
-        ("nonnegative", max(0.0, -float(z.z.real.min())), tol.alg_tol),
-        ("real", float(np.abs(z.z.imag).max()), tol.alg_tol),
+        ("nonnegative", max(0.0, -float(z.z.real.min())), ALG_TOL),
+        ("real", float(np.abs(z.z.imag).max()), ALG_TOL),
     ]
 
 
-def functional_to_tuple(
-    pair: RepPair, density: np.ndarray, k: int, tol: ToleranceConfig = DEFAULT_TOL
-) -> DualTuple:
+def functional_to_tuple(pair: RepPair, density: np.ndarray, k: int) -> DualTuple:
     """Dual coordinates of the state trace(density . (W, V)-evaluation).
 
     The i-th coordinate is the state applied to the image of the i-th
@@ -295,17 +295,17 @@ def functional_to_tuple(
         raise InvalidDensityError(
             f"density has shape {density.shape}, expected {(pair.dim, pair.dim)}"
         )
-    if opnorm(density - dagger(density)) > tol.spec_tol:
+    if opnorm(density - dagger(density)) > SPEC_TOL:
         raise InvalidDensityError("density must be Hermitian")
     eigs = np.linalg.eigvalsh(hermitize(density))
-    if eigs.min() < -tol.psd_clamp:
+    if eigs.min() < -PSD_CLAMP:
         raise InvalidDensityError(f"density has negative eigenvalue {eigs.min():.3e}")
-    if abs(eigs.sum() - 1.0) > tol.spec_tol:
+    if abs(eigs.sum() - 1.0) > SPEC_TOL:
         raise InvalidDensityError(f"density trace {eigs.sum():.12f} differs from 1")
 
     moments = np.einsum("ij,mji->m", density, _basis_operators(pair))
     z = DualTuple(k, _psi_matrix(k).T @ moments)
-    require(functional_residuals(z, tol), RelationCheckFailedError, "functional_to_tuple")
+    require(functional_residuals(z), RelationCheckFailedError, "functional_to_tuple")
     return z
 
 
@@ -333,9 +333,12 @@ def scalar_positivity_cube(alpha: float, beta) -> tuple[bool, float]:
     """Positivity of alpha + sum(beta_j u_j) in the cube system.
 
     Positive iff alpha >= sum |beta_j|; the worst vertex of the cube flips
-    every coordinate against its coefficient.
+    every coordinate against its coefficient. Non-finite data, or a margin
+    that overflows, is refused.
     """
     margin = float(alpha) - float(np.abs(np.asarray(beta, dtype=float)).sum())
+    if not math.isfinite(margin):
+        raise ValueError(f"alpha and beta must be finite, as must their margin, got {margin}")
     return bool(margin >= -_LINEAR_TOL), margin
 
 
@@ -351,40 +354,32 @@ def min_eigenvalue(e: PrismElement, pair: RepPair) -> float:
     return float(np.linalg.eigvalsh(hermitize(e.evaluate(pair))).min())
 
 
-def refuted_residuals(
-    e: PrismElement, verdict: Refuted, tol: ToleranceConfig = DEFAULT_TOL
-) -> list[Residual]:
-    """The witness evaluation of ``e`` has an eigenvalue at or below -spec_tol.
+def refuted_residuals(e: PrismElement, verdict: Refuted) -> list[Residual]:
+    """The witness evaluation of ``e`` has an eigenvalue at or below -SPEC_TOL.
     The witness pair's own identities are ``reps.pair_residuals``."""
-    return _refuted(e, verdict.witness, tol)[1]
+    return _refuted(e, verdict.witness)[1]
 
 
-def _refuted(
-    e: PrismElement, witness: RepPair, tol: ToleranceConfig
-) -> tuple[Refuted, list[Residual]]:
+def _refuted(e: PrismElement, witness: RepPair) -> tuple[Refuted, list[Residual]]:
     """The verdict that ``witness`` refutes ``e`` and its residuals, from one
     evaluation of ``e`` at the witness."""
     low = min_eigenvalue(e, witness)
-    return Refuted(witness, low), [("witness_min_eigenvalue", low, -tol.spec_tol)]
+    return Refuted(witness, low), [("witness_min_eigenvalue", low, -SPEC_TOL)]
 
 
-def certified_residuals(
-    e: PrismElement, verdict: Certified, tol: ToleranceConfig = DEFAULT_TOL
-) -> list[Residual]:
-    """The lift maps onto ``e`` and its blocks are >= STRICT_MARGIN (less psd_clamp)."""
-    return _certified(e, verdict.lift, tol)[1]
+def certified_residuals(e: PrismElement, verdict: Certified) -> list[Residual]:
+    """The lift maps onto ``e`` and its blocks are >= STRICT_MARGIN (less PSD_CLAMP)."""
+    return _certified(e, verdict.lift)[1]
 
 
-def _certified(
-    e: PrismElement, lift: DiagTuple, tol: ToleranceConfig
-) -> tuple[Certified, list[Residual]]:
+def _certified(e: PrismElement, lift: DiagTuple) -> tuple[Certified, list[Residual]]:
     """The verdict that ``lift`` certifies ``e`` and its residuals, from one
     image of the lift and one pass over its block eigenvalues."""
     low = lift.min_block_eigenvalue()
     distance = element_distance(psi_k(lift), e)
     return Certified(lift, low, distance), [
-        ("lift_maps_to_element", distance, tol.spec_tol),
-        ("lift_strictly_positive", STRICT_MARGIN - low, tol.psd_clamp),
+        ("lift_maps_to_element", distance, SPEC_TOL),
+        ("lift_strictly_positive", STRICT_MARGIN - low, PSD_CLAMP),
     ]
 
 
@@ -398,16 +393,16 @@ def _particular_lift(e: PrismElement) -> np.ndarray:
     return hermitize(np.concatenate([xs, [c0 + 2.0 * stack[e.k], c0 - 2.0 * stack[e.k]]]))
 
 
-def matrix_positivity_prism(e: PrismElement, tol: ToleranceConfig = DEFAULT_TOL):
+def matrix_positivity_prism(e: PrismElement):
     """Three-valued positivity verdict for a selfadjoint element.
 
     ``matkernel.lmi_floor`` brackets the best floor of the lifts of ``e``
     through the quotient map, the particular lift plus kernel (x) Y over
-    Hermitian q x q Y, against the band (-spec_tol, STRICT_MARGIN):
+    Hermitian q x q Y, against the band (-SPEC_TOL, STRICT_MARGIN):
 
     - t_lo >= STRICT_MARGIN: a lift with every block >= STRICT_MARGIN, and
       the verdict is ``Certified``;
-    - t_hi < -spec_tol: the solver's primal point is a matrix state that
+    - t_hi < -SPEC_TOL: the solver's primal point is a matrix state that
       separates ``e`` from the positive cone, and its dilation
       (``_dual_witness``) is a representation at which ``e`` has an
       eigenvalue <= t_hi. The verdict is ``Refuted`` with that pair and its
@@ -423,18 +418,18 @@ def matrix_positivity_prism(e: PrismElement, tol: ToleranceConfig = DEFAULT_TOL)
 
     base = _particular_lift(e)
     directions = _kernel(e.k)[:, None, None] * hermitian_basis(e.q)[:, None]
-    result = lmi_floor(base, directions, (-tol.spec_tol, STRICT_MARGIN))
+    result = lmi_floor(base, directions, (-SPEC_TOL, STRICT_MARGIN))
     if result.t_lo >= STRICT_MARGIN:
         blocks = hermitize(base + np.tensordot(result.y, directions, axes=1))
-        verdict, residuals = _certified(e, DiagTuple(e.k, e.q, list(blocks)), tol)
+        verdict, residuals = _certified(e, DiagTuple(e.k, e.q, list(blocks)))
         require(residuals, RelationCheckFailedError, "certificate")
         return verdict
-    if result.t_hi < -tol.spec_tol:
-        verdict, residuals = _refuted(e, _dual_witness(result.x, e.k, tol), tol)
+    if result.t_hi < -SPEC_TOL:
+        verdict, residuals = _refuted(e, _dual_witness(result.x, e.k))
         require(residuals, RelationCheckFailedError, "refutation")
         return verdict
     bracket = f"[{result.t_lo:.3e}, {result.t_hi:.3e}]"
-    if result.t_lo >= -tol.spec_tol and result.t_hi < STRICT_MARGIN:
+    if result.t_lo >= -SPEC_TOL and result.t_hi < STRICT_MARGIN:
         found = f"the best lift's smallest block eigenvalue lies in {bracket}, inside the band"
     else:
         found = (
@@ -442,7 +437,7 @@ def matrix_positivity_prism(e: PrismElement, tol: ToleranceConfig = DEFAULT_TOL)
             f"failed step), bracket {bracket}"
         )
     return Unknown(
-        reason=f"no witness below -{tol.spec_tol:.0e} and no lift with blocks >= "
+        reason=f"no witness below -{SPEC_TOL:.0e} and no lift with blocks >= "
         f"{STRICT_MARGIN:.0e}: {found}",
         residual=STRICT_MARGIN - result.t_lo,
     )
@@ -453,7 +448,7 @@ def matrix_positivity_prism(e: PrismElement, tol: ToleranceConfig = DEFAULT_TOL)
 _SUPPORT_CUT = 1e-12
 
 
-def _dual_witness(x: np.ndarray, k: int, tol: ToleranceConfig) -> RepPair:
+def _dual_witness(x: np.ndarray, k: int) -> RepPair:
     """A representation built from a primal point x = (Z_0 .. Z_(k-1), Z_+, Z_-)
     of the lift solver: PSD blocks of total trace 1 with the kernel balance
     sum_j Z_j = Z_+ + Z_-.
@@ -474,5 +469,5 @@ def _dual_witness(x: np.ndarray, k: int, tol: ToleranceConfig) -> RepPair:
     parts = hermitize(dagger(root) @ zt @ root)
     b = parts[k] - parts[k + 1]
     povm = Povm(list(parts[:k]), fourier_matrix(k)[:, 1].tolist())
-    pair, _ = _dilate_povm(povm, b, k, opnorm(b), tol)
+    pair, _ = _dilate_povm(povm, b, k, opnorm(b))
     return pair

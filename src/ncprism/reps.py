@@ -44,9 +44,9 @@ from .finitefield import (
     sl2_involutions,
 )
 from .matkernel import (
-    DEFAULT_TOL,
+    ALG_TOL,
+    SPEC_TOL,
     Residual,
-    ToleranceConfig,
     as_matrix,
     commutant_dimension,
     dagger,
@@ -108,14 +108,12 @@ class RepPair:
         return self.w.shape[0]
 
 
-def pair_residuals(
-    pair: RepPair, tol: ToleranceConfig = DEFAULT_TOL, relations=()
-) -> list[Residual]:
+def pair_residuals(pair: RepPair, relations=()) -> list[Residual]:
     """W has order k and V order 2; each ``(name, residual_fn, bound)`` in
     ``relations`` adds ``residual_fn(W, V)`` under its name."""
     return [
-        *prefixed("w_", order_residuals(pair.w, pair.k, tol)),
-        *prefixed("v_", order_residuals(pair.v, 2, tol)),
+        *prefixed("w_", order_residuals(pair.w, pair.k)),
+        *prefixed("v_", order_residuals(pair.v, 2)),
         *((name, float(fn(pair.w, pair.v)), bound) for name, fn, bound in relations),
     ]
 
@@ -135,9 +133,9 @@ class SymmetryTuple:
         return self.mats[0].shape[0]
 
 
-def symmetry_tuple_residuals(mats, tol: ToleranceConfig = DEFAULT_TOL) -> list[Residual]:
+def symmetry_tuple_residuals(mats) -> list[Residual]:
     """Every entry is a symmetry; names carry the entry index."""
-    return [r for i, m in enumerate(mats) for r in prefixed(f"s{i}_", symmetry_residuals(m, tol))]
+    return [r for i, m in enumerate(mats) for r in prefixed(f"s{i}_", symmetry_residuals(m))]
 
 
 def _verified_tuple(mats, provenance: str) -> SymmetryTuple:
@@ -220,15 +218,13 @@ def universal_square_pair(lambdas) -> SymmetryTuple:
     return _verified_tuple([big1, big2], f"universal_square_pair(n={len(lambdas)})")
 
 
-def two_symmetry_canonical_form(
-    v1, v2, tol: ToleranceConfig = DEFAULT_TOL
-) -> CanonicalForm:
+def two_symmetry_canonical_form(v1, v2) -> CanonicalForm:
     """Decompose a pair of symmetries into 2x2 couplings plus characters.
 
     With p = (1 + v1)/2 and q = (1 + v2)/2, the eigenvectors x of p q p on
     range(p), with eigenvalues t, classify the pair by their coupling
     c = ||(1 - p) q x|| = sqrt(t (1 - t)), the off-diagonal entry 2c of v2
-    that a joint eigenvector would drop: c <= spec_tol / 4 gives a character
+    that a joint eigenvector would drop: c <= SPEC_TOL / 4 gives a character
     (+1 if t > 1/2, else -1 for v2), and any larger c an irreducible 2x2
     block whose coupling satisfies (1 - coupling)/2 = t. The eigenvectors of
     (1 - p) q (1 - p) on range(1 - p) are classified alike by ||p q x||;
@@ -238,11 +234,11 @@ def two_symmetry_canonical_form(
     the canonical pair.
     """
     v1, v2 = as_matrix(v1), as_matrix(v2)
-    require(symmetry_tuple_residuals([v1, v2], tol), NotSymmetryError, "canonical form input")
+    require(symmetry_tuple_residuals([v1, v2]), NotSymmetryError, "canonical form input")
     if v1.shape != v2.shape:
         raise ShapeMismatchError("the two symmetries must have equal size")
     n = v1.shape[0]
-    cut = tol.spec_tol / 4.0
+    cut = SPEC_TOL / 4.0
 
     w1, u1vecs = np.linalg.eigh(hermitize(v1))
     plus = u1vecs[:, w1 > 0.0]
@@ -283,18 +279,16 @@ def two_symmetry_canonical_form(
 
     conj = np.column_stack(columns) if columns else np.zeros((n, 0), dtype=complex)
     form = CanonicalForm(lambdas, tuple(char_counts), conj)
-    require(canonical_form_residuals(v1, v2, form, tol), RelationCheckFailedError, "canonical form")
+    require(canonical_form_residuals(v1, v2, form), RelationCheckFailedError, "canonical form")
     return form
 
 
-def canonical_form_residuals(
-    v1, v2, form: CanonicalForm, tol: ToleranceConfig = DEFAULT_TOL
-) -> list[Residual]:
+def canonical_form_residuals(v1, v2, form: CanonicalForm) -> list[Residual]:
     """The conjugator carries the canonical pair back to (v1, v2)."""
     u = form.conjugator
     c1, c2 = form.canonical_pair()
     err = max(opnorm(u @ c1 @ dagger(u) - v1), opnorm(u @ c2 @ dagger(u) - v2))
-    return [("reconstruction", err, tol.spec_tol)]
+    return [("reconstruction", err, SPEC_TOL)]
 
 
 def hadamard_symmetries(m: int, max_dim: int = 4096) -> SymmetryTuple:
@@ -325,14 +319,14 @@ def hadamard_symmetries(m: int, max_dim: int = 4096) -> SymmetryTuple:
     return st
 
 
-def hadamard_residuals(mats, tol: ToleranceConfig = DEFAULT_TOL) -> list[Residual]:
+def hadamard_residuals(mats) -> list[Residual]:
     """The entries other than the last are diagonal sign matrices, hence
     commuting symmetries (checked entrywise in O(n^2) each), and the last is a
     symmetry."""
     signs = max(np.abs(a - np.diag(np.sign(a.diagonal().real))).max() for a in mats[:-1])
     return [
-        ("heads_diagonal_signs", float(signs), tol.alg_tol),
-        *prefixed(f"s{len(mats) - 1}_", symmetry_residuals(mats[-1], tol)),
+        ("heads_diagonal_signs", float(signs), ALG_TOL),
+        *prefixed(f"s{len(mats) - 1}_", symmetry_residuals(mats[-1])),
     ]
 
 
@@ -368,9 +362,7 @@ def prism_vertex_rep(k: int, j: int, sign: int) -> tuple[RepPair, np.ndarray]:
     return pair, xi
 
 
-def vertex_residuals(
-    pair: RepPair, xi, j: int, sign: int, tol: ToleranceConfig = DEFAULT_TOL
-) -> list[Residual]:
+def vertex_residuals(pair: RepPair, xi, j: int, sign: int) -> list[Residual]:
     """The vector state of ``xi`` maps (W, V) to the vertex (omega^j, sign)."""
     wval = complex(np.vdot(xi, pair.w @ xi))
     vval = complex(np.vdot(xi, pair.v @ xi))
@@ -378,7 +370,7 @@ def vertex_residuals(
     attained = np.array([wval.real, wval.imag, vval.real])
     target = np.array([math.cos(angle), math.sin(angle), float(sign)])
     error = float(np.linalg.norm(attained - target) + abs(vval.imag))
-    return [("vertex_attained", error, tol.alg_tol)]
+    return [("vertex_attained", error, ALG_TOL)]
 
 
 def generated_group_order(
@@ -430,12 +422,10 @@ def generated_group_order(
     return order
 
 
-def _verified_pair(
-    w, v, k: int, provenance: str, relations=(), tol: ToleranceConfig = DEFAULT_TOL
-) -> RepPair:
+def _verified_pair(w, v, k: int, provenance: str, relations=()) -> RepPair:
     """Build a RepPair, check its orders and relations and certify irreducibility."""
     pair = RepPair(w, v, k, provenance=provenance)
-    residuals = [*pair_residuals(pair, tol, relations), irreducibility_residual([pair.w, pair.v], tol)]
+    residuals = [*pair_residuals(pair, relations), irreducibility_residual([pair.w, pair.v])]
     require(residuals, RelationCheckFailedError, provenance)
     pair.commutant_dim = 1
     return pair
@@ -536,7 +526,7 @@ def steinberg_pair(q: int, field: FiniteFieldSpec | None = None) -> RepPair:
     return _verified_pair(w, v, 3, f"steinberg_pair(q={q})")
 
 
-def tensor_pair(p1: RepPair, p2: RepPair, tol: ToleranceConfig = DEFAULT_TOL) -> RepPair:
+def tensor_pair(p1: RepPair, p2: RepPair) -> RepPair:
     """Tensor product of two pairs of equal generator order.
 
     Orders are preserved. The commutant dimension of the product is
@@ -550,13 +540,13 @@ def tensor_pair(p1: RepPair, p2: RepPair, tol: ToleranceConfig = DEFAULT_TOL) ->
         p1.k,
         provenance=f"tensor({p1.provenance}, {p2.provenance})",
     )
-    require(pair_residuals(pair, tol), RelationCheckFailedError, pair.provenance)
-    pair.commutant_dim, _ = commutant_dimension([pair.w, pair.v], tol)
+    require(pair_residuals(pair), RelationCheckFailedError, pair.provenance)
+    pair.commutant_dim, _ = commutant_dimension([pair.w, pair.v])
     pair.provenance += f"[commutant_dim={pair.commutant_dim}]"
     return pair
 
 
-def assemble_dimension(n: int, tol: ToleranceConfig = DEFAULT_TOL) -> RepPair:
+def assemble_dimension(n: int) -> RepPair:
     """A pair of order (3, 2) in dimension n, built from prime-power blocks.
 
     Dimension 1 is the trivial character, 2 the S3 pair, 3 the A4 pair,
@@ -575,7 +565,7 @@ def assemble_dimension(n: int, tol: ToleranceConfig = DEFAULT_TOL) -> RepPair:
             provenance="character(j=0, sign=+1)",
             commutant_dim=1,
         )
-        require(pair_residuals(pair, tol), RelationCheckFailedError, pair.provenance)
+        require(pair_residuals(pair), RelationCheckFailedError, pair.provenance)
         return pair
 
     factors = []
@@ -609,7 +599,7 @@ def assemble_dimension(n: int, tol: ToleranceConfig = DEFAULT_TOL) -> RepPair:
 
     pair = blocks[0]
     for nxt in blocks[1:]:
-        pair = tensor_pair(pair, nxt, tol)
+        pair = tensor_pair(pair, nxt)
     if pair.commutant_dim is None:
-        pair.commutant_dim, _ = commutant_dimension([pair.w, pair.v], tol)
+        pair.commutant_dim, _ = commutant_dimension([pair.w, pair.v])
     return pair

@@ -8,6 +8,8 @@ literals survive a round trip bit-exactly up to 17 significant digits.
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 from .dilation import DilationResult
@@ -43,7 +45,10 @@ def complex_to_json(z: complex) -> list[float]:
 
 def complex_from_json(pair) -> complex:
     re, im = pair
-    return complex(float(re), float(im))
+    z = complex(float(re), float(im))
+    if not cmath.isfinite(z):
+        raise ValueError(f"complex scalars must be finite, got {z}")
+    return z
 
 
 def matrix_to_json(a) -> dict:

@@ -19,8 +19,7 @@ import numpy as np
 
 from . import convexity, dilation, opsys, reps
 from .matkernel import (
-    DEFAULT_TOL,
-    ToleranceConfig,
+    SPEC_TOL,
     compress,
     dagger,
     hermitize,
@@ -39,14 +38,14 @@ class CheckResult:
     bound: float
 
 
-def _halmos(rng, tol):
+def _halmos(rng):
     for _ in range(50):
         n = int(rng.integers(1, 9))
-        dilation.halmos_symmetry(convexity.random_hermitian_contraction(rng, n), tol)
+        dilation.halmos_symmetry(convexity.random_hermitian_contraction(rng, n))
     return ()
 
 
-def _mirman(rng, tol):
+def _mirman(rng):
     omega = np.exp(2j * np.pi / 3)
     for _ in range(25):
         big, small = 12, 4
@@ -54,40 +53,40 @@ def _mirman(rng, tol):
         raw = rng.standard_normal((big, small)) + 1j * rng.standard_normal((big, small))
         z0, _ = np.linalg.qr(raw)
         a = dagger(z0) @ np.diag(spectrum) @ z0
-        povm = dilation.triangle_povm(a, tol)
-        dilation.naimark_normal(povm, tol)
+        povm = dilation.triangle_povm(a)
+        dilation.naimark_normal(povm)
         roots = np.abs(np.array(povm.outcome_labels) - omega ** np.arange(3)).max()
-        yield ("labels_at_roots", float(roots), tol.spec_tol)
+        yield ("labels_at_roots", float(roots), SPEC_TOL)
 
 
-def _joint(rng, tol):
+def _joint(rng):
     for _ in range(25):
         n = int(rng.integers(1, 7))
-        dilation.joint_prism_dilation(*convexity.random_prism_point(rng, n, 3), 3, tol)
+        dilation.joint_prism_dilation(*convexity.random_prism_point(rng, n, 3), 3)
     return ()
 
 
-def _square(rng, tol):
+def _square(rng):
     for lam in (0.0, 0.5, -0.5, 0.9, -0.9):
         st = reps.square_irrep(lam)
         u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
         v1, v2 = (u @ m @ dagger(u) for m in st.mats)
-        form = reps.two_symmetry_canonical_form(v1, v2, tol)
+        form = reps.two_symmetry_canonical_form(v1, v2)
         recovered = abs(form.lambdas[0] - lam) if len(form.lambdas) == 1 else math.inf
-        yield irreducibility_residual(st.mats, tol)
-        yield ("coupling_recovered", recovered, tol.spec_tol)
+        yield irreducibility_residual(st.mats)
+        yield ("coupling_recovered", recovered, SPEC_TOL)
 
 
-def _hadamard(rng, tol):
-    return [irreducibility_residual(reps.hadamard_symmetries(m).mats, tol) for m in (1, 2, 3)]
+def _hadamard(rng):
+    return [irreducibility_residual(reps.hadamard_symmetries(m).mats) for m in (1, 2, 3)]
 
 
-def _group_pairs(rng, tol):
+def _group_pairs(rng):
     samples = ((reps.s3_pair, 2), (reps.a4_pair, 3), (lambda: reps.steinberg_pair(5), 5))
     return [("dimension", float(abs(build().dim - dim)), 0.0) for build, dim in samples]
 
 
-def _vertices(rng, tol):
+def _vertices(rng):
     for k in (3, 4, 5):
         for j in range(k):
             for sign in (1, -1):
@@ -95,29 +94,29 @@ def _vertices(rng, tol):
     return ()
 
 
-def _geometry(rng, tol):
+def _geometry(rng):
     for k in range(3, 65):
         convexity.make_prism(k)
     theta = abs(convexity.theta_lower_bound(3) - 3.0 / (2.0 * math.sqrt(2.0)))
     return [("theta_lower_bound", theta, 1e-12)]
 
 
-def _quotient(rng, tol):
+def _quotient(rng):
     return [r for k in (3, 4, 5) for q in (1, 2) for r in opsys.quotient_residuals(k, q)]
 
 
-def _dual(rng, tol):
+def _dual(rng):
     for _ in range(20):
         k = int(rng.choice([3, 4, 5]))
         j = int(rng.integers(0, k))
         pair, _ = reps.prism_vertex_rep(k, j, int(rng.choice([1, -1])))
         raw = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
         rho = raw @ dagger(raw)
-        opsys.functional_to_tuple(pair, hermitize(rho / np.trace(rho).real), k, tol)
+        opsys.functional_to_tuple(pair, hermitize(rho / np.trace(rho).real), k)
     return ()
 
 
-def _positivity(rng, tol):
+def _positivity(rng):
     """The exact vertex margin against the evaluations on factory pairs."""
     pairs = [reps.prism_vertex_rep(3, j, s)[0] for j in range(3) for s in (1, -1)]
     pairs += [reps.s3_pair(), reps.a4_pair()]
@@ -130,7 +129,7 @@ def _positivity(rng, tol):
             yield ("margin_matches_samples", abs(sampled - margin), 1e-8)
 
 
-def _monotone(rng, tol):
+def _monotone(rng):
     prism = convexity.make_prism(3)
     for _ in range(20):
         n = int(rng.integers(2, 7))
@@ -139,9 +138,9 @@ def _monotone(rng, tol):
         raw = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
         z, _ = np.linalg.qr(raw)
         re, im = convexity.real_imag_parts(a)
-        small = [compress(re, z, tol), compress(im, z, tol), compress(b, z, tol)]
-        margin = convexity.max_member(small, prism, tol).margin
-        yield ("compressed_margin", max(0.0, -margin), tol.spec_tol)
+        small = [compress(re, z), compress(im, z), compress(b, z)]
+        margin = convexity.max_member(small, prism).margin
+        yield ("compressed_margin", max(0.0, -margin), SPEC_TOL)
 
 
 # (name, bound on the worst residual, sampler). A sampler builds its samples
@@ -163,14 +162,14 @@ _CHECKS = [
 ]
 
 
-def run_all(seed: int = 0, tol: ToleranceConfig = DEFAULT_TOL) -> list[CheckResult]:
+def run_all(seed: int = 0) -> list[CheckResult]:
     """Run every invariant check with a fresh seeded generator per check. A
     check's residuals are those its constructors required plus those its
     sampler returns; an enclosing ``measured`` block receives none of them."""
     results = []
     for i, (name, bound, sampler) in enumerate(_CHECKS):
         with measured() as records:
-            own = list(sampler(np.random.default_rng(seed + i), tol))
+            own = list(sampler(np.random.default_rng(seed + i)))
         worst = float(max(value for _, value, *_ in [*records, *own]))
         results.append(CheckResult(name, worst <= bound, worst, bound))
     return results

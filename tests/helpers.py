@@ -3,7 +3,7 @@ direct reference implementations used as test oracles."""
 
 import numpy as np
 
-from ncprism.matkernel import DEFAULT_TOL, dagger, hermitize
+from ncprism.matkernel import SPEC_TOL, dagger, hermitize
 
 
 def within_bounds(residuals):
@@ -82,16 +82,16 @@ def permutation_closure_oracle(generators, limit):
     return len(seen)
 
 
-def commutant_oracle(mats, tol=DEFAULT_TOL):
+def commutant_oracle(mats):
     """Commutant by a thin SVD of the full n^2-unknown Kronecker stack.
 
     The direct algorithm, O(m n^6): returns the dimension (singular values
-    at or below spec_tol * n) and the orthogonal projector onto the null
+    at or below SPEC_TOL * n) and the orthogonal projector onto the null
     space in row-major vec coordinates.
     """
     n = mats[0].shape[0]
     eye = np.eye(n)
     stack = np.vstack([np.kron(eye, a.T) - np.kron(a, eye) for a in mats])
     _, s, vh = np.linalg.svd(stack, full_matrices=False)
-    null = vh[s <= tol.spec_tol * n].conj()
+    null = vh[s <= SPEC_TOL * n].conj()
     return len(null), null.T @ null.conj()

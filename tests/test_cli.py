@@ -99,7 +99,7 @@ class TestRepAndCommutant:
             (
                 ["rep", "square", "--lambda", "0"],
                 None,
-                (cli, "irreducibility_residual", lambda mats, tol: ("commutant_dimension_1", 1.0, 0.0)),
+                (cli, "irreducibility_residual", lambda mats: ("commutant_dimension_1", 1.0, 0.0)),
             ),
         ],
     )
@@ -308,6 +308,15 @@ class TestReportAndDeterminism:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --in" in capsys.readouterr().err
 
+    # Every verdict is decided at the fixed tolerances of matkernel: no flag
+    # sets them.
+    @pytest.mark.parametrize("args", [["positivity", "matrix", "--k", "3"], ["rep", "s3"]])
+    def test_tol_flag_is_refused(self, capsys, args):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*args, "--tol", "1e-4"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_small_budget_suite(self, capsys, monkeypatch):
@@ -367,6 +376,22 @@ class TestMalformedMatrices:
     def test_non_finite_entry_exits_two(self, capsys, monkeypatch, entry):
         payload = {"rows": 1, "cols": 1, "data": [entry]}
         code, out, err = run_cli(capsys, monkeypatch, ["dilate", "halmos"], stdin_obj=payload)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "args, payload",
+        [
+            (["positivity", "cube"], lambda x: {"alpha": x, "beta": [0.5]}),
+            (["positivity", "cube"], lambda x: {"alpha": 1.0, "beta": [x]}),
+            (["quotient", "dual-member", "--k", "3"], lambda x: {"z": [[x, 0.0]] + [[0.0, 0.0]] * 4}),
+        ],
+        ids=["cube-alpha", "cube-beta", "dual-member-z"],
+    )
+    def test_non_finite_scalar_exits_two(self, capsys, monkeypatch, args, payload, value):
+        code, out, err = run_cli(capsys, monkeypatch, args, stdin_obj=payload(value))
         assert code == 2
         assert out == ""
         assert "finite" in err

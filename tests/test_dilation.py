@@ -45,7 +45,7 @@ from ncprism.errors import (
     NumericalRangeOutsideTriangleError,
     OrderMismatchError,
 )
-from ncprism.matkernel import DEFAULT_TOL, compress, dagger, fourier_matrix, hermitize, opnorm
+from ncprism.matkernel import PSD_CLAMP, SPEC_TOL, compress, dagger, fourier_matrix, hermitize, opnorm
 from ncprism.reps import pair_residuals, prism_vertex_rep
 
 OMEGA = np.exp(2j * np.pi / 3)
@@ -62,10 +62,10 @@ class TestHalmosSymmetry:
             halmos_symmetry(np.array([[1.0]])), np.diag([1.0, -1.0]), atol=1e-12
         )
         # Norms up to 1 + psd_clamp pass the self-check; beyond that, refused.
-        for norm in (1.0, 1.0 + DEFAULT_TOL.psd_clamp / 2):
+        for norm in (1.0, 1.0 + PSD_CLAMP / 2):
             halmos_symmetry(np.diag([norm, -0.5]))
         with pytest.raises(NormExceedsOneError):
-            halmos_symmetry(np.diag([1.0 + 2 * DEFAULT_TOL.psd_clamp, -0.5]))
+            halmos_symmetry(np.diag([1.0 + 2 * PSD_CLAMP, -0.5]))
 
     def test_half(self):
         s = halmos_symmetry(np.array([[0.5]]))
@@ -99,10 +99,10 @@ class TestHalmosUnitary:
         u = halmos_unitary(np.array([[1j]]))
         assert np.allclose(u, np.diag([1j, 1j]), atol=1e-12)
         assert opnorm(dagger(u) @ u - np.eye(2)) <= 1e-12
-        for norm in (1.0, 1.0 + DEFAULT_TOL.psd_clamp / 2):
+        for norm in (1.0, 1.0 + PSD_CLAMP / 2):
             halmos_unitary(np.array([[0.0, norm], [0.0, 0.0]]))
         with pytest.raises(NormExceedsOneError):
-            halmos_unitary(np.array([[0.0, 1.0 + 2 * DEFAULT_TOL.psd_clamp], [0.0, 0.0]]))
+            halmos_unitary(np.array([[0.0, 1.0 + 2 * PSD_CLAMP], [0.0, 0.0]]))
 
     def test_nilpotent_contraction(self):
         x = np.array([[0.0, 0.8], [0.0, 0.0]])
@@ -147,7 +147,7 @@ class TestTriangleMembership:
     max_member does from the facets' support values: the same verdict, error
     class and facet index."""
 
-    SPEC = DEFAULT_TOL.spec_tol
+    SPEC = SPEC_TOL
 
     @staticmethod
     def outcome(a):
@@ -249,7 +249,7 @@ class TestNaimark:
     def test_effect_eigenvalue_at_the_clamp_edge(self, k):
         # Effects diag(low, 1/k), diag(2/k - low, 1/k), then 1/k: they sum to
         # the identity, and one batched root takes all k of them.
-        clamp = DEFAULT_TOL.psd_clamp
+        clamp = PSD_CLAMP
 
         def povm(low):
             effects = np.stack([np.eye(2, dtype=complex) / k] * k)
@@ -391,7 +391,7 @@ class TestOrderKPovm:
         # decomposition or a proof with t_hi < -band, except that the floor
         # at exactly -band leaves an undecided bracket around it. At k = 3 the
         # barycentric effects are the only decomposition, so the bracket is exact.
-        band = DEFAULT_TOL.spec_tol / (4 * k)
+        band = SPEC_TOL / (4 * k)
         for vertex in fourier_matrix(k)[:2, 1]:
             outcomes = []
             for delta in np.linspace(1e-9, 5e-9, 17):
@@ -442,7 +442,7 @@ class TestJointPrismDilation:
         assert within_bounds([*pair_residuals(pair), *joint_residuals(a, b, pair, g)])
 
     @staticmethod
-    def assert_symmetry_of_carried_b(a, b, k, bound=DEFAULT_TOL.spec_tol):
+    def assert_symmetry_of_carried_b(a, b, k, bound=SPEC_TOL):
         """V is a symmetry with corner Z b Z*, equals the Halmos symmetry of
         Z b Z* built at level k n within ``bound``, and the whole output
         passes its residuals."""
@@ -471,7 +471,7 @@ class TestJointPrismDilation:
         "b",
         [
             np.diag([1.0, -0.3, 0.2]),
-            np.diag([1.0 + DEFAULT_TOL.psd_clamp / 2, -0.5, 0.1]),
+            np.diag([1.0 + PSD_CLAMP / 2, -0.5, 0.1]),
             np.eye(3),
             -np.eye(3),
         ],
@@ -485,13 +485,13 @@ class TestJointPrismDilation:
         u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
         a, _ = random_prism_point(rng, 3, 3, scale=0.8)
         for contraction in (b, u @ b @ dagger(u)):
-            self.assert_symmetry_of_carried_b(a, contraction, 3, math.sqrt(DEFAULT_TOL.psd_clamp))
+            self.assert_symmetry_of_carried_b(a, contraction, 3, math.sqrt(PSD_CLAMP))
 
     @pytest.mark.parametrize("k", [3, 4, 6])
     def test_norm_at_the_clamp_edge(self, k):
         # ||b|| = 1 and 1 + psd_clamp/2 give a checked pair; 1 + 2 psd_clamp
         # is refused.
-        clamp = DEFAULT_TOL.psd_clamp
+        clamp = PSD_CLAMP
         a, _ = random_prism_point(np.random.default_rng(k), 2, k, scale=0.5)
         for top in (1.0, 1.0 + clamp / 2):
             b = np.diag([top, -0.4])
@@ -507,7 +507,7 @@ class TestJointPrismDilation:
         u = np.linalg.qr(np.arange(9.0).reshape(3, 3) + 1j * np.eye(3))[0]
         for b in (np.diag([0.9, -0.4, 0.2]), np.diag([0.9, -0.4, 1.0])):
             for rotated in (a, u @ a @ dagger(u)):
-                self.assert_symmetry_of_carried_b(rotated, b, 3, math.sqrt(DEFAULT_TOL.psd_clamp))
+                self.assert_symmetry_of_carried_b(rotated, b, 3, math.sqrt(PSD_CLAMP))
 
 
     @pytest.mark.parametrize("k", [3, 4, 6, 8])
@@ -525,7 +525,7 @@ class TestJointPrismDilation:
         b = hermitize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         b = 0.9 * b / opnorm(b)
         povm = Povm(list(effects), fourier_matrix(k)[:, 1].tolist())
-        pair, g = _dilate_povm(povm, b, k, opnorm(b), DEFAULT_TOL)
+        pair, g = _dilate_povm(povm, b, k, opnorm(b))
         assert pair.dim == 2 * k * n
         assert within_bounds(pair_residuals(pair))
         power = np.eye(pair.dim)

@@ -12,7 +12,7 @@ from ncprism.errors import (
     NotSelfadjointError,
     WrongLevelError,
 )
-from ncprism.matkernel import DEFAULT_TOL, dagger, hermitian_basis, hermitize, lmi_floor, opnorm
+from ncprism.matkernel import SPEC_TOL, dagger, hermitian_basis, hermitize, lmi_floor, opnorm
 from ncprism.opsys import (
     STRICT_MARGIN,
     Certified,
@@ -306,15 +306,15 @@ class TestBoundaryVerdicts:
 
     @pytest.mark.parametrize("k", [3, 6])
     def test_margin_twice_spec_tol_below_zero_is_refuted(self, k):
-        e = self.element(k, -2 * DEFAULT_TOL.spec_tol)
+        e = self.element(k, -2 * SPEC_TOL)
         verdict = matrix_positivity_prism(e)
         assert isinstance(verdict, Refuted)
-        assert abs(verdict.min_eigenvalue + 2 * DEFAULT_TOL.spec_tol) <= DEFAULT_TOL.spec_tol
+        assert abs(verdict.min_eigenvalue + 2 * SPEC_TOL) <= SPEC_TOL
         assert within_bounds([*pair_residuals(verdict.witness), *refuted_residuals(e, verdict)])
 
     @pytest.mark.parametrize("k", [3, 6])
     def test_margin_half_spec_tol_below_zero_is_unknown(self, k):
-        verdict = matrix_positivity_prism(self.element(k, -DEFAULT_TOL.spec_tol / 2))
+        verdict = matrix_positivity_prism(self.element(k, -SPEC_TOL / 2))
         assert isinstance(verdict, Unknown)
 
     @pytest.mark.parametrize("k", [3, 6])
@@ -454,9 +454,9 @@ class TestDualWitness:
     )
     def test_witness_is_a_checked_pair_below_the_bound(self, k, q, seed, shift):
         e = random_selfadjoint_element(k, q, seed, shift)
-        result = lmi_floor(*lift_problem(e), (-DEFAULT_TOL.spec_tol, STRICT_MARGIN))
+        result = lmi_floor(*lift_problem(e), (-SPEC_TOL, STRICT_MARGIN))
         verdict = matrix_positivity_prism(e)
-        assert isinstance(verdict, Refuted) == (result.t_hi < -DEFAULT_TOL.spec_tol)
+        assert isinstance(verdict, Refuted) == (result.t_hi < -SPEC_TOL)
         if isinstance(verdict, Refuted):
             assert within_bounds([*pair_residuals(verdict.witness), *refuted_residuals(e, verdict)])
             assert verdict.witness.dim <= 2 * k * q
@@ -477,7 +477,7 @@ class TestDualWitness:
         x[0, 0, 0] = x[k, 0, 0] = 0.5
         bound = float(np.vdot(_particular_lift(e), x).real)
         assert bound == pytest.approx(-0.3, abs=1e-14)
-        witness = _dual_witness(x, k, DEFAULT_TOL)
+        witness = _dual_witness(x, k)
         assert witness.dim == 2 * k
         assert within_bounds(pair_residuals(witness))
         assert min_eigenvalue(e, witness) <= bound + 1e-12

@@ -27,7 +27,7 @@ from ncprism.errors import (
 )
 from ncprism.finitefield import FiniteFieldSpec
 from ncprism.matkernel import (
-    DEFAULT_TOL,
+    SPEC_TOL,
     commutant_dimension,
     dagger,
     direct_sum,
@@ -160,7 +160,7 @@ class TestCanonicalForm:
         # 0.4. At t = 0 or 1 it is two characters; at t within spec_tol of 0
         # or 1 its off-diagonal mu = 2 sqrt(t (1 - t)) is still about 1e-4,
         # so it is a 2 x 2 block, which a character would miss by mu.
-        t = distance * DEFAULT_TOL.spec_tol
+        t = distance * SPEC_TOL
         t = 1.0 - t if near_one else t
         lam, mu = 1.0 - 2.0 * t, 2.0 * math.sqrt(t * (1.0 - t))
         v1 = direct_sum(np.diag([-1.0, 1.0]), square_irrep(0.4).mats[0])
