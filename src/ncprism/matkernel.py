@@ -275,6 +275,13 @@ def lmi_floor(base, directions, band: tuple[float, float]) -> FloorResult:
 
     ``base`` is an (m, n, n) stack of Hermitian blocks, ``directions`` a
     (p, m, n, n) stack of p such stacks, and the order holds block by block.
+    The directions and the identity must be linearly independent to
+    rounding: the real Gram matrix of -D_1, ..., -D_p, 1 must have its
+    smallest eigenvalue above sqrt(eps) times its largest. Otherwise, unless
+    y = 0 already clears the band, ``ValueError`` is raised. The callers'
+    directions (Fourier modes or a kernel vector tensored with
+    :func:`hermitian_basis`) always are.
+
     The solver stops at the first bracket [t_lo, t_hi] that places the best
     floor against the band: t_lo >= high, with the first point y found whose
     floor clears the band; t_hi < low, with a primal point x that proves no
@@ -287,13 +294,7 @@ def lmi_floor(base, directions, band: tuple[float, float]) -> FloorResult:
     iterate at half the step lengths, up to ``_LMI_HALVINGS`` times. Before
     return the floor of y is recomputed with a batched ``eigvalsh``, and x
     was accepted only with no negative eigenvalue and with sum tr x = 1 and
-    <D_i, x> = 0 to rounding for the caller's directions. Rank is judged
-    from singular values. Directions that are linearly dependent to rounding
-    are replaced by an orthonormal basis of their span, and y is mapped
-    back; independent ones are used as given. When the constraints, the identity included, are
-    dependent to rounding, the identity lies in the span: every floor is
-    reachable, no primal point exists, and y moves along the identity's
-    coordinates with t_hi = inf.
+    <D_i, x> = 0 to rounding.
 
     y = 0 is tried first, so a base already above the band costs one
     ``eigvalsh``. Otherwise an infeasible-start primal-dual interior-point
@@ -324,53 +325,29 @@ def lmi_floor(base, directions, band: tuple[float, float]) -> FloorResult:
     y, t_lo = np.zeros(len(directions)), _floor(base)
     if t_lo >= high:
         return FloorResult(y, t_lo, math.inf, None, 0)
-    found = _interior_point(base, directions, band, t_lo, directions)
-    if found is None:
-        # Linearly dependent directions: solve over an orthonormal basis of
-        # their span, then map y back to the caller's coordinates.
-        to_caller = _span_basis(directions)
-        basis = np.tensordot(to_caller.T, directions, axes=1)
-        found = _interior_point(base, basis, band, t_lo, directions)
-        found = (to_caller @ found[0], *found[1:])
-    y, t_hi, x_hi, steps = found
-    t_lo = _floor(base + np.tensordot(y, directions, axes=1))
-    return FloorResult(y, t_lo, t_hi, x_hi, steps)
-
-
-def _interior_point(base, directions, band: tuple[float, float], t_lo: float, caller):
-    """:func:`lmi_floor`'s Newton loop from y = 0, whose floor is ``t_lo``:
-    the best y, t_hi, the primal point behind t_hi and the step count. None
-    when the directions are linearly dependent to rounding, which would
-    leave the primal projection singular or its points no bound.
-    A primal point is a bound only if it also meets the constraints of the
-    ``caller``'s directions, which ``directions`` may only approximately span."""
-    low, high = band
-    m, n, _ = base.shape
+    # The constraint matrices A_i: -D_i for each y_i, then the identity for
+    # t, so that S = base - sum_i z_i A_i with z = (y, t), and the primal
+    # constraints read <A_i, X> = b_i. The real part of `pair` @ vec(X) is
+    # <A_i, X>; block b of `cols` is the row of blocks [A_1b | ... | A_Pb].
     eye = np.broadcast_to(np.eye(n), base.shape)
-    a, pair, b = _constraints(directions, eye)
+    a = np.concatenate([-directions, eye[None]])
     flat = a.reshape(len(a), -1)
-    # Block b of `cols` is the row of blocks [A_1b | ... | A_Pb].
+    pair = flat.conj()
+    b = np.zeros(len(a))
+    b[-1] = 1.0
     cols = a.transpose(1, 2, 0, 3).reshape(m, n, -1)
     gram = (pair @ flat.T).real
-    width = pair.shape[1]
-    # By interlacing, a constraint matrix of full rank has a directions block
-    # of full rank too.
-    if not _full_rank(a, gram):
-        if not _full_rank(a[:-1], gram[:-1, :-1]):
-            return None
-        # The identity lies in the span of the directions, so every floor is
-        # reachable and no primal point exists: <1, X> = tr X would be a
-        # combination of the <D_i, X> = 0. Move along the identity's
-        # coordinates by twice the shortfall plus one, a margin that rounding
-        # cannot take back at the O(1) scale of the callers' data.
-        unit = np.linalg.solve(gram[:-1, :-1], -gram[:-1, -1])
-        return (2.0 * (high - t_lo) + 1.0) * unit, math.inf, None, 0
+    lam = np.linalg.eigvalsh(gram)
+    if not lam.min() > math.sqrt(np.finfo(float).eps) * lam.max():
+        raise ValueError(
+            "the directions and the identity must be linearly independent to rounding: "
+            f"their Gram matrix has smallest eigenvalue {lam.min():.3e}, not above "
+            f"sqrt(eps) times its largest, {lam.max():.3e}"
+        )
     # A projected point bounds the floors only if tr X = 1 and <D_i, X> = 0
-    # hold for the caller's D_i to the rounding of the products, which an
-    # ill-conditioned projection need not achieve.
-    _, checked, target = (a, pair, b) if caller is directions else _constraints(caller, eye)
-    slack_cut = width * np.finfo(float).eps * np.linalg.norm(checked, axis=1)
-    y = np.zeros(len(directions))
+    # hold to the rounding of the products, which an ill-conditioned
+    # projection need not achieve.
+    slack_cut = pair.shape[1] * np.finfo(float).eps * np.linalg.norm(pair, axis=1)
     x = eye / (m * n)
     z = np.append(y, t_lo - 1.0)
     t_hi, x_hi, steps, halvings = math.inf, None, 0, 0
@@ -385,7 +362,7 @@ def _interior_point(base, directions, band: tuple[float, float], t_lo: float, ca
                 projected = hermitize(x + (shift @ flat).reshape(x.shape))
                 if np.linalg.eigvalsh(projected).min() >= 0.0:
                     bound = float(np.vdot(base, projected).real)
-                    if bound < t_hi and _meets(projected, checked, target, slack_cut):
+                    if bound < t_hi and _meets(projected, pair, b, slack_cut):
                         t_hi, x_hi = bound, projected
                 decided = t_lo >= high or t_hi < low or (t_lo >= low and t_hi < high)
                 if decided or t_hi - t_lo <= _LMI_GAP or steps == _LMI_STEPS:
@@ -409,59 +386,14 @@ def _interior_point(base, directions, band: tuple[float, float], t_lo: float, ca
                 steps += 1
     except (np.linalg.LinAlgError, FloatingPointError):
         pass
-    return y, t_hi, x_hi, steps
-
-
-def _constraints(directions: np.ndarray, eye: np.ndarray):
-    """The constraint matrices A_i: -D_i for each y_i, then the identity for
-    t, so that S = base - sum_i z_i A_i with z = (y, t), and the primal
-    constraints read <A_i, X> = b_i. Returns A, the rows ``pair`` whose
-    product with vec(X) has real part <A_i, X> (for Hermitian A_i), and b."""
-    a = np.concatenate([-directions, eye[None]])
-    b = np.zeros(len(a))
-    b[-1] = 1.0
-    return a, a.reshape(len(a), -1).conj(), b
+    t_lo = _floor(base + np.tensordot(y, directions, axes=1))
+    return FloorResult(y, t_lo, t_hi, x_hi, steps)
 
 
 def _meets(x: np.ndarray, rows: np.ndarray, target: np.ndarray, cut: np.ndarray) -> bool:
     """Re <rows_i, vec(x)> = target_i for every i, to within cut_i ||x||_F."""
     slack = np.abs(target - (rows @ x.ravel()).real)
     return bool((slack <= cut * math.sqrt(np.vdot(x, x).real)).all())
-
-
-def _span_basis(directions: np.ndarray) -> np.ndarray:
-    """Coefficients C (p x r) such that the stacks sum_i C_ik directions[i]
-    are orthonormal in the real trace inner product and span the directions:
-    the left singular vectors of :func:`_row_svd` over the singular values
-    above the rank cut."""
-    u, sigma, keep = _row_svd(directions)
-    return u[:, keep] / sigma[keep]
-
-
-def _full_rank(stack: np.ndarray, gram: np.ndarray) -> bool:
-    """The matrices of ``stack``, whose real Gram matrix is ``gram``, are
-    linearly independent to rounding by the singular values of
-    :func:`_row_svd`. The Gram eigenvalues are those singular values squared,
-    to within about p width eps of the largest, so a smallest one above
-    sqrt(eps) of the largest proves full rank without an SVD."""
-    lam = np.linalg.eigvalsh(gram)
-    if lam.min() > math.sqrt(np.finfo(float).eps) * lam.max():
-        return True
-    return int(_row_svd(stack)[2].sum()) == len(stack)
-
-
-def _row_svd(stack: np.ndarray):
-    """The matrices of ``stack`` as the rows of one real matrix, real and
-    imaginary parts side by side, so that row products are the real trace
-    inner products: its left singular vectors, its singular values, and which
-    of them exceed numpy's default rank cut (the largest times the larger
-    side times eps). Judging rank from the singular values, not from the
-    eigenvalues of the Gram matrix, keeps directions whose smallest singular
-    value is far below sqrt(eps) of the largest but well above rounding."""
-    flat = stack.reshape(len(stack), math.prod(stack.shape[1:]))
-    rows = np.concatenate([flat.real, flat.imag], axis=1)
-    u, sigma, _ = np.linalg.svd(rows, full_matrices=False)
-    return u, sigma, sigma > sigma.max(initial=0.0) * max(rows.shape) * np.finfo(float).eps
 
 
 def _floor(stack: np.ndarray) -> float:

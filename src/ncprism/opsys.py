@@ -158,15 +158,20 @@ class DiagTuple:
 
 @dataclass(frozen=True)
 class DualTuple:
-    """A functional on the prism system, written in the k+2 dual coordinates."""
+    """A functional on the prism system, k >= 3, written in the k+2 dual
+    coordinates, which must be finite."""
 
     k: int
     z: np.ndarray
 
     def __post_init__(self):
+        if self.k < 3:
+            raise ValueError(f"k must be >= 3, got {self.k}")
         object.__setattr__(self, "z", np.asarray(self.z, dtype=complex))
         if self.z.shape != (self.k + 2,):
             raise ShapeMismatchError(f"need {self.k + 2} coordinates, got {self.z.shape}")
+        if not np.isfinite(self.z).all():
+            raise ValueError("dual coordinates must be finite")
 
 
 @dataclass(frozen=True)

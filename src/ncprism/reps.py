@@ -291,19 +291,25 @@ def canonical_form_residuals(v1, v2, form: CanonicalForm) -> list[Residual]:
     return [("reconstruction", err, SPEC_TOL)]
 
 
-def hadamard_symmetries(m: int, max_dim: int = 4096) -> SymmetryTuple:
+# The largest dimension 2^m that hadamard_symmetries builds: its m + 1 dense
+# complex matrices then take m + 1 times 256 MiB.
+_HADAMARD_MAX_DIM = 4096
+
+
+def hadamard_symmetries(m: int) -> SymmetryTuple:
     """m+1 irreducible symmetries in dimension 2^m, the first m commuting.
 
     A_0..A_{m-1} are diagonal with entries (-1)**(i-th binary digit of the
     index); A_m is the normalized m-fold tensor power of the 2x2 Hadamard
     matrix. Only diagonal matrices commute with the first m, and only
-    scalars commute with all m+1.
+    scalars commute with all m+1. A dimension above ``_HADAMARD_MAX_DIM``
+    raises ``SizeBudgetExceededError`` before anything is built.
     """
     if m < 1:
         raise IndexOutOfRangeError(f"m must be >= 1, got {m}")
     n = 2**m
-    if n > max_dim:
-        raise SizeBudgetExceededError(f"dimension 2^{m} exceeds budget {max_dim}")
+    if n > _HADAMARD_MAX_DIM:
+        raise SizeBudgetExceededError(f"dimension 2^{m} exceeds budget {_HADAMARD_MAX_DIM}")
     mats = []
     idx = np.arange(n)
     for i in range(m):

@@ -243,6 +243,23 @@ class TestQuotient:
         assert code == 0
         assert json.loads(out)["member"] is True
 
+    @pytest.mark.parametrize(
+        "k, z, message",
+        [
+            ("1", [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]], "k must be >= 3"),
+            ("3", [[float("nan"), 0.0]] + [[0.0, 0.0]] * 4, "finite"),
+        ],
+        ids=["k-1", "nan"],
+    )
+    def test_dual_member_refuses_a_bad_tuple(self, capsys, monkeypatch, k, z, message):
+        # Refused as a usage error, never answered "member": true or false.
+        code, out, err = run_cli(
+            capsys, monkeypatch, ["quotient", "dual-member", "--k", k], stdin_obj={"z": z}
+        )
+        assert code == 2
+        assert out == ""
+        assert message in err
+
 
 class TestReportAndDeterminism:
     def test_identical_runs_are_byte_identical(self, capsys, monkeypatch):

@@ -605,6 +605,14 @@ class TestStacks:
         assert np.abs(clamp_spectrum(blocks, 0.1) - blocks).max() <= 1e-14
 
 
+def near_parallel(delta):
+    """Three 1 x 1 blocks, base (0, 1, -2), and the directions (1, -1, 0)
+    and (1, -1, delta), parallel but for delta."""
+    base = np.array([0.0, 1.0, -2.0]).reshape(3, 1, 1)
+    directions = np.array([[1.0, -1.0, 0.0], [1.0, -1.0, delta]]).reshape(2, 3, 1, 1)
+    return base, directions
+
+
 class TestLmiFloor:
     """Two 1 x 1 blocks, base (0, 1) and the one direction (1, -1): the best
     floor is max_y min(y, 1 - y) = 1/2, and x = (1/2, 1/2) attains the bound."""
@@ -688,27 +696,32 @@ class TestLmiFloor:
         return base, directions
 
     def test_single_point_band_keeps_the_threshold_stops(self):
-        # 60 random problems x 4 thresholds t: the step count and the side
-        # that stopped the band (t, t) ("lo": t_lo >= t, "hi": t_hi < t,
-        # "none": the gap, the cap or a failed step) hash the same as for the
-        # single-threshold solver the band replaced, except at seed 25 / lift
-        # 2.0. There the solver without step halving lost the factorisation
-        # of its primal iterate at step 39 and stopped at 38 steps, side
-        # "none", on the bracket [-0.1888, 0.6272]; the best floor is -0.1888,
-        # so a decision must say "hi".
+        # 60 random problems x 4 thresholds t. Seeds 0, 9, ..., 54 pose one
+        # 1 x 1 block with one direction, whose span holds the identity: they
+        # are refused. The other 212 stops, the step count and the side that
+        # stopped the band (t, t) ("lo": t_lo >= t, "hi": t_hi < t, "none":
+        # the gap, the cap or a failed step), are pinned by their digest. At
+        # seed 25 / lift 2.0 a solver without step halving lost the
+        # factorisation of its primal iterate at step 39 and stopped at 38
+        # steps, side "none", on the bracket [-0.1888, 0.6272]; the best
+        # floor is -0.1888, so a decision must say "hi".
         stops = []
         for seed in range(60):
             base, directions = self.random_problem(seed)
             for lift in (0.05, 0.5, 1.0, 2.0):
                 t = float(np.linalg.eigvalsh(base).min() + lift)
+                if seed % 9 == 0:
+                    with pytest.raises(ValueError, match="linearly independent to rounding"):
+                        lmi_floor(base, directions, (t, t))
+                    continue
                 result = lmi_floor(base, directions, (t, t))
                 side = "lo" if result.t_lo >= t else "hi" if result.t_hi < t else "none"
                 if (seed, lift) == (25, 2.0):
                     assert side == "hi" and result.t_hi < -0.188 < t
-                else:
-                    stops.append((result.steps, side))
+                stops.append((result.steps, side))
+        assert len(stops) == 212
         digest = hashlib.sha256(repr(stops).encode()).hexdigest()
-        assert digest == "524581655a5b12ad6528a83b357f0ff299eac93d7b8c6fca10781b883f18e154"
+        assert digest == "0d9f103440a816fe93a3c0477b7e3c8486f26107efd87d9d40f08b8c5d25700a"
 
     @pytest.mark.parametrize("seed, t", [(41, 0.3), (59, 0.0)])
     def test_failed_factorisation_halves_the_step(self, monkeypatch, seed, t):
@@ -757,60 +770,41 @@ class TestLmiFloor:
         result = lmi_floor(np.zeros((2, 1, 1)), np.array([[[[1.0]], [[3.0]]]]), (1.0, 1.0))
         assert result.t_lo >= 1.0 and result.t_hi == math.inf and result.x is None
 
-    def test_dependent_directions_raise_no_linalg_error(self):
-        # A repeated direction makes the Newton systems singular; the solver
-        # stops and still reports a sound floor for its best point.
-        twice = np.concatenate([self.DIRECTIONS, self.DIRECTIONS])
-        result = lmi_floor(self.BASE, twice, (0.6, 0.6))
-        assert result.t_lo == self.floor_of(result.y, directions=twice) <= 0.5
-        assert result.t_hi >= 0.5 - 1e-15
-
-    def test_dependent_directions_still_decide(self):
-        # The solver falls back to an orthonormal basis of the span of the
-        # directions and reports y in the caller's coordinates.
-        twice = np.concatenate([self.DIRECTIONS, self.DIRECTIONS])
-        above = lmi_floor(self.BASE, twice, (0.6, 0.6))
-        assert above.t_lo < 0.6 and 0.5 - 1e-12 <= above.t_hi < 0.6
-        assert np.linalg.eigvalsh(above.x).min() >= 0.0
-        assert max(abs(np.vdot(d, above.x)) for d in twice) <= 1e-12
-        below = lmi_floor(self.BASE, twice, (0.4, 0.4))
-        assert 0.4 <= below.t_lo <= 0.5 and below.steps > 0
-        assert below.t_lo == self.floor_of(below.y, directions=twice)
-
-    @settings(max_examples=60)
-    @given(
-        m=st.integers(1, 3),
-        n=st.integers(1, 3),
-        seed=st.integers(0, 2**32 - 1),
-        threshold=st.floats(-2.0, 2.0),
+    @pytest.mark.parametrize(
+        "base, directions",
+        [
+            (BASE, np.concatenate([DIRECTIONS, DIRECTIONS])),
+            (BASE, np.concatenate([DIRECTIONS, [[[[1.0]], [[1.0]]]]])),
+            *(near_parallel(delta) for delta in (1e-6, 1e-7, 3e-8)),
+        ],
+        ids=["repeated", "identity-in-the-span", "delta-1e-06", "delta-1e-07", "delta-3e-08"],
     )
-    def test_identity_in_the_span_reaches_every_threshold(self, m, n, seed, threshold):
-        # m n^2 random Hermitian directions span every block-diagonal stack,
-        # the identity included: no primal point exists and every floor is
-        # reachable, so no t_hi may fall below the re-checked t_lo.
-        rng = np.random.default_rng(seed)
-        base, directions = (
-            hermitize(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-            for shape in ((m, n, n), (m * n * n, m, n, n))
-        )
-        result = lmi_floor(base, directions, (threshold, threshold))
-        assert result.t_lo == self.floor_of(result.y, base, directions)
-        assert result.t_lo >= threshold
-        assert result.t_hi == math.inf and result.x is None
-        assert result.t_hi >= result.t_lo
+    def test_dependent_directions_are_refused(self, base, directions):
+        # A repeated direction, directions whose span holds the identity, and
+        # nearly parallel ones whose constraint Gram matrix is singular to
+        # within sqrt(eps) are outside the solver's contract. A base that
+        # already clears the band still costs one eigvalsh and no refusal.
+        with pytest.raises(ValueError, match="linearly independent to rounding"):
+            lmi_floor(base, directions, (0.4, 0.4))
+        low = float(np.linalg.eigvalsh(base).min())
+        assert lmi_floor(base, directions, (low, low)).steps == 0
 
-    @pytest.mark.parametrize("delta", [1e-6, 1e-7, 3e-8])
+    @pytest.mark.parametrize("delta", [1e-6, 1e-7, 3e-8, 1e-3])
     @pytest.mark.parametrize("threshold", [0.4, 0.6])
     def test_primal_point_must_meet_the_callers_constraints(self, delta, threshold):
         # Base (0, 1, -2) and directions (1, -1, 0), (1, -1, delta): every
         # floor below 1/2 is reachable (the second direction lifts the third
         # block), so no bound may fall below 1/2, and a threshold below 1/2
-        # is reached. The nearly parallel directions make the primal
-        # projection ill-conditioned (its Gram matrix is singular to rounding
-        # at delta = 3e-8, though the directions are not), and a projected
-        # point then misses <D_i, X> = 0 by far more than rounding.
-        base = np.array([0.0, 1.0, -2.0]).reshape(3, 1, 1)
-        directions = np.array([[1.0, -1.0, 0.0], [1.0, -1.0, delta]]).reshape(2, 3, 1, 1)
+        # is reached. For delta <= 1e-6 the constraint Gram matrix is
+        # singular to within sqrt(eps) and the problem is refused. At
+        # delta = 1e-3 it is not, but the projection is ill-conditioned
+        # enough that two projected points miss <D_i, X> = 0 by far more
+        # than rounding and must not be taken as bounds.
+        base, directions = near_parallel(delta)
+        if delta < 1e-3:
+            with pytest.raises(ValueError, match="linearly independent to rounding"):
+                lmi_floor(base, directions, (threshold, threshold))
+            return
         result = lmi_floor(base, directions, (threshold, threshold))
         assert result.t_hi >= 0.5 - 1e-12 and result.t_hi >= result.t_lo
         if threshold < 0.5:

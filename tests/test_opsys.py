@@ -106,6 +106,19 @@ class TestDualMember:
     def test_zero(self):
         assert dual_member(DualTuple(3, np.zeros(5)))
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_order_below_three_is_refused(self, k):
+        # As for PrismElement: there is no prism system below k = 3, so a
+        # balanced k = 1 tuple (1 = 0 + 1) is no member of anything.
+        with pytest.raises(ValueError, match="k must be >= 3"):
+            DualTuple(k, np.array([1.0, 0.0, 1.0, 0.0])[: k + 2])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)], ids=["nan", "inf", "nan-imaginary"])
+    def test_non_finite_coordinate_is_refused(self, value):
+        # A NaN coordinate would give dual_member a definite, meaningless answer.
+        with pytest.raises(ValueError, match="finite"):
+            DualTuple(3, np.array([value, 0.0, 0.0, 0.0, 0.0]))
+
 
 class TestFunctionalToTuple:
     def test_vertex_state(self):

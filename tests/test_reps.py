@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from helpers import (
     worst,
 )
 
+import ncprism.cli
 import ncprism.reps
 
 from ncprism.errors import (
@@ -206,9 +208,20 @@ class TestHadamard:
                 assert np.array_equal(st.mats[i] @ st.mats[j], st.mats[j] @ st.mats[i])
         assert commutant_dimension(st.mats)[0] == 1
 
-    def test_budget(self):
-        with pytest.raises(SizeBudgetExceededError):
-            hadamard_symmetries(4, max_dim=8)
+    def test_budget(self, capsys):
+        # Dimension 2^13 is above the budget of 4096: the library raises and
+        # the CLI exits 2, both before building a matrix (one 8192 x 8192
+        # complex matrix alone takes 1 GiB).
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeBudgetExceededError):
+                hadamard_symmetries(13)
+            code = ncprism.cli.main(["rep", "hadamard", "--m", "13"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and "exceeds budget" in capsys.readouterr().err
+        assert peak <= 1e6
 
 
 class TestVertexRep:
