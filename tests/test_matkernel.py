@@ -770,6 +770,25 @@ class TestLmiFloor:
         result = lmi_floor(np.zeros((2, 1, 1)), np.array([[[[1.0]], [[3.0]]]]), (1.0, 1.0))
         assert result.t_lo >= 1.0 and result.t_hi == math.inf and result.x is None
 
+    def test_dependent_directions_raise_no_linalg_error(self):
+        # A repeated direction would make the Newton systems singular; the
+        # Gram screen refuses it first, with a ValueError that is not a
+        # LinAlgError from a factorisation.
+        twice = np.concatenate([self.DIRECTIONS, self.DIRECTIONS])
+        for threshold in (0.4, 0.6):
+            with pytest.raises(ValueError, match="linearly independent to rounding") as info:
+                lmi_floor(self.BASE, twice, (threshold, threshold))
+            assert not isinstance(info.value, np.linalg.LinAlgError)
+
+    def test_dependent_directions_still_decide(self):
+        # A base that already clears the band is decided before the screen:
+        # no step, y = 0 in the caller's coordinates, and the base's floor.
+        twice = np.concatenate([self.DIRECTIONS, self.DIRECTIONS])
+        result = lmi_floor(self.BASE + 1.0, twice, (0.5, 0.5))
+        assert result.steps == 0 and result.t_lo == 1.0
+        assert result.t_hi == math.inf and result.x is None
+        assert np.array_equal(result.y, [0.0, 0.0])
+
     @pytest.mark.parametrize(
         "base, directions",
         [
