@@ -8,10 +8,12 @@ run report (command, input digest, seed, checks) in one machine-readable
 object. The checks are the residuals the library required while building the
 artifact, each a (name, residual, bound) line with the construction it was
 checked ``of``. Outputs are byte-identical for identical inputs and seeds.
-Every verdict is decided at the fixed tolerances of ``matkernel``.
+Every verdict is decided at the fixed tolerances of ``matkernel``. Each
+handler imports the library modules it calls, so a process loads only what
+its command runs.
 
 Exit codes: 0 success or true verdict, 1 false or refuted verdict,
-2 usage or runtime error, 3 unknown verdict.
+2 usage, input, file or runtime error, 3 unknown verdict.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import convexity, dilation, opsys, reps, serialize, verify
+from . import serialize
 from .errors import NcprismError, RelationCheckFailedError
 from .matkernel import (
     ALG_TOL,
@@ -121,6 +123,8 @@ def _add_common(sub, reads_input: bool = True):
 
 
 def _cmd_dilate(args, run: Run, payload) -> int:
+    from . import dilation
+
     sub = args.subcommand
     if sub == "halmos":
         x = serialize.matrix_from_json(payload)
@@ -153,6 +157,8 @@ def _cmd_dilate(args, run: Run, payload) -> int:
 
 
 def _cmd_rep(args, run: Run, payload) -> int:
+    from . import reps
+
     sub = args.subcommand
     if sub in ("square", "hadamard"):
         # Irreducible by theory: their constructors compute no commutant.
@@ -188,6 +194,8 @@ def _membership_artifact(result) -> dict:
 
 
 def _cmd_check(args, run: Run, payload) -> int:
+    from . import convexity
+
     if args.subcommand == "cube":
         mats = serialize.tuple_from_json(payload)
         result = convexity.max_member(mats, convexity.make_cube(args.d))
@@ -206,6 +214,8 @@ def _cmd_commutant(args, run: Run, payload) -> int:
 
 
 def _cmd_positivity(args, run: Run, payload) -> int:
+    from . import opsys
+
     sub = args.subcommand
     if sub == "cube":
         positive, margin = opsys.scalar_positivity_cube(payload["alpha"], payload["beta"])
@@ -232,6 +242,8 @@ def _cmd_positivity(args, run: Run, payload) -> int:
 
 
 def _cmd_geometry(args, run: Run, payload) -> int:
+    from . import convexity
+
     artifact = {
         "k": args.k,
         "incircle_radius": convexity.incircle_radius(args.k),
@@ -252,6 +264,8 @@ def _cmd_geometry(args, run: Run, payload) -> int:
 
 
 def _cmd_word(args, run: Run, payload) -> int:
+    from . import dilation, reps
+
     pair = serialize.rep_pair_from_json(payload["pair"] if "pair" in payload else payload)
     require(reps.pair_residuals(pair), RelationCheckFailedError, "input pair")
     word = dilation.GroupWord.from_string(args.letters, args.k)
@@ -264,6 +278,8 @@ def _cmd_word(args, run: Run, payload) -> int:
 
 
 def _cmd_quotient(args, run: Run, payload) -> int:
+    from . import opsys
+
     sub = args.subcommand
     if sub == "psi":
         x = serialize.diag_tuple_from_json(payload)
@@ -285,6 +301,8 @@ def _cmd_quotient(args, run: Run, payload) -> int:
 
 
 def _cmd_verify(args, run: Run, payload) -> int:
+    from . import verify
+
     results = verify.run_all(seed=run.seed)
     artifact = {"checks": [asdict(r) for r in results], "all_passed": all(r.passed for r in results)}
     table = [f"{'PASS' if r.passed else 'FAIL'}  {r.name}  (worst residual {r.residual:.3e})" for r in results]
@@ -399,7 +417,7 @@ def main(argv=None) -> int:
         payload, text = _read_input(args) if args.reads_input else (None, "")
         with measured() as records:
             return _HANDLERS[args.command](args, Run(args, text, records), payload)
-    except (NcprismError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (NcprismError, OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -472,6 +472,12 @@ def a4_pair() -> RepPair:
     return _verified_pair(w, v, 3, "a4_pair", A4_RELATIONS)
 
 
+# The largest dimension steinberg_pair and assemble_dimension build. The
+# Steinberg pair took 0.5 s at q = 257 and 5 s at q = 383 (one BLAS thread),
+# most of it in the commutant solve, and its cost grows faster than q^4.
+_PAIR_MAX_DIM = 512
+
+
 def steinberg_pair(q: int, field: FiniteFieldSpec | None = None) -> RepPair:
     """The q-dimensional pair of order (3, 2) from PSL2(F_q) on P^1(F_q).
 
@@ -488,7 +494,11 @@ def steinberg_pair(q: int, field: FiniteFieldSpec | None = None) -> RepPair:
     permutation generates, with U's, a group of order |PSL2(F_q)|, computed
     exactly by Schreier-Sims. PSL2(F_9) is not generated by any order-(3, 2)
     pair and is rejected, as are q <= 3 and any q that is not a prime power.
+    A q above ``_PAIR_MAX_DIM`` raises ``SizeBudgetExceededError`` before any
+    field or matrix is built.
     """
+    if q > _PAIR_MAX_DIM:
+        raise SizeBudgetExceededError(f"dimension q = {q} exceeds budget {_PAIR_MAX_DIM}")
     try:
         p, e = factor_prime_power(q)
     except ValueError as exc:
@@ -559,10 +569,14 @@ def assemble_dimension(n: int) -> RepPair:
     prime powers q > 3 (q != 9) the Steinberg pair, and composite n the
     tensor product over the prime-power factorization. A factor equal to 9
     has no building block here and raises AssemblyFailedError. The
-    commutant dimension of the result is computed and recorded.
+    commutant dimension of the result is computed and recorded. A dimension
+    above ``_PAIR_MAX_DIM`` raises ``SizeBudgetExceededError`` before any
+    block is built.
     """
     if n < 1:
         raise IndexOutOfRangeError(f"dimension must be >= 1, got {n}")
+    if n > _PAIR_MAX_DIM:
+        raise SizeBudgetExceededError(f"dimension {n} exceeds budget {_PAIR_MAX_DIM}")
     if n == 1:
         pair = RepPair(
             np.array([[1.0]], dtype=complex),

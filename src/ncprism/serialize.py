@@ -9,14 +9,17 @@ literals survive a round trip bit-exactly up to 17 significant digits.
 from __future__ import annotations
 
 import cmath
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dilation import DilationResult
 from .errors import ShapeMismatchError
 from .matkernel import as_matrix
-from .opsys import Certified, DiagTuple, DualTuple, PrismElement, Refuted, Unknown
-from .reps import RepPair, SymmetryTuple
+
+if TYPE_CHECKING:
+    from .dilation import DilationResult
+    from .opsys import DiagTuple, DualTuple, PrismElement
+    from .reps import RepPair, SymmetryTuple
 
 __all__ = [
     "matrix_to_json",
@@ -90,6 +93,8 @@ def rep_pair_to_json(pair: RepPair) -> dict:
 
 
 def rep_pair_from_json(obj) -> RepPair:
+    from .reps import RepPair
+
     return RepPair(
         matrix_from_json(obj["W"]),
         matrix_from_json(obj["V"]),
@@ -123,6 +128,8 @@ def prism_element_to_json(e: PrismElement) -> dict:
 
 
 def prism_element_from_json(obj) -> PrismElement:
+    from .opsys import PrismElement
+
     return PrismElement(
         int(obj["k"]),
         int(obj["q"]),
@@ -136,6 +143,8 @@ def diag_tuple_to_json(x: DiagTuple) -> dict:
 
 
 def diag_tuple_from_json(obj) -> DiagTuple:
+    from .opsys import DiagTuple
+
     return DiagTuple(
         int(obj["k"]), int(obj["q"]), [matrix_from_json(b) for b in obj["blocks"]]
     )
@@ -146,6 +155,8 @@ def dual_tuple_to_json(z: DualTuple) -> dict:
 
 
 def verdict_to_json(verdict) -> dict:
+    from .opsys import Certified, Refuted, Unknown
+
     if isinstance(verdict, Refuted):
         return {
             "verdict": "refuted",

@@ -10,7 +10,7 @@ import pytest
 from helpers import random_unitary
 
 import ncprism
-from ncprism import cli, verify
+from ncprism import cli, opsys, verify
 from ncprism.serialize import matrix_from_json, matrix_to_json
 
 
@@ -94,7 +94,7 @@ class TestRepAndCommutant:
             (
                 ["quotient", "psi", "--k", "3"],
                 {"k": 3, "q": 1, "blocks": [scalar(1.0)] * 5},
-                (cli.opsys, "quotient_residuals", lambda k, q: [("kernel_maps_to_zero", 1.0, 1e-12)]),
+                (opsys, "quotient_residuals", lambda k, q: [("kernel_maps_to_zero", 1.0, 1e-12)]),
             ),
             (
                 ["rep", "square", "--lambda", "0"],
@@ -289,6 +289,17 @@ class TestReportAndDeterminism:
         code, _, err = run_cli(capsys, monkeypatch, ["commutant"], stdin_obj={"nope": 1})
         assert code == 2
         assert err.startswith("error:")
+
+    # A file that cannot be opened is an error (2), not a false verdict (1).
+    @pytest.mark.parametrize(
+        "args", [["geometry", "--k", "3", "--out", "{missing}/x.json"], ["commutant", "--in", "{missing}.json"]]
+    )
+    def test_unopenable_file_exits_two(self, capsys, monkeypatch, tmp_path, args):
+        args = [a.format(missing=tmp_path / "missing") for a in args]
+        code, out, err = run_cli(capsys, monkeypatch, args)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "No such file or directory" in err
 
     @pytest.mark.parametrize(
         "args", [["geometry", "--k", "3"], ["rep", "steinberg", "--q", "8"], ["verify", "all"]]

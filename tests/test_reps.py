@@ -420,6 +420,27 @@ class TestSteinberg:
         pair = steinberg_pair(4, FiniteFieldSpec(2, 2, (1, 1, 1)))
         assert pair.dim == 4
 
+    def test_budget(self, capsys):
+        # Dimensions above the budget of 512 are refused before any field or
+        # matrix is built: at q = 1000003 one (q + 1) x (q + 1) complex
+        # matrix alone would take 14.6 TiB. 521 is the least prime above the
+        # budget.
+        tracemalloc.start()
+        try:
+            for build, arg in ((steinberg_pair, 521), (steinberg_pair, 1000003), (assemble_dimension, 513)):
+                with pytest.raises(SizeBudgetExceededError, match="exceeds budget 512"):
+                    build(arg)
+            codes = [
+                ncprism.cli.main(["rep", "steinberg", "--q", "1000003"]),
+                ncprism.cli.main(["rep", "assemble", "--n", "1000"]),
+            ]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert codes == [2, 2] and err.count("exceeds budget 512") == 2
+        assert peak <= 1e6
+
     @staticmethod
     def moduli(p, e):
         """Every monic irreducible degree-e modulus over F_p, in ascending
