@@ -10,10 +10,12 @@ all-ones tuple maps to the unit; its kernel is spanned by
 F[j, m] = omega^(j m) (``matkernel.fourier_matrix``). Scalar positivity is
 decided exactly by vertex enumeration; matrix-level positivity gets a
 three-valued verdict with independently checkable witnesses and
-certificates, all from one ``matkernel.lmi_floor`` solve over the lifts
-through the quotient map: a strictly positive lift certifies, and the
-solver's primal point, a matrix state that separates the element, dilates to
-a refuting representation.
+certificates. An eigenvalue below zero at one of the 2k characters, read off
+the particular lift, refutes with a 1 x 1 witness; otherwise one
+``matkernel.lmi_floor`` solve over the lifts through the quotient map
+decides: a strictly positive lift certifies, and the solver's primal point, a
+matrix state that separates the element, dilates to a refuting
+representation.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .matkernel import (
     require,
 )
 from .dilation import Povm, _dilate_povm
-from .reps import RepPair
+from .reps import RepPair, pair_residuals
 
 __all__ = [
     "PrismElement",
@@ -185,7 +187,12 @@ class ScalarVerdict:
 
 @dataclass(frozen=True)
 class Refuted:
-    """Positivity fails: a representation evaluation has a negative eigenvalue."""
+    """Positivity fails: a representation evaluation has a negative eigenvalue.
+
+    The witness is a 1 x 1 character (omega^j, sign) when the element has an
+    eigenvalue <= -SPEC_TOL at one, else the solver's dual witness, of
+    dimension at most 2kq; ``witness.provenance`` names which.
+    """
 
     witness: RepPair
     min_eigenvalue: float
@@ -401,9 +408,17 @@ def _particular_lift(e: PrismElement) -> np.ndarray:
 def matrix_positivity_prism(e: PrismElement):
     """Three-valued positivity verdict for a selfadjoint element.
 
-    ``matkernel.lmi_floor`` brackets the best floor of the lifts of ``e``
-    through the quotient map, the particular lift plus kernel (x) Y over
-    Hermitian q x q Y, against the band (-SPEC_TOL, STRICT_MARGIN):
+    First the characters: every lift x has e(omega^j, +/-1) = (x_j + x_+/-)/2,
+    so the particular lift gives all 2k of them in one batched ``eigvalsh``.
+    If the least eigenvalue is <= -SPEC_TOL, the 1 x 1 character at the first
+    argmin in (j, sign) order, the tie rule of ``scalar_positivity_prism``,
+    is the witness and the verdict is ``Refuted``. Should the evaluation of
+    ``e`` at that character come out above -SPEC_TOL (the two differ only by
+    rounding), the solve below decides instead.
+
+    Otherwise ``matkernel.lmi_floor`` brackets the best floor of the lifts
+    of ``e`` through the quotient map, the particular lift plus kernel (x) Y
+    over Hermitian q x q Y, against the band (-SPEC_TOL, STRICT_MARGIN):
 
     - t_lo >= STRICT_MARGIN: a lift with every block >= STRICT_MARGIN, and
       the verdict is ``Certified``;
@@ -422,6 +437,14 @@ def matrix_positivity_prism(e: PrismElement):
         raise NotSelfadjointError("positivity requires a selfadjoint element")
 
     base = _particular_lift(e)
+    lows = np.linalg.eigvalsh((base[: e.k, None] + base[None, e.k :]) / 2).min(axis=-1)
+    j, side = np.unravel_index(np.argmin(lows), lows.shape)
+    if lows[j, side] <= -SPEC_TOL:
+        verdict, residuals = _refuted(e, _character(e.k, int(j), 1 - 2 * int(side)))
+        if verdict.min_eigenvalue <= -SPEC_TOL:
+            require(residuals, RelationCheckFailedError, "refutation")
+            return verdict
+
     directions = _kernel(e.k)[:, None, None] * hermitian_basis(e.q)[:, None]
     result = lmi_floor(base, directions, (-SPEC_TOL, STRICT_MARGIN))
     if result.t_lo >= STRICT_MARGIN:
@@ -446,6 +469,19 @@ def matrix_positivity_prism(e: PrismElement):
         f"{STRICT_MARGIN:.0e}: {found}",
         residual=STRICT_MARGIN - result.t_lo,
     )
+
+
+def _character(k: int, j: int, sign: int) -> RepPair:
+    """The 1 x 1 pair W = omega^j, V = sign: the extreme point (omega^j, sign)."""
+    pair = RepPair(
+        np.array([[np.exp(2j * np.pi * j / k)]]),
+        np.array([[complex(sign)]]),
+        k,
+        provenance=f"character(k={k}, j={j}, sign={sign:+d})",
+        commutant_dim=1,
+    )
+    require(pair_residuals(pair), RelationCheckFailedError, pair.provenance)
+    return pair
 
 
 # Eigenvalues of R at or below this fraction of its largest are outside the
@@ -475,4 +511,5 @@ def _dual_witness(x: np.ndarray, k: int) -> RepPair:
     b = parts[k] - parts[k + 1]
     povm = Povm(list(parts[:k]), fourier_matrix(k)[:, 1].tolist())
     pair, _ = _dilate_povm(povm, b, k, opnorm(b))
+    pair.provenance = f"dual_witness(k={k}, level={b.shape[0]})"
     return pair

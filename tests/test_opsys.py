@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -234,6 +236,15 @@ class TestScalarCube:
         assert margin == pytest.approx(-0.1)
 
 
+def character_lows(e):
+    """(k, 2) least eigenvalues of e(omega^j, sign) = sum_m c_m omega^(j m)
+    + sign g, sign +1 in column 0, each value summed from its formula."""
+    roots = np.exp(2j * np.pi * np.arange(e.k) / e.k)
+    values = np.tensordot(roots[:, None] ** np.arange(e.k), np.stack(e.c), axes=1)
+    stack = np.stack([values + e.g, values - e.g], axis=1)
+    return np.linalg.eigvalsh(hermitize(stack)).min(axis=-1)
+
+
 class TestMatrixPositivity:
     def test_unit_certified(self):
         verdict = matrix_positivity_prism(PrismElement.unit(3, 1))
@@ -451,6 +462,8 @@ class TestDualWitness:
         below = gap_probe_element(k, q, seed, -1e-3)
         verdict = matrix_positivity_prism(below)
         assert isinstance(verdict, Refuted)
+        assert verdict.witness.dim > 1
+        assert verdict.witness.provenance == f"dual_witness(k={k}, level={q})"
         assert within_bounds([*pair_residuals(verdict.witness), *refuted_residuals(below, verdict)])
         assert verdict.min_eigenvalue >= -1e-3 - 1e-8
         above = gap_probe_element(k, q, seed, 1e-3)
@@ -458,15 +471,21 @@ class TestDualWitness:
         assert isinstance(verdict, Certified)
         assert within_bounds(certified_residuals(above, verdict))
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         k=st.integers(3, 8),
-        q=st.integers(1, 3),
+        q=st.integers(2, 3),
         seed=st.integers(0, 2**32 - 1),
-        shift=st.floats(-1.0, 0.5),
+        delta=st.floats(1e-4, 0.1),
     )
-    def test_witness_is_a_checked_pair_below_the_bound(self, k, q, seed, shift):
-        e = random_selfadjoint_element(k, q, seed, shift)
+    def test_witness_is_a_checked_pair_below_the_bound(self, k, q, seed, delta):
+        # c_0 is shifted so that the least eigenvalue over the 2k characters
+        # is +delta: no character refutes, so every refutation here is the
+        # solver's dual witness. At q = 1 the characters decide exactly, so
+        # such an element is never refuted there.
+        low = character_lows(random_selfadjoint_element(k, q, seed, 0.0)).min()
+        e = random_selfadjoint_element(k, q, seed, delta - low)
+        assert character_lows(e).min() == pytest.approx(delta, abs=1e-12)
         result = lmi_floor(*lift_problem(e), (-SPEC_TOL, STRICT_MARGIN))
         verdict = matrix_positivity_prism(e)
         assert isinstance(verdict, Refuted) == (result.t_hi < -SPEC_TOL)
@@ -497,6 +516,102 @@ class TestDualWitness:
         verdict = matrix_positivity_prism(e)
         assert isinstance(verdict, Refuted)
         assert within_bounds([*pair_residuals(verdict.witness), *refuted_residuals(e, verdict)])
+
+
+def vertex_element(k, q, j, sign, seed):
+    """psi of a Haar-framed lift whose only negative character value is
+    -0.3, at (omega^j, sign): x_j = diag(-1.6, 1, ..., 1) and x_sign = 1
+    give (x_j + x_sign)/2 = -0.3 there; x_-sign = 2 and every other x_i = 1
+    keep all other characters at 0.2 or above."""
+    u = random_unitary(np.random.default_rng(seed), q)
+    blocks = [np.eye(q) for _ in range(k)] + ([np.eye(q), 2 * np.eye(q)][::sign])
+    blocks[j] = u @ np.diag([-1.6] + [1.0] * (q - 1)) @ dagger(u)
+    return psi_k(DiagTuple(k, q, blocks))
+
+
+class TestCharacterRefutation:
+    """Elements with an eigenvalue <= -spec_tol at one of the 2k characters
+    are refuted there, by a 1 x 1 witness and without the lift solve."""
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8])
+    def test_one_negative_vertex_gives_a_one_dimensional_witness(self, k, q):
+        rng = np.random.default_rng(100 * k + q)
+        j, sign = int(rng.integers(0, k)), int(rng.choice([1, -1]))
+        e = vertex_element(k, q, j, sign, 100 * k + q)
+        lows = character_lows(e)
+        assert np.unravel_index(np.argmin(lows), lows.shape) == (j, (1 - sign) // 2)
+        verdict = matrix_positivity_prism(e)
+        assert isinstance(verdict, Refuted)
+        assert verdict.witness.dim == 1
+        assert verdict.witness.provenance == f"character(k={k}, j={j}, sign={sign:+d})"
+        assert verdict.witness.w[0, 0] == pytest.approx(np.exp(2j * np.pi * j / k), abs=1e-15)
+        assert verdict.witness.v[0, 0] == sign
+        assert verdict.min_eigenvalue == pytest.approx(-0.3, abs=1e-12)
+        assert within_bounds([*pair_residuals(verdict.witness), *refuted_residuals(e, verdict)])
+
+    def test_witness_is_the_scalar_worst_vertex_on_grid(self):
+        # Ties (as between j = 1 and 2 at k = 3) go to the first vertex in
+        # (j, sign) order, as in scalar_positivity_prism.
+        refuted = 0
+        for cval in np.linspace(-1.0, 1.0, 5):
+            for gval in np.linspace(-1.0, 1.0, 5):
+                e = scalar_element(3, [1.0, cval, cval], gval)
+                scalar = scalar_positivity_prism(e)
+                if scalar.margin > -SPEC_TOL:
+                    continue
+                verdict = matrix_positivity_prism(e)
+                j, sign = scalar.worst_vertex
+                assert verdict.witness.provenance == f"character(k=3, j={j}, sign={sign:+d})"
+                assert verdict.min_eigenvalue == pytest.approx(scalar.margin, abs=1e-12)
+                refuted += 1
+        assert refuted == 15
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(3, 8),
+        q=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        shift=st.floats(-1.0, 0.5),
+    )
+    def test_character_route_agrees_with_the_lift_solve(self, k, q, seed, shift):
+        # A character value bounds every lift's floor from above, so the
+        # solver's lower end t_lo never exceeds a character refutation.
+        e = random_selfadjoint_element(k, q, seed, shift)
+        lows = character_lows(e)
+        verdict = matrix_positivity_prism(e)
+        if lows.min() <= -SPEC_TOL - 1e-12:
+            j, side = np.unravel_index(np.argmin(lows), lows.shape)
+            assert isinstance(verdict, Refuted)
+            assert verdict.witness.provenance == f"character(k={k}, j={j}, sign={1 - 2 * side:+d})"
+            assert verdict.min_eigenvalue == pytest.approx(lows.min(), abs=1e-12)
+            result = lmi_floor(*lift_problem(e), (-SPEC_TOL, STRICT_MARGIN))
+            scale = max(1.0, max(opnorm(b) for b in [*e.c, e.g]))
+            assert result.t_lo <= verdict.min_eigenvalue + 1e-12 * scale
+        elif isinstance(verdict, Refuted):
+            assert verdict.witness.dim > 1
+
+    def test_large_order_is_refuted_at_a_character_in_little_memory(self):
+        # The k = 64, q = 3 element, blocks 0.3 complex Gaussian (seed 0) and
+        # c_0 shifted by 2: the dual witness of dimension 384 would peak near
+        # 300 MB; the character route needs no solve and no dilation.
+        k, q = 64, 3
+        rng = np.random.default_rng(0)
+        raw = 0.3 * (rng.standard_normal((k + 1, q, q)) + 1j * rng.standard_normal((k + 1, q, q)))
+        c = [(raw[m] + dagger(raw[(-m) % k])) / 2 for m in range(k)]
+        c[0] = c[0] + 2.0 * np.eye(q)
+        e = PrismElement(k, q, c, hermitize(raw[k]))
+        tracemalloc.start()
+        try:
+            verdict = matrix_positivity_prism(e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(verdict, Refuted)
+        assert verdict.witness.dim == 1
+        assert verdict.min_eigenvalue == pytest.approx(character_lows(e).min(), abs=1e-12)
+        assert peak <= 5e6
+
 
 class TestDualPairing:
     def test_entrywise_pairing_nonnegative(self):
