@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -423,3 +424,73 @@ class TestMalformedMatrices:
         assert code == 2
         assert out == ""
         assert "finite" in err
+
+
+# Every option of every (command, subcommand): dest, type, default, choices,
+# required and nargs. The shared options are the same everywhere; --in only
+# where the command reads JSON input.
+_SHARED = {
+    "--seed": ("seed", int, 0, None, False, None),
+    "--out": ("out", None, None, None, False, None),
+    "--json": ("json", None, False, None, False, 0),
+}
+_IN = {"--in": ("infile", None, None, None, False, None)}
+_K = {"--k": ("k", int, None, None, True, None)}
+
+CLI_SURFACE = {
+    ("dilate", "halmos"): (True, {**_SHARED, **_IN}),
+    ("dilate", "mirman"): (True, {**_SHARED, **_IN}),
+    ("dilate", "joint"): (True, {**_SHARED, **_IN, "--k": ("k", int, 3, None, False, None)}),
+    ("dilate", "cube"): (True, {**_SHARED, **_IN}),
+    ("rep", "square"): (False, {**_SHARED, "--lambda": ("lam", float, None, None, True, None)}),
+    ("rep", "hadamard"): (False, {**_SHARED, "--m": ("m", int, None, None, True, None)}),
+    ("rep", "vertex"): (
+        False,
+        {
+            **_SHARED,
+            **_K,
+            "--j": ("j", int, None, None, True, None),
+            "--sign": ("sign", None, "+", ["+", "-", "+1", "-1", "1"], False, None),
+        },
+    ),
+    ("rep", "s3"): (False, _SHARED),
+    ("rep", "a4"): (False, _SHARED),
+    ("rep", "steinberg"): (False, {**_SHARED, "--q": ("q", int, None, None, True, None)}),
+    ("rep", "assemble"): (False, {**_SHARED, "--n": ("n", int, None, None, True, None)}),
+    ("check", "cube"): (True, {**_SHARED, **_IN, "--d": ("d", int, None, None, True, None)}),
+    ("check", "prism"): (True, {**_SHARED, **_IN, **_K}),
+    ("commutant", None): (True, {**_SHARED, **_IN}),
+    ("positivity", "scalar"): (True, {**_SHARED, **_IN, **_K}),
+    ("positivity", "matrix"): (True, {**_SHARED, **_IN, **_K}),
+    ("positivity", "cube"): (True, {**_SHARED, **_IN}),
+    ("geometry", None): (False, {**_SHARED, **_K, "--d": ("d", int, None, None, False, None)}),
+    ("word", None): (True, {**_SHARED, **_IN, **_K, "--letters": ("letters", None, None, None, True, None)}),
+    ("quotient", "psi"): (True, {**_SHARED, **_IN, **_K}),
+    ("quotient", "dual-member"): (True, {**_SHARED, **_IN, **_K}),
+    ("quotient", "functional"): (True, {**_SHARED, **_IN, **_K}),
+    ("verify", "all"): (False, _SHARED),
+}
+
+
+def _subparsers(parser):
+    return [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+
+
+class TestSurface:
+    def test_every_command_has_its_options_and_input_rule(self):
+        surface = {}
+        (commands,) = _subparsers(cli.build_parser())
+        assert commands.required
+        for command, parser in commands.choices.items():
+            subs = _subparsers(parser)
+            assert all(s.required for s in subs)
+            for subcommand, leaf in subs[0].choices.items() if subs else [(None, parser)]:
+                options = {
+                    flag: (a.dest, a.type, a.default, a.choices, a.required, a.nargs)
+                    for a in leaf._actions
+                    if not isinstance(a, argparse._HelpAction)
+                    for flag in a.option_strings
+                }
+                assert leaf.get_default("reads_input") == ("--in" in options)
+                surface[command, subcommand] = (leaf.get_default("reads_input"), options)
+        assert surface == CLI_SURFACE
