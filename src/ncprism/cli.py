@@ -1,5 +1,7 @@
 """Command-line front end with JSON input/output and verification reports.
 
+The command surface is declared once, in the table ``_COMMANDS``: every
+command and subcommand, its flags, whether it reads input, and its handler.
 Inputs are read as JSON from stdin (or ``--in FILE``) by the commands that
 take one; ``rep``, ``geometry`` and ``verify`` read nothing. The primary artifact
 is written as JSON to stdout, or to ``--out FILE`` with a short textual
@@ -59,10 +61,8 @@ class Run:
     ``require`` records while the command runs inside ``measured``."""
 
     def __init__(self, args, input_text: str, records: list):
-        self.command = args.command + (
-            f" {args.subcommand}" if getattr(args, "subcommand", None) else ""
-        )
-        self.seed = int(getattr(args, "seed", 0) or 0)
+        self.command = args.command + (f" {args.subcommand}" if args.subcommand else "")
+        self.seed = args.seed
         self.digest = hashlib.sha256(input_text.encode("utf-8")).hexdigest()
         self.records = records
         self.args = args
@@ -108,18 +108,6 @@ class Run:
         else:
             print(json.dumps(artifact, indent=2))
         return exit_code
-
-
-def _add_common(sub, reads_input: bool = True):
-    """The options every subcommand shares. ``--in`` only where the command
-    reads JSON input: the others never read stdin, so an open one cannot
-    block them, and their report carries the digest of the empty input."""
-    sub.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
-    sub.add_argument("--out", default=None, help="write the artifact JSON to a file")
-    sub.add_argument("--json", action="store_true", help="emit report plus artifact as JSON")
-    if reads_input:
-        sub.add_argument("--in", dest="infile", default=None, help="read input JSON from a file")
-    sub.set_defaults(reads_input=reads_input)
 
 
 def _cmd_dilate(args, run: Run, payload) -> int:
@@ -310,6 +298,46 @@ def _cmd_verify(args, run: Run, payload) -> int:
     return run.emit(artifact, EXIT_OK if artifact["all_passed"] else EXIT_FALSE, table)
 
 
+_INT = {"type": int, "required": True}
+_K = ("--k", _INT)
+
+# The command surface, declared once: each command's help, its handler and
+# its subcommands. Each subcommand says whether it reads JSON input (and so
+# takes --in) and lists its own flags as (flag, argparse kwargs) pairs; a
+# single-level command is its own one subcommand, None.
+_COMMANDS = {
+    "dilate": ("construct dilations", _cmd_dilate, {
+        "halmos": (True, []), "mirman": (True, []),
+        "joint": (True, [("--k", {"type": int, "default": 3})]), "cube": (True, []),
+    }),
+    "rep": ("build representation pairs and tuples", _cmd_rep, {
+        "square": (False, [("--lambda", {"dest": "lam", "type": float, "required": True})]),
+        "hadamard": (False, [("--m", _INT)]),
+        "vertex": (False, [_K, ("--j", _INT),
+                           ("--sign", {"default": "+", "choices": ["+", "-", "+1", "-1", "1"]})]),
+        "s3": (False, []), "a4": (False, []),
+        "steinberg": (False, [("--q", _INT)]), "assemble": (False, [("--n", _INT)]),
+    }),
+    "check": ("membership in max-type convex sets", _cmd_check, {
+        "cube": (True, [("--d", _INT)]), "prism": (True, [_K]),
+    }),
+    "commutant": ("commutant dimension and basis", _cmd_commutant, {None: (True, [])}),
+    "positivity": ("positivity tests", _cmd_positivity, {
+        "scalar": (True, [_K]), "matrix": (True, [_K]), "cube": (True, []),
+    }),
+    "geometry": ("scaling-constant geometry table", _cmd_geometry, {
+        None: (False, [_K, ("--d", {"type": int, "default": None})]),
+    }),
+    "word": ("evaluate a group word on a pair", _cmd_word, {
+        None: (True, [_K, ("--letters", {"required": True, "help": "word such as wvw*"})]),
+    }),
+    "quotient": ("quotient map and dual system", _cmd_quotient, {
+        "psi": (True, [_K]), "dual-member": (True, [_K]), "functional": (True, [_K]),
+    }),
+    "verify": ("run the invariant suite", _cmd_verify, {"all": (False, [])}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncprism",
@@ -317,106 +345,30 @@ def build_parser() -> argparse.ArgumentParser:
         "tests for noncommutative cubes and prisms",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    dil = commands.add_parser("dilate", help="construct dilations")
-    dil_sub = dil.add_subparsers(dest="subcommand", required=True)
-    for name in ("halmos", "mirman", "joint", "cube"):
-        sp = dil_sub.add_parser(name)
-        _add_common(sp)
-        if name == "joint":
-            sp.add_argument("--k", type=int, default=3)
-
-    rep = commands.add_parser("rep", help="build representation pairs and tuples")
-    rep_sub = rep.add_subparsers(dest="subcommand", required=True)
-    sp = rep_sub.add_parser("square")
-    sp.add_argument("--lambda", dest="lam", type=float, required=True)
-    _add_common(sp, reads_input=False)
-    sp = rep_sub.add_parser("hadamard")
-    sp.add_argument("--m", type=int, required=True)
-    _add_common(sp, reads_input=False)
-    sp = rep_sub.add_parser("vertex")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--j", type=int, required=True)
-    sp.add_argument("--sign", default="+", choices=["+", "-", "+1", "-1", "1"])
-    _add_common(sp, reads_input=False)
-    for name in ("s3", "a4"):
-        sp = rep_sub.add_parser(name)
-        _add_common(sp, reads_input=False)
-    sp = rep_sub.add_parser("steinberg")
-    sp.add_argument("--q", type=int, required=True)
-    _add_common(sp, reads_input=False)
-    sp = rep_sub.add_parser("assemble")
-    sp.add_argument("--n", type=int, required=True)
-    _add_common(sp, reads_input=False)
-
-    chk = commands.add_parser("check", help="membership in max-type convex sets")
-    chk_sub = chk.add_subparsers(dest="subcommand", required=True)
-    sp = chk_sub.add_parser("cube")
-    sp.add_argument("--d", type=int, required=True)
-    _add_common(sp)
-    sp = chk_sub.add_parser("prism")
-    sp.add_argument("--k", type=int, required=True)
-    _add_common(sp)
-
-    com = commands.add_parser("commutant", help="commutant dimension and basis")
-    _add_common(com)
-
-    pos = commands.add_parser("positivity", help="positivity tests")
-    pos_sub = pos.add_subparsers(dest="subcommand", required=True)
-    sp = pos_sub.add_parser("scalar")
-    sp.add_argument("--k", type=int, required=True)
-    _add_common(sp)
-    sp = pos_sub.add_parser("matrix")
-    sp.add_argument("--k", type=int, required=True)
-    _add_common(sp)
-    sp = pos_sub.add_parser("cube")
-    _add_common(sp)
-
-    geo = commands.add_parser("geometry", help="scaling-constant geometry table")
-    geo.add_argument("--k", type=int, required=True)
-    geo.add_argument("--d", type=int, default=None)
-    _add_common(geo, reads_input=False)
-
-    word = commands.add_parser("word", help="evaluate a group word on a pair")
-    word.add_argument("--k", type=int, required=True)
-    word.add_argument("--letters", required=True, help="word such as wvw*")
-    _add_common(word)
-
-    quo = commands.add_parser("quotient", help="quotient map and dual system")
-    quo_sub = quo.add_subparsers(dest="subcommand", required=True)
-    for name in ("psi", "dual-member", "functional"):
-        sp = quo_sub.add_parser(name)
-        sp.add_argument("--k", type=int, required=True)
-        _add_common(sp)
-
-    ver = commands.add_parser("verify", help="run the invariant suite")
-    ver_sub = ver.add_subparsers(dest="subcommand", required=True)
-    sp = ver_sub.add_parser("all")
-    _add_common(sp, reads_input=False)
-
+    for command, (help_text, _, subcommands) in _COMMANDS.items():
+        top = commands.add_parser(command, help=help_text)
+        nested = None if None in subcommands else top.add_subparsers(dest="subcommand", required=True)
+        for subcommand, (reads_input, flags) in subcommands.items():
+            sub = top if subcommand is None else nested.add_parser(subcommand)
+            for flag, kwargs in flags:
+                sub.add_argument(flag, **kwargs)
+            sub.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
+            sub.add_argument("--out", default=None, help="write the artifact JSON to a file")
+            sub.add_argument("--json", action="store_true", help="emit report plus artifact as JSON")
+            # Commands that read no input never read stdin, so an open one
+            # cannot block them, and their report digests the empty input.
+            if reads_input:
+                sub.add_argument("--in", dest="infile", default=None, help="read input JSON from a file")
+            sub.set_defaults(reads_input=reads_input, subcommand=subcommand)
     return parser
 
 
-_HANDLERS = {
-    "dilate": _cmd_dilate,
-    "rep": _cmd_rep,
-    "check": _cmd_check,
-    "commutant": _cmd_commutant,
-    "positivity": _cmd_positivity,
-    "geometry": _cmd_geometry,
-    "word": _cmd_word,
-    "quotient": _cmd_quotient,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         payload, text = _read_input(args) if args.reads_input else (None, "")
         with measured() as records:
-            return _HANDLERS[args.command](args, Run(args, text, records), payload)
+            return _COMMANDS[args.command][1](args, Run(args, text, records), payload)
     except (NcprismError, OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
