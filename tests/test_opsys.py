@@ -425,13 +425,19 @@ class TestLiftSolver:
 def gap_probe_element(k, q, seed, target):
     """A random selfadjoint element (blocks 0.3 complex Gaussian) with c_0
     shifted so that its best lift's floor t* is ``target``: t* is found by
-    bisection on lmi_floor's band (t, t), narrowed by each bracket."""
+    bisection on lmi_floor's band (t, t), narrowed by each bracket.
+
+    The bisection starts from a bracket of the element itself: the floor of
+    the particular lift is at most t*, and every lift x has floor(x) <=
+    lambda_min((x_j + x_+/-)/2), the least eigenvalue at the 2k characters,
+    which is the same for every lift."""
     rng = np.random.default_rng(seed)
     raw = 0.3 * (rng.standard_normal((k + 1, q, q)) + 1j * rng.standard_normal((k + 1, q, q)))
     c = [(raw[m] + dagger(raw[(-m) % k])) / 2 for m in range(k)]
     e = PrismElement(k, q, c, hermitize(raw[k]))
     base, directions = lift_problem(e)
-    low, high = -10.0, 10.0
+    low = np.linalg.eigvalsh(base).min()
+    high = np.linalg.eigvalsh((base[:k, None] + base[None, k:]) / 2).min()
     while high - low > 1e-9:
         mid = (low + high) / 2
         result = lmi_floor(base, directions, (mid, mid))
@@ -470,6 +476,13 @@ class TestDualWitness:
         verdict = matrix_positivity_prism(above)
         assert isinstance(verdict, Certified)
         assert within_bounds(certified_residuals(above, verdict))
+
+    def test_gap_probe_places_the_floor_at_large_order(self):
+        # Unshifted, this element's best floor is about -11.2, outside any
+        # fixed bisection interval such as [-10, 10].
+        e = gap_probe_element(64, 3, 0, -1e-3)
+        result = lmi_floor(*lift_problem(e), (-1e-3 - 1e-6, -1e-3 + 1e-6))
+        assert -1e-3 - 1e-6 <= result.t_lo and result.t_hi < -1e-3 + 1e-6
 
     @settings(max_examples=60, deadline=None)
     @given(
