@@ -31,7 +31,6 @@ import numpy as np
 from . import serialize
 from .errors import NcprismError, RelationCheckFailedError
 from .matkernel import (
-    ALG_TOL,
     commutant_dimension,
     irreducibility_residual,
     is_hermitian,
@@ -116,7 +115,7 @@ def _cmd_dilate(args, run: Run, payload) -> int:
     sub = args.subcommand
     if sub == "halmos":
         x = serialize.matrix_from_json(payload)
-        if is_hermitian(x, ALG_TOL):
+        if is_hermitian(x):
             big = dilation.halmos_symmetry(x)
         else:
             big = dilation.halmos_unitary(x)

@@ -187,7 +187,7 @@ def halmos_symmetry(b) -> np.ndarray:
     equals ``b`` exactly.
     """
     b = as_matrix(b)
-    require_hermitian(b, ALG_TOL, "halmos_symmetry input")
+    require_hermitian(b, "halmos_symmetry input")
     norm = opnorm(b)
     if norm > 1.0 + PSD_CLAMP:
         raise NormExceedsOneError(f"||b|| = {norm:.12f} exceeds 1")
@@ -427,7 +427,7 @@ def joint_prism_dilation(a, b, k: int) -> tuple[RepPair, np.ndarray]:
     a, b = as_matrix(a), as_matrix(b)
     if a.shape != b.shape:
         raise DimensionMismatchError(f"a and b must have equal size, got {a.shape}, {b.shape}")
-    require_hermitian(b, ALG_TOL, "joint_prism_dilation input b")
+    require_hermitian(b, "joint_prism_dilation input b")
     norm = opnorm(b)
     if norm > 1.0 + PSD_CLAMP:
         raise NormExceedsOneError(f"||b|| = {norm:.12f} exceeds 1")

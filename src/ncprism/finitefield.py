@@ -22,6 +22,7 @@ from .errors import NoIrreduciblePolynomialError
 __all__ = [
     "FiniteFieldSpec",
     "GaloisField",
+    "prime_factors",
     "is_prime",
     "factor_prime_power",
     "find_irreducible",
@@ -33,34 +34,34 @@ __all__ = [
 ]
 
 
+def prime_factors(n: int) -> list[tuple[int, int]]:
+    """The pairs (p, e) with n the product of the p**e, p prime, in increasing
+    p; empty for n < 2."""
+    pairs = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            pairs.append((p, e))
+        p += 1
+    if n > 1:
+        pairs.append((n, 1))
+    return pairs
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return prime_factors(n) == [(n, 1)]
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, e) with q = p**e, or raise ValueError."""
-    if q < 2:
+    pairs = prime_factors(q)
+    if len(pairs) != 1:
         raise ValueError(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if not is_prime(p):
-            continue
-        if q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m == 1:
-                return p, e
-            raise ValueError(f"{q} is not a prime power")
-    raise ValueError(f"{q} is not a prime power")
+    return pairs[0]
 
 
 def _poly_trim(c: tuple[int, ...]) -> tuple[int, ...]:

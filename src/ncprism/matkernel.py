@@ -162,26 +162,26 @@ def opnorms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False)[..., 0]
 
 
-def is_hermitian(a: np.ndarray, tol: float) -> bool:
-    """||A - A*|| <= tol * max(1, ||A||), for a matrix or for every slice of
-    an (..., n, n) stack. Skew parts whose Frobenius norm, over the whole
-    stack, is at most tol pass without an SVD, since the Frobenius norm
+def is_hermitian(a: np.ndarray) -> bool:
+    """||A - A*|| <= ALG_TOL * max(1, ||A||), for a matrix or for every slice
+    of an (..., n, n) stack. Skew parts whose Frobenius norm, over the whole
+    stack, is at most ALG_TOL pass without an SVD, since the Frobenius norm
     bounds the spectral norm of each; the norms of A are computed only when
-    some skew part exceeds tol, since otherwise the verdict cannot depend on
-    them."""
+    some skew part exceeds ALG_TOL, since otherwise the verdict cannot depend
+    on them."""
     skew = a - dagger(a)
-    if _frobenius(skew) <= tol:
+    if _frobenius(skew) <= ALG_TOL:
         return True
     skew = opnorms(skew)
-    return bool((skew <= tol).all() or (skew <= tol * np.maximum(1.0, opnorms(a))).all())
+    return bool((skew <= ALG_TOL).all() or (skew <= ALG_TOL * np.maximum(1.0, opnorms(a))).all())
 
 
-def require_hermitian(a: np.ndarray, tol: float, what: str = "matrix") -> None:
+def require_hermitian(a: np.ndarray, what: str = "matrix") -> None:
     """Raise unless ``a`` (a matrix, or each slice of a stack) is square and
     Hermitian by :func:`is_hermitian`."""
     if a.shape[-2] != a.shape[-1]:
         raise ShapeMismatchError(f"{what} must be square, got shape {a.shape}")
-    if not is_hermitian(a, tol):
+    if not is_hermitian(a):
         raise NotHermitianError(
             f"{what} is not Hermitian: ||A - A*|| = {opnorms(a - dagger(a)).max():.3e}"
         )
@@ -199,7 +199,7 @@ def psd_sqrt(h) -> np.ndarray:
         h = as_matrix(h)
     elif not np.isfinite(h).all():
         raise ValueError("matrix entries must be finite")
-    require_hermitian(h, ALG_TOL, "psd_sqrt input")
+    require_hermitian(h, "psd_sqrt input")
     w, u = np.linalg.eigh(hermitize(h))
     if w.min(initial=0.0) < -PSD_CLAMP:
         raise NotPSDError(
@@ -737,7 +737,7 @@ def support_values(mats, directions) -> np.ndarray:
     for a in mats:
         if a.shape != (n, n):
             raise ShapeMismatchError("tuple entries must all have equal square shape")
-        require_hermitian(a, ALG_TOL, "support_value tuple entry")
+        require_hermitian(a, "support_value tuple entry")
     combos = (directions[:, :, None, None] * np.stack(mats)).sum(axis=1)
     return np.linalg.eigvalsh(hermitize(combos)).max(axis=-1)
 

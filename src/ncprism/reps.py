@@ -38,6 +38,7 @@ from .finitefield import (
     GaloisField,
     factor_prime_power,
     permutation_closure_size,
+    prime_factors,
     projective_action,
     projective_line,
     psl2_order,
@@ -379,32 +380,33 @@ def vertex_residuals(pair: RepPair, xi, j: int, sign: int) -> list[Residual]:
     return [("vertex_attained", error, ALG_TOL)]
 
 
-def generated_group_order(
-    generators, max_order: int = 720, tol: float = 1e-8
-) -> int:
+_GROUP_MAX_ORDER = 720
+
+
+def generated_group_order(generators) -> int:
     """Order of the matrix group generated by the given unitaries.
 
-    Closure enumeration; a candidate is new unless it lies within ``tol`` of
-    a known element in operator norm. Known elements sit in buckets keyed on
-    one rounded linear functional of their entries, with unit Frobenius
-    weights and bucket width 2 sqrt(n) tol. Two elements within ``tol`` differ
-    by at most sqrt(n) tol in that functional, so a candidate is compared
-    only with the elements of its own bucket and the two adjacent ones.
-    Raises RelationCheckFailedError if the closure exceeds ``max_order``
-    elements.
+    Closure enumeration; a candidate is new unless it lies within SPEC_TOL
+    of a known element in operator norm. Known elements sit in buckets keyed
+    on one rounded linear functional of their entries, with unit Frobenius
+    weights and bucket width 2 sqrt(n) SPEC_TOL. Two elements within
+    SPEC_TOL differ by at most sqrt(n) SPEC_TOL in that functional, so a
+    candidate is compared only with the elements of its own bucket and the
+    two adjacent ones. Raises RelationCheckFailedError if the closure
+    exceeds ``_GROUP_MAX_ORDER`` elements.
     """
     gens = [as_matrix(g) for g in generators]
     n = gens[0].shape[0]
     weights = np.random.default_rng(0).standard_normal((n, n))
     weights /= np.linalg.norm(weights)
-    width = 2.0 * math.sqrt(n) * tol
+    width = 2.0 * math.sqrt(n) * SPEC_TOL
     buckets: dict[int, list[np.ndarray]] = {}
 
     def is_new(candidate) -> bool:
-        """True, with the candidate filed, unless a known element is within tol."""
+        """True, with the candidate filed, unless a known element is within SPEC_TOL."""
         key = math.floor(float(np.vdot(weights, candidate).real) / width)
         near = (e for k in (key - 1, key, key + 1) for e in buckets.get(k, ()))
-        if any(opnorm(candidate - e) <= tol for e in near):
+        if any(opnorm(candidate - e) <= SPEC_TOL for e in near):
             return False
         buckets.setdefault(key, []).append(candidate)
         return True
@@ -420,9 +422,9 @@ def generated_group_order(
                 if is_new(candidate):
                     new_frontier.append(candidate)
                     order += 1
-                    if order > max_order:
+                    if order > _GROUP_MAX_ORDER:
                         raise RelationCheckFailedError(
-                            f"group closure exceeded {max_order} elements"
+                            f"group closure exceeded {_GROUP_MAX_ORDER} elements"
                         )
         frontier = new_frontier
     return order
@@ -439,11 +441,11 @@ def _verified_pair(w, v, k: int, provenance: str, relations=()) -> RepPair:
 
 # (name, residual function of (W, V), bound) for pair_residuals.
 S3_RELATIONS = (
-    ("VWV = W^-1", lambda w, v: opnorm(v @ w @ v - w @ w), 1e-10),
+    ("VWV = W^-1", lambda w, v: opnorm(v @ w @ v - w @ w), ALG_TOL),
     ("group_order_6", lambda w, v: abs(generated_group_order([w, v]) - 6), 0.0),
 )
 A4_RELATIONS = (
-    ("WVW = VW^2V", lambda w, v: opnorm(w @ v @ w - v @ w @ w @ v), 1e-10),
+    ("WVW = VW^2V", lambda w, v: opnorm(w @ v @ w - v @ w @ w @ v), ALG_TOL),
     ("group_order_12", lambda w, v: abs(generated_group_order([w, v]) - 12), 0.0),
 )
 
@@ -568,8 +570,9 @@ def assemble_dimension(n: int) -> RepPair:
     Dimension 1 is the trivial character, 2 the S3 pair, 3 the A4 pair,
     prime powers q > 3 (q != 9) the Steinberg pair, and composite n the
     tensor product over the prime-power factorization. A factor equal to 9
-    has no building block here and raises AssemblyFailedError. The
-    commutant dimension of the result is computed and recorded. A dimension
+    has no building block here and raises AssemblyFailedError. The result
+    records its commutant dimension: 1 for a single block, and the one
+    ``tensor_pair`` computes for a product. A dimension
     above ``_PAIR_MAX_DIM`` raises ``SizeBudgetExceededError`` before any
     block is built.
     """
@@ -588,23 +591,8 @@ def assemble_dimension(n: int) -> RepPair:
         require(pair_residuals(pair), RelationCheckFailedError, pair.provenance)
         return pair
 
-    factors = []
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            power = 1
-            m //= d
-            while m % d == 0:
-                m //= d
-                power *= d
-            factors.append(d * power)
-        d += 1
-    if m > 1:
-        factors.append(m)
-
     blocks = []
-    for f in sorted(factors):
+    for f in sorted(p**e for p, e in prime_factors(n)):
         if f == 2:
             blocks.append(s3_pair())
         elif f == 3:
@@ -620,6 +608,4 @@ def assemble_dimension(n: int) -> RepPair:
     pair = blocks[0]
     for nxt in blocks[1:]:
         pair = tensor_pair(pair, nxt)
-    if pair.commutant_dim is None:
-        pair.commutant_dim, _ = commutant_dimension([pair.w, pair.v])
     return pair

@@ -223,14 +223,14 @@ class TestSchurAssembly:
 
 class TestHermitianRule:
     """is_hermitian gives the verdict of the SVD rule ||A - A*|| <=
-    tol max(1, ||A||), also for skew parts at tol (1 +- 1e-9) and for
-    skew parts whose Frobenius norm exceeds tol while their spectral norm
-    does not."""
+    ALG_TOL max(1, ||A||), also for skew parts at ALG_TOL (1 +- 1e-9) and
+    for skew parts whose Frobenius norm exceeds ALG_TOL while their spectral
+    norm does not."""
 
     @staticmethod
-    def svd_rule(a, tol):
+    def svd_rule(a):
         slices = a.reshape(-1, *a.shape[-2:])
-        return all(opnorm(x - dagger(x)) <= tol * max(1.0, opnorm(x)) for x in slices)
+        return all(opnorm(x - dagger(x)) <= ALG_TOL * max(1.0, opnorm(x)) for x in slices)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -239,21 +239,20 @@ class TestHermitianRule:
         rank=st.integers(1, 2),
         ratio=st.sampled_from([1 - 1e-9, 1 + 1e-9, 0.5, 0.75, 1.25]),
         norm=st.sampled_from([0.5, 3.0]),
-        tol=st.sampled_from([ALG_TOL, SPEC_TOL]),
         stacked=st.booleans(),
     )
-    def test_verdict_matches_the_svd_rule(self, seed, n, rank, ratio, norm, tol, stacked):
+    def test_verdict_matches_the_svd_rule(self, seed, n, rank, ratio, norm, stacked):
         # A = H + iR with H real diagonal of norm `norm` and R real symmetric:
         # A - A* = 2iR exactly, and 2R = c (an orthogonal projection of rank
         # `rank`), so its spectral norm is c and its Frobenius norm c sqrt(rank).
         rng = np.random.default_rng(seed)
         h = np.diag(np.append(norm, rng.uniform(-norm, norm, n - 1)))
         v = np.linalg.qr(rng.standard_normal((n, rank)))[0]
-        c = ratio * tol * max(1.0, norm)
+        c = ratio * ALG_TOL * max(1.0, norm)
         a = h + 0.5j * c * (v @ v.T)
         if stacked:
             a = np.stack([random_hermitian(rng, n), a])
-        assert is_hermitian(a, tol) == self.svd_rule(a, tol) == (ratio < 1.0)
+        assert is_hermitian(a) == self.svd_rule(a) == (ratio < 1.0)
 
 
 class TestHalmosBlockResiduals:

@@ -284,10 +284,10 @@ class TestGroupPairs:
 
     @pytest.mark.parametrize("factory, order", [(s3_pair, 6), (a4_pair, 12)])
     def test_group_order_finds_neighbours_across_buckets(self, factory, order):
-        # With tol = 1e-2 the buckets are a few 1e-2 wide. Generators in a
-        # random frame, perturbed by 1e-3, put near-repeats (at most ~3e-3
-        # apart) across a bucket boundary in about one trial in ten; every
-        # near-repeat must still be recognised.
+        # The buckets are a few SPEC_TOL wide. Generators in a random frame,
+        # perturbed by 1e-9, put near-repeats (at most ~3.5e-9 apart) across
+        # a bucket boundary in about one trial in eight; every near-repeat
+        # must still be recognised.
         pair = factory()
         rng = np.random.default_rng(5)
         for _ in range(100):
@@ -295,8 +295,8 @@ class TestGroupPairs:
             gens = []
             for g in (pair.w, pair.v):
                 noise = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
-                gens.append(u @ g @ u.conj().T + 1e-3 * noise / np.linalg.norm(noise))
-            assert generated_group_order(gens, tol=1e-2) == order
+                gens.append(u @ g @ u.conj().T + 1e-9 * noise / np.linalg.norm(noise))
+            assert generated_group_order(gens) == order
 
     def test_a4_irreducible(self):
         pair = a4_pair()
