@@ -478,8 +478,8 @@ class TestDualWitness:
         assert within_bounds(certified_residuals(above, verdict))
 
     def test_gap_probe_places_the_floor_at_large_order(self):
-        # Unshifted, this element's best floor is about -11.2, outside any
-        # fixed bisection interval such as [-10, 10].
+        # Unshifted, this element's best floor is about -11.2, so the
+        # bisection must start from a bracket of the element itself.
         e = gap_probe_element(64, 3, 0, -1e-3)
         result = lmi_floor(*lift_problem(e), (-1e-3 - 1e-6, -1e-3 + 1e-6))
         assert -1e-3 - 1e-6 <= result.t_lo and result.t_hi < -1e-3 + 1e-6
