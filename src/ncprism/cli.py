@@ -87,14 +87,13 @@ class Run:
         """Write the artifact to ``--out``, print the report and artifact with
         ``--json``, and otherwise print ``table`` if the command has one, else
         the artifact."""
-        out = getattr(self.args, "out", None)
-        as_json = getattr(self.args, "json", False)
+        out = self.args.out
         artifacts = [out] if out else ["stdout"]
         if out:
             with open(out, "w", encoding="utf-8") as fh:
                 json.dump(artifact, fh, indent=2)
                 fh.write("\n")
-        if as_json:
+        if self.args.json:
             print(json.dumps({"report": self.report(artifacts), "result": artifact}, indent=2))
         elif out:
             for check in self.checks:

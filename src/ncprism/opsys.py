@@ -10,12 +10,17 @@ all-ones tuple maps to the unit; its kernel is spanned by
 F[j, m] = omega^(j m) (``matkernel.fourier_matrix``). Scalar positivity is
 decided exactly by vertex enumeration; matrix-level positivity gets a
 three-valued verdict with independently checkable witnesses and
-certificates. An eigenvalue below zero at one of the 2k characters, read off
-the particular lift, refutes with a 1 x 1 witness; otherwise one
-``matkernel.lmi_floor`` solve over the lifts through the quotient map
-decides: a strictly positive lift certifies, and the solver's primal point, a
-matrix state that separates the element, dilates to a refuting
-representation.
+certificates. The best floor t* of the lifts through the quotient map is
+bracketed without a solve, t_scalar <= t* <= t_char: t_char is the least
+eigenvalue at the 2k characters, read off the particular lift, and t_scalar
+the floor of that lift shifted by a scalar multiple of the kernel. t_char <=
+-SPEC_TOL refutes with a 1 x 1 witness, t_scalar >= STRICT_MARGIN certifies
+with the shifted lift, and a bracket inside the band (-SPEC_TOL,
+STRICT_MARGIN) is ``Unknown``. At q = 1 the two ends coincide, so scalar
+elements are never solved. Any other element gets one ``matkernel.lmi_floor``
+solve over the lifts: a strictly positive lift certifies, and the solver's
+primal point, a matrix state that separates the element, dilates to a
+refuting representation.
 """
 
 from __future__ import annotations
@@ -209,8 +214,14 @@ class Certified:
 
 @dataclass(frozen=True)
 class Unknown:
-    """The solver's bracket on the best lift's floor lies neither above
-    STRICT_MARGIN nor below -SPEC_TOL."""
+    """The bracket on the best lift's floor t* lies neither above
+    STRICT_MARGIN nor below -SPEC_TOL.
+
+    The bracket is t_scalar <= t* <= t_char, from the scalar shift and the
+    characters, when it lies inside the band (-SPEC_TOL, STRICT_MARGIN); it
+    refutes at t_char <= -SPEC_TOL and certifies at t_scalar >=
+    STRICT_MARGIN, and at q = 1, where its ends coincide, it always decides.
+    Otherwise it is the solver's [t_lo, t_hi]."""
 
     reason: str
     residual: float
@@ -408,17 +419,29 @@ def _particular_lift(e: PrismElement) -> np.ndarray:
 def matrix_positivity_prism(e: PrismElement):
     """Three-valued positivity verdict for a selfadjoint element.
 
-    First the characters: every lift x has e(omega^j, +/-1) = (x_j + x_+/-)/2,
-    so the particular lift gives all 2k of them in one batched ``eigvalsh``.
-    If the least eigenvalue is <= -SPEC_TOL, the 1 x 1 character at the first
-    argmin in (j, sign) order, the tie rule of ``scalar_positivity_prism``,
-    is the witness and the verdict is ``Refuted``. Should the evaluation of
-    ``e`` at that character come out above -SPEC_TOL (the two differ only by
-    rounding), the solve below decides instead.
+    Every lift x of ``e`` (the particular lift plus kernel (x) Y over
+    Hermitian q x q Y) has e(omega^j, +/-1) = (x_j + x_+/-)/2, so the best
+    lift floor t* is at most t_char, the least eigenvalue at the 2k
+    characters. The scalar gauge Y = s 1 bounds it from below: with a and b
+    the least eigenvalues of the particular lift's blocks x_j and x_+/-, the
+    shift s* = (b - a)/2 lifts the floor to t_scalar = min(a + s*, b - s*).
+    One batched ``eigvalsh`` of the k + 2 blocks and the 2k character sums
+    gives the bracket t_scalar <= t* <= t_char, which decides without a solve:
 
-    Otherwise ``matkernel.lmi_floor`` brackets the best floor of the lifts
-    of ``e`` through the quotient map, the particular lift plus kernel (x) Y
-    over Hermitian q x q Y, against the band (-SPEC_TOL, STRICT_MARGIN):
+    - t_char <= -SPEC_TOL: the 1 x 1 character at the first argmin in
+      (j, sign) order, the tie rule of ``scalar_positivity_prism``, is the
+      witness and the verdict is ``Refuted``. Should the evaluation of ``e``
+      at that character come out above -SPEC_TOL (the two differ only by
+      rounding), the solve below decides instead;
+    - t_scalar >= STRICT_MARGIN: the shifted lift x + s* kernel (x) 1 has
+      every block >= STRICT_MARGIN, and the verdict is ``Certified``;
+    - t_scalar >= -SPEC_TOL and t_char < STRICT_MARGIN: the bracket lies
+      inside the band (-SPEC_TOL, STRICT_MARGIN), and the verdict is
+      ``Unknown``.
+
+    At q = 1 the gauge is the whole kernel, t_scalar = t_char and the
+    bracket always decides. Otherwise ``matkernel.lmi_floor`` brackets t*
+    against the same band:
 
     - t_lo >= STRICT_MARGIN: a lift with every block >= STRICT_MARGIN, and
       the verdict is ``Certified``;
@@ -427,47 +450,70 @@ def matrix_positivity_prism(e: PrismElement):
       (``_dual_witness``) is a representation at which ``e`` has an
       eigenvalue <= t_hi. The verdict is ``Refuted`` with that pair and its
       own lowest eigenvalue;
-    - otherwise ``Unknown``, whose residual is the shortfall STRICT_MARGIN -
-      t_lo of the best lift and whose reason gives the bracket [t_lo, t_hi]
-      and whether the band or the step cap stopped the solver.
+    - otherwise ``Unknown``.
 
+    An ``Unknown`` residual is the shortfall STRICT_MARGIN - t_lo of the
+    best lift found, and its reason gives the bracket [t_lo, t_hi] and
+    whether it lies inside the band or the step cap stopped the solver.
     Both definite verdicts re-verify from their payloads alone.
     """
     if not e.is_selfadjoint():
         raise NotSelfadjointError("positivity requires a selfadjoint element")
 
+    k = e.k
     base = _particular_lift(e)
-    lows = np.linalg.eigvalsh((base[: e.k, None] + base[None, e.k :]) / 2).min(axis=-1)
-    j, side = np.unravel_index(np.argmin(lows), lows.shape)
-    if lows[j, side] <= -SPEC_TOL:
-        verdict, residuals = _refuted(e, _character(e.k, int(j), 1 - 2 * int(side)))
+    chars = ((base[:k, None] + base[None, k:]) / 2).reshape(2 * k, e.q, e.q)
+    lows = np.linalg.eigvalsh(np.concatenate([base, chars])).min(axis=-1)
+    a, b = lows[:k].min(), lows[k : k + 2].min()
+    shift = (b - a) / 2
+    t_scalar = float(min(a + shift, b - shift))
+    index = int(np.argmin(lows[k + 2 :]))
+    t_char = float(lows[k + 2 + index])
+    if t_char <= -SPEC_TOL:
+        j, side = divmod(index, 2)
+        verdict, residuals = _refuted(e, _character(k, j, 1 - 2 * side))
         if verdict.min_eigenvalue <= -SPEC_TOL:
             require(residuals, RelationCheckFailedError, "refutation")
             return verdict
+    elif t_scalar >= STRICT_MARGIN:
+        return _certify(e, base + shift * _kernel(k)[:, None, None] * np.eye(e.q))
+    elif t_char < STRICT_MARGIN and t_scalar >= -SPEC_TOL:
+        return _unknown(t_scalar, t_char)
 
-    directions = _kernel(e.k)[:, None, None] * hermitian_basis(e.q)[:, None]
+    directions = _kernel(k)[:, None, None] * hermitian_basis(e.q)[:, None]
     result = lmi_floor(base, directions, (-SPEC_TOL, STRICT_MARGIN))
     if result.t_lo >= STRICT_MARGIN:
-        blocks = hermitize(base + np.tensordot(result.y, directions, axes=1))
-        verdict, residuals = _certified(e, DiagTuple(e.k, e.q, list(blocks)))
-        require(residuals, RelationCheckFailedError, "certificate")
-        return verdict
+        return _certify(e, base + np.tensordot(result.y, directions, axes=1))
     if result.t_hi < -SPEC_TOL:
-        verdict, residuals = _refuted(e, _dual_witness(result.x, e.k))
+        verdict, residuals = _refuted(e, _dual_witness(result.x, k))
         require(residuals, RelationCheckFailedError, "refutation")
         return verdict
-    bracket = f"[{result.t_lo:.3e}, {result.t_hi:.3e}]"
-    if result.t_lo >= -SPEC_TOL and result.t_hi < STRICT_MARGIN:
+    inside = result.t_lo >= -SPEC_TOL and result.t_hi < STRICT_MARGIN
+    return _unknown(result.t_lo, result.t_hi, None if inside else result.steps)
+
+
+def _certify(e: PrismElement, blocks: np.ndarray) -> Certified:
+    """``Certified`` with the lift ``blocks``, once its residuals pass."""
+    verdict, residuals = _certified(e, DiagTuple(e.k, e.q, list(hermitize(blocks))))
+    require(residuals, RelationCheckFailedError, "certificate")
+    return verdict
+
+
+def _unknown(t_lo: float, t_hi: float, steps: int | None = None) -> Unknown:
+    """``Unknown`` for a bracket [t_lo, t_hi] on t*: inside the band, or left
+    open by the solver after ``steps`` Newton steps."""
+    bracket = f"[{t_lo:.3e}, {t_hi:.3e}]"
+    if steps is None:
         found = f"the best lift's smallest block eigenvalue lies in {bracket}, inside the band"
     else:
         found = (
-            f"undecided after {result.steps} Newton steps (step cap, stopping gap or "
+            f"undecided after {steps} Newton steps (step cap, stopping gap or "
             f"failed step), bracket {bracket}"
         )
     return Unknown(
         reason=f"no witness below -{SPEC_TOL:.0e} and no lift with blocks >= "
         f"{STRICT_MARGIN:.0e}: {found}",
-        residual=STRICT_MARGIN - result.t_lo,
+        residual=STRICT_MARGIN - t_lo,
     )
 
 

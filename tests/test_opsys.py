@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -380,14 +381,20 @@ class TestLiftSolver:
 
     @pytest.mark.parametrize("q", [1, 2])
     def test_boundary_stays_unknown(self, q):
-        # No strictly positive lift exists (the best floor is 0): the solver
-        # proves the floor stays below STRICT_MARGIN, and the residual is the
-        # shortfall of the best lift found.
+        # No strictly positive lift exists (the best floor is 0). At q = 1 the
+        # scalar shift and the characters place the floor exactly, as the
+        # one-point bracket [t, t]; at q = 2 the solver proves the floor stays
+        # below STRICT_MARGIN. The residual is the shortfall of the best lift found.
         e = preimage_element(q, True, 50 + q)
         verdict = matrix_positivity_prism(e)
         assert isinstance(verdict, Unknown)
         assert "smallest block eigenvalue lies in [" in verdict.reason
-        assert STRICT_MARGIN <= verdict.residual < 1e-4
+        if q == 1:
+            low, high = re.search(r"lies in \[(\S+), (\S+)\]", verdict.reason).groups()
+            assert low == high and abs(float(low)) <= 1e-15
+            assert abs(verdict.residual - STRICT_MARGIN) <= 1e-15
+        else:
+            assert STRICT_MARGIN <= verdict.residual < 1e-4
 
     def test_step_cap_is_named_in_the_reason(self, monkeypatch):
         # With one Newton step allowed, a floor 1e-3 below 0 is not yet placed.
@@ -420,6 +427,120 @@ class TestLiftSolver:
             assert within_bounds(certified_residuals(e, verdict))
         else:
             assert isinstance(verdict, Unknown)
+
+
+class SolverReached(Exception):
+    pass
+
+
+def refuse_to_solve(*args):
+    raise SolverReached
+
+
+class TestFloorBracket:
+    """The bracket t_scalar <= t* <= t_char that decides without a solve:
+    t_scalar is the floor of the particular lift shifted by s 1 along the
+    kernel at the best s, t_char the least eigenvalue at the 2k characters."""
+
+    @staticmethod
+    def bracket(e):
+        lows = np.linalg.eigvalsh(_particular_lift(e)).min(axis=-1)
+        return (lows[: e.k].min() + lows[e.k :].min()) / 2, character_lows(e).min()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(3, 8),
+        seed=st.integers(0, 2**32 - 1),
+        target=st.sampled_from(
+            [-2 * SPEC_TOL, -SPEC_TOL, -SPEC_TOL / 2, 0.0, STRICT_MARGIN, 2 * STRICT_MARGIN]
+        )
+        | st.floats(-1.0, 1.0),
+    )
+    def test_scalar_level_never_solves(self, k, seed, target):
+        # At q = 1 the scalar shift spans the kernel, so the bracket is the
+        # exact vertex margin and only rounding at a band edge reaches the solver.
+        low = scalar_positivity_prism(random_selfadjoint_element(k, 1, seed, 0.0)).margin
+        e = random_selfadjoint_element(k, 1, seed, target - low)
+        margin = scalar_positivity_prism(e).margin
+        near_edge = min(abs(margin + SPEC_TOL), abs(margin - STRICT_MARGIN)) <= 1e-15
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("ncprism.opsys.lmi_floor", refuse_to_solve)
+            try:
+                verdict = matrix_positivity_prism(e)
+            except SolverReached:
+                assert near_edge
+                return
+        if not near_edge:
+            assert isinstance(verdict, Refuted) == (margin <= -SPEC_TOL)
+            assert isinstance(verdict, Certified) == (margin >= STRICT_MARGIN)
+        if isinstance(verdict, Refuted):
+            assert verdict.witness.dim == 1
+            assert within_bounds([*pair_residuals(verdict.witness), *refuted_residuals(e, verdict)])
+        if isinstance(verdict, Certified):
+            assert within_bounds(certified_residuals(e, verdict))
+
+    @pytest.mark.parametrize("k", [3, 6])
+    @pytest.mark.parametrize(
+        "margin, kind",
+        [(-2 * SPEC_TOL, Refuted), (-SPEC_TOL / 2, Unknown), (2 * STRICT_MARGIN, Certified)],
+    )
+    def test_direct_sum_with_the_unit_needs_no_solve(self, k, margin, kind):
+        # A q = 2 direct sum of a boundary element (as in TestBoundaryVerdicts)
+        # and twice the unit: the scalar summand holds every least block
+        # eigenvalue, so t_scalar = t_char and all three outcomes come without a solve.
+        scalar = TestBoundaryVerdicts.element(k, margin)
+        c = [np.diag([complex(b[0, 0]), 2.0 * (m == 0)]) for m, b in enumerate(scalar.c)]
+        e = PrismElement(k, 2, c, np.diag([complex(scalar.g[0, 0]), 0.0]))
+        t_scalar, t_char = self.bracket(e)
+        assert t_scalar == pytest.approx(t_char, abs=1e-15)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("ncprism.opsys.lmi_floor", refuse_to_solve)
+            verdict = matrix_positivity_prism(e)
+        assert isinstance(verdict, kind)
+        if kind is Certified:
+            assert within_bounds(certified_residuals(e, verdict))
+        if kind is Unknown:
+            assert abs(verdict.residual - STRICT_MARGIN - SPEC_TOL / 2) <= 1e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(3, 8),
+        q=st.integers(2, 3),
+        seed=st.integers(0, 2**32 - 1),
+        target=st.sampled_from(
+            [-2 * SPEC_TOL, -SPEC_TOL / 2, 0.0, STRICT_MARGIN / 2, 2 * STRICT_MARGIN]
+        )
+        | st.floats(-0.5, 0.5),
+    )
+    def test_solve_free_verdicts_agree_with_the_solver(self, k, q, seed, target):
+        # c_0 is shifted so that t_scalar is ``target``. A verdict reached
+        # without a solve has the class the solver's bracket alone implies.
+        t_scalar, _ = self.bracket(random_selfadjoint_element(k, q, seed, 0.0))
+        e = random_selfadjoint_element(k, q, seed, target - t_scalar)
+        t_scalar, t_char = self.bracket(e)
+        solves = []
+
+        def counted(*args):
+            solves.append(args)
+            return lmi_floor(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("ncprism.opsys.lmi_floor", counted)
+            verdict = matrix_positivity_prism(e)
+        result = lmi_floor(*lift_problem(e), (-SPEC_TOL, STRICT_MARGIN))
+        scale = max(1.0, max(opnorm(b) for b in [*e.c, e.g]))
+        assert t_scalar <= result.t_hi + 1e-12 * scale
+        assert result.t_lo <= t_char + 1e-12 * scale
+        if solves:
+            return
+        if result.t_lo >= STRICT_MARGIN:
+            assert isinstance(verdict, Certified)
+        elif result.t_hi < -SPEC_TOL:
+            assert isinstance(verdict, Refuted)
+        else:
+            assert isinstance(verdict, Unknown)
+        if isinstance(verdict, Certified):
+            assert within_bounds(certified_residuals(e, verdict))
 
 
 def gap_probe_element(k, q, seed, target):
