@@ -199,6 +199,12 @@ def _cmd_commutant(args, run: Run, payload) -> int:
     return run.emit(artifact, EXIT_OK)
 
 
+def _require_k(args, what: str, k: int) -> None:
+    """A --k flag that restates the input's k must match it."""
+    if k != args.k:
+        raise NcprismError(f"{what} has k={k}, flag says k={args.k}")
+
+
 def _cmd_positivity(args, run: Run, payload) -> int:
     from . import opsys
 
@@ -208,8 +214,7 @@ def _cmd_positivity(args, run: Run, payload) -> int:
         artifact = {"positive": positive, "margin": margin}
         return run.emit(artifact, EXIT_OK if positive else EXIT_FALSE)
     element = serialize.prism_element_from_json(payload)
-    if element.k != args.k:
-        raise NcprismError(f"element has k={element.k}, flag says k={args.k}")
+    _require_k(args, "element", element.k)
     if sub == "scalar":
         verdict = opsys.scalar_positivity_prism(element)
         artifact = {
@@ -269,6 +274,7 @@ def _cmd_quotient(args, run: Run, payload) -> int:
     sub = args.subcommand
     if sub == "psi":
         x = serialize.diag_tuple_from_json(payload)
+        _require_k(args, "tuple", x.k)
         image = opsys.psi_k(x)
         # psi_k is linear: checked through its kernel and unit, not per call.
         require(opsys.quotient_residuals(x.k, x.q), RelationCheckFailedError, "psi_k")

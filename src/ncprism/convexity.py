@@ -238,7 +238,4 @@ def random_prism_point(
     reach = float((support_values([re, im], polygon.normals) / polygon.offsets).max())
     factor = scale if scale is not None else rng.uniform(0.0, 1.0)
     a = raw * (factor / reach) if reach > 0 else raw
-    hraw = hermitize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    norm = opnorm(hraw)
-    b = hraw * ((scale if scale is not None else rng.uniform(0.0, 1.0)) / norm) if norm > 0 else hraw
-    return a, b
+    return a, random_hermitian_contraction(rng, n, scale)

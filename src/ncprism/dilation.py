@@ -23,7 +23,6 @@ import numpy as np
 
 from .convexity import make_polygon, max_member, real_imag_parts
 from .errors import (
-    DimensionMismatchError,
     InfeasibleError,
     InvalidPovmError,
     NormExceedsOneError,
@@ -174,8 +173,13 @@ class GroupWord:
         return cls(tuple(letters), k)
 
 
-def _contraction_defect_base(x: np.ndarray, norm: float) -> np.ndarray:
-    """Rescale into the closed unit ball so the defect stays PSD at the boundary."""
+def _contraction(x: np.ndarray, name: str) -> np.ndarray:
+    """The hypothesis ||x|| <= 1 of Halmos' dilation, checked up to PSD_CLAMP:
+    ``x`` rescaled into the closed unit ball, so the defect stays PSD at the
+    boundary, or ``NormExceedsOneError``."""
+    norm = opnorm(x)
+    if norm > 1.0 + PSD_CLAMP:
+        raise NormExceedsOneError(f"||{name}|| = {norm:.12f} exceeds 1")
     return x / norm if norm > 1.0 else x
 
 
@@ -188,10 +192,7 @@ def halmos_symmetry(b) -> np.ndarray:
     """
     b = as_matrix(b)
     require_hermitian(b, "halmos_symmetry input")
-    norm = opnorm(b)
-    if norm > 1.0 + PSD_CLAMP:
-        raise NormExceedsOneError(f"||b|| = {norm:.12f} exceeds 1")
-    base = _contraction_defect_base(b, norm)
+    base = _contraction(b, "b")
     n = b.shape[0]
     d = psd_sqrt(np.eye(n) - base @ base)
     s = _symmetry_block(b, d)
@@ -223,10 +224,7 @@ def halmos_unitary(x) -> np.ndarray:
     x = as_matrix(x)
     if x.shape[0] != x.shape[1]:
         raise ShapeMismatchError("halmos_unitary requires a square matrix")
-    norm = opnorm(x)
-    if norm > 1.0 + PSD_CLAMP:
-        raise NormExceedsOneError(f"||x|| = {norm:.12f} exceeds 1")
-    base = _contraction_defect_base(x, norm)
+    base = _contraction(x, "x")
     n = x.shape[0]
     d_left = psd_sqrt(np.eye(n) - base @ dagger(base))
     d_right = psd_sqrt(np.eye(n) - dagger(base) @ base)
@@ -384,7 +382,7 @@ def order_k_povm(a, k: int) -> Povm:
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError("order_k_povm requires a square matrix")
+        raise ShapeMismatchError("order_k_povm requires a square matrix")
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
     if k == 3:
@@ -426,27 +424,26 @@ def joint_prism_dilation(a, b, k: int) -> tuple[RepPair, np.ndarray]:
     """
     a, b = as_matrix(a), as_matrix(b)
     if a.shape != b.shape:
-        raise DimensionMismatchError(f"a and b must have equal size, got {a.shape}, {b.shape}")
+        raise ShapeMismatchError(f"a and b must have equal size, got {a.shape}, {b.shape}")
     require_hermitian(b, "joint_prism_dilation input b")
-    norm = opnorm(b)
-    if norm > 1.0 + PSD_CLAMP:
-        raise NormExceedsOneError(f"||b|| = {norm:.12f} exceeds 1")
-
-    return _dilate_povm(order_k_povm(a, k), b, k, norm)
+    base = hermitize(_contraction(b, "b"))
+    return _dilate_povm(order_k_povm(a, k), b, base)
 
 
-def _dilate_povm(povm: Povm, b: np.ndarray, k: int, norm: float) -> tuple[RepPair, np.ndarray]:
+def _dilate_povm(povm: Povm, b: np.ndarray, base: np.ndarray) -> tuple[RepPair, np.ndarray]:
     """The joint dilation of :func:`joint_prism_dilation` from a given POVM
-    with labels at the k-th roots of unity and a Hermitian contraction b of
-    norm ``norm``: G* W^m G = sum_j omega^(j m) h_j for every m, and
+    with labels at the k-th roots of unity, k its number of effects, and a
+    Hermitian contraction b, of which ``base`` is the Hermitian part rescaled
+    into the unit ball: G* W^m G = sum_j omega^(j m) h_j for every m, and
     G* V G = b."""
+    k = len(povm.effects)
     naimark = naimark_normal(povm)
     z = naimark.isometry
     y = naimark.operators[0]
     kn = y.shape[0]
 
     b_tilde = hermitize(z @ b @ dagger(z))
-    v_big = _carried_symmetry(b_tilde, z, _contraction_defect_base(hermitize(b), norm))
+    v_big = _carried_symmetry(b_tilde, z, base)
     w_big = direct_sum(y, np.eye(kn))
     g = np.vstack([z, np.zeros((kn, z.shape[1]), dtype=complex)])
     pair = RepPair(

@@ -54,10 +54,6 @@ class NumericalRangeOutsideTriangleError(InfeasibleError):
     decomposition over its vertices exists."""
 
 
-class DimensionMismatchError(NcprismError):
-    """Inputs live on spaces of different dimensions."""
-
-
 class OrderMismatchError(NcprismError):
     """Generator orders of two objects are incompatible."""
 

@@ -54,7 +54,7 @@ from .matkernel import (
     require,
 )
 from .dilation import Povm, _dilate_povm
-from .reps import RepPair, pair_residuals
+from .reps import RepPair, prism_character
 
 __all__ = [
     "PrismElement",
@@ -471,7 +471,7 @@ def matrix_positivity_prism(e: PrismElement):
     t_char = float(lows[k + 2 + index])
     if t_char <= -SPEC_TOL:
         j, side = divmod(index, 2)
-        verdict, residuals = _refuted(e, _character(k, j, 1 - 2 * side))
+        verdict, residuals = _refuted(e, prism_character(k, j, 1 - 2 * side))
         if verdict.min_eigenvalue <= -SPEC_TOL:
             require(residuals, RelationCheckFailedError, "refutation")
             return verdict
@@ -517,19 +517,6 @@ def _unknown(t_lo: float, t_hi: float, steps: int | None = None) -> Unknown:
     )
 
 
-def _character(k: int, j: int, sign: int) -> RepPair:
-    """The 1 x 1 pair W = omega^j, V = sign: the extreme point (omega^j, sign)."""
-    pair = RepPair(
-        np.array([[np.exp(2j * np.pi * j / k)]]),
-        np.array([[complex(sign)]]),
-        k,
-        provenance=f"character(k={k}, j={j}, sign={sign:+d})",
-        commutant_dim=1,
-    )
-    require(pair_residuals(pair), RelationCheckFailedError, pair.provenance)
-    return pair
-
-
 # Eigenvalues of R at or below this fraction of its largest are outside the
 # support on which the dual witness's effects are normalised.
 _SUPPORT_CUT = 1e-12
@@ -543,11 +530,12 @@ def _dual_witness(x: np.ndarray, k: int) -> RepPair:
     With R = sum_j Z_j^T, restricted to its support, the effects
     h_j = R^-1/2 Z_j^T R^-1/2 form a POVM with labels omega^j and
     b = R^-1/2 (Z_+ - Z_-)^T R^-1/2 is a Hermitian contraction; their joint
-    dilation (W, V, G) is the witness. The vector xi = (1 (x) G R^1/2) Omega,
-    Omega = sum_a e_a (x) e_a, has <xi, e(W, V) xi> = <base, x> ||xi||^2 for
-    every lift's base, so e(W, V) has an eigenvalue at most t_hi = <base, x>.
-    The dilation checks its own identities, and the caller checks that
-    eigenvalue.
+    dilation (W, V, G) is the witness. Rounding in R^-1/2 can leave ||b|| a
+    little above 1, so the Halmos defect is taken at b / max(1, ||b||), with
+    no norm check. The vector xi = (1 (x) G R^1/2) Omega, Omega = sum_a e_a
+    (x) e_a, has <xi, e(W, V) xi> = <base, x> ||xi||^2 for every lift's base,
+    so e(W, V) has an eigenvalue at most t_hi = <base, x>. The dilation
+    checks its own identities, and the caller checks that eigenvalue.
     """
     zt = np.swapaxes(x, -1, -2)
     lam, u = np.linalg.eigh(hermitize(zt[:k].sum(axis=0)))
@@ -556,6 +544,6 @@ def _dual_witness(x: np.ndarray, k: int) -> RepPair:
     parts = hermitize(dagger(root) @ zt @ root)
     b = parts[k] - parts[k + 1]
     povm = Povm(list(parts[:k]), fourier_matrix(k)[:, 1].tolist())
-    pair, _ = _dilate_povm(povm, b, k, opnorm(b))
+    pair, _ = _dilate_povm(povm, b, b / max(1.0, opnorm(b)))
     pair.provenance = f"dual_witness(k={k}, level={b.shape[0]})"
     return pair

@@ -70,6 +70,7 @@ __all__ = [
     "two_symmetry_canonical_form",
     "hadamard_symmetries",
     "prism_vertex_rep",
+    "prism_character",
     "s3_pair",
     "a4_pair",
     "steinberg_pair",
@@ -167,11 +168,8 @@ class CanonicalForm:
 
     def canonical_pair(self) -> tuple[np.ndarray, np.ndarray]:
         """The block-diagonal model matrices (V1, V2) in canonical order."""
-        blocks1, blocks2 = [], []
-        for lam in self.lambdas:
-            mu = math.sqrt(max(0.0, 1.0 - lam * lam))
-            blocks1.append(np.diag([-1.0, 1.0]))
-            blocks2.append(np.array([[lam, mu], [mu, -lam]]))
+        blocks1 = [np.diag([-1.0, 1.0])] * len(self.lambdas)
+        blocks2 = [_lambda_block(lam) for lam in self.lambdas]
         for (s1, s2), count in zip(self._char_cases, self.char_counts):
             for _ in range(count):
                 blocks1.append(np.array([[float(s1)]]))
@@ -180,7 +178,7 @@ class CanonicalForm:
 
 
 def _lambda_block(lam: float) -> np.ndarray:
-    mu = math.sqrt(1.0 - lam * lam)
+    mu = math.sqrt(max(0.0, 1.0 - lam * lam))
     return np.array([[lam, mu], [mu, -lam]], dtype=complex)
 
 
@@ -367,6 +365,14 @@ def prism_vertex_rep(k: int, j: int, sign: int) -> tuple[RepPair, np.ndarray]:
     residuals = [*pair_residuals(pair), *vertex_residuals(pair, xi, j, sign)]
     require(residuals, RelationCheckFailedError, pair.provenance)
     return pair, xi
+
+
+def prism_character(k: int, j: int, sign: int) -> RepPair:
+    """The 1 x 1 pair W = omega^j, V = sign: the extreme point (omega^j, sign)."""
+    provenance = f"character(k={k}, j={j}, sign={sign:+d})"
+    pair = RepPair(np.exp(2j * np.pi * j / k), sign, k, provenance, commutant_dim=1)
+    require(pair_residuals(pair), RelationCheckFailedError, provenance)
+    return pair
 
 
 def vertex_residuals(pair: RepPair, xi, j: int, sign: int) -> list[Residual]:
@@ -581,15 +587,7 @@ def assemble_dimension(n: int) -> RepPair:
     if n > _PAIR_MAX_DIM:
         raise SizeBudgetExceededError(f"dimension {n} exceeds budget {_PAIR_MAX_DIM}")
     if n == 1:
-        pair = RepPair(
-            np.array([[1.0]], dtype=complex),
-            np.array([[1.0]], dtype=complex),
-            3,
-            provenance="character(j=0, sign=+1)",
-            commutant_dim=1,
-        )
-        require(pair_residuals(pair), RelationCheckFailedError, pair.provenance)
-        return pair
+        return prism_character(3, 0, 1)
 
     blocks = []
     for f in sorted(p**e for p, e in prime_factors(n)):

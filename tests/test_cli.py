@@ -236,6 +236,17 @@ class TestQuotient:
         flat = [abs(complex(re, im)) for block in obj["c"] for re, im in block["data"]]
         assert max(flat) <= 1e-12
 
+    def test_psi_refuses_a_mismatched_k(self, capsys, monkeypatch):
+        # --k restates the tuple's k, as for positivity, and must match it.
+        one = scalar(1.0)
+        payload = {"k": 3, "q": 1, "blocks": [one] * 5}
+        code, out, err = run_cli(
+            capsys, monkeypatch, ["quotient", "psi", "--k", "7"], stdin_obj=payload
+        )
+        assert code == 2
+        assert out == ""
+        assert "tuple has k=3, flag says k=7" in err
+
     def test_dual_member(self, capsys, monkeypatch):
         payload = {"z": [[1.0, 0.0]] * 3 + [[1.0, 0.0], [2.0, 0.0]]}
         code, out, _ = run_cli(

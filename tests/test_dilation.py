@@ -44,6 +44,7 @@ from ncprism.errors import (
     NotPSDError,
     NumericalRangeOutsideTriangleError,
     OrderMismatchError,
+    ShapeMismatchError,
 )
 from ncprism.matkernel import PSD_CLAMP, SPEC_TOL, compress, dagger, fourier_matrix, hermitize, opnorm
 from ncprism.reps import pair_residuals, prism_vertex_rep
@@ -89,6 +90,23 @@ class TestHalmosSymmetry:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
             halmos_symmetry(np.array([[0.0, 0.5], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize(
+    "dilate, name",
+    [
+        (halmos_symmetry, "b"),
+        (halmos_unitary, "x"),
+        (lambda b: joint_prism_dilation(0.2 * np.eye(2), b, 3), "b"),
+    ],
+    ids=["halmos_symmetry", "halmos_unitary", "joint_prism_dilation"],
+)
+def test_one_contraction_check(dilate, name):
+    # Halmos' hypothesis ||x|| <= 1 is checked in one place, up to psd_clamp,
+    # for all three dilations.
+    dilate(np.diag([1.0 + PSD_CLAMP / 2, -0.5]))
+    with pytest.raises(NormExceedsOneError, match=re.escape(f"||{name}|| = 1.000000000002 exceeds 1")):
+        dilate(np.diag([1.0 + 2 * PSD_CLAMP, -0.5]))
 
 
 class TestHalmosUnitary:
@@ -299,6 +317,10 @@ class TestOrderKPovm:
         povm = order_k_povm(np.array([[0.0]]), 3)
         assert len(povm.effects) == 3
 
+    def test_rejects_a_non_square_input(self):
+        with pytest.raises(ShapeMismatchError, match="square"):
+            order_k_povm(np.zeros((2, 3)), 4)
+
     def test_vertex_k4(self):
         a = np.array([[1j]])
         povm = order_k_povm(a, 4)
@@ -422,6 +444,10 @@ class TestJointPrismDilation:
         assert abs(complex(compress(pair.v, g)[0, 0])) <= 1e-10
         assert within_bounds(pair_residuals(pair))
 
+    def test_rejects_unequal_sizes(self):
+        with pytest.raises(ShapeMismatchError, match="equal size"):
+            joint_prism_dilation(np.zeros((2, 2)), np.zeros((3, 3)), 3)
+
     def test_vertex_pair(self):
         pair, g = joint_prism_dilation(np.array([[1.0]]), np.array([[1.0]]), 3)
         assert complex(compress(pair.w, g)[0, 0]) == pytest.approx(1.0, abs=1e-10)
@@ -525,7 +551,7 @@ class TestJointPrismDilation:
         b = hermitize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         b = 0.9 * b / opnorm(b)
         povm = Povm(list(effects), fourier_matrix(k)[:, 1].tolist())
-        pair, g = _dilate_povm(povm, b, k, opnorm(b))
+        pair, g = _dilate_povm(povm, b, b)
         assert pair.dim == 2 * k * n
         assert within_bounds(pair_residuals(pair))
         power = np.eye(pair.dim)

@@ -45,6 +45,7 @@ from ncprism.reps import (
     hadamard_residuals,
     hadamard_symmetries,
     pair_residuals,
+    prism_character,
     prism_vertex_rep,
     s3_pair,
     square_irrep,
@@ -53,6 +54,7 @@ from ncprism.reps import (
     tensor_pair,
     two_symmetry_canonical_form,
     universal_square_pair,
+    vertex_residuals,
 )
 
 
@@ -246,6 +248,14 @@ class TestVertexRep:
         pair, _ = prism_vertex_rep(3, 0, 1)
         # e_1 -> e_3, e_2 -> e_1, e_3 -> e_2.
         assert pair.w[2, 0] == 1.0 and pair.w[0, 1] == 1.0 and pair.w[1, 2] == 1.0
+
+    @pytest.mark.parametrize("k", [3, 7])
+    def test_characters_are_the_vertices(self, k):
+        # The 1 x 1 pair (omega^j, sign) takes the vertex value itself.
+        for j, sign in itertools.product(range(k), (1, -1)):
+            char = prism_character(k, j, sign)
+            assert char.dim == 1 and char.commutant_dim == 1
+            assert within_bounds(vertex_residuals(char, np.ones(1), j, sign))
 
     def test_index_bounds(self):
         with pytest.raises(IndexOutOfRangeError):
@@ -513,10 +523,14 @@ class TestTensorAndAssembly:
             tensor_pair(p1, p2)
 
     def test_dimension_one(self):
-        pair = assemble_dimension(1)
+        # The trivial character, from the one factory of the characters.
+        pair, char = assemble_dimension(1), prism_character(3, 0, 1)
         assert pair.dim == 1
         assert np.allclose(pair.w, [[1.0]])
         assert np.allclose(pair.v, [[1.0]])
+        assert np.array_equal(pair.w, char.w) and np.array_equal(pair.v, char.v)
+        assert pair.provenance == char.provenance == "character(k=3, j=0, sign=+1)"
+        assert pair.commutant_dim == char.commutant_dim == 1
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 10])
     def test_dimensions(self, n):
