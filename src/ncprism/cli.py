@@ -86,15 +86,16 @@ class Run:
     def emit(self, artifact: dict, exit_code: int, table: list[str] | None = None) -> int:
         """Write the artifact to ``--out``, print the report and artifact with
         ``--json``, and otherwise print ``table`` if the command has one, else
-        the artifact."""
+        the artifact; NaN or Infinity in it raises ``ValueError`` unwritten."""
         out = self.args.out
         artifacts = [out] if out else ["stdout"]
+        body = json.dumps(artifact, indent=2, allow_nan=False)
         if out:
             with open(out, "w", encoding="utf-8") as fh:
-                json.dump(artifact, fh, indent=2)
-                fh.write("\n")
+                fh.write(body + "\n")
         if self.args.json:
-            print(json.dumps({"report": self.report(artifacts), "result": artifact}, indent=2))
+            whole = {"report": self.report(artifacts), "result": artifact}
+            print(json.dumps(whole, indent=2, allow_nan=False))
         elif out:
             for check in self.checks:
                 status = "PASS" if check["passed"] else "FAIL"
@@ -104,7 +105,7 @@ class Run:
         elif table is not None:
             print("\n".join(table))
         else:
-            print(json.dumps(artifact, indent=2))
+            print(body)
         return exit_code
 
 

@@ -17,8 +17,8 @@ which is how ``verify`` and the CLI report what the constructors measured.
 
 Matrices are plain ``numpy.ndarray`` objects with ``complex128`` entries.
 All operations are pure functions; the only state is the collector that
-:func:`measured` opens for the block it encloses, and the read-only weights
-that :func:`commutant_dimension` draws once per input count.
+:func:`measured` opens for the block it encloses, and read-only arrays built
+once per argument: :func:`commutant_dimension`'s weights and Fourier matrices.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ def as_matrix(a) -> np.ndarray:
         m = m.reshape(1, 1)
     if m.ndim != 2:
         raise ShapeMismatchError(f"expected a matrix, got array of ndim {m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -220,10 +220,13 @@ def clamp_spectrum(stack: np.ndarray, floor: float) -> np.ndarray:
     return hermitize((u * np.clip(w, floor, None)[..., None, :]) @ dagger(u))
 
 
+@functools.lru_cache(maxsize=32)
 def fourier_matrix(k: int) -> np.ndarray:
-    """F[j, m] = omega^(j m) with omega = exp(2 pi i / k): row j evaluates
-    1, w, ..., w^(k-1) at omega^j, and column 1 lists the k-th roots of unity."""
-    return np.exp(2j * np.pi / k) ** np.outer(np.arange(k), np.arange(k))
+    """F[j, m] = omega^(j m) with omega = exp(2 pi i / k), read-only and built once per k:
+    row j evaluates 1, w, ..., w^(k-1) at omega^j; column 1 lists the k-th roots of unity."""
+    f = np.exp(2j * np.pi / k) ** np.outer(np.arange(k), np.arange(k))
+    f.flags.writeable = False
+    return f
 
 
 def hermitian_basis(n: int) -> np.ndarray:
@@ -784,19 +787,22 @@ def compress(a, z) -> np.ndarray:
 
 
 def unitary_residual(u) -> Residual:
-    """||U* U - 1||_F; for an exactly diagonal U, || |d|^2 - 1 || over its
-    diagonal d, the same quantity without a matrix product."""
-    d = _exact_diagonal(u)
+    """||U* U - 1||_F, taken as || |d|^2 - 1 || over the diagonal d of an exactly diagonal U."""
+    return _unitary_residual(u, _exact_diagonal(u))
+
+
+def _unitary_residual(u: np.ndarray, d: np.ndarray | None) -> Residual:
+    """:func:`unitary_residual` of ``u``, given its :func:`_exact_diagonal` ``d``."""
     gap = dagger(u) @ u - np.eye(u.shape[1]) if d is None else (d.conj() * d).real - 1.0
     return ("unitary", _frobenius(gap), SPEC_TOL)
 
 
 def order_residuals(u, k: int) -> list[Residual]:
-    """``u`` is unitary and ``u**k`` is the identity (bound SPEC_TOL * k);
-    for an exactly diagonal U the order gap is || d^k - 1 || over its diagonal."""
+    """``u`` is unitary and ``u**k`` is the identity (bound SPEC_TOL * k); for
+    an exactly diagonal U, found by one scan, both are taken on its diagonal d."""
     d = _exact_diagonal(u)
     gap = np.linalg.matrix_power(u, k) - np.eye(u.shape[0]) if d is None else d**k - 1.0
-    return [unitary_residual(u), (f"order_{k}", _frobenius(gap), SPEC_TOL * k)]
+    return [_unitary_residual(u, d), (f"order_{k}", _frobenius(gap), SPEC_TOL * k)]
 
 
 def _exact_diagonal(u: np.ndarray) -> np.ndarray | None:

@@ -25,6 +25,7 @@ refuting representation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,6 +44,8 @@ from .matkernel import (
     PSD_CLAMP,
     SPEC_TOL,
     Residual,
+    _exact_diagonal,
+    _frobenius,
     as_matrix,
     dagger,
     fourier_matrix,
@@ -84,15 +87,20 @@ STRICT_MARGIN = 1e-6
 _LINEAR_TOL = 1e-12
 
 
-def _square_blocks(blocks, q: int) -> list[np.ndarray]:
-    """The blocks as complex matrices, each checked to be q x q with q >= 1."""
+def _square_blocks(blocks, q: int) -> np.ndarray:
+    """The blocks as one finite (count, q, q) complex stack, q >= 1; scalars at q = 1."""
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    blocks = [as_matrix(b) for b in blocks]
-    for b in blocks:
-        if b.shape != (q, q):
-            raise ShapeMismatchError(f"blocks must be {q} x {q}, got {b.shape}")
-    return blocks
+    try:
+        stack = np.asarray(blocks, dtype=complex)
+    except ValueError as exc:
+        raise ShapeMismatchError(f"blocks must be {q} x {q}, got blocks of different shapes") from exc
+    stack = stack.reshape(-1, 1, 1) if q == 1 and stack.ndim == 1 else stack
+    if stack.ndim != 3 or stack.shape[1:] != (q, q):
+        raise ShapeMismatchError(f"blocks must be {q} x {q}, got {stack.shape[1:]}")
+    if not np.isfinite(stack).all():
+        raise ValueError("matrix entries must be finite")
+    return stack
 
 
 @dataclass
@@ -117,27 +125,26 @@ class PrismElement:
 
     @classmethod
     def unit(cls, k: int, q: int = 1) -> "PrismElement":
-        zero = np.zeros((q, q), dtype=complex)
-        blocks = [np.eye(q, dtype=complex)] + [zero.copy() for _ in range(k - 1)]
-        return cls(k, q, blocks, zero.copy())
+        return cls(k, q, [np.eye(q)] + [np.zeros((q, q))] * (k - 1), np.zeros((q, q)))
 
     def is_selfadjoint(self) -> bool:
         """True iff c_(-m mod k) = c_m* for every m and g is Hermitian."""
-        stack = _stacked(self)
-        mirror = [(-m) % self.k for m in range(self.k)] + [self.k]
-        scale = max(1.0, float(opnorms(stack).max()))
-        return bool(opnorms(stack - dagger(stack[mirror])).max() <= ALG_TOL * scale)
+        return _selfadjoint(_stacked(self))
 
     def evaluate(self, pair: RepPair) -> np.ndarray:
-        """The operator sum_m c_m (x) W^m + g (x) V on the q n dimensional space."""
+        """The operator sum_m c_m (x) W^m + g (x) V on the q n dimensional space.
+        At an exactly diagonal W = diag(d) (characters, dilations, dual witnesses)
+        the first sum is block diagonal, sum_m d_i^m c_m at (i, i): no W^m is formed."""
         if pair.k != self.k:
-            raise OrderMismatchError(
-                f"element has order {self.k}, pair has order {pair.k}"
-            )
-        size = self.q * pair.dim
-        # Every Kronecker product c_m (x) W^m and g (x) V in one contraction.
-        products = np.einsum("sab,sij->aibj", _stacked(self), _basis_operators(pair))
-        return products.reshape(size, size)
+            raise OrderMismatchError(f"element has order {self.k}, pair has order {pair.k}")
+        size, stack, d = self.q * pair.dim, _stacked(self), _exact_diagonal(pair.w)
+        if d is None:  # every Kronecker product c_m (x) W^m and g (x) V in one contraction
+            return np.einsum("sab,sij->aibj", stack, _basis_operators(pair)).reshape(size, size)
+        out = self.g[:, None, :, None] * pair.v[None, :, None, :]  # g (x) V, axes (a, i, b, j)
+        powers = np.vander(d, self.k, increasing=True)  # d_i^m by repeated products, as W^m is formed
+        # "aibi->iab" is a writeable view of the (i, i) blocks of out.
+        np.einsum("aibi->iab", out)[...] += np.einsum("im,mab->iab", powers, stack[: self.k])
+        return out.reshape(size, size)
 
 
 @dataclass
@@ -149,18 +156,16 @@ class DiagTuple:
     blocks: list[np.ndarray]
 
     def __post_init__(self):
-        self.blocks = _square_blocks(self.blocks, self.q)
+        self.blocks = list(_square_blocks(self.blocks, self.q))
         if len(self.blocks) != self.k + 2:
-            raise ShapeMismatchError(
-                f"need {self.k + 2} blocks, got {len(self.blocks)}"
-            )
+            raise ShapeMismatchError(f"need {self.k + 2} blocks, got {len(self.blocks)}")
 
     @classmethod
     def ones(cls, k: int, q: int = 1) -> "DiagTuple":
         return cls(k, q, [np.eye(q, dtype=complex) for _ in range(k + 2)])
 
     def min_block_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(hermitize(np.stack(self.blocks))).min())
+        return float(np.linalg.eigvalsh(hermitize(np.asarray(self.blocks))).min())
 
 
 @dataclass(frozen=True)
@@ -235,17 +240,20 @@ def psi_k(x: DiagTuple) -> PrismElement:
     unit and (1, ..., 1, -1, -1) spans the kernel. One (k+1) x (k+2)
     coefficient matrix acts on the stacked blocks of ``x``.
     """
-    blocks = np.tensordot(_psi_matrix(x.k), np.stack(x.blocks), axes=1)
+    blocks = (_psi_matrix(x.k) @ np.reshape(x.blocks, (x.k + 2, -1))).reshape(x.k + 1, x.q, x.q)
     return PrismElement(x.k, x.q, list(blocks[: x.k]), blocks[x.k])
 
 
+@functools.lru_cache(maxsize=32)
 def _psi_matrix(k: int) -> np.ndarray:
     """Coefficients of the quotient map: row m (m < k) gives c_m and row k
-    gives g as combinations of the k + 2 blocks; the first k columns are F^H/2k."""
+    gives g as combinations of the k + 2 blocks; the first k columns are F^H/2k.
+    Read-only, built once per k."""
     coeffs = np.zeros((k + 1, k + 2), dtype=complex)
     coeffs[:k, :k] = fourier_matrix(k).conj().T / (2.0 * k)
     coeffs[0, k:] = 0.25
     coeffs[k, k:] = [0.25, -0.25]
+    coeffs.flags.writeable = False
     return coeffs
 
 
@@ -256,11 +264,21 @@ def _kernel(k: int) -> np.ndarray:
 
 def _stacked(e: PrismElement) -> np.ndarray:
     """The (k + 1, q, q) stack of coefficient blocks c_0, ..., c_(k-1), g."""
-    return np.stack([*e.c, e.g])
+    return np.asarray([*e.c, e.g])
+
+
+def _selfadjoint(stack: np.ndarray) -> bool:
+    """``is_selfadjoint`` of a stack: every slice of stack - stack[mirror]* has norm <= ALG_TOL
+    max(1, largest block norm). Frobenius norm <= ALG_TOL, which bounds each, needs no SVD."""
+    k = len(stack) - 1
+    skew = stack - dagger(stack[[*((-m) % k for m in range(k)), k]])
+    if _frobenius(skew) <= ALG_TOL:
+        return True
+    return bool(opnorms(skew).max() <= ALG_TOL * max(1.0, float(opnorms(stack).max())))
 
 
 def _basis_operators(pair: RepPair) -> np.ndarray:
-    """The (k + 1, n, n) stack W^0, ..., W^(k-1), V that those blocks multiply."""
+    """The (k + 1, n, n) stack W^0, ..., W^(k-1), V those blocks multiply, for a non-diagonal W."""
     powers = [np.eye(pair.dim, dtype=complex)]
     for _ in range(pair.k - 1):
         powers.append(powers[-1] @ pair.w)
@@ -326,7 +344,11 @@ def functional_to_tuple(pair: RepPair, density: np.ndarray, k: int) -> DualTuple
     if abs(eigs.sum() - 1.0) > SPEC_TOL:
         raise InvalidDensityError(f"density trace {eigs.sum():.12f} differs from 1")
 
-    moments = np.einsum("ij,mji->m", density, _basis_operators(pair))
+    if (d := _exact_diagonal(pair.w)) is None:
+        moments = np.einsum("ij,mji->m", density, _basis_operators(pair))
+    else:  # tr(rho W^m) = sum_i rho_ii d_i^m
+        moments = np.diagonal(density) @ np.vander(d, k, increasing=True)
+        moments = np.append(moments, (density * pair.v.T).sum())
     z = DualTuple(k, _psi_matrix(k).T @ moments)
     require(functional_residuals(z), RelationCheckFailedError, "functional_to_tuple")
     return z
@@ -406,14 +428,17 @@ def _certified(e: PrismElement, lift: DiagTuple) -> tuple[Certified, list[Residu
     ]
 
 
-def _particular_lift(e: PrismElement) -> np.ndarray:
-    """A Hermitian preimage of ``e`` under the quotient map (alpha = 1 gauge):
-    the stack of 1 + 2 F[:, 1:] c, then 2 c_0 - 1 +/- 2 g."""
-    stack = _stacked(e)
-    eye = np.eye(e.q)
-    xs = eye + 2.0 * np.tensordot(fourier_matrix(e.k)[:, 1:], stack[1 : e.k], axes=1)
-    c0 = 2.0 * stack[0] - eye
-    return hermitize(np.concatenate([xs, [c0 + 2.0 * stack[e.k], c0 - 2.0 * stack[e.k]]]))
+def _particular_lift(stack: np.ndarray) -> np.ndarray:
+    """A Hermitian preimage (alpha = 1 gauge) of the element with this stack: 1 + 2 F[:, 1:] c,
+    then 2 c_0 - 1 +/- 2 g. An element for which it overflows is refused (``ValueError``)."""
+    (k, q), eye = (len(stack) - 1, stack.shape[-1]), np.eye(stack.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = eye + 2.0 * (fourier_matrix(k)[:, 1:] @ stack[1:k].reshape(k - 1, -1)).reshape(k, q, q)
+        c0 = 2.0 * stack[0] - eye
+        lift = hermitize(np.concatenate([xs, [c0 + 2.0 * stack[k], c0 - 2.0 * stack[k]]]))
+    if not np.isfinite(lift).all():
+        raise ValueError("the element's particular lift overflows: its entries are too large")
+    return lift
 
 
 def matrix_positivity_prism(e: PrismElement):
@@ -455,13 +480,15 @@ def matrix_positivity_prism(e: PrismElement):
     An ``Unknown`` residual is the shortfall STRICT_MARGIN - t_lo of the
     best lift found, and its reason gives the bracket [t_lo, t_hi] and
     whether it lies inside the band or the step cap stopped the solver.
-    Both definite verdicts re-verify from their payloads alone.
+    Both definite verdicts re-verify from their payloads alone. An element
+    whose particular lift overflows is refused with a ``ValueError``.
     """
-    if not e.is_selfadjoint():
+    stack = _stacked(e)
+    if not _selfadjoint(stack):
         raise NotSelfadjointError("positivity requires a selfadjoint element")
 
     k = e.k
-    base = _particular_lift(e)
+    base = _particular_lift(stack)
     chars = ((base[:k, None] + base[None, k:]) / 2).reshape(2 * k, e.q, e.q)
     lows = np.linalg.eigvalsh(np.concatenate([base, chars])).min(axis=-1)
     a, b = lows[:k].min(), lows[k : k + 2].min()
@@ -494,7 +521,7 @@ def matrix_positivity_prism(e: PrismElement):
 
 def _certify(e: PrismElement, blocks: np.ndarray) -> Certified:
     """``Certified`` with the lift ``blocks``, once its residuals pass."""
-    verdict, residuals = _certified(e, DiagTuple(e.k, e.q, list(hermitize(blocks))))
+    verdict, residuals = _certified(e, DiagTuple(e.k, e.q, hermitize(blocks)))
     require(residuals, RelationCheckFailedError, "certificate")
     return verdict
 

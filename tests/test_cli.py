@@ -196,6 +196,18 @@ class TestPositivity:
         assert code == 0
         assert json.loads(out)["verdict"] == "certified"
 
+    def test_matrix_refuses_an_overflowing_element(self, capsys, monkeypatch):
+        # Finite entries whose particular lift overflows: exit 2, and no NaN
+        # is printed where JSON is expected.
+        big, zero = scalar(1e308), scalar(0.0)
+        element = {"k": 3, "q": 1, "c": [big, zero, zero], "g": big}
+        code, out, err = run_cli(
+            capsys, monkeypatch, ["positivity", "matrix", "--k", "3", "--json"], stdin_obj=element
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "overflows" in err
+
     @pytest.mark.parametrize("flags", [["--samples", "-1"], ["--samples", "20"]])
     def test_matrix_rejects_bad_budgets(self, capsys, monkeypatch, flags):
         # The oracle draws no sample set: any sample budget is an unknown flag.
@@ -505,3 +517,17 @@ class TestSurface:
                 assert leaf.get_default("reads_input") == ("--in" in options)
                 surface[command, subcommand] = (leaf.get_default("reads_input"), options)
         assert surface == CLI_SURFACE
+
+
+class TestEmit:
+    @pytest.mark.parametrize("json_flag, out", [(True, None), (False, "art.json"), (False, None)])
+    def test_non_finite_json_is_refused_before_anything_is_written(
+        self, tmp_path, capsys, json_flag, out
+    ):
+        path = str(tmp_path / out) if out else None
+        args = argparse.Namespace(command="geometry", subcommand=None, seed=0, out=path, json=json_flag)
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                cli.Run(args, "", []).emit({"value": value}, 0)
+        assert capsys.readouterr().out == ""
+        assert not (path and os.path.exists(path))

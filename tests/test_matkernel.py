@@ -890,6 +890,23 @@ class TestDiagonalResiduals:
         assert abs(unitary[1] - dense_unitary) <= 1e-14 * n
         assert abs(order[1] - dense_order) <= 1e-14 * n
 
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_one_diagonal_scan_per_order_check(self, monkeypatch, diagonal):
+        # The order check scans u once, and its unitary residual is the one
+        # unitary_residual gives, bit for bit.
+        import ncprism.matkernel as matkernel
+
+        k = 5
+        d = np.exp(2j * np.pi * np.arange(4) / k) * (1 + 1e-9 * np.arange(4))
+        u = np.diag(d) if diagonal else random_unitary(np.random.default_rng(3), 4) * d
+        expected = [unitary_residual(u), ("order_5", matkernel._frobenius(
+            d**k - 1.0 if diagonal else np.linalg.matrix_power(u, k) - np.eye(4)), SPEC_TOL * k)]
+        scans = []
+        real = matkernel._exact_diagonal
+        monkeypatch.setattr(matkernel, "_exact_diagonal", lambda a: scans.append(1) or real(a))
+        assert order_residuals(u, k) == expected
+        assert scans == [1]
+
     def test_tiny_off_diagonal_entry_takes_the_dense_path(self, monkeypatch):
         calls = []
         dense_power = np.linalg.matrix_power

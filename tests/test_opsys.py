@@ -13,16 +13,31 @@ from ncprism.dilation import joint_prism_dilation
 from ncprism.errors import (
     InvalidDensityError,
     NotSelfadjointError,
+    ShapeMismatchError,
     WrongLevelError,
 )
-from ncprism.matkernel import SPEC_TOL, dagger, hermitian_basis, hermitize, lmi_floor, opnorm
+from ncprism.matkernel import (
+    ALG_TOL,
+    SPEC_TOL,
+    _exact_diagonal,
+    dagger,
+    fourier_matrix,
+    hermitian_basis,
+    hermitize,
+    is_hermitian,
+    lmi_floor,
+    opnorm,
+)
 from ncprism.opsys import (
     STRICT_MARGIN,
     Certified,
     Unknown,
+    _basis_operators,
     _dual_witness,
     _kernel,
     _particular_lift,
+    _psi_matrix,
+    _stacked,
     DiagTuple,
     DualTuple,
     PrismElement,
@@ -39,7 +54,7 @@ from ncprism.opsys import (
     scalar_positivity_cube,
     scalar_positivity_prism,
 )
-from ncprism.reps import RepPair, pair_residuals, prism_vertex_rep
+from ncprism.reps import RepPair, pair_residuals, prism_character, prism_vertex_rep
 
 
 def scalar_element(k, coeffs, g):
@@ -300,6 +315,11 @@ class TestMatrixPositivity:
         with pytest.raises(NotSelfadjointError):
             matrix_positivity_prism(scalar_element(3, [0, 1, 0], 0))
 
+    def test_refuses_an_element_whose_lift_overflows(self):
+        # Finite, but 2 c_0 - 1 +/- 2 g overflows: no verdict with a NaN bracket.
+        with pytest.raises(ValueError, match="particular lift overflows"):
+            matrix_positivity_prism(scalar_element(3, [1e308, 0, 0], 1e308))
+
     @settings(max_examples=30, deadline=None)
     @given(k=st.integers(3, 8), q=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
     def test_evaluate_matches_kronecker_sum(self, k, q, seed):
@@ -444,7 +464,7 @@ class TestFloorBracket:
 
     @staticmethod
     def bracket(e):
-        lows = np.linalg.eigvalsh(_particular_lift(e)).min(axis=-1)
+        lows = np.linalg.eigvalsh(_particular_lift(_stacked(e))).min(axis=-1)
         return (lows[: e.k].min() + lows[e.k :].min()) / 2, character_lows(e).min()
 
     @settings(max_examples=60, deadline=None)
@@ -575,7 +595,7 @@ def gap_probe_element(k, q, seed, target):
 
 def lift_problem(e):
     """The particular lift and the kernel directions the oracle solves over."""
-    return _particular_lift(e), _kernel(e.k)[:, None, None] * hermitian_basis(e.q)[:, None]
+    return _particular_lift(_stacked(e)), _kernel(e.k)[:, None, None] * hermitian_basis(e.q)[:, None]
 
 
 class TestDualWitness:
@@ -641,7 +661,7 @@ class TestDualWitness:
         e = PrismElement(k, 2, c, np.diag([0.2, 0.0]))
         x = np.zeros((k + 2, 2, 2))
         x[0, 0, 0] = x[k, 0, 0] = 0.5
-        bound = float(np.vdot(_particular_lift(e), x).real)
+        bound = float(np.vdot(_particular_lift(_stacked(e)), x).real)
         assert bound == pytest.approx(-0.3, abs=1e-14)
         witness = _dual_witness(x, k)
         assert witness.dim == 2 * k
@@ -805,3 +825,154 @@ class TestSelfadjointness:
         e = PrismElement(3, 2, [np.eye(2), c1, c1.conj().T], np.eye(2))
         value = e.evaluate(pair)
         assert opnorm(value - value.conj().T) <= 1e-8
+
+
+class TestSkewScreen:
+    """``PrismElement.is_selfadjoint`` and ``is_hermitian`` give the SVD
+    rule's verdict; a skew part of Frobenius norm at most ALG_TOL passes
+    without an SVD."""
+
+    @pytest.mark.parametrize("scale", [1.0, 7.0])
+    @pytest.mark.parametrize(
+        "norm", [0.0, 1e-12, ALG_TOL * (1 - 1e-3), ALG_TOL * (1 + 1e-3), 1e-6]
+    )
+    def test_verdicts_match_the_svd_rule(self, monkeypatch, norm, scale):
+        # g has the largest block norm, `scale`; the defect i (norm / 2) E_00
+        # on it makes its skew part i norm E_00, of spectral and Frobenius
+        # norm `norm`, and every other skew part is exactly 0.
+        import ncprism.matkernel as matkernel
+        import ncprism.opsys as opsys
+
+        rng = np.random.default_rng(5)
+        c1 = 0.2 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        c = [np.diag([0.5, 0.25]), c1, np.diag([0.25, -0.5]), c1.conj().T]
+        g = scale * np.diag([1.0, 0.3]) + 0.5j * norm * np.diag([1.0, 0.0])
+        e = PrismElement(4, 2, c, g)
+        stack = np.stack([*e.c, e.g])
+        skew = stack - dagger(stack[[0, 3, 2, 1, 4]])
+        element_rule = max(map(opnorm, skew)) <= ALG_TOL * max(1.0, max(map(opnorm, stack)))
+        herm = stack[[0, 2, 4]]
+        hermitian_rule = all(opnorm(x - dagger(x)) <= ALG_TOL * max(1.0, opnorm(x)) for x in herm)
+        svds = []
+        for module in (matkernel, opsys):
+            real = module.opnorms
+            monkeypatch.setattr(module, "opnorms", lambda a, real=real: svds.append(1) or real(a))
+        expected = norm <= ALG_TOL * scale
+        assert e.is_selfadjoint() == element_rule == expected
+        assert is_hermitian(herm) == hermitian_rule == expected
+        assert (svds == []) == (norm <= ALG_TOL)
+
+
+class TestDiagonalEvaluation:
+    """``PrismElement.evaluate`` at an exactly diagonal W sums sum_m d_i^m c_m
+    on the diagonal and builds no power of W; it equals the power-stack
+    evaluation within 1e-12 max(1, ||e(W, V)||)."""
+
+    @staticmethod
+    def assert_matches_the_power_stack(monkeypatch, e, pair):
+        import ncprism.opsys as opsys
+
+        assert _exact_diagonal(pair.w) is not None
+        size = e.q * pair.dim
+        dense = np.einsum("sab,sij->aibj", _stacked(e), _basis_operators(pair)).reshape(size, size)
+        calls = []
+        real = opsys._basis_operators
+        monkeypatch.setattr(opsys, "_basis_operators", lambda p: calls.append(1) or real(p))
+        value = e.evaluate(pair)
+        assert calls == []
+        assert opnorm(value - dense) <= 1e-12 * max(1.0, opnorm(dense))
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_characters(self, monkeypatch, k):
+        e = random_selfadjoint_element(k, 2, k, 0.0)
+        for j in range(k):
+            for sign in (1, -1):
+                self.assert_matches_the_power_stack(monkeypatch, e, prism_character(k, j, sign))
+
+    def test_joint_dilation(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        a, b = random_prism_point(rng, 4, 3)
+        pair, _ = joint_prism_dilation(a, b, 3)
+        for q in (1, 2, 3):
+            self.assert_matches_the_power_stack(monkeypatch, random_selfadjoint_element(3, q, q, 0.0), pair)
+
+    def test_dual_witness(self, monkeypatch):
+        e = gap_probe_element(6, 3, 0, -1e-3)
+        verdict = matrix_positivity_prism(e)
+        assert verdict.witness.provenance == "dual_witness(k=6, level=3)"
+        self.assert_matches_the_power_stack(monkeypatch, e, verdict.witness)
+
+    def test_dual_witness_at_order_32_in_little_memory(self):
+        # Blocks 0.3 complex Gaussian (seed 0), c_0 shifted so that the least
+        # character eigenvalue is +1e-3: only the dual witness, of dimension
+        # 2kq = 192, refutes. The power stack of its W peaked near 40 MB.
+        k, q = 32, 3
+        rng = np.random.default_rng(0)
+        raw = 0.3 * (rng.standard_normal((k + 1, q, q)) + 1j * rng.standard_normal((k + 1, q, q)))
+        c = [(raw[m] + dagger(raw[(-m) % k])) / 2 for m in range(k)]
+        e = PrismElement(k, q, c, hermitize(raw[k]))
+        c[0] = c[0] + (1e-3 - character_lows(e).min()) * np.eye(q)
+        e = PrismElement(k, q, c, e.g)
+        tracemalloc.start()
+        try:
+            verdict = matrix_positivity_prism(e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(verdict, Refuted)
+        assert verdict.witness.dim == 192
+        assert peak <= 25e6
+
+    def test_a_cyclic_shift_takes_the_power_stack(self, monkeypatch):
+        import ncprism.opsys as opsys
+
+        pair, _ = prism_vertex_rep(5, 2, -1)
+        e = random_selfadjoint_element(5, 2, 1, 0.0)
+        calls = []
+        real = opsys._basis_operators
+        monkeypatch.setattr(opsys, "_basis_operators", lambda p: calls.append(1) or real(p))
+        assert opnorm(e.evaluate(pair) - kronecker_sum(e, pair)) <= 1e-12 * max(1.0, opnorm(kronecker_sum(e, pair)))
+        assert calls == [1]
+
+
+class TestBlockValidation:
+    """The blocks are coerced and checked as one stack, with the errors the
+    per-block checks gave."""
+
+    @pytest.mark.parametrize("make", ["tuple", "element"])
+    def test_errors(self, make):
+        def build(blocks):  # q = 2, padded with identities
+            if make == "tuple":
+                return DiagTuple(3, 2, blocks + [np.eye(2)] * (5 - len(blocks)))
+            return PrismElement(3, 2, (blocks + [np.eye(2)] * (4 - len(blocks)))[:3], np.eye(2))
+
+        with pytest.raises(ShapeMismatchError, match="blocks must be 2 x 2"):
+            build([np.eye(2), np.eye(3)])
+        with pytest.raises(ShapeMismatchError, match="blocks must be 2 x 2"):
+            build([np.eye(3)] * 5)
+        with pytest.raises(ShapeMismatchError, match="blocks must be 2 x 2"):
+            build([1.0] * 5)
+        # NaN or inf in the real part or in the imaginary part alone.
+        for bad in (complex(np.nan, 0), complex(0, np.nan), complex(np.inf, 0), complex(0, -np.inf)):
+            block = np.eye(2, dtype=complex)
+            block[0, 1] = bad
+            with pytest.raises(ValueError, match="must be finite"):
+                build([block])
+
+    def test_scalars_at_level_one(self):
+        x = DiagTuple(3, 1, [1, 2.0, 3j, np.float64(4.0), np.complex128(5.0)])
+        assert [b.shape for b in x.blocks] == [(1, 1)] * 5
+        assert x.blocks[2][0, 0] == 3j
+        e = PrismElement(3, 1, [1.0, 0.0, 0.0], 0.5)
+        assert e.g.shape == (1, 1) and e.c[0][0, 0] == 1.0
+
+
+class TestCachedConstants:
+    @pytest.mark.parametrize("k", [3, 8, 32])
+    def test_cached_arrays_are_read_only_and_equal_fresh_builds(self, k):
+        for build in (fourier_matrix, _psi_matrix):
+            cached = build(k)
+            assert build(k) is cached
+            assert np.array_equal(cached, build.__wrapped__(k))
+            with pytest.raises(ValueError):
+                cached[0, 0] = 0.0
