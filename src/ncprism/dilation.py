@@ -17,6 +17,7 @@ are all positive, or proves that none are.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,18 +40,17 @@ from .matkernel import (
     SPEC_TOL,
     Residual,
     _exact_diagonal,
+    _frobenius,
+    _order_residuals,
+    _spectral_sqrt,
     as_matrix,
     clamp_spectrum,
     compress,
     dagger,
-    direct_sum,
     fourier_matrix,
     hermitian_basis,
     hermitize,
     lmi_floor,
-    opnorm,
-    opnorms,
-    order_residuals,
     prefixed,
     psd_sqrt,
     require,
@@ -118,6 +118,10 @@ class Povm:
             raise InvalidPovmError("effects must be square of equal size")
 
 
+Spectrum = tuple[np.ndarray, np.ndarray]
+"""The ``eigh`` (w, u) of a Hermitian matrix or of each slice of a stack."""
+
+
 def povm_residuals(effects, labels, a) -> list[Residual]:
     """Effects decompose ``a``: sum(label_j h_j) = a, sum(h_j) = 1, and the
     summed negative parts of the effects stay within PSD_CLAMP.
@@ -130,15 +134,11 @@ def povm_residuals(effects, labels, a) -> list[Residual]:
 def _povm_residuals(effects, labels, a, spectra) -> list[Residual]:
     """:func:`povm_residuals` of an effect stack whose (k, n) eigenvalues,
     those of its Hermitian parts, are ``spectra``."""
-    gaps = np.stack([
-        np.tensordot(np.asarray(labels), effects, axes=1) - a,
-        effects.sum(axis=0) - np.eye(a.shape[0]),
-    ])
-    moment_gap, sum_gap = opnorms(gaps)
+    moment_gap = np.tensordot(np.asarray(labels), effects, axes=1) - a
     lowest = spectra.min(axis=-1)
     return [
-        ("first_moment", float(moment_gap), SPEC_TOL),
-        ("sum_to_identity", float(sum_gap), SPEC_TOL),
+        ("first_moment", _frobenius(moment_gap), SPEC_TOL),
+        ("sum_to_identity", _frobenius(effects.sum(axis=0) - np.eye(len(a))), SPEC_TOL),
         ("effects_positive", float(np.clip(-lowest, 0.0, None).sum()), PSD_CLAMP),
     ]
 
@@ -173,29 +173,36 @@ class GroupWord:
         return cls(tuple(letters), k)
 
 
-def _contraction(x: np.ndarray, name: str) -> np.ndarray:
-    """The hypothesis ||x|| <= 1 of Halmos' dilation, checked up to PSD_CLAMP:
-    ``x`` rescaled into the closed unit ball, so the defect stays PSD at the
-    boundary, or ``NormExceedsOneError``."""
-    norm = opnorm(x)
-    if norm > 1.0 + PSD_CLAMP:
+def _unit_ball(norm: float, name: str | None) -> float:
+    """Halmos' hypothesis ||x|| <= 1, checked up to PSD_CLAMP for the input
+    ``name``: the divisor max(1, ||x||) that rescales x into the closed unit
+    ball, so the defect stays PSD at the boundary, or
+    ``NormExceedsOneError``. With no name, x is only rescaled."""
+    if name is not None and norm > 1.0 + PSD_CLAMP:
         raise NormExceedsOneError(f"||{name}|| = {norm:.12f} exceeds 1")
-    return x / norm if norm > 1.0 else x
+    return max(1.0, norm)
+
+
+def _hermitian_defect(b: np.ndarray, name: str | None) -> np.ndarray:
+    """The Halmos defect sqrt(1 - c^2) of c = b / max(1, ||b||) for a
+    Hermitian b, from one ``eigh`` of b: its eigenvalues w give both
+    ||b|| = max |w| for :func:`_unit_ball` and the defect's eigenvalues
+    sqrt((1 - w)(1 + w)) once rescaled, so |w| <= 1 exactly."""
+    w, u = np.linalg.eigh(hermitize(b))
+    w = w / _unit_ball(float(np.abs(w).max(initial=0.0)), name)
+    return hermitize((u * np.sqrt((1.0 - w) * (1.0 + w))) @ dagger(u))
 
 
 def halmos_symmetry(b) -> np.ndarray:
     """Dilate a Hermitian contraction to a symmetry on the doubled space.
 
-    Returns S = [[b, D], [D, -b]] with D = psd_sqrt(1 - b^2): S is
-    Hermitian, S^2 is the identity within SPEC_TOL, and the top-left block
-    equals ``b`` exactly.
+    Returns S = [[b, D], [D, -b]] with D = sqrt(1 - b^2), taken from one
+    ``eigh`` of b that also checks ||b|| <= 1: S is Hermitian, S^2 is the
+    identity within SPEC_TOL, and the top-left block equals ``b`` exactly.
     """
     b = as_matrix(b)
     require_hermitian(b, "halmos_symmetry input")
-    base = _contraction(b, "b")
-    n = b.shape[0]
-    d = psd_sqrt(np.eye(n) - base @ base)
-    s = _symmetry_block(b, d)
+    s = _symmetry_block(b, _hermitian_defect(b, "b"))
     require(halmos_symmetry_residuals(b, s), NotSymmetryError, "halmos_symmetry")
     return s
 
@@ -212,31 +219,46 @@ def _symmetry_block(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 def halmos_symmetry_residuals(b, s) -> list[Residual]:
     """``s`` is a symmetry with top-left block ``b``."""
     n = b.shape[0]
-    return [*symmetry_residuals(s), ("corner", opnorm(s[:n, :n] - b), ALG_TOL)]
+    return [*symmetry_residuals(s), ("corner", _frobenius(s[:n, :n] - b), ALG_TOL)]
 
 
 def halmos_unitary(x) -> np.ndarray:
     """Dilate a contraction to a unitary on the doubled space.
 
-    Returns U = [[x, psd_sqrt(1 - x x*)], [psd_sqrt(1 - x* x), -x*]], which
-    is unitary within SPEC_TOL with top-left block ``x``.
+    Returns U = [[x, sqrt(1 - x x*)], [sqrt(1 - x* x), -x*]], which is
+    unitary within SPEC_TOL with top-left block ``x``; both defects come
+    from one ``eigh`` (see :func:`_unitary_defects`).
     """
     x = as_matrix(x)
     if x.shape[0] != x.shape[1]:
         raise ShapeMismatchError("halmos_unitary requires a square matrix")
-    base = _contraction(x, "x")
-    n = x.shape[0]
-    d_left = psd_sqrt(np.eye(n) - base @ dagger(base))
-    d_right = psd_sqrt(np.eye(n) - dagger(base) @ base)
+    d_left, d_right = _unitary_defects(x)
     u = np.block([[x, d_left], [d_right, -dagger(x)]])
     require(halmos_unitary_residuals(x, u), NotIsometryError, "halmos_unitary")
     return u
 
 
+def _unitary_defects(x: np.ndarray) -> np.ndarray:
+    """The defects sqrt(1 - c c*) and sqrt(1 - c* c) of c = x / max(1, ||x||),
+    stacked, once :func:`_unit_ball` has checked ||x|| <= 1.
+
+    One ``eigh`` of x* x = R diag(s) R*, the right half of the SVD of x,
+    gives ||x||^2 = max s and both: with r = sqrt(1 - s) for c,
+    sqrt(1 - c* c) = R diag(r) R* and sqrt(1 - c c*) =
+    1 - (cR) diag(1 / (1 + r)) (cR)*, since 1 - sqrt(1 - t) =
+    t / (1 + sqrt(1 - t)) and c f(c* c) c* = f(c c*) c c*."""
+    s, right = np.linalg.eigh(hermitize(dagger(x) @ x))
+    scale = _unit_ball(math.sqrt(max(0.0, float(s.max(initial=0.0)))), "x")
+    root = np.sqrt(1.0 - np.clip(s / scale**2, 0.0, 1.0))
+    cr = (x / scale) @ right
+    d_left = np.eye(len(x)) - (cr / (1.0 + root)) @ dagger(cr)
+    return hermitize(np.stack([d_left, (right * root) @ dagger(right)]))
+
+
 def halmos_unitary_residuals(x, u) -> list[Residual]:
     """``u`` is unitary with top-left block ``x``."""
     n = x.shape[0]
-    return [unitary_residual(u), ("corner", opnorm(u[:n, :n] - x), ALG_TOL)]
+    return [unitary_residual(u), ("corner", _frobenius(u[:n, :n] - x), ALG_TOL)]
 
 
 def triangle_povm(a) -> Povm:
@@ -249,19 +271,26 @@ def triangle_povm(a) -> Povm:
     decomposition. On W(a) just outside the triangle they follow the band rule
     of :func:`order_k_povm` with k = 3, their smallest eigenvalue as the floor.
 
-    One batched ``eigvalsh`` of the effects decides membership as well: the
+    One batched ``eigh`` of the effects decides membership as well: the
     slack of the facet opposite the vertex omega^j, facet (j + 1) mod 3 of
     ``convexity.make_polygon(3)``, is 3/2 lambda_min(h_j), and W(a) lies in
     the triangle when the smallest slack, the first in facet order, is
-    >= -SPEC_TOL. The same eigenvalues give ``effects_positive`` unless the
-    band rule changed the effects.
+    >= -SPEC_TOL. The same factorisation gives ``effects_positive`` and, in
+    :func:`joint_prism_dilation`, the Naimark square roots, unless the band
+    rule changed the effects.
     """
+    return _triangle_povm(a)[0]
+
+
+def _triangle_povm(a) -> tuple[Povm, Spectrum]:
+    """:func:`triangle_povm` and the ``eigh`` of its effect stack."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatchError("triangle_povm requires a square matrix")
     labels = fourier_matrix(3)[:, 1]
     effects = _fourier_base(a, labels)
-    spectra = np.linalg.eigvalsh(effects)
+    spectrum = np.linalg.eigh(effects)
+    spectra = spectrum[0]
     # Facet i is opposite the vertex omega^(i - 1): slacks in facet order.
     slacks = 1.5 * spectra.min(axis=-1)[[2, 0, 1]]
     margin = float(slacks.min())
@@ -277,9 +306,17 @@ def triangle_povm(a) -> Povm:
     floor = float(spectra.min())
     settled = _settle(effects, floor, floor, 0, SPEC_TOL / (4 * 3))
     if settled is not effects:
-        spectra = np.linalg.eigvalsh(settled)
-    require(_povm_residuals(settled, labels, a, spectra), InvalidPovmError, "triangle_povm")
-    return Povm(list(settled), labels.tolist())
+        spectrum = None
+    return _checked_povm(settled, labels, a, spectrum, InvalidPovmError, "triangle_povm")
+
+
+def _checked_povm(effects, labels, a, spectrum, error, what) -> tuple[Povm, Spectrum]:
+    """The POVM of a Hermitian effect stack once its :func:`povm_residuals`
+    pass, with the stack's ``eigh``: ``spectrum`` if given, else taken here."""
+    if spectrum is None:
+        spectrum = np.linalg.eigh(effects)
+    require(_povm_residuals(effects, labels, a, spectrum[0]), error, what)
+    return Povm(list(effects), labels.tolist()), spectrum
 
 
 def _settle(effects: np.ndarray, t_lo: float, t_hi: float, steps: int, band: float) -> np.ndarray:
@@ -329,11 +366,8 @@ def naimark_normal(povm: Povm) -> DilationResult:
     that do not sum to the identity fail the isometry residual.
     """
     n = povm.effects[0].shape[0]
-    m = len(povm.effects)
-    z = psd_sqrt(np.stack(povm.effects)).reshape(m * n, n)
-    normal = np.zeros((m * n, m * n), dtype=complex)
-    for j, label in enumerate(povm.outcome_labels):
-        normal[j * n : (j + 1) * n, j * n : (j + 1) * n] = label * np.eye(n)
+    z = psd_sqrt(np.stack(povm.effects)).reshape(-1, n)
+    normal = np.diag(np.repeat(np.asarray(povm.outcome_labels, dtype=complex), n))
     result = DilationResult(isometry=z, operators=[normal], labels=["normal"])
     require(naimark_residuals(povm, result), InvalidPovmError, "naimark_normal")
     return result
@@ -343,18 +377,22 @@ def naimark_residuals(povm: Povm, result: DilationResult) -> list[Residual]:
     """Z is an isometry, Z* N Z = sum(label_j h_j), and N is the diagonal
     matrix of the labels (so normal with spectrum at the labels)."""
     z, nd = result.isometry, result.operators[0]
-    moment = sum(label * h for label, h in zip(povm.outcome_labels, povm.effects))
     labels = np.repeat(povm.outcome_labels, z.shape[1])
     # An exactly diagonal N acts through its diagonal, and its entries off
     # the diagonal add nothing to the largest deviation from the labels.
     d = _exact_diagonal(nd)
     if d is None:
-        nz, deviation = nd @ z, nd - np.diag(labels)
-    else:
-        nz, deviation = d[:, None] * z, d - labels
+        return _naimark_residuals(povm, z, nd @ z, nd - np.diag(labels))
+    return _naimark_residuals(povm, z, d[:, None] * z, d - labels)
+
+
+def _naimark_residuals(povm: Povm, z, nz, deviation) -> list[Residual]:
+    """:func:`naimark_residuals` from Z, the product N Z and N's deviation
+    from the labels."""
+    moment = np.tensordot(np.asarray(povm.outcome_labels), np.stack(povm.effects), axes=1)
     return [
-        ("isometry", opnorm(dagger(z) @ z - np.eye(z.shape[1])), SPEC_TOL),
-        ("compression", opnorm(dagger(z) @ nz - moment), SPEC_TOL),
+        ("isometry", _frobenius(dagger(z) @ z - np.eye(z.shape[1])), SPEC_TOL),
+        ("compression", _frobenius(dagger(z) @ nz - moment), SPEC_TOL),
         ("labels_on_diagonal", float(np.abs(deviation).max()), ALG_TOL),
     ]
 
@@ -380,13 +418,18 @@ def order_k_povm(a, k: int) -> Povm:
 
     Returned effects always pass ``povm_residuals``.
     """
+    return _order_k_povm(a, k)[0]
+
+
+def _order_k_povm(a, k: int) -> tuple[Povm, Spectrum]:
+    """:func:`order_k_povm` and the ``eigh`` of its effect stack."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatchError("order_k_povm requires a square matrix")
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
     if k == 3:
-        return triangle_povm(a)
+        return _triangle_povm(a)
 
     re, im = real_imag_parts(a)
     verdict = max_member([re, im], make_polygon(k))
@@ -408,8 +451,7 @@ def order_k_povm(a, k: int) -> Povm:
     result = lmi_floor(base, directions, (-band, 0.0))
     effects = hermitize(base + np.tensordot(result.y, directions, axes=1))
     effects = _settle(effects, result.t_lo, result.t_hi, result.steps, band)
-    require(povm_residuals(effects, labels, a), InfeasibleError, "order_k_povm decomposition")
-    return Povm(list(effects), labels.tolist())
+    return _checked_povm(effects, labels, a, None, InfeasibleError, "order_k_povm decomposition")
 
 
 def joint_prism_dilation(a, b, k: int) -> tuple[RepPair, np.ndarray]:
@@ -419,60 +461,71 @@ def joint_prism_dilation(a, b, k: int) -> tuple[RepPair, np.ndarray]:
     decomposition, carries ``b`` to the enlarged space as z b z*, dilates
     that to a Halmos symmetry, and extends y by the identity on the second
     summand. The returned isometry G satisfies G* W G = a and G* V G = b.
-    The symmetry's defect takes one square root at the level of ``b`` (see
-    ``_carried_symmetry``), so its identities are checked here.
+    Each input is factored once: the effect stack by the ``eigh`` that
+    decided the decomposition, which also gives the Naimark roots, and b by
+    one ``eigh`` that checks ||b|| <= 1 and gives the symmetry's defect at
+    the level of ``b`` (see ``_carried_blocks``), so its identities are
+    checked here.
     """
     a, b = as_matrix(a), as_matrix(b)
     if a.shape != b.shape:
         raise ShapeMismatchError(f"a and b must have equal size, got {a.shape}, {b.shape}")
     require_hermitian(b, "joint_prism_dilation input b")
-    base = hermitize(_contraction(b, "b"))
-    return _dilate_povm(order_k_povm(a, k), b, base)
+    defect = _hermitian_defect(b, "b")
+    return _dilate_povm(*_order_k_povm(a, k), b, defect)
 
 
-def _dilate_povm(povm: Povm, b: np.ndarray, base: np.ndarray) -> tuple[RepPair, np.ndarray]:
+def _dilate_povm(
+    povm: Povm, spectrum: Spectrum | None, b: np.ndarray, defect: np.ndarray
+) -> tuple[RepPair, np.ndarray]:
     """The joint dilation of :func:`joint_prism_dilation` from a given POVM
     with labels at the k-th roots of unity, k its number of effects, and a
-    Hermitian contraction b, of which ``base`` is the Hermitian part rescaled
-    into the unit ball: G* W^m G = sum_j omega^(j m) h_j for every m, and
-    G* V G = b."""
-    k = len(povm.effects)
-    naimark = naimark_normal(povm)
-    z = naimark.isometry
-    y = naimark.operators[0]
-    kn = y.shape[0]
+    Hermitian contraction b with its Halmos defect ``defect`` (of b rescaled
+    into the unit ball): G* W^m G = sum_j omega^(j m) h_j for every m, and
+    G* V G = b. ``spectrum`` is the ``eigh`` of the effect stack, or None to
+    take one here.
 
-    b_tilde = hermitize(z @ b @ dagger(z))
-    v_big = _carried_symmetry(b_tilde, z, base)
-    w_big = direct_sum(y, np.eye(kn))
-    g = np.vstack([z, np.zeros((kn, z.shape[1]), dtype=complex)])
-    pair = RepPair(
-        w_big, v_big, k, provenance=f"joint_prism_dilation(k={k}, level={b.shape[0]})"
-    )
-    # naimark_normal certified G*G = Z*Z = 1 and G*WG = Z*NZ, which the
-    # POVM ties to its first moment. Left: V a symmetry with corner Z b Z*,
-    # W's order, G*VG = b.
+    W = N (+) 1 is written as its diagonal, the labels then ones; G = [Z; 0]."""
+    k, n = len(povm.effects), b.shape[0]
+    kn = k * n
+    roots = psd_sqrt(np.stack(povm.effects)) if spectrum is None else _spectral_sqrt(*spectrum)
+    z = roots.reshape(kn, n)
+    labels = np.repeat(np.asarray(povm.outcome_labels, dtype=complex), n)
+    w_big = np.zeros((2 * kn, 2 * kn), dtype=complex)
+    w_big.ravel()[:: 2 * kn + 1] = np.concatenate([labels, np.ones(kn)])
+    diagonal = np.diagonal(w_big)
+    naimark = _naimark_residuals(povm, z, diagonal[:kn, None] * z, diagonal[:kn] - labels)
+    require(naimark, InvalidPovmError, "naimark_normal")
+
+    b_tilde, d = _carried_blocks(z, b, defect)
+    v_big = _symmetry_block(b_tilde, d)
+    g = np.vstack([z, np.zeros((kn, n), dtype=complex)])
+    pair = RepPair(w_big, v_big, k, provenance=f"joint_prism_dilation(k={k}, level={n})")
+    # The Naimark residuals certified G*G = Z*Z = 1 and G*WG = Z*NZ, which
+    # the POVM ties to its first moment. Left: V a symmetry with corner
+    # Z b Z*, W's order, G*VG = b.
     residuals = [
         *prefixed("v_", halmos_symmetry_residuals(b_tilde, v_big)),
-        *prefixed("w_", order_residuals(w_big, k)),
+        *prefixed("w_", _order_residuals(w_big, diagonal, k)),
         _v_compression(b, pair, g),
     ]
     require(residuals, RelationCheckFailedError, pair.provenance)
     return pair, g
 
 
-def _carried_symmetry(b_tilde, z, base) -> np.ndarray:
-    """The Halmos symmetry [[b~, D], [D, -b~]] of b~ = Z b Z*, with its defect
-    D = sqrt(1 - b~^2) taken at the level of b.
+def _carried_blocks(z, b, defect) -> np.ndarray:
+    """The blocks of the Halmos symmetry [[b~, D], [D, -b~]] of b~ = Z b Z*,
+    stacked: b~ and its defect D = sqrt(1 - b~^2), taken at the level of b.
 
     Z*Z = 1 splits 1 - (Z b Z*)^2 = (1 - Z Z*) + Z (1 - b^2) Z* into PSD terms
     with orthogonal ranges, so D = (1 - Z Z*) + Z sqrt(1 - b^2) Z*, that is
-    1 + Z (sqrt(1 - b^2) - 1) Z*. ``base`` is b rescaled into the unit ball,
-    as in :func:`halmos_symmetry`; the caller checks the result."""
-    n = z.shape[1]
-    root = psd_sqrt(np.eye(n) - base @ base)
-    d = hermitize(np.eye(z.shape[0]) + z @ (root - np.eye(n)) @ dagger(z))
-    return _symmetry_block(b_tilde, d)
+    1 + Z (sqrt(1 - b^2) - 1) Z*. ``defect`` is sqrt(1 - b^2) for b rescaled
+    into the unit ball, as in :func:`halmos_symmetry`; Z b Z* and
+    Z (defect - 1) Z* come from one batched product. The caller checks the
+    symmetry."""
+    carried = hermitize(z @ np.stack([b, defect - np.eye(len(b))]) @ dagger(z))
+    carried[1].ravel()[:: z.shape[0] + 1] += 1.0
+    return carried
 
 
 def _v_compression(b, pair: RepPair, g) -> Residual:
@@ -482,15 +535,15 @@ def _v_compression(b, pair: RepPair, g) -> Residual:
     if g[rows:].any():
         rows = g.shape[0]
     z = g[:rows]
-    return ("v_compression", opnorm(dagger(z) @ pair.v[:rows, :rows] @ z - b), SPEC_TOL)
+    return ("v_compression", _frobenius(dagger(z) @ pair.v[:rows, :rows] @ z - b), SPEC_TOL)
 
 
 def joint_residuals(a, b, pair: RepPair, g) -> list[Residual]:
     """G is an isometry with G* W G = a and G* V G = b."""
     gs = dagger(g)
     return [
-        ("isometry", opnorm(gs @ g - np.eye(g.shape[1])), SPEC_TOL),
-        ("w_compression", opnorm(gs @ pair.w @ g - a), SPEC_TOL),
+        ("isometry", _frobenius(gs @ g - np.eye(g.shape[1])), SPEC_TOL),
+        ("w_compression", _frobenius(gs @ pair.w @ g - a), SPEC_TOL),
         _v_compression(b, pair, g),
     ]
 
@@ -520,7 +573,7 @@ def cube_residuals(mats, result: DilationResult) -> list[Residual]:
     """Each operator is a symmetry that the isometry compresses to its entry."""
     residuals = []
     for label, m, s, small in zip(result.labels, mats, result.operators, result.compressions()):
-        compression = ("compression", opnorm(small - m), ALG_TOL)
+        compression = ("compression", _frobenius(small - m), ALG_TOL)
         residuals += prefixed(f"{label}_", [*symmetry_residuals(s), compression])
     return residuals
 

@@ -200,7 +200,13 @@ def psd_sqrt(h) -> np.ndarray:
     elif not np.isfinite(h).all():
         raise ValueError("matrix entries must be finite")
     require_hermitian(h, "psd_sqrt input")
-    w, u = np.linalg.eigh(hermitize(h))
+    return _spectral_sqrt(*np.linalg.eigh(hermitize(h)))
+
+
+def _spectral_sqrt(w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """:func:`psd_sqrt` of the Hermitian matrix, or stack, whose ``eigh`` is
+    (w, u), with the same clamp rule: callers that have factored the matrix
+    already take its root without a second ``eigh``."""
     if w.min(initial=0.0) < -PSD_CLAMP:
         raise NotPSDError(
             f"matrix has eigenvalue {w.min():.3e} below -PSD_CLAMP={-PSD_CLAMP:.1e}"
@@ -800,7 +806,11 @@ def _unitary_residual(u: np.ndarray, d: np.ndarray | None) -> Residual:
 def order_residuals(u, k: int) -> list[Residual]:
     """``u`` is unitary and ``u**k`` is the identity (bound SPEC_TOL * k); for
     an exactly diagonal U, found by one scan, both are taken on its diagonal d."""
-    d = _exact_diagonal(u)
+    return _order_residuals(u, _exact_diagonal(u), k)
+
+
+def _order_residuals(u: np.ndarray, d: np.ndarray | None, k: int) -> list[Residual]:
+    """:func:`order_residuals` of ``u``, given its :func:`_exact_diagonal` ``d``."""
     gap = np.linalg.matrix_power(u, k) - np.eye(u.shape[0]) if d is None else d**k - 1.0
     return [_unitary_residual(u, d), (f"order_{k}", _frobenius(gap), SPEC_TOL * k)]
 
@@ -836,21 +846,29 @@ def symmetry_residuals(s) -> list[Residual]:
     order and sign, so both Frobenius norms are taken from the upper rows:
     ||S - S*||^2 = 2 (||P - P*||^2 + ||Q - Q*||^2) and
     ||S^2 - 1||^2 = 2 (||P^2 + Q^2 - 1||^2 + ||PQ - QP||^2), the upper row
-    of S^2 being [P, Q] S = [P^2 + Q^2, PQ - QP]."""
+    of S^2 being [P, Q] S = [P^2 + Q^2, PQ - QP]. When P and Q are exactly
+    Hermitian (the first residual is exactly 0), QP = (PQ)*, so that row
+    takes three products, P^2, Q^2 and C = PQ, with PQ - QP = C - C*."""
     if s.shape[0] != s.shape[1]:
         raise ShapeMismatchError("a symmetry must be square")
     m = _halmos_half(s)
     rows, scale = (len(s), 1.0) if m is None else (m, math.sqrt(2.0))
-    square = s[:rows] @ s
-    square.ravel()[:: len(s) + 1] -= 1.0
-    return [
-        ("selfadjoint", scale * _frobenius(s[:rows] - dagger(s[:, :rows])), SPEC_TOL),
-        ("squares_to_identity", scale * _frobenius(square), SPEC_TOL),
-    ]
+    selfadjoint = scale * _frobenius(s[:rows] - dagger(s[:, :rows]))
+    if m is not None and selfadjoint == 0.0:
+        p, q = s[:m, :m], s[:m, m:]
+        c = p @ q
+        top = p @ p + q @ q
+        top.ravel()[:: m + 1] -= 1.0
+        square = scale * math.hypot(_frobenius(top), _frobenius(c - dagger(c)))
+    else:
+        upper = s[:rows] @ s
+        upper.ravel()[:: len(s) + 1] -= 1.0
+        square = scale * _frobenius(upper)
+    return [("selfadjoint", selfadjoint, SPEC_TOL), ("squares_to_identity", square, SPEC_TOL)]
 
 
 def _frobenius(a: np.ndarray) -> float:
     """Frobenius norm (of a stack, as one vector): an upper bound on ``opnorm``
-    that needs no SVD, used for the unitary, order and symmetry residuals of
-    large dilations and for the Hermitian test."""
+    that needs no SVD, used for the unitary, order and symmetry residuals,
+    for every residual of the dilations and for the Hermitian test."""
     return math.sqrt(np.vdot(a, a).real)

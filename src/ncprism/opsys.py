@@ -56,7 +56,7 @@ from .matkernel import (
     opnorms,
     require,
 )
-from .dilation import Povm, _dilate_povm
+from .dilation import Povm, _dilate_povm, _hermitian_defect
 from .reps import RepPair, prism_character
 
 __all__ = [
@@ -559,7 +559,7 @@ def _dual_witness(x: np.ndarray, k: int) -> RepPair:
     b = R^-1/2 (Z_+ - Z_-)^T R^-1/2 is a Hermitian contraction; their joint
     dilation (W, V, G) is the witness. Rounding in R^-1/2 can leave ||b|| a
     little above 1, so the Halmos defect is taken at b / max(1, ||b||), with
-    no norm check. The vector xi = (1 (x) G R^1/2) Omega, Omega = sum_a e_a
+    no norm check, from one ``eigh`` of b. The vector xi = (1 (x) G R^1/2) Omega, Omega = sum_a e_a
     (x) e_a, has <xi, e(W, V) xi> = <base, x> ||xi||^2 for every lift's base,
     so e(W, V) has an eigenvalue at most t_hi = <base, x>. The dilation
     checks its own identities, and the caller checks that eigenvalue.
@@ -571,6 +571,6 @@ def _dual_witness(x: np.ndarray, k: int) -> RepPair:
     parts = hermitize(dagger(root) @ zt @ root)
     b = parts[k] - parts[k + 1]
     povm = Povm(list(parts[:k]), fourier_matrix(k)[:, 1].tolist())
-    pair, _ = _dilate_povm(povm, b, b / max(1.0, opnorm(b)))
+    pair, _ = _dilate_povm(povm, None, b, _hermitian_defect(b, None))
     pair.provenance = f"dual_witness(k={k}, level={b.shape[0]})"
     return pair

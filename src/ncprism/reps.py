@@ -17,6 +17,7 @@ the consumers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -368,11 +369,21 @@ def prism_vertex_rep(k: int, j: int, sign: int) -> tuple[RepPair, np.ndarray]:
 
 
 def prism_character(k: int, j: int, sign: int) -> RepPair:
-    """The 1 x 1 pair W = omega^j, V = sign: the extreme point (omega^j, sign)."""
+    """The 1 x 1 pair W = omega^j, V = sign: the extreme point (omega^j, sign).
+
+    Each call returns a pair of its own; its order residuals are computed
+    once per (k, j, sign) and passed to ``require`` on every call, so a
+    ``measured`` block records the same rows whatever ran before."""
     provenance = f"character(k={k}, j={j}, sign={sign:+d})"
     pair = RepPair(np.exp(2j * np.pi * j / k), sign, k, provenance, commutant_dim=1)
-    require(pair_residuals(pair), RelationCheckFailedError, provenance)
+    require(list(_character_residuals(k, j, sign)), RelationCheckFailedError, provenance)
     return pair
+
+
+@functools.lru_cache(maxsize=256)
+def _character_residuals(k: int, j: int, sign: int) -> tuple[Residual, ...]:
+    """:func:`pair_residuals` of the character (omega^j, sign)."""
+    return tuple(pair_residuals(RepPair(np.exp(2j * np.pi * j / k), sign, k)))
 
 
 def vertex_residuals(pair: RepPair, xi, j: int, sign: int) -> list[Residual]:

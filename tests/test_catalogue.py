@@ -110,16 +110,28 @@ def test_residual_function_flags_shifted_output(name):
     assert flagged[name]
 
 
+def _joint():
+    return dilation.joint_prism_dilation(A, B, 3)
+
+
+# Every block the constructors call, each corrupted by 1e-6: the joint
+# dilation's effects, Naimark roots, defect of b, carried blocks and symmetry.
 @pytest.mark.parametrize(
     "block, build, error",
     [
-        ("psd_sqrt", lambda: dilation.halmos_symmetry(HALF), NotSymmetryError),
-        ("psd_sqrt", lambda: dilation.halmos_unitary(HALF), NotIsometryError),
-        ("psd_sqrt", lambda: dilation.cube_dilation([HALF, HALF]), NotSymmetryError),
+        ("_hermitian_defect", lambda: dilation.halmos_symmetry(HALF), NotSymmetryError),
+        ("_unitary_defects", lambda: dilation.halmos_unitary(HALF), NotIsometryError),
+        ("_hermitian_defect", lambda: dilation.cube_dilation([HALF, HALF]), NotSymmetryError),
         ("psd_sqrt", lambda: dilation.naimark_normal(POVM), InvalidPovmError),
-        ("psd_sqrt", lambda: dilation.joint_prism_dilation(A, B, 3), InvalidPovmError),
-        ("_carried_symmetry", lambda: dilation.joint_prism_dilation(A, B, 3), RelationCheckFailedError),
-        ("direct_sum", lambda: dilation.joint_prism_dilation(A, B, 3), RelationCheckFailedError),
+        ("_fourier_base", _joint, InvalidPovmError),
+        ("_spectral_sqrt", _joint, InvalidPovmError),
+        ("_hermitian_defect", _joint, RelationCheckFailedError),
+        ("_carried_blocks", _joint, RelationCheckFailedError),
+        ("_symmetry_block", _joint, RelationCheckFailedError),
+    ],
+    ids=[
+        "halmos_symmetry-defect", "halmos_unitary-defects", "cube-defect", "naimark-roots",
+        "joint-effects", "joint-roots", "joint-defect", "joint-carried", "joint-symmetry",
     ],
 )
 def test_constructor_refuses_corrupted_block(monkeypatch, block, build, error):
@@ -132,7 +144,7 @@ def test_constructor_refuses_corrupted_block(monkeypatch, block, build, error):
 def test_joint_dilation_refuses_a_corrupted_defect_block(monkeypatch):
     # G = [Z; 0] sees only V's top-left block, so G*VG = b cannot catch a
     # corrupted lower-right block; V's own symmetry residual must.
-    original = dilation._carried_symmetry
+    original = dilation._symmetry_block
 
     def corrupted(*args):
         v = original(*args)
@@ -140,6 +152,117 @@ def test_joint_dilation_refuses_a_corrupted_defect_block(monkeypatch):
         v[half:, half:] += 1e-6 * np.eye(half)
         return v
 
-    monkeypatch.setattr(dilation, "_carried_symmetry", corrupted)
+    monkeypatch.setattr(dilation, "_symmetry_block", corrupted)
     with pytest.raises(RelationCheckFailedError, match="v_squares_to_identity"):
         dilation.joint_prism_dilation(A, B, 3)
+
+
+def _opnorm(gap):
+    return float(np.linalg.norm(gap, 2))
+
+
+def _dense_gaps(name, *args):
+    """The dense gap matrix of each residual that ``name``'s residual function
+    takes as a Frobenius norm, from its arguments."""
+    eye = np.eye
+    if name == "povm":
+        effects, labels, a = args
+        stack = np.stack(effects)
+        return {
+            "first_moment": np.tensordot(labels, stack, axes=1) - a,
+            "sum_to_identity": stack.sum(axis=0) - eye(len(a)),
+        }
+    if name == "naimark":
+        povm, result = args
+        z, nd = result.isometry, result.operators[0]
+        moment = np.tensordot(povm.outcome_labels, np.stack(povm.effects), axes=1)
+        return {"isometry": z.conj().T @ z - eye(z.shape[1]), "compression": z.conj().T @ nd @ z - moment}
+    if name == "joint":
+        a, b, pair, g = args
+        gs = g.conj().T
+        return {
+            "isometry": gs @ g - eye(g.shape[1]),
+            "w_compression": gs @ pair.w @ g - a,
+            "v_compression": gs @ pair.v @ g - b,
+        }
+    if name == "cube":
+        mats, result = args
+        z = result.isometry
+        return {
+            f"{label}_compression": z.conj().T @ s @ z - m
+            for label, m, s in zip(result.labels, mats, result.operators)
+        }
+    corner, big = args
+    return {"corner": big[: len(corner), : len(corner)] - corner}
+
+
+_RESIDUAL_FUNCTIONS = {
+    "povm": dilation.povm_residuals,
+    "naimark": dilation.naimark_residuals,
+    "joint": dilation.joint_residuals,
+    "cube": dilation.cube_residuals,
+    "halmos_symmetry": dilation.halmos_symmetry_residuals,
+    "halmos_unitary": dilation.halmos_unitary_residuals,
+}
+
+
+def _shifted_catalogue():
+    """The catalogue's outputs, each shifted by 1e-6 as in CASES."""
+    yield "povm", (POVM.effects, POVM.outcome_labels, shift(A))
+    yield "naimark", (POVM, replace(NAIMARK, isometry=shift(NAIMARK.isometry)))
+    yield "joint", (A, shift(B), *JOINT)
+    yield "joint", (shift(A), B, JOINT[0], shift(JOINT[1]))
+    yield "cube", ([shift(HALF)], CUBE)
+    yield "halmos_symmetry", (shift(HALF), dilation.halmos_symmetry(HALF))
+    yield "halmos_unitary", (shift(HALF), dilation.halmos_unitary(HALF))
+
+
+def _perturb(x, on=True):
+    """x plus a full-rank perturbation of size about 1e-6, whose Frobenius
+    norm exceeds its operator norm (unlike the rank-one ``shift``)."""
+    return x + 1e-6 * np.cos(np.arange(x.size)).reshape(x.shape) if on else x
+
+
+def _random_dilations(shifted):
+    """Random dilations of every kind, their outputs perturbed by about 1e-6 or not."""
+    shift = _perturb
+    rng = np.random.default_rng(2501)
+    for n in (1, 3, 8):
+        for k in (3, 4):
+            a, b = convexity.random_prism_point(rng, n, k, scale=0.8)
+            povm = dilation.order_k_povm(a, k)
+            yield "povm", (povm.effects, povm.outcome_labels, shift(a, shifted))
+            result = dilation.naimark_normal(povm)
+            yield "naimark", (povm, replace(result, isometry=shift(result.isometry, shifted)))
+            pair, g = dilation.joint_prism_dilation(a, b, k)
+            yield "joint", (a, shift(b, shifted), pair, shift(g, shifted))
+        mats = [convexity.random_hermitian_contraction(rng, n) for _ in range(3)]
+        yield "cube", ([shift(m, shifted) for m in mats], dilation.cube_dilation(mats))
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        x *= 0.9 / _opnorm(x)
+        yield "halmos_symmetry", (shift(mats[0], shifted), dilation.halmos_symmetry(mats[0]))
+        yield "halmos_unitary", (shift(x, shifted), dilation.halmos_unitary(x))
+
+
+@pytest.mark.parametrize("source", ["catalogue", "random_shifted", "random"])
+def test_frobenius_residuals_bound_the_operator_norms(source):
+    # Every dilation residual taken as a norm of a gap matrix is its
+    # Frobenius norm: at least the operator norm of the dense gap, and equal
+    # to the gap's dense Frobenius norm, up to the rounding of gap entries
+    # that the structured residuals compute in another order (1e-16 at most).
+    cases = {
+        "catalogue": _shifted_catalogue,
+        "random_shifted": lambda: _random_dilations(True),
+        "random": lambda: _random_dilations(False),
+    }[source]()
+    floor = 1e-15
+    seen = set()
+    for name, args in cases:
+        values = {n: value for n, value, _ in _RESIDUAL_FUNCTIONS[name](*args)}
+        for residual, gap in _dense_gaps(name, *args).items():
+            seen.add(residual)
+            assert values[residual] >= _opnorm(gap) * (1 - 1e-12) - floor, (name, residual)
+            frobenius = float(np.linalg.norm(gap))
+            assert values[residual] == pytest.approx(frobenius, rel=1e-12, abs=floor), (name, residual)
+    assert {"first_moment", "sum_to_identity", "isometry", "compression", "v_compression",
+            "w_compression", "corner"} <= seen

@@ -290,7 +290,7 @@ class TestStructuredResiduals:
         z, nd = result.isometry, result.operators[0]
         moment = sum(label * h for label, h in zip(povm.outcome_labels, povm.effects))
         labels = np.diag(np.repeat(povm.outcome_labels, z.shape[1]))
-        return [opnorm(dagger(z) @ nd @ z - moment), np.abs(nd - labels).max()]
+        return [np.linalg.norm(dagger(z) @ nd @ z - moment), np.abs(nd - labels).max()]
 
     @pytest.mark.parametrize("shift", [0.0, 1e-6])
     def test_naimark_values_match_the_dense_products(self, shift):
@@ -309,7 +309,7 @@ class TestStructuredResiduals:
         pair, g = joint_prism_dilation(a, b, 3)
         g[-1, 0] += lower
         (_, value, _), = joint_residuals(a, b, pair, g)[2:]
-        assert value == pytest.approx(opnorm(dagger(g) @ pair.v @ g - b), rel=1e-12, abs=1e-15)
+        assert value == pytest.approx(np.linalg.norm(dagger(g) @ pair.v @ g - b), rel=1e-12, abs=1e-15)
 
 
 class TestOrderKPovm:
@@ -551,7 +551,7 @@ class TestJointPrismDilation:
         b = hermitize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         b = 0.9 * b / opnorm(b)
         povm = Povm(list(effects), fourier_matrix(k)[:, 1].tolist())
-        pair, g = _dilate_povm(povm, b, b)
+        pair, g = _dilate_povm(povm, None, b, dilation._hermitian_defect(b, "b"))
         assert pair.dim == 2 * k * n
         assert within_bounds(pair_residuals(pair))
         power = np.eye(pair.dim)
@@ -636,3 +636,55 @@ class TestMirmanInvariant:
         assert within_bounds(naimark_residuals(povm, result))
         assert np.allclose(povm.outcome_labels, [1.0, OMEGA, OMEGA**2], atol=1e-12)
         assert opnorm(result.compressions()[0] - a) <= 1e-8
+
+
+class TestOneFactorisation:
+    """Each dilation factors each input once and checks its identities
+    with no SVD: the k = 3 joint dilation takes one ``eigh`` of the effect
+    stack and one of b."""
+
+    @staticmethod
+    def count(monkeypatch, *names):
+        # Patch the numpy.linalg functions both where callers name them and
+        # where numpy's own norm helpers call them.
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, name=name, original=original, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+            monkeypatch.setattr(np.linalg._linalg, name, counted)
+        return calls
+
+    @staticmethod
+    def joint_input():
+        return random_prism_point(np.random.default_rng(25), 32, 3, scale=0.8)
+
+    @pytest.mark.parametrize(
+        "build, inputs",
+        [
+            (lambda a, b: joint_prism_dilation(a, b, 3), lambda: TestOneFactorisation.joint_input()),
+            (halmos_symmetry, lambda: [random_hermitian_contraction(np.random.default_rng(1), 8)]),
+            (halmos_unitary, lambda: [0.9 * np.linalg.qr(np.arange(64.0).reshape(8, 8) + 1j)[0]]),
+            (
+                lambda *mats: cube_dilation(mats),
+                lambda: [random_hermitian_contraction(np.random.default_rng(j), 4) for j in range(3)],
+            ),
+            (naimark_normal, lambda: [triangle_povm(0.3 * np.diag([1.0, 1j, -1.0]))]),
+        ],
+        ids=["joint_k3_n32", "halmos_symmetry", "halmos_unitary", "cube_dilation", "naimark_normal"],
+    )
+    def test_no_svd(self, monkeypatch, build, inputs):
+        args = inputs()
+        calls = self.count(monkeypatch, "svd")
+        build(*args)
+        assert calls["svd"] == 0
+
+    def test_joint_k3_takes_two_eigh(self, monkeypatch):
+        a, b = self.joint_input()
+        calls = self.count(monkeypatch, "eigh", "eigvalsh", "svd")
+        joint_prism_dilation(a, b, 3)
+        assert calls == {"eigh": 2, "eigvalsh": 0, "svd": 0}

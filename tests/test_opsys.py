@@ -1,3 +1,4 @@
+import json
 import re
 import tracemalloc
 
@@ -26,6 +27,7 @@ from ncprism.matkernel import (
     hermitize,
     is_hermitian,
     lmi_floor,
+    measured,
     opnorm,
 )
 from ncprism.opsys import (
@@ -54,7 +56,9 @@ from ncprism.opsys import (
     scalar_positivity_cube,
     scalar_positivity_prism,
 )
+from ncprism import reps
 from ncprism.reps import RepPair, pair_residuals, prism_character, prism_vertex_rep
+from ncprism.serialize import verdict_to_json
 
 
 def scalar_element(k, coeffs, g):
@@ -744,6 +748,31 @@ class TestCharacterRefutation:
             assert result.t_lo <= verdict.min_eigenvalue + 1e-12 * scale
         elif isinstance(verdict, Refuted):
             assert verdict.witness.dim > 1
+
+    def test_repeated_refutations_check_each_character_once(self, monkeypatch):
+        # A character's order residuals are computed once per (k, j, sign)
+        # and passed to require on every refutation: each measured block
+        # records the same rows, the verdict bytes do not change, and every
+        # refutation returns a witness of its own.
+        reps._character_residuals.cache_clear()
+        checked = []
+        original = reps.pair_residuals
+        monkeypatch.setattr(
+            reps, "pair_residuals", lambda pair, *rest: checked.append(pair.k) or original(pair, *rest)
+        )
+        elements = [vertex_element(3, 2, 0, 1, 7), vertex_element(3, 2, 2, -1, 8)]
+        runs = []
+        for _ in range(3):
+            for e in elements:
+                with measured() as records:
+                    verdict = matrix_positivity_prism(e)
+                runs.append((records, json.dumps(verdict_to_json(verdict)), verdict.witness))
+        assert len(checked) == len(elements)
+        for i, (records, body, witness) in enumerate(runs):
+            assert records == runs[i % 2][0] and body == runs[i % 2][1]
+            assert [name for name, *_ in records[:4]] == ["w_unitary", "w_order_3", "v_unitary", "v_order_2"]
+        runs[0][2].w[0, 0] = 0.0
+        assert runs[2][2].w[0, 0] == 1.0 and runs[0][2] is not runs[2][2]
 
     def test_large_order_is_refuted_at_a_character_in_little_memory(self):
         # The k = 64, q = 3 element, blocks 0.3 complex Gaussian (seed 0) and
