@@ -488,9 +488,10 @@ def commutant_dimension(mats) -> tuple[int, list[np.ndarray]]:
     generate, and every X in the commutant commutes with H: X is block
     diagonal over H's eigenspaces. Only those sum d_b^2 unknowns enter the
     solve (n of them when H's spectrum is simple, as for an irreducible
-    pair). Eigenvalues closer than the merge gap share a block: clustering
-    may merge eigenspaces but never splits one that a perturbation within
-    the cutoff could have split. With no normal input H is 0 and the single
+    pair): one Gram eigensolve and an unsquared Rayleigh-Ritz check
+    (``_block_null_space``), with no QR and no SVD. Eigenvalues closer than
+    the merge gap share a block: clustering may merge eigenspaces but never
+    splits one that a perturbation within the cutoff could have split. With no normal input H is 0 and the single
     block is the full problem.
 
     The count is that of the full n^2-unknown solve. Restricting the map to
@@ -523,26 +524,21 @@ def commutant_dimension(mats) -> tuple[int, list[np.ndarray]]:
     cutoff = SPEC_TOL * n
     eigvecs, w, lipschitz = _hermitian_spectrum(stack)
     rotated = dagger(eigvecs) @ stack @ eigvecs
-    # ||A_i||_2^2 <= ||A_i||_1 ||A_i||_inf.
-    norms = np.linalg.norm(stack, 1, axis=(1, 2)) * np.linalg.norm(stack, np.inf, axis=(1, 2))
+    # ||A_i||_2^2 <= ||A_i||_1 ||A_i||_inf (largest column and row sums).
+    size = np.abs(stack)
+    norms = size.sum(axis=1).max(axis=1) * size.sum(axis=2).max(axis=1)
     reach = 2.0 * math.sqrt(float(np.sum(norms))) * lipschitz
     merge = 100.0 * lipschitz * cutoff
     while True:
         ends = np.append(np.flatnonzero(np.diff(w) > merge) + 1, n)
         sizes = np.diff(ends, prepend=0)
-        null, above = _block_null_space(rotated, sizes, cutoff)
+        coords, above = _block_null_space(rotated, sizes, cutoff)
         gap = float(np.diff(w)[ends[:-1] - 1].min(initial=np.inf))
         if len(sizes) == 1 or above > (1.0 + reach / gap) * cutoff / 0.99:
             break
         # The least gap at which ``above`` would settle the count.
         margin = 0.99 * above / cutoff - 1.0
         merge = max(gap, reach / margin) if margin > 0 else np.inf
-    # Unknowns are the block-diagonal entries in row-major order, which lists
-    # each block's entries contiguously (row-major vec of that block).
-    block_of = np.repeat(np.arange(len(sizes)), sizes)
-    rows, cols = np.nonzero(block_of[:, None] == block_of[None, :])
-    coords = np.zeros((len(null), n, n), dtype=complex)
-    coords[:, rows, cols] = null
     # tr X = tr coords, since eigvecs is unitary. Turn each trace real and
     # non-negative unless it is at rounding level (|tr X| <= sqrt(n) here).
     traces = np.trace(coords, axis1=1, axis2=2)
@@ -606,108 +602,98 @@ def _h_weights(count: int) -> np.ndarray:
     return weights
 
 
-# Each fold adds whole block pairs' rows, of every shape, to the running
-# triangle (at most P x P): at least _FOLD_ROWS * P rows, so the folds' QRs do at most
-# 1 / _FOLD_ROWS more work than one QR of every row, and up to _FOLD_ENTRIES
-# entries where that is more, so a small problem folds in one call.
-_FOLD_ROWS = 4
-_FOLD_ENTRIES = 2**16
+# The Ritz threshold on M's eigenvalues (squared singular values): 1e6 above
+# cutoff^2 = (SPEC_TOL n)^2 for n <= 1000, while the Ritz Gram's rounding,
+# eps times at most this, stays below 1e-3 cutoff^2 even at n = 1.
+_RITZ = 1e-4
 
 
 def _block_null_space(rotated: np.ndarray, sizes: np.ndarray, cutoff: float) -> tuple[np.ndarray, float]:
-    """Null vectors (rows, unit norm) of X -> [X, A_i] on block-diagonal X,
-    and its least singular value above the cutoff (inf if there is none).
+    """Null space of K: X -> ([X, A_i])_i on block-diagonal X, as
+    Frobenius-orthonormal n x n matrices, and K's least singular value above
+    the cutoff (inf if there is none). ``rotated`` holds the inputs in H's
+    eigenbasis and ``sizes`` the block sizes.
 
-    ``rotated`` holds the inputs in H's eigenbasis and ``sizes`` the block
-    sizes. Block (c, e) of [X, A] is Y_c A_ce - A_ce Y_e, so blocks (c, e)
-    and (e, c) together form a small system in the unknowns of Y_c and Y_e.
-    Any rows with the same Gram matrix keep its singular values and null
-    space. The systems of all block pairs of one shape are reduced at once to
-    their QR triangles; a pair of 1 x 1 blocks c < e, whose rows
-    a_i (x_c - x_e) and -b_i (x_c - x_e) have rank one, to the one real row
-    rho (e_c - e_e) with rho = ||(a, b)||, and a 1 x 1 block with itself to
-    nothing. The triangles are folded, a few P rows at a time, into a running
-    triangle of at most P rows over the P unknowns, which an SVD solves.
+    Step 1 takes one ``eigh`` of the Gram matrix M = K*K over the P
+    unknowns X[a, b], a and b in one block (for 1 x 1 blocks, the real
+    Laplacian of the weights sum_i |A_i[c, e]|^2 + |A_i[e, c]|^2). M squares
+    the singular values, and each computed eigenvalue is only within
+    delta = P eps ||M||_F of the true one. So step 2 applies K itself to
+    V_r, M's eigenvectors with eigenvalue at most ``_RITZ`` (or
+    cutoff^2 + 2 delta, if larger): the r x r Gram matrix of K V_r rounds
+    relative to ||K V_r||^2, and its ``eigh`` gives the null vectors (Ritz
+    values at or below the cutoff) and the least Ritz value above it. Every
+    unit X orthogonal to V_r has ||K X||^2 >= lambda_(r+1) - delta >
+    cutoff^2, which bounds the singular values outside V_r.
     """
-    m = rotated.shape[0]
+    n = rotated.shape[1]
+    block_of = np.repeat(np.arange(len(sizes)), sizes)
+    rows, cols = np.nonzero(block_of[:, None] == block_of)
+    simple = len(rows) == n
+    if simple:
+        # (K x)_i has entries (x_c - x_e) A_i[c, e].
+        weight = sum(a.real**2 + a.imag**2 for a in rotated)
+        gram = -(weight + weight.T)
+        gram[np.diag_indices(n)] -= gram.sum(axis=1)
+    else:
+        gram = _block_gram(rotated, rows, cols)
+    delta = len(rows) * np.finfo(float).eps * np.linalg.norm(gram)
+    lam, vecs = np.linalg.eigh(gram)
+    r = int(np.count_nonzero(lam <= max(_RITZ, cutoff * cutoff + 2.0 * delta)))
+    trial = np.zeros((r, n, n), dtype=complex)
+    trial[:, rows, cols] = vecs[:, :r].T
+    if simple:
+        diff = (vecs[:, None, :r] - vecs[:, :r]).reshape(n * n, r)
+        ritz = diff.T @ (weight.reshape(n * n, 1) * diff)
+    else:
+        ritz = _commutator_gram(rotated, sizes, trial)
+    theta, coeffs = np.linalg.eigh(ritz)
+    theta = np.sqrt(np.maximum(theta, 0.0))
+    null = theta <= cutoff
+    outside = math.sqrt(max(lam[r] - delta, 0.0)) if r < len(lam) else np.inf
+    return np.tensordot(coeffs[:, null].T, trial, 1), float(min(theta[~null].min(initial=np.inf), outside))
+
+
+def _block_gram(rotated: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """M over the unknowns X[rows, cols], one input at a time:
+    M[(a'b'), (ab)] = sum_i d_aa' (A_i A_i*)_bb' + d_bb' (A_i* A_i)_a'a
+    - (A_i)_a'a conj((A_i)_b'b) - conj((A_i)_aa') (A_i)_bb'."""
+    n, width = rotated.shape[1], len(rows)
+    # sum_i A_i A_i* and A_i* A_i, on the blocks only.
+    left, right = np.zeros((2, n, n), dtype=complex)
+    gram = np.zeros((width, width), dtype=complex)
+    for a in rotated:
+        left[rows, cols] += np.einsum("uk,uk->u", a[rows], a[cols].conj())
+        right[rows, cols] += np.einsum("ku,ku->u", a[:, rows].conj(), a[:, cols])
+        cross = a[rows[:, None], rows] * a[cols[:, None], cols].conj()
+        gram -= cross + cross.conj().T
+    gram += (rows[:, None] == rows) * left[cols, cols[:, None]]
+    gram += (cols[:, None] == cols) * right[rows[:, None], rows]
+    return gram.real if not gram.imag.any() else gram
+
+
+def _commutator_gram(rotated: np.ndarray, sizes: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Gram matrix of the commutators X_j A_i - A_i X_j, stacked over i, for
+    the block-diagonal X_j of ``x``, multiplied block by block."""
     starts = np.cumsum(sizes) - sizes
-    offsets = np.cumsum(sizes**2) - sizes**2
-    width = int(np.sum(sizes**2))
-    fold = max(_FOLD_ROWS * width, _FOLD_ENTRIES // width)
-    # The running triangle and the rows not yet folded into it.
-    stacked, pending = [np.zeros((0, width))], 0
-    first, second = np.triu_indices(len(sizes))
-    for p, r in sorted(set(zip(sizes[first].tolist(), sizes[second].tolist()))):
-        pick = (sizes[first] == p) & (sizes[second] == r)
-        if p == r == 1:
-            pick &= first != second
-        pairs_c, pairs_e = first[pick], second[pick]
-        h = 1 if p == r == 1 else min(2 * m * p * r, p * p + r * r)
-        chunk = max(1, fold // h)
-        for lo in range(0, len(pairs_c), chunk):
-            c, e = pairs_c[lo : lo + chunk], pairs_e[lo : lo + chunk]
-            if p == r == 1:
-                a_ce, a_ec = rotated[:, starts[c], starts[e]], rotated[:, starts[e], starts[c]]
-                rho = np.hypot(np.linalg.norm(a_ce, axis=0), np.linalg.norm(a_ec, axis=0))
-                tri = rho[:, None, None] * np.array([1.0, -1.0])
-            else:
-                tri = _pair_triangles(rotated, starts[c], starts[e], c == e, p, r)
-            rows = np.zeros((len(c) * h, width), dtype=tri.dtype)
-            at = np.arange(len(c) * h).reshape(len(c), h, 1)
-            rows[at, offsets[c, None, None] + np.arange(p * p)] = tri[..., : p * p]
-            rows[at, offsets[e, None, None] + np.arange(r * r)] += tri[..., p * p :]
-            stacked.append(rows)
-            pending += len(rows)
-            if pending >= fold:
-                stacked, pending = [np.linalg.qr(np.concatenate(stacked), mode="r")], 0
-    if pending:
-        stacked = [np.linalg.qr(np.concatenate(stacked), mode="r")]
-    _, s, vh = np.linalg.svd(stacked[0])
-    # Fewer rows than unknowns: the rows of V^H past s span their null space.
-    s = np.append(s, np.zeros(width - len(s)))
-    # Null vectors are the columns of V, i.e. the conjugated rows of V^H.
-    return vh[s <= cutoff].conj(), float(s[s > cutoff].min(initial=np.inf))
-
-
-def _pair_triangles(rotated, start_c, start_e, diagonal, p: int, r: int) -> np.ndarray:
-    """QR triangles of the block-pair systems of X -> [X, A_i] in the unknowns
-    (Y_c, Y_e), for blocks c of size p and e of size r starting at the given
-    rows, batched over the pairs."""
-    m = rotated.shape[0]
-    rows_c = (start_c[:, None] + np.arange(p))[:, :, None]
-    rows_e = (start_e[:, None] + np.arange(r))[:, :, None]
-    a_ce = rotated[:, rows_c, rows_e.transpose(0, 2, 1)]
-    a_ec = rotated[:, rows_e, rows_c.transpose(0, 2, 1)]
-    local = np.concatenate(
-        [
-            np.concatenate([_times_right(a_ce), -_times_left(a_ce)], axis=-1),
-            np.concatenate([-_times_left(a_ec), _times_right(a_ec)], axis=-1),
-        ],
-        axis=-2,
-    )
-    # A diagonal pair (c = e) lists its equations twice: scale them by
-    # 1/sqrt(2) to keep their Gram matrix; the caller adds the two column
-    # groups, which are the same unknowns: Q [R1 R2] = [A B] gives A + B = Q (R1 + R2).
-    local[:, diagonal] /= np.sqrt(2.0)
-    local = local.transpose(1, 0, 2, 3).reshape(len(start_c), 2 * m * p * r, p * p + r * r)
-    return np.linalg.qr(local, mode="r")
-
-
-def _times_right(a: np.ndarray) -> np.ndarray:
-    """Matrices (batched over leading axes) of Y -> Y a on row-major vec(Y)."""
-    p, r = a.shape[-2:]
-    return np.einsum("ac,...kj->...ajck", np.eye(p), a).reshape(*a.shape[:-2], p * r, p * p)
-
-
-def _times_left(a: np.ndarray) -> np.ndarray:
-    """Matrices (batched over leading axes) of Y -> a Y on row-major vec(Y)."""
-    p, r = a.shape[-2:]
-    return np.einsum("...ak,jl->...ajkl", a, np.eye(r)).reshape(*a.shape[:-2], p * r, r * r)
+    groups = [starts[sizes == s, None] + np.arange(s) for s in np.unique(sizes)]
+    blocks = [x[:, idx[:, :, None], idx[:, None, :]] for idx in groups]
+    ritz = np.zeros((len(x), len(x)), dtype=complex)
+    for a in rotated:
+        image = np.empty_like(x)
+        for idx, y in zip(groups, blocks):
+            image[:, idx] = y @ a[idx]
+        for idx, y in zip(groups, blocks):
+            image[:, :, idx] -= (a[:, idx].transpose(1, 0, 2) @ y).transpose(0, 2, 1, 3)
+        image = image.reshape(len(x), -1)
+        ritz += image.conj() @ image.T
+    return ritz
 
 
 def commutant_residuals(mats, basis) -> list[Residual]:
     """The basis commutes with every matrix (largest Frobenius norm of XA - AX,
-    within ten times the null-space cutoff) and is Frobenius-orthonormal."""
+    within ten times the null-space cutoff) and is Frobenius-orthonormal
+    (||B*B - 1||_F, which bounds the operator norm, within SPEC_TOL)."""
     n = mats[0].shape[0]
     stack = np.array(basis).reshape(len(basis), n, n)
     commutes = max(float(np.linalg.norm(stack @ a - a @ stack, axis=(1, 2)).max()) for a in mats)
@@ -715,7 +701,7 @@ def commutant_residuals(mats, basis) -> list[Residual]:
     gram = flat.conj() @ flat.T - np.eye(len(basis))
     return [
         ("basis_commutes", commutes, SPEC_TOL * n * 10),
-        ("basis_orthonormal", opnorm(gram), SPEC_TOL),
+        ("basis_orthonormal", _frobenius(gram), SPEC_TOL),
     ]
 
 
@@ -870,5 +856,6 @@ def symmetry_residuals(s) -> list[Residual]:
 def _frobenius(a: np.ndarray) -> float:
     """Frobenius norm (of a stack, as one vector): an upper bound on ``opnorm``
     that needs no SVD, used for the unitary, order and symmetry residuals,
-    for every residual of the dilations and for the Hermitian test."""
+    for every residual of the dilations, for the commutant basis's
+    orthonormality and for the Hermitian test."""
     return math.sqrt(np.vdot(a, a).real)

@@ -56,7 +56,6 @@ from .matkernel import (
     opnorms,
     require,
 )
-from .dilation import Povm, _dilate_povm, _hermitian_defect
 from .reps import RepPair, prism_character
 
 __all__ = [
@@ -564,6 +563,10 @@ def _dual_witness(x: np.ndarray, k: int) -> RepPair:
     so e(W, V) has an eigenvalue at most t_hi = <base, x>. The dilation
     checks its own identities, and the caller checks that eigenvalue.
     """
+    # Imported here: positivity decided without a dilation (every q = 1
+    # element) then loads neither dilation nor convexity.
+    from .dilation import Povm, _dilate_povm, _hermitian_defect
+
     zt = np.swapaxes(x, -1, -2)
     lam, u = np.linalg.eigh(hermitize(zt[:k].sum(axis=0)))
     support = lam > _SUPPORT_CUT * lam.max()

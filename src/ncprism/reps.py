@@ -492,8 +492,8 @@ def a4_pair() -> RepPair:
 
 
 # The largest dimension steinberg_pair and assemble_dimension build. The
-# Steinberg pair took 0.5 s at q = 257 and 5 s at q = 383 (one BLAS thread),
-# most of it in the commutant solve, and its cost grows faster than q^4.
+# Steinberg pair takes 0.2 s at q = 257 and 0.7 s at q = 383 (one BLAS
+# thread), most of it in the commutant solve.
 _PAIR_MAX_DIM = 512
 
 

@@ -26,6 +26,17 @@ def random_unitary(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def generic_pair(n, seed=0):
+    """A generic order-(3, 2) pair of dimension n >= 2: W the diagonal of the
+    cube roots of unity, each with multiplicity about n / 3, and the symmetry
+    V = U diag(1_p, -1_(n-p)) U* with p = n // 2 and U Haar from a seeded QR.
+    It is irreducible: no multiplicity exceeds min(p, n - p)."""
+    w = np.diag(np.exp(2j * np.pi * (np.arange(n) % 3) / 3))
+    u = random_unitary(np.random.default_rng(seed), n)
+    signs = np.where(np.arange(n) < n // 2, 1.0, -1.0)
+    return [w, hermitize((u * signs) @ dagger(u))]
+
+
 def random_isometry(rng, n_from, n_to):
     raw = rng.standard_normal((n_to, n_from)) + 1j * rng.standard_normal((n_to, n_from))
     q, _ = np.linalg.qr(raw)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import commutant_oracle, random_hermitian, random_unitary, within_bounds
+from helpers import commutant_oracle, generic_pair, random_hermitian, random_unitary, within_bounds
 
 from ncprism.errors import (
     NotHermitianError,
@@ -27,6 +27,7 @@ from ncprism.matkernel import (
     _step_lengths,
     clamp_spectrum,
     commutant_dimension,
+    commutant_residuals,
     compress,
     dagger,
     direct_sum,
@@ -351,14 +352,61 @@ class TestCommutant:
 
     @pytest.mark.parametrize(
         "mats",
-        [*([steinberg_pair(q).w, steinberg_pair(q).v] for q in (5, 8, 27)), hadamard_symmetries(3).mats],
-        ids=["steinberg(5)", "steinberg(8)", "steinberg(27)", "hadamard(3)"],
+        [
+            *([steinberg_pair(q).w, steinberg_pair(q).v] for q in (5, 8, 27)),
+            hadamard_symmetries(3).mats,
+            # Simple spectrum of H, n unknowns, a dense Haar-framed V.
+            generic_pair(64),
+            generic_pair(128),
+        ],
+        ids=["steinberg(5)", "steinberg(8)", "steinberg(27)", "hadamard(3)", "generic(64)", "generic(128)"],
     )
     def test_irreducible_basis_is_the_positive_identity(self, mats):
         n = mats[0].shape[0]
         dim, basis = commutant_dimension(mats)
         assert dim == 1
         assert opnorm(basis[0] - np.eye(n) / np.sqrt(n)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "inputs, solves",
+        [
+            (lambda: [steinberg_pair(27).w, steinberg_pair(27).v], 1),
+            (lambda: conjugated(np.random.default_rng(2), block_sum(IRREPS["s3"](), IRREPS["s3"](), IRREPS["a4"]())), 1),
+            (lambda: [np.eye(4, k=1)], 1),
+            # The first block solve leaves the count unsettled.
+            (lambda: [np.diag(np.exp(2j * np.pi * np.arange(5) / 5)), 0.5e-8 * (np.ones((5, 5)) - np.eye(5))], 2),
+        ],
+        ids=["simple", "blocks", "no_normal_entry", "merged"],
+    )
+    def test_no_qr_and_no_svd(self, monkeypatch, inputs, solves):
+        # Every solve is one eigh of the Gram matrix and one of the Ritz
+        # Gram, after one of H; the residuals take no SVD either. Patched
+        # where callers name the functions and where np.linalg.norm calls them.
+        mats = inputs()
+        calls = dict.fromkeys(["qr", "svd", "eigh"], 0)
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, name=name, original=original, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+            monkeypatch.setattr(np.linalg._linalg, name, counted)
+        commutant_dimension(mats)
+        assert calls["qr"] == calls["svd"] == 0
+        assert calls["eigh"] == 1 + 2 * solves
+
+    def test_orthonormality_residual_is_the_frobenius_norm(self):
+        # A basis off orthonormality in every direction: the Frobenius norm
+        # of B*B - 1 exceeds its operator norm, and the residual is the former.
+        noise = np.random.default_rng(26).standard_normal((9, 3, 3))
+        basis = list(np.eye(9).reshape(9, 3, 3) + 1e-9 * noise)
+        flat = np.array(basis).reshape(9, 9)
+        gap = flat.conj() @ flat.T - np.eye(9)
+        value = dict((name, value) for name, value, _ in commutant_residuals([np.eye(3)], basis))["basis_orthonormal"]
+        assert value == pytest.approx(np.linalg.norm(gap), rel=1e-12)
+        assert value > 1.5 * np.linalg.norm(gap, 2)
 
     def test_weights_of_h_are_drawn_once_and_read_only(self):
         assert _h_weights(3) is _h_weights(3)
@@ -480,23 +528,35 @@ class TestCommutantAgainstFullStack:
             mats.append(m + 0.1 * SPEC_TOL * noise / opnorm(noise))
         self.assert_matches(mats, expected)
 
-    @pytest.mark.parametrize("factor", [0.1, 10.0])
+    @pytest.mark.parametrize(
+        "factor",
+        [0.1, 10.0, (1 - 1e-3) / math.sqrt(10), (1 + 1e-3) / math.sqrt(10)],
+        ids=["0.1", "10.0", "just_below", "just_above"],
+    )
     def test_diagonal_unitary_with_a_coupling_near_the_cutoff(self, factor):
         # Distinct eigenvalues make every block 1 x 1; the coupling's rows
-        # have singular values about 3 factor times the cutoff, so the
-        # commutant is the diagonal (0.1) or the scalars (10). Two of H's
-        # eigenvalues lie 0.077 apart, so at 0.1 the first block solve counts
-        # 3: the count is settled only after those clusters are merged.
+        # have four singular values sqrt(2 n) factor = sqrt(10) factor times
+        # the cutoff, so the commutant is the diagonal (factor < 1 / sqrt(10))
+        # or the scalars. Two of H's eigenvalues lie 0.077 apart, so at 0.1
+        # the first block solve counts 3: the count is settled only after
+        # those clusters are merged. The last two factors put the four
+        # values 1e-3 of the cutoff below and above it, 5e-11 away, far
+        # inside sqrt(delta) ~ 1e-7 for the a-priori eigh error delta =
+        # P eps ||M||_F of the Gram matrix M: its eigenvalues, the squared
+        # singular values, cannot tell the two apart, and the unsquared
+        # Ritz check must.
         n = 5
         diagonal = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
         coupling = factor * SPEC_TOL * n * (np.ones((n, n)) - np.eye(n))
-        self.assert_matches([diagonal, coupling], n if factor < 1 else 1)
-        self.assert_matches(conjugated(np.random.default_rng(8), [diagonal, coupling]), n if factor < 1 else 1)
+        expected = n if factor < 1 / math.sqrt(10) else 1
+        self.assert_matches([diagonal, coupling], expected)
+        self.assert_matches(conjugated(np.random.default_rng(8), [diagonal, coupling]), expected)
 
     def test_hadamard_one_twenty_eight_in_bounded_memory(self):
-        # The triangles are folded into a running 128 x 128 one and the
-        # normality screen takes one input at a time: the whole call stays
-        # within a few copies of the (8, 128, 128) input stack.
+        # H's spectrum is simple, so the Gram matrix is 128 x 128, the Ritz
+        # check applies K to one trial vector, and the normality screen takes
+        # one input at a time: the whole call stays within a few copies of
+        # the (8, 128, 128) input stack.
         mats = hadamard_symmetries(7).mats
         tracemalloc.start()
         try:
