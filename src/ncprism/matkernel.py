@@ -523,15 +523,25 @@ def commutant_dimension(mats) -> tuple[int, list[np.ndarray]]:
     stack = np.array(mats)
     cutoff = SPEC_TOL * n
     eigvecs, w, lipschitz = _hermitian_spectrum(stack)
-    rotated = dagger(eigvecs) @ stack @ eigvecs
     # ||A_i||_2^2 <= ||A_i||_1 ||A_i||_inf (largest column and row sums).
     size = np.abs(stack)
     norms = size.sum(axis=1).max(axis=1) * size.sum(axis=2).max(axis=1)
+    del size
     reach = 2.0 * math.sqrt(float(np.sum(norms))) * lipschitz
     merge = 100.0 * lipschitz * cutoff
+    rotated = dagger(eigvecs) @ stack @ eigvecs
+    # The solve needs only the rotated copy of the stack.
+    del stack
+    on_diagonal = rotated.reshape(len(mats), n * n)[:, :: n + 1]
+    diagonal = on_diagonal.copy()
     while True:
         ends = np.append(np.flatnonzero(np.diff(w) > merge) + 1, n)
         sizes = np.diff(ends, prepend=0)
+        # Each input's scalar part on each block commutes with every block-
+        # diagonal X; left in, a normal input's eigenvalues would cancel on
+        # the Gram matrix's diagonal, with rounding far above its delta.
+        means = np.add.reduceat(diagonal, ends - sizes, axis=1) / sizes
+        on_diagonal[:] = diagonal - np.repeat(means, sizes, axis=1)
         coords, above = _block_null_space(rotated, sizes, cutoff)
         gap = float(np.diff(w)[ends[:-1] - 1].min(initial=np.inf))
         if len(sizes) == 1 or above > (1.0 + reach / gap) * cutoff / 0.99:
@@ -602,29 +612,25 @@ def _h_weights(count: int) -> np.ndarray:
     return weights
 
 
-# The Ritz threshold on M's eigenvalues (squared singular values): 1e6 above
-# cutoff^2 = (SPEC_TOL n)^2 for n <= 1000, while the Ritz Gram's rounding,
-# eps times at most this, stays below 1e-3 cutoff^2 even at n = 1.
-_RITZ = 1e-4
-
-
 def _block_null_space(rotated: np.ndarray, sizes: np.ndarray, cutoff: float) -> tuple[np.ndarray, float]:
     """Null space of K: X -> ([X, A_i])_i on block-diagonal X, as
     Frobenius-orthonormal n x n matrices, and K's least singular value above
     the cutoff (inf if there is none). ``rotated`` holds the inputs in H's
-    eigenbasis and ``sizes`` the block sizes.
+    eigenbasis, less their scalar part on each block; ``sizes`` the blocks.
 
     Step 1 takes one ``eigh`` of the Gram matrix M = K*K over the P
     unknowns X[a, b], a and b in one block (for 1 x 1 blocks, the real
     Laplacian of the weights sum_i |A_i[c, e]|^2 + |A_i[e, c]|^2). M squares
-    the singular values, and each computed eigenvalue is only within
-    delta = P eps ||M||_F of the true one. So step 2 applies K itself to
-    V_r, M's eigenvectors with eigenvalue at most ``_RITZ`` (or
-    cutoff^2 + 2 delta, if larger): the r x r Gram matrix of K V_r rounds
-    relative to ||K V_r||^2, and its ``eigh`` gives the null vectors (Ritz
-    values at or below the cutoff) and the least Ritz value above it. Every
-    unit X orthogonal to V_r has ||K X||^2 >= lambda_(r+1) - delta >
-    cutoff^2, which bounds the singular values outside V_r.
+    the singular values, and its computed eigenvalues are only within
+    delta = P eps ||M||_F of the true ones. So step 2 applies K itself to
+    V_r, M's eigenvectors with eigenvalue at most the Ritz threshold
+    t = max(cutoff^2 + 2 delta, (100 delta / cutoff)^2): one ``eigh`` of the
+    r x r Gram matrix of K V_r, which rounds relative to ||K V_r||^2, gives
+    the null vectors (Ritz values at or below the cutoff) and the least Ritz
+    value above it. Every unit X orthogonal to V_r has
+    ||K X||^2 >= lambda_(r+1) - delta > cutoff^2. A true null vector's part
+    outside V_r has ||K x|| <= delta / sqrt(t) <= cutoff / 100. t scales
+    with the inputs, so r stays near the commutant's dimension.
     """
     n = rotated.shape[1]
     block_of = np.repeat(np.arange(len(sizes)), sizes)
@@ -639,7 +645,8 @@ def _block_null_space(rotated: np.ndarray, sizes: np.ndarray, cutoff: float) -> 
         gram = _block_gram(rotated, rows, cols)
     delta = len(rows) * np.finfo(float).eps * np.linalg.norm(gram)
     lam, vecs = np.linalg.eigh(gram)
-    r = int(np.count_nonzero(lam <= max(_RITZ, cutoff * cutoff + 2.0 * delta)))
+    threshold = max(cutoff * cutoff + 2.0 * delta, (100.0 * delta / cutoff) ** 2)
+    r = int(np.count_nonzero(lam <= threshold))
     trial = np.zeros((r, n, n), dtype=complex)
     trial[:, rows, cols] = vecs[:, :r].T
     if simple:

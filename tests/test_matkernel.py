@@ -567,6 +567,27 @@ class TestCommutantAgainstFullStack:
         assert dim == 1
         assert peak <= 8e6
 
+    def test_weak_coupling_in_bounded_memory(self):
+        # An irreducible pair of small norm where it matters: H's eigenvalues
+        # 0, 1, ..., 127 keep every block 1 x 1, while the coupling 5e-4 puts
+        # all of the Gram matrix's nonzero eigenvalues near 6.4e-5. A Ritz
+        # threshold that does not scale with the inputs would take all 128
+        # eigenvectors into the Ritz check (a 33 MB trial stack); one from the
+        # cutoff and delta takes the single null vector. Left in the inputs,
+        # the diagonal's squares would cancel in the Gram matrix and put the
+        # basis element about 6e-9 from +I/sqrt(n).
+        n = 128
+        mats = [np.diag(np.arange(n, dtype=float)), 5e-4 * (np.ones((n, n)) - np.eye(n))]
+        tracemalloc.start()
+        try:
+            dim, basis = commutant_dimension(mats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dim == 1
+        assert opnorm(basis[0] - np.eye(n) / math.sqrt(n)) <= 1e-12
+        assert peak <= 8e6
+
     def test_hadamard_sixty_four_is_feasible(self):
         # The full stack would be a (7 * 4096) x 4096 system.
         dim, basis = commutant_dimension(hadamard_symmetries(6).mats)
