@@ -9,10 +9,12 @@ report on stdout instead. ``--json`` wraps the artifact together with the
 run report (command, input digest, seed, checks) in one machine-readable
 object. The checks are the residuals the library required while building the
 artifact, each a (name, residual, bound) line with the construction it was
-checked ``of``. Outputs are byte-identical for identical inputs and seeds.
-Every verdict is decided at the fixed tolerances of ``matkernel``. Each
-handler imports the library modules it calls, so a process loads only what
-its command runs.
+checked ``of``. Each handler returns its artifact, its exit code and, if
+the command prints a table, the table; ``main`` renders all of it in one
+place. Outputs are byte-identical for identical inputs and seeds. Every
+verdict is decided at the fixed tolerances of ``matkernel``. Each handler
+imports the library modules it calls, so a process loads only what its
+command runs.
 
 Exit codes: 0 success or true verdict, 1 false or refuted verdict,
 2 usage, input, file or runtime error, 3 unknown verdict.
@@ -55,64 +57,56 @@ def _read_input(args) -> tuple[dict | None, str]:
     return (json.loads(text) if text.strip() else None), text
 
 
-class Run:
-    """Renders the final report; ``records`` are the residuals that
-    ``require`` records while the command runs inside ``measured``."""
-
-    def __init__(self, args, input_text: str, records: list):
-        self.command = args.command + (f" {args.subcommand}" if args.subcommand else "")
-        self.seed = args.seed
-        self.digest = hashlib.sha256(input_text.encode("utf-8")).hexdigest()
-        self.records = records
-        self.args = args
-
-    @property
-    def checks(self) -> list[dict]:
-        return [
-            {"name": name, "passed": bool(value <= bound), "residual": float(value),
-             "bound": float(bound), "of": what}
-            for name, value, bound, what in self.records
-        ]
-
-    def report(self, artifacts: list[str]) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.digest,
-            "seed": self.seed,
-            "checks": self.checks,
-            "artifacts": artifacts,
+def _render(args, input_text: str, records: list, artifact: dict, table: list[str] | None = None) -> None:
+    """Write the artifact to ``--out``, print the report and artifact with
+    ``--json``, and otherwise print ``table`` if the command has one, else
+    the artifact. ``records`` are the residuals that ``require`` recorded
+    while the command ran inside ``measured``. NaN or Infinity in the
+    artifact raises ``ValueError`` before anything is written."""
+    out = args.out
+    body = json.dumps(artifact, indent=2, allow_nan=False)
+    checks = [
+        {"name": name, "passed": bool(value <= bound), "residual": float(value),
+         "bound": float(bound), "of": what}
+        for name, value, bound, what in records
+    ]
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(body + "\n")
+    if args.json:
+        report = {
+            "command": args.command + (f" {args.subcommand}" if args.subcommand else ""),
+            "inputs": hashlib.sha256(input_text.encode("utf-8")).hexdigest(),
+            "seed": args.seed,
+            "checks": checks,
+            "artifacts": [out] if out else ["stdout"],
         }
-
-    def emit(self, artifact: dict, exit_code: int, table: list[str] | None = None) -> int:
-        """Write the artifact to ``--out``, print the report and artifact with
-        ``--json``, and otherwise print ``table`` if the command has one, else
-        the artifact; NaN or Infinity in it raises ``ValueError`` unwritten."""
-        out = self.args.out
-        artifacts = [out] if out else ["stdout"]
-        body = json.dumps(artifact, indent=2, allow_nan=False)
-        if out:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(body + "\n")
-        if self.args.json:
-            whole = {"report": self.report(artifacts), "result": artifact}
-            print(json.dumps(whole, indent=2, allow_nan=False))
-        elif out:
-            for check in self.checks:
-                status = "PASS" if check["passed"] else "FAIL"
-                values = f"residual {check['residual']:.3e}, bound {check['bound']:.1e}"
-                print(f"{check['name']} of {check['of']}: {status} ({values})")
-            print(f"wrote {out}")
-        elif table is not None:
-            print("\n".join(table))
-        else:
-            print(body)
-        return exit_code
+        print(json.dumps({"report": report, "result": artifact}, indent=2, allow_nan=False))
+    elif out:
+        for check in checks:
+            status = "PASS" if check["passed"] else "FAIL"
+            values = f"residual {check['residual']:.3e}, bound {check['bound']:.1e}"
+            print(f"{check['name']} of {check['of']}: {status} ({values})")
+        print(f"wrote {out}")
+    elif table is not None:
+        print("\n".join(table))
+    else:
+        print(body)
 
 
-def _cmd_dilate(args, run: Run, payload) -> int:
+def _cmd_dilate(args, payload) -> tuple:
     from . import dilation
 
     sub = args.subcommand
+    if sub == "joint":
+        a = serialize.matrix_from_json(payload["a"])
+        b = serialize.matrix_from_json(payload["b"])
+        pair, g = dilation.joint_prism_dilation(a, b, args.k)
+        artifact = {
+            "pair": serialize.rep_pair_to_json(pair),
+            "isometry": serialize.matrix_to_json(g),
+        }
+        return artifact, EXIT_OK
     if sub == "halmos":
         x = serialize.matrix_from_json(payload)
         if is_hermitian(x):
@@ -122,28 +116,17 @@ def _cmd_dilate(args, run: Run, payload) -> int:
         n = x.shape[0]
         iso = np.vstack([np.eye(n), np.zeros((n, n))]).astype(complex)
         result = dilation.DilationResult(iso, [big], ["dilation"])
-        return run.emit(serialize.dilation_result_to_json(result), EXIT_OK)
-    if sub == "mirman":
+    elif sub == "mirman":
         a = serialize.matrix_from_json(payload)
         povm = dilation.triangle_povm(a)
         result = dilation.naimark_normal(povm)
-        return run.emit(serialize.dilation_result_to_json(result), EXIT_OK)
-    if sub == "joint":
-        a = serialize.matrix_from_json(payload["a"])
-        b = serialize.matrix_from_json(payload["b"])
-        pair, g = dilation.joint_prism_dilation(a, b, args.k)
-        artifact = {
-            "pair": serialize.rep_pair_to_json(pair),
-            "isometry": serialize.matrix_to_json(g),
-        }
-        return run.emit(artifact, EXIT_OK)
-    # "cube": the subparser admits no other choice.
-    mats = serialize.tuple_from_json(payload)
-    result = dilation.cube_dilation(mats)
-    return run.emit(serialize.dilation_result_to_json(result), EXIT_OK)
+    else:  # "cube": the subparser admits no other choice.
+        mats = serialize.tuple_from_json(payload)
+        result = dilation.cube_dilation(mats)
+    return serialize.dilation_result_to_json(result), EXIT_OK
 
 
-def _cmd_rep(args, run: Run, payload) -> int:
+def _cmd_rep(args, payload) -> tuple:
     from . import reps
 
     sub = args.subcommand
@@ -151,20 +134,20 @@ def _cmd_rep(args, run: Run, payload) -> int:
         # Irreducible by theory: their constructors compute no commutant.
         st = reps.square_irrep(args.lam) if sub == "square" else reps.hadamard_symmetries(args.m)
         require([irreducibility_residual(st.mats)], RelationCheckFailedError, st.provenance)
-        return run.emit(serialize.symmetry_tuple_to_json(st), EXIT_OK)
+        return serialize.symmetry_tuple_to_json(st), EXIT_OK
     if sub == "vertex":
         sign = 1 if args.sign in ("+", "+1", "1") else -1
         pair, xi = reps.prism_vertex_rep(args.k, args.j, sign)
         artifact = serialize.rep_pair_to_json(pair)
         artifact["state_vector"] = serialize.matrix_to_json(xi.reshape(-1, 1))
-        return run.emit(artifact, EXIT_OK)
+        return artifact, EXIT_OK
     builders = {
         "s3": reps.s3_pair,
         "a4": reps.a4_pair,
         "steinberg": lambda: reps.steinberg_pair(args.q),
         "assemble": lambda: reps.assemble_dimension(args.n),
     }
-    return run.emit(serialize.rep_pair_to_json(builders[sub]()), EXIT_OK)
+    return serialize.rep_pair_to_json(builders[sub]()), EXIT_OK
 
 
 def _membership_artifact(result) -> dict:
@@ -180,7 +163,7 @@ def _membership_artifact(result) -> dict:
     }
 
 
-def _cmd_check(args, run: Run, payload) -> int:
+def _cmd_check(args, payload) -> tuple:
     from . import convexity
 
     if args.subcommand == "cube":
@@ -190,14 +173,14 @@ def _cmd_check(args, run: Run, payload) -> int:
         a = serialize.matrix_from_json(payload["a"])
         b = serialize.matrix_from_json(payload["b"])
         result = convexity.prism_member(a, b, args.k)
-    return run.emit(_membership_artifact(result), EXIT_OK if result.member else EXIT_FALSE)
+    return _membership_artifact(result), EXIT_OK if result.member else EXIT_FALSE
 
 
-def _cmd_commutant(args, run: Run, payload) -> int:
+def _cmd_commutant(args, payload) -> tuple:
     mats = serialize.tuple_from_json(payload)
     dim, basis = commutant_dimension(mats)
     artifact = {"dimension": dim, "basis": [serialize.matrix_to_json(b) for b in basis]}
-    return run.emit(artifact, EXIT_OK)
+    return artifact, EXIT_OK
 
 
 def _require_k(args, what: str, k: int) -> None:
@@ -206,14 +189,14 @@ def _require_k(args, what: str, k: int) -> None:
         raise NcprismError(f"{what} has k={k}, flag says k={args.k}")
 
 
-def _cmd_positivity(args, run: Run, payload) -> int:
+def _cmd_positivity(args, payload) -> tuple:
     from . import opsys
 
     sub = args.subcommand
     if sub == "cube":
         positive, margin = opsys.scalar_positivity_cube(payload["alpha"], payload["beta"])
         artifact = {"positive": positive, "margin": margin}
-        return run.emit(artifact, EXIT_OK if positive else EXIT_FALSE)
+        return artifact, EXIT_OK if positive else EXIT_FALSE
     element = serialize.prism_element_from_json(payload)
     _require_k(args, "element", element.k)
     if sub == "scalar":
@@ -223,17 +206,12 @@ def _cmd_positivity(args, run: Run, payload) -> int:
             "margin": verdict.margin,
             "worst_vertex": {"j": verdict.worst_vertex[0], "sign": verdict.worst_vertex[1]},
         }
-        return run.emit(artifact, EXIT_OK if verdict.positive else EXIT_FALSE)
-    verdict = opsys.matrix_positivity_prism(element)
-    artifact = serialize.verdict_to_json(verdict)
-    if isinstance(verdict, opsys.Certified):
-        return run.emit(artifact, EXIT_OK)
-    if isinstance(verdict, opsys.Refuted):
-        return run.emit(artifact, EXIT_FALSE)
-    return run.emit(artifact, EXIT_UNKNOWN)
+        return artifact, EXIT_OK if verdict.positive else EXIT_FALSE
+    artifact = serialize.verdict_to_json(opsys.matrix_positivity_prism(element))
+    return artifact, {"certified": EXIT_OK, "refuted": EXIT_FALSE}.get(artifact["verdict"], EXIT_UNKNOWN)
 
 
-def _cmd_geometry(args, run: Run, payload) -> int:
+def _cmd_geometry(args, payload) -> tuple:
     from . import convexity
 
     artifact = {
@@ -252,10 +230,10 @@ def _cmd_geometry(args, run: Run, payload) -> int:
     ]
     if args.d is not None:
         table.append(f"cube scaling constant    = {artifact['cube_scaling_constant']:.15f}")
-    return run.emit(artifact, EXIT_OK, table)
+    return artifact, EXIT_OK, table
 
 
-def _cmd_word(args, run: Run, payload) -> int:
+def _cmd_word(args, payload) -> tuple:
     from . import dilation, reps
 
     pair = serialize.rep_pair_from_json(payload["pair"] if "pair" in payload else payload)
@@ -266,10 +244,10 @@ def _cmd_word(args, run: Run, payload) -> int:
         value = dilation.evaluate_compressed_word(pair, iso, word)
     else:
         value = dilation.evaluate_word(pair, word)
-    return run.emit({"value": serialize.matrix_to_json(value)}, EXIT_OK)
+    return {"value": serialize.matrix_to_json(value)}, EXIT_OK
 
 
-def _cmd_quotient(args, run: Run, payload) -> int:
+def _cmd_quotient(args, payload) -> tuple:
     from . import opsys
 
     sub = args.subcommand
@@ -279,28 +257,28 @@ def _cmd_quotient(args, run: Run, payload) -> int:
         image = opsys.psi_k(x)
         # psi_k is linear: checked through its kernel and unit, not per call.
         require(opsys.quotient_residuals(x.k, x.q), RelationCheckFailedError, "psi_k")
-        return run.emit(serialize.prism_element_to_json(image), EXIT_OK)
+        return serialize.prism_element_to_json(image), EXIT_OK
     if sub == "dual-member":
         z = opsys.DualTuple(args.k, np.array([serialize.complex_from_json(v) for v in payload["z"]]))
         member = opsys.dual_member(z)
-        return run.emit({"member": member}, EXIT_OK if member else EXIT_FALSE)
+        return {"member": member}, EXIT_OK if member else EXIT_FALSE
     # "functional": the subparser admits no other choice.
     pair = serialize.rep_pair_from_json(payload["pair"])
     density = serialize.matrix_from_json(payload["density"])
     z = opsys.functional_to_tuple(pair, density, args.k)
     artifact = serialize.dual_tuple_to_json(z)
     artifact["dual_member"] = opsys.dual_member(z)
-    return run.emit(artifact, EXIT_OK)
+    return artifact, EXIT_OK
 
 
-def _cmd_verify(args, run: Run, payload) -> int:
+def _cmd_verify(args, payload) -> tuple:
     from . import verify
 
-    results = verify.run_all(seed=run.seed)
+    results = verify.run_all(seed=args.seed)
     artifact = {"checks": [asdict(r) for r in results], "all_passed": all(r.passed for r in results)}
     table = [f"{'PASS' if r.passed else 'FAIL'}  {r.name}  (worst residual {r.residual:.3e})" for r in results]
     table.append("all checks passed" if artifact["all_passed"] else "SOME CHECKS FAILED")
-    return run.emit(artifact, EXIT_OK if artifact["all_passed"] else EXIT_FALSE, table)
+    return artifact, EXIT_OK if artifact["all_passed"] else EXIT_FALSE, table
 
 
 _INT = {"type": int, "required": True}
@@ -373,7 +351,9 @@ def main(argv=None) -> int:
     try:
         payload, text = _read_input(args) if args.reads_input else (None, "")
         with measured() as records:
-            return _COMMANDS[args.command][1](args, Run(args, text, records), payload)
+            artifact, exit_code, *table = _COMMANDS[args.command][1](args, payload)
+        _render(args, text, records, artifact, *table)
+        return exit_code
     except (NcprismError, OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

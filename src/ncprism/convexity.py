@@ -169,8 +169,10 @@ def max_member(mats, polytope: PolytopeSpec) -> MembershipResult:
 
 
 def real_imag_parts(a) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian real and imaginary parts of an operator."""
+    """Hermitian real and imaginary parts of a square operator."""
     a = as_matrix(a)
+    if a.shape[0] != a.shape[1]:
+        raise ShapeMismatchError(f"real and imaginary parts need a square matrix, got {a.shape}")
     return hermitize(a), hermitize(a / 1j)
 
 

@@ -13,6 +13,11 @@ Every positive decomposition starts from the Fourier-minimal effects
 k - 1 vanish. At k = 3 these are the barycentric coordinates; for k >= 4
 ``matkernel.lmi_floor`` searches the free modes 2 .. k-2 for effects that
 are all positive, or proves that none are.
+
+Each constructor checks the identities its own arithmetic can break. A block
+written from the data it would be compared with (a Halmos corner, the labels
+on N's diagonal, V's corner Z b Z*) is not checked; the public ``*_residuals``
+functions check it too, for matrices a caller did not build.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ from .matkernel import (
     PSD_CLAMP,
     SPEC_TOL,
     Residual,
-    _exact_diagonal,
     _frobenius,
     _order_residuals,
     _spectral_sqrt,
@@ -198,12 +202,12 @@ def halmos_symmetry(b) -> np.ndarray:
 
     Returns S = [[b, D], [D, -b]] with D = sqrt(1 - b^2), taken from one
     ``eigh`` of b that also checks ||b|| <= 1: S is Hermitian, S^2 is the
-    identity within SPEC_TOL, and the top-left block equals ``b`` exactly.
+    identity within SPEC_TOL, and the top-left block is ``b`` itself.
     """
     b = as_matrix(b)
     require_hermitian(b, "halmos_symmetry input")
     s = _symmetry_block(b, _hermitian_defect(b, "b"))
-    require(halmos_symmetry_residuals(b, s), NotSymmetryError, "halmos_symmetry")
+    require(symmetry_residuals(s), NotSymmetryError, "halmos_symmetry")
     return s
 
 
@@ -226,15 +230,15 @@ def halmos_unitary(x) -> np.ndarray:
     """Dilate a contraction to a unitary on the doubled space.
 
     Returns U = [[x, sqrt(1 - x x*)], [sqrt(1 - x* x), -x*]], which is
-    unitary within SPEC_TOL with top-left block ``x``; both defects come
-    from one ``eigh`` (see :func:`_unitary_defects`).
+    unitary within SPEC_TOL with top-left block ``x`` itself; both defects
+    come from one ``eigh`` (see :func:`_unitary_defects`).
     """
     x = as_matrix(x)
     if x.shape[0] != x.shape[1]:
         raise ShapeMismatchError("halmos_unitary requires a square matrix")
     d_left, d_right = _unitary_defects(x)
     u = np.block([[x, d_left], [d_right, -dagger(x)]])
-    require(halmos_unitary_residuals(x, u), NotIsometryError, "halmos_unitary")
+    require([unitary_residual(u)], NotIsometryError, "halmos_unitary")
     return u
 
 
@@ -367,10 +371,9 @@ def naimark_normal(povm: Povm) -> DilationResult:
     """
     n = povm.effects[0].shape[0]
     z = psd_sqrt(np.stack(povm.effects)).reshape(-1, n)
-    normal = np.diag(np.repeat(np.asarray(povm.outcome_labels, dtype=complex), n))
-    result = DilationResult(isometry=z, operators=[normal], labels=["normal"])
-    require(naimark_residuals(povm, result), InvalidPovmError, "naimark_normal")
-    return result
+    labels = np.repeat(np.asarray(povm.outcome_labels, dtype=complex), n)
+    require(_naimark_residuals(povm, z, labels[:, None] * z), InvalidPovmError, "naimark_normal")
+    return DilationResult(isometry=z, operators=[np.diag(labels)], labels=["normal"])
 
 
 def naimark_residuals(povm: Povm, result: DilationResult) -> list[Residual]:
@@ -378,22 +381,19 @@ def naimark_residuals(povm: Povm, result: DilationResult) -> list[Residual]:
     matrix of the labels (so normal with spectrum at the labels)."""
     z, nd = result.isometry, result.operators[0]
     labels = np.repeat(povm.outcome_labels, z.shape[1])
-    # An exactly diagonal N acts through its diagonal, and its entries off
-    # the diagonal add nothing to the largest deviation from the labels.
-    d = _exact_diagonal(nd)
-    if d is None:
-        return _naimark_residuals(povm, z, nd @ z, nd - np.diag(labels))
-    return _naimark_residuals(povm, z, d[:, None] * z, d - labels)
+    return [
+        *_naimark_residuals(povm, z, nd @ z),
+        ("labels_on_diagonal", float(np.abs(nd - np.diag(labels)).max()), ALG_TOL),
+    ]
 
 
-def _naimark_residuals(povm: Povm, z, nz, deviation) -> list[Residual]:
-    """:func:`naimark_residuals` from Z, the product N Z and N's deviation
-    from the labels."""
+def _naimark_residuals(povm: Povm, z, nz) -> list[Residual]:
+    """The isometry and compression rows of :func:`naimark_residuals`, from
+    Z and the product N Z."""
     moment = np.tensordot(np.asarray(povm.outcome_labels), np.stack(povm.effects), axes=1)
     return [
         ("isometry", _frobenius(dagger(z) @ z - np.eye(z.shape[1])), SPEC_TOL),
         ("compression", _frobenius(dagger(z) @ nz - moment), SPEC_TOL),
-        ("labels_on_diagonal", float(np.abs(deviation).max()), ALG_TOL),
     ]
 
 
@@ -476,40 +476,40 @@ def joint_prism_dilation(a, b, k: int) -> tuple[RepPair, np.ndarray]:
 
 
 def _dilate_povm(
-    povm: Povm, spectrum: Spectrum | None, b: np.ndarray, defect: np.ndarray
+    povm: Povm, spectrum: Spectrum | None, b: np.ndarray, defect: np.ndarray, name: str = "joint_prism_dilation"
 ) -> tuple[RepPair, np.ndarray]:
     """The joint dilation of :func:`joint_prism_dilation` from a given POVM
     with labels at the k-th roots of unity, k its number of effects, and a
     Hermitian contraction b with its Halmos defect ``defect`` (of b rescaled
     into the unit ball): G* W^m G = sum_j omega^(j m) h_j for every m, and
     G* V G = b. ``spectrum`` is the ``eigh`` of the effect stack, or None to
-    take one here.
+    take one here. Every row checked is labelled with the pair's provenance,
+    ``name(k=.., level=..)``.
 
     W = N (+) 1 is written as its diagonal, the labels then ones; G = [Z; 0]."""
     k, n = len(povm.effects), b.shape[0]
     kn = k * n
+    provenance = f"{name}(k={k}, level={n})"
     roots = psd_sqrt(np.stack(povm.effects)) if spectrum is None else _spectral_sqrt(*spectrum)
     z = roots.reshape(kn, n)
     labels = np.repeat(np.asarray(povm.outcome_labels, dtype=complex), n)
+    require(_naimark_residuals(povm, z, labels[:, None] * z), InvalidPovmError, provenance)
     w_big = np.zeros((2 * kn, 2 * kn), dtype=complex)
     w_big.ravel()[:: 2 * kn + 1] = np.concatenate([labels, np.ones(kn)])
-    diagonal = np.diagonal(w_big)
-    naimark = _naimark_residuals(povm, z, diagonal[:kn, None] * z, diagonal[:kn] - labels)
-    require(naimark, InvalidPovmError, "naimark_normal")
 
     b_tilde, d = _carried_blocks(z, b, defect)
     v_big = _symmetry_block(b_tilde, d)
     g = np.vstack([z, np.zeros((kn, n), dtype=complex)])
-    pair = RepPair(w_big, v_big, k, provenance=f"joint_prism_dilation(k={k}, level={n})")
+    pair = RepPair(w_big, v_big, k, provenance=provenance)
     # The Naimark residuals certified G*G = Z*Z = 1 and G*WG = Z*NZ, which
-    # the POVM ties to its first moment. Left: V a symmetry with corner
-    # Z b Z*, W's order, G*VG = b.
+    # the POVM ties to its first moment. Left: V a symmetry, W's order, and
+    # G*VG = b, which is Z* V_11 Z as G's lower half is exactly zero.
     residuals = [
-        *prefixed("v_", halmos_symmetry_residuals(b_tilde, v_big)),
-        *prefixed("w_", _order_residuals(w_big, diagonal, k)),
-        _v_compression(b, pair, g),
+        *prefixed("v_", symmetry_residuals(v_big)),
+        *prefixed("w_", _order_residuals(w_big, np.diagonal(w_big), k)),
+        ("v_compression", _frobenius(dagger(z) @ v_big[:kn, :kn] @ z - b), SPEC_TOL),
     ]
-    require(residuals, RelationCheckFailedError, pair.provenance)
+    require(residuals, RelationCheckFailedError, provenance)
     return pair, g
 
 
@@ -528,23 +528,13 @@ def _carried_blocks(z, b, defect) -> np.ndarray:
     return carried
 
 
-def _v_compression(b, pair: RepPair, g) -> Residual:
-    """G* V G = b; for G = [Z; 0] with an exactly zero lower half, as
-    :func:`_dilate_povm` builds it, G* V G is Z* V_11 Z."""
-    rows = g.shape[0] // 2
-    if g[rows:].any():
-        rows = g.shape[0]
-    z = g[:rows]
-    return ("v_compression", _frobenius(dagger(z) @ pair.v[:rows, :rows] @ z - b), SPEC_TOL)
-
-
 def joint_residuals(a, b, pair: RepPair, g) -> list[Residual]:
     """G is an isometry with G* W G = a and G* V G = b."""
     gs = dagger(g)
     return [
         ("isometry", _frobenius(gs @ g - np.eye(g.shape[1])), SPEC_TOL),
         ("w_compression", _frobenius(gs @ pair.w @ g - a), SPEC_TOL),
-        _v_compression(b, pair, g),
+        ("v_compression", _frobenius(gs @ pair.v @ g - b), SPEC_TOL),
     ]
 
 
@@ -553,8 +543,7 @@ def cube_dilation(mats) -> DilationResult:
 
     All d symmetries act on the common doubled space; the single
     block-inclusion isometry compresses each one back to its input. That
-    compression is the corner block, which ``halmos_symmetry`` certifies
-    for each entry.
+    compression is the corner block, the entry itself.
     """
     mats = [as_matrix(m) for m in mats]
     if not mats:

@@ -473,6 +473,7 @@ def _step_lengths(factors: np.ndarray, moves: np.ndarray) -> np.ndarray:
     return _LMI_REACH / np.maximum(-low, _LMI_REACH)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def commutant_dimension(mats) -> tuple[int, list[np.ndarray]]:
     """Dimension and orthonormal basis of the joint commutant of a set.
 
@@ -510,6 +511,10 @@ def commutant_dimension(mats) -> tuple[int, list[np.ndarray]]:
     and non-negative, unless the trace is at rounding level (then the element
     is left as the solve gave it). An irreducible set therefore returns one
     element, +1/sqrt(n) times the identity to rounding.
+
+    The identity always commutes, so a solve that keeps no element failed and
+    raises ``RelationCheckFailedError``, as does one whose Gram matrix
+    overflows ("inputs too large"); numpy's overflow warnings are silenced.
     """
     mats = [as_matrix(a) for a in mats]
     if not mats:
@@ -549,6 +554,8 @@ def commutant_dimension(mats) -> tuple[int, list[np.ndarray]]:
         # The least gap at which ``above`` would settle the count.
         margin = 0.99 * above / cutoff - 1.0
         merge = max(gap, reach / margin) if margin > 0 else np.inf
+    if not len(coords):
+        raise RelationCheckFailedError("commutant solve failed: it kept no element, not even the identity")
     # tr X = tr coords, since eigvecs is unitary. Turn each trace real and
     # non-negative unless it is at rounding level (|tr X| <= sqrt(n) here).
     traces = np.trace(coords, axis1=1, axis2=2)
@@ -643,6 +650,8 @@ def _block_null_space(rotated: np.ndarray, sizes: np.ndarray, cutoff: float) -> 
         gram[np.diag_indices(n)] -= gram.sum(axis=1)
     else:
         gram = _block_gram(rotated, rows, cols)
+    if not np.isfinite(gram).all():
+        raise RelationCheckFailedError("commutant solve failed: inputs too large, their Gram matrix overflows")
     delta = len(rows) * np.finfo(float).eps * np.linalg.norm(gram)
     lam, vecs = np.linalg.eigh(gram)
     threshold = max(cutoff * cutoff + 2.0 * delta, (100.0 * delta / cutoff) ** 2)

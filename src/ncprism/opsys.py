@@ -574,6 +574,5 @@ def _dual_witness(x: np.ndarray, k: int) -> RepPair:
     parts = hermitize(dagger(root) @ zt @ root)
     b = parts[k] - parts[k + 1]
     povm = Povm(list(parts[:k]), fourier_matrix(k)[:, 1].tolist())
-    pair, _ = _dilate_povm(povm, None, b, _hermitian_defect(b, None))
-    pair.provenance = f"dual_witness(k={k}, level={b.shape[0]})"
+    pair, _ = _dilate_povm(povm, None, b, _hermitian_defect(b, None), "dual_witness")
     return pair

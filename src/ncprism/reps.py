@@ -130,6 +130,9 @@ class SymmetryTuple:
 
     def __post_init__(self):
         self.mats = [as_matrix(m) for m in self.mats]
+        shapes = {m.shape for m in self.mats}
+        if len(shapes) != 1 or any(rows != cols for rows, cols in shapes):
+            raise ShapeMismatchError(f"entries must be square of equal size, got {sorted(shapes)}")
 
     @property
     def dim(self) -> int:
@@ -328,8 +331,9 @@ def hadamard_symmetries(m: int) -> SymmetryTuple:
 def hadamard_residuals(mats) -> list[Residual]:
     """The entries other than the last are diagonal sign matrices, hence
     commuting symmetries (checked entrywise in O(n^2) each), and the last is a
-    symmetry."""
-    signs = max(np.abs(a - np.diag(np.sign(a.diagonal().real))).max() for a in mats[:-1])
+    symmetry. Each diagonal entry is compared with +-1 by the sign of its
+    real part, never with 0, so a zero entry is 1 away."""
+    signs = max(np.abs(a - np.diag(np.copysign(1.0, a.diagonal().real))).max() for a in mats[:-1])
     return [
         ("heads_diagonal_signs", float(signs), ALG_TOL),
         *prefixed(f"s{len(mats) - 1}_", symmetry_residuals(mats[-1])),
@@ -456,22 +460,23 @@ def _verified_pair(w, v, k: int, provenance: str, relations=()) -> RepPair:
     return pair
 
 
-# (name, residual function of (W, V), bound) for pair_residuals.
-S3_RELATIONS = (
-    ("VWV = W^-1", lambda w, v: opnorm(v @ w @ v - w @ w), ALG_TOL),
-    ("group_order_6", lambda w, v: abs(generated_group_order([w, v]) - 6), 0.0),
-)
-A4_RELATIONS = (
-    ("WVW = VW^2V", lambda w, v: opnorm(w @ v @ w - v @ w @ w @ v), ALG_TOL),
-    ("group_order_12", lambda w, v: abs(generated_group_order([w, v]) - 12), 0.0),
-)
+S3_RELATIONS = (("VWV = W^-1", lambda w, v: opnorm(v @ w @ v - w @ w), ALG_TOL),)
+"""The S3 relation (VW)^2 = 1 as ``(name, residual of (W, V), bound)`` rows
+for :func:`pair_residuals`. With W^3 = V^2 = 1, (VW)^2 = 1 presents S3 and
+(WV)^3 = 1 presents A4 (Coxeter and Moser, "Generators and Relations for
+Discrete Groups", 1957). Every proper quotient of either group is abelian,
+so has no irreducible pair of dimension >= 2: commutant_dimension_1 fixes
+the group of a 2-dimensional S3 or 3-dimensional A4 pair, and no group
+closure is enumerated."""
+A4_RELATIONS = (("WVW = VW^2V", lambda w, v: opnorm(w @ v @ w - v @ w @ w @ v), ALG_TOL),)
+"""The A4 relation (WV)^3 = 1, written WVW = VW^2V (see :data:`S3_RELATIONS`)."""
 
 
 def s3_pair() -> RepPair:
     """The 2-dimensional pair of order (3, 2) with V W V = W^{-1}.
 
     W is the rotation by 2*pi/3 and V the reflection diag(1, -1); together
-    they generate a group of order 6 acting irreducibly.
+    they generate S3 acting irreducibly (see :data:`S3_RELATIONS`).
     """
     c, s = math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3)
     w = np.array([[c, -s], [s, c]], dtype=complex)
@@ -483,7 +488,7 @@ def a4_pair() -> RepPair:
     """The 3-dimensional pair of order (3, 2) with W V W = V W^2 V.
 
     W cyclically permutes the coordinate axes and V flips two of them;
-    together they generate a group of order 12 acting irreducibly.
+    together they generate A4 acting irreducibly (see :data:`S3_RELATIONS`).
     """
     w = np.zeros((3, 3), dtype=complex)
     w[1, 0] = w[2, 1] = w[0, 2] = 1.0

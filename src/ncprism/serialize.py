@@ -4,6 +4,8 @@ A matrix is {"rows": n, "cols": m, "data": [[re, im], ...]} with the
 entries flattened row-major; complex scalars are [re, im] pairs. Floats
 pass through ``json`` using Python's shortest round-trip repr, so decimal
 literals survive a round trip bit-exactly up to 17 significant digits.
+The counts ``rows``, ``cols``, ``k`` and ``q`` must be JSON integers: a
+float or a bool there raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -54,6 +56,13 @@ def complex_from_json(pair) -> complex:
     return z
 
 
+def _integer(obj, key: str) -> int:
+    """``obj[key]``, refused with ``ValueError`` unless it is an integer."""
+    if type(obj[key]) is not int:
+        raise ValueError(f"{key!r} must be a JSON integer, got {obj[key]!r}")
+    return obj[key]
+
+
 def matrix_to_json(a) -> dict:
     a = as_matrix(a)
     rows, cols = a.shape
@@ -62,7 +71,7 @@ def matrix_to_json(a) -> dict:
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    rows, cols = _integer(obj, "rows"), _integer(obj, "cols")
     if rows < 1 or cols < 1:
         raise ShapeMismatchError(f"matrix JSON needs rows and cols >= 1, got {rows}x{cols}")
     data = obj["data"]
@@ -98,7 +107,7 @@ def rep_pair_from_json(obj) -> RepPair:
     return RepPair(
         matrix_from_json(obj["W"]),
         matrix_from_json(obj["V"]),
-        int(obj["k"]),
+        _integer(obj, "k"),
         provenance=str(obj.get("provenance", "")),
         commutant_dim=obj.get("commutant_dim"),
     )
@@ -131,8 +140,8 @@ def prism_element_from_json(obj) -> PrismElement:
     from .opsys import PrismElement
 
     return PrismElement(
-        int(obj["k"]),
-        int(obj["q"]),
+        _integer(obj, "k"),
+        _integer(obj, "q"),
         [matrix_from_json(block) for block in obj["c"]],
         matrix_from_json(obj["g"]),
     )
@@ -146,7 +155,7 @@ def diag_tuple_from_json(obj) -> DiagTuple:
     from .opsys import DiagTuple
 
     return DiagTuple(
-        int(obj["k"]), int(obj["q"]), [matrix_from_json(b) for b in obj["blocks"]]
+        _integer(obj, "k"), _integer(obj, "q"), [matrix_from_json(b) for b in obj["blocks"]]
     )
 
 

@@ -51,7 +51,8 @@ def _quotient(on):
         return opsys.quotient_residuals(3)
 
 
-# Residual name -> residual list of a constructor's output, shifted when `on`.
+# Residual name, with a [variant] when one name has two cases -> residual list
+# of a constructor's output, shifted when `on`.
 CASES = {
     "squares_to_identity": lambda on: dilation.halmos_symmetry_residuals(
         HALF, shift(dilation.halmos_symmetry(HALF), on)
@@ -75,6 +76,10 @@ CASES = {
         [shift(SQUARE[0], on), SQUARE[1]]
     ),
     "heads_diagonal_signs": lambda on: reps.hadamard_residuals([shift(m, on) for m in HADAMARD.mats]),
+    # A zero on a head's diagonal is 1 away from both signs.
+    "heads_diagonal_signs[zero]": lambda on: reps.hadamard_residuals(
+        [np.diag([1.0, 0.0 if on else -1.0]), reps.hadamard_symmetries(1).mats[1]]
+    ),
     "reconstruction": lambda on: reps.canonical_form_residuals(
         shift(SQUARE[0], on), SQUARE[1], FORM
     ),
@@ -107,7 +112,7 @@ CASES = {
 def test_residual_function_flags_shifted_output(name):
     assert within_bounds(CASES[name](False))
     flagged = {n: value > bound for n, value, bound in CASES[name](True)}
-    assert flagged[name]
+    assert flagged[name.split("[")[0]]
 
 
 def _joint():
@@ -266,3 +271,55 @@ def test_frobenius_residuals_bound_the_operator_norms(source):
             assert values[residual] == pytest.approx(frobenius, rel=1e-12, abs=floor), (name, residual)
     assert {"first_moment", "sum_to_identity", "isometry", "compression", "v_compression",
             "w_compression", "corner"} <= seen
+
+
+# A q = 2 element that no character refutes; the lift solver's dual witness does.
+_C1 = np.array([[0.1124 - 0.0457j, -0.3728 - 0.0937j], [-0.0648 - 0.1706j, 0.2492 + 0.4852j]])
+DUAL = opsys.PrismElement(
+    3,
+    2,
+    [np.array([[1.1524, -0.212 + 0.2848j], [-0.212 - 0.2848j, 1.5901]]), _C1, _C1.conj().T],
+    np.array([[-0.0143, 0.5023 - 0.2575j], [0.5023 + 0.2575j, 0.0833]]),
+)
+
+
+def _dual_refutation():
+    verdict = opsys.matrix_positivity_prism(DUAL)
+    assert verdict.witness.provenance == "dual_witness(k=3, level=2)"
+
+
+@pytest.mark.parametrize(
+    "build, label",
+    [
+        (reps.s3_pair, None),
+        (reps.a4_pair, None),
+        (lambda: dilation.halmos_symmetry(HALF), None),
+        (lambda: dilation.halmos_unitary(HALF), None),
+        (lambda: dilation.naimark_normal(POVM), "naimark_normal"),
+        (lambda: dilation.cube_dilation([HALF, B]), None),
+        (lambda: dilation.joint_prism_dilation(A, B, 3), "joint_prism_dilation(k=3, level=1)"),
+        (
+            lambda: dilation.joint_prism_dilation(
+                *convexity.random_prism_point(np.random.default_rng(1), 3, 4, scale=0.8), 4
+            ),
+            "joint_prism_dilation(k=4, level=3)",
+        ),
+        (_dual_refutation, "dual_witness(k=3, level=2)"),
+    ],
+    ids=["s3", "a4", "halmos_symmetry", "halmos_unitary", "naimark", "cube", "joint_k3", "joint_k4", "dual_witness"],
+)
+def test_constructions_record_only_rows_their_arithmetic_can_move(build, label):
+    # A corner, N's diagonal or a group order fixed by the presentation holds
+    # by construction; the residual functions keep them for re-checks.
+    with matkernel.measured() as records:
+        build()
+    names = {name for name, *_ in records}
+    assert names and not names & {"group_order_6", "group_order_12", "corner", "labels_on_diagonal", "v_corner"}
+    # The Naimark rows carry the label of the construction that ran, as the
+    # dilation's other rows do.
+    naimark = {what for name, *_, what in records if name in ("isometry", "compression")}
+    if label is None:
+        assert not naimark
+    else:
+        assert naimark == {label}
+        assert {what for name, *_, what in records if name[:2] in ("v_", "w_")} <= {label}

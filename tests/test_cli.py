@@ -71,14 +71,16 @@ class TestRepAndCommutant:
     def test_s3_reports_orders_and_relations(self, capsys, monkeypatch):
         _, out, _ = run_cli(capsys, monkeypatch, ["rep", "s3", "--json"])
         checks = {c["name"]: c for c in json.loads(out)["report"]["checks"]}
-        names = ("w_unitary", "w_order_3", "v_unitary", "v_order_2", "VWV = W^-1", "group_order_6")
+        names = ("w_unitary", "w_order_3", "v_unitary", "v_order_2", "VWV = W^-1", "commutant_dimension_1")
         for name in names:
             assert checks[name]["passed"] and checks[name]["residual"] <= checks[name]["bound"]
+        # The relation and irreducibility fix the group: no order row.
+        assert "group_order_6" not in checks
 
     def test_s3_report_is_what_the_factory_measured(self, capsys, monkeypatch):
         _, out, _ = run_cli(capsys, monkeypatch, ["rep", "s3", "--json"])
         checks = json.loads(out)["report"]["checks"]
-        assert [c["name"] for c in checks].count("group_order_6") == 1
+        assert [c["name"] for c in checks].count("VWV = W^-1") == 1
         irreducible = [c for c in checks if c["name"] == "commutant_dimension_1"]
         assert irreducible == [
             {"name": "commutant_dimension_1", "passed": True, "residual": 0.0, "bound": 0.0, "of": "s3_pair"}
@@ -449,6 +451,51 @@ class TestMalformedMatrices:
         assert "finite" in err
 
 
+class TestOutsideInput:
+    """Input the library cannot take is refused with exit 2 and its own message."""
+
+    @pytest.mark.parametrize(
+        "args, payload, message",
+        [
+            (["dilate", "halmos"], {"rows": 2.9, "cols": 1, "data": [[1, 0], [2, 0]]}, "'rows' must be a JSON integer"),
+            (["dilate", "halmos"], {"rows": True, "cols": True, "data": [[0.5, 0]]}, "'rows' must be a JSON integer"),
+            (
+                ["positivity", "matrix", "--k", "3"],
+                {"k": 3.0, "q": 1, "c": [scalar(1.0)] * 3, "g": scalar(0.0)},
+                "'k' must be a JSON integer",
+            ),
+            (
+                ["positivity", "matrix", "--k", "3"],
+                {"k": 3, "q": True, "c": [scalar(1.0)] * 3, "g": scalar(0.0)},
+                "'q' must be a JSON integer",
+            ),
+            (
+                ["check", "prism", "--k", "3"],
+                {"a": matrix_to_json(np.zeros((2, 3))), "b": matrix_to_json(np.zeros((2, 2)))},
+                "need a square matrix",
+            ),
+        ],
+        ids=["float-rows", "bool-shape", "float-k", "bool-q", "non-square-a"],
+    )
+    def test_refused_with_exit_two(self, capsys, monkeypatch, args, payload, message):
+        code, out, err = run_cli(capsys, monkeypatch, args, stdin_obj=payload)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and message in err
+        assert "broadcast" not in err
+
+    @pytest.mark.parametrize("scale, message", [(1e100, "kept no element"), (1e200, "inputs too large")])
+    def test_commutant_of_huge_inputs_exits_two(self, capsys, monkeypatch, scale, message):
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        b = rng.standard_normal((4, 4))
+        payload = {"tuple": [matrix_to_json(scale * a), matrix_to_json(scale * b)]}
+        code, out, err = run_cli(capsys, monkeypatch, ["commutant"], stdin_obj=payload)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: commutant solve") and message in err
+
+
 # Every option of every (command, subcommand): dest, type, default, choices,
 # required and nargs. The shared options are the same everywhere; --in only
 # where the command reads JSON input.
@@ -519,7 +566,7 @@ class TestSurface:
         assert surface == CLI_SURFACE
 
 
-class TestEmit:
+class TestRender:
     @pytest.mark.parametrize("json_flag, out", [(True, None), (False, "art.json"), (False, None)])
     def test_non_finite_json_is_refused_before_anything_is_written(
         self, tmp_path, capsys, json_flag, out
@@ -528,6 +575,6 @@ class TestEmit:
         args = argparse.Namespace(command="geometry", subcommand=None, seed=0, out=path, json=json_flag)
         for value in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="not JSON compliant"):
-                cli.Run(args, "", []).emit({"value": value}, 0)
+                cli._render(args, "", [], {"value": value})
         assert capsys.readouterr().out == ""
         assert not (path and os.path.exists(path))

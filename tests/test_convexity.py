@@ -132,6 +132,10 @@ class TestPrismMember:
     def test_vertex_scalar(self):
         assert prism_member(np.array([[1.0]]), np.array([[1.0]]), 3).member
 
+    def test_non_square_a_is_refused(self):
+        with pytest.raises(ShapeMismatchError, match="square"):
+            prism_member(np.zeros((2, 3)), np.zeros((2, 2)), 3)
+
 
 class TestVertexAttainment:
     @pytest.mark.parametrize("k", [3, 4, 12])

@@ -13,6 +13,7 @@ from ncprism.errors import (
     NotHermitianError,
     NotIsometryError,
     NotPSDError,
+    RelationCheckFailedError,
     ShapeMismatchError,
 )
 from ncprism.dilation import halmos_symmetry
@@ -323,6 +324,24 @@ class TestCommutant:
     def test_diagonal_commutant(self):
         dim, _ = commutant_dimension([np.diag([1.0, -1.0])])
         assert dim == 2
+
+    @pytest.mark.parametrize(
+        "scale, message",
+        [
+            (1e100, "kept no element"),
+            (1e150, "kept no element"),
+            (1e200, "inputs too large"),
+        ],
+    )
+    def test_huge_inputs_are_refused(self, scale, message):
+        # The identity always commutes: a solve that keeps no element failed.
+        # Past about 1e154 the Gram matrix overflows. Neither may surface as
+        # a numpy error or warning.
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        b = rng.standard_normal((4, 4))
+        with pytest.raises(RelationCheckFailedError, match=message):
+            commutant_dimension([scale * a, scale * b])
 
     def test_basis_orthonormal_and_commutes(self):
         rng = np.random.default_rng(3)

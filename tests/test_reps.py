@@ -24,6 +24,8 @@ from ncprism.errors import (
     LambdaOutOfRangeError,
     NotSymmetryError,
     OrderMismatchError,
+    RelationCheckFailedError,
+    ShapeMismatchError,
     SizeBudgetExceededError,
     UnsupportedQError,
 )
@@ -105,6 +107,11 @@ class TestUniversalSquarePair:
     def test_leading_one_required(self):
         with pytest.raises(LambdaOutOfRangeError):
             universal_square_pair([0.5, 0.0])
+
+    @pytest.mark.parametrize("shapes", [[(2, 2), (3, 3)], [(2, 3), (2, 3)]], ids=["unequal", "non-square"])
+    def test_tuple_entries_must_be_square_of_equal_size(self, shapes):
+        with pytest.raises(ShapeMismatchError, match="square of equal size"):
+            ncprism.reps.SymmetryTuple([np.ones(shape) for shape in shapes])
 
 
 class TestCanonicalForm:
@@ -311,6 +318,14 @@ class TestGroupPairs:
     def test_a4_irreducible(self):
         pair = a4_pair()
         assert commutant_dimension([pair.w, pair.v])[0] == 1
+
+    def test_reducible_pair_with_the_s3_relation_is_refused(self):
+        # W = 1 and V = diag(1, -1) satisfy the orders and VWV = W^-1 but
+        # generate Z2, not S3: irreducibility is what fixes the group.
+        w, v = np.eye(2), np.diag([1.0, -1.0])
+        assert within_bounds(pair_residuals(ncprism.reps.RepPair(w, v, 3), S3_RELATIONS))
+        with pytest.raises(RelationCheckFailedError, match="commutant_dimension_1"):
+            ncprism.reps._verified_pair(w, v, 3, "reducible", S3_RELATIONS)
 
 
 def projective_perm_oracle(q, mat):

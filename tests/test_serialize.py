@@ -48,6 +48,20 @@ class TestMatrixFormat:
         with pytest.raises(ShapeMismatchError, match="rows and cols >= 1"):
             matrix_from_json({"rows": rows, "cols": cols, "data": []})
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"rows": 2.9, "cols": 1, "data": [[1, 0], [2, 0]]},
+            {"rows": 2.0, "cols": 1, "data": [[1, 0], [2, 0]]},
+            {"rows": True, "cols": True, "data": [[1, 0]]},
+            {"rows": "2", "cols": 1, "data": [[1, 0], [2, 0]]},
+        ],
+        ids=["fraction", "integral-float", "bool", "string"],
+    )
+    def test_non_integer_shape_rejected(self, obj):
+        with pytest.raises(ValueError, match="'rows' must be a JSON integer"):
+            matrix_from_json(obj)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ShapeMismatchError):
             matrix_from_json({"rows": 2, "cols": 2, "data": [[1.0, 0.0]]})
@@ -85,6 +99,16 @@ class TestStructured:
         back = diag_tuple_from_json(diag_tuple_to_json(x))
         assert back.k == 3 and back.q == 2
         assert np.array_equal(back.blocks[4], x.blocks[4])
+
+    @pytest.mark.parametrize("key, value", [("k", 3.0), ("k", True), ("q", 1.5), ("q", True)])
+    def test_non_integer_orders_rejected(self, key, value):
+        element = prism_element_to_json(PrismElement.unit(3, 1))
+        tuple_ = diag_tuple_to_json(DiagTuple.ones(3, 1))
+        pair = rep_pair_to_json(s3_pair())
+        for obj, read in ((element, prism_element_from_json), (tuple_, diag_tuple_from_json), (pair, rep_pair_from_json)):
+            if key in obj:
+                with pytest.raises(ValueError, match=f"'{key}' must be a JSON integer"):
+                    read({**obj, key: value})
 
     def test_dual_tuple(self):
         obj = dual_tuple_to_json(DualTuple(3, np.array([1, 1, 1, 1, 2.0])))
