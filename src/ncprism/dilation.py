@@ -204,10 +204,15 @@ def halmos_symmetry(b) -> np.ndarray:
     ``eigh`` of b that also checks ||b|| <= 1: S is Hermitian, S^2 is the
     identity within SPEC_TOL, and the top-left block is ``b`` itself.
     """
+    return _halmos_symmetry(b, "")
+
+
+def _halmos_symmetry(b, prefix: str) -> np.ndarray:
+    """:func:`halmos_symmetry`, recording its rows with ``prefix`` before each name."""
     b = as_matrix(b)
     require_hermitian(b, "halmos_symmetry input")
     s = _symmetry_block(b, _hermitian_defect(b, "b"))
-    require(symmetry_residuals(s), NotSymmetryError, "halmos_symmetry")
+    require(prefixed(prefix, symmetry_residuals(s)), NotSymmetryError, "halmos_symmetry")
     return s
 
 
@@ -543,7 +548,9 @@ def cube_dilation(mats) -> DilationResult:
 
     All d symmetries act on the common doubled space; the single
     block-inclusion isometry compresses each one back to its input. That
-    compression is the corner block, the entry itself.
+    compression is the corner block, the entry itself. Entry j's rows are
+    recorded as ``s{j}_selfadjoint`` and ``s{j}_squares_to_identity``, with
+    the labels of :func:`cube_residuals`.
     """
     mats = [as_matrix(m) for m in mats]
     if not mats:
@@ -552,9 +559,9 @@ def cube_dilation(mats) -> DilationResult:
     for m in mats:
         if m.shape != (n, n):
             raise ShapeMismatchError("all tuple entries must have equal square shape")
-    symmetries = [halmos_symmetry(m) for m in mats]
-    isometry = np.vstack([np.eye(n), np.zeros((n, n))]).astype(complex)
     labels = [f"s{j + 1}" for j in range(len(mats))]
+    symmetries = [_halmos_symmetry(m, f"{label}_") for label, m in zip(labels, mats)]
+    isometry = np.vstack([np.eye(n), np.zeros((n, n))]).astype(complex)
     return DilationResult(isometry=isometry, operators=symmetries, labels=labels)
 
 

@@ -7,9 +7,11 @@ factory. Field elements are coefficient tuples of length ``e`` in ascending
 powers.
 
 The Steinberg construction certifies that its permutations of P^1(F_q)
-generate PSL2(F_q) by the exact order of the group they generate, which
-``permutation_closure_size`` computes with a deterministic Schreier-Sims
-base and strong generating set instead of listing the group's elements.
+generate PSL2(F_q) and act irreducibly on the complement of the constants
+by one exact count, ``pair_orbit_size``: an ordered pair of points has an
+orbit of size q(q + 1) exactly when the group acts 2-transitively.
+``permutation_closure_size`` gives the exact order of a permutation group
+by deterministic Schreier-Sims, without listing its elements.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "projective_action",
     "psl2_order",
     "sl2_involutions",
+    "pair_orbit_size",
     "permutation_closure_size",
 ]
 
@@ -268,6 +271,31 @@ def sl2_involutions(gf: GaloisField):
                 if b == gf.zero and c == gf.zero and gf.mul(a, a) == gf.one:
                     continue
                 yield ((a, b), (c, d))
+
+
+def pair_orbit_size(generators) -> int:
+    """Size of the orbit of the ordered pair (0, 1) under the group the
+    permutations generate: n(n - 1) exactly when it acts 2-transitively.
+
+    ``generators`` permute one range(n), n >= 2, as in
+    :func:`permutation_closure_size`. One flag per ordered pair, and a stack
+    of the pairs found but not yet moved: a finite group's orbit is closed
+    under its generators alone."""
+    gens = _permutations(generators)
+    n = len(gens[0])
+    if n < 2:
+        raise ValueError(f"the pair (0, 1) needs at least 2 points, got {n}")
+    seen = bytearray(n * n)
+    seen[1] = 1
+    stack = [(0, 1)]
+    while stack:
+        a, b = stack.pop()
+        for g in gens:
+            x, y = g[a], g[b]
+            if not seen[x * n + y]:
+                seen[x * n + y] = 1
+                stack.append((x, y))
+    return seen.count(1)
 
 
 def permutation_closure_size(generators, limit: int) -> int:

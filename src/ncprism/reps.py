@@ -9,7 +9,8 @@ assemblies, and the canonical form of an arbitrary pair of symmetries.
 Every constructor requires the residual functions defined beside it (orders
 and relations, symmetries, Hadamard structure, vertex attainment,
 canonical-form reconstruction) and raises rather than returning unverified
-matrices. The S3, A4 and Steinberg pairs also certify irreducibility; tensor
+matrices. The S3, A4 and Steinberg pairs also certify irreducibility (the
+first two by a commutant solve, the last by an exact orbit count); tensor
 products record their commutant dimension. The square and Hadamard
 constructors do not compute a commutant; their irreducibility is checked by
 the consumers.
@@ -38,11 +39,10 @@ from .finitefield import (
     FiniteFieldSpec,
     GaloisField,
     factor_prime_power,
-    permutation_closure_size,
+    pair_orbit_size,
     prime_factors,
     projective_action,
     projective_line,
-    psl2_order,
     sl2_involutions,
 )
 from .matkernel import (
@@ -497,8 +497,9 @@ def a4_pair() -> RepPair:
 
 
 # The largest dimension steinberg_pair and assemble_dimension build. The
-# Steinberg pair takes 0.2 s at q = 257 and 0.7 s at q = 383 (one BLAS
-# thread), most of it in the commutant solve.
+# Steinberg pair takes 0.07 s at q = 257, 0.16 s at q = 383 and 0.44 s at
+# q = 512 (one BLAS thread), in about equal parts the orbit count, the
+# products that compress the permutation matrices, and the order checks.
 _PAIR_MAX_DIM = 512
 
 
@@ -509,16 +510,24 @@ def steinberg_pair(q: int, field: FiniteFieldSpec | None = None) -> RepPair:
     involution V generating PSL2(F_q), then compresses the permutation
     matrices to the orthogonal complement of the all-ones vector.
 
-    For prime q > 3 the classical pair U = [[0, -1], [1, -1]] (the
-    companion matrix of t^2 + t + 1) and V = [[0, -1], [1, 0]] generates,
-    being the mod-p reduction of the modular-group generators. For genuine
-    prime powers both classical matrices lie in the prime subfield and
-    generate only a proper subgroup, so the involution is found instead by
-    a deterministic search over trace-zero elements: the first whose
-    permutation generates, with U's, a group of order |PSL2(F_q)|, computed
-    exactly by Schreier-Sims. PSL2(F_9) is not generated by any order-(3, 2)
-    pair and is rejected, as are q <= 3 and any q that is not a prime power.
-    A q above ``_PAIR_MAX_DIM`` raises ``SizeBudgetExceededError`` before any
+    One exact count both picks V and certifies the pair: the row
+    ``two_transitive`` is q(q + 1) minus the size of the orbit of the
+    ordered pair of points (0, 1) under <U, V>, with bound 0. A group acting
+    2-transitively has rank 2, so its permutation module is the trivial
+    module plus one irreducible module (Burnside; Isaacs, "Character Theory
+    of Finite Groups", Cor. 5.17): the compression is irreducible, and the
+    pair records commutant_dim = 1 with no commutant solve. By Dickson's list
+    of the subgroups of PSL2(F_q), one acting 2-transitively on P^1(F_q),
+    q >= 4, is the whole group.
+
+    For prime q > 3, U = [[0, -1], [1, -1]] (the companion matrix of
+    t^2 + t + 1) and V = [[0, -1], [1, 0]] generate, being the mod-p
+    reduction of the modular-group generators. For genuine prime powers both
+    lie in the prime subfield and generate only a proper subgroup, so V is
+    the first trace-zero element of :func:`sl2_involutions` whose orbit
+    count is q(q + 1). PSL2(F_9) is not generated by any order-(3, 2) pair
+    and is rejected, as are q <= 3 and any q that is not a prime power. A q
+    above ``_PAIR_MAX_DIM`` raises ``SizeBudgetExceededError`` before any
     field or matrix is built.
     """
     if q > _PAIR_MAX_DIM:
@@ -539,18 +548,18 @@ def steinberg_pair(q: int, field: FiniteFieldSpec | None = None) -> RepPair:
     gf = GaloisField(field)
     points = projective_line(gf)
     perm_u = projective_action(gf, ((0, -1), (1, -1)), points)
+    pairs = q * (q + 1)
 
     if e == 1:
         perm_v = projective_action(gf, ((0, -1), (1, 0)), points)
+        orbit = pair_orbit_size([perm_u, perm_v])
     else:
-        target = psl2_order(q)
-        perm_v = None
         for candidate in sl2_involutions(gf):
-            trial = projective_action(gf, candidate, points)
-            if permutation_closure_size([perm_u, trial], target) == target:
-                perm_v = trial
+            perm_v = projective_action(gf, candidate, points)
+            orbit = pair_orbit_size([perm_u, perm_v])
+            if orbit == pairs:
                 break
-        if perm_v is None:
+        else:
             raise UnsupportedQError(
                 f"no involution generating PSL2(F_{q}) together with the "
                 "order-3 element was found"
@@ -561,9 +570,11 @@ def steinberg_pair(q: int, field: FiniteFieldSpec | None = None) -> RepPair:
     ones = np.ones((q + 1, 1))
     qmat, _ = np.linalg.qr(ones, mode="complete")
     z = qmat[:, 1:]
-    w = dagger(z) @ pu @ z
-    v = dagger(z) @ pv @ z
-    return _verified_pair(w, v, 3, f"steinberg_pair(q={q})")
+    pair = RepPair(dagger(z) @ pu @ z, dagger(z) @ pv @ z, 3, provenance=f"steinberg_pair(q={q})")
+    residuals = [*pair_residuals(pair), ("two_transitive", float(pairs - orbit), 0.0)]
+    require(residuals, RelationCheckFailedError, pair.provenance)
+    pair.commutant_dim = 1
+    return pair
 
 
 def tensor_pair(p1: RepPair, p2: RepPair) -> RepPair:

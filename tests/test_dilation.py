@@ -46,7 +46,7 @@ from ncprism.errors import (
     OrderMismatchError,
     ShapeMismatchError,
 )
-from ncprism.matkernel import PSD_CLAMP, SPEC_TOL, compress, dagger, fourier_matrix, hermitize, opnorm
+from ncprism.matkernel import PSD_CLAMP, SPEC_TOL, compress, dagger, fourier_matrix, hermitize, measured, opnorm
 from ncprism.reps import pair_residuals, prism_vertex_rep
 
 OMEGA = np.exp(2j * np.pi / 3)
@@ -580,6 +580,19 @@ class TestCubeDilation:
         result = cube_dilation(mats)
         assert [op.shape for op in result.operators] == [(8, 8)] * 3
         assert within_bounds(cube_residuals(mats, result))
+
+    def test_rows_carry_the_labels_of_cube_residuals(self):
+        # Each entry's symmetry rows are recorded under its own label, with
+        # the values that cube_residuals re-checks.
+        mats = [0.5 * np.eye(2), np.array([[0.3, 0.1j], [-0.1j, -0.2]])]
+        with measured() as records:
+            result = cube_dilation(mats)
+        rechecked = {name: (value, bound) for name, value, bound in cube_residuals(mats, result)}
+        assert [name for name, *_ in records] == [
+            "s1_selfadjoint", "s1_squares_to_identity", "s2_selfadjoint", "s2_squares_to_identity"
+        ]
+        for name, value, bound, what in records:
+            assert (value, bound) == rechecked[name] and what == "halmos_symmetry"
 
 
 class TestWords:

@@ -1,5 +1,6 @@
-"""Exact permutation group orders: against the breadth-first closure on
-small groups, and against closed forms on groups far too large to list."""
+"""Exact permutation group orders and ordered-pair orbits: against the
+breadth-first closure on small groups, and against closed forms on groups
+far too large to list."""
 
 import math
 
@@ -12,6 +13,7 @@ from helpers import permutation_closure_oracle
 from ncprism.finitefield import (
     FiniteFieldSpec,
     GaloisField,
+    pair_orbit_size,
     permutation_closure_size,
     projective_action,
     projective_line,
@@ -88,3 +90,47 @@ class TestPermutationClosureSize:
     def test_invalid_generators_raise(self, gens, match):
         with pytest.raises(ValueError, match=match):
             permutation_closure_size(gens, 10)
+
+
+def group_elements(gens):
+    """Every element of the generated permutation group, listed breadth first."""
+    identity = tuple(range(len(gens[0])))
+    seen, frontier = {identity}, [identity]
+    while frontier:
+        found = []
+        for perm in frontier:
+            for g in gens:
+                composed = tuple(g[i] for i in perm)
+                if composed not in seen:
+                    seen.add(composed)
+                    found.append(composed)
+        frontier = found
+    return seen
+
+
+class TestPairOrbitSize:
+    @settings(max_examples=200)
+    @given(st.integers(2, 6).flatmap(lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=3)))
+    def test_agrees_with_the_listed_group(self, gens):
+        orbit = {(g[0], g[1]) for g in group_elements([tuple(g) for g in gens])}
+        assert pair_orbit_size(gens) == len(orbit)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 12, 40])
+    def test_symmetric_and_cyclic_groups(self, n):
+        assert pair_orbit_size(symmetric_generators(n)) == n * (n - 1)
+        assert pair_orbit_size([cycle(n, list(range(n)))]) == n
+
+    @pytest.mark.parametrize("q", [5, 7, 11, 13, 17, 19, 23, 29, 31])
+    def test_classical_pair_is_two_transitive(self, q):
+        gf = GaloisField(FiniteFieldSpec(q, 1))
+        points = projective_line(gf)
+        gens = [projective_action(gf, mat, points) for mat in (((0, -1), (1, -1)), ((0, -1), (1, 0)))]
+        assert pair_orbit_size(gens) == q * (q + 1)
+
+    @pytest.mark.parametrize(
+        "gens, match",
+        [([], "no generators"), ([[0]], "at least 2 points"), ([[0, 0, 1]], "not a permutation")],
+    )
+    def test_invalid_generators_raise(self, gens, match):
+        with pytest.raises(ValueError, match=match):
+            pair_orbit_size(gens)

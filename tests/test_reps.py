@@ -15,6 +15,8 @@ from helpers import (
 )
 
 import ncprism.cli
+import ncprism.finitefield
+import ncprism.matkernel
 import ncprism.reps
 
 from ncprism.errors import (
@@ -29,7 +31,15 @@ from ncprism.errors import (
     SizeBudgetExceededError,
     UnsupportedQError,
 )
-from ncprism.finitefield import FiniteFieldSpec
+from ncprism.finitefield import (
+    FiniteFieldSpec,
+    GaloisField,
+    factor_prime_power,
+    projective_action,
+    projective_line,
+    psl2_order,
+    sl2_involutions,
+)
 from ncprism.matkernel import (
     SPEC_TOL,
     commutant_dimension,
@@ -481,16 +491,15 @@ class TestSteinberg:
     @pytest.mark.parametrize(
         "q, p, e, count", [(4, 2, 2, None), (8, 2, 3, None), (16, 2, 4, None), (25, 5, 2, 2), (27, 3, 3, 2)]
     )
-    def test_involution_matches_breadth_first_selection(self, monkeypatch, q, p, e, count):
-        # The exact group order must accept the same first generating
-        # involution as the breadth-first closure, so W and V are unchanged.
-        specs = self.moduli(p, e)[:count]
-        pairs = [steinberg_pair(q, spec) for spec in specs]
-        monkeypatch.setattr(ncprism.reps, "permutation_closure_size", permutation_closure_oracle)
-        for spec, pair in zip(specs, pairs):
-            oracle = steinberg_pair(q, spec)
-            assert pair.w.tobytes() == oracle.w.tobytes()
-            assert pair.v.tobytes() == oracle.v.tobytes()
+    def test_involution_matches_breadth_first_selection(self, q, p, e, count):
+        # The orbit count must accept the first involution whose group, listed
+        # by the breadth-first closure, is all of PSL2(F_q): V is the same.
+        for spec in self.moduli(p, e)[:count]:
+            gf = GaloisField(spec)
+            expected = next(c for c in sl2_involutions(gf) if closure_generates(gf, c))
+            points = projective_line(gf)
+            perms = [projective_action(gf, mat, points) for mat in (((0, -1), (1, -1)), expected)]
+            assert recovered_permutations(steinberg_pair(q, spec)) == perms
 
     @pytest.mark.parametrize(
         "q, digest",
@@ -500,19 +509,86 @@ class TestSteinberg:
         ],
     )
     def test_default_modulus_permutations_pinned(self, q, digest):
-        # W and V compress permutation matrices P to the complement of the
-        # all-ones vector, so P = Z X Z* + J / (q + 1) recovers P exactly
-        # after rounding; the digest pins the permutations, not the last
-        # bits of a platform's BLAS.
-        pair = steinberg_pair(q)
-        ones = np.ones((q + 1, 1))
-        z = np.linalg.qr(ones, mode="complete")[0][:, 1:]
-        perms = []
-        for x in (pair.w, pair.v):
-            full = (z @ x @ dagger(z)).real + 1.0 / (q + 1)
-            assert np.abs(full - np.round(full)).max() <= 1e-9
-            perms.append(np.argmax(np.round(full), axis=0))
+        # The digest pins the permutations, not the last bits of a platform's
+        # BLAS.
+        perms = recovered_permutations(steinberg_pair(q))
         assert hashlib.sha256(np.array(perms, dtype=np.int64).tobytes()).hexdigest() == digest
+
+    def test_a_pair_that_is_not_two_transitive_is_refused(self, monkeypatch):
+        # An involution of PSL2(F_7) that generates a proper subgroup with U,
+        # put in place of the classical V: its orders pass, its orbit count
+        # does not.
+        gf = GaloisField(FiniteFieldSpec(7, 1))
+        bad = next(c for c in sl2_involutions(gf) if not closure_generates(gf, c))
+
+        def action(gf, mat, points):
+            return projective_action(gf, bad if mat == ((0, -1), (1, 0)) else mat, points)
+
+        monkeypatch.setattr(ncprism.reps, "projective_action", action)
+        with pytest.raises(RelationCheckFailedError, match="two_transitive"):
+            steinberg_pair(7)
+
+    def test_no_generating_involution_is_refused(self, monkeypatch):
+        def proper(gf):
+            return (c for c in sl2_involutions(gf) if not closure_generates(gf, c))
+
+        monkeypatch.setattr(ncprism.reps, "sl2_involutions", proper)
+        with pytest.raises(UnsupportedQError, match="no involution generating"):
+            steinberg_pair(8)
+
+    @pytest.mark.parametrize("q", [5, 8, 27])
+    def test_no_commutant_solve_and_no_group_order(self, monkeypatch, q):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("steinberg_pair must not call this")
+
+        for module, name in (
+            (ncprism.matkernel, "commutant_dimension"),
+            (ncprism.reps, "commutant_dimension"),
+            (ncprism.finitefield, "permutation_closure_size"),
+        ):
+            monkeypatch.setattr(module, name, forbidden)
+        with ncprism.matkernel.measured() as records:
+            pair = steinberg_pair(q)
+        assert pair.commutant_dim == 1 and pair.provenance == f"steinberg_pair(q={q})"
+        assert [name for name, *_ in records] == [
+            "w_unitary", "w_order_3", "v_unitary", "v_order_2", "two_transitive"
+        ]
+        assert records[-1] == ("two_transitive", 0.0, 0.0, f"steinberg_pair(q={q})")
+
+    # Every modulus the factory benchmark uses at q = 8, 16, 25 and 27.
+    ORACLE_CASES = [(q, None) for q in (4, 5, 7, 8, 11, 13, 16, 25, 27, 49)] + [
+        (q, index) for q, count in ((8, 2), (16, 3), (25, 5), (27, 8)) for index in range(count)
+    ]
+
+    @pytest.mark.parametrize("q, index", ORACLE_CASES)
+    def test_commutant_solve_agrees_with_the_orbit_count(self, q, index):
+        spec = None if index is None else self.moduli(*factor_prime_power(q))[index]
+        pair = steinberg_pair(q, spec)
+        assert commutant_dimension([pair.w, pair.v])[0] == 1
+
+
+def closure_generates(gf, involution) -> bool:
+    """Whether U = [[0, -1], [1, -1]] and the involution generate PSL2(F_q)
+    on P^1(F_q), by the breadth-first closure."""
+    points = projective_line(gf)
+    perms = [projective_action(gf, mat, points) for mat in (((0, -1), (1, -1)), involution)]
+    return permutation_closure_oracle(perms, psl2_order(gf.q)) == psl2_order(gf.q)
+
+
+def recovered_permutations(pair) -> list[list[int]]:
+    """The permutations of P^1(F_q) that a Steinberg pair compresses.
+
+    W and V compress permutation matrices P to the complement of the
+    all-ones vector, so P = Z X Z* + J / (q + 1) recovers P exactly after
+    rounding."""
+    q = pair.dim
+    z = np.linalg.qr(np.ones((q + 1, 1)), mode="complete")[0][:, 1:]
+    perms = []
+    for x in (pair.w, pair.v):
+        full = (z @ x @ dagger(z)).real + 1.0 / (q + 1)
+        assert np.abs(full - np.round(full)).max() <= 1e-9
+        perms.append(np.argmax(np.round(full), axis=0).tolist())
+    return perms
 
 
 class TestTensorAndAssembly:
