@@ -1,10 +1,13 @@
 """Small finite fields GF(p^e) and the projective line P^1(F_q).
 
-Prime fields use integer arithmetic mod p; extension fields use polynomial
-arithmetic modulo an irreducible modulus found by exhaustive search, which
-is adequate for the small degrees (e <= 4) used by the representation
-factory. Field elements are coefficient tuples of length ``e`` in ascending
-powers.
+Field elements are coefficient tuples of length ``e`` in ascending powers,
+modulo an irreducible modulus found by exhaustive search, which is adequate
+for the small degrees used by the representation factory. ``GaloisField``
+numbers the q elements and does all its arithmetic by lookups in index
+tables built once per field (Lidl and Niederreiter, "Finite Fields", on
+log tables), so ``projective_action`` maps all q + 1 points of the
+line in one vectorised pass and ``sl2_involutions`` spends O(q) per first
+entry.
 
 The Steinberg construction certifies that its permutations of P^1(F_q)
 generate PSL2(F_q) and act irreducibly on the complement of the constants
@@ -18,6 +21,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import NoIrreduciblePolynomialError
 
@@ -155,64 +160,79 @@ class FiniteFieldSpec:
 class GaloisField:
     """Arithmetic in GF(p^e); elements are coefficient tuples of length e.
 
-    Multiplication and inversion look up log/antilog tables over a
-    primitive element, built once per field with q - 1 polynomial products
-    per candidate element.
+    The q elements are numbered 0 .. q - 1 in :meth:`elements` order (zero
+    is 0), and all arithmetic is lookups in index tables built once per
+    field: ``_add`` (q x q, digitwise mod p), ``_neg``, ``_mul`` (q x q, from
+    the powers of a primitive element, with a zero row and column) and
+    ``_inv`` (0 at zero, which has no inverse). The tuple methods translate
+    through one tuple -> index dict and one index -> tuple list.
     """
 
     def __init__(self, spec: FiniteFieldSpec):
         self.spec = spec
-        self.p = spec.p
-        self.e = spec.e
-        self.q = spec.q
-        self.zero = (0,) * self.e
-        self.one = (1,) + (0,) * (self.e - 1)
-        self._exp, self._log = self._power_tables()
+        self.p = p = spec.p
+        self.e = e = spec.e
+        self.q = q = spec.q
+        self._elements = list(itertools.product(range(p), repeat=e))
+        self._index = {x: i for i, x in enumerate(self._elements)}
+        self.zero = self._elements[0]
+        self.one = (1,) + (0,) * (e - 1)
+        digits = np.array(self._elements, dtype=np.intp)
+        # The first digit is the most significant: index = digits @ weights.
+        weights = p ** np.arange(e - 1, -1, -1)
+        self._add = np.zeros((q, q), dtype=np.intp)
+        for j in range(e):
+            self._add += (digits[:, j, None] + digits[None, :, j]) % p * weights[j]
+        self._neg = -digits % p @ weights
+        exp = self._powers(digits, weights)
+        log = np.zeros(q, dtype=np.intp)
+        log[exp] = np.arange(q - 1)
+        self._mul = exp[(log[:, None] + log[None, :]) % (q - 1)]
+        self._mul[0, :] = self._mul[:, 0] = 0
+        self._inv = exp[-log % (q - 1)]
+        self._inv[0] = 0
 
-    def _power_tables(self) -> tuple[list, dict]:
-        """Powers of the first primitive element and their exponents."""
-        for g in self.elements()[1:]:
-            powers = [self.one]
-            x = g
-            while x != self.one:
+    def _powers(self, digits: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Indices of g^0 .. g^(q-2) for the first primitive element g.
+
+        Multiplication by g is F_p-linear on digit vectors; its matrix has
+        rows g t^j, each the last times t: shifted up, less its top digit
+        times the modulus. Any primitive element gives the same products."""
+        low = np.array(self.spec.modulus[:-1])
+        one = self.p ** (self.e - 1)
+        for g in range(1, self.q):
+            rows = [digits[g]]
+            for _ in range(self.e - 1):
+                last = rows[-1]
+                rows.append((np.concatenate(([0], last[:-1])) - last[-1] * low) % self.p)
+            times_g = (digits @ np.array(rows) % self.p @ weights).tolist()
+            powers, x = [one], times_g[one]
+            while x != one:
                 powers.append(x)
-                x = self._poly_mul(x, g)
+                x = times_g[x]
             if len(powers) == self.q - 1:
-                return powers, {x: i for i, x in enumerate(powers)}
+                return np.array(powers, dtype=np.intp)
         raise AssertionError("the multiplicative group of a finite field is cyclic")
 
-    def _poly_mul(self, a, b):
-        """Product as polynomials reduced by the modulus (builds the tables)."""
-        prod = [0] * (2 * self.e - 1)
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                prod[i + j] = (prod[i + j] + x * y) % self.p
-        _, rem = _poly_divmod(tuple(prod), self.spec.modulus, self.p)
-        return tuple(rem) + (0,) * (self.e - len(rem))
-
     def elements(self):
-        return [tuple(t) for t in itertools.product(range(self.p), repeat=self.e)]
+        return list(self._elements)
 
     def from_int(self, n: int):
         return ((n % self.p),) + (0,) * (self.e - 1)
 
     def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+        return self._elements[self._add[self._index[a], self._index[b]]]
 
     def neg(self, a):
-        return tuple((-x) % self.p for x in a)
+        return self._elements[self._neg[self._index[a]]]
 
     def mul(self, a, b):
-        if a == self.zero or b == self.zero:
-            return self.zero
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return self._elements[self._mul[self._index[a], self._index[b]]]
 
     def inv(self, a):
         if a == self.zero:
             raise ZeroDivisionError("inverse of zero in a finite field")
-        return self._exp[-self._log[a] % (self.q - 1)]
+        return self._elements[self._inv[self._index[a]]]
 
 
 def projective_line(gf: GaloisField) -> list[tuple[tuple, tuple]]:
@@ -226,27 +246,23 @@ def projective_action(gf: GaloisField, mat, points) -> list[int]:
     """Permutation induced on P^1(F_q) by a 2x2 matrix.
 
     ``mat`` is ((a, b), (c, d)) with integer or field-element entries,
-    mapping [x : y] -> [a x + b y : c x + d y]. Returns perm with
-    perm[i] = index of the image of points[i].
+    mapping [x : y] -> [a x + b y : c x + d y]. ``points`` lists the q + 1
+    points of :func:`projective_line` in any order. Returns perm with
+    perm[i] = index of the image of points[i]. All points are mapped in one
+    pass of table lookups; a point [x : y] is coded by the index of x/y, or
+    by q when y = 0, and codes are turned back into positions in ``points``.
     """
-    def coerce(entry):
-        return gf.from_int(entry) if isinstance(entry, int) else entry
+    add, mul, inv = gf._add, gf._mul, gf._inv
+    a, b, c, d = (gf._index[gf.from_int(x) if isinstance(x, int) else x] for row in mat for x in row)
+    xs, ys = np.array([[gf._index[x], gf._index[y]] for x, y in points], dtype=np.intp).T
 
-    (a, b), (c, d) = mat
-    fa, fb, fc, fd = coerce(a), coerce(b), coerce(c), coerce(d)
-    index = {pt: i for i, pt in enumerate(points)}
+    def normalized(x, y):
+        return np.where(y == 0, gf.q, mul[x, inv[y]])
 
-    def normalize(x, y):
-        if y != gf.zero:
-            return (gf.mul(x, gf.inv(y)), gf.one)
-        return (gf.one, gf.zero)
-
-    perm = []
-    for x, y in points:
-        nx = gf.add(gf.mul(fa, x), gf.mul(fb, y))
-        ny = gf.add(gf.mul(fc, x), gf.mul(fd, y))
-        perm.append(index[normalize(nx, ny)])
-    return perm
+    position = np.empty(gf.q + 1, dtype=np.intp)
+    position[normalized(xs, ys)] = np.arange(len(points))
+    image = normalized(add[mul[a, xs], mul[b, ys]], add[mul[c, xs], mul[d, ys]])
+    return position[image].tolist()
 
 
 def psl2_order(q: int) -> int:
@@ -258,19 +274,24 @@ def sl2_involutions(gf: GaloisField):
     """Projective involutions of PSL2(F_q) in a deterministic order.
 
     These are exactly the determinant-1 matrices of trace zero other than
-    +/- identity, yielded as ((a, b), (c, d)) field-element matrices.
+    +/- identity, yielded lazily as ((a, b), (c, d)) field-element matrices
+    in the order of (a, b, c) in :meth:`GaloisField.elements`. With d = -a,
+    det = 1 reads b c = r, r = -a^2 - 1: b = 0 takes every c when r = 0
+    (but c = 0 when a^2 = 1, the identity), and each b != 0 the one
+    c = r / b, so each a costs O(q).
     """
-    elems = gf.elements()
-    for a in elems:
-        d = gf.neg(a)
-        for b in elems:
-            for c in elems:
-                det = gf.add(gf.mul(a, d), gf.neg(gf.mul(b, c)))
-                if det != gf.one:
-                    continue
-                if b == gf.zero and c == gf.zero and gf.mul(a, a) == gf.one:
-                    continue
-                yield ((a, b), (c, d))
+    elems, one = gf._elements, gf._index[gf.one]
+    add, neg, mul = gf._add, gf._neg, gf._mul
+    zero = elems[0]
+    for a in range(gf.q):
+        square = mul[a, a]
+        r = neg[add[square, one]]
+        row, d = elems[a], elems[neg[a]]
+        if r == 0:
+            for c in range(1 if square == one else 0, gf.q):
+                yield ((row, zero), (elems[c], d))
+        for b, c in enumerate(mul[r, gf._inv[1:]].tolist(), 1):
+            yield ((row, elems[b]), (elems[c], d))
 
 
 def pair_orbit_size(generators) -> int:

@@ -10,10 +10,12 @@ Every constructor requires the residual functions defined beside it (orders
 and relations, symmetries, Hadamard structure, vertex attainment,
 canonical-form reconstruction) and raises rather than returning unverified
 matrices. The S3, A4 and Steinberg pairs also certify irreducibility (the
-first two by a commutant solve, the last by an exact orbit count); tensor
-products record their commutant dimension. The square and Hadamard
-constructors do not compute a commutant; their irreducibility is checked by
-the consumers.
+first two by their presentation and one commutator row, the last by an
+exact orbit count); tensor products record their commutant dimension. The
+square and Hadamard constructors do not compute a commutant; their
+irreducibility is checked by the consumers. A constructor records no row
+that holds by construction, such as the symmetry rows of an exact sign
+diagonal; the residual functions keep every row for re-checks.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from .matkernel import (
     dagger,
     direct_sum,
     hermitize,
-    irreducibility_residual,
     opnorm,
     order_residuals,
     prefixed,
@@ -144,9 +145,12 @@ def symmetry_tuple_residuals(mats) -> list[Residual]:
     return [r for i, m in enumerate(mats) for r in prefixed(f"s{i}_", symmetry_residuals(m))]
 
 
-def _verified_tuple(mats, provenance: str) -> SymmetryTuple:
-    st = SymmetryTuple(mats, provenance)
-    require(symmetry_tuple_residuals(st.mats), NotSymmetryError, provenance)
+def _verified_tuple(first, second, provenance: str) -> SymmetryTuple:
+    """The pair of symmetries (first, second), with only the second checked:
+    the first is an exact +-1 diagonal, a symmetry by construction, which
+    :func:`symmetry_tuple_residuals` keeps for re-checks."""
+    st = SymmetryTuple([first, second], provenance)
+    require(prefixed("s1_", symmetry_residuals(st.mats[1])), NotSymmetryError, provenance)
     return st
 
 
@@ -198,7 +202,7 @@ def square_irrep(lam: float) -> SymmetryTuple:
             f"lambda must lie strictly in (-1, 1), got {lam}"
         )
     u1 = np.diag([-1.0, 1.0]).astype(complex)
-    return _verified_tuple([u1, _lambda_block(lam)], f"square_irrep(lambda={lam})")
+    return _verified_tuple(u1, _lambda_block(lam), f"square_irrep(lambda={lam})")
 
 
 def universal_square_pair(lambdas) -> SymmetryTuple:
@@ -218,7 +222,7 @@ def universal_square_pair(lambdas) -> SymmetryTuple:
             raise LambdaOutOfRangeError(f"coupling {lam} outside (-1, 1]")
     big1 = direct_sum(*[np.diag([-1.0, 1.0])] * len(lambdas))
     big2 = direct_sum(*[_lambda_block(lam) for lam in lambdas])
-    return _verified_tuple([big1, big2], f"universal_square_pair(n={len(lambdas)})")
+    return _verified_tuple(big1, big2, f"universal_square_pair(n={len(lambdas)})")
 
 
 def two_symmetry_canonical_form(v1, v2) -> CanonicalForm:
@@ -324,7 +328,11 @@ def hadamard_symmetries(m: int) -> SymmetryTuple:
         h = np.kron(h, h2)
     mats.append((h / math.sqrt(n)).astype(complex))
     st = SymmetryTuple(mats, provenance=f"hadamard_symmetries(m={m})")
-    require(hadamard_residuals(st.mats), NotSymmetryError, st.provenance)
+    # The heads are exact sign diagonals and the last entry an exactly
+    # symmetric real matrix: only its square can miss (hadamard_residuals
+    # keeps the other rows for re-checks).
+    squares = symmetry_residuals(st.mats[-1])[1:]
+    require(prefixed(f"s{m}_", squares), NotSymmetryError, st.provenance)
     return st
 
 
@@ -367,7 +375,9 @@ def prism_vertex_rep(k: int, j: int, sign: int) -> tuple[RepPair, np.ndarray]:
     v = sign * direct_sum(swap, np.eye(k - 2))
     xi = np.ones(k, dtype=complex) / math.sqrt(k)
     pair = RepPair(w, v, k, provenance=f"prism_vertex_rep(k={k}, j={j}, sign={sign:+d})")
-    residuals = [*pair_residuals(pair), *vertex_residuals(pair, xi, j, sign)]
+    # V is an exact signed swap, so only W's rows can move (pair_residuals
+    # keeps V's for re-checks).
+    residuals = [*prefixed("w_", order_residuals(pair.w, k)), *vertex_residuals(pair, xi, j, sign)]
     require(residuals, RelationCheckFailedError, pair.provenance)
     return pair, xi
 
@@ -451,25 +461,38 @@ def generated_group_order(generators) -> int:
     return order
 
 
-def _verified_pair(w, v, k: int, provenance: str, relations=()) -> RepPair:
-    """Build a RepPair, check its orders and relations and certify irreducibility."""
+def _verified_pair(w, v, k: int, provenance: str, relations) -> RepPair:
+    """Build a RepPair and check its orders and the rows of ``relations``,
+    which certify irreducibility (see :data:`S3_RELATIONS`)."""
     pair = RepPair(w, v, k, provenance=provenance)
-    residuals = [*pair_residuals(pair, relations), irreducibility_residual([pair.w, pair.v])]
-    require(residuals, RelationCheckFailedError, provenance)
+    require(pair_residuals(pair, relations), RelationCheckFailedError, provenance)
     pair.commutant_dim = 1
     return pair
 
 
-S3_RELATIONS = (("VWV = W^-1", lambda w, v: opnorm(v @ w @ v - w @ w), ALG_TOL),)
-"""The S3 relation (VW)^2 = 1 as ``(name, residual of (W, V), bound)`` rows
-for :func:`pair_residuals`. With W^3 = V^2 = 1, (VW)^2 = 1 presents S3 and
-(WV)^3 = 1 presents A4 (Coxeter and Moser, "Generators and Relations for
-Discrete Groups", 1957). Every proper quotient of either group is abelian,
-so has no irreducible pair of dimension >= 2: commutant_dimension_1 fixes
-the group of a 2-dimensional S3 or 3-dimensional A4 pair, and no group
-closure is enumerated."""
-A4_RELATIONS = (("WVW = VW^2V", lambda w, v: opnorm(w @ v @ w - v @ w @ w @ v), ALG_TOL),)
-"""The A4 relation (WV)^3 = 1, written WVW = VW^2V (see :data:`S3_RELATIONS`)."""
+# The commutator row of the S3 and A4 certificates (see S3_RELATIONS).
+_NONCOMMUTING = ("||WV - VW||_F >= 1", lambda w, v: 1.0 - float(np.linalg.norm(w @ v - v @ w)), 0.0)
+
+S3_RELATIONS = (("VWV = W^-1", lambda w, v: opnorm(v @ w @ v - w @ w), ALG_TOL), _NONCOMMUTING)
+"""The S3 relation (VW)^2 = 1 and the commutator row, as ``(name, residual
+of (W, V), bound)`` rows for :func:`pair_residuals`; with the orders they
+certify an irreducible S3 pair with no commutant solve.
+
+With W^3 = V^2 = 1, (VW)^2 = 1 presents S3 and (WV)^3 = 1 presents A4
+(Coxeter and Moser, "Generators and Relations for Discrete Groups", 1957).
+The orders and the relation, each met within its tolerance, put (W, V)
+within O(ALG_TOL) of a true unitary representation of the group (Kazhdan
+1982, "On epsilon-representations": near-representations of a finite group
+are near true ones). Every proper quotient of S3 or A4 is abelian, so a
+representation with a proper image has WV = VW; and every reducible
+representation of dimension 2 (S3) or 3 (A4) is a sum of characters, so it
+commutes too. The irreducible one has ||WV - VW||_F = sqrt(6) (S3) or
+2 sqrt(2) (A4), a unitary invariant. So the row 1 - ||WV - VW||_F <= 0
+separates the irreducible pair, and fixes its group, with a margin far
+above the tolerances; no group closure is enumerated."""
+A4_RELATIONS = (("WVW = VW^2V", lambda w, v: opnorm(w @ v @ w - v @ w @ w @ v), ALG_TOL), _NONCOMMUTING)
+"""The A4 relation (WV)^3 = 1, written WVW = VW^2V, and the commutator row
+(see :data:`S3_RELATIONS`)."""
 
 
 def s3_pair() -> RepPair:
@@ -497,9 +520,9 @@ def a4_pair() -> RepPair:
 
 
 # The largest dimension steinberg_pair and assemble_dimension build. The
-# Steinberg pair takes 0.07 s at q = 257, 0.16 s at q = 383 and 0.44 s at
-# q = 512 (one BLAS thread), in about equal parts the orbit count, the
-# products that compress the permutation matrices, and the order checks.
+# Steinberg pair takes 0.07 s at q = 257, 0.18 s at q = 383 and 0.36 s at
+# q = 512 (one BLAS thread), mostly the orbit count, then the order checks;
+# the compression gathers columns and takes one product per generator.
 _PAIR_MAX_DIM = 512
 
 
@@ -565,12 +588,11 @@ def steinberg_pair(q: int, field: FiniteFieldSpec | None = None) -> RepPair:
                 "order-3 element was found"
             )
 
-    # Column src of a permutation matrix is the basis vector e_perm[src].
-    pu, pv = (np.eye(q + 1, dtype=complex)[:, perm] for perm in (perm_u, perm_v))
-    ones = np.ones((q + 1, 1))
-    qmat, _ = np.linalg.qr(ones, mode="complete")
-    z = qmat[:, 1:]
-    pair = RepPair(dagger(z) @ pu @ z, dagger(z) @ pv @ z, 3, provenance=f"steinberg_pair(q={q})")
+    # Column src of the permutation matrix P is e_perm[src], so Z* P = Z*[:, perm].
+    qmat, _ = np.linalg.qr(np.ones((q + 1, 1)), mode="complete")
+    z = qmat[:, 1:].astype(complex)
+    zh = dagger(z)
+    pair = RepPair(zh[:, perm_u] @ z, zh[:, perm_v] @ z, 3, provenance=f"steinberg_pair(q={q})")
     residuals = [*pair_residuals(pair), ("two_transitive", float(pairs - orbit), 0.0)]
     require(residuals, RelationCheckFailedError, pair.provenance)
     pair.commutant_dim = 1
@@ -603,11 +625,11 @@ def assemble_dimension(n: int) -> RepPair:
     Dimension 1 is the trivial character, 2 the S3 pair, 3 the A4 pair,
     prime powers q > 3 (q != 9) the Steinberg pair, and composite n the
     tensor product over the prime-power factorization. A factor equal to 9
-    has no building block here and raises AssemblyFailedError. The result
-    records its commutant dimension: 1 for a single block, and the one
-    ``tensor_pair`` computes for a product. A dimension
-    above ``_PAIR_MAX_DIM`` raises ``SizeBudgetExceededError`` before any
-    block is built.
+    has no building block here and raises AssemblyFailedError before any
+    block is built. The result records its commutant dimension: 1 for a
+    single block, and the one ``tensor_pair`` computes for a product. A
+    dimension above ``_PAIR_MAX_DIM`` raises ``SizeBudgetExceededError``
+    before any block is built.
     """
     if n < 1:
         raise IndexOutOfRangeError(f"dimension must be >= 1, got {n}")
@@ -616,19 +638,13 @@ def assemble_dimension(n: int) -> RepPair:
     if n == 1:
         return prism_character(3, 0, 1)
 
-    blocks = []
-    for f in sorted(p**e for p, e in prime_factors(n)):
-        if f == 2:
-            blocks.append(s3_pair())
-        elif f == 3:
-            blocks.append(a4_pair())
-        elif f == 9:
-            raise AssemblyFailedError(
-                f"dimension {n} requires a block of dimension 9, for which the "
-                "projective-line construction is unavailable (q = 9 is rejected)"
-            )
-        else:
-            blocks.append(steinberg_pair(f))
+    factors = sorted(p**e for p, e in prime_factors(n))
+    if 9 in factors:
+        raise AssemblyFailedError(
+            f"dimension {n} requires a block of dimension 9, for which the "
+            "projective-line construction is unavailable (q = 9 is rejected)"
+        )
+    blocks = [s3_pair() if f == 2 else a4_pair() if f == 3 else steinberg_pair(f) for f in factors]
 
     pair = blocks[0]
     for nxt in blocks[1:]:

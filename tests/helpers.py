@@ -106,3 +106,19 @@ def commutant_oracle(mats):
     _, s, vh = np.linalg.svd(stack, full_matrices=False)
     null = vh[s <= SPEC_TOL * n].conj()
     return len(null), null.T @ null.conj()
+
+
+def poly_mul(a, b, modulus, p):
+    """Product of two GF(p^e) elements, coefficient tuples in ascending
+    powers, by schoolbook multiplication and long division by the monic
+    ``modulus``: the polynomial arithmetic the field tables must agree with."""
+    e = len(modulus) - 1
+    prod = [0] * (2 * e - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for top in range(len(prod) - 1, e - 1, -1):
+        coef = prod[top]
+        for i, m in enumerate(modulus):
+            prod[top - e + i] = (prod[top - e + i] - coef * m) % p
+    return tuple(prod[:e])

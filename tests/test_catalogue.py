@@ -72,6 +72,10 @@ CASES = {
     "VWV = W^-1": lambda on: reps.pair_residuals(
         reps.RepPair(S3.w, shift(S3.v, on), 3), relations=reps.S3_RELATIONS[:1]
     ),
+    # W = 1 with the S3 pair's V meets the orders and VWV = W^-1, but commutes.
+    "||WV - VW||_F >= 1": lambda on: reps.pair_residuals(
+        reps.RepPair(np.eye(2) if on else S3.w, S3.v, 3), relations=reps.S3_RELATIONS
+    ),
     "s0_squares_to_identity": lambda on: reps.symmetry_tuple_residuals(
         [shift(SQUARE[0], on), SQUARE[1]]
     ),
@@ -288,33 +292,48 @@ def _dual_refutation():
     assert verdict.witness.provenance == "dual_witness(k=3, level=2)"
 
 
+# The rows each construction must not record besides the common ones: an S3
+# or A4 pair solves no commutant, and exact sign diagonals, an exactly
+# symmetric Kronecker power and an exact signed swap are symmetries or
+# unitaries of their order by construction.
+_SOLVED = {"commutant_dimension_1", "basis_commutes", "basis_orthonormal"}
+
+
 @pytest.mark.parametrize(
-    "build, label",
+    "build, label, exact",
     [
-        (reps.s3_pair, None),
-        (reps.a4_pair, None),
-        (lambda: dilation.halmos_symmetry(HALF), None),
-        (lambda: dilation.halmos_unitary(HALF), None),
-        (lambda: dilation.naimark_normal(POVM), "naimark_normal"),
-        (lambda: dilation.cube_dilation([HALF, B]), None),
-        (lambda: dilation.joint_prism_dilation(A, B, 3), "joint_prism_dilation(k=3, level=1)"),
+        (reps.s3_pair, None, _SOLVED),
+        (reps.a4_pair, None, _SOLVED),
+        (lambda: dilation.halmos_symmetry(HALF), None, set()),
+        (lambda: dilation.halmos_unitary(HALF), None, set()),
+        (lambda: dilation.naimark_normal(POVM), "naimark_normal", set()),
+        (lambda: dilation.cube_dilation([HALF, B]), None, set()),
+        (lambda: dilation.joint_prism_dilation(A, B, 3), "joint_prism_dilation(k=3, level=1)", set()),
         (
             lambda: dilation.joint_prism_dilation(
                 *convexity.random_prism_point(np.random.default_rng(1), 3, 4, scale=0.8), 4
             ),
             "joint_prism_dilation(k=4, level=3)",
+            set(),
         ),
-        (_dual_refutation, "dual_witness(k=3, level=2)"),
+        (_dual_refutation, "dual_witness(k=3, level=2)", set()),
+        (lambda: reps.square_irrep(0.3), None, {"s0_selfadjoint", "s0_squares_to_identity"}),
+        (lambda: reps.hadamard_symmetries(2), None, {"heads_diagonal_signs", "s2_selfadjoint"}),
+        (lambda: reps.prism_vertex_rep(4, 1, -1), None, {"v_unitary", "v_order_2"}),
     ],
-    ids=["s3", "a4", "halmos_symmetry", "halmos_unitary", "naimark", "cube", "joint_k3", "joint_k4", "dual_witness"],
+    ids=[
+        "s3", "a4", "halmos_symmetry", "halmos_unitary", "naimark", "cube", "joint_k3", "joint_k4",
+        "dual_witness", "square", "hadamard", "vertex",
+    ],
 )
-def test_constructions_record_only_rows_their_arithmetic_can_move(build, label):
+def test_constructions_record_only_rows_their_arithmetic_can_move(build, label, exact):
     # A corner, N's diagonal or a group order fixed by the presentation holds
     # by construction; the residual functions keep them for re-checks.
     with matkernel.measured() as records:
         build()
     names = {name for name, *_ in records}
     assert names and not names & {"group_order_6", "group_order_12", "corner", "labels_on_diagonal", "v_corner"}
+    assert not names & exact
     # The Naimark rows carry the label of the construction that ran, as the
     # dilation's other rows do.
     naimark = {what for name, *_, what in records if name in ("isometry", "compression")}

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -71,19 +72,26 @@ class TestRepAndCommutant:
     def test_s3_reports_orders_and_relations(self, capsys, monkeypatch):
         _, out, _ = run_cli(capsys, monkeypatch, ["rep", "s3", "--json"])
         checks = {c["name"]: c for c in json.loads(out)["report"]["checks"]}
-        names = ("w_unitary", "w_order_3", "v_unitary", "v_order_2", "VWV = W^-1", "commutant_dimension_1")
+        names = ("w_unitary", "w_order_3", "v_unitary", "v_order_2", "VWV = W^-1", "||WV - VW||_F >= 1")
         for name in names:
             assert checks[name]["passed"] and checks[name]["residual"] <= checks[name]["bound"]
-        # The relation and irreducibility fix the group: no order row.
-        assert "group_order_6" not in checks
+        # The relation and the commutator row fix the group and its
+        # irreducibility: no order row and no commutant solve.
+        assert not checks.keys() & {"group_order_6", "commutant_dimension_1", "basis_commutes"}
 
     def test_s3_report_is_what_the_factory_measured(self, capsys, monkeypatch):
         _, out, _ = run_cli(capsys, monkeypatch, ["rep", "s3", "--json"])
         checks = json.loads(out)["report"]["checks"]
         assert [c["name"] for c in checks].count("VWV = W^-1") == 1
-        irreducible = [c for c in checks if c["name"] == "commutant_dimension_1"]
+        irreducible = [c for c in checks if c["name"] == "||WV - VW||_F >= 1"]
         assert irreducible == [
-            {"name": "commutant_dimension_1", "passed": True, "residual": 0.0, "bound": 0.0, "of": "s3_pair"}
+            {
+                "name": "||WV - VW||_F >= 1",
+                "passed": True,
+                "residual": pytest.approx(1.0 - math.sqrt(6.0), abs=1e-12),
+                "bound": 0.0,
+                "of": "s3_pair",
+            }
         ]
 
     @pytest.mark.parametrize(

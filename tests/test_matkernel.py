@@ -949,10 +949,10 @@ class TestMeasured:
                 square = square_irrep(0.3)
             hadamard_symmetries(1)
         assert {what for *_, what in inner} == {square.provenance}
-        assert {what for *_, what in outer} == {"commutant basis", "s3_pair", "hadamard_symmetries(m=1)"}
+        assert {what for *_, what in outer} == {"s3_pair", "hadamard_symmetries(m=1)"}
         # In check order, each with the bound it was checked against.
         names = [name for name, _, _, what in outer if what == "s3_pair"]
-        assert names[:2] == ["w_unitary", "w_order_3"] and names[-1] == "commutant_dimension_1"
+        assert names[:2] == ["w_unitary", "w_order_3"] and names[-1] == "||WV - VW||_F >= 1"
         assert all(value <= bound for _, value, bound, _ in outer + inner)
 
 

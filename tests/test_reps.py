@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from helpers import (
     closure_order_oracle,
     permutation_closure_oracle,
+    poly_mul,
     random_unitary,
     within_bounds,
     worst,
@@ -68,6 +70,10 @@ from ncprism.reps import (
     universal_square_pair,
     vertex_residuals,
 )
+
+
+# The row that certifies the S3 and A4 pairs irreducible.
+NONCOMMUTING = "||WV - VW||_F >= 1"
 
 
 class TestSquareIrrep:
@@ -331,11 +337,27 @@ class TestGroupPairs:
 
     def test_reducible_pair_with_the_s3_relation_is_refused(self):
         # W = 1 and V = diag(1, -1) satisfy the orders and VWV = W^-1 but
-        # generate Z2, not S3: irreducibility is what fixes the group.
+        # generate Z2, not S3: they commute, and the commutator row refuses
+        # them.
         w, v = np.eye(2), np.diag([1.0, -1.0])
-        assert within_bounds(pair_residuals(ncprism.reps.RepPair(w, v, 3), S3_RELATIONS))
-        with pytest.raises(RelationCheckFailedError, match="commutant_dimension_1"):
+        assert within_bounds(pair_residuals(ncprism.reps.RepPair(w, v, 3), S3_RELATIONS[:1]))
+        with pytest.raises(RelationCheckFailedError, match=re.escape(f"{NONCOMMUTING} residual 1.000e+00")):
             ncprism.reps._verified_pair(w, v, 3, "reducible", S3_RELATIONS)
+
+    @pytest.mark.parametrize(
+        "factory, relations, norm",
+        [(s3_pair, S3_RELATIONS, math.sqrt(6.0)), (a4_pair, A4_RELATIONS, 2.0 * math.sqrt(2.0))],
+        ids=["s3", "a4"],
+    )
+    def test_commutator_row_is_the_irreducible_norm(self, factory, relations, norm):
+        # ||WV - VW||_F is a unitary invariant of the irreducible pair: the
+        # same in any frame, and far from the bound 1 that separates it from
+        # every commuting (reducible) pair.
+        pair = factory()
+        u = random_unitary(np.random.default_rng(3), pair.dim)
+        for w, v in ((pair.w, pair.v), (u @ pair.w @ dagger(u), u @ pair.v @ dagger(u))):
+            rows = {name: value for name, value, _ in pair_residuals(ncprism.reps.RepPair(w, v, 3), relations)}
+            assert rows[NONCOMMUTING] == pytest.approx(1.0 - norm, abs=1e-12)
 
 
 def projective_perm_oracle(q, mat):
@@ -358,33 +380,76 @@ def projective_perm_oracle(q, mat):
 class TestFiniteField:
     FIELDS = [(5, 1), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]
 
-    @pytest.mark.parametrize("p, e", FIELDS)
-    def test_tables_match_polynomial_arithmetic(self, p, e):
-        from ncprism.finitefield import GaloisField
-
+    @staticmethod
+    def oracle(p, e):
+        """The field with its elements, and the oracle's digitwise addition
+        and negation and polynomial product."""
         gf = GaloisField(FiniteFieldSpec(p, e))
-        elems = gf.elements()
+
+        def add(a, b):
+            return tuple((x + y) % p for x, y in zip(a, b))
+
+        def neg(a):
+            return tuple(-x % p for x in a)
+
+        def mul(a, b):
+            return poly_mul(a, b, gf.spec.modulus, p)
+
+        return gf, gf.elements(), add, neg, mul
+
+    @pytest.mark.parametrize("p, e", FIELDS + [(2, 5), (3, 4)])
+    def test_tables_match_polynomial_arithmetic(self, p, e):
+        gf, elems, add, neg, mul = self.oracle(p, e)
+        assert elems == [tuple(t) for t in itertools.product(range(p), repeat=e)]
+        assert gf.zero == elems[0] and gf.one == (1,) + (0,) * (e - 1)
         for a in elems:
             for b in elems:
-                assert gf.mul(a, b) == gf._poly_mul(a, b)
+                assert gf.add(a, b) == add(a, b)
+                assert gf.mul(a, b) == mul(a, b)
+            assert gf.neg(a) == neg(a)
             if a != gf.zero:
-                assert gf._poly_mul(a, gf.inv(a)) == gf.one
+                assert mul(a, gf.inv(a)) == gf.one
+        with pytest.raises(ZeroDivisionError):
+            gf.inv(gf.zero)
 
-    @pytest.mark.parametrize("p, e", [(2, 3), (3, 2)])
+    @pytest.mark.parametrize("p, e", [(2, 3), (3, 2), (5, 2), (2, 4)])
     def test_involutions_in_enumeration_order(self, p, e):
-        from ncprism.finitefield import GaloisField, sl2_involutions
-
-        gf = GaloisField(FiniteFieldSpec(p, e))
-        elems, mul = gf.elements(), gf._poly_mul
+        gf, elems, add, neg, mul = self.oracle(p, e)
         expected = [
-            ((a, b), (c, gf.neg(a)))
+            ((a, b), (c, neg(a)))
             for a in elems
             for b in elems
             for c in elems
-            if gf.add(mul(a, gf.neg(a)), gf.neg(mul(b, c))) == gf.one
+            if add(mul(a, neg(a)), neg(mul(b, c))) == gf.one
             and not (b == c == gf.zero and mul(a, a) == gf.one)
         ]
         assert list(sl2_involutions(gf)) == expected
+
+    @pytest.mark.parametrize("p, e", [(2, 3), (5, 2)])
+    def test_projective_action_matches_oracle(self, p, e):
+        gf, elems, add, neg, mul = self.oracle(p, e)
+        points = projective_line(gf)
+
+        def image(a, b, c, d, x, y):
+            nx, ny = add(mul(a, x), mul(b, y)), add(mul(c, x), mul(d, y))
+            if ny == gf.zero:
+                return (gf.one, gf.zero)
+            return (mul(nx, next(z for z in elems if mul(ny, z) == gf.one)), gf.one)
+
+        # U, the first involutions, and matrices with entries across the field.
+        mats = [((0, -1), (1, -1))] + list(itertools.islice(sl2_involutions(gf), 12))
+        mats += [((elems[i], elems[-1]), (elems[1], elems[i - 1])) for i in range(3, len(elems), 5)]
+        for mat in mats:
+            a, b, c, d = (gf.from_int(x) if isinstance(x, int) else x for row in mat for x in row)
+            if add(mul(a, d), neg(mul(b, c))) == gf.zero:
+                continue
+            perm = projective_action(gf, mat, points)
+            assert [points[i] for i in perm] == [image(a, b, c, d, x, y) for x, y in points]
+        # The points may come in any order.
+        shuffled = points[::-1]
+        assert [shuffled[i] for i in projective_action(gf, mats[0], shuffled)] == [
+            points[i] for i in projective_action(gf, mats[0], points)
+        ][::-1]
 
 
 class TestSteinberg:
@@ -536,24 +601,33 @@ class TestSteinberg:
         with pytest.raises(UnsupportedQError, match="no involution generating"):
             steinberg_pair(8)
 
-    @pytest.mark.parametrize("q", [5, 8, 27])
+    @pytest.mark.parametrize("q", [5, 8, 27, "s3", "a4"])
     def test_no_commutant_solve_and_no_group_order(self, monkeypatch, q):
         def forbidden(*args, **kwargs):
-            raise AssertionError("steinberg_pair must not call this")
+            raise AssertionError("the factory must not call this")
 
         for module, name in (
             (ncprism.matkernel, "commutant_dimension"),
             (ncprism.reps, "commutant_dimension"),
             (ncprism.finitefield, "permutation_closure_size"),
+            (ncprism.reps, "generated_group_order"),
         ):
             monkeypatch.setattr(module, name, forbidden)
+        build, provenance, certificate = {
+            "s3": (s3_pair, "s3_pair", ["VWV = W^-1", NONCOMMUTING]),
+            "a4": (a4_pair, "a4_pair", ["WVW = VW^2V", NONCOMMUTING]),
+        }.get(q, (lambda: steinberg_pair(q), f"steinberg_pair(q={q})", ["two_transitive"]))
         with ncprism.matkernel.measured() as records:
-            pair = steinberg_pair(q)
-        assert pair.commutant_dim == 1 and pair.provenance == f"steinberg_pair(q={q})"
+            pair = build()
+        assert pair.commutant_dim == 1 and pair.provenance == provenance
         assert [name for name, *_ in records] == [
-            "w_unitary", "w_order_3", "v_unitary", "v_order_2", "two_transitive"
+            "w_unitary", "w_order_3", "v_unitary", "v_order_2", *certificate
         ]
-        assert records[-1] == ("two_transitive", 0.0, 0.0, f"steinberg_pair(q={q})")
+        assert {what for *_, what in records} == {provenance}
+        if isinstance(q, str):
+            assert records[-1][1:3] == (pytest.approx(1.0 - np.linalg.norm(pair.w @ pair.v - pair.v @ pair.w)), 0.0)
+        else:
+            assert records[-1] == ("two_transitive", 0.0, 0.0, provenance)
 
     # Every modulus the factory benchmark uses at q = 8, 16, 25 and 27.
     ORACLE_CASES = [(q, None) for q in (4, 5, 7, 8, 11, 13, 16, 25, 27, 49)] + [
@@ -638,6 +712,21 @@ class TestTensorAndAssembly:
             assemble_dimension(9)
         with pytest.raises(AssemblyFailedError):
             assemble_dimension(18)
+
+    @pytest.mark.parametrize("n", [9, 18, 45, 90])
+    def test_nine_is_refused_before_any_block_is_built(self, monkeypatch, n):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("no block may be built")
+
+        for name in ("s3_pair", "a4_pair", "steinberg_pair", "tensor_pair"):
+            monkeypatch.setattr(ncprism.reps, name, forbidden)
+        message = (
+            f"dimension {n} requires a block of dimension 9, for which the "
+            "projective-line construction is unavailable (q = 9 is rejected)"
+        )
+        with pytest.raises(AssemblyFailedError) as caught:
+            assemble_dimension(n)
+        assert str(caught.value) == message
 
     def test_twentyseven_uses_field_cube(self):
         # 27 = 3^3 is a legitimate prime power distinct from 9.
