@@ -17,7 +17,7 @@ imports the library modules it calls, so a process loads only what its
 command runs.
 
 Exit codes: 0 success or true verdict, 1 false or refuted verdict,
-2 usage, input, file or runtime error, 3 unknown verdict.
+2 usage, input, file, memory or runtime error, 3 unknown verdict.
 """
 
 from __future__ import annotations
@@ -354,7 +354,7 @@ def main(argv=None) -> int:
             artifact, exit_code, *table = _COMMANDS[args.command][1](args, payload)
         _render(args, text, records, artifact, *table)
         return exit_code
-    except (NcprismError, OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (NcprismError, OSError, ValueError, KeyError, TypeError, MemoryError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

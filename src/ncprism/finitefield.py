@@ -9,12 +9,12 @@ log tables), so ``projective_action`` maps all q + 1 points of the
 line in one vectorised pass and ``sl2_involutions`` spends O(q) per first
 entry.
 
-The Steinberg construction certifies that its permutations of P^1(F_q)
-generate PSL2(F_q) and act irreducibly on the complement of the constants
-by one exact count, ``pair_orbit_size``: an ordered pair of points has an
-orbit of size q(q + 1) exactly when the group acts 2-transitively.
-``permutation_closure_size`` gives the exact order of a permutation group
-by deterministic Schreier-Sims, without listing its elements.
+The Steinberg construction picks and certifies its involution by
+``generates_psl2``, a trace rule (Macbeath 1969) that decides in a few
+table lookups whether it generates PSL2(F_q) with the fixed order-3
+element. ``permutation_closure_size`` gives the exact order of a
+permutation group by deterministic Schreier-Sims, without listing its
+elements.
 """
 
 from __future__ import annotations
@@ -35,9 +35,8 @@ __all__ = [
     "find_irreducible",
     "projective_line",
     "projective_action",
-    "psl2_order",
     "sl2_involutions",
-    "pair_orbit_size",
+    "generates_psl2",
     "permutation_closure_size",
 ]
 
@@ -242,32 +241,23 @@ def projective_line(gf: GaloisField) -> list[tuple[tuple, tuple]]:
     return points
 
 
-def projective_action(gf: GaloisField, mat, points) -> list[int]:
-    """Permutation induced on P^1(F_q) by a 2x2 matrix.
+def projective_action(gf: GaloisField, mat) -> list[int]:
+    """Permutation induced on P^1(F_q) by an invertible 2x2 matrix.
 
     ``mat`` is ((a, b), (c, d)) with integer or field-element entries,
-    mapping [x : y] -> [a x + b y : c x + d y]. ``points`` lists the q + 1
-    points of :func:`projective_line` in any order. Returns perm with
-    perm[i] = index of the image of points[i]. All points are mapped in one
-    pass of table lookups; a point [x : y] is coded by the index of x/y, or
-    by q when y = 0, and codes are turned back into positions in ``points``.
+    mapping [x : y] -> [a x + b y : c x + d y]. Returns perm with perm[i] the
+    position in :func:`projective_line` of the image of its i-th point. That
+    list puts [x : 1] at the index of x and [1 : 0] at q, so one pass of
+    table lookups maps every point, and an image [x : y] is at the index of
+    x / y, or at q when y = 0.
     """
     add, mul, inv = gf._add, gf._mul, gf._inv
     a, b, c, d = (gf._index[gf.from_int(x) if isinstance(x, int) else x] for row in mat for x in row)
-    xs, ys = np.array([[gf._index[x], gf._index[y]] for x, y in points], dtype=np.intp).T
-
-    def normalized(x, y):
-        return np.where(y == 0, gf.q, mul[x, inv[y]])
-
-    position = np.empty(gf.q + 1, dtype=np.intp)
-    position[normalized(xs, ys)] = np.arange(len(points))
-    image = normalized(add[mul[a, xs], mul[b, ys]], add[mul[c, xs], mul[d, ys]])
-    return position[image].tolist()
-
-
-def psl2_order(q: int) -> int:
-    """Order of PSL2(F_q)."""
-    return q * (q * q - 1) // (1 if q % 2 == 0 else 2)
+    one = gf._index[gf.one]
+    xs = np.append(np.arange(gf.q), one)
+    ys = np.append(np.full(gf.q, one), 0)
+    x, y = add[mul[a, xs], mul[b, ys]], add[mul[c, xs], mul[d, ys]]
+    return np.where(y == 0, gf.q, mul[x, inv[y]]).tolist()
 
 
 def sl2_involutions(gf: GaloisField):
@@ -294,29 +284,39 @@ def sl2_involutions(gf: GaloisField):
             yield ((row, elems[b]), (elems[c], d))
 
 
-def pair_orbit_size(generators) -> int:
-    """Size of the orbit of the ordered pair (0, 1) under the group the
-    permutations generate: n(n - 1) exactly when it acts 2-transitively.
+def generates_psl2(gf: GaloisField, v) -> bool:
+    """Whether U = [[0, -1], [1, -1]] and an involution v of
+    :func:`sl2_involutions` generate PSL2(F_q), for q >= 4 and q != 9.
 
-    ``generators`` permute one range(n), n >= 2, as in
-    :func:`permutation_closure_size`. One flag per ordered pair, and a stack
-    of the pairs found but not yet moved: a finite group's orbit is closed
-    under its generators alone."""
-    gens = _permutations(generators)
-    n = len(gens[0])
-    if n < 2:
-        raise ValueError(f"the pair (0, 1) needs at least 2 points, got {n}")
-    seen = bytearray(n * n)
-    seen[1] = 1
-    stack = [(0, 1)]
-    while stack:
-        a, b = stack.pop()
-        for g in gens:
-            x, y = g[a], g[b]
-            if not seen[x * n + y]:
-                seen[x * n + y] = 1
-                stack.append((x, y))
-    return seen.count(1)
+    U has trace -1 and v = ((a, b), (c, -a)) trace 0, so by Macbeath's
+    classification of the pairs of SL2(F_q) by their traces (Macbeath 1969,
+    "Generators of the linear fractional groups") and Dickson's list of the
+    subgroups of PSL2(F_q), the group <U, v> is fixed up to conjugacy by
+    gamma = tr Uv = a + b - c. It is a proper subgroup exactly when
+      - gamma^2 = 3: tr [U, v] = gamma^2 - 1 = 2, a singular pair with a
+        common fixed point on P^1;
+      - gamma = 0, gamma^2 = 1 or gamma^2 = 2: Uv has order 2, 3 or 4, and
+        the group is S3, A4 or S4;
+      - gamma^2 = +/- gamma + 1: Uv has order 5 and the group is A5, which
+        is all of PSL2(F_q) only at q = 4 and q = 5;
+      - gamma^2 lies in a proper subfield F_(p^f), tested by
+        (gamma^2)^(p^f) = gamma^2 for each maximal proper divisor f of e:
+        the group is PSL2 or PGL2 of that subfield.
+    """
+    (a, b), (c, _) = v
+    gamma = gf.add(gf.add(a, b), gf.neg(c))
+    square = gf.mul(gamma, gamma)
+    if square in [gf.from_int(n) for n in range(4)]:
+        return False
+    if gf.q not in (4, 5) and square in (gf.add(gamma, gf.one), gf.add(gf.neg(gamma), gf.one)):
+        return False
+    for r, _ in prime_factors(gf.e):
+        power = square
+        for _ in range(gf.p ** (gf.e // r) - 1):
+            power = gf.mul(power, square)
+        if power == square:
+            return False
+    return True
 
 
 def permutation_closure_size(generators, limit: int) -> int:

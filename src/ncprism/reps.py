@@ -10,8 +10,8 @@ Every constructor requires the residual functions defined beside it (orders
 and relations, symmetries, Hadamard structure, vertex attainment,
 canonical-form reconstruction) and raises rather than returning unverified
 matrices. The S3, A4 and Steinberg pairs also certify irreducibility (the
-first two by their presentation and one commutator row, the last by an
-exact orbit count); tensor products record their commutant dimension. The
+first two by their presentation and one commutator row, the last by a
+trace rule); tensor products record their commutant dimension. The
 square and Hadamard constructors do not compute a commutant; their
 irreducibility is checked by the consumers. A constructor records no row
 that holds by construction, such as the symmetry rows of an exact sign
@@ -41,10 +41,9 @@ from .finitefield import (
     FiniteFieldSpec,
     GaloisField,
     factor_prime_power,
-    pair_orbit_size,
+    generates_psl2,
     prime_factors,
     projective_action,
-    projective_line,
     sl2_involutions,
 )
 from .matkernel import (
@@ -520,9 +519,10 @@ def a4_pair() -> RepPair:
 
 
 # The largest dimension steinberg_pair and assemble_dimension build. The
-# Steinberg pair takes 0.07 s at q = 257, 0.18 s at q = 383 and 0.36 s at
-# q = 512 (one BLAS thread), mostly the orbit count, then the order checks;
-# the compression gathers columns and takes one product per generator.
+# Steinberg pair takes 0.03 s at q = 257, 0.09 s at q = 383 and 0.22 s at
+# q = 512 (one BLAS thread, 2-vCPU host), mostly the compression and the
+# order checks; the compression gathers columns and takes one product per
+# generator.
 _PAIR_MAX_DIM = 512
 
 
@@ -533,25 +533,24 @@ def steinberg_pair(q: int, field: FiniteFieldSpec | None = None) -> RepPair:
     involution V generating PSL2(F_q), then compresses the permutation
     matrices to the orthogonal complement of the all-ones vector.
 
-    One exact count both picks V and certifies the pair: the row
-    ``two_transitive`` is q(q + 1) minus the size of the orbit of the
-    ordered pair of points (0, 1) under <U, V>, with bound 0. A group acting
-    2-transitively has rank 2, so its permutation module is the trivial
-    module plus one irreducible module (Burnside; Isaacs, "Character Theory
-    of Finite Groups", Cor. 5.17): the compression is irreducible, and the
-    pair records commutant_dim = 1 with no commutant solve. By Dickson's list
-    of the subgroups of PSL2(F_q), one acting 2-transitively on P^1(F_q),
-    q >= 4, is the whole group.
+    U = [[0, -1], [1, -1]] is the companion matrix of t^2 + t + 1, and V is
+    the first trace-zero element of :func:`sl2_involutions` that
+    :func:`~ncprism.finitefield.generates_psl2` accepts. For prime q that is
+    the first candidate, ((0, 1), (-1, 0)): -1 times the mod-p reduction
+    [[0, -1], [1, 0]] of the modular-group involution, so it induces the same
+    permutation. One argument both picks V and
+    certifies the pair, recorded as the row ``generates_psl2`` with bound 0:
+    by Macbeath's trace classification and Dickson's list of the subgroups,
+    <U, V> is all of PSL2(F_q). That group acts 2-transitively on P^1(F_q),
+    so it has rank 2 and its permutation module is the trivial module plus
+    one irreducible module (Burnside; Isaacs, "Character Theory of Finite
+    Groups", Cor. 5.17): the compression is irreducible, and the pair
+    records commutant_dim = 1 with no commutant solve.
 
-    For prime q > 3, U = [[0, -1], [1, -1]] (the companion matrix of
-    t^2 + t + 1) and V = [[0, -1], [1, 0]] generate, being the mod-p
-    reduction of the modular-group generators. For genuine prime powers both
-    lie in the prime subfield and generate only a proper subgroup, so V is
-    the first trace-zero element of :func:`sl2_involutions` whose orbit
-    count is q(q + 1). PSL2(F_9) is not generated by any order-(3, 2) pair
-    and is rejected, as are q <= 3 and any q that is not a prime power. A q
-    above ``_PAIR_MAX_DIM`` raises ``SizeBudgetExceededError`` before any
-    field or matrix is built.
+    PSL2(F_9) is not generated by any order-(3, 2) pair and is rejected, as
+    are q <= 3 and any q that is not a prime power. A q above
+    ``_PAIR_MAX_DIM`` raises ``SizeBudgetExceededError`` before any field or
+    matrix is built.
     """
     if q > _PAIR_MAX_DIM:
         raise SizeBudgetExceededError(f"dimension q = {q} exceeds budget {_PAIR_MAX_DIM}")
@@ -569,31 +568,22 @@ def steinberg_pair(q: int, field: FiniteFieldSpec | None = None) -> RepPair:
     if field.q != q:
         raise ValueError(f"field spec describes F_{field.q}, expected F_{q}")
     gf = GaloisField(field)
-    points = projective_line(gf)
-    perm_u = projective_action(gf, ((0, -1), (1, -1)), points)
-    pairs = q * (q + 1)
-
-    if e == 1:
-        perm_v = projective_action(gf, ((0, -1), (1, 0)), points)
-        orbit = pair_orbit_size([perm_u, perm_v])
-    else:
-        for candidate in sl2_involutions(gf):
-            perm_v = projective_action(gf, candidate, points)
-            orbit = pair_orbit_size([perm_u, perm_v])
-            if orbit == pairs:
-                break
-        else:
-            raise UnsupportedQError(
-                f"no involution generating PSL2(F_{q}) together with the "
-                "order-3 element was found"
-            )
+    v = next((c for c in sl2_involutions(gf) if generates_psl2(gf, c)), None)
+    if v is None:
+        raise UnsupportedQError(
+            f"no involution generating PSL2(F_{q}) together with the "
+            "order-3 element was found"
+        )
+    perm_u = projective_action(gf, ((0, -1), (1, -1)))
+    perm_v = projective_action(gf, v)
 
     # Column src of the permutation matrix P is e_perm[src], so Z* P = Z*[:, perm].
     qmat, _ = np.linalg.qr(np.ones((q + 1, 1)), mode="complete")
     z = qmat[:, 1:].astype(complex)
     zh = dagger(z)
     pair = RepPair(zh[:, perm_u] @ z, zh[:, perm_v] @ z, 3, provenance=f"steinberg_pair(q={q})")
-    residuals = [*pair_residuals(pair), ("two_transitive", float(pairs - orbit), 0.0)]
+    # The walk ends only on an involution the rule accepts.
+    residuals = [*pair_residuals(pair), ("generates_psl2", 0.0, 0.0)]
     require(residuals, RelationCheckFailedError, pair.provenance)
     pair.commutant_dim = 1
     return pair

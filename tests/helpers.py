@@ -1,9 +1,17 @@
 """Shared randomized constructions for the test suite (all seeded), and
 direct reference implementations used as test oracles."""
 
+import itertools
+
 import numpy as np
 
+from ncprism.errors import NoIrreduciblePolynomialError
+from ncprism.finitefield import FiniteFieldSpec
 from ncprism.matkernel import SPEC_TOL, dagger, hermitize
+
+# How many moduli of each genuine prime power the factory benchmark takes,
+# the first ones of irreducible_specs.
+FACTORY_MODULI = {8: 2, 16: 3, 25: 5, 27: 8}
 
 
 def within_bounds(residuals):
@@ -91,6 +99,44 @@ def permutation_closure_oracle(generators, limit):
                         return limit + 1
         frontier = next_frontier
     return len(seen)
+
+
+def pair_orbit_oracle(generators):
+    """Size of the orbit of the ordered pair (0, 1) under the group the
+    permutations of one range(n), n >= 2, generate: n(n - 1) exactly when it
+    acts 2-transitively. One flag per ordered pair, and a stack of the pairs
+    found but not yet moved: a finite group's orbit is closed under its
+    generators alone."""
+    gens = [tuple(g) for g in generators]
+    n = len(gens[0])
+    seen = bytearray(n * n)
+    seen[1] = 1
+    stack = [(0, 1)]
+    while stack:
+        a, b = stack.pop()
+        for g in gens:
+            x, y = g[a], g[b]
+            if not seen[x * n + y]:
+                seen[x * n + y] = 1
+                stack.append((x, y))
+    return seen.count(1)
+
+
+def irreducible_specs(p, e):
+    """Every monic irreducible degree-e modulus over F_p, in ascending order
+    of its coefficient tuple."""
+    specs = []
+    for tail in itertools.product(range(p), repeat=e):
+        try:
+            specs.append(FiniteFieldSpec(p, e, tail + (1,)))
+        except NoIrreduciblePolynomialError:
+            pass
+    return specs
+
+
+def psl2_order(q):
+    """Order of PSL2(F_q)."""
+    return q * (q * q - 1) // (1 if q % 2 == 0 else 2)
 
 
 def commutant_oracle(mats):

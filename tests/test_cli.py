@@ -136,6 +136,25 @@ class TestRepAndCommutant:
         assert code == 2
         assert "9" in err
 
+    @pytest.mark.parametrize(
+        "args, payload, target",
+        [
+            (["rep", "vertex", "--k", "200000", "--j", "0"], None, ("reps", "prism_vertex_rep")),
+            (["dilate", "joint", "--k", "300000"], {"a": scalar(0.1), "b": scalar(0.1)}, ("dilation", "joint_prism_dilation")),
+        ],
+    )
+    def test_out_of_memory_exits_two(self, capsys, monkeypatch, args, payload, target):
+        # Exit 1 means a false or refuted verdict, so a request too large to
+        # allocate is an error. The library call is stubbed: nothing is
+        # allocated.
+        def oversized(*args, **kwargs):
+            raise MemoryError("Unable to allocate 596. GiB for an array")
+
+        monkeypatch.setattr(f"ncprism.{target[0]}.{target[1]}", oversized)
+        code, out, err = run_cli(capsys, monkeypatch, args, stdin_obj=payload)
+        assert (code, out) == (2, "")
+        assert err == "error: Unable to allocate 596. GiB for an array\n"
+
 
 class TestCheck:
     def test_prism_nonmember_exit_one(self, capsys, monkeypatch):

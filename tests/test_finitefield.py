@@ -1,24 +1,37 @@
 """Exact permutation group orders and ordered-pair orbits: against the
 breadth-first closure on small groups, and against closed forms on groups
-far too large to list."""
+far too large to list. The trace rule ``generates_psl2`` against the
+ordered-pair orbit."""
 
+import collections
+import functools
+import itertools
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import permutation_closure_oracle
+from helpers import (
+    FACTORY_MODULI,
+    irreducible_specs,
+    pair_orbit_oracle,
+    permutation_closure_oracle,
+    psl2_order,
+)
 
 from ncprism.finitefield import (
     FiniteFieldSpec,
     GaloisField,
-    pair_orbit_size,
+    factor_prime_power,
+    generates_psl2,
     permutation_closure_size,
+    prime_factors,
     projective_action,
-    projective_line,
-    psl2_order,
+    sl2_involutions,
 )
+
+U = ((0, -1), (1, -1))
 
 
 def cycle(n, points):
@@ -62,8 +75,7 @@ class TestPermutationClosureSize:
     @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
     def test_classical_pair_generates_psl2(self, q):
         gf = GaloisField(FiniteFieldSpec(q, 1))
-        points = projective_line(gf)
-        gens = [projective_action(gf, mat, points) for mat in (((0, -1), (1, -1)), ((0, -1), (1, 0)))]
+        gens = [projective_action(gf, mat) for mat in (U, ((0, -1), (1, 0)))]
         assert permutation_closure_size(gens, 10**9) == psl2_order(q)
 
     @pytest.mark.parametrize("gens", [[[]], [[0]], [[0, 1, 2]], [[0, 1, 2, 3]] * 3])
@@ -108,29 +120,110 @@ def group_elements(gens):
     return seen
 
 
-class TestPairOrbitSize:
+class TestPairOrbitOracle:
     @settings(max_examples=200)
     @given(st.integers(2, 6).flatmap(lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=3)))
     def test_agrees_with_the_listed_group(self, gens):
         orbit = {(g[0], g[1]) for g in group_elements([tuple(g) for g in gens])}
-        assert pair_orbit_size(gens) == len(orbit)
+        assert pair_orbit_oracle(gens) == len(orbit)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 12, 40])
     def test_symmetric_and_cyclic_groups(self, n):
-        assert pair_orbit_size(symmetric_generators(n)) == n * (n - 1)
-        assert pair_orbit_size([cycle(n, list(range(n)))]) == n
+        assert pair_orbit_oracle(symmetric_generators(n)) == n * (n - 1)
+        assert pair_orbit_oracle([cycle(n, list(range(n)))]) == n
 
     @pytest.mark.parametrize("q", [5, 7, 11, 13, 17, 19, 23, 29, 31])
     def test_classical_pair_is_two_transitive(self, q):
         gf = GaloisField(FiniteFieldSpec(q, 1))
-        points = projective_line(gf)
-        gens = [projective_action(gf, mat, points) for mat in (((0, -1), (1, -1)), ((0, -1), (1, 0)))]
-        assert pair_orbit_size(gens) == q * (q + 1)
+        gens = [projective_action(gf, mat) for mat in (U, ((0, -1), (1, 0)))]
+        assert pair_orbit_oracle(gens) == q * (q + 1)
 
-    @pytest.mark.parametrize(
-        "gens, match",
-        [([], "no generators"), ([[0]], "at least 2 points"), ([[0, 0, 1]], "not a permutation")],
-    )
-    def test_invalid_generators_raise(self, gens, match):
-        with pytest.raises(ValueError, match=match):
-            pair_orbit_size(gens)
+
+def orbit_generates(gf, v):
+    """Whether <U, v> acts 2-transitively on P^1(F_q), which for q >= 4 only
+    PSL2(F_q) does (Dickson)."""
+    gens = [projective_action(gf, mat) for mat in (U, v)]
+    return pair_orbit_oracle(gens) == gf.q * (gf.q + 1)
+
+
+def rejecting_clauses(gf, v, exempt=True):
+    """The names of the trace rule's clauses that reject v, each written out
+    again on its own from gamma = tr Uv; the A5 clause exempts q = 4 and 5
+    only if ``exempt``."""
+    (a, b), (c, _) = v
+    gamma = gf.add(gf.add(a, b), gf.neg(c))
+    square = gf.mul(gamma, gamma)
+
+    def power(x, n):
+        y = gf.one
+        for _ in range(n):
+            y = gf.mul(y, x)
+        return y
+
+    clauses = {
+        "singular": square == gf.from_int(3),
+        "order 2": gamma == gf.zero,
+        "order 3": square == gf.one,
+        "order 4": square == gf.from_int(2),
+        "A5": not (exempt and gf.q in (4, 5)) and square in (gf.add(gamma, gf.one), gf.add(gf.neg(gamma), gf.one)),
+        "subfield": any(power(square, gf.p ** (gf.e // r)) == square for r, _ in prime_factors(gf.e)),
+    }
+    return {name for name, holds in clauses.items() if holds}
+
+
+# Every prime power 4 <= q <= 32 but 9.
+SMALL_Q = [q for q in range(4, 33) if len(prime_factors(q)) == 1 and q != 9]
+
+
+@functools.cache
+def small_field_candidates(q):
+    """The default field of order q and, for each of its sl2_involutions
+    candidates, the candidate and the oracle's verdict."""
+    gf = GaloisField(FiniteFieldSpec(*factor_prime_power(q)))
+    return gf, [(v, orbit_generates(gf, v)) for v in sl2_involutions(gf)]
+
+
+class TestGeneratesPsl2:
+    @pytest.mark.parametrize("q", SMALL_Q)
+    def test_agrees_with_the_orbit_on_every_candidate(self, q):
+        gf, candidates = small_field_candidates(q)
+        assert [generates_psl2(gf, v) for v, _ in candidates] == [ok for _, ok in candidates]
+
+    @pytest.mark.parametrize("q", [49, 64, 81, 121, 169])
+    def test_agrees_with_the_orbit_on_a_prefix(self, q):
+        gf = GaloisField(FiniteFieldSpec(*factor_prime_power(q)))
+        for v in itertools.islice(sl2_involutions(gf), 12):
+            assert generates_psl2(gf, v) == orbit_generates(gf, v)
+
+    @pytest.mark.parametrize("q, index", [(q, i) for q, count in FACTORY_MODULI.items() for i in range(count)])
+    def test_agrees_through_the_first_accepted_candidate(self, q, index):
+        gf = GaloisField(irreducible_specs(*factor_prime_power(q))[index])
+        for v in sl2_involutions(gf):
+            accepted = orbit_generates(gf, v)
+            assert generates_psl2(gf, v) == accepted
+            if accepted:
+                break
+
+    def test_each_clause_is_needed(self):
+        # A clause is needed when it alone rejects some candidate the orbit
+        # rejects: without it the rule would accept that candidate.
+        alone, exempted, total = collections.Counter(), collections.Counter(), 0
+        for q in SMALL_Q:
+            gf, candidates = small_field_candidates(q)
+            total += len(candidates)
+            for v, accepted in candidates:
+                clauses = rejecting_clauses(gf, v)
+                assert generates_psl2(gf, v) == (not clauses)
+                if not accepted and len(clauses) == 1:
+                    alone.update(clauses)
+                if accepted and rejecting_clauses(gf, v, exempt=False) == {"A5"}:
+                    exempted[q] += 1
+        assert total == 6026
+        assert alone == {"singular": 54, "order 2": 156, "order 3": 312, "order 4": 156, "A5": 360}
+        assert exempted == {4: 6, 5: 12}
+        # The subfield clause is first needed at q = 49: its seventh
+        # candidate generates a group with an orbit of 168 ordered pairs.
+        gf = GaloisField(FiniteFieldSpec(7, 2))
+        v = next(itertools.islice(sl2_involutions(gf), 6, None))
+        assert rejecting_clauses(gf, v) == {"subfield"}
+        assert pair_orbit_oracle([projective_action(gf, mat) for mat in (U, v)]) == 168

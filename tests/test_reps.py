@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 
 from helpers import (
+    FACTORY_MODULI,
     closure_order_oracle,
+    irreducible_specs,
     permutation_closure_oracle,
     poly_mul,
+    psl2_order,
     random_unitary,
     within_bounds,
     worst,
@@ -23,7 +26,6 @@ import ncprism.reps
 
 from ncprism.errors import (
     AssemblyFailedError,
-    NoIrreduciblePolynomialError,
     IndexOutOfRangeError,
     LambdaOutOfRangeError,
     NotSymmetryError,
@@ -39,7 +41,6 @@ from ncprism.finitefield import (
     factor_prime_power,
     projective_action,
     projective_line,
-    psl2_order,
     sl2_involutions,
 )
 from ncprism.matkernel import (
@@ -443,13 +444,8 @@ class TestFiniteField:
             a, b, c, d = (gf.from_int(x) if isinstance(x, int) else x for row in mat for x in row)
             if add(mul(a, d), neg(mul(b, c))) == gf.zero:
                 continue
-            perm = projective_action(gf, mat, points)
+            perm = projective_action(gf, mat)
             assert [points[i] for i in perm] == [image(a, b, c, d, x, y) for x, y in points]
-        # The points may come in any order.
-        shuffled = points[::-1]
-        assert [shuffled[i] for i in projective_action(gf, mats[0], shuffled)] == [
-            points[i] for i in projective_action(gf, mats[0], points)
-        ][::-1]
 
 
 class TestSteinberg:
@@ -464,16 +460,9 @@ class TestSteinberg:
         # Independent finite-field oracle over F_5 for the order-3 generator.
         q = 5
         oracle = projective_perm_oracle(q, ((0, -1), (1, -1)))
-        from ncprism.finitefield import (
-            FiniteFieldSpec,
-            GaloisField,
-            projective_action,
-            projective_line,
-        )
-
         gf = GaloisField(FiniteFieldSpec(5, 1))
         points = projective_line(gf)
-        perm = projective_action(gf, ((0, -1), (1, -1)), points)
+        perm = projective_action(gf, ((0, -1), (1, -1)))
 
         def decode(pt):
             return "inf" if pt[1] == gf.zero else pt[0][0]
@@ -482,17 +471,9 @@ class TestSteinberg:
             assert decode(points[perm[i]]) == oracle[decode(pt)]
 
     def test_permutation_matrices_doubly_stochastic_before_compression(self):
-        from ncprism.finitefield import (
-            FiniteFieldSpec,
-            GaloisField,
-            projective_action,
-            projective_line,
-        )
-
         gf = GaloisField(FiniteFieldSpec(7, 1))
-        points = projective_line(gf)
         for mat in (((0, -1), (1, -1)), ((0, -1), (1, 0))):
-            perm = projective_action(gf, mat, points)
+            perm = projective_action(gf, mat)
             assert sorted(perm) == list(range(8))
 
     def test_prime_power_fields(self):
@@ -541,29 +522,16 @@ class TestSteinberg:
         assert codes == [2, 2] and err.count("exceeds budget 512") == 2
         assert peak <= 1e6
 
-    @staticmethod
-    def moduli(p, e):
-        """Every monic irreducible degree-e modulus over F_p, in ascending
-        order of its coefficient tuple."""
-        specs = []
-        for tail in itertools.product(range(p), repeat=e):
-            try:
-                specs.append(FiniteFieldSpec(p, e, tail + (1,)))
-            except NoIrreduciblePolynomialError:
-                pass
-        return specs
-
     @pytest.mark.parametrize(
         "q, p, e, count", [(4, 2, 2, None), (8, 2, 3, None), (16, 2, 4, None), (25, 5, 2, 2), (27, 3, 3, 2)]
     )
     def test_involution_matches_breadth_first_selection(self, q, p, e, count):
-        # The orbit count must accept the first involution whose group, listed
+        # The trace rule must accept the first involution whose group, listed
         # by the breadth-first closure, is all of PSL2(F_q): V is the same.
-        for spec in self.moduli(p, e)[:count]:
+        for spec in irreducible_specs(p, e)[:count]:
             gf = GaloisField(spec)
             expected = next(c for c in sl2_involutions(gf) if closure_generates(gf, c))
-            points = projective_line(gf)
-            perms = [projective_action(gf, mat, points) for mat in (((0, -1), (1, -1)), expected)]
+            perms = [projective_action(gf, mat) for mat in (((0, -1), (1, -1)), expected)]
             assert recovered_permutations(steinberg_pair(q, spec)) == perms
 
     @pytest.mark.parametrize(
@@ -579,19 +547,25 @@ class TestSteinberg:
         perms = recovered_permutations(steinberg_pair(q))
         assert hashlib.sha256(np.array(perms, dtype=np.int64).tobytes()).hexdigest() == digest
 
-    def test_a_pair_that_is_not_two_transitive_is_refused(self, monkeypatch):
+    def test_a_non_generating_involution_is_skipped(self, monkeypatch):
         # An involution of PSL2(F_7) that generates a proper subgroup with U,
-        # put in place of the classical V: its orders pass, its orbit count
-        # does not.
+        # put first in the walk: the rule passes it over, and the pair is
+        # the one built without it.
         gf = GaloisField(FiniteFieldSpec(7, 1))
         bad = next(c for c in sl2_involutions(gf) if not closure_generates(gf, c))
+        expected = steinberg_pair(7)
+        seen = []
 
-        def action(gf, mat, points):
-            return projective_action(gf, bad if mat == ((0, -1), (1, 0)) else mat, points)
+        def walk(gf):
+            yield bad
+            seen.append(bad)
+            yield from sl2_involutions(gf)
 
-        monkeypatch.setattr(ncprism.reps, "projective_action", action)
-        with pytest.raises(RelationCheckFailedError, match="two_transitive"):
-            steinberg_pair(7)
+        monkeypatch.setattr(ncprism.reps, "sl2_involutions", walk)
+        pair = steinberg_pair(7)
+        assert seen == [bad]
+        assert pair.w.tobytes() == expected.w.tobytes() and pair.v.tobytes() == expected.v.tobytes()
+        assert (pair.provenance, pair.commutant_dim) == (expected.provenance, expected.commutant_dim)
 
     def test_no_generating_involution_is_refused(self, monkeypatch):
         def proper(gf):
@@ -616,7 +590,7 @@ class TestSteinberg:
         build, provenance, certificate = {
             "s3": (s3_pair, "s3_pair", ["VWV = W^-1", NONCOMMUTING]),
             "a4": (a4_pair, "a4_pair", ["WVW = VW^2V", NONCOMMUTING]),
-        }.get(q, (lambda: steinberg_pair(q), f"steinberg_pair(q={q})", ["two_transitive"]))
+        }.get(q, (lambda: steinberg_pair(q), f"steinberg_pair(q={q})", ["generates_psl2"]))
         with ncprism.matkernel.measured() as records:
             pair = build()
         assert pair.commutant_dim == 1 and pair.provenance == provenance
@@ -627,16 +601,16 @@ class TestSteinberg:
         if isinstance(q, str):
             assert records[-1][1:3] == (pytest.approx(1.0 - np.linalg.norm(pair.w @ pair.v - pair.v @ pair.w)), 0.0)
         else:
-            assert records[-1] == ("two_transitive", 0.0, 0.0, provenance)
+            assert records[-1] == ("generates_psl2", 0.0, 0.0, provenance)
 
     # Every modulus the factory benchmark uses at q = 8, 16, 25 and 27.
     ORACLE_CASES = [(q, None) for q in (4, 5, 7, 8, 11, 13, 16, 25, 27, 49)] + [
-        (q, index) for q, count in ((8, 2), (16, 3), (25, 5), (27, 8)) for index in range(count)
+        (q, index) for q, count in FACTORY_MODULI.items() for index in range(count)
     ]
 
     @pytest.mark.parametrize("q, index", ORACLE_CASES)
-    def test_commutant_solve_agrees_with_the_orbit_count(self, q, index):
-        spec = None if index is None else self.moduli(*factor_prime_power(q))[index]
+    def test_commutant_solve_agrees_with_the_trace_rule(self, q, index):
+        spec = None if index is None else irreducible_specs(*factor_prime_power(q))[index]
         pair = steinberg_pair(q, spec)
         assert commutant_dimension([pair.w, pair.v])[0] == 1
 
@@ -644,8 +618,7 @@ class TestSteinberg:
 def closure_generates(gf, involution) -> bool:
     """Whether U = [[0, -1], [1, -1]] and the involution generate PSL2(F_q)
     on P^1(F_q), by the breadth-first closure."""
-    points = projective_line(gf)
-    perms = [projective_action(gf, mat, points) for mat in (((0, -1), (1, -1)), involution)]
+    perms = [projective_action(gf, mat) for mat in (((0, -1), (1, -1)), involution)]
     return permutation_closure_oracle(perms, psl2_order(gf.q)) == psl2_order(gf.q)
 
 
