@@ -23,7 +23,7 @@ functions check it too, for matrices a caller did not build.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from .matkernel import (
     SPEC_TOL,
     Residual,
     _frobenius,
-    _order_residuals,
     _spectral_sqrt,
     as_matrix,
     clamp_spectrum,
@@ -55,8 +54,8 @@ from .matkernel import (
     hermitian_basis,
     hermitize,
     lmi_floor,
+    order_residuals,
     prefixed,
-    psd_sqrt,
     require,
     require_hermitian,
     symmetry_residuals,
@@ -106,24 +105,35 @@ class DilationResult:
         return [dagger(z) @ op @ z for op in self.operators]
 
 
+_SHAPES = "effects must be a nonempty stack of square matrices of equal size"
+
+
 @dataclass
 class Povm:
-    """Positive effects summing to the identity, tagged with target spectrum points."""
+    """Positive effects summing to the identity, tagged with target spectrum points.
 
-    effects: list[np.ndarray]
+    The effects are one Hermitian (k, n, n) stack, and ``spectrum`` is its
+    ``eigh``, taken once here: the facet slacks, the band rule,
+    ``effects_positive`` and the Naimark roots all read it."""
+
+    effects: np.ndarray
     outcome_labels: list[complex]
+    spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.effects = [as_matrix(h) for h in self.effects]
-        if len(self.effects) != len(self.outcome_labels):
+        try:
+            self.effects = np.asarray(self.effects, dtype=complex)
+        except ValueError as exc:
+            raise InvalidPovmError(_SHAPES) from exc
+        shape = self.effects.shape
+        if len(shape) != 3 or shape[1] != shape[2] or not shape[0]:
+            raise InvalidPovmError(_SHAPES)
+        if shape[0] != len(self.outcome_labels):
             raise InvalidPovmError("each effect needs exactly one outcome label")
-        n = self.effects[0].shape[0]
-        if any(h.shape != (n, n) for h in self.effects):
-            raise InvalidPovmError("effects must be square of equal size")
-
-
-Spectrum = tuple[np.ndarray, np.ndarray]
-"""The ``eigh`` (w, u) of a Hermitian matrix or of each slice of a stack."""
+        if not np.isfinite(self.effects).all():
+            raise ValueError("matrix entries must be finite")
+        require_hermitian(self.effects, "POVM effects")
+        self.spectrum = np.linalg.eigh(hermitize(self.effects))
 
 
 def povm_residuals(effects, labels, a) -> list[Residual]:
@@ -280,26 +290,19 @@ def triangle_povm(a) -> Povm:
     decomposition. On W(a) just outside the triangle they follow the band rule
     of :func:`order_k_povm` with k = 3, their smallest eigenvalue as the floor.
 
-    One batched ``eigh`` of the effects decides membership as well: the
-    slack of the facet opposite the vertex omega^j, facet (j + 1) mod 3 of
+    The POVM's ``eigh`` decides membership as well: the slack of the facet
+    opposite the vertex omega^j, facet (j + 1) mod 3 of
     ``convexity.make_polygon(3)``, is 3/2 lambda_min(h_j), and W(a) lies in
     the triangle when the smallest slack, the first in facet order, is
-    >= -SPEC_TOL. The same factorisation gives ``effects_positive`` and, in
-    :func:`joint_prism_dilation`, the Naimark square roots, unless the band
-    rule changed the effects.
+    >= -SPEC_TOL. The same factorisation gives ``effects_positive`` and the
+    Naimark square roots, unless the band rule changed the effects.
     """
-    return _triangle_povm(a)[0]
-
-
-def _triangle_povm(a) -> tuple[Povm, Spectrum]:
-    """:func:`triangle_povm` and the ``eigh`` of its effect stack."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatchError("triangle_povm requires a square matrix")
     labels = fourier_matrix(3)[:, 1]
-    effects = _fourier_base(a, labels)
-    spectrum = np.linalg.eigh(effects)
-    spectra = spectrum[0]
+    povm = Povm(_fourier_base(a, labels), labels.tolist())
+    spectra = povm.spectrum[0]
     # Facet i is opposite the vertex omega^(i - 1): slacks in facet order.
     slacks = 1.5 * spectra.min(axis=-1)[[2, 0, 1]]
     margin = float(slacks.min())
@@ -313,19 +316,11 @@ def _triangle_povm(a) -> tuple[Povm, Spectrum]:
         )
     # The decomposition is unique, so its smallest eigenvalue is the exact floor.
     floor = float(spectra.min())
-    settled = _settle(effects, floor, floor, 0, SPEC_TOL / (4 * 3))
-    if settled is not effects:
-        spectrum = None
-    return _checked_povm(settled, labels, a, spectrum, InvalidPovmError, "triangle_povm")
-
-
-def _checked_povm(effects, labels, a, spectrum, error, what) -> tuple[Povm, Spectrum]:
-    """The POVM of a Hermitian effect stack once its :func:`povm_residuals`
-    pass, with the stack's ``eigh``: ``spectrum`` if given, else taken here."""
-    if spectrum is None:
-        spectrum = np.linalg.eigh(effects)
-    require(_povm_residuals(effects, labels, a, spectrum[0]), error, what)
-    return Povm(list(effects), labels.tolist()), spectrum
+    settled = _settle(povm.effects, floor, floor, 0, SPEC_TOL / (4 * 3))
+    if settled is not povm.effects:
+        povm = Povm(settled, povm.outcome_labels)
+    require(_povm_residuals(povm.effects, labels, a, povm.spectrum[0]), InvalidPovmError, "triangle_povm")
+    return povm
 
 
 def _settle(effects: np.ndarray, t_lo: float, t_hi: float, steps: int, band: float) -> np.ndarray:
@@ -369,16 +364,25 @@ def _fourier_base(a: np.ndarray, labels: np.ndarray) -> np.ndarray:
 def naimark_normal(povm: Povm) -> DilationResult:
     """Dilate a POVM to a normal operator with spectrum at the outcome labels.
 
-    The isometry stacks the square roots of the effects, taken by one
-    batched :func:`psd_sqrt`; the normal operator is the direct sum of
-    label_j times the identity. Compression returns sum(label_j h_j); effects
-    that do not sum to the identity fail the isometry residual.
+    The isometry stacks the square roots of the effects (see
+    :func:`_naimark`); the normal operator is the direct sum of label_j times
+    the identity. Compression returns sum(label_j h_j); effects that do not
+    sum to the identity fail the isometry residual.
     """
-    n = povm.effects[0].shape[0]
-    z = psd_sqrt(np.stack(povm.effects)).reshape(-1, n)
-    labels = np.repeat(np.asarray(povm.outcome_labels, dtype=complex), n)
-    require(_naimark_residuals(povm, z, labels[:, None] * z), InvalidPovmError, "naimark_normal")
+    z, labels = _naimark(povm, "naimark_normal")
     return DilationResult(isometry=z, operators=[np.diag(labels)], labels=["normal"])
+
+
+def _naimark(povm: Povm, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The Naimark isometry Z, the square roots of the effects stacked, and the
+    diagonal of N = (+)_j label_j 1, once Z*Z = 1 and Z*NZ = sum(label_j h_j)
+    hold (else ``InvalidPovmError`` naming ``what``). The roots come from the
+    POVM's own ``eigh``; N is applied through the labels it is written from."""
+    k, n = povm.effects.shape[:2]
+    z = _spectral_sqrt(*povm.spectrum).reshape(k * n, n)
+    labels = np.repeat(np.asarray(povm.outcome_labels, dtype=complex), n)
+    require(_naimark_residuals(povm, z, labels[:, None] * z), InvalidPovmError, what)
+    return z, labels
 
 
 def naimark_residuals(povm: Povm, result: DilationResult) -> list[Residual]:
@@ -395,7 +399,7 @@ def naimark_residuals(povm: Povm, result: DilationResult) -> list[Residual]:
 def _naimark_residuals(povm: Povm, z, nz) -> list[Residual]:
     """The isometry and compression rows of :func:`naimark_residuals`, from
     Z and the product N Z."""
-    moment = np.tensordot(np.asarray(povm.outcome_labels), np.stack(povm.effects), axes=1)
+    moment = np.tensordot(np.asarray(povm.outcome_labels), povm.effects, axes=1)
     return [
         ("isometry", _frobenius(dagger(z) @ z - np.eye(z.shape[1])), SPEC_TOL),
         ("compression", _frobenius(dagger(z) @ nz - moment), SPEC_TOL),
@@ -423,18 +427,13 @@ def order_k_povm(a, k: int) -> Povm:
 
     Returned effects always pass ``povm_residuals``.
     """
-    return _order_k_povm(a, k)[0]
-
-
-def _order_k_povm(a, k: int) -> tuple[Povm, Spectrum]:
-    """:func:`order_k_povm` and the ``eigh`` of its effect stack."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatchError("order_k_povm requires a square matrix")
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
     if k == 3:
-        return _triangle_povm(a)
+        return triangle_povm(a)
 
     re, im = real_imag_parts(a)
     verdict = max_member([re, im], make_polygon(k))
@@ -455,8 +454,10 @@ def _order_k_povm(a, k: int) -> tuple[Povm, Spectrum]:
     band = SPEC_TOL / (4 * k)
     result = lmi_floor(base, directions, (-band, 0.0))
     effects = hermitize(base + np.tensordot(result.y, directions, axes=1))
-    effects = _settle(effects, result.t_lo, result.t_hi, result.steps, band)
-    return _checked_povm(effects, labels, a, None, InfeasibleError, "order_k_povm decomposition")
+    povm = Povm(_settle(effects, result.t_lo, result.t_hi, result.steps, band), labels.tolist())
+    residuals = _povm_residuals(povm.effects, labels, a, povm.spectrum[0])
+    require(residuals, InfeasibleError, "order_k_povm decomposition")
+    return povm
 
 
 def joint_prism_dilation(a, b, k: int) -> tuple[RepPair, np.ndarray]:
@@ -466,8 +467,8 @@ def joint_prism_dilation(a, b, k: int) -> tuple[RepPair, np.ndarray]:
     decomposition, carries ``b`` to the enlarged space as z b z*, dilates
     that to a Halmos symmetry, and extends y by the identity on the second
     summand. The returned isometry G satisfies G* W G = a and G* V G = b.
-    Each input is factored once: the effect stack by the ``eigh`` that
-    decided the decomposition, which also gives the Naimark roots, and b by
+    Each input is factored once: the effect stack by the POVM's own ``eigh``,
+    which decided the decomposition and also gives the Naimark roots, and b by
     one ``eigh`` that checks ||b|| <= 1 and gives the symmetry's defect at
     the level of ``b`` (see ``_carried_blocks``), so its identities are
     checked here.
@@ -477,28 +478,24 @@ def joint_prism_dilation(a, b, k: int) -> tuple[RepPair, np.ndarray]:
         raise ShapeMismatchError(f"a and b must have equal size, got {a.shape}, {b.shape}")
     require_hermitian(b, "joint_prism_dilation input b")
     defect = _hermitian_defect(b, "b")
-    return _dilate_povm(*_order_k_povm(a, k), b, defect)
+    return _dilate_povm(order_k_povm(a, k), b, defect)
 
 
 def _dilate_povm(
-    povm: Povm, spectrum: Spectrum | None, b: np.ndarray, defect: np.ndarray, name: str = "joint_prism_dilation"
+    povm: Povm, b: np.ndarray, defect: np.ndarray, name: str = "joint_prism_dilation"
 ) -> tuple[RepPair, np.ndarray]:
     """The joint dilation of :func:`joint_prism_dilation` from a given POVM
     with labels at the k-th roots of unity, k its number of effects, and a
     Hermitian contraction b with its Halmos defect ``defect`` (of b rescaled
     into the unit ball): G* W^m G = sum_j omega^(j m) h_j for every m, and
-    G* V G = b. ``spectrum`` is the ``eigh`` of the effect stack, or None to
-    take one here. Every row checked is labelled with the pair's provenance,
+    G* V G = b. Every row checked is labelled with the pair's provenance,
     ``name(k=.., level=..)``.
 
     W = N (+) 1 is written as its diagonal, the labels then ones; G = [Z; 0]."""
     k, n = len(povm.effects), b.shape[0]
     kn = k * n
     provenance = f"{name}(k={k}, level={n})"
-    roots = psd_sqrt(np.stack(povm.effects)) if spectrum is None else _spectral_sqrt(*spectrum)
-    z = roots.reshape(kn, n)
-    labels = np.repeat(np.asarray(povm.outcome_labels, dtype=complex), n)
-    require(_naimark_residuals(povm, z, labels[:, None] * z), InvalidPovmError, provenance)
+    z, labels = _naimark(povm, provenance)
     w_big = np.zeros((2 * kn, 2 * kn), dtype=complex)
     w_big.ravel()[:: 2 * kn + 1] = np.concatenate([labels, np.ones(kn)])
 
@@ -511,7 +508,7 @@ def _dilate_povm(
     # G*VG = b, which is Z* V_11 Z as G's lower half is exactly zero.
     residuals = [
         *prefixed("v_", symmetry_residuals(v_big)),
-        *prefixed("w_", _order_residuals(w_big, np.diagonal(w_big), k)),
+        *prefixed("w_", order_residuals(w_big, k)),
         ("v_compression", _frobenius(dagger(z) @ v_big[:kn, :kn] @ z - b), SPEC_TOL),
     ]
     require(residuals, RelationCheckFailedError, provenance)

@@ -168,7 +168,9 @@ def is_hermitian(a: np.ndarray) -> bool:
     stack, is at most ALG_TOL pass without an SVD, since the Frobenius norm
     bounds the spectral norm of each; the norms of A are computed only when
     some skew part exceeds ALG_TOL, since otherwise the verdict cannot depend
-    on them."""
+    on them. A matrix that is not square is not Hermitian."""
+    if a.shape[-2] != a.shape[-1]:
+        return False
     skew = a - dagger(a)
     if _frobenius(skew) <= ALG_TOL:
         return True
@@ -808,11 +810,7 @@ def _unitary_residual(u: np.ndarray, d: np.ndarray | None) -> Residual:
 def order_residuals(u, k: int) -> list[Residual]:
     """``u`` is unitary and ``u**k`` is the identity (bound SPEC_TOL * k); for
     an exactly diagonal U, found by one scan, both are taken on its diagonal d."""
-    return _order_residuals(u, _exact_diagonal(u), k)
-
-
-def _order_residuals(u: np.ndarray, d: np.ndarray | None, k: int) -> list[Residual]:
-    """:func:`order_residuals` of ``u``, given its :func:`_exact_diagonal` ``d``."""
+    d = _exact_diagonal(u)
     gap = np.linalg.matrix_power(u, k) - np.eye(u.shape[0]) if d is None else d**k - 1.0
     return [_unitary_residual(u, d), (f"order_{k}", _frobenius(gap), SPEC_TOL * k)]
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,25 +102,30 @@ def _square_blocks(blocks, q: int) -> np.ndarray:
     return stack
 
 
-@dataclass
+@dataclass(frozen=True)
 class PrismElement:
     """Coefficient form of an element of the level-q prism system.
 
-    ``c[m]`` is the q x q block multiplying w^m (m = 0..k-1) and ``g`` the
-    block multiplying v.
+    ``blocks`` is the (k + 1, q, q) stack c_0, ..., c_(k-1), g: ``c[m]`` is
+    the q x q block multiplying w^m (m = 0..k-1) and ``g`` the block
+    multiplying v, both views into it. Frozen, so that no ``c`` or ``g``
+    can be rebound apart from the stack every formula reads.
     """
 
     k: int
     q: int
-    c: list[np.ndarray]
+    c: np.ndarray
     g: np.ndarray
+    blocks: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.k < 3:
             raise ValueError(f"k must be >= 3, got {self.k}")
-        *self.c, self.g = _square_blocks([*self.c, self.g], self.q)
-        if len(self.c) != self.k:
-            raise ShapeMismatchError(f"need {self.k} power blocks, got {len(self.c)}")
+        blocks = _square_blocks([*self.c, self.g], self.q)
+        if len(blocks) != self.k + 1:
+            raise ShapeMismatchError(f"need {self.k} power blocks, got {len(blocks) - 1}")
+        for name, value in (("blocks", blocks), ("c", blocks[: self.k]), ("g", blocks[self.k])):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def unit(cls, k: int, q: int = 1) -> "PrismElement":
@@ -128,7 +133,7 @@ class PrismElement:
 
     def is_selfadjoint(self) -> bool:
         """True iff c_(-m mod k) = c_m* for every m and g is Hermitian."""
-        return _selfadjoint(_stacked(self))
+        return _selfadjoint(self.blocks)
 
     def evaluate(self, pair: RepPair) -> np.ndarray:
         """The operator sum_m c_m (x) W^m + g (x) V on the q n dimensional space.
@@ -136,35 +141,36 @@ class PrismElement:
         the first sum is block diagonal, sum_m d_i^m c_m at (i, i): no W^m is formed."""
         if pair.k != self.k:
             raise OrderMismatchError(f"element has order {self.k}, pair has order {pair.k}")
-        size, stack, d = self.q * pair.dim, _stacked(self), _exact_diagonal(pair.w)
+        size, d = self.q * pair.dim, _exact_diagonal(pair.w)
         if d is None:  # every Kronecker product c_m (x) W^m and g (x) V in one contraction
-            return np.einsum("sab,sij->aibj", stack, _basis_operators(pair)).reshape(size, size)
+            return np.einsum("sab,sij->aibj", self.blocks, _basis_operators(pair)).reshape(size, size)
         out = self.g[:, None, :, None] * pair.v[None, :, None, :]  # g (x) V, axes (a, i, b, j)
         powers = np.vander(d, self.k, increasing=True)  # d_i^m by repeated products, as W^m is formed
         # "aibi->iab" is a writeable view of the (i, i) blocks of out.
-        np.einsum("aibi->iab", out)[...] += np.einsum("im,mab->iab", powers, stack[: self.k])
+        np.einsum("aibi->iab", out)[...] += np.einsum("im,mab->iab", powers, self.c)
         return out.reshape(size, size)
 
 
 @dataclass
 class DiagTuple:
-    """An element of the level-q diagonal source system C^k (+) C^2."""
+    """An element of the level-q diagonal source system C^k (+) C^2, its
+    blocks one (k + 2, q, q) stack."""
 
     k: int
     q: int
-    blocks: list[np.ndarray]
+    blocks: np.ndarray
 
     def __post_init__(self):
-        self.blocks = list(_square_blocks(self.blocks, self.q))
+        self.blocks = _square_blocks(self.blocks, self.q)
         if len(self.blocks) != self.k + 2:
             raise ShapeMismatchError(f"need {self.k + 2} blocks, got {len(self.blocks)}")
 
     @classmethod
     def ones(cls, k: int, q: int = 1) -> "DiagTuple":
-        return cls(k, q, [np.eye(q, dtype=complex) for _ in range(k + 2)])
+        return cls(k, q, np.tile(np.eye(q, dtype=complex), (k + 2, 1, 1)))
 
     def min_block_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(hermitize(np.asarray(self.blocks))).min())
+        return float(np.linalg.eigvalsh(hermitize(self.blocks)).min())
 
 
 @dataclass(frozen=True)
@@ -239,8 +245,8 @@ def psi_k(x: DiagTuple) -> PrismElement:
     unit and (1, ..., 1, -1, -1) spans the kernel. One (k+1) x (k+2)
     coefficient matrix acts on the stacked blocks of ``x``.
     """
-    blocks = (_psi_matrix(x.k) @ np.reshape(x.blocks, (x.k + 2, -1))).reshape(x.k + 1, x.q, x.q)
-    return PrismElement(x.k, x.q, list(blocks[: x.k]), blocks[x.k])
+    blocks = (_psi_matrix(x.k) @ x.blocks.reshape(x.k + 2, -1)).reshape(x.k + 1, x.q, x.q)
+    return PrismElement(x.k, x.q, blocks[: x.k], blocks[x.k])
 
 
 @functools.lru_cache(maxsize=32)
@@ -259,11 +265,6 @@ def _psi_matrix(k: int) -> np.ndarray:
 def _kernel(k: int) -> np.ndarray:
     """(1, ..., 1, -1, -1), which spans the kernel of the quotient map."""
     return np.array([1.0] * k + [-1.0, -1.0])
-
-
-def _stacked(e: PrismElement) -> np.ndarray:
-    """The (k + 1, q, q) stack of coefficient blocks c_0, ..., c_(k-1), g."""
-    return np.asarray([*e.c, e.g])
 
 
 def _selfadjoint(stack: np.ndarray) -> bool:
@@ -286,15 +287,15 @@ def _basis_operators(pair: RepPair) -> np.ndarray:
 
 def psi_k_basis_element(k: int, index: int) -> PrismElement:
     """Image under the quotient map of the index-th canonical basis vector."""
-    return psi_k(DiagTuple(k, 1, list(np.eye(k + 2)[index, :, None, None])))
+    return psi_k(DiagTuple(k, 1, np.eye(k + 2)[index, :, None, None]))
 
 
 def quotient_residuals(k: int, q: int = 1) -> list[Residual]:
     """The quotient map sends (1, ..., 1, -1, -1) to zero and (1, ..., 1) to the unit."""
-    zero = psi_k(DiagTuple(k, q, list(_kernel(k)[:, None, None] * np.eye(q))))
+    zero = psi_k(DiagTuple(k, q, _kernel(k)[:, None, None] * np.eye(q)))
     unit_gap = element_distance(psi_k(DiagTuple.ones(k, q)), PrismElement.unit(k, q))
     return [
-        ("kernel_maps_to_zero", float(opnorms(_stacked(zero)).max()), _LINEAR_TOL),
+        ("kernel_maps_to_zero", float(opnorms(zero.blocks).max()), _LINEAR_TOL),
         ("ones_map_to_unit", unit_gap, _LINEAR_TOL),
     ]
 
@@ -365,7 +366,7 @@ def scalar_positivity_prism(e: PrismElement) -> ScalarVerdict:
         raise WrongLevelError(f"scalar test requires level q = 1, got q = {e.q}")
     if not e.is_selfadjoint():
         raise NotSelfadjointError("scalar positivity requires a selfadjoint element")
-    base = (fourier_matrix(e.k) @ _stacked(e)[: e.k, 0, 0]).real
+    base = (fourier_matrix(e.k) @ e.c[:, 0, 0]).real
     gval = e.g[0, 0].real
     values = np.column_stack([base + gval, base - gval])
     j, side = np.unravel_index(np.argmin(values), values.shape)
@@ -390,7 +391,7 @@ def element_distance(e1: PrismElement, e2: PrismElement) -> float:
     """Largest operator-norm distance between corresponding coefficient blocks."""
     if (e1.k, e1.q) != (e2.k, e2.q):
         raise ShapeMismatchError("elements live in different systems")
-    return float(opnorms(_stacked(e1) - _stacked(e2)).max())
+    return float(opnorms(e1.blocks - e2.blocks).max())
 
 
 def min_eigenvalue(e: PrismElement, pair: RepPair) -> float:
@@ -482,12 +483,11 @@ def matrix_positivity_prism(e: PrismElement):
     Both definite verdicts re-verify from their payloads alone. An element
     whose particular lift overflows is refused with a ``ValueError``.
     """
-    stack = _stacked(e)
-    if not _selfadjoint(stack):
+    if not e.is_selfadjoint():
         raise NotSelfadjointError("positivity requires a selfadjoint element")
 
     k = e.k
-    base = _particular_lift(stack)
+    base = _particular_lift(e.blocks)
     chars = ((base[:k, None] + base[None, k:]) / 2).reshape(2 * k, e.q, e.q)
     lows = np.linalg.eigvalsh(np.concatenate([base, chars])).min(axis=-1)
     a, b = lows[:k].min(), lows[k : k + 2].min()
@@ -573,6 +573,6 @@ def _dual_witness(x: np.ndarray, k: int) -> RepPair:
     root = u[:, support] / np.sqrt(lam[support])
     parts = hermitize(dagger(root) @ zt @ root)
     b = parts[k] - parts[k + 1]
-    povm = Povm(list(parts[:k]), fourier_matrix(k)[:, 1].tolist())
-    pair, _ = _dilate_povm(povm, None, b, _hermitian_defect(b, None), "dual_witness")
+    povm = Povm(parts[:k], fourier_matrix(k)[:, 1].tolist())
+    pair, _ = _dilate_povm(povm, b, _hermitian_defect(b, None), "dual_witness")
     return pair

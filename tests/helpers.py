@@ -23,6 +23,20 @@ def worst(residuals):
     return max(value for _, value, _ in residuals)
 
 
+def record_eigh(monkeypatch):
+    """Replace ``np.linalg.eigh``, the function every ncprism module calls, by
+    one that records a copy of each argument; returns the list of copies."""
+    calls = []
+    real = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        calls.append(np.array(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return calls
+
+
 def random_hermitian(rng, n):
     return hermitize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
 

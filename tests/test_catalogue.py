@@ -131,7 +131,7 @@ def _joint():
         ("_hermitian_defect", lambda: dilation.halmos_symmetry(HALF), NotSymmetryError),
         ("_unitary_defects", lambda: dilation.halmos_unitary(HALF), NotIsometryError),
         ("_hermitian_defect", lambda: dilation.cube_dilation([HALF, HALF]), NotSymmetryError),
-        ("psd_sqrt", lambda: dilation.naimark_normal(POVM), InvalidPovmError),
+        ("_spectral_sqrt", lambda: dilation.naimark_normal(POVM), InvalidPovmError),
         ("_fourier_base", _joint, InvalidPovmError),
         ("_spectral_sqrt", _joint, InvalidPovmError),
         ("_hermitian_defect", _joint, RelationCheckFailedError),

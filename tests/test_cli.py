@@ -501,8 +501,9 @@ class TestOutsideInput:
                 {"a": matrix_to_json(np.zeros((2, 3))), "b": matrix_to_json(np.zeros((2, 2)))},
                 "need a square matrix",
             ),
+            (["dilate", "halmos"], matrix_to_json(np.zeros((2, 3))), "halmos_unitary requires a square matrix"),
         ],
-        ids=["float-rows", "bool-shape", "float-k", "bool-q", "non-square-a"],
+        ids=["float-rows", "bool-shape", "float-k", "bool-q", "non-square-a", "non-square-halmos"],
     )
     def test_refused_with_exit_two(self, capsys, monkeypatch, args, payload, message):
         code, out, err = run_cli(capsys, monkeypatch, args, stdin_obj=payload)

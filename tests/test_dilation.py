@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import within_bounds
+from helpers import record_eigh, within_bounds
 
 from ncprism import dilation
 from ncprism.convexity import (
@@ -262,6 +262,28 @@ class TestNaimark:
             naimark_normal(
                 Povm([np.array([[0.9]]), np.array([[0.3]])], [1.0, -1.0])
             )
+
+    @pytest.mark.parametrize(
+        "effects, labels",
+        [([], []), ([np.eye(2), np.eye(3)], [1.0, -1.0]), (np.zeros((2, 2, 3)), [1.0, -1.0]), (np.eye(2), [1.0, -1.0])],
+        ids=["empty", "ragged", "not-square", "one-matrix"],
+    )
+    def test_a_malformed_stack_is_refused(self, effects, labels):
+        with pytest.raises(InvalidPovmError, match="nonempty stack of square matrices"):
+            Povm(effects, labels)
+
+    def test_effects_changed_after_construction_are_refused(self):
+        # Weight 0.01 moved from h_1 to h_0 keeps the sum at 1 but moves the
+        # first moment by 0.01 (1 - omega): the roots, taken from the spectrum
+        # of the effects as built, no longer compress N to that moment.
+        povm = triangle_povm(np.diag([0.2, 0.1j]))
+        povm.effects[0] += 0.01 * np.eye(2)
+        povm.effects[1] -= 0.01 * np.eye(2)
+        b = 0.5 * np.eye(2)
+        with pytest.raises(InvalidPovmError, match="naimark_normal: compression"):
+            naimark_normal(povm)
+        with pytest.raises(InvalidPovmError, match=r"joint_prism_dilation\(k=3, level=2\): compression"):
+            _dilate_povm(povm, b, dilation._hermitian_defect(b, "b"))
 
     @pytest.mark.parametrize("k", [3, 4, 6])
     def test_effect_eigenvalue_at_the_clamp_edge(self, k):
@@ -551,7 +573,7 @@ class TestJointPrismDilation:
         b = hermitize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         b = 0.9 * b / opnorm(b)
         povm = Povm(list(effects), fourier_matrix(k)[:, 1].tolist())
-        pair, g = _dilate_povm(povm, None, b, dilation._hermitian_defect(b, "b"))
+        pair, g = _dilate_povm(povm, b, dilation._hermitian_defect(b, "b"))
         assert pair.dim == 2 * k * n
         assert within_bounds(pair_residuals(pair))
         power = np.eye(pair.dim)
@@ -701,3 +723,27 @@ class TestOneFactorisation:
         calls = self.count(monkeypatch, "eigh", "eigvalsh", "svd")
         joint_prism_dilation(a, b, 3)
         assert calls == {"eigh": 2, "eigvalsh": 0, "svd": 0}
+
+    # Each effect stack is factored by one ``eigh``, the POVM's own: the
+    # membership test, the band rule, ``effects_positive`` and the Naimark
+    # roots all read it. A call counts when its argument is the stack of the
+    # effects returned (the solver's own stacks at k >= 4 are not).
+    @staticmethod
+    def factorisations(calls, effects):
+        effects = np.asarray(effects)
+        return sum(c.shape == effects.shape and np.array_equal(hermitize(c), effects) for c in calls)
+
+    def test_naimark_of_the_triangle_povm_factors_the_effects_once(self, monkeypatch):
+        a, _ = random_prism_point(np.random.default_rng(8), 4, 3, scale=0.8)
+        calls = record_eigh(monkeypatch)
+        povm = triangle_povm(a)
+        naimark_normal(povm)
+        assert self.factorisations(calls, povm.effects) == 1
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_joint_dilation_factors_the_effects_once(self, monkeypatch, k):
+        a, b = random_prism_point(np.random.default_rng(k), 4, k, scale=0.8)
+        effects = order_k_povm(a, k).effects
+        calls = record_eigh(monkeypatch)
+        joint_prism_dilation(a, b, k)
+        assert self.factorisations(calls, effects) == 1

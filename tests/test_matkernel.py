@@ -256,6 +256,11 @@ class TestHermitianRule:
             a = np.stack([random_hermitian(rng, n), a])
         assert is_hermitian(a) == self.svd_rule(a) == (ratio < 1.0)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (1, 2), (4, 2, 3)])
+    def test_a_matrix_that_is_not_square_is_not_hermitian(self, shape):
+        # Not an error: A - A* has no meaning there, and the verdict is False.
+        assert not is_hermitian(np.zeros(shape))
+
 
 class TestHalmosBlockResiduals:
     """Symmetry residuals of [[P, Q], [Q, -P]] are taken from its blocks and

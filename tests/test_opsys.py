@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_psd_trace_one, random_unitary, within_bounds
+from helpers import random_psd_trace_one, random_unitary, record_eigh, within_bounds
 
 from ncprism.convexity import random_prism_point
 from ncprism.dilation import joint_prism_dilation
@@ -39,7 +39,6 @@ from ncprism.opsys import (
     _kernel,
     _particular_lift,
     _psi_matrix,
-    _stacked,
     DiagTuple,
     DualTuple,
     PrismElement,
@@ -468,7 +467,7 @@ class TestFloorBracket:
 
     @staticmethod
     def bracket(e):
-        lows = np.linalg.eigvalsh(_particular_lift(_stacked(e))).min(axis=-1)
+        lows = np.linalg.eigvalsh(_particular_lift(e.blocks)).min(axis=-1)
         return (lows[: e.k].min() + lows[e.k :].min()) / 2, character_lows(e).min()
 
     @settings(max_examples=60, deadline=None)
@@ -599,7 +598,7 @@ def gap_probe_element(k, q, seed, target):
 
 def lift_problem(e):
     """The particular lift and the kernel directions the oracle solves over."""
-    return _particular_lift(_stacked(e)), _kernel(e.k)[:, None, None] * hermitian_basis(e.q)[:, None]
+    return _particular_lift(e.blocks), _kernel(e.k)[:, None, None] * hermitian_basis(e.q)[:, None]
 
 
 class TestDualWitness:
@@ -665,7 +664,7 @@ class TestDualWitness:
         e = PrismElement(k, 2, c, np.diag([0.2, 0.0]))
         x = np.zeros((k + 2, 2, 2))
         x[0, 0, 0] = x[k, 0, 0] = 0.5
-        bound = float(np.vdot(_particular_lift(_stacked(e)), x).real)
+        bound = float(np.vdot(_particular_lift(e.blocks), x).real)
         assert bound == pytest.approx(-0.3, abs=1e-14)
         witness = _dual_witness(x, k)
         assert witness.dim == 2 * k
@@ -674,6 +673,15 @@ class TestDualWitness:
         verdict = matrix_positivity_prism(e)
         assert isinstance(verdict, Refuted)
         assert within_bounds([*pair_residuals(verdict.witness), *refuted_residuals(e, verdict)])
+
+    def test_the_witness_effects_are_factored_once(self, monkeypatch):
+        # The k = 3 effects are the only (3, r, r) stacks factored: the
+        # solver's stacks have k + 2 slices, and R is a single q x q matrix.
+        e = gap_probe_element(3, 2, 9, -1e-3)
+        calls = record_eigh(monkeypatch)
+        verdict = matrix_positivity_prism(e)
+        assert verdict.witness.provenance == "dual_witness(k=3, level=2)"
+        assert sum(c.ndim == 3 and len(c) == 3 for c in calls) == 1
 
 
 def vertex_element(k, q, j, sign, seed):
@@ -903,7 +911,7 @@ class TestDiagonalEvaluation:
 
         assert _exact_diagonal(pair.w) is not None
         size = e.q * pair.dim
-        dense = np.einsum("sab,sij->aibj", _stacked(e), _basis_operators(pair)).reshape(size, size)
+        dense = np.einsum("sab,sij->aibj", e.blocks, _basis_operators(pair)).reshape(size, size)
         calls = []
         real = opsys._basis_operators
         monkeypatch.setattr(opsys, "_basis_operators", lambda p: calls.append(1) or real(p))
@@ -994,6 +1002,18 @@ class TestBlockValidation:
         assert x.blocks[2][0, 0] == 3j
         e = PrismElement(3, 1, [1.0, 0.0, 0.0], 0.5)
         assert e.g.shape == (1, 1) and e.c[0][0, 0] == 1.0
+
+    def test_element_blocks_are_one_stack(self):
+        # c and g are views into blocks, which every formula reads; a
+        # rebound g would leave blocks behind (the unit with g = 5 evaluates
+        # to -4 at the character (1, -1), yet its stale stack certifies), so
+        # rebinding is refused.
+        e = PrismElement.unit(3, 1)
+        assert np.shares_memory(e.c, e.blocks) and np.shares_memory(e.g, e.blocks)
+        with pytest.raises(AttributeError):
+            e.g = np.array([[5.0]])
+        e.g[0, 0] = 5.0
+        assert isinstance(matrix_positivity_prism(e), Refuted)
 
 
 class TestCachedConstants:
