@@ -9,6 +9,7 @@ membership, and evaluates the closed-form scaling constants.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -102,15 +103,20 @@ def _check_polygon(k: int) -> None:
         raise ValueError(f"polygon needs k >= 3, got {k}")
 
 
+@functools.lru_cache(maxsize=32)
 def make_polygon(k: int) -> PolytopeSpec:
-    """Convex hull of the k-th roots of unity in the plane."""
+    """Convex hull of the k-th roots of unity in the plane, built once per k
+    with read-only arrays."""
     _check_polygon(k)
     angles = 2.0 * np.pi * np.arange(k) / k
     vertices = np.column_stack([np.cos(angles), np.sin(angles)])
     mid = (2.0 * np.arange(k) + 1.0) * np.pi / k
     normals = np.column_stack([np.cos(mid), np.sin(mid)])
     offsets = np.full(k, math.cos(math.pi / k))
-    return PolytopeSpec(2, vertices, normals, offsets, name=f"polygon:{k}")
+    polygon = PolytopeSpec(2, vertices, normals, offsets, name=f"polygon:{k}")
+    for array in (polygon.vertices, polygon.normals, polygon.offsets):
+        array.flags.writeable = False
+    return polygon
 
 
 def make_prism(k: int) -> PolytopeSpec:

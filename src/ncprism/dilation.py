@@ -22,6 +22,7 @@ functions check it too, for matrices a caller did not build.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -43,6 +44,7 @@ from .matkernel import (
     ALG_TOL,
     PSD_CLAMP,
     SPEC_TOL,
+    FloorSystem,
     Residual,
     _frobenius,
     _spectral_sqrt,
@@ -300,6 +302,8 @@ def triangle_povm(a) -> Povm:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatchError("triangle_povm requires a square matrix")
+    if not a.size:
+        raise ShapeMismatchError("triangle_povm of a 0 x 0 matrix is undefined")
     labels = fourier_matrix(3)[:, 1]
     povm = Povm(_fourier_base(a, labels), labels.tolist())
     spectra = povm.spectrum[0]
@@ -414,9 +418,10 @@ def order_k_povm(a, k: int) -> Povm:
     k >= 4 the effects are the Fourier-minimal base (1 + omega^-j a + omega^j a*)/k
     plus any Hermitian combination of the Fourier modes m = 2 .. k-2 (the
     (k-3) n^2 real unknowns that keep sum(h_j) = 1 and sum(omega^j h_j) = a),
-    and ``matkernel.lmi_floor`` brackets their best smallest eigenvalue
-    against the band (-band, 0), band = SPEC_TOL / 4k. Its floor t_lo and
-    bound t_hi give the outcome:
+    and ``matkernel.lmi_floor``, over the system kept for (k, n)
+    (:func:`_mode_system`), brackets their best smallest eigenvalue against
+    the band (-band, 0), band = SPEC_TOL / 4k. Its floor t_lo and bound t_hi
+    give the outcome:
 
     - t_lo > 0: those effects, unclamped;
     - t_lo >= -band: the effects clamped to >= 0 and renormalised, which
@@ -443,21 +448,34 @@ def order_k_povm(a, k: int) -> Povm:
             f"(facet margin {verdict.margin:.3e}); no decomposition exists"
         )
 
-    n = a.shape[0]
-    fourier = fourier_matrix(k)
-    labels = fourier[:, 1]
+    labels = fourier_matrix(k)[:, 1]
     base = _fourier_base(a, labels)
-    # The Hermitian modes m = 2 .. k-2 as real vectors over j: Re F[:, m] up
-    # to k/2, Im F[:, m] beyond (they pair with modes k - m).
-    modes = [fourier[:, m].real if 2 * m <= k else fourier[:, m].imag for m in range(2, k - 1)]
-    directions = np.einsum("mj,eab->mejab", modes, hermitian_basis(n)).reshape(-1, k, n, n)
+    system = _mode_system(k, a.shape[0])
     band = SPEC_TOL / (4 * k)
-    result = lmi_floor(base, directions, (-band, 0.0))
-    effects = hermitize(base + np.tensordot(result.y, directions, axes=1))
+    result = lmi_floor(base, system, (-band, 0.0))
+    effects = hermitize(base + np.tensordot(result.y, system.directions, axes=1))
     povm = Povm(_settle(effects, result.t_lo, result.t_hi, result.steps, band), labels.tolist())
     residuals = _povm_residuals(povm.effects, labels, a, povm.spectrum[0])
     require(residuals, InfeasibleError, "order_k_povm decomposition")
     return povm
+
+
+@functools.lru_cache(maxsize=4)
+def _mode_system(k: int, n: int) -> FloorSystem:
+    """The ``lmi_floor`` system of the level-n decompositions over the k-th
+    roots of unity, built once per (k, n) and read-only: its directions are
+    the Hermitian Fourier modes m = 2 .. k-2 tensored with
+    ``hermitian_basis(n)``, as real vectors over j Re F[:, m] up to k/2 and
+    Im F[:, m] beyond (they pair with modes k - m).
+
+    An entry keeps the (k-3) n^2 x k x n x n direction stack and, once a
+    solve has built them, its constraints: about four copies of the stack,
+    0.07 MB at (4, 4), 0.3 MB at (6, 4), 5 MB at (6, 8) and 80 MB at
+    (6, 16), where one call peaks near 142 MB. Four entries hold k = 4 .. 7
+    at one level n <= 8 in 17 MB."""
+    fourier = fourier_matrix(k)
+    modes = [fourier[:, m].real if 2 * m <= k else fourier[:, m].imag for m in range(2, k - 1)]
+    return FloorSystem(np.einsum("mj,eab->mejab", modes, hermitian_basis(n)).reshape(-1, k, n, n))
 
 
 def joint_prism_dilation(a, b, k: int) -> tuple[RepPair, np.ndarray]:

@@ -19,6 +19,8 @@ Matrices are plain ``numpy.ndarray`` objects with ``complex128`` entries.
 All operations are pure functions; the only state is the collector that
 :func:`measured` opens for the block it encloses, and read-only arrays built
 once per argument: :func:`commutant_dimension`'s weights and Fourier matrices.
+Callers that solve many floors over one stack of directions keep that
+stack's read-only :class:`FloorSystem` the same way.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +59,8 @@ __all__ = [
     "fourier_matrix",
     "hermitian_basis",
     "FloorResult",
+    "FloorConstraints",
+    "FloorSystem",
     "lmi_floor",
     "commutant_dimension",
     "support_value",
@@ -280,18 +285,87 @@ class FloorResult:
     steps: int
 
 
+class FloorConstraints(NamedTuple):
+    """The constraint matrices A_i of :func:`lmi_floor`: -D_i for each y_i,
+    then the identity for t, so that S = base - sum_i z_i A_i with z = (y, t)
+    and the primal constraints read <A_i, X> = b_i. ``flat`` holds them one
+    per row and ``pair`` conjugated, so that Re pair @ vec(X) is <A_i, X>;
+    block b of ``cols`` is the row of blocks [A_1b | ... | A_Pb]. ``gram``
+    is their real Gram matrix and ``slack_cut`` the rounding allowance of a
+    primal point's constraints (:func:`_meets`)."""
+
+    flat: np.ndarray
+    pair: np.ndarray
+    cols: np.ndarray
+    b: np.ndarray
+    gram: np.ndarray
+    slack_cut: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class FloorSystem:
+    """A (p, m, n, n) stack of Hermitian directions for :func:`lmi_floor`,
+    kept as a read-only view, and the constraints built from it.
+
+    The constraints depend on the directions alone: a caller that solves
+    many problems over one stack keeps its system and passes it to
+    :func:`lmi_floor` in place of the stack. They are built on first use,
+    by the first solve that gets past y = 0, and kept, read-only.
+    """
+
+    directions: np.ndarray
+
+    def __post_init__(self):
+        directions = np.asarray(self.directions, dtype=complex).view()
+        if directions.ndim != 4:
+            raise ShapeMismatchError(f"directions must be a (p, m, n, n) stack, got shape {directions.shape}")
+        directions.flags.writeable = False
+        object.__setattr__(self, "directions", directions)
+
+    @functools.cached_property
+    def constraints(self) -> FloorConstraints:
+        """The :class:`FloorConstraints` of the directions. The directions
+        and the identity must be linearly independent to rounding: the real
+        Gram matrix of -D_1, ..., -D_p, 1 must have its smallest eigenvalue
+        above sqrt(eps) times its largest, or ``ValueError`` is raised. The
+        callers' directions (Fourier modes or a kernel vector tensored with
+        :func:`hermitian_basis`) always are."""
+        _, m, n, _ = self.directions.shape
+        a = np.concatenate([-self.directions, np.broadcast_to(np.eye(n), (1, m, n, n))])
+        flat = a.reshape(len(a), -1)
+        pair = flat.conj()
+        b = np.zeros(len(a))
+        b[-1] = 1.0
+        cols = a.transpose(1, 2, 0, 3).reshape(m, n, -1)
+        gram = (pair @ flat.T).real
+        lam = np.linalg.eigvalsh(gram)
+        if not lam.min() > math.sqrt(np.finfo(float).eps) * lam.max():
+            raise ValueError(
+                "the directions and the identity must be linearly independent to rounding: "
+                f"their Gram matrix has smallest eigenvalue {lam.min():.3e}, not above "
+                f"sqrt(eps) times its largest, {lam.max():.3e}"
+            )
+        # A projected point bounds the floors only if tr X = 1 and <D_i, X> = 0
+        # hold to the rounding of the products, which an ill-conditioned
+        # projection need not achieve.
+        slack_cut = pair.shape[1] * np.finfo(float).eps * np.linalg.norm(pair, axis=1)
+        constraints = FloorConstraints(flat, pair, cols, b, gram, slack_cut)
+        for array in constraints:
+            array.flags.writeable = False
+        return constraints
+
+
 def lmi_floor(base, directions, band: tuple[float, float]) -> FloorResult:
     """Bracket max t s.t. base + sum_i y_i directions[i] >= t 1 against the
     band (low, high), low <= high.
 
     ``base`` is an (m, n, n) stack of Hermitian blocks, ``directions`` a
-    (p, m, n, n) stack of p such stacks, and the order holds block by block.
-    The directions and the identity must be linearly independent to
-    rounding: the real Gram matrix of -D_1, ..., -D_p, 1 must have its
-    smallest eigenvalue above sqrt(eps) times its largest. Otherwise, unless
-    y = 0 already clears the band, ``ValueError`` is raised. The callers'
-    directions (Fourier modes or a kernel vector tensored with
-    :func:`hermitian_basis`) always are.
+    (p, m, n, n) stack of p such stacks or their :class:`FloorSystem`, and
+    the order holds block by block. The constraints are built, or taken from
+    the system, only once y = 0 has failed to clear the band, so directions
+    that are not linearly independent with the identity to rounding
+    (:attr:`FloorSystem.constraints`) raise ``ValueError`` unless y = 0
+    already clears it.
 
     The solver stops at the first bracket [t_lo, t_hi] that places the best
     floor against the band: t_lo >= high, with the first point y found whose
@@ -332,34 +406,19 @@ def lmi_floor(base, directions, band: tuple[float, float]) -> FloorResult:
         raise ValueError(f"band must have low <= high, got ({low}, {high})")
     base = hermitize(np.asarray(base, dtype=complex))
     m, n, _ = base.shape
-    directions = np.asarray(directions, dtype=complex).reshape(-1, m, n, n)
+    if isinstance(directions, FloorSystem):
+        system = directions
+    else:
+        system = FloorSystem(np.asarray(directions, dtype=complex).reshape(-1, m, n, n))
+    directions = system.directions
+    if directions.shape[1:] != base.shape:
+        raise ShapeMismatchError(f"the directions have blocks {directions.shape[1:]}, the base {base.shape}")
     y, t_lo = np.zeros(len(directions)), _floor(base)
     if t_lo >= high:
         return FloorResult(y, t_lo, math.inf, None, 0)
-    # The constraint matrices A_i: -D_i for each y_i, then the identity for
-    # t, so that S = base - sum_i z_i A_i with z = (y, t), and the primal
-    # constraints read <A_i, X> = b_i. The real part of `pair` @ vec(X) is
-    # <A_i, X>; block b of `cols` is the row of blocks [A_1b | ... | A_Pb].
-    eye = np.broadcast_to(np.eye(n), base.shape)
-    a = np.concatenate([-directions, eye[None]])
-    flat = a.reshape(len(a), -1)
-    pair = flat.conj()
-    b = np.zeros(len(a))
-    b[-1] = 1.0
-    cols = a.transpose(1, 2, 0, 3).reshape(m, n, -1)
-    gram = (pair @ flat.T).real
-    lam = np.linalg.eigvalsh(gram)
-    if not lam.min() > math.sqrt(np.finfo(float).eps) * lam.max():
-        raise ValueError(
-            "the directions and the identity must be linearly independent to rounding: "
-            f"their Gram matrix has smallest eigenvalue {lam.min():.3e}, not above "
-            f"sqrt(eps) times its largest, {lam.max():.3e}"
-        )
-    # A projected point bounds the floors only if tr X = 1 and <D_i, X> = 0
-    # hold to the rounding of the products, which an ill-conditioned
-    # projection need not achieve.
-    slack_cut = pair.shape[1] * np.finfo(float).eps * np.linalg.norm(pair, axis=1)
-    x = eye / (m * n)
+    constraints = system.constraints
+    flat, pair, _, b, gram, slack_cut = constraints
+    x = np.broadcast_to(np.eye(n), base.shape) / (m * n)
     z = np.append(y, t_lo - 1.0)
     t_hi, x_hi, steps, halvings = math.inf, None, 0, 0
     try:
@@ -391,7 +450,7 @@ def lmi_floor(base, directions, band: tuple[float, float]) -> FloorResult:
                     continue
                 halvings = 0
                 s_inv = (u / w[..., None, :]) @ dagger(u)
-                dz, dx, (step_x, step_z) = _newton_step(x, s, s_inv, factors, (flat, cols, pair, b))
+                dz, dx, (step_x, step_z) = _newton_step(x, s, s_inv, factors, constraints)
                 x_good, z_good = x, z
                 x, z = x + step_x * dx, z + step_z * dz
                 steps += 1
@@ -412,12 +471,11 @@ def _floor(stack: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(hermitize(stack)).min())
 
 
-def _newton_step(x, s, s_inv, factors, constraints) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _newton_step(x, s, s_inv, factors, constraints: FloorConstraints) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mehrotra's predictor-corrector on the HKM direction at (x, s): the
     steps dz and dX (dS = -sum_i dz_i A_i), and the lengths to take them by,
     for x and for z. ``factors`` holds L^-1 for the Cholesky factors L of X
-    and of S, and ``constraints`` the constraint matrices A_i flattened, as
-    rows of blocks (see :func:`_schur`) and conjugated, then b.
+    and of S.
 
     Linearising X S = sigma mu 1 with A(dX) = b - A(X) and dS = -A^T(dz)
     gives dX = W - X dS S^-1 (then hermitized) and the Schur system
@@ -430,7 +488,7 @@ def _newton_step(x, s, s_inv, factors, constraints) -> tuple[np.ndarray, np.ndar
     step each take both step lengths from one batched ``eigvalsh``
     (:func:`_step_lengths`).
     """
-    flat, cols, pair, b = constraints
+    flat, pair, cols, b, _, _ = constraints
     size = x.shape[0] * x.shape[1]
     schur = _schur(x, s_inv, cols, pair)
 
@@ -527,6 +585,8 @@ def commutant_dimension(mats) -> tuple[int, list[np.ndarray]]:
             raise ShapeMismatchError(
                 f"all matrices must be square of equal size, got {a.shape} vs ({n}, {n})"
             )
+    if not n:
+        raise ShapeMismatchError("commutant of 0 x 0 matrices is undefined")
     stack = np.array(mats)
     cutoff = SPEC_TOL * n
     eigvecs, w, lipschitz = _hermitian_spectrum(stack)
@@ -751,6 +811,8 @@ def support_values(mats, directions) -> np.ndarray:
         if a.shape != (n, n):
             raise ShapeMismatchError("tuple entries must all have equal square shape")
         require_hermitian(a, "support_value tuple entry")
+    if not n:
+        raise ShapeMismatchError("support_value of 0 x 0 matrices is undefined")
     combos = (directions[:, :, None, None] * np.stack(mats)).sum(axis=1)
     return np.linalg.eigvalsh(hermitize(combos)).max(axis=-1)
 

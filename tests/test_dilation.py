@@ -46,7 +46,19 @@ from ncprism.errors import (
     OrderMismatchError,
     ShapeMismatchError,
 )
-from ncprism.matkernel import PSD_CLAMP, SPEC_TOL, compress, dagger, fourier_matrix, hermitize, measured, opnorm
+from ncprism.convexity import prism_member
+from ncprism.matkernel import (
+    PSD_CLAMP,
+    SPEC_TOL,
+    commutant_dimension,
+    compress,
+    dagger,
+    fourier_matrix,
+    hermitize,
+    measured,
+    opnorm,
+    support_values,
+)
 from ncprism.reps import pair_residuals, prism_vertex_rep
 
 OMEGA = np.exp(2j * np.pi / 3)
@@ -747,3 +759,88 @@ class TestOneFactorisation:
         calls = record_eigh(monkeypatch)
         joint_prism_dilation(a, b, k)
         assert self.factorisations(calls, effects) == 1
+
+
+class TestModeSystemCache:
+    """``order_k_povm`` keeps one read-only ``lmi_floor`` system per (k, n)
+    and ``make_polygon`` one polygon per k; neither changes a result."""
+
+    @staticmethod
+    def draw(k):
+        # A scale-0.9 point at level 4, as in the benchmark's dilate pool: its
+        # decomposition takes Newton steps, so it reads the system's constraints.
+        return random_prism_point(np.random.default_rng([20260117, k, 9]), 4, k, scale=0.9)[0]
+
+    @staticmethod
+    def outcome(a, k):
+        try:
+            return order_k_povm(a, k).effects.tobytes()
+        except InfeasibleError as exc:
+            return str(exc)
+
+    def test_cached_arrays_are_read_only(self):
+        system = dilation._mode_system(4, 4)
+        self.outcome(self.draw(4), 4)
+        assert dilation._mode_system(4, 4) is system
+        for array in (system.directions, *system.constraints):
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 0.0
+        for k in (3, 4, 6):
+            polygon = make_polygon(k)
+            assert make_polygon(k) is polygon
+            fresh = make_polygon.__wrapped__(k)
+            for name in ("vertices", "normals", "offsets"):
+                assert np.array_equal(getattr(polygon, name), getattr(fresh, name))
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(polygon, name)[0] = 0.0
+
+    def test_cached_and_fresh_systems_decide_alike(self, monkeypatch):
+        # A first call, a second call and calls interleaving (4, 4), (6, 4),
+        # (4, 4) give the effects, or the refusal, of a system built afresh
+        # for every call, bit for bit.
+        inputs = [(self.draw(k), k) for k in (4, 4, 6, 4, 6)]
+        dilation._mode_system.cache_clear()
+        cached = [self.outcome(a, k) for a, k in inputs]
+        monkeypatch.setattr(dilation, "_mode_system", dilation._mode_system.__wrapped__)
+        assert cached == [self.outcome(a, k) for a, k in inputs]
+
+    def test_a_second_call_builds_no_system(self, monkeypatch):
+        # The second call at one (k, n) forms no direction stack and runs no
+        # Gram eigvalsh: it takes one eigvalsh fewer than the first, which
+        # follows the same Newton steps.
+        a = self.draw(6)
+        dilation._mode_system.cache_clear()
+        bases, basis = [], dilation.hermitian_basis
+        monkeypatch.setattr(dilation, "hermitian_basis", lambda n: bases.append(n) or basis(n))
+        calls = TestOneFactorisation.count(monkeypatch, "eigvalsh")
+        counts = []
+        for _ in range(2):
+            before = (len(bases), calls["eigvalsh"])
+            self.outcome(a, 6)
+            counts.append((len(bases) - before[0], calls["eigvalsh"] - before[1]))
+        (built, first), (again, second) = counts
+        assert (built, again) == (1, 0) and first == second + 1 and second > 2
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a: support_values([a, a], np.eye(2)),
+        lambda a: max_member([a, a], make_polygon(4)),
+        lambda a: prism_member(a, a, 4),
+        lambda a: triangle_povm(a),
+        lambda a: order_k_povm(a, 3),
+        lambda a: order_k_povm(a, 4),
+        lambda a: joint_prism_dilation(a, a, 3),
+        lambda a: joint_prism_dilation(a, a, 5),
+        lambda a: commutant_dimension([a]),
+    ],
+    ids=[
+        "support_values", "max_member", "prism_member", "triangle_povm", "order_k_povm-3",
+        "order_k_povm-4", "joint_prism_dilation-3", "joint_prism_dilation-5", "commutant_dimension",
+    ],
+)
+def test_empty_input_is_refused(call):
+    # A 0 x 0 input is refused by the library, not by numpy's zero-size reduction.
+    with pytest.raises(ShapeMismatchError, match="0 x 0"):
+        call(np.zeros((0, 0)))

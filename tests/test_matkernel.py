@@ -22,6 +22,7 @@ from ncprism.matkernel import (
     ALG_TOL,
     PSD_CLAMP,
     SPEC_TOL,
+    FloorSystem,
     _h_weights,
     _halmos_half,
     _schur,
@@ -826,6 +827,44 @@ class TestLmiFloor:
         assert len(stops) == 212
         digest = hashlib.sha256(repr(stops).encode()).hexdigest()
         assert digest == "0d9f103440a816fe93a3c0477b7e3c8486f26107efd87d9d40f08b8c5d25700a"
+
+    def test_a_prebuilt_system_solves_as_its_stack(self):
+        # On every problem and lift of the pinned test above, one system
+        # serves the four bands and gives the stack's result bit for bit; a
+        # dependent problem raises the stack's ValueError when its
+        # constraints are built.
+        for seed in range(60):
+            base, directions = self.random_problem(seed)
+            system = FloorSystem(directions)
+            for lift in (0.05, 0.5, 1.0, 2.0):
+                t = float(np.linalg.eigvalsh(base).min() + lift)
+                if seed % 9 == 0:
+                    with pytest.raises(ValueError, match="linearly independent to rounding") as stacked:
+                        lmi_floor(base, directions, (t, t))
+                    with pytest.raises(ValueError, match="linearly independent to rounding") as built:
+                        system.constraints
+                    assert str(built.value) == str(stacked.value)
+                    continue
+                ours, theirs = lmi_floor(base, system, (t, t)), lmi_floor(base, directions, (t, t))
+                assert (ours.t_lo, ours.t_hi, ours.steps) == (theirs.t_lo, theirs.t_hi, theirs.steps)
+                assert ours.y.tobytes() == theirs.y.tobytes()
+                assert (ours.x is None) == (theirs.x is None)
+                assert ours.x is None or ours.x.tobytes() == theirs.x.tobytes()
+
+    def test_a_system_is_read_only_and_built_past_y_zero(self):
+        system = FloorSystem(self.DIRECTIONS)
+        # A base that clears the band builds no constraints.
+        lmi_floor(self.BASE + 1.0, system, (0.5, 0.5))
+        assert "constraints" not in vars(system)
+        lmi_floor(self.BASE, system, (0.5, 0.5))
+        assert system.constraints is vars(system)["constraints"]
+        for array in (system.directions, *system.constraints):
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 0.0
+        with pytest.raises(ShapeMismatchError, match="blocks"):
+            lmi_floor(np.zeros((3, 1, 1)), system, (0.5, 0.5))
+        with pytest.raises(ShapeMismatchError, match=r"\(p, m, n, n\)"):
+            FloorSystem(self.BASE)
 
     @pytest.mark.parametrize("seed, t", [(41, 0.3), (59, 0.0)])
     def test_failed_factorisation_halves_the_step(self, monkeypatch, seed, t):

@@ -55,7 +55,7 @@ from ncprism.opsys import (
     scalar_positivity_cube,
     scalar_positivity_prism,
 )
-from ncprism import reps
+from ncprism import opsys, reps
 from ncprism.reps import RepPair, pair_residuals, prism_character, prism_vertex_rep
 from ncprism.serialize import verdict_to_json
 
@@ -1025,3 +1025,56 @@ class TestCachedConstants:
             assert np.array_equal(cached, build.__wrapped__(k))
             with pytest.raises(ValueError):
                 cached[0, 0] = 0.0
+
+    @staticmethod
+    def solved():
+        # Elements the solve-free bracket leaves open, at (k, q) = (3, 2),
+        # (6, 3), (3, 2): refuted by the dual witness, certified, and the
+        # q = 2 boundary element left Unknown.
+        return [
+            gap_probe_element(3, 2, 9, -1e-3),
+            gap_probe_element(6, 3, 0, 1e-3),
+            preimage_element(2, True, 52),
+            gap_probe_element(3, 2, 23, 1e-3),
+        ]
+
+    @staticmethod
+    def payload(e):
+        return json.dumps(verdict_to_json(matrix_positivity_prism(e)), sort_keys=True)
+
+    def test_cached_lift_system_is_read_only(self):
+        e = self.solved()[0]
+        self.payload(e)
+        system = opsys._lift_system(3, 2)
+        assert opsys._lift_system(3, 2) is system
+        for array in (system.directions, *system.constraints):
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 0.0
+
+    def test_cached_and_fresh_lift_systems_decide_alike(self, monkeypatch):
+        # A first call, a second call and calls interleaving (3, 2), (6, 3),
+        # (3, 2) give the verdict payloads of a system built afresh for
+        # every call, byte for byte.
+        elements = self.solved()
+        elements.insert(1, elements[0])
+        opsys._lift_system.cache_clear()
+        cached = [self.payload(e) for e in elements]
+        monkeypatch.setattr(opsys, "_lift_system", opsys._lift_system.__wrapped__)
+        assert cached == [self.payload(e) for e in elements]
+
+    def test_a_second_solve_builds_no_system(self, monkeypatch):
+        # The second solve at one (k, q) forms no direction stack and runs no
+        # Gram eigvalsh: one eigvalsh fewer than the first, same Newton steps.
+        e = self.solved()[2]
+        opsys._lift_system.cache_clear()
+        bases, basis = [], opsys.hermitian_basis
+        monkeypatch.setattr(opsys, "hermitian_basis", lambda q: bases.append(q) or basis(q))
+        calls, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args: calls.append(1) or eigvalsh(*args))
+        counts = []
+        for _ in range(2):
+            before = (len(bases), len(calls))
+            self.payload(e)
+            counts.append((len(bases) - before[0], len(calls) - before[1]))
+        (built, first), (again, second) = counts
+        assert (built, again) == (1, 0) and first == second + 1
