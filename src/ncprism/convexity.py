@@ -19,7 +19,7 @@ from .errors import ShapeMismatchError
 from .matkernel import (
     SPEC_TOL,
     Residual,
-    as_matrix,
+    _operands,
     hermitize,
     opnorm,
     require,
@@ -68,10 +68,19 @@ class PolytopeSpec:
         require(polytope_residuals(self), ValueError, self.name)
 
 
+# polytope_residuals takes the vertices x facets product this many vertex
+# rows at a time, so that its memory stays bounded at large k; every prism
+# with k <= 128 and every cube with d <= 8 is one block.
+_VERTEX_ROWS = 256
+
+
 def polytope_residuals(spec: PolytopeSpec) -> list[Residual]:
     """Facet normals are unit vectors and every vertex satisfies every facet."""
     norms = np.linalg.norm(spec.normals, axis=1)
-    worst = float((spec.vertices @ spec.normals.T - spec.offsets).max())
+    worst = max(
+        float((spec.vertices[i : i + _VERTEX_ROWS] @ spec.normals.T - spec.offsets).max())
+        for i in range(0, len(spec.vertices), _VERTEX_ROWS)
+    )
     return [
         ("unit_normals", float(np.abs(norms - 1.0).max()), _GEOM_TOL),
         ("vertices_within_facets", max(0.0, worst), _GEOM_TOL),
@@ -154,7 +163,7 @@ def max_member(mats, polytope: PolytopeSpec) -> MembershipResult:
     few eps times |offset| + |support|), so exactly tied facets name the first
     of them; the margin is the least slack.
     """
-    mats = [as_matrix(a) for a in mats]
+    mats = _operands("max_member needs square matrices of equal size", *mats)
     if len(mats) != polytope.ambient_dim:
         raise ShapeMismatchError(
             f"tuple has {len(mats)} entries, polytope is {polytope.ambient_dim}-dimensional"
@@ -176,9 +185,7 @@ def max_member(mats, polytope: PolytopeSpec) -> MembershipResult:
 
 def real_imag_parts(a) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian real and imaginary parts of a square operator."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeMismatchError(f"real and imaginary parts need a square matrix, got {a.shape}")
+    (a,) = _operands("real and imaginary parts need a square matrix", a)
     return hermitize(a), hermitize(a / 1j)
 
 
@@ -190,9 +197,7 @@ def prism_member(a, b, k: int) -> MembershipResult:
     with ||b|| <= 1.
     """
     re, im = real_imag_parts(a)
-    b = as_matrix(b)
-    if b.shape != re.shape:
-        raise ShapeMismatchError(f"a and b must have equal size, got {re.shape}, {b.shape}")
+    (b,) = _operands(f"b must be {len(re)} x {len(re)}, as a is", b, n=len(re))
     return max_member([re, im, b], make_prism(k))
 
 

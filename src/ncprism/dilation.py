@@ -47,6 +47,8 @@ from .matkernel import (
     FloorSystem,
     Residual,
     _frobenius,
+    _operands,
+    _spectral,
     _spectral_sqrt,
     as_matrix,
     clamp_spectrum,
@@ -97,7 +99,9 @@ class DilationResult:
 
     def __post_init__(self):
         self.isometry = as_matrix(self.isometry)
-        self.operators = [as_matrix(op) for op in self.operators]
+        self.operators = _operands(
+            "operators must be square of the isometry's height", *self.operators, n=len(self.isometry)
+        )
         if len(self.operators) != len(self.labels):
             raise ShapeMismatchError("labels must match operators one-to-one")
 
@@ -105,9 +109,6 @@ class DilationResult:
         """Z* T Z for every enlarged-space operator T."""
         z = self.isometry
         return [dagger(z) @ op @ z for op in self.operators]
-
-
-_SHAPES = "effects must be a nonempty stack of square matrices of equal size"
 
 
 @dataclass
@@ -123,17 +124,12 @@ class Povm:
     spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        try:
-            self.effects = np.asarray(self.effects, dtype=complex)
-        except ValueError as exc:
-            raise InvalidPovmError(_SHAPES) from exc
-        shape = self.effects.shape
-        if len(shape) != 3 or shape[1] != shape[2] or not shape[0]:
-            raise InvalidPovmError(_SHAPES)
-        if shape[0] != len(self.outcome_labels):
+        (self.effects,) = _operands(
+            "effects must be a nonempty stack of square matrices of equal size",
+            self.effects, error=InvalidPovmError, ndim=3,
+        )
+        if len(self.effects) != len(self.outcome_labels):
             raise InvalidPovmError("each effect needs exactly one outcome label")
-        if not np.isfinite(self.effects).all():
-            raise ValueError("matrix entries must be finite")
         require_hermitian(self.effects, "POVM effects")
         self.spectrum = np.linalg.eigh(hermitize(self.effects))
 
@@ -206,7 +202,7 @@ def _hermitian_defect(b: np.ndarray, name: str | None) -> np.ndarray:
     sqrt((1 - w)(1 + w)) once rescaled, so |w| <= 1 exactly."""
     w, u = np.linalg.eigh(hermitize(b))
     w = w / _unit_ball(float(np.abs(w).max(initial=0.0)), name)
-    return hermitize((u * np.sqrt((1.0 - w) * (1.0 + w))) @ dagger(u))
+    return _spectral(u, np.sqrt((1.0 - w) * (1.0 + w)))
 
 
 def halmos_symmetry(b) -> np.ndarray:
@@ -216,12 +212,13 @@ def halmos_symmetry(b) -> np.ndarray:
     ``eigh`` of b that also checks ||b|| <= 1: S is Hermitian, S^2 is the
     identity within SPEC_TOL, and the top-left block is ``b`` itself.
     """
+    (b,) = _operands("halmos_symmetry requires a square matrix", b)
     return _halmos_symmetry(b, "")
 
 
-def _halmos_symmetry(b, prefix: str) -> np.ndarray:
-    """:func:`halmos_symmetry`, recording its rows with ``prefix`` before each name."""
-    b = as_matrix(b)
+def _halmos_symmetry(b: np.ndarray, prefix: str) -> np.ndarray:
+    """:func:`halmos_symmetry` of a square operand ``b``, recording its rows
+    with ``prefix`` before each name."""
     require_hermitian(b, "halmos_symmetry input")
     s = _symmetry_block(b, _hermitian_defect(b, "b"))
     require(prefixed(prefix, symmetry_residuals(s)), NotSymmetryError, "halmos_symmetry")
@@ -250,9 +247,7 @@ def halmos_unitary(x) -> np.ndarray:
     unitary within SPEC_TOL with top-left block ``x`` itself; both defects
     come from one ``eigh`` (see :func:`_unitary_defects`).
     """
-    x = as_matrix(x)
-    if x.shape[0] != x.shape[1]:
-        raise ShapeMismatchError("halmos_unitary requires a square matrix")
+    (x,) = _operands("halmos_unitary requires a square matrix", x)
     d_left, d_right = _unitary_defects(x)
     u = np.block([[x, d_left], [d_right, -dagger(x)]])
     require([unitary_residual(u)], NotIsometryError, "halmos_unitary")
@@ -273,7 +268,7 @@ def _unitary_defects(x: np.ndarray) -> np.ndarray:
     root = np.sqrt(1.0 - np.clip(s / scale**2, 0.0, 1.0))
     cr = (x / scale) @ right
     d_left = np.eye(len(x)) - (cr / (1.0 + root)) @ dagger(cr)
-    return hermitize(np.stack([d_left, (right * root) @ dagger(right)]))
+    return hermitize(np.stack([d_left, _spectral(right, root)]))
 
 
 def halmos_unitary_residuals(x, u) -> list[Residual]:
@@ -299,11 +294,7 @@ def triangle_povm(a) -> Povm:
     >= -SPEC_TOL. The same factorisation gives ``effects_positive`` and the
     Naimark square roots, unless the band rule changed the effects.
     """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeMismatchError("triangle_povm requires a square matrix")
-    if not a.size:
-        raise ShapeMismatchError("triangle_povm of a 0 x 0 matrix is undefined")
+    (a,) = _operands("triangle_povm requires a square matrix", a)
     labels = fourier_matrix(3)[:, 1]
     povm = Povm(_fourier_base(a, labels), labels.tolist())
     spectra = povm.spectrum[0]
@@ -432,9 +423,7 @@ def order_k_povm(a, k: int) -> Povm:
 
     Returned effects always pass ``povm_residuals``.
     """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeMismatchError("order_k_povm requires a square matrix")
+    (a,) = _operands("order_k_povm requires a square matrix", a)
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
     if k == 3:
@@ -491,9 +480,7 @@ def joint_prism_dilation(a, b, k: int) -> tuple[RepPair, np.ndarray]:
     the level of ``b`` (see ``_carried_blocks``), so its identities are
     checked here.
     """
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"a and b must have equal size, got {a.shape}, {b.shape}")
+    a, b = _operands("a and b must be square of equal size", a, b)
     require_hermitian(b, "joint_prism_dilation input b")
     defect = _hermitian_defect(b, "b")
     return _dilate_povm(order_k_povm(a, k), b, defect)
@@ -567,13 +554,8 @@ def cube_dilation(mats) -> DilationResult:
     recorded as ``s{j}_selfadjoint`` and ``s{j}_squares_to_identity``, with
     the labels of :func:`cube_residuals`.
     """
-    mats = [as_matrix(m) for m in mats]
-    if not mats:
-        raise ShapeMismatchError("cube_dilation needs at least one matrix")
-    n = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (n, n):
-            raise ShapeMismatchError("all tuple entries must have equal square shape")
+    mats = _operands("cube_dilation needs square matrices of equal size", *mats)
+    n = len(mats[0])
     labels = [f"s{j + 1}" for j in range(len(mats))]
     symmetries = [_halmos_symmetry(m, f"{label}_") for label, m in zip(labels, mats)]
     isometry = np.vstack([np.eye(n), np.zeros((n, n))]).astype(complex)

@@ -141,6 +141,38 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def _operands(
+    what: str, *operands, error: type[Exception] = ShapeMismatchError, n: int | None = None, ndim: int | None = 2
+) -> list[np.ndarray]:
+    """The operand rule: a call's square operands as complex arrays that are
+    finite, square and all n x n with n >= 1 (the given n, if any).
+
+    Each operand is a matrix (a scalar is 1 x 1); with ``ndim`` = 3, a stack
+    of matrices (a vector is a stack of 1 x 1 matrices); with ``ndim`` None,
+    a nonempty (..., n, n) stack of any depth. No operand, an empty one, a
+    ragged nested list or a wrong shape raises ``error`` with ``what`` and the
+    shapes given ("0 x 0" for an empty matrix); a non-finite entry raises
+    ``ValueError``. An operand that is already a complex array is not copied."""
+    try:
+        mats = [np.asarray(m, dtype=complex) for m in operands]
+    except ValueError as exc:
+        raise error(f"{what}, got arrays of different shapes") from exc
+    lead = 0 if ndim is None else ndim - 2
+    square = None if n is None else (n, n)
+    for i, m in enumerate(mats):
+        if m.ndim == lead and m.size:
+            mats[i] = m = m.reshape(m.shape + (1, 1))
+        square = square or m.shape[-1:] * 2
+        if m.shape[-2:] != square or not m.size or ndim and m.ndim != ndim:
+            shapes = ", ".join(" x ".join(map(str, m.shape)) if m.ndim > 1 else f"shape {m.shape}" for m in mats)
+            raise error(f"{what}, got {shapes}")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix entries must be finite")
+    if not mats:
+        raise error(f"{what}, got none")
+    return mats
+
+
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose; on an (m, n, n) stack, of each slice."""
     return a.conj().swapaxes(-1, -2)
@@ -183,15 +215,15 @@ def is_hermitian(a: np.ndarray) -> bool:
     return bool((skew <= ALG_TOL).all() or (skew <= ALG_TOL * np.maximum(1.0, opnorms(a))).all())
 
 
-def require_hermitian(a: np.ndarray, what: str = "matrix") -> None:
-    """Raise unless ``a`` (a matrix, or each slice of a stack) is square and
-    Hermitian by :func:`is_hermitian`."""
-    if a.shape[-2] != a.shape[-1]:
-        raise ShapeMismatchError(f"{what} must be square, got shape {a.shape}")
+def require_hermitian(a, what: str = "matrix") -> np.ndarray:
+    """``a``, a matrix or an (..., n, n) stack, as :func:`_operands` returns
+    it; raise unless each slice is Hermitian by :func:`is_hermitian`."""
+    (a,) = _operands(f"{what} must be square", a, ndim=None)
     if not is_hermitian(a):
         raise NotHermitianError(
             f"{what} is not Hermitian: ||A - A*|| = {opnorms(a - dagger(a)).max():.3e}"
         )
+    return a
 
 
 def psd_sqrt(h) -> np.ndarray:
@@ -201,12 +233,7 @@ def psd_sqrt(h) -> np.ndarray:
     Eigenvalues in ``[-PSD_CLAMP, 0)`` are clamped to zero; an eigenvalue
     below ``-PSD_CLAMP`` raises :class:`NotPSDError`.
     """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim < 3:
-        h = as_matrix(h)
-    elif not np.isfinite(h).all():
-        raise ValueError("matrix entries must be finite")
-    require_hermitian(h, "psd_sqrt input")
+    h = require_hermitian(h, "psd_sqrt input")
     return _spectral_sqrt(*np.linalg.eigh(hermitize(h)))
 
 
@@ -218,8 +245,14 @@ def _spectral_sqrt(w: np.ndarray, u: np.ndarray) -> np.ndarray:
         raise NotPSDError(
             f"matrix has eigenvalue {w.min():.3e} below -PSD_CLAMP={-PSD_CLAMP:.1e}"
         )
-    w = np.clip(w, 0.0, None)
-    return hermitize((u * np.sqrt(w)[..., None, :]) @ dagger(u))
+    return _spectral(u, np.sqrt(np.clip(w, 0.0, None)))
+
+
+def _spectral(u: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix, or stack, U diag(values) U* with the
+    eigenvectors ``u`` of an ``eigh`` and a function of its eigenvalues,
+    hermitized."""
+    return hermitize((u * values[..., None, :]) @ dagger(u))
 
 
 def clamp_spectrum(stack: np.ndarray, floor: float) -> np.ndarray:
@@ -230,7 +263,7 @@ def clamp_spectrum(stack: np.ndarray, floor: float) -> np.ndarray:
     {X = X*, X >= floor}. One batched ``eigh`` serves the whole stack.
     """
     w, u = np.linalg.eigh(hermitize(stack))
-    return hermitize((u * np.clip(w, floor, None)[..., None, :]) @ dagger(u))
+    return _spectral(u, np.clip(w, floor, None))
 
 
 @functools.lru_cache(maxsize=32)
@@ -576,18 +609,9 @@ def commutant_dimension(mats) -> tuple[int, list[np.ndarray]]:
     raises ``RelationCheckFailedError``, as does one whose Gram matrix
     overflows ("inputs too large"); numpy's overflow warnings are silenced.
     """
-    mats = [as_matrix(a) for a in mats]
-    if not mats:
-        raise ShapeMismatchError("commutant of an empty set is undefined")
-    n = mats[0].shape[0]
-    for a in mats:
-        if a.shape != (n, n):
-            raise ShapeMismatchError(
-                f"all matrices must be square of equal size, got {a.shape} vs ({n}, {n})"
-            )
-    if not n:
-        raise ShapeMismatchError("commutant of 0 x 0 matrices is undefined")
+    mats = _operands("the commutant needs square matrices of equal size", *mats)
     stack = np.array(mats)
+    n = stack.shape[1]
     cutoff = SPEC_TOL * n
     eigvecs, w, lipschitz = _hermitian_spectrum(stack)
     # ||A_i||_2^2 <= ||A_i||_1 ||A_i||_inf (largest column and row sums).
@@ -798,22 +822,14 @@ def support_values(mats, directions) -> np.ndarray:
     lambda_max. The combinations are summed term by term in tuple order, as a
     per-direction loop sums them, so near-ties between directions round alike.
     """
-    mats = [as_matrix(a) for a in mats]
+    mats = _operands("support_value needs square matrices of equal size", *mats)
     directions = np.asarray(directions, dtype=float)
-    if not mats:
-        raise ShapeMismatchError("support_value of an empty tuple is undefined")
     if directions.ndim != 2 or directions.shape[1] != len(mats):
         raise ShapeMismatchError(
             f"directions have shape {directions.shape}, expected (m, {len(mats)})"
         )
-    n = mats[0].shape[0]
-    for a in mats:
-        if a.shape != (n, n):
-            raise ShapeMismatchError("tuple entries must all have equal square shape")
-        require_hermitian(a, "support_value tuple entry")
-    if not n:
-        raise ShapeMismatchError("support_value of 0 x 0 matrices is undefined")
-    combos = (directions[:, :, None, None] * np.stack(mats)).sum(axis=1)
+    stack = require_hermitian(np.stack(mats), "support_value tuple entry")
+    combos = (directions[:, :, None, None] * stack).sum(axis=1)
     return np.linalg.eigvalsh(hermitize(combos)).max(axis=-1)
 
 
@@ -845,8 +861,9 @@ def direct_sum(*blocks) -> np.ndarray:
 
 def compress(a, z) -> np.ndarray:
     """Corner compression ``Z* A Z`` through an isometry ``Z``."""
-    a, z = as_matrix(a), as_matrix(z)
-    if a.shape[0] != a.shape[1] or z.shape[0] != a.shape[0]:
+    (a,) = _operands("compress needs a square a", a)
+    z = as_matrix(z)
+    if z.shape[0] != a.shape[0]:
         raise ShapeMismatchError(
             f"cannot compress {a.shape} through isometry of shape {z.shape}"
         )
@@ -911,8 +928,7 @@ def symmetry_residuals(s) -> list[Residual]:
     of S^2 being [P, Q] S = [P^2 + Q^2, PQ - QP]. When P and Q are exactly
     Hermitian (the first residual is exactly 0), QP = (PQ)*, so that row
     takes three products, P^2, Q^2 and C = PQ, with PQ - QP = C - C*."""
-    if s.shape[0] != s.shape[1]:
-        raise ShapeMismatchError("a symmetry must be square")
+    (s,) = _operands("a symmetry must be square", s)
     m = _halmos_half(s)
     rows, scale = (len(s), 1.0) if m is None else (m, math.sqrt(2.0))
     selfadjoint = scale * _frobenius(s[:rows] - dagger(s[:, :rows]))

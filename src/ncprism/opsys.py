@@ -47,7 +47,7 @@ from .matkernel import (
     Residual,
     _exact_diagonal,
     _frobenius,
-    as_matrix,
+    _operands,
     dagger,
     fourier_matrix,
     hermitian_basis,
@@ -88,19 +88,10 @@ _LINEAR_TOL = 1e-12
 
 
 def _square_blocks(blocks, q: int) -> np.ndarray:
-    """The blocks as one finite (count, q, q) complex stack, q >= 1; scalars at q = 1."""
+    """The blocks as one (count, q, q) operand stack, q >= 1; scalars at q = 1."""
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    try:
-        stack = np.asarray(blocks, dtype=complex)
-    except ValueError as exc:
-        raise ShapeMismatchError(f"blocks must be {q} x {q}, got blocks of different shapes") from exc
-    stack = stack.reshape(-1, 1, 1) if q == 1 and stack.ndim == 1 else stack
-    if stack.ndim != 3 or stack.shape[1:] != (q, q):
-        raise ShapeMismatchError(f"blocks must be {q} x {q}, got {stack.shape[1:]}")
-    if not np.isfinite(stack).all():
-        raise ValueError("matrix entries must be finite")
-    return stack
+    return _operands(f"blocks must be {q} x {q}", blocks, n=q, ndim=3)[0]
 
 
 @dataclass(frozen=True)
@@ -332,11 +323,8 @@ def functional_to_tuple(pair: RepPair, density: np.ndarray, k: int) -> DualTuple
     """
     if pair.k != k:
         raise OrderMismatchError(f"pair has order {pair.k}, expected {k}")
-    density = as_matrix(density)
-    if density.shape != (pair.dim, pair.dim):
-        raise InvalidDensityError(
-            f"density has shape {density.shape}, expected {(pair.dim, pair.dim)}"
-        )
+    n = pair.dim
+    (density,) = _operands(f"density must be {n} x {n}", density, error=InvalidDensityError, n=n)
     if opnorm(density - dagger(density)) > SPEC_TOL:
         raise InvalidDensityError("density must be Hermitian")
     eigs = np.linalg.eigvalsh(hermitize(density))

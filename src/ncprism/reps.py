@@ -32,7 +32,6 @@ from .errors import (
     LambdaOutOfRangeError,
     NotSymmetryError,
     RelationCheckFailedError,
-    ShapeMismatchError,
     SizeBudgetExceededError,
     OrderMismatchError,
     UnsupportedQError,
@@ -50,7 +49,7 @@ from .matkernel import (
     ALG_TOL,
     SPEC_TOL,
     Residual,
-    as_matrix,
+    _operands,
     commutant_dimension,
     dagger,
     direct_sum,
@@ -99,12 +98,7 @@ class RepPair:
     commutant_dim: int | None = None
 
     def __post_init__(self):
-        self.w = as_matrix(self.w)
-        self.v = as_matrix(self.v)
-        if self.w.shape != self.v.shape or self.w.shape[0] != self.w.shape[1]:
-            raise ShapeMismatchError(
-                f"W and V must be square of equal size, got {self.w.shape}, {self.v.shape}"
-            )
+        self.w, self.v = _operands("W and V must be square of equal size", self.w, self.v)
 
     @property
     def dim(self) -> int:
@@ -129,10 +123,7 @@ class SymmetryTuple:
     provenance: str = ""
 
     def __post_init__(self):
-        self.mats = [as_matrix(m) for m in self.mats]
-        shapes = {m.shape for m in self.mats}
-        if len(shapes) != 1 or any(rows != cols for rows, cols in shapes):
-            raise ShapeMismatchError(f"entries must be square of equal size, got {sorted(shapes)}")
+        self.mats = _operands("entries must be square of equal size", *self.mats)
 
     @property
     def dim(self) -> int:
@@ -239,10 +230,8 @@ def two_symmetry_canonical_form(v1, v2) -> CanonicalForm:
     dominate sqrt(t). The returned conjugator reconstructs the input from
     the canonical pair.
     """
-    v1, v2 = as_matrix(v1), as_matrix(v2)
+    v1, v2 = _operands("the two symmetries must be square of equal size", v1, v2)
     require(symmetry_tuple_residuals([v1, v2]), NotSymmetryError, "canonical form input")
-    if v1.shape != v2.shape:
-        raise ShapeMismatchError("the two symmetries must have equal size")
     n = v1.shape[0]
     cut = SPEC_TOL / 4.0
 
@@ -336,11 +325,13 @@ def hadamard_symmetries(m: int) -> SymmetryTuple:
 
 
 def hadamard_residuals(mats) -> list[Residual]:
-    """The entries other than the last are diagonal sign matrices, hence
-    commuting symmetries (checked entrywise in O(n^2) each), and the last is a
-    symmetry. Each diagonal entry is compared with +-1 by the sign of its
+    """The entries other than the last (none in a one-entry tuple) are
+    diagonal sign matrices, hence commuting symmetries (checked entrywise in
+    O(n^2) each), and the last is a symmetry. Each diagonal entry is compared with +-1 by the sign of its
     real part, never with 0, so a zero entry is 1 away."""
-    signs = max(np.abs(a - np.diag(np.copysign(1.0, a.diagonal().real))).max() for a in mats[:-1])
+    mats = _operands("hadamard tuple entries must be square of equal size", *mats)
+    heads = (np.abs(a - np.diag(np.copysign(1.0, a.diagonal().real))).max() for a in mats[:-1])
+    signs = max(heads, default=0.0)
     return [
         ("heads_diagonal_signs", float(signs), ALG_TOL),
         *prefixed(f"s{len(mats) - 1}_", symmetry_residuals(mats[-1])),
@@ -425,7 +416,7 @@ def generated_group_order(generators) -> int:
     two adjacent ones. Raises RelationCheckFailedError if the closure
     exceeds ``_GROUP_MAX_ORDER`` elements.
     """
-    gens = [as_matrix(g) for g in generators]
+    gens = _operands("generators must be square of equal size", *generators)
     n = gens[0].shape[0]
     weights = np.random.default_rng(0).standard_normal((n, n))
     weights /= np.linalg.norm(weights)

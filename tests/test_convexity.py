@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from helpers import random_hermitian, random_isometry, random_unitary
 
 from ncprism.convexity import (
+    PolytopeSpec,
     circumnorm,
     cube_scaling_constant,
     incircle_radius,
@@ -43,6 +45,24 @@ class TestPolytopes:
         for k in (3, 5, 8):
             spec = make_prism(k)
             assert (spec.vertices @ spec.normals.T - spec.offsets).max() <= 1e-12
+
+    def test_self_check_memory_is_bounded(self):
+        # The vertices x facets product is taken in row blocks: whole, at
+        # k = 4096 it and its slacks took 538 MB.
+        tracemalloc.start()
+        try:
+            make_prism(4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+
+    def test_a_vertex_outside_a_facet_in_a_later_block_is_refused(self):
+        vertices = np.zeros((1000, 2))
+        vertices[-1] = [2.0, 0.0]
+        normals = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        with pytest.raises(ValueError, match="vertices_within_facets"):
+            PolytopeSpec(2, vertices, normals, np.ones(4), name="square")
 
 
 class TestMaxMember:

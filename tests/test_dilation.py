@@ -17,6 +17,7 @@ from ncprism.convexity import (
     real_imag_parts,
 )
 from ncprism.dilation import (
+    DilationResult,
     GroupWord,
     Povm,
     cube_dilation,
@@ -38,6 +39,7 @@ from ncprism.dilation import (
 )
 from ncprism.errors import (
     InfeasibleError,
+    InvalidDensityError,
     InvalidPovmError,
     NormExceedsOneError,
     NotHermitianError,
@@ -46,7 +48,7 @@ from ncprism.errors import (
     OrderMismatchError,
     ShapeMismatchError,
 )
-from ncprism.convexity import prism_member
+from ncprism.convexity import make_cube, prism_member
 from ncprism.matkernel import (
     PSD_CLAMP,
     SPEC_TOL,
@@ -57,9 +59,22 @@ from ncprism.matkernel import (
     hermitize,
     measured,
     opnorm,
+    psd_sqrt,
+    require_hermitian,
     support_values,
+    symmetry_residuals,
 )
-from ncprism.reps import pair_residuals, prism_vertex_rep
+from ncprism.opsys import DiagTuple, PrismElement, functional_to_tuple
+from ncprism.reps import (
+    RepPair,
+    SymmetryTuple,
+    generated_group_order,
+    hadamard_residuals,
+    pair_residuals,
+    prism_vertex_rep,
+    s3_pair,
+    two_symmetry_canonical_form,
+)
 
 OMEGA = np.exp(2j * np.pi / 3)
 
@@ -834,13 +849,98 @@ class TestModeSystemCache:
         lambda a: joint_prism_dilation(a, a, 3),
         lambda a: joint_prism_dilation(a, a, 5),
         lambda a: commutant_dimension([a]),
+        lambda a: psd_sqrt(a),
+        lambda a: require_hermitian(a),
+        lambda a: compress(a, np.eye(2)),
+        lambda a: symmetry_residuals(a),
+        lambda a: halmos_symmetry(a),
+        lambda a: halmos_unitary(a),
+        lambda a: cube_dilation([a, a]),
+        lambda a: DilationResult(np.eye(2), [a], ["a"]),
+        lambda a: real_imag_parts(a),
+        lambda a: RepPair(a, a, 3),
+        lambda a: SymmetryTuple([a, a]),
+        lambda a: two_symmetry_canonical_form(a, a),
+        lambda a: generated_group_order([a]),
+        lambda a: hadamard_residuals([a, a]),
+        lambda a: PrismElement(3, 2, [a] * 3, a),
+        lambda a: DiagTuple(3, 2, [a] * 5),
     ],
     ids=[
         "support_values", "max_member", "prism_member", "triangle_povm", "order_k_povm-3",
         "order_k_povm-4", "joint_prism_dilation-3", "joint_prism_dilation-5", "commutant_dimension",
+        "psd_sqrt", "require_hermitian", "compress", "symmetry_residuals", "halmos_symmetry",
+        "halmos_unitary", "cube_dilation", "DilationResult", "real_imag_parts", "RepPair", "SymmetryTuple",
+        "two_symmetry_canonical_form", "generated_group_order", "hadamard_residuals", "PrismElement",
+        "DiagTuple",
     ],
 )
 def test_empty_input_is_refused(call):
     # A 0 x 0 input is refused by the library, not by numpy's zero-size reduction.
     with pytest.raises(ShapeMismatchError, match="0 x 0"):
         call(np.zeros((0, 0)))
+
+
+# Every entry point that takes its square operands through the operand rule
+# (matkernel._operands): a call on a list of operands, the number it takes
+# (None for a tuple of any length) and the error it raises for a malformed shape.
+OPERAND_ENTRIES = {
+    "psd_sqrt": (lambda m: psd_sqrt(m[0]), 1, ShapeMismatchError),
+    "require_hermitian": (lambda m: require_hermitian(m[0]), 1, ShapeMismatchError),
+    "commutant_dimension": (commutant_dimension, None, ShapeMismatchError),
+    "support_values": (lambda m: support_values(m, np.ones((1, len(m)))), None, ShapeMismatchError),
+    "compress": (lambda m: compress(m[0], np.eye(2)), 1, ShapeMismatchError),
+    "symmetry_residuals": (lambda m: symmetry_residuals(m[0]), 1, ShapeMismatchError),
+    "Povm": (lambda m: Povm(m, [1.0] * len(m)), None, InvalidPovmError),
+    "naimark_normal": (lambda m: naimark_normal(Povm(m, [1.0] * len(m))), None, InvalidPovmError),
+    "DilationResult": (lambda m: DilationResult(np.eye(2), m, ["op"] * len(m)), None, ShapeMismatchError),
+    "halmos_symmetry": (lambda m: halmos_symmetry(m[0]), 1, ShapeMismatchError),
+    "halmos_unitary": (lambda m: halmos_unitary(m[0]), 1, ShapeMismatchError),
+    "triangle_povm": (lambda m: triangle_povm(m[0]), 1, ShapeMismatchError),
+    "order_k_povm": (lambda m: order_k_povm(m[0], 4), 1, ShapeMismatchError),
+    "joint_prism_dilation": (lambda m: joint_prism_dilation(*m, 3), 2, ShapeMismatchError),
+    "cube_dilation": (cube_dilation, None, ShapeMismatchError),
+    "real_imag_parts": (lambda m: real_imag_parts(m[0]), 1, ShapeMismatchError),
+    "max_member": (lambda m: max_member(m, make_cube(len(m) or 1)), None, ShapeMismatchError),
+    "prism_member": (lambda m: prism_member(*m, 3), 2, ShapeMismatchError),
+    "RepPair": (lambda m: RepPair(*m, 3), 2, ShapeMismatchError),
+    "SymmetryTuple": (SymmetryTuple, None, ShapeMismatchError),
+    "two_symmetry_canonical_form": (lambda m: two_symmetry_canonical_form(*m), 2, ShapeMismatchError),
+    "generated_group_order": (generated_group_order, None, ShapeMismatchError),
+    "hadamard_residuals": (hadamard_residuals, None, ShapeMismatchError),
+    "PrismElement": (lambda m: PrismElement(3, 2, m[:3], m[3]), 4, ShapeMismatchError),
+    "DiagTuple": (lambda m: DiagTuple(3, 2, m), 5, ShapeMismatchError),
+    "functional_to_tuple": (lambda m: functional_to_tuple(s3_pair(), m[0], 3), 1, InvalidDensityError),
+}
+
+
+def _malformed_cases():
+    """(call, operands, error, match) for every entry point: a non-square
+    operand, unequal sizes and an empty tuple where the entry takes more than
+    one operand, a NaN or +-inf entry in the real or the imaginary part, and a
+    0 x 0 operand where the error is not ShapeMismatchError (the others are in
+    test_empty_input_is_refused). A refused shape is named in the message."""
+    for name, (call, count, error) in OPERAND_ENTRIES.items():
+        size = count or 2
+        cases = {"non-square": ([np.zeros((2, 3))] * size, "got .*2 x 3")}
+        if size > 1:
+            cases["unequal"] = ([np.eye(3)] + [np.eye(2)] * (size - 1), "got .*2 x 2|arrays of different shapes")
+        if count is None:
+            cases["empty"] = ([], r"got (none|shape \(0,\))")
+        if error is not ShapeMismatchError:
+            cases["0x0"] = ([np.zeros((0, 0))] * size, "got .*0 x 0")
+        for case, (operands, match) in cases.items():
+            yield pytest.param(call, operands, error, match, id=f"{name}-{case}")
+        non_finite = {"nan": np.nan, "nan-imaginary": complex(0, np.nan), "inf": np.inf, "-inf-imaginary": complex(0, -np.inf)}
+        for case, value in non_finite.items():
+            bad = np.eye(2, dtype=complex)
+            bad[0, 1] = value
+            yield pytest.param(call, [bad] * size, ValueError, "finite", id=f"{name}-{case}")
+
+
+@pytest.mark.parametrize("call, operands, error, match", _malformed_cases())
+def test_malformed_operands_are_refused(call, operands, error, match):
+    # The library's own error, never numpy's shape or reduction ValueError,
+    # an IndexError or the built-in max() of an empty sequence.
+    with pytest.raises(error, match=match):
+        call(operands)
