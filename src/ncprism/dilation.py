@@ -8,11 +8,11 @@ with spectrum at the polygon's vertices, carry the second operator to the
 enlarged space, and close with a 2x2 Halmos symmetry block. Compressing
 back through the composite isometry recovers the original pair exactly.
 
-Every positive decomposition starts from the Fourier-minimal effects
-(1 + omega^-j a + omega^j a*)/k, whose Fourier modes other than 0, 1 and
-k - 1 vanish. At k = 3 these are the barycentric coordinates; for k >= 4
-``matkernel.lmi_floor`` searches the free modes 2 .. k-2 for effects that
-are all positive, or proves that none are.
+Every positive decomposition, at every k, is made by :func:`order_k_povm`
+and starts from the Fourier-minimal effects (1 + omega^-j a + omega^j a*)/k,
+whose Fourier modes other than 0, 1 and k - 1 vanish. At k = 3 these are the
+barycentric coordinates; for k >= 4 ``matkernel.lmi_floor`` searches the free
+modes 2 .. k-2 for effects that are all positive, or proves that none are.
 
 Each constructor checks the identities its own arithmetic can break. A block
 written from the data it would be compared with (a Halmos corner, the labels
@@ -278,44 +278,9 @@ def halmos_unitary_residuals(x, u) -> list[Residual]:
 
 
 def triangle_povm(a) -> Povm:
-    """Barycentric decomposition of an operator over the root-of-unity triangle.
-
-    For W(a) inside Conv{1, omega, omega^2} the affine barycentric
-    coordinate functionals of the triangle, applied to (Re a, Im a), give
-    effects h_j >= 0 with sum(h_j) = 1 and sum(omega^j h_j) = a: they are the
-    Fourier-minimal effects (1 + omega^-j a + omega^j a*)/3, the only
-    decomposition. On W(a) just outside the triangle they follow the band rule
-    of :func:`order_k_povm` with k = 3, their smallest eigenvalue as the floor.
-
-    The POVM's ``eigh`` decides membership as well: the slack of the facet
-    opposite the vertex omega^j, facet (j + 1) mod 3 of
-    ``convexity.make_polygon(3)``, is 3/2 lambda_min(h_j), and W(a) lies in
-    the triangle when the smallest slack, the first in facet order, is
-    >= -SPEC_TOL. The same factorisation gives ``effects_positive`` and the
-    Naimark square roots, unless the band rule changed the effects.
-    """
-    (a,) = _operands("triangle_povm requires a square matrix", a)
-    labels = fourier_matrix(3)[:, 1]
-    povm = Povm(_fourier_base(a, labels), labels.tolist())
-    spectra = povm.spectrum[0]
-    # Facet i is opposite the vertex omega^(i - 1): slacks in facet order.
-    slacks = 1.5 * spectra.min(axis=-1)[[2, 0, 1]]
-    margin = float(slacks.min())
-    if not margin >= -SPEC_TOL:
-        # Slacks equal up to the rounding of the effects (two facets meeting
-        # at a vertex) name the first of them, as exact slacks would.
-        tie = 16 * np.finfo(float).eps * max(1.0, float(np.abs(spectra).max()))
-        facet = int(np.argmax(slacks <= margin + tie))
-        raise NumericalRangeOutsideTriangleError(
-            f"numerical range leaves the triangle: facet {facet} violated by {-margin:.3e}"
-        )
-    # The decomposition is unique, so its smallest eigenvalue is the exact floor.
-    floor = float(spectra.min())
-    settled = _settle(povm.effects, floor, floor, 0, SPEC_TOL / (4 * 3))
-    if settled is not povm.effects:
-        povm = Povm(settled, povm.outcome_labels)
-    require(_povm_residuals(povm.effects, labels, a, povm.spectrum[0]), InvalidPovmError, "triangle_povm")
-    return povm
+    """Barycentric decomposition of an operator over the root-of-unity
+    triangle Conv{1, omega, omega^2}: :func:`order_k_povm` with k = 3."""
+    return order_k_povm(a, 3)
 
 
 def _settle(effects: np.ndarray, t_lo: float, t_hi: float, steps: int, band: float) -> np.ndarray:
@@ -404,48 +369,78 @@ def _naimark_residuals(povm: Povm, z, nz) -> list[Residual]:
 def order_k_povm(a, k: int) -> Povm:
     """Positive decomposition of ``a`` over the k-th roots of unity.
 
-    For k = 3 the barycentric effects of :func:`triangle_povm` are the only
-    decomposition, so t_lo = t_hi below is their smallest eigenvalue. For
-    k >= 4 the effects are the Fourier-minimal base (1 + omega^-j a + omega^j a*)/k
-    plus any Hermitian combination of the Fourier modes m = 2 .. k-2 (the
-    (k-3) n^2 real unknowns that keep sum(h_j) = 1 and sum(omega^j h_j) = a),
-    and ``matkernel.lmi_floor``, over the system kept for (k, n)
-    (:func:`_mode_system`), brackets their best smallest eigenvalue against
-    the band (-band, 0), band = SPEC_TOL / 4k. Its floor t_lo and bound t_hi
-    give the outcome:
+    The effects start from the Fourier-minimal base
+    (1 + omega^-j a + omega^j a*)/k. Their best smallest eigenvalue is
+    bracketed in [t_lo, t_hi] and judged against the band (-band, 0),
+    band = SPEC_TOL / 4k:
 
     - t_lo > 0: those effects, unclamped;
     - t_lo >= -band: the effects clamped to >= 0 and renormalised, which
       moves the moments by at most about 2k band;
-    - t_hi < -band, from a re-checked primal point: ``InfeasibleError``, a
-      proof that no positive decomposition exists;
+    - t_hi < -band, from an exact floor or a re-checked primal point:
+      ``InfeasibleError``, a proof that no positive decomposition exists;
     - otherwise ``InfeasibleError`` naming the undecided bracket.
 
-    Returned effects always pass ``povm_residuals``.
+    At k = 3 the base is the only decomposition, the barycentric
+    coordinates, so t_lo = t_hi is its smallest eigenvalue. The POVM's
+    ``eigh`` decides membership as well: the slack of the facet opposite the
+    vertex omega^j, facet (j + 1) mod 3 of ``convexity.make_polygon(3)``, is
+    3/2 lambda_min(h_j), and W(a) lies in the triangle when the smallest
+    slack, the first in facet order, is >= -SPEC_TOL (else
+    ``NumericalRangeOutsideTriangleError``). The same factorisation gives
+    ``effects_positive`` and the Naimark square roots, unless the band rule
+    changed the effects.
+
+    For k >= 4, once ``convexity.max_member`` has placed W(a) in Conv(C_k),
+    the base may be moved by any Hermitian combination of the Fourier modes
+    m = 2 .. k-2 (the (k-3) n^2 real unknowns that keep sum(h_j) = 1 and
+    sum(omega^j h_j) = a), and ``matkernel.lmi_floor``, over the system kept
+    for (k, n) (:func:`_mode_system`), gives the bracket.
+
+    Returned effects always pass ``povm_residuals``, checked here as
+    ``order_k_povm(k=.., level=..)`` (else ``InvalidPovmError``).
     """
     (a,) = _operands("order_k_povm requires a square matrix", a)
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
-    if k == 3:
-        return triangle_povm(a)
-
-    re, im = real_imag_parts(a)
-    verdict = max_member([re, im], make_polygon(k))
-    if not verdict.member:
-        raise InfeasibleError(
-            f"numerical range of a leaves Conv(C_{k}) "
-            f"(facet margin {verdict.margin:.3e}); no decomposition exists"
-        )
-
     labels = fourier_matrix(k)[:, 1]
     base = _fourier_base(a, labels)
-    system = _mode_system(k, a.shape[0])
     band = SPEC_TOL / (4 * k)
-    result = lmi_floor(base, system, (-band, 0.0))
-    effects = hermitize(base + np.tensordot(result.y, system.directions, axes=1))
-    povm = Povm(_settle(effects, result.t_lo, result.t_hi, result.steps, band), labels.tolist())
+    if k == 3:
+        povm = Povm(base, labels.tolist())
+        spectra = povm.spectrum[0]
+        # Facet i is opposite the vertex omega^(i - 1): slacks in facet order.
+        slacks = 1.5 * spectra.min(axis=-1)[[2, 0, 1]]
+        margin = float(slacks.min())
+        if not margin >= -SPEC_TOL:
+            # Slacks equal up to the rounding of the effects (two facets
+            # meeting at a vertex) name the first of them, as exact slacks would.
+            tie = 16 * np.finfo(float).eps * max(1.0, float(np.abs(spectra).max()))
+            facet = int(np.argmax(slacks <= margin + tie))
+            raise NumericalRangeOutsideTriangleError(
+                f"numerical range leaves the triangle: facet {facet} violated by {-margin:.3e}"
+            )
+        # The decomposition is unique: its smallest eigenvalue is the exact floor.
+        effects, steps = povm.effects, 0
+        t_lo = t_hi = float(spectra.min())
+    else:
+        povm = None
+        re, im = real_imag_parts(a)
+        verdict = max_member([re, im], make_polygon(k))
+        if not verdict.member:
+            raise InfeasibleError(
+                f"numerical range of a leaves Conv(C_{k}) "
+                f"(facet margin {verdict.margin:.3e}); no decomposition exists"
+            )
+        system = _mode_system(k, len(a))
+        result = lmi_floor(base, system, (-band, 0.0))
+        effects = hermitize(base + np.tensordot(result.y, system.directions, axes=1))
+        t_lo, t_hi, steps = result.t_lo, result.t_hi, result.steps
+    effects = _settle(effects, t_lo, t_hi, steps, band)
+    if povm is None or effects is not povm.effects:
+        povm = Povm(effects, labels.tolist())
     residuals = _povm_residuals(povm.effects, labels, a, povm.spectrum[0])
-    require(residuals, InfeasibleError, "order_k_povm decomposition")
+    require(residuals, InvalidPovmError, f"order_k_povm(k={k}, level={len(a)})")
     return povm
 
 

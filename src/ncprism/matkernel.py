@@ -341,8 +341,8 @@ class FloorSystem:
     kept as a read-only view, and the constraints built from it.
 
     The constraints depend on the directions alone: a caller that solves
-    many problems over one stack keeps its system and passes it to
-    :func:`lmi_floor` in place of the stack. They are built on first use,
+    many problems over one stack keeps its system and passes it to every
+    :func:`lmi_floor` call. They are built on first use,
     by the first solve that gets past y = 0, and kept, read-only.
     """
 
@@ -388,14 +388,14 @@ class FloorSystem:
         return constraints
 
 
-def lmi_floor(base, directions, band: tuple[float, float]) -> FloorResult:
+def lmi_floor(base, system: FloorSystem, band: tuple[float, float]) -> FloorResult:
     """Bracket max t s.t. base + sum_i y_i directions[i] >= t 1 against the
     band (low, high), low <= high.
 
-    ``base`` is an (m, n, n) stack of Hermitian blocks, ``directions`` a
-    (p, m, n, n) stack of p such stacks or their :class:`FloorSystem`, and
-    the order holds block by block. The constraints are built, or taken from
-    the system, only once y = 0 has failed to clear the band, so directions
+    ``base`` is an (m, n, n) stack of Hermitian blocks and ``system`` the
+    :class:`FloorSystem` of the directions, a (p, m, n, n) stack of p such
+    stacks; the order holds block by block. The constraints are taken from
+    the system only once y = 0 has failed to clear the band, so directions
     that are not linearly independent with the identity to rounding
     (:attr:`FloorSystem.constraints`) raise ``ValueError`` unless y = 0
     already clears it.
@@ -439,10 +439,6 @@ def lmi_floor(base, directions, band: tuple[float, float]) -> FloorResult:
         raise ValueError(f"band must have low <= high, got ({low}, {high})")
     base = hermitize(np.asarray(base, dtype=complex))
     m, n, _ = base.shape
-    if isinstance(directions, FloorSystem):
-        system = directions
-    else:
-        system = FloorSystem(np.asarray(directions, dtype=complex).reshape(-1, m, n, n))
     directions = system.directions
     if directions.shape[1:] != base.shape:
         raise ShapeMismatchError(f"the directions have blocks {directions.shape[1:]}, the base {base.shape}")

@@ -453,7 +453,8 @@ def generated_group_order(generators) -> int:
 
 def _verified_pair(w, v, k: int, provenance: str, relations) -> RepPair:
     """Build a RepPair and check its orders and the rows of ``relations``,
-    which certify irreducibility (see :data:`S3_RELATIONS`)."""
+    which certify irreducibility (see :data:`S3_RELATIONS` and
+    :func:`steinberg_pair`)."""
     pair = RepPair(w, v, k, provenance=provenance)
     require(pair_residuals(pair, relations), RelationCheckFailedError, provenance)
     pair.commutant_dim = 1
@@ -572,12 +573,9 @@ def steinberg_pair(q: int, field: FiniteFieldSpec | None = None) -> RepPair:
     qmat, _ = np.linalg.qr(np.ones((q + 1, 1)), mode="complete")
     z = qmat[:, 1:].astype(complex)
     zh = dagger(z)
-    pair = RepPair(zh[:, perm_u] @ z, zh[:, perm_v] @ z, 3, provenance=f"steinberg_pair(q={q})")
     # The walk ends only on an involution the rule accepts.
-    residuals = [*pair_residuals(pair), ("generates_psl2", 0.0, 0.0)]
-    require(residuals, RelationCheckFailedError, pair.provenance)
-    pair.commutant_dim = 1
-    return pair
+    generates = (("generates_psl2", lambda w, v: 0.0, 0.0),)
+    return _verified_pair(zh[:, perm_u] @ z, zh[:, perm_v] @ z, 3, f"steinberg_pair(q={q})", generates)
 
 
 def tensor_pair(p1: RepPair, p2: RepPair) -> RepPair:

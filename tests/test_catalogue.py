@@ -124,7 +124,8 @@ def _joint():
 
 
 # Every block the constructors call, each corrupted by 1e-6: the joint
-# dilation's effects, Naimark roots, defect of b, carried blocks and symmetry.
+# dilation's effects, Naimark roots, defect of b, carried blocks and symmetry,
+# and the effects of a decomposition over C_4.
 @pytest.mark.parametrize(
     "block, build, error",
     [
@@ -133,6 +134,7 @@ def _joint():
         ("_hermitian_defect", lambda: dilation.cube_dilation([HALF, HALF]), NotSymmetryError),
         ("_spectral_sqrt", lambda: dilation.naimark_normal(POVM), InvalidPovmError),
         ("_fourier_base", _joint, InvalidPovmError),
+        ("_fourier_base", lambda: dilation.order_k_povm(A, 4), InvalidPovmError),
         ("_spectral_sqrt", _joint, InvalidPovmError),
         ("_hermitian_defect", _joint, RelationCheckFailedError),
         ("_carried_blocks", _joint, RelationCheckFailedError),
@@ -140,7 +142,8 @@ def _joint():
     ],
     ids=[
         "halmos_symmetry-defect", "halmos_unitary-defects", "cube-defect", "naimark-roots",
-        "joint-effects", "joint-roots", "joint-defect", "joint-carried", "joint-symmetry",
+        "joint-effects", "order_k-effects", "joint-roots", "joint-defect", "joint-carried",
+        "joint-symmetry",
     ],
 )
 def test_constructor_refuses_corrupted_block(monkeypatch, block, build, error):

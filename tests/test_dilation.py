@@ -366,6 +366,35 @@ class TestOrderKPovm:
         povm = order_k_povm(np.array([[0.0]]), 3)
         assert len(povm.effects) == 3
 
+    @pytest.mark.parametrize(
+        "a",
+        [
+            random_prism_point(np.random.default_rng(3), 3, 3, scale=0.8)[0],
+            np.array([[OMEGA * (1 + 1e-9)]]),
+            np.array([[OMEGA * (1 + 5e-9)]]),
+            np.array([[1.1]]),
+        ],
+        ids=["interior", "clamped", "primal-certificate", "facet"],
+    )
+    def test_triangle_povm_is_order_k_povm_at_k3(self, a):
+        # Bit-identical effects, or the same refusal, down both names.
+        outcomes = []
+        for build in (triangle_povm, lambda a: order_k_povm(a, 3)):
+            try:
+                outcomes.append(build(a).effects.tobytes())
+            except (InfeasibleError, NumericalRangeOutsideTriangleError) as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("k", [3, 4, 6])
+    def test_povm_rows_carry_one_label(self, k):
+        a, _ = random_prism_point(np.random.default_rng(k), 2, k, scale=0.5)
+        with measured() as records:
+            order_k_povm(a, k)
+        rows = [(name, what) for name, _, _, what in records if not what.startswith("polygon")]
+        label = f"order_k_povm(k={k}, level=2)"
+        assert rows == [("first_moment", label), ("sum_to_identity", label), ("effects_positive", label)]
+
     def test_rejects_a_non_square_input(self):
         with pytest.raises(ShapeMismatchError, match="square"):
             order_k_povm(np.zeros((2, 3)), 4)

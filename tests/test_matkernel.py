@@ -744,18 +744,18 @@ class TestLmiFloor:
             assert np.abs(f @ dagger(f) - k * np.eye(k)).max() <= 1e-13
 
     def test_base_above_threshold_takes_no_step(self):
-        result = lmi_floor(self.BASE + 1.0, self.DIRECTIONS, (0.5, 0.5))
+        result = lmi_floor(self.BASE + 1.0, FloorSystem(self.DIRECTIONS), (0.5, 0.5))
         assert result.steps == 0 and result.t_lo == 1.0
         assert np.array_equal(result.y, [0.0])
 
     def test_first_point_above_threshold(self):
-        result = lmi_floor(self.BASE, self.DIRECTIONS, (0.4, 0.4))
+        result = lmi_floor(self.BASE, FloorSystem(self.DIRECTIONS), (0.4, 0.4))
         assert 0 < result.steps < 50
         assert 0.4 <= result.t_lo <= 0.5
         assert result.t_lo == self.floor_of(result.y)
 
     def test_primal_point_proves_threshold_out_of_reach(self):
-        result = lmi_floor(self.BASE, self.DIRECTIONS, (0.6, 0.6))
+        result = lmi_floor(self.BASE, FloorSystem(self.DIRECTIONS), (0.6, 0.6))
         x = result.x
         assert result.t_lo < 0.6 and 0.5 <= result.t_hi < 0.6
         assert np.linalg.eigvalsh(x).min() >= 0.0
@@ -764,7 +764,7 @@ class TestLmiFloor:
         assert np.vdot(self.BASE, x).real == result.t_hi
 
     def test_threshold_at_the_optimum_leaves_a_tight_bracket(self):
-        result = lmi_floor(self.BASE, self.DIRECTIONS, (0.5, 0.5))
+        result = lmi_floor(self.BASE, FloorSystem(self.DIRECTIONS), (0.5, 0.5))
         assert result.t_lo <= 0.5 + 1e-15 and result.t_hi >= 0.5 - 1e-15
         assert result.t_hi - result.t_lo <= 1e-9
 
@@ -772,21 +772,21 @@ class TestLmiFloor:
         # The best floor is 1/2: the band (0.4, 0.6) can neither be cleared nor
         # ruled out, so the solver stops at the first bracket inside it, no
         # later than the tight bracket that the band (0.5, 0.5) runs to.
-        result = lmi_floor(self.BASE, self.DIRECTIONS, (0.4, 0.6))
+        result = lmi_floor(self.BASE, FloorSystem(self.DIRECTIONS), (0.4, 0.6))
         assert 0.4 <= result.t_lo <= 0.5 <= result.t_hi < 0.6
         assert result.t_lo == self.floor_of(result.y)
-        assert 0 < result.steps <= lmi_floor(self.BASE, self.DIRECTIONS, (0.5, 0.5)).steps
+        assert 0 < result.steps <= lmi_floor(self.BASE, FloorSystem(self.DIRECTIONS), (0.5, 0.5)).steps
 
     def test_band_sides_decide_as_thresholds(self):
         # Each side of a band decides as a threshold does: a floor of 1/2
         # clears the band (0.3, 0.4) and is ruled out of (0.6, 0.7).
-        assert lmi_floor(self.BASE, self.DIRECTIONS, (0.3, 0.4)).t_lo >= 0.4
-        above = lmi_floor(self.BASE, self.DIRECTIONS, (0.6, 0.7))
+        assert lmi_floor(self.BASE, FloorSystem(self.DIRECTIONS), (0.3, 0.4)).t_lo >= 0.4
+        above = lmi_floor(self.BASE, FloorSystem(self.DIRECTIONS), (0.6, 0.7))
         assert 0.5 <= above.t_hi < 0.6
 
     def test_band_must_be_ordered(self):
         with pytest.raises(ValueError, match="low <= high"):
-            lmi_floor(self.BASE, self.DIRECTIONS, (0.6, 0.4))
+            lmi_floor(self.BASE, FloorSystem(self.DIRECTIONS), (0.6, 0.4))
 
     @staticmethod
     def random_problem(seed):
@@ -817,9 +817,9 @@ class TestLmiFloor:
                 t = float(np.linalg.eigvalsh(base).min() + lift)
                 if seed % 9 == 0:
                     with pytest.raises(ValueError, match="linearly independent to rounding"):
-                        lmi_floor(base, directions, (t, t))
+                        lmi_floor(base, FloorSystem(directions), (t, t))
                     continue
-                result = lmi_floor(base, directions, (t, t))
+                result = lmi_floor(base, FloorSystem(directions), (t, t))
                 side = "lo" if result.t_lo >= t else "hi" if result.t_hi < t else "none"
                 if (seed, lift) == (25, 2.0):
                     assert side == "hi" and result.t_hi < -0.188 < t
@@ -828,24 +828,24 @@ class TestLmiFloor:
         digest = hashlib.sha256(repr(stops).encode()).hexdigest()
         assert digest == "0d9f103440a816fe93a3c0477b7e3c8486f26107efd87d9d40f08b8c5d25700a"
 
-    def test_a_prebuilt_system_solves_as_its_stack(self):
+    def test_a_reused_system_solves_as_fresh_ones(self):
         # On every problem and lift of the pinned test above, one system
-        # serves the four bands and gives the stack's result bit for bit; a
-        # dependent problem raises the stack's ValueError when its
-        # constraints are built.
+        # serves the four bands and gives a fresh system's result bit for
+        # bit; a dependent problem raises the same ValueError from a fresh
+        # solve as when the reused system's constraints are built.
         for seed in range(60):
             base, directions = self.random_problem(seed)
             system = FloorSystem(directions)
             for lift in (0.05, 0.5, 1.0, 2.0):
                 t = float(np.linalg.eigvalsh(base).min() + lift)
                 if seed % 9 == 0:
-                    with pytest.raises(ValueError, match="linearly independent to rounding") as stacked:
-                        lmi_floor(base, directions, (t, t))
+                    with pytest.raises(ValueError, match="linearly independent to rounding") as fresh:
+                        lmi_floor(base, FloorSystem(directions), (t, t))
                     with pytest.raises(ValueError, match="linearly independent to rounding") as built:
                         system.constraints
-                    assert str(built.value) == str(stacked.value)
+                    assert str(built.value) == str(fresh.value)
                     continue
-                ours, theirs = lmi_floor(base, system, (t, t)), lmi_floor(base, directions, (t, t))
+                ours, theirs = lmi_floor(base, system, (t, t)), lmi_floor(base, FloorSystem(directions), (t, t))
                 assert (ours.t_lo, ours.t_hi, ours.steps) == (theirs.t_lo, theirs.t_hi, theirs.steps)
                 assert ours.y.tobytes() == theirs.y.tobytes()
                 assert (ours.x is None) == (theirs.x is None)
@@ -872,7 +872,7 @@ class TestLmiFloor:
         # a halved step, not the decision the undisturbed solve reaches:
         # "hi" after 22 steps and "lo" after 5.
         base, directions = self.random_problem(seed)
-        undisturbed = lmi_floor(base, directions, (t, t))
+        undisturbed = lmi_floor(base, FloorSystem(directions), (t, t))
         fail_at = 1 + undisturbed.steps // 2
         cholesky, calls = np.linalg.cholesky, []
 
@@ -883,14 +883,14 @@ class TestLmiFloor:
             return cholesky(stack)
 
         monkeypatch.setattr(np.linalg, "cholesky", flaky)
-        result = lmi_floor(base, directions, (t, t))
+        result = lmi_floor(base, FloorSystem(directions), (t, t))
         assert undisturbed.steps >= 5 and len(calls) > fail_at
         sides = [("lo" if r.t_lo >= t else "hi" if r.t_hi < t else "none") for r in (undisturbed, result)]
         assert sides[0] != "none" and sides[1] == sides[0]
         assert result.t_lo == self.floor_of(result.y, base, directions)
 
     def test_deterministic(self):
-        first, again = (lmi_floor(self.BASE, self.DIRECTIONS, (0.6, 0.6)) for _ in range(2))
+        first, again = (lmi_floor(self.BASE, FloorSystem(self.DIRECTIONS), (0.6, 0.6)) for _ in range(2))
         assert np.array_equal(first.y, again.y) and np.array_equal(first.x, again.x)
         assert (first.t_lo, first.t_hi, first.steps) == (again.t_lo, again.t_hi, again.steps)
 
@@ -903,14 +903,14 @@ class TestLmiFloor:
             for shape in ((4, 3, 3), (3, 4, 3, 3))
         )
         for threshold in (-1.5, -0.5):
-            result = lmi_floor(base, directions, (threshold, threshold))
+            result = lmi_floor(base, FloorSystem(directions), (threshold, threshold))
             assert result.steps > 0
             assert result.t_lo == self.floor_of(result.y, base, directions)
 
     def test_projection_that_is_not_psd_bounds_nothing(self):
         # Direction (1, 3) is PSD, so every floor is reachable; the primal
         # constraints force x = (3/2, -1/2), which is no certificate.
-        result = lmi_floor(np.zeros((2, 1, 1)), np.array([[[[1.0]], [[3.0]]]]), (1.0, 1.0))
+        result = lmi_floor(np.zeros((2, 1, 1)), FloorSystem(np.array([[[[1.0]], [[3.0]]]])), (1.0, 1.0))
         assert result.t_lo >= 1.0 and result.t_hi == math.inf and result.x is None
 
     def test_dependent_directions_raise_no_linalg_error(self):
@@ -920,14 +920,14 @@ class TestLmiFloor:
         twice = np.concatenate([self.DIRECTIONS, self.DIRECTIONS])
         for threshold in (0.4, 0.6):
             with pytest.raises(ValueError, match="linearly independent to rounding") as info:
-                lmi_floor(self.BASE, twice, (threshold, threshold))
+                lmi_floor(self.BASE, FloorSystem(twice), (threshold, threshold))
             assert not isinstance(info.value, np.linalg.LinAlgError)
 
     def test_dependent_directions_still_decide(self):
         # A base that already clears the band is decided before the screen:
         # no step, y = 0 in the caller's coordinates, and the base's floor.
         twice = np.concatenate([self.DIRECTIONS, self.DIRECTIONS])
-        result = lmi_floor(self.BASE + 1.0, twice, (0.5, 0.5))
+        result = lmi_floor(self.BASE + 1.0, FloorSystem(twice), (0.5, 0.5))
         assert result.steps == 0 and result.t_lo == 1.0
         assert result.t_hi == math.inf and result.x is None
         assert np.array_equal(result.y, [0.0, 0.0])
@@ -947,9 +947,9 @@ class TestLmiFloor:
         # within sqrt(eps) are outside the solver's contract. A base that
         # already clears the band still costs one eigvalsh and no refusal.
         with pytest.raises(ValueError, match="linearly independent to rounding"):
-            lmi_floor(base, directions, (0.4, 0.4))
+            lmi_floor(base, FloorSystem(directions), (0.4, 0.4))
         low = float(np.linalg.eigvalsh(base).min())
-        assert lmi_floor(base, directions, (low, low)).steps == 0
+        assert lmi_floor(base, FloorSystem(directions), (low, low)).steps == 0
 
     @pytest.mark.parametrize("delta", [1e-6, 1e-7, 3e-8, 1e-3])
     @pytest.mark.parametrize("threshold", [0.4, 0.6])
@@ -965,9 +965,9 @@ class TestLmiFloor:
         base, directions = near_parallel(delta)
         if delta < 1e-3:
             with pytest.raises(ValueError, match="linearly independent to rounding"):
-                lmi_floor(base, directions, (threshold, threshold))
+                lmi_floor(base, FloorSystem(directions), (threshold, threshold))
             return
-        result = lmi_floor(base, directions, (threshold, threshold))
+        result = lmi_floor(base, FloorSystem(directions), (threshold, threshold))
         assert result.t_hi >= 0.5 - 1e-12 and result.t_hi >= result.t_lo
         if threshold < 0.5:
             assert result.t_lo >= threshold

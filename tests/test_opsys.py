@@ -20,6 +20,7 @@ from ncprism.errors import (
 from ncprism.matkernel import (
     ALG_TOL,
     SPEC_TOL,
+    FloorSystem,
     _exact_diagonal,
     dagger,
     fourier_matrix,
@@ -579,12 +580,12 @@ def gap_probe_element(k, q, seed, target):
     raw = 0.3 * (rng.standard_normal((k + 1, q, q)) + 1j * rng.standard_normal((k + 1, q, q)))
     c = [(raw[m] + dagger(raw[(-m) % k])) / 2 for m in range(k)]
     e = PrismElement(k, q, c, hermitize(raw[k]))
-    base, directions = lift_problem(e)
+    base, system = lift_problem(e)
     low = np.linalg.eigvalsh(base).min()
     high = np.linalg.eigvalsh((base[:k, None] + base[None, k:]) / 2).min()
     while high - low > 1e-9:
         mid = (low + high) / 2
-        result = lmi_floor(base, directions, (mid, mid))
+        result = lmi_floor(base, system, (mid, mid))
         if result.t_lo >= mid:
             low = result.t_lo
         elif result.t_hi < mid:
@@ -597,8 +598,9 @@ def gap_probe_element(k, q, seed, target):
 
 
 def lift_problem(e):
-    """The particular lift and the kernel directions the oracle solves over."""
-    return _particular_lift(e.blocks), _kernel(e.k)[:, None, None] * hermitian_basis(e.q)[:, None]
+    """The particular lift and the system of the kernel directions the oracle
+    solves over."""
+    return _particular_lift(e.blocks), FloorSystem(_kernel(e.k)[:, None, None] * hermitian_basis(e.q)[:, None])
 
 
 class TestDualWitness:
