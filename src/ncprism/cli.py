@@ -23,7 +23,6 @@ Exit codes: 0 success or true verdict, 1 false or refuted verdict,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from dataclasses import asdict
@@ -61,19 +60,20 @@ def _render(args, input_text: str, records: list, artifact: dict, table: list[st
     """Write the artifact to ``--out``, print the report and artifact with
     ``--json``, and otherwise print ``table`` if the command has one, else
     the artifact. ``records`` are the residuals that ``require`` recorded
-    while the command ran inside ``measured``. NaN or Infinity in the
-    artifact raises ``ValueError`` before anything is written."""
+    while the command ran inside ``measured``. NaN or Infinity in JSON to be
+    written or printed raises ``ValueError`` before anything is written."""
     out = args.out
-    body = json.dumps(artifact, indent=2, allow_nan=False)
     checks = [
         {"name": name, "passed": bool(value <= bound), "residual": float(value),
          "bound": float(bound), "of": what}
         for name, value, bound, what in records
     ]
     if out:
+        body = json.dumps(artifact, indent=2, allow_nan=False)
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(body + "\n")
     if args.json:
+        import hashlib  # loads OpenSSL: only the report's input digest needs it
         report = {
             "command": args.command + (f" {args.subcommand}" if args.subcommand else ""),
             "inputs": hashlib.sha256(input_text.encode("utf-8")).hexdigest(),
@@ -91,7 +91,7 @@ def _render(args, input_text: str, records: list, artifact: dict, table: list[st
     elif table is not None:
         print("\n".join(table))
     else:
-        print(body)
+        print(json.dumps(artifact, indent=2, allow_nan=False))
 
 
 def _cmd_dilate(args, payload) -> tuple:

@@ -54,7 +54,6 @@ from .matkernel import (
     clamp_spectrum,
     compress,
     dagger,
-    fourier_matrix,
     hermitian_basis,
     hermitize,
     lmi_floor,
@@ -62,6 +61,7 @@ from .matkernel import (
     prefixed,
     require,
     require_hermitian,
+    roots_of_unity,
     symmetry_residuals,
     unitary_residual,
 )
@@ -403,7 +403,7 @@ def order_k_povm(a, k: int) -> Povm:
     (a,) = _operands("order_k_povm requires a square matrix", a)
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
-    labels = fourier_matrix(k)[:, 1]
+    labels = roots_of_unity(k)
     base = _fourier_base(a, labels)
     band = SPEC_TOL / (4 * k)
     if k == 3:
@@ -449,16 +449,16 @@ def _mode_system(k: int, n: int) -> FloorSystem:
     """The ``lmi_floor`` system of the level-n decompositions over the k-th
     roots of unity, built once per (k, n) and read-only: its directions are
     the Hermitian Fourier modes m = 2 .. k-2 tensored with
-    ``hermitian_basis(n)``, as real vectors over j Re F[:, m] up to k/2 and
-    Im F[:, m] beyond (they pair with modes k - m).
+    ``hermitian_basis(n)``, as real vectors over j Re omega^(j m) up to k/2
+    and Im omega^(j m) beyond (they pair with modes k - m).
 
     An entry keeps the (k-3) n^2 x k x n x n direction stack and, once a
     solve has built them, its constraints: about four copies of the stack,
     0.07 MB at (4, 4), 0.3 MB at (6, 4), 5 MB at (6, 8) and 80 MB at
     (6, 16), where one call peaks near 142 MB. Four entries hold k = 4 .. 7
     at one level n <= 8 in 17 MB."""
-    fourier = fourier_matrix(k)
-    modes = [fourier[:, m].real if 2 * m <= k else fourier[:, m].imag for m in range(2, k - 1)]
+    roots, j = roots_of_unity(k), np.arange(k)
+    modes = [roots[j * m % k].real if 2 * m <= k else roots[j * m % k].imag for m in range(2, k - 1)]
     return FloorSystem(np.einsum("mj,eab->mejab", modes, hermitian_basis(n)).reshape(-1, k, n, n))
 
 

@@ -4,7 +4,7 @@ Everything downstream (dilations, representation factories, membership and
 positivity tests) is built on the handful of operations here: positive
 square roots, commutant computation, support functions of joint numerical
 ranges, block constructions, the order predicate for unitaries, the Fourier
-matrix of the k-th roots of unity, and ``lmi_floor``, the one iterative
+transform over the k-th roots of unity, and ``lmi_floor``, the one iterative
 solver: it decides whether an affine stack of Hermitian blocks can be lifted
 above a floor, for the positive decompositions of ``dilation`` and the
 positivity certificates of ``opsys``.
@@ -18,9 +18,8 @@ which is how ``verify`` and the CLI report what the constructors measured.
 Matrices are plain ``numpy.ndarray`` objects with ``complex128`` entries.
 All operations are pure functions; the only state is the collector that
 :func:`measured` opens for the block it encloses, and read-only arrays built
-once per argument: :func:`commutant_dimension`'s weights and Fourier matrices.
-Callers that solve many floors over one stack of directions keep that
-stack's read-only :class:`FloorSystem` the same way.
+once: :func:`commutant_dimension`'s weights per input count, and the
+:class:`FloorSystem` that callers keep per stack of directions.
 """
 
 from __future__ import annotations
@@ -56,7 +55,9 @@ __all__ = [
     "require_hermitian",
     "psd_sqrt",
     "clamp_spectrum",
-    "fourier_matrix",
+    "roots_of_unity",
+    "fourier_values",
+    "fourier_coefficients",
     "hermitian_basis",
     "FloorResult",
     "FloorConstraints",
@@ -266,13 +267,19 @@ def clamp_spectrum(stack: np.ndarray, floor: float) -> np.ndarray:
     return _spectral(u, np.clip(w, floor, None))
 
 
-@functools.lru_cache(maxsize=32)
-def fourier_matrix(k: int) -> np.ndarray:
-    """F[j, m] = omega^(j m) with omega = exp(2 pi i / k), read-only and built once per k:
-    row j evaluates 1, w, ..., w^(k-1) at omega^j; column 1 lists the k-th roots of unity."""
-    f = np.exp(2j * np.pi / k) ** np.outer(np.arange(k), np.arange(k))
-    f.flags.writeable = False
-    return f
+def roots_of_unity(k: int) -> np.ndarray:
+    """omega^j = exp(2 pi i j/k), j = 0 .. k-1, each from its own fraction j/k (no power of a rounded omega)."""
+    return np.exp(2j * np.pi * (np.arange(k) / k))
+
+
+def fourier_values(c: np.ndarray) -> np.ndarray:
+    """sum_m c_m omega^(j m) for j = 0 .. k-1, along axis 0: one unscaled inverse FFT, no k x k table."""
+    return np.fft.ifft(c, axis=0, norm="forward")
+
+
+def fourier_coefficients(x: np.ndarray) -> np.ndarray:
+    """(1/k) sum_j x_j omega^(-j m) for m = 0 .. k-1, along axis 0: the inverse of :func:`fourier_values`."""
+    return np.fft.fft(x, axis=0, norm="forward")
 
 
 def hermitian_basis(n: int) -> np.ndarray:

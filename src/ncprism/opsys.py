@@ -6,8 +6,9 @@ coefficient blocks in the basis {1, w, ..., w^(k-1), v}. The quotient map
 from the diagonal source system sends the first k slots through the
 spectral averages of w and the last two through (1 +/- v)/2, halved so the
 all-ones tuple maps to the unit; its kernel is spanned by
-(1, ..., 1, -1, -1). Every formula for it is read off the Fourier matrix
-F[j, m] = omega^(j m) (``matkernel.fourier_matrix``). Scalar positivity is
+(1, ..., 1, -1, -1). Every formula for it is a Fourier sum over Z_k plus the
+two sign rows, taken by ``matkernel``'s FFT pair in O(k q^2) memory, with no
+k x k table. Scalar positivity is
 decided exactly by vertex enumeration; matrix-level positivity gets a
 three-valued verdict with independently checkable witnesses and
 certificates. The best floor t* of the lifts through the quotient map is
@@ -49,13 +50,15 @@ from .matkernel import (
     _frobenius,
     _operands,
     dagger,
-    fourier_matrix,
+    fourier_coefficients,
+    fourier_values,
     hermitian_basis,
     hermitize,
     lmi_floor,
     opnorm,
     opnorms,
     require,
+    roots_of_unity,
 )
 from .reps import RepPair, prism_character
 
@@ -234,24 +237,12 @@ def psi_k(x: DiagTuple) -> PrismElement:
 
     psi(x) = (1/2) [ sum_j x_j (x) q_j + x_+ (x) (1+v)/2 + x_- (x) (1-v)/2 ]
     with q_j the spectral averages of w. The all-ones tuple maps to the
-    unit and (1, ..., 1, -1, -1) spans the kernel. One (k+1) x (k+2)
-    coefficient matrix acts on the stacked blocks of ``x``.
+    unit and (1, ..., 1, -1, -1) spans the kernel: c_m is half the m-th Fourier
+    coefficient of x_0 .. x_(k-1), plus (x_+ + x_-)/4 at m = 0, and g = (x_+ - x_-)/4.
     """
-    blocks = (_psi_matrix(x.k) @ x.blocks.reshape(x.k + 2, -1)).reshape(x.k + 1, x.q, x.q)
-    return PrismElement(x.k, x.q, blocks[: x.k], blocks[x.k])
-
-
-@functools.lru_cache(maxsize=32)
-def _psi_matrix(k: int) -> np.ndarray:
-    """Coefficients of the quotient map: row m (m < k) gives c_m and row k
-    gives g as combinations of the k + 2 blocks; the first k columns are F^H/2k.
-    Read-only, built once per k."""
-    coeffs = np.zeros((k + 1, k + 2), dtype=complex)
-    coeffs[:k, :k] = fourier_matrix(k).conj().T / (2.0 * k)
-    coeffs[0, k:] = 0.25
-    coeffs[k, k:] = [0.25, -0.25]
-    coeffs.flags.writeable = False
-    return coeffs
+    c = fourier_coefficients(x.blocks[: x.k]) / 2
+    c[0] += (x.blocks[x.k] + x.blocks[x.k + 1]) / 4
+    return PrismElement(x.k, x.q, c, (x.blocks[x.k] - x.blocks[x.k + 1]) / 4)
 
 
 def _kernel(k: int) -> np.ndarray:
@@ -279,7 +270,7 @@ def _basis_operators(pair: RepPair) -> np.ndarray:
 
 def psi_k_basis_element(k: int, index: int) -> PrismElement:
     """Image under the quotient map of the index-th canonical basis vector."""
-    return psi_k(DiagTuple(k, 1, np.eye(k + 2)[index, :, None, None]))
+    return psi_k(DiagTuple(k, 1, (np.arange(k + 2) == index)[:, None, None]))
 
 
 def quotient_residuals(k: int, q: int = 1) -> list[Residual]:
@@ -317,8 +308,8 @@ def functional_to_tuple(pair: RepPair, density: np.ndarray, k: int) -> DualTuple
     """Dual coordinates of the state trace(density . (W, V)-evaluation).
 
     The i-th coordinate is the state applied to the image of the i-th
-    canonical basis vector under the quotient map (the transposed quotient
-    matrix applied to the moments tr(rho W^m), tr(rho V)); the result always
+    canonical basis vector under the quotient map: half the Fourier coefficients
+    of the moments mu_m = tr(rho W^m), then (mu_0 +/- tr(rho V))/4. It always
     lands in the dual system, entrywise nonnegative for PSD densities.
     """
     if pair.k != k:
@@ -338,7 +329,8 @@ def functional_to_tuple(pair: RepPair, density: np.ndarray, k: int) -> DualTuple
     else:  # tr(rho W^m) = sum_i rho_ii d_i^m
         moments = np.diagonal(density) @ np.vander(d, k, increasing=True)
         moments = np.append(moments, (density * pair.v.T).sum())
-    z = DualTuple(k, _psi_matrix(k).T @ moments)
+    mu0, mu_v = moments[0], moments[k]
+    z = DualTuple(k, np.append(fourier_coefficients(moments[:k]) / 2, [(mu0 + mu_v) / 4, (mu0 - mu_v) / 4]))
     require(functional_residuals(z), RelationCheckFailedError, "functional_to_tuple")
     return z
 
@@ -355,7 +347,7 @@ def scalar_positivity_prism(e: PrismElement) -> ScalarVerdict:
         raise WrongLevelError(f"scalar test requires level q = 1, got q = {e.q}")
     if not e.is_selfadjoint():
         raise NotSelfadjointError("scalar positivity requires a selfadjoint element")
-    base = (fourier_matrix(e.k) @ e.c[:, 0, 0]).real
+    base = fourier_values(e.c[:, 0, 0]).real
     gval = e.g[0, 0].real
     values = np.column_stack([base + gval, base - gval])
     j, side = np.unravel_index(np.argmin(values), values.shape)
@@ -418,12 +410,12 @@ def _certified(e: PrismElement, lift: DiagTuple) -> tuple[Certified, list[Residu
 
 
 def _particular_lift(stack: np.ndarray) -> np.ndarray:
-    """A Hermitian preimage (alpha = 1 gauge) of the element with this stack: 1 + 2 F[:, 1:] c,
+    """A Hermitian preimage (alpha = 1 gauge) of the element with this stack: 1 + 2 sum_(m>0) omega^(jm) c_m,
     then 2 c_0 - 1 +/- 2 g. An element for which it overflows is refused (``ValueError``)."""
-    (k, q), eye = (len(stack) - 1, stack.shape[-1]), np.eye(stack.shape[-1])
+    k, eye = len(stack) - 1, np.eye(stack.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):
-        xs = eye + 2.0 * (fourier_matrix(k)[:, 1:] @ stack[1:k].reshape(k - 1, -1)).reshape(k, q, q)
         c0 = 2.0 * stack[0] - eye
+        xs = 2.0 * fourier_values(stack[:k]) - c0
         lift = hermitize(np.concatenate([xs, [c0 + 2.0 * stack[k], c0 - 2.0 * stack[k]]]))
     if not np.isfinite(lift).all():
         raise ValueError("the element's particular lift overflows: its entries are too large")
@@ -574,6 +566,6 @@ def _dual_witness(x: np.ndarray, k: int) -> RepPair:
     root = u[:, support] / np.sqrt(lam[support])
     parts = hermitize(dagger(root) @ zt @ root)
     b = parts[k] - parts[k + 1]
-    povm = Povm(parts[:k], fourier_matrix(k)[:, 1].tolist())
+    povm = Povm(parts[:k], roots_of_unity(k).tolist())
     pair, _ = _dilate_povm(povm, b, _hermitian_defect(b, None), "dual_witness")
     return pair

@@ -359,8 +359,7 @@ def prism_vertex_rep(k: int, j: int, sign: int) -> tuple[RepPair, np.ndarray]:
         raise IndexOutOfRangeError(f"vertex index j={j} outside 0..{k - 1}")
     if sign not in (1, -1):
         raise IndexOutOfRangeError(f"sign must be +1 or -1, got {sign}")
-    omega = np.exp(2j * np.pi / k)
-    w = (omega**j) * cyclic_shift(k)
+    w = np.exp(2j * np.pi * (j / k)) * cyclic_shift(k)  # roots_of_unity(k)[j], bit for bit
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     v = sign * direct_sum(swap, np.eye(k - 2))
     xi = np.ones(k, dtype=complex) / math.sqrt(k)
@@ -379,7 +378,7 @@ def prism_character(k: int, j: int, sign: int) -> RepPair:
     once per (k, j, sign) and passed to ``require`` on every call, so a
     ``measured`` block records the same rows whatever ran before."""
     provenance = f"character(k={k}, j={j}, sign={sign:+d})"
-    pair = RepPair(np.exp(2j * np.pi * j / k), sign, k, provenance, commutant_dim=1)
+    pair = RepPair(np.exp(2j * np.pi * (j / k)), sign, k, provenance, commutant_dim=1)
     require(list(_character_residuals(k, j, sign)), RelationCheckFailedError, provenance)
     return pair
 
@@ -387,7 +386,7 @@ def prism_character(k: int, j: int, sign: int) -> RepPair:
 @functools.lru_cache(maxsize=256)
 def _character_residuals(k: int, j: int, sign: int) -> tuple[Residual, ...]:
     """:func:`pair_residuals` of the character (omega^j, sign)."""
-    return tuple(pair_residuals(RepPair(np.exp(2j * np.pi * j / k), sign, k)))
+    return tuple(pair_residuals(RepPair(np.exp(2j * np.pi * (j / k)), sign, k)))
 
 
 def vertex_residuals(pair: RepPair, xi, j: int, sign: int) -> list[Residual]:

@@ -66,7 +66,7 @@ def _integer(obj, key: str) -> int:
 def matrix_to_json(a) -> dict:
     a = as_matrix(a)
     rows, cols = a.shape
-    data = [[float(z.real), float(z.imag)] for z in a.ravel()]
+    data = np.stack([a.real.ravel(), a.imag.ravel()], axis=1).tolist()
     return {"rows": rows, "cols": cols, "data": data}
 
 

@@ -2,6 +2,7 @@
 direct reference implementations used as test oracles."""
 
 import itertools
+import math
 
 import numpy as np
 
@@ -35,6 +36,14 @@ def record_eigh(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", recording)
     return calls
+
+
+def reference_dft(k):
+    """The dense k x k matrix F[j, m] = exp(2 pi i r / k), r = j m mod k, each
+    entry from its exact fraction r/k by the math module: the oracle for
+    every Fourier sum of the library."""
+    turns = [[2 * math.pi * ((j * m) % k) / k for m in range(k)] for j in range(k)]
+    return np.array([[complex(math.cos(t), math.sin(t)) for t in row] for row in turns])
 
 
 def random_hermitian(rng, n):

@@ -595,7 +595,9 @@ class TestSurface:
 
 
 class TestRender:
-    @pytest.mark.parametrize("json_flag, out", [(True, None), (False, "art.json"), (False, None)])
+    @pytest.mark.parametrize(
+        "json_flag, out", [(True, None), (False, "art.json"), (False, None), (True, "art.json")]
+    )
     def test_non_finite_json_is_refused_before_anything_is_written(
         self, tmp_path, capsys, json_flag, out
     ):

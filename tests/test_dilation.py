@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import record_eigh, within_bounds
+from helpers import record_eigh, reference_dft, within_bounds
 
 from ncprism import dilation
 from ncprism.convexity import (
@@ -55,12 +55,12 @@ from ncprism.matkernel import (
     commutant_dimension,
     compress,
     dagger,
-    fourier_matrix,
     hermitize,
     measured,
     opnorm,
     psd_sqrt,
     require_hermitian,
+    roots_of_unity,
     support_values,
     symmetry_residuals,
 )
@@ -321,7 +321,7 @@ class TestNaimark:
         def povm(low):
             effects = np.stack([np.eye(2, dtype=complex) / k] * k)
             effects[0, 0, 0], effects[1, 0, 0] = low, 2.0 / k - low
-            return Povm(list(effects), fourier_matrix(k)[:, 1].tolist())
+            return Povm(list(effects), roots_of_unity(k).tolist())
 
         result = naimark_normal(povm(-clamp / 2))
         assert result.isometry[0, 0] == 0.0
@@ -492,7 +492,7 @@ class TestOrderKPovm:
         # at exactly -band leaves an undecided bracket around it. At k = 3 the
         # barycentric effects are the only decomposition, so the bracket is exact.
         band = SPEC_TOL / (4 * k)
-        for vertex in fourier_matrix(k)[:2, 1]:
+        for vertex in roots_of_unity(k)[:2]:
             outcomes = []
             for delta in np.linspace(1e-9, 5e-9, 17):
                 a = np.array([[vertex * (1 + delta)]])
@@ -628,13 +628,13 @@ class TestJointPrismDilation:
         effects = hermitize(root @ parts @ root)
         b = hermitize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         b = 0.9 * b / opnorm(b)
-        povm = Povm(list(effects), fourier_matrix(k)[:, 1].tolist())
+        povm = Povm(list(effects), roots_of_unity(k).tolist())
         pair, g = _dilate_povm(povm, b, dilation._hermitian_defect(b, "b"))
         assert pair.dim == 2 * k * n
         assert within_bounds(pair_residuals(pair))
         power = np.eye(pair.dim)
         for m in range(k):
-            moment = np.tensordot(fourier_matrix(k)[:, m], effects, axes=1)
+            moment = np.tensordot(reference_dft(k)[:, m], effects, axes=1)
             assert opnorm(dagger(g) @ power @ g - moment) <= 1e-10
             power = power @ pair.w
         assert opnorm(dagger(g) @ pair.v @ g - b) <= 1e-10

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import commutant_oracle, generic_pair, random_hermitian, random_unitary, within_bounds
+from helpers import (
+    commutant_oracle,
+    generic_pair,
+    random_hermitian,
+    random_unitary,
+    reference_dft,
+    within_bounds,
+)
 
 from ncprism.errors import (
     NotHermitianError,
@@ -33,7 +40,8 @@ from ncprism.matkernel import (
     compress,
     dagger,
     direct_sum,
-    fourier_matrix,
+    fourier_coefficients,
+    fourier_values,
     hermitian_basis,
     hermitize,
     is_hermitian,
@@ -44,6 +52,7 @@ from ncprism.matkernel import (
     opnorms,
     order_residuals,
     psd_sqrt,
+    roots_of_unity,
     support_value,
     symmetry_residuals,
     unitary_residual,
@@ -737,11 +746,16 @@ class TestLmiFloor:
             gram = np.einsum("aij,bji->ab", basis, basis)
             assert np.abs(gram - np.eye(n * n)).max() <= 1e-15
 
-    def test_fourier_matrix(self):
+    def test_fourier_transform_pair(self):
+        # fourier_values is F c and fourier_coefficients its inverse F^H x / k,
+        # along axis 0 of a stack, with F the dense reference DFT.
         for k in (3, 4, 7):
-            f = fourier_matrix(k)
-            assert np.abs(f[:, 1] - np.exp(2j * np.pi * np.arange(k) / k)).max() <= 1e-15
-            assert np.abs(f @ dagger(f) - k * np.eye(k)).max() <= 1e-13
+            f = reference_dft(k)
+            assert np.abs(roots_of_unity(k) - f[:, 1]).max() <= 1e-15
+            x = np.random.default_rng(k).standard_normal((k, 2, 2)) + 0j
+            values = fourier_values(x)
+            assert np.abs(values - np.einsum("jm,mab->jab", f, x)).max() <= 1e-14
+            assert np.abs(fourier_coefficients(values) - x).max() <= 1e-15
 
     def test_base_above_threshold_takes_no_step(self):
         result = lmi_floor(self.BASE + 1.0, FloorSystem(self.DIRECTIONS), (0.5, 0.5))

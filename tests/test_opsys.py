@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_psd_trace_one, random_unitary, record_eigh, within_bounds
+from helpers import random_psd_trace_one, random_unitary, record_eigh, reference_dft, within_bounds
 
 from ncprism.convexity import random_prism_point
 from ncprism.dilation import joint_prism_dilation
@@ -23,13 +23,13 @@ from ncprism.matkernel import (
     FloorSystem,
     _exact_diagonal,
     dagger,
-    fourier_matrix,
     hermitian_basis,
     hermitize,
     is_hermitian,
     lmi_floor,
     measured,
     opnorm,
+    roots_of_unity,
 )
 from ncprism.opsys import (
     STRICT_MARGIN,
@@ -39,7 +39,6 @@ from ncprism.opsys import (
     _dual_witness,
     _kernel,
     _particular_lift,
-    _psi_matrix,
     DiagTuple,
     DualTuple,
     PrismElement,
@@ -116,6 +115,54 @@ class TestPsiK:
             e = psi_k_basis_element(3, index)
             verdict = scalar_positivity_prism(e)
             assert verdict.positive
+
+
+class TestFourierSums:
+    @staticmethod
+    def assert_close(got, want):
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, float(np.abs(want).max()))
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("k", [3, 4, 5, 8, 64])
+    def test_every_transform_matches_the_dense_reference(self, k, q):
+        # psi, the particular lift, the scalar vertex values and the dual
+        # coordinates, each against its formula written with the dense DFT.
+        f, eye = reference_dft(k), np.eye(q)
+        rng = np.random.default_rng([k, q])
+        x = rng.standard_normal((k + 2, q, q)) + 1j * rng.standard_normal((k + 2, q, q))
+        c = np.einsum("jm,jab->mab", f.conj(), x[:k]) / (2 * k)
+        c[0] += (x[k] + x[k + 1]) / 4
+        self.assert_close(psi_k(DiagTuple(k, q, x)).blocks, np.concatenate([c, [(x[k] - x[k + 1]) / 4]]))
+
+        e = random_selfadjoint_element(k, q, k * q, 0.5)
+        xs = eye + 2 * np.einsum("jm,mab->jab", f[:, 1:], e.c[1:])
+        c0 = 2 * e.c[0] - eye
+        self.assert_close(_particular_lift(e.blocks), hermitize(np.concatenate([xs, [c0 + 2 * e.g, c0 - 2 * e.g]])))
+
+        scalar = PrismElement(k, 1, e.c[:, :1, :1], e.g[:1, :1])
+        base, g = (f @ scalar.c[:, 0, 0]).real, scalar.g[0, 0].real
+        self.assert_close(scalar_positivity_prism(scalar).margin, min((base + g).min(), (base - g).min()))
+
+        n = q + 2
+        u, u2 = random_unitary(rng, n), random_unitary(rng, n)
+        w = (u * np.exp(2j * np.pi * rng.integers(0, k, n) / k)) @ dagger(u)
+        pair = RepPair(w, (u2 * rng.choice([1.0, -1.0], n)) @ dagger(u2), k)
+        rho = random_psd_trace_one(rng, n)
+        moments, power = [], np.eye(n)
+        for _ in range(k):
+            moments, power = moments + [np.trace(rho @ power)], power @ w
+        mu0, mu_v = moments[0], np.trace(rho @ pair.v)
+        want = np.append(f.conj() @ moments / (2 * k), [(mu0 + mu_v) / 4, (mu0 - mu_v) / 4])
+        self.assert_close(functional_to_tuple(pair, rho, k).z, want)
+
+    @pytest.mark.parametrize("k", [3, 5, 7, 64])
+    def test_characters_and_vertices_sit_at_the_roots(self, k):
+        # One set of roots: the characters, the vertex representations and
+        # the POVM labels agree bit for bit.
+        roots = roots_of_unity(k)
+        for j in range(k):
+            assert prism_character(k, j, 1).w[0, 0] == roots[j]
+            assert prism_vertex_rep(k, j, 1)[0].w[0, 1] == roots[j]
 
 
 class TestDualMember:
@@ -805,6 +852,24 @@ class TestCharacterRefutation:
         assert verdict.min_eigenvalue == pytest.approx(character_lows(e).min(), abs=1e-12)
         assert peak <= 5e6
 
+    def test_order_4096_decides_in_little_memory(self):
+        # The probe element c_0 = 1, c_1 = c_(k-1) = 0.2, g = 0.1 at q = 1,
+        # certified from the bracket. A dense k x k Fourier table alone would
+        # take 268 MB; the transform needs O(k) memory.
+        k = 4096
+        c = np.zeros((k, 1, 1))
+        c[0], c[1], c[k - 1] = 1.0, 0.2, 0.2
+        e = PrismElement(k, 1, c, [[0.1]])
+        tracemalloc.start()
+        try:
+            verdict = matrix_positivity_prism(e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(verdict, Certified)
+        assert verdict.min_block_eigenvalue == pytest.approx(0.5, abs=1e-12)
+        assert peak <= 20e6
+
 
 class TestDualPairing:
     def test_entrywise_pairing_nonnegative(self):
@@ -1019,15 +1084,6 @@ class TestBlockValidation:
 
 
 class TestCachedConstants:
-    @pytest.mark.parametrize("k", [3, 8, 32])
-    def test_cached_arrays_are_read_only_and_equal_fresh_builds(self, k):
-        for build in (fourier_matrix, _psi_matrix):
-            cached = build(k)
-            assert build(k) is cached
-            assert np.array_equal(cached, build.__wrapped__(k))
-            with pytest.raises(ValueError):
-                cached[0, 0] = 0.0
-
     @staticmethod
     def solved():
         # Elements the solve-free bracket leaves open, at (k, q) = (3, 2),

@@ -43,6 +43,17 @@ class TestMatrixFormat:
         text = json.dumps(matrix_to_json(matrix_from_json(obj)))
         assert json.loads(text)["data"] == [[value, -value]]
 
+    def test_entries_match_the_per_entry_conversion(self):
+        # The data rows come from one array-wide tolist(); the indented JSON
+        # must match converting each entry on its own, signed zeros and
+        # subnormals included.
+        tiny = np.finfo(float).smallest_subnormal
+        a = np.array([[-0.0, complex(0.0, -0.0), tiny], [complex(-tiny, 3 * tiny), -1e-310j, 1 / 3 - 0.1j]])
+        reference = [[float(z.real), float(z.imag)] for z in a.ravel()]
+        obj = matrix_to_json(a)
+        assert all(type(x) is float for row in obj["data"] for x in row)
+        assert json.dumps(obj["data"], indent=2) == json.dumps(reference, indent=2)
+
     @pytest.mark.parametrize("rows, cols", [(0, 0), (0, 2), (2, 0), (-1, -1)])
     def test_empty_matrix_rejected(self, rows, cols):
         with pytest.raises(ShapeMismatchError, match="rows and cols >= 1"):
