@@ -194,7 +194,10 @@ def opnorm(a: np.ndarray) -> float:
 
 def opnorms(stack: np.ndarray) -> np.ndarray:
     """Spectral norm of each slice of an (..., n, n) stack, by one batched
-    SVD; zeros without one when no entry of the stack is nonzero."""
+    SVD; the modulus of each entry at n = 1, and zeros, without one, when no
+    entry of the stack is nonzero."""
+    if stack.shape[-1] == 1:
+        return np.abs(stack[..., 0, 0])
     if not stack.any():
         return np.zeros(stack.shape[:-2])
     return np.linalg.svd(stack, compute_uv=False)[..., 0]

@@ -18,10 +18,15 @@ the floor of that lift shifted by a scalar multiple of the kernel. t_char <=
 -SPEC_TOL refutes with a 1 x 1 witness, t_scalar >= STRICT_MARGIN certifies
 with the shifted lift, and a bracket inside the band (-SPEC_TOL,
 STRICT_MARGIN) is ``Unknown``. At q = 1 the two ends coincide, so scalar
-elements are never solved. Any other element gets one ``matkernel.lmi_floor``
-solve over the lifts: a strictly positive lift certifies, and the solver's
-primal point, a matrix state that separates the element, dilates to a
-refuting representation.
+elements are never solved. At q >= 2 an element these rules leave open gets
+a second closed-form lift, the midpoint lift, which puts the binding
+character's value (x_j + x_+/-)/2 on both of its blocks: its floor t_mid <=
+t* certifies at t_mid >= STRICT_MARGIN, and [t_mid, t_char] inside the band
+is ``Unknown``, which decides boundary elements such as a common null vector
+of x_j and x_+/-. Any other element gets one ``matkernel.lmi_floor`` solve
+over the lifts: a strictly positive lift certifies, and the solver's primal
+point, a matrix state that separates the element, dilates to a refuting
+representation.
 """
 
 from __future__ import annotations
@@ -116,7 +121,7 @@ class PrismElement:
     def __post_init__(self):
         if self.k < 3:
             raise ValueError(f"k must be >= 3, got {self.k}")
-        blocks = _square_blocks([*self.c, self.g], self.q)
+        blocks = np.concatenate([_square_blocks(self.c, self.q), _square_blocks([self.g], self.q)])
         if len(blocks) != self.k + 1:
             raise ShapeMismatchError(f"need {self.k} power blocks, got {len(blocks) - 1}")
         for name, value in (("blocks", blocks), ("c", blocks[: self.k]), ("g", blocks[self.k])):
@@ -226,7 +231,8 @@ class Unknown:
     characters, when it lies inside the band (-SPEC_TOL, STRICT_MARGIN); it
     refutes at t_char <= -SPEC_TOL and certifies at t_scalar >=
     STRICT_MARGIN, and at q = 1, where its ends coincide, it always decides.
-    Otherwise it is the solver's [t_lo, t_hi]."""
+    Failing that, it is [t_mid, t_char] from the midpoint lift when that lies
+    inside the band, and otherwise the solver's [t_lo, t_hi]."""
 
     reason: str
     residual: float
@@ -254,7 +260,7 @@ def _selfadjoint(stack: np.ndarray) -> bool:
     """``is_selfadjoint`` of a stack: every slice of stack - stack[mirror]* has norm <= ALG_TOL
     max(1, largest block norm). Frobenius norm <= ALG_TOL, which bounds each, needs no SVD."""
     k = len(stack) - 1
-    skew = stack - dagger(stack[[*((-m) % k for m in range(k)), k]])
+    skew = stack - dagger(stack[np.append(-np.arange(k) % k, k)])
     if _frobenius(skew) <= ALG_TOL:
         return True
     return bool(opnorms(skew).max() <= ALG_TOL * max(1.0, float(opnorms(stack).max())))
@@ -446,9 +452,18 @@ def matrix_positivity_prism(e: PrismElement):
       ``Unknown``.
 
     At q = 1 the gauge is the whole kernel, t_scalar = t_char and the
-    bracket always decides. Otherwise ``matkernel.lmi_floor`` brackets t*
-    against the same band, over the system kept for (k, q)
-    (:func:`_lift_system`):
+    bracket always decides. At q >= 2, with (j, +/-) that binding character,
+    the gauge Y = (x_+/- - x_j)/2 gives the midpoint lift, with the character
+    value (x_j + x_+/-)/2 on both of those blocks, so its floor, taken by one
+    more batched ``eigvalsh`` and capped at t_char against rounding, is
+    t_mid <= t* <= t_char, and t_mid = t_char whenever the other k blocks
+    keep some slack:
+
+    - t_mid >= STRICT_MARGIN: the midpoint lift certifies;
+    - t_mid >= -SPEC_TOL and t_char < STRICT_MARGIN: ``Unknown``, as above.
+
+    Otherwise ``matkernel.lmi_floor`` brackets t* against the same band,
+    over the system kept for (k, q) (:func:`_lift_system`):
 
     - t_lo >= STRICT_MARGIN: a lift with every block >= STRICT_MARGIN, and
       the verdict is ``Certified``;
@@ -477,8 +492,8 @@ def matrix_positivity_prism(e: PrismElement):
     t_scalar = float(min(a + shift, b - shift))
     index = int(np.argmin(lows[k + 2 :]))
     t_char = float(lows[k + 2 + index])
+    j, side = divmod(index, 2)
     if t_char <= -SPEC_TOL:
-        j, side = divmod(index, 2)
         verdict, residuals = _refuted(e, prism_character(k, j, 1 - 2 * side))
         if verdict.min_eigenvalue <= -SPEC_TOL:
             require(residuals, RelationCheckFailedError, "refutation")
@@ -487,6 +502,12 @@ def matrix_positivity_prism(e: PrismElement):
         return _certify(e, base + shift * _kernel(k)[:, None, None] * np.eye(e.q))
     elif t_char < STRICT_MARGIN and t_scalar >= -SPEC_TOL:
         return _unknown(t_scalar, t_char)
+    middle = base + _kernel(k)[:, None, None] * ((base[k + side] - base[j]) / 2)
+    t_mid = min(float(np.linalg.eigvalsh(middle).min()), t_char)
+    if t_mid >= STRICT_MARGIN:
+        return _certify(e, middle)
+    if t_mid >= -SPEC_TOL and t_char < STRICT_MARGIN:
+        return _unknown(t_mid, t_char)
 
     system = _lift_system(k, e.q)
     result = lmi_floor(base, system, (-SPEC_TOL, STRICT_MARGIN))

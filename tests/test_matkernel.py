@@ -175,6 +175,23 @@ class TestOpnormZero:
         assert opnorms(np.zeros((0, 2, 2))).shape == (0,)
 
 
+class TestOpnormScalars:
+    def test_one_by_one_slices_are_moduli_without_an_svd(self, monkeypatch):
+        # The SVD of a 1 x 1 slice is its modulus, up to the last bit.
+        rng = np.random.default_rng(5)
+        stack = (rng.standard_normal(200) + 1j * rng.standard_normal(200)).reshape(4, 50, 1, 1)
+        svd = np.linalg.svd(stack, compute_uv=False)[..., 0]
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("SVD of 1 x 1 slices")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        norms = opnorms(stack)
+        assert norms.shape == (4, 50) and np.allclose(norms, svd, rtol=4 * np.finfo(float).eps, atol=0.0)
+        zeros = opnorms(np.array([[[-0.0]], [[complex(-0.0, -0.0)]]]))
+        assert np.array_equal(zeros, [0.0, 0.0]) and not np.signbit(zeros).any()
+
+
 class TestStepLengths:
     """The batched step lengths of the Newton step against the Cholesky
     route: the largest step in (0, 1] going at most _LMI_REACH of the way to

@@ -1,6 +1,9 @@
+import importlib.util
 import json
 import re
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -421,21 +424,22 @@ class TestBoundaryVerdicts:
         assert within_bounds(certified_residuals(e, verdict))
 
 
-def preimage_element(q, boundary, seed):
-    """psi of a tuple of blocks >= 0.2; ``boundary`` puts a common null vector
-    into x_0 and x_+, which leaves no strictly positive preimage."""
+def preimage_element(q, boundary, seed, k=3, at=(0, 0)):
+    """psi of a tuple of k + 2 blocks >= 0.2; ``boundary`` puts a common null
+    vector into x_j and x_+/- for the character ``at`` = (j, side), side 0
+    for +, which leaves no strictly positive preimage."""
     rng = np.random.default_rng(seed)
     blocks = []
-    for _ in range(5):
+    for _ in range(k + 2):
         raw = rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))
         h = raw @ dagger(raw)
         blocks.append(h / opnorm(h) + 0.2 * np.eye(q))
     if boundary:
         vec = rng.standard_normal((q, 1)) + 1j * rng.standard_normal((q, 1))
         rest = np.eye(q) - vec @ dagger(vec) / float(np.vdot(vec, vec).real)
-        for idx in (0, 3):
+        for idx in (at[0], k + at[1]):
             blocks[idx] = hermitize(rest @ blocks[idx] @ rest)
-    return psi_k(DiagTuple(3, q, blocks))
+    return psi_k(DiagTuple(k, q, blocks))
 
 
 class TestLiftSolver:
@@ -451,21 +455,21 @@ class TestLiftSolver:
         assert verdict.residual == element_distance(psi_k(verdict.lift), e)
 
     @pytest.mark.parametrize("q", [1, 2])
-    def test_boundary_stays_unknown(self, q):
-        # No strictly positive lift exists (the best floor is 0). At q = 1 the
-        # scalar shift and the characters place the floor exactly, as the
-        # one-point bracket [t, t]; at q = 2 the solver proves the floor stays
-        # below STRICT_MARGIN. The residual is the shortfall of the best lift found.
+    def test_boundary_stays_unknown(self, q, monkeypatch):
+        # No strictly positive lift exists (the best floor is 0), and no solve
+        # runs. At q = 1 the scalar shift and the characters place the floor
+        # exactly, as the one-point bracket [t, t]; at q = 2 the midpoint lift
+        # at the binding character and the characters give [t_mid, t_char].
+        # The residual is the shortfall of the best lift found.
         e = preimage_element(q, True, 50 + q)
+        monkeypatch.setattr("ncprism.opsys.lmi_floor", refuse_to_solve)
         verdict = matrix_positivity_prism(e)
         assert isinstance(verdict, Unknown)
         assert "smallest block eigenvalue lies in [" in verdict.reason
-        if q == 1:
-            low, high = re.search(r"lies in \[(\S+), (\S+)\]", verdict.reason).groups()
-            assert low == high and abs(float(low)) <= 1e-15
-            assert abs(verdict.residual - STRICT_MARGIN) <= 1e-15
-        else:
-            assert STRICT_MARGIN <= verdict.residual < 1e-4
+        low, high = re.search(r"lies in \[(\S+), (\S+)\]", verdict.reason).groups()
+        assert abs(float(low)) <= 1e-15 and abs(float(high)) <= 1e-15
+        assert q > 1 or low == high
+        assert abs(verdict.residual - STRICT_MARGIN) <= 1e-15
 
     def test_step_cap_is_named_in_the_reason(self, monkeypatch):
         # With one Newton step allowed, a floor 1e-3 below 0 is not yet placed.
@@ -509,14 +513,53 @@ def refuse_to_solve(*args):
 
 
 class TestFloorBracket:
-    """The bracket t_scalar <= t* <= t_char that decides without a solve:
-    t_scalar is the floor of the particular lift shifted by s 1 along the
-    kernel at the best s, t_char the least eigenvalue at the 2k characters."""
+    """The brackets that decide without a solve: t_scalar <= t* <= t_char and
+    t_mid <= t* <= t_char. t_scalar is the floor of the particular lift
+    shifted by s 1 along the kernel at the best s, t_char the least eigenvalue
+    at the 2k characters, and t_mid the floor of the midpoint lift, the
+    particular lift x moved by (x_+/- - x_j)/2 along the kernel at the binding
+    character (j, +/-), which puts (x_j + x_+/-)/2 on both of its blocks."""
 
     @staticmethod
     def bracket(e):
         lows = np.linalg.eigvalsh(_particular_lift(e.blocks)).min(axis=-1)
         return (lows[: e.k].min() + lows[e.k :].min()) / 2, character_lows(e).min()
+
+    @staticmethod
+    def midpoint(e):
+        """t_mid, at the first binding character in (j, sign) order."""
+        base = _particular_lift(e.blocks)
+        j, side = divmod(int(np.argmin(character_lows(e))), 2)
+        middle = base + _kernel(e.k)[:, None, None] * ((base[e.k + side] - base[j]) / 2)
+        return np.linalg.eigvalsh(middle).min()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(3, 8),
+        q=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+        j=st.integers(0, 7),
+        side=st.integers(0, 1),
+    )
+    def test_boundary_elements_are_unknown_at_the_midpoint(self, k, q, seed, j, side):
+        # Blocks >= 0.2 with a common null vector in x_j and x_+/-: t* = 0 = t_char.
+        # Whenever the midpoint lift's floor is inside the band, the verdict
+        # is Unknown without a solve; it is a lift, so t_mid never exceeds
+        # the solver's upper end.
+        e = preimage_element(q, True, seed, k, (j % k, side))
+        t_char, t_mid = character_lows(e).min(), self.midpoint(e)
+        assert abs(t_char) <= 1e-12 and t_mid <= 1e-12
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("ncprism.opsys.lmi_floor", refuse_to_solve)
+            try:
+                verdict = matrix_positivity_prism(e)
+            except SolverReached:
+                assert t_mid < -SPEC_TOL
+                verdict = None
+        assert verdict is None or isinstance(verdict, Unknown)
+        result = lmi_floor(*lift_problem(e), (-SPEC_TOL, STRICT_MARGIN))
+        scale = max(1.0, max(opnorm(b) for b in [*e.c, e.g]))
+        assert t_mid <= result.t_hi + 1e-12 * scale
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -648,6 +691,35 @@ def lift_problem(e):
     """The particular lift and the system of the kernel directions the oracle
     solves over."""
     return _particular_lift(e.blocks), FloorSystem(_kernel(e.k)[:, None, None] * hermitian_basis(e.q)[:, None])
+
+
+def benchmark_workloads():
+    """The benchmark's workload module, loaded from its file; it builds its
+    inputs without calling the library."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestWorkloadBoundary:
+    """The positivity workload's q = 2 boundary element, x_0 + x_+ with a
+    null vector: the midpoint lift decides it in every frame, with no solve."""
+
+    @pytest.mark.parametrize("shift", range(3))
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_no_solve_in_any_frame(self, shift, flip, monkeypatch):
+        workloads = benchmark_workloads()
+        pool = workloads._positivity_pool()
+        monkeypatch.setattr("ncprism.opsys.lmi_floor", refuse_to_solve)
+        for frame in range(8):
+            u = workloads.haar_unitary(np.random.default_rng(frame), 2)
+            blocks = workloads._dihedral(pool[(2, "boundary")], 3, shift, flip)
+            blocks = [hermitize(u @ b @ dagger(u)) for b in blocks]
+            verdict = matrix_positivity_prism(PrismElement(3, 2, *workloads.psi(3, blocks)))
+            assert isinstance(verdict, Unknown) and "inside the band" in verdict.reason
 
 
 class TestDualWitness:
@@ -1086,13 +1158,13 @@ class TestBlockValidation:
 class TestCachedConstants:
     @staticmethod
     def solved():
-        # Elements the solve-free bracket leaves open, at (k, q) = (3, 2),
-        # (6, 3), (3, 2): refuted by the dual witness, certified, and the
-        # q = 2 boundary element left Unknown.
+        # Elements the solve-free rules leave open, at (k, q) = (3, 2),
+        # (6, 3), (3, 2): refuted by the dual witness, certified, and one
+        # with t* = +1e-7, inside the band, that the solver leaves Unknown.
         return [
             gap_probe_element(3, 2, 9, -1e-3),
             gap_probe_element(6, 3, 0, 1e-3),
-            preimage_element(2, True, 52),
+            gap_probe_element(3, 2, 0, 1e-7),
             gap_probe_element(3, 2, 23, 1e-3),
         ]
 
