@@ -9,7 +9,6 @@ membership, and evaluates the closed-form scaling constants.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -20,6 +19,7 @@ from .matkernel import (
     SPEC_TOL,
     Residual,
     _operands,
+    constant,
     hermitize,
     opnorm,
     require,
@@ -49,7 +49,8 @@ _GEOM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class PolytopeSpec:
-    """Vertices and facet half-planes {x : <normal, x> <= offset} of a polytope."""
+    """Vertices and facet half-planes {x : <normal, x> <= offset} of a polytope,
+    kept as read-only views and checked by :func:`polytope_residuals`."""
 
     ambient_dim: int
     vertices: np.ndarray
@@ -58,9 +59,10 @@ class PolytopeSpec:
     name: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", np.asarray(self.vertices, dtype=float))
-        object.__setattr__(self, "normals", np.asarray(self.normals, dtype=float))
-        object.__setattr__(self, "offsets", np.asarray(self.offsets, dtype=float))
+        for name in ("vertices", "normals", "offsets"):
+            array = np.asarray(getattr(self, name), dtype=float).view()
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
         if self.vertices.shape[1] != self.ambient_dim:
             raise ShapeMismatchError("vertex dimension differs from ambient dimension")
         if self.normals.shape[1] != self.ambient_dim:
@@ -112,24 +114,26 @@ def _check_polygon(k: int) -> None:
         raise ValueError(f"polygon needs k >= 3, got {k}")
 
 
-@functools.lru_cache(maxsize=32)
+@constant(maxsize=32)
 def make_polygon(k: int) -> PolytopeSpec:
-    """Convex hull of the k-th roots of unity in the plane, built once per k
-    with read-only arrays."""
+    """Convex hull of the k-th roots of unity in the plane: one object per k,
+    kept by ``matkernel.constant``, and every call reports its self-check."""
     _check_polygon(k)
     angles = 2.0 * np.pi * np.arange(k) / k
     vertices = np.column_stack([np.cos(angles), np.sin(angles)])
     mid = (2.0 * np.arange(k) + 1.0) * np.pi / k
     normals = np.column_stack([np.cos(mid), np.sin(mid)])
     offsets = np.full(k, math.cos(math.pi / k))
-    polygon = PolytopeSpec(2, vertices, normals, offsets, name=f"polygon:{k}")
-    for array in (polygon.vertices, polygon.normals, polygon.offsets):
-        array.flags.writeable = False
-    return polygon
+    return PolytopeSpec(2, vertices, normals, offsets, name=f"polygon:{k}")
 
 
+@constant(maxsize=32)
 def make_prism(k: int) -> PolytopeSpec:
-    """The prism Conv(C_k) x [-1, 1]: 2k vertices, k side facets plus 2 caps."""
+    """The prism Conv(C_k) x [-1, 1]: 2k vertices, k side facets plus 2 caps.
+
+    One object per k, kept by ``matkernel.constant``: each call reports the
+    rows of the prism's self-check and of :func:`make_polygon`'s, as the
+    first call did, and a second call builds and checks nothing."""
     polygon = make_polygon(k)
     top = np.column_stack([polygon.vertices, np.ones(k)])
     bottom = np.column_stack([polygon.vertices, -np.ones(k)])
@@ -163,8 +167,9 @@ def max_member(mats, polytope: PolytopeSpec) -> MembershipResult:
     few eps times |offset| + |support|), so exactly tied facets name the first
     of them; the margin is the least slack.
     """
-    mats = _operands("max_member needs square matrices of equal size", *mats)
-    if len(mats) != polytope.ambient_dim:
+    # support_values takes the entries through the operand rule, which also
+    # names an empty tuple.
+    if 0 < len(mats) != polytope.ambient_dim:
         raise ShapeMismatchError(
             f"tuple has {len(mats)} entries, polytope is {polytope.ambient_dim}-dimensional"
         )

@@ -22,7 +22,6 @@ functions check it too, for matrices a caller did not build.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -53,6 +52,7 @@ from .matkernel import (
     as_matrix,
     clamp_spectrum,
     compress,
+    constant,
     dagger,
     hermitian_basis,
     hermitize,
@@ -126,11 +126,10 @@ class Povm:
     def __post_init__(self):
         (self.effects,) = _operands(
             "effects must be a nonempty stack of square matrices of equal size",
-            self.effects, error=InvalidPovmError, ndim=3,
+            self.effects, error=InvalidPovmError, ndim=3, hermitian="POVM effects",
         )
         if len(self.effects) != len(self.outcome_labels):
             raise InvalidPovmError("each effect needs exactly one outcome label")
-        require_hermitian(self.effects, "POVM effects")
         self.spectrum = np.linalg.eigh(hermitize(self.effects))
 
 
@@ -212,14 +211,13 @@ def halmos_symmetry(b) -> np.ndarray:
     ``eigh`` of b that also checks ||b|| <= 1: S is Hermitian, S^2 is the
     identity within SPEC_TOL, and the top-left block is ``b`` itself.
     """
-    (b,) = _operands("halmos_symmetry requires a square matrix", b)
+    (b,) = _operands("halmos_symmetry requires a square matrix", b, hermitian="halmos_symmetry input")
     return _halmos_symmetry(b, "")
 
 
 def _halmos_symmetry(b: np.ndarray, prefix: str) -> np.ndarray:
-    """:func:`halmos_symmetry` of a square operand ``b``, recording its rows
-    with ``prefix`` before each name."""
-    require_hermitian(b, "halmos_symmetry input")
+    """:func:`halmos_symmetry` of a Hermitian operand ``b``, recording its
+    rows with ``prefix`` before each name."""
     s = _symmetry_block(b, _hermitian_defect(b, "b"))
     require(prefixed(prefix, symmetry_residuals(s)), NotSymmetryError, "halmos_symmetry")
     return s
@@ -444,7 +442,7 @@ def order_k_povm(a, k: int) -> Povm:
     return povm
 
 
-@functools.lru_cache(maxsize=4)
+@constant(maxsize=4)
 def _mode_system(k: int, n: int) -> FloorSystem:
     """The ``lmi_floor`` system of the level-n decompositions over the k-th
     roots of unity, built once per (k, n) and read-only: its directions are
@@ -549,7 +547,9 @@ def cube_dilation(mats) -> DilationResult:
     recorded as ``s{j}_selfadjoint`` and ``s{j}_squares_to_identity``, with
     the labels of :func:`cube_residuals`.
     """
-    mats = _operands("cube_dilation needs square matrices of equal size", *mats)
+    mats = _operands(
+        "cube_dilation needs square matrices of equal size", *mats, hermitian="halmos_symmetry input"
+    )
     n = len(mats[0])
     labels = [f"s{j + 1}" for j in range(len(mats))]
     symmetries = [_halmos_symmetry(m, f"{label}_") for label, m in zip(labels, mats)]

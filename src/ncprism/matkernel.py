@@ -17,9 +17,10 @@ which is how ``verify`` and the CLI report what the constructors measured.
 
 Matrices are plain ``numpy.ndarray`` objects with ``complex128`` entries.
 All operations are pure functions; the only state is the collector that
-:func:`measured` opens for the block it encloses, and read-only arrays built
-once: :func:`commutant_dimension`'s weights per input count, and the
-:class:`FloorSystem` that callers keep per stack of directions.
+:func:`measured` opens for the block it encloses, and read-only shape
+constants built once: :func:`commutant_dimension`'s weights per input count,
+kept by :func:`constant`, the one process cache of the package, and the
+constraints of each :class:`FloorSystem`.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ __all__ = [
     "Measured",
     "require",
     "measured",
+    "constant",
     "prefixed",
     "unitary_residual",
     "order_residuals",
@@ -125,6 +127,38 @@ def require(residuals: list[Residual], error: type[Exception], what: str) -> Non
             raise error(f"{what}: {name} residual {value:.3e} exceeds its bound {bound:.1e}")
 
 
+def constant(maxsize: int):
+    """Cache a shape constant: a function of small hashable arguments whose
+    value no caller changes, such as a polytope or a solver's constraint
+    system, kept for the last ``maxsize`` argument tuples.
+
+    A miss runs the function inside a :func:`measured` block of its own and
+    keeps the rows that block recorded beside the value. Every call, hit or
+    miss, appends those rows to the caller's innermost ``measured`` block, if
+    one is open, so a report lists the same rows whatever ran before it.
+    ``cache_clear()`` empties the cache; ``__wrapped__`` is the uncached
+    function."""
+
+    def decorate(build):
+        @functools.lru_cache(maxsize=maxsize)
+        def built(*args, **kwargs):
+            with measured() as records:
+                return build(*args, **kwargs), tuple(records)
+
+        @functools.wraps(build)
+        def replay(*args, **kwargs):
+            value, records = built(*args, **kwargs)
+            outer = _COLLECTOR.get()
+            if outer is not None:
+                outer.extend(records)
+            return value
+
+        replay.cache_clear = built.cache_clear
+        return replay
+
+    return decorate
+
+
 def prefixed(prefix: str, residuals: list[Residual]) -> list[Residual]:
     """The same residuals with ``prefix`` put before each name."""
     return [(prefix + name, value, bound) for name, value, bound in residuals]
@@ -143,17 +177,22 @@ def as_matrix(a) -> np.ndarray:
 
 
 def _operands(
-    what: str, *operands, error: type[Exception] = ShapeMismatchError, n: int | None = None, ndim: int | None = 2
+    what: str, *operands, error: type[Exception] = ShapeMismatchError, n: int | None = None,
+    ndim: int | None = 2, hermitian: str | None = None,
 ) -> list[np.ndarray]:
     """The operand rule: a call's square operands as complex arrays that are
-    finite, square and all n x n with n >= 1 (the given n, if any).
+    finite, square and all n x n with n >= 1 (the given n, if any), and
+    Hermitian by :func:`is_hermitian` if ``hermitian`` names them.
 
     Each operand is a matrix (a scalar is 1 x 1); with ``ndim`` = 3, a stack
     of matrices (a vector is a stack of 1 x 1 matrices); with ``ndim`` None,
     a nonempty (..., n, n) stack of any depth. No operand, an empty one, a
     ragged nested list or a wrong shape raises ``error`` with ``what`` and the
     shapes given ("0 x 0" for an empty matrix); a non-finite entry raises
-    ``ValueError``. An operand that is already a complex array is not copied."""
+    ``ValueError``, and a skew part ``NotHermitianError`` with the name in
+    ``hermitian``. An operand that is already a complex array is not copied.
+    A callee that is handed operands passed through this rule relies on it
+    rather than passing them again."""
     try:
         mats = [np.asarray(m, dtype=complex) for m in operands]
     except ValueError as exc:
@@ -171,6 +210,9 @@ def _operands(
             raise ValueError("matrix entries must be finite")
     if not mats:
         raise error(f"{what}, got none")
+    if hermitian and not all(map(is_hermitian, mats)):
+        skew = max(float(opnorms(m - dagger(m)).max()) for m in mats)
+        raise NotHermitianError(f"{hermitian} is not Hermitian: ||A - A*|| = {skew:.3e}")
     return mats
 
 
@@ -222,12 +264,7 @@ def is_hermitian(a: np.ndarray) -> bool:
 def require_hermitian(a, what: str = "matrix") -> np.ndarray:
     """``a``, a matrix or an (..., n, n) stack, as :func:`_operands` returns
     it; raise unless each slice is Hermitian by :func:`is_hermitian`."""
-    (a,) = _operands(f"{what} must be square", a, ndim=None)
-    if not is_hermitian(a):
-        raise NotHermitianError(
-            f"{what} is not Hermitian: ||A - A*|| = {opnorms(a - dagger(a)).max():.3e}"
-        )
-    return a
+    return _operands(f"{what} must be square", a, ndim=None, hermitian=what)[0]
 
 
 def psd_sqrt(h) -> np.ndarray:
@@ -702,7 +739,7 @@ def _hermitian_spectrum(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, floa
     return eigvecs, w, 2.0 * float(np.sum(c + d))
 
 
-@functools.lru_cache(maxsize=32)
+@constant(maxsize=32)
 def _h_weights(count: int) -> np.ndarray:
     """The weights (c_i, d_i) of H for ``count`` inputs, drawn once: a
     read-only (count, 2) array of seeded uniform draws in [0.5, 1)."""
@@ -828,13 +865,15 @@ def support_values(mats, directions) -> np.ndarray:
     lambda_max. The combinations are summed term by term in tuple order, as a
     per-direction loop sums them, so near-ties between directions round alike.
     """
-    mats = _operands("support_value needs square matrices of equal size", *mats)
+    mats = _operands(
+        "support_value needs square matrices of equal size", *mats, hermitian="support_value tuple entry"
+    )
     directions = np.asarray(directions, dtype=float)
     if directions.ndim != 2 or directions.shape[1] != len(mats):
         raise ShapeMismatchError(
             f"directions have shape {directions.shape}, expected (m, {len(mats)})"
         )
-    stack = require_hermitian(np.stack(mats), "support_value tuple entry")
+    stack = np.stack(mats)
     combos = (directions[:, :, None, None] * stack).sum(axis=1)
     return np.linalg.eigvalsh(hermitize(combos)).max(axis=-1)
 

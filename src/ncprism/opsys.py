@@ -31,7 +31,6 @@ representation.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -54,6 +53,7 @@ from .matkernel import (
     _exact_diagonal,
     _frobenius,
     _operands,
+    constant,
     dagger,
     fourier_coefficients,
     fourier_values,
@@ -521,7 +521,7 @@ def matrix_positivity_prism(e: PrismElement):
     return _unknown(result.t_lo, result.t_hi, None if inside else result.steps)
 
 
-@functools.lru_cache(maxsize=8)
+@constant(maxsize=8)
 def _lift_system(k: int, q: int) -> FloorSystem:
     """The ``lmi_floor`` system of the level-q lifts through the quotient
     map, built once per (k, q) and read-only: its directions are the kernel

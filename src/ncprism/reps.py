@@ -20,7 +20,6 @@ diagonal; the residual functions keep every row for re-checks.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -51,6 +50,7 @@ from .matkernel import (
     Residual,
     _operands,
     commutant_dimension,
+    constant,
     dagger,
     direct_sum,
     hermitize,
@@ -374,19 +374,20 @@ def prism_vertex_rep(k: int, j: int, sign: int) -> tuple[RepPair, np.ndarray]:
 def prism_character(k: int, j: int, sign: int) -> RepPair:
     """The 1 x 1 pair W = omega^j, V = sign: the extreme point (omega^j, sign).
 
-    Each call returns a pair of its own; its order residuals are computed
-    once per (k, j, sign) and passed to ``require`` on every call, so a
-    ``measured`` block records the same rows whatever ran before."""
+    Each call returns a pair of its own, with the provenance under which
+    :func:`_checked_character` required its :func:`pair_residuals`."""
+    provenance = _checked_character(k, j, sign)
+    return RepPair(np.exp(2j * np.pi * (j / k)), sign, k, provenance, commutant_dim=1)
+
+
+@constant(maxsize=256)
+def _checked_character(k: int, j: int, sign: int) -> str:
+    """The provenance ``character(k=.., j=.., sign=..)``, once the character's
+    :func:`pair_residuals` have passed ``require`` under it."""
     provenance = f"character(k={k}, j={j}, sign={sign:+d})"
-    pair = RepPair(np.exp(2j * np.pi * (j / k)), sign, k, provenance, commutant_dim=1)
-    require(list(_character_residuals(k, j, sign)), RelationCheckFailedError, provenance)
-    return pair
-
-
-@functools.lru_cache(maxsize=256)
-def _character_residuals(k: int, j: int, sign: int) -> tuple[Residual, ...]:
-    """:func:`pair_residuals` of the character (omega^j, sign)."""
-    return tuple(pair_residuals(RepPair(np.exp(2j * np.pi * (j / k)), sign, k)))
+    pair = RepPair(np.exp(2j * np.pi * (j / k)), sign, k)
+    require(pair_residuals(pair), RelationCheckFailedError, provenance)
+    return provenance
 
 
 def vertex_residuals(pair: RepPair, xi, j: int, sign: int) -> list[Residual]:

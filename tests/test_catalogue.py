@@ -2,6 +2,10 @@
 constructor's output and flags the named identity once that output is
 shifted, and each self-checking constructor refuses a corrupted block."""
 
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from types import SimpleNamespace
 from unittest import mock
@@ -9,8 +13,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from constructions import BUILDS, CONSTRUCTIONS, A, B, HALF, POVM
 from helpers import within_bounds
 
+import ncprism
 from ncprism import convexity, dilation, matkernel, opsys, reps
 from ncprism.errors import (
     InvalidPovmError,
@@ -24,8 +30,6 @@ def shift(x, on=True):
     return x + 1e-6 if on else x
 
 
-HALF, A, B = np.array([[0.5]]), np.array([[0.2]]), np.array([[-0.2]])
-POVM = dilation.triangle_povm(A)
 NAIMARK = dilation.naimark_normal(POVM)
 JOINT = dilation.joint_prism_dilation(A, B, 3)
 CUBE = dilation.cube_dilation([HALF])
@@ -280,55 +284,7 @@ def test_frobenius_residuals_bound_the_operator_norms(source):
             "w_compression", "corner"} <= seen
 
 
-# A q = 2 element that no character refutes; the lift solver's dual witness does.
-_C1 = np.array([[0.1124 - 0.0457j, -0.3728 - 0.0937j], [-0.0648 - 0.1706j, 0.2492 + 0.4852j]])
-DUAL = opsys.PrismElement(
-    3,
-    2,
-    [np.array([[1.1524, -0.212 + 0.2848j], [-0.212 - 0.2848j, 1.5901]]), _C1, _C1.conj().T],
-    np.array([[-0.0143, 0.5023 - 0.2575j], [0.5023 + 0.2575j, 0.0833]]),
-)
-
-
-def _dual_refutation():
-    verdict = opsys.matrix_positivity_prism(DUAL)
-    assert verdict.witness.provenance == "dual_witness(k=3, level=2)"
-
-
-# The rows each construction must not record besides the common ones: an S3
-# or A4 pair solves no commutant, and exact sign diagonals, an exactly
-# symmetric Kronecker power and an exact signed swap are symmetries or
-# unitaries of their order by construction.
-_SOLVED = {"commutant_dimension_1", "basis_commutes", "basis_orthonormal"}
-
-
-@pytest.mark.parametrize(
-    "build, label, exact",
-    [
-        (reps.s3_pair, None, _SOLVED),
-        (reps.a4_pair, None, _SOLVED),
-        (lambda: dilation.halmos_symmetry(HALF), None, set()),
-        (lambda: dilation.halmos_unitary(HALF), None, set()),
-        (lambda: dilation.naimark_normal(POVM), "naimark_normal", set()),
-        (lambda: dilation.cube_dilation([HALF, B]), None, set()),
-        (lambda: dilation.joint_prism_dilation(A, B, 3), "joint_prism_dilation(k=3, level=1)", set()),
-        (
-            lambda: dilation.joint_prism_dilation(
-                *convexity.random_prism_point(np.random.default_rng(1), 3, 4, scale=0.8), 4
-            ),
-            "joint_prism_dilation(k=4, level=3)",
-            set(),
-        ),
-        (_dual_refutation, "dual_witness(k=3, level=2)", set()),
-        (lambda: reps.square_irrep(0.3), None, {"s0_selfadjoint", "s0_squares_to_identity"}),
-        (lambda: reps.hadamard_symmetries(2), None, {"heads_diagonal_signs", "s2_selfadjoint"}),
-        (lambda: reps.prism_vertex_rep(4, 1, -1), None, {"v_unitary", "v_order_2"}),
-    ],
-    ids=[
-        "s3", "a4", "halmos_symmetry", "halmos_unitary", "naimark", "cube", "joint_k3", "joint_k4",
-        "dual_witness", "square", "hadamard", "vertex",
-    ],
-)
+@pytest.mark.parametrize("build, label, exact", list(CONSTRUCTIONS.values()), ids=list(CONSTRUCTIONS))
 def test_constructions_record_only_rows_their_arithmetic_can_move(build, label, exact):
     # A corner, N's diagonal or a group order fixed by the presentation holds
     # by construction; the residual functions keep them for re-checks.
@@ -345,3 +301,45 @@ def test_constructions_record_only_rows_their_arithmetic_can_move(build, label, 
     else:
         assert naimark == {label}
         assert {what for name, *_, what in records if name[:2] in ("v_", "w_")} <= {label}
+
+
+# Prints, as JSON lines, the rows each entry of the catalogue and each probe
+# records in a fresh process: a child forked, per entry, from a process that
+# has imported the catalogue and nothing else.
+_FRESH = """
+import json, os
+from constructions import BUILDS
+from ncprism.matkernel import measured
+
+for name, build in BUILDS.items():
+    if not os.fork():
+        try:
+            with measured() as records:
+                build()
+            print(json.dumps([name, records]), flush=True)
+        finally:
+            os._exit(0)
+    os.wait()
+"""
+
+
+def _rows(build):
+    with matkernel.measured() as records:
+        build()
+    return json.loads(json.dumps(records))
+
+
+def test_recorded_rows_do_not_depend_on_what_ran_before():
+    # A cached shape constant reports the rows of its build on every call,
+    # so each entry records the rows of a fresh process twice in a row here,
+    # and again after every other entry has run.
+    path = [os.path.dirname(os.path.dirname(ncprism.__file__)), os.path.dirname(__file__)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [*path, os.environ.get("PYTHONPATH")]))}
+    fresh = subprocess.run([sys.executable, "-c", _FRESH], capture_output=True, text=True, env=env, timeout=120)
+    fresh = dict(json.loads(line) for line in fresh.stdout.splitlines())
+    assert fresh.keys() == BUILDS.keys()
+    runs = {name: [_rows(build), _rows(build)] for name, build in BUILDS.items()}
+    for name, build in BUILDS.items():
+        runs[name].append(_rows(build))
+    for name, rows in runs.items():
+        assert rows == [fresh[name]] * 3, name

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import random_hermitian, random_isometry, random_unitary
 
+from ncprism import convexity
 from ncprism.convexity import (
     PolytopeSpec,
     circumnorm,
@@ -22,7 +23,7 @@ from ncprism.convexity import (
 )
 from ncprism.dilation import triangle_povm
 from ncprism.errors import NotHermitianError, NumericalRangeOutsideTriangleError, ShapeMismatchError
-from ncprism.matkernel import compress, dagger, support_value
+from ncprism.matkernel import compress, dagger, measured, support_value
 from ncprism.reps import prism_vertex_rep, vertex_residuals
 
 
@@ -48,14 +49,41 @@ class TestPolytopes:
 
     def test_self_check_memory_is_bounded(self):
         # The vertices x facets product is taken in row blocks: whole, at
-        # k = 4096 it and its slacks took 538 MB.
+        # k = 4096 it and its slacks took 538 MB. The uncached build is
+        # measured, since a cached prism builds nothing.
         tracemalloc.start()
         try:
-            make_prism(4096)
+            make_prism.__wrapped__(4096)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 100e6
+
+    def test_a_prism_is_built_once_per_k(self, monkeypatch):
+        # One object per k, as for make_polygon: a second prism_member call
+        # at k = 4096 runs no polytope self-check and reports the rows of
+        # the first, the prism's and the polygon's.
+        make_prism.cache_clear()
+        checked, original = [], convexity.polytope_residuals
+        monkeypatch.setattr(convexity, "polytope_residuals", lambda spec: checked.append(spec.name) or original(spec))
+        x = np.array([[0.2]])
+        runs = []
+        for _ in range(2):
+            before = len(checked)
+            with measured() as records:
+                prism_member(x, x, 4096)
+            runs.append((len(checked) - before, records))
+        (built, first), (again, second) = runs
+        assert built >= 1 and again == 0
+        assert first == second and {what for *_, what in first} == {"polygon:4096", "prism:4096"}
+        assert make_prism(4096) is make_prism(4096)
+
+    @pytest.mark.parametrize("spec", [lambda: make_prism(5), lambda: make_cube(2)], ids=["prism", "cube"])
+    def test_polytope_arrays_are_read_only(self, spec):
+        spec = spec()
+        for name in ("vertices", "normals", "offsets"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(spec, name)[0] = 0.0
 
     def test_a_vertex_outside_a_facet_in_a_later_block_is_refused(self):
         vertices = np.zeros((1000, 2))

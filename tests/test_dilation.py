@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import record_eigh, reference_dft, within_bounds
 
-from ncprism import dilation
+from ncprism import convexity, dilation, matkernel
 from ncprism.convexity import (
     make_polygon,
     max_member,
@@ -803,6 +803,18 @@ class TestOneFactorisation:
         calls = record_eigh(monkeypatch)
         joint_prism_dilation(a, b, k)
         assert self.factorisations(calls, effects) == 1
+
+    @pytest.mark.parametrize("k, passes", [(3, 2), (4, 4), (5, 4), (8, 4)])
+    def test_each_array_passes_the_operand_rule_once(self, monkeypatch, k, passes):
+        # The operand, its Hermitian parts (k >= 4: real_imag_parts, then
+        # support_values, which max_member relies on) and the effect stack
+        # (Povm, whose one pass also checks it Hermitian) each pass once.
+        a, _ = random_prism_point(np.random.default_rng(k), 3, k, scale=0.8)
+        calls, rule = [], matkernel._operands
+        for module in (matkernel, convexity, dilation):
+            monkeypatch.setattr(module, "_operands", lambda *args, **kw: calls.append(args[0]) or rule(*args, **kw))
+        order_k_povm(a, k)
+        assert len(calls) == passes, calls
 
 
 class TestModeSystemCache:

@@ -879,11 +879,11 @@ class TestCharacterRefutation:
             assert verdict.witness.dim > 1
 
     def test_repeated_refutations_check_each_character_once(self, monkeypatch):
-        # A character's order residuals are computed once per (k, j, sign)
-        # and passed to require on every refutation: each measured block
-        # records the same rows, the verdict bytes do not change, and every
-        # refutation returns a witness of its own.
-        reps._character_residuals.cache_clear()
+        # A character's order residuals are checked once per (k, j, sign)
+        # and replayed on every refutation: each measured block records the
+        # same rows, the verdict bytes do not change, and every refutation
+        # returns a witness of its own.
+        reps._checked_character.cache_clear()
         checked = []
         original = reps.pair_residuals
         monkeypatch.setattr(
