@@ -47,8 +47,10 @@ from .matkernel import (
     Residual,
     _frobenius,
     _operands,
+    _require_hermitian,
     _spectral,
     _spectral_sqrt,
+    _symmetry_residuals,
     as_matrix,
     clamp_spectrum,
     compress,
@@ -60,7 +62,6 @@ from .matkernel import (
     order_residuals,
     prefixed,
     require,
-    require_hermitian,
     roots_of_unity,
     symmetry_residuals,
     unitary_residual,
@@ -219,7 +220,7 @@ def _halmos_symmetry(b: np.ndarray, prefix: str) -> np.ndarray:
     """:func:`halmos_symmetry` of a Hermitian operand ``b``, recording its
     rows with ``prefix`` before each name."""
     s = _symmetry_block(b, _hermitian_defect(b, "b"))
-    require(prefixed(prefix, symmetry_residuals(s)), NotSymmetryError, "halmos_symmetry")
+    require(prefixed(prefix, _symmetry_residuals(s)), NotSymmetryError, "halmos_symmetry")
     return s
 
 
@@ -399,6 +400,12 @@ def order_k_povm(a, k: int) -> Povm:
     ``order_k_povm(k=.., level=..)`` (else ``InvalidPovmError``).
     """
     (a,) = _operands("order_k_povm requires a square matrix", a)
+    return _order_k_povm(a, k)
+
+
+def _order_k_povm(a: np.ndarray, k: int) -> Povm:
+    """:func:`order_k_povm` of an operand already passed through
+    :func:`_operands`."""
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
     labels = roots_of_unity(k)
@@ -471,12 +478,13 @@ def joint_prism_dilation(a, b, k: int) -> tuple[RepPair, np.ndarray]:
     which decided the decomposition and also gives the Naimark roots, and b by
     one ``eigh`` that checks ||b|| <= 1 and gives the symmetry's defect at
     the level of ``b`` (see ``_carried_blocks``), so its identities are
-    checked here.
+    checked here. ``a`` and ``b`` pass the operand rule once, together; the
+    decomposition, W, V and V's symmetry rows take them as passed.
     """
     a, b = _operands("a and b must be square of equal size", a, b)
-    require_hermitian(b, "joint_prism_dilation input b")
+    _require_hermitian([b], "joint_prism_dilation input b")
     defect = _hermitian_defect(b, "b")
-    return _dilate_povm(order_k_povm(a, k), b, defect)
+    return _dilate_povm(_order_k_povm(a, k), b, defect)
 
 
 def _dilate_povm(
@@ -500,12 +508,12 @@ def _dilate_povm(
     b_tilde, d = _carried_blocks(z, b, defect)
     v_big = _symmetry_block(b_tilde, d)
     g = np.vstack([z, np.zeros((kn, n), dtype=complex)])
-    pair = RepPair(w_big, v_big, k, provenance=provenance)
+    pair = RepPair._built(w_big, v_big, k, provenance)
     # The Naimark residuals certified G*G = Z*Z = 1 and G*WG = Z*NZ, which
     # the POVM ties to its first moment. Left: V a symmetry, W's order, and
     # G*VG = b, which is Z* V_11 Z as G's lower half is exactly zero.
     residuals = [
-        *prefixed("v_", symmetry_residuals(v_big)),
+        *prefixed("v_", _symmetry_residuals(v_big)),
         *prefixed("w_", order_residuals(w_big, k)),
         ("v_compression", _frobenius(dagger(z) @ v_big[:kn, :kn] @ z - b), SPEC_TOL),
     ]
@@ -520,10 +528,12 @@ def _carried_blocks(z, b, defect) -> np.ndarray:
     Z*Z = 1 splits 1 - (Z b Z*)^2 = (1 - Z Z*) + Z (1 - b^2) Z* into PSD terms
     with orthogonal ranges, so D = (1 - Z Z*) + Z sqrt(1 - b^2) Z*, that is
     1 + Z (sqrt(1 - b^2) - 1) Z*. ``defect`` is sqrt(1 - b^2) for b rescaled
-    into the unit ball, as in :func:`halmos_symmetry`; Z b Z* and
-    Z (defect - 1) Z* come from one batched product. The caller checks the
-    symmetry."""
-    carried = hermitize(z @ np.stack([b, defect - np.eye(len(b))]) @ dagger(z))
+    into the unit ball, as in :func:`halmos_symmetry`. Both are Hermitian, so
+    Z b Z* and Z (defect - 1) Z* are the Hermitian and skew parts (C + C*)/2
+    and (C - C*)/2i of one product chain C = Z (b + i(defect - 1)) Z*, each
+    exactly Hermitian. The caller checks the symmetry."""
+    c = z @ (b + 1j * (defect - np.eye(len(b)))) @ dagger(z)
+    carried = np.stack([c + dagger(c), 1j * (dagger(c) - c)]) / 2.0
     carried[1].ravel()[:: z.shape[0] + 1] += 1.0
     return carried
 

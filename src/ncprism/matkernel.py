@@ -210,10 +210,18 @@ def _operands(
             raise ValueError("matrix entries must be finite")
     if not mats:
         raise error(f"{what}, got none")
-    if hermitian and not all(map(is_hermitian, mats)):
-        skew = max(float(opnorms(m - dagger(m)).max()) for m in mats)
-        raise NotHermitianError(f"{hermitian} is not Hermitian: ||A - A*|| = {skew:.3e}")
+    if hermitian:
+        _require_hermitian(mats, hermitian)
     return mats
+
+
+def _require_hermitian(mats: list[np.ndarray], name: str) -> None:
+    """Raise ``NotHermitianError`` with ``name`` unless each of the operands
+    ``mats``, already passed through :func:`_operands`, is Hermitian by
+    :func:`is_hermitian`."""
+    if not all(map(is_hermitian, mats)):
+        skew = max(float(opnorms(m - dagger(m)).max()) for m in mats)
+        raise NotHermitianError(f"{name} is not Hermitian: ||A - A*|| = {skew:.3e}")
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -356,6 +364,10 @@ class FloorResult:
     from above through the primal point ``x``: PSD blocks of total trace 1,
     orthogonal to every direction. While no such point is known, ``t_hi`` is
     inf and ``x`` is None. ``steps`` counts Newton steps.
+
+    A solve that stops because t_lo reaches the band's high end stops before
+    it projects that step's primal iterate: ``t_hi`` and ``x`` are then those
+    of the earlier steps, which no caller reads.
     """
 
     y: np.ndarray
@@ -449,8 +461,10 @@ def lmi_floor(base, system: FloorSystem, band: tuple[float, float]) -> FloorResu
 
     The solver stops at the first bracket [t_lo, t_hi] that places the best
     floor against the band: t_lo >= high, with the first point y found whose
-    floor clears the band; t_hi < low, with a primal point x that proves no
-    y reaches it; or low <= t_lo and t_hi < high, a bracket inside the band.
+    floor clears the band, as soon as it is found (before that step's primal
+    projection and its ``eigvalsh``); t_hi < low, with a primal point x that
+    proves no y reaches it; or low <= t_lo and t_hi < high, a bracket inside
+    the band.
     A band (t, t) asks whether the floor reaches t. Otherwise it leaves a
     bracket after ``_LMI_STEPS`` Newton steps, at a gap of ``_LMI_GAP`` or
     at a step that fails numerically (no ``LinAlgError`` escapes). A step
@@ -471,6 +485,10 @@ def lmi_floor(base, system: FloorSystem, band: tuple[float, float]) -> FloorResu
         min <base, X>  s.t. X >= 0, sum tr X = 1, <D_i, X> = 0 for all i,
 
     where <S, X> = <base, X> - t >= 0 makes each feasible X an upper bound.
+    The primal starts at X0 = 1/(mn) in every block, the dual at y = 0 and
+    t0 = t_lo - min(1, g), g = <base, X0> - t_lo the duality gap of X0
+    (1/k - t_lo for a decomposition over the k-th roots of unity), and at
+    t0 = t_lo - 1 when g = 0, every block being t_lo 1.
     S is recomputed from (y, t), so the dual iterates stay feasible; each
     primal iterate, projected onto the linear constraints, is a bound once
     the projection is PSD. A Newton step solves one (p+1) x (p+1) Schur
@@ -495,7 +513,8 @@ def lmi_floor(base, system: FloorSystem, band: tuple[float, float]) -> FloorResu
     constraints = system.constraints
     flat, pair, _, b, gram, slack_cut = constraints
     x = np.broadcast_to(np.eye(n), base.shape) / (m * n)
-    z = np.append(y, t_lo - 1.0)
+    gap = float(np.vdot(base, x).real) - t_lo
+    z = np.append(y, t_lo - (min(1.0, gap) if gap > 0.0 else 1.0))
     t_hi, x_hi, steps, halvings = math.inf, None, 0, 0
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
@@ -504,13 +523,15 @@ def lmi_floor(base, system: FloorSystem, band: tuple[float, float]) -> FloorResu
                 w, u = np.linalg.eigh(s)
                 if z[-1] + w.min() > t_lo:
                     y, t_lo = z[:-1].copy(), float(z[-1] + w.min())
+                    if t_lo >= high:
+                        break
                 shift = np.linalg.solve(gram, b - (pair @ x.ravel()).real)
                 projected = hermitize(x + (shift @ flat).reshape(x.shape))
                 if np.linalg.eigvalsh(projected).min() >= 0.0:
                     bound = float(np.vdot(base, projected).real)
                     if bound < t_hi and _meets(projected, pair, b, slack_cut):
                         t_hi, x_hi = bound, projected
-                decided = t_lo >= high or t_hi < low or (t_lo >= low and t_hi < high)
+                decided = t_hi < low or (t_lo >= low and t_hi < high)
                 if decided or t_hi - t_lo <= _LMI_GAP or steps == _LMI_STEPS:
                     break
                 try:
@@ -971,18 +992,24 @@ def symmetry_residuals(s) -> list[Residual]:
     ||S - S*||^2 = 2 (||P - P*||^2 + ||Q - Q*||^2) and
     ||S^2 - 1||^2 = 2 (||P^2 + Q^2 - 1||^2 + ||PQ - QP||^2), the upper row
     of S^2 being [P, Q] S = [P^2 + Q^2, PQ - QP]. When P and Q are exactly
-    Hermitian (the first residual is exactly 0), QP = (PQ)*, so that row
-    takes three products, P^2, Q^2 and C = PQ, with PQ - QP = C - C*."""
+    Hermitian (the first residual is exactly 0), S is a symmetry exactly
+    when T = P + iQ is unitary: TT* and T*T are P^2 + Q^2 -+ i(PQ - QP), so
+    ||S^2 - 1||^2 = ||TT* - 1||^2 + ||T*T - 1||^2, two products."""
     (s,) = _operands("a symmetry must be square", s)
+    return _symmetry_residuals(s)
+
+
+def _symmetry_residuals(s: np.ndarray) -> list[Residual]:
+    """:func:`symmetry_residuals` of an operand already passed through
+    :func:`_operands`, such as a symmetry a constructor has just written."""
     m = _halmos_half(s)
     rows, scale = (len(s), 1.0) if m is None else (m, math.sqrt(2.0))
     selfadjoint = scale * _frobenius(s[:rows] - dagger(s[:, :rows]))
     if m is not None and selfadjoint == 0.0:
-        p, q = s[:m, :m], s[:m, m:]
-        c = p @ q
-        top = p @ p + q @ q
-        top.ravel()[:: m + 1] -= 1.0
-        square = scale * math.hypot(_frobenius(top), _frobenius(c - dagger(c)))
+        t = s[:m, :m] + 1j * s[:m, m:]
+        gap = np.stack([t @ dagger(t), dagger(t) @ t])
+        gap.reshape(2, -1)[:, :: m + 1] -= 1.0
+        square = _frobenius(gap)
     else:
         upper = s[:rows] @ s
         upper.ravel()[:: len(s) + 1] -= 1.0

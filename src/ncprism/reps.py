@@ -100,6 +100,15 @@ class RepPair:
     def __post_init__(self):
         self.w, self.v = _operands("W and V must be square of equal size", self.w, self.v)
 
+    @classmethod
+    def _built(cls, w: np.ndarray, v: np.ndarray, k: int, provenance: str) -> RepPair:
+        """The pair of the n x n complex arrays W and V that a constructor has
+        written from operands already passed through :func:`_operands`, taken
+        as they are: a second pass would only scan them again."""
+        pair = object.__new__(cls)
+        pair.w, pair.v, pair.k, pair.provenance, pair.commutant_dim = w, v, k, provenance, None
+        return pair
+
     @property
     def dim(self) -> int:
         return self.w.shape[0]

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import record_eigh, reference_dft, within_bounds
 
-from ncprism import convexity, dilation, matkernel
+from ncprism import convexity, dilation, matkernel, reps
 from ncprism.convexity import (
     make_polygon,
     max_member,
@@ -816,6 +817,19 @@ class TestOneFactorisation:
         order_k_povm(a, k)
         assert len(calls) == passes, calls
 
+    @pytest.mark.parametrize("k, passes", [(3, 2), (4, 4)])
+    def test_joint_dilation_passes_each_operand_once(self, monkeypatch, k, passes):
+        # a and b pass once together, and b's Hermitian test takes no second
+        # pass; past them, only what order_k_povm's own passes take: the
+        # Hermitian parts at k >= 4 and the effect stack. W and V, written
+        # from checked operands, are not passed again.
+        a, b = random_prism_point(np.random.default_rng(k), 3, k, scale=0.8)
+        calls, rule = [], matkernel._operands
+        for module in (matkernel, convexity, dilation, reps):
+            monkeypatch.setattr(module, "_operands", lambda *args, **kw: calls.append(args[0]) or rule(*args, **kw))
+        joint_prism_dilation(a, b, k)
+        assert len(calls) == passes, calls
+
 
 class TestModeSystemCache:
     """``order_k_povm`` keeps one read-only ``lmi_floor`` system per (k, n)
@@ -876,6 +890,58 @@ class TestModeSystemCache:
             counts.append((len(bases) - before[0], calls["eigvalsh"] - before[1]))
         (built, first), (again, second) = counts
         assert (built, again) == (1, 0) and first == second + 1 and second > 2
+
+
+class TestSeededDecompositions:
+    """160 seeded decompositions over C_k, k = 4 .. 8, at levels n = 1 .. 4,
+    8 seeds each: a = raw scaled so that W(a) reaches a facet scale drawn
+    from U(0.5, 1.02) of Conv(C_k), as the benchmark's ``polygon_operator``
+    scales it."""
+
+    # (k, n, seed) of the inputs refused with a primal certificate, and of
+    # those whose numerical range leaves Conv(C_k); every other one decomposes.
+    CERTIFIED = {
+        (4, 2, 0), (4, 3, 7), (4, 4, 6), (5, 2, 2), (5, 3, 3), (5, 4, 7), (6, 2, 1), (6, 4, 2),
+        (6, 4, 3), (6, 4, 6), (7, 2, 4), (7, 2, 7), (7, 3, 2), (7, 3, 4), (7, 4, 6), (8, 2, 2),
+        (8, 2, 3), (8, 2, 4), (8, 3, 2), (8, 3, 4), (8, 3, 6), (8, 4, 5), (8, 4, 6),
+    }
+    OUTSIDE = {(5, 1, 1), (5, 1, 2), (8, 1, 0), (8, 4, 7)}
+
+    @staticmethod
+    def draw(k, n, seed):
+        rng = np.random.default_rng([11, k, n, seed])
+        scale = rng.uniform(0.5, 1.02)
+        raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        re, im = (raw + dagger(raw)) / 2, (raw - dagger(raw)) / 2j
+        angles = ((2 * j + 1) * math.pi / k for j in range(k))
+        reach = max(np.linalg.eigvalsh(math.cos(t) * re + math.sin(t) * im).max() for t in angles)
+        return raw * (scale / (reach / math.cos(math.pi / k)))
+
+    def test_outcomes_and_newton_steps(self, monkeypatch):
+        # Started from the primal start's duality gap, the dual takes 219
+        # Newton steps over the 160 inputs; started at t_lo - 1 it took 296,
+        # with the same outcome for every input.
+        steps, solve = [], dilation.lmi_floor
+
+        def counted(*args):
+            result = solve(*args)
+            steps.append(result.steps)
+            return result
+
+        monkeypatch.setattr(dilation, "lmi_floor", counted)
+        outcomes = {}
+        for k, n, seed in itertools.product(range(4, 9), range(1, 5), range(8)):
+            try:
+                order_k_povm(self.draw(k, n, seed), k)
+                outcomes[k, n, seed] = "povm"
+            except InfeasibleError as exc:
+                proof = str(exc).endswith("(primal certificate)")
+                outcomes[k, n, seed] = "certified" if proof else "outside" if "leaves Conv" in str(exc) else str(exc)
+        assert len(outcomes) == 160
+        assert {key for key, outcome in outcomes.items() if outcome == "certified"} == self.CERTIFIED
+        assert {key for key, outcome in outcomes.items() if outcome == "outside"} == self.OUTSIDE
+        assert sum(outcome == "povm" for outcome in outcomes.values()) == 133
+        assert len(steps) == 156 and sum(steps) == 219
 
 
 @pytest.mark.parametrize(

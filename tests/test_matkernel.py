@@ -857,7 +857,7 @@ class TestLmiFloor:
                 stops.append((result.steps, side))
         assert len(stops) == 212
         digest = hashlib.sha256(repr(stops).encode()).hexdigest()
-        assert digest == "0d9f103440a816fe93a3c0477b7e3c8486f26107efd87d9d40f08b8c5d25700a"
+        assert digest == "350ef36e3c5e89e1cd18d53e5ee030655c42e2a67376a1762d105e9e04df9c9e"
 
     def test_a_reused_system_solves_as_fresh_ones(self):
         # On every problem and lift of the pinned test above, one system
