@@ -194,7 +194,12 @@ def _cmd_positivity(args, payload) -> tuple:
 
     sub = args.subcommand
     if sub == "cube":
-        positive, margin = opsys.scalar_positivity_cube(payload["alpha"], payload["beta"])
+        alpha, beta = payload["alpha"], payload["beta"]
+        if type(beta) is not list:
+            raise ValueError(f"beta must be a JSON list of numbers, got {beta!r}")
+        alpha = serialize.real_from_json(alpha, "alpha")
+        beta = [serialize.real_from_json(b, "each beta entry") for b in beta]
+        positive, margin = opsys.scalar_positivity_cube(alpha, beta)
         artifact = {"positive": positive, "margin": margin}
         return artifact, EXIT_OK if positive else EXIT_FALSE
     element = serialize.prism_element_from_json(payload)
@@ -248,7 +253,7 @@ def _cmd_word(args, payload) -> tuple:
 
 
 def _cmd_quotient(args, payload) -> tuple:
-    from . import opsys
+    from . import opsys, reps
 
     sub = args.subcommand
     if sub == "psi":
@@ -264,6 +269,7 @@ def _cmd_quotient(args, payload) -> tuple:
         return {"member": member}, EXIT_OK if member else EXIT_FALSE
     # "functional": the subparser admits no other choice.
     pair = serialize.rep_pair_from_json(payload["pair"])
+    require(reps.pair_residuals(pair), RelationCheckFailedError, "input pair")
     density = serialize.matrix_from_json(payload["density"])
     z = opsys.functional_to_tuple(pair, density, args.k)
     artifact = serialize.dual_tuple_to_json(z)
@@ -354,7 +360,9 @@ def main(argv=None) -> int:
             artifact, exit_code, *table = _COMMANDS[args.command][1](args, payload)
         _render(args, text, records, artifact, *table)
         return exit_code
-    except (NcprismError, OSError, ValueError, KeyError, TypeError, MemoryError, json.JSONDecodeError) as exc:
+    except (
+        NcprismError, OSError, ValueError, KeyError, TypeError, OverflowError, MemoryError, json.JSONDecodeError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

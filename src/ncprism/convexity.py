@@ -219,7 +219,11 @@ def circumnorm(k: int) -> float:
 
 
 def theta_lower_bound(k: int) -> float:
-    """Lower bound (3/sqrt(2)) cos(pi/k) for the minimal prism scaling constant."""
+    """Lower bound (3/sqrt(2)) cos(pi/k) for the minimal scaling constant of
+    the 3-dimensional prism body P_k = Conv(C_k) x [-1, 1] against commuting
+    dilations: the least theta with W^max(P_k) inside theta W^min(P_k). It
+    is not a bound for the polygon's constant, the least theta with
+    W^max(C_k) inside theta W^min(C_k); from k = 10 on it exceeds 2."""
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
     return 3.0 / math.sqrt(2.0) * math.cos(math.pi / k)

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convexity import make_polygon, max_member, real_imag_parts
 from .errors import (
     InfeasibleError,
     InvalidPovmError,
@@ -43,6 +42,7 @@ from .matkernel import (
     ALG_TOL,
     PSD_CLAMP,
     SPEC_TOL,
+    FloorResult,
     FloorSystem,
     Residual,
     _frobenius,
@@ -282,13 +282,13 @@ def triangle_povm(a) -> Povm:
     return order_k_povm(a, 3)
 
 
-def _settle(effects: np.ndarray, t_lo: float, t_hi: float, steps: int, band: float) -> np.ndarray:
-    """The band rule of :func:`order_k_povm` for effects over the k roots of
-    unity whose best smallest eigenvalue lies in [t_lo, t_hi], after
-    ``steps`` Newton steps."""
-    if t_lo > 0.0:
-        return effects
-    k = len(effects)
+def _settle(floor: FloorResult, band: float) -> np.ndarray:
+    """The band rule of :func:`order_k_povm` for the effects ``floor.lift``
+    over the k roots of unity, from the bracket of ``floor``: the exact floor
+    at k = 3 (one point, no steps) or the ``lmi_floor`` solve at k >= 4."""
+    if floor.t_lo > 0.0:
+        return floor.lift
+    k, t_lo, t_hi = len(floor.lift), floor.t_lo, floor.t_hi
     # A one-point bracket is the exact floor: it is printed to full precision.
     show = repr if t_lo == t_hi else "{:.3e}".format
     bracket = f"[{show(t_lo)}, {show(t_hi)}]"
@@ -299,12 +299,12 @@ def _settle(effects: np.ndarray, t_lo: float, t_hi: float, steps: int, band: flo
                 f"is at most {t_hi:.3e}, bracket {bracket} (primal certificate)"
             )
         raise InfeasibleError(
-            f"undecided after {steps} Newton steps: the best smallest effect "
+            f"undecided after {floor.steps} Newton steps: the best smallest effect "
             f"eigenvalue lies in {bracket} (not a proof of infeasibility)"
         )
     # Exact renormalization: congruence by (sum h_j)^(-1/2) restores the
     # identity sum at machine precision while keeping every effect PSD.
-    effects = clamp_spectrum(effects, 0.0)
+    effects = clamp_spectrum(floor.lift, 0.0)
     w, u = np.linalg.eigh(hermitize(effects.sum(axis=0)))
     if w.min() <= 0.5:
         raise InfeasibleError("effect sum is too singular to renormalize")
@@ -426,9 +426,12 @@ def _order_k_povm(a: np.ndarray, k: int) -> Povm:
                 f"numerical range leaves the triangle: facet {facet} violated by {-margin:.3e}"
             )
         # The decomposition is unique: its smallest eigenvalue is the exact floor.
-        effects, steps = povm.effects, 0
-        t_lo = t_hi = float(spectra.min())
+        t = float(spectra.min())
+        floor = FloorResult(np.zeros(0), povm.effects, t, t, None, 0)
     else:
+        # Imported here: only k >= 4 screens the facets.
+        from .convexity import make_polygon, max_member, real_imag_parts
+
         povm = None
         re, im = real_imag_parts(a)
         verdict = max_member([re, im], make_polygon(k))
@@ -437,11 +440,8 @@ def _order_k_povm(a: np.ndarray, k: int) -> Povm:
                 f"numerical range of a leaves Conv(C_{k}) "
                 f"(facet margin {verdict.margin:.3e}); no decomposition exists"
             )
-        system = _mode_system(k, len(a))
-        result = lmi_floor(base, system, (-band, 0.0))
-        effects = hermitize(base + np.tensordot(result.y, system.directions, axes=1))
-        t_lo, t_hi, steps = result.t_lo, result.t_hi, result.steps
-    effects = _settle(effects, t_lo, t_hi, steps, band)
+        floor = lmi_floor(base, _mode_system(k, len(a)), (-band, 0.0))
+    effects = _settle(floor, band)
     if povm is None or effects is not povm.effects:
         povm = Povm(effects, labels.tolist())
     residuals = _povm_residuals(povm.effects, labels, a, povm.spectrum[0])

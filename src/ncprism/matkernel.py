@@ -359,9 +359,10 @@ _LMI_HALVINGS = 8
 class FloorResult:
     """What :func:`lmi_floor` found.
 
-    ``y`` is the best point and ``t_lo`` its floor, the smallest eigenvalue of
-    base + sum_i y_i directions[i]. ``t_hi`` = <base, x> bounds every floor
-    from above through the primal point ``x``: PSD blocks of total trace 1,
+    ``y`` is the best point, ``lift`` the Hermitian stack base + sum_i y_i
+    directions[i] it gives, formed once, and ``t_lo`` its floor, the least
+    eigenvalue of ``lift``. ``t_hi`` = <base, x> bounds every floor from
+    above through the primal point ``x``: PSD blocks of total trace 1,
     orthogonal to every direction. While no such point is known, ``t_hi`` is
     inf and ``x`` is None. ``steps`` counts Newton steps.
 
@@ -371,6 +372,7 @@ class FloorResult:
     """
 
     y: np.ndarray
+    lift: np.ndarray
     t_lo: float
     t_hi: float
     x: np.ndarray | None
@@ -471,8 +473,8 @@ def lmi_floor(base, system: FloorSystem, band: tuple[float, float]) -> FloorResu
     whose new iterate (X, S) is not positive definite in rounding, so that
     its Cholesky factorisation fails, is taken again from the last good
     iterate at half the step lengths, up to ``_LMI_HALVINGS`` times. Before
-    return the floor of y is recomputed with a batched ``eigvalsh``, and x
-    was accepted only with no negative eigenvalue and with sum tr x = 1 and
+    return the lift of y is formed once and floored by a batched ``eigvalsh``;
+    x was accepted only with no negative eigenvalue and with sum tr x = 1 and
     <D_i, x> = 0 to rounding.
 
     y = 0 is tried first, so a base already above the band costs one
@@ -509,7 +511,7 @@ def lmi_floor(base, system: FloorSystem, band: tuple[float, float]) -> FloorResu
         raise ShapeMismatchError(f"the directions have blocks {directions.shape[1:]}, the base {base.shape}")
     y, t_lo = np.zeros(len(directions)), _floor(base)
     if t_lo >= high:
-        return FloorResult(y, t_lo, math.inf, None, 0)
+        return FloorResult(y, hermitize(base + np.tensordot(y, directions, axes=1)), t_lo, math.inf, None, 0)
     constraints = system.constraints
     flat, pair, _, b, gram, slack_cut = constraints
     x = np.broadcast_to(np.eye(n), base.shape) / (m * n)
@@ -553,8 +555,8 @@ def lmi_floor(base, system: FloorSystem, band: tuple[float, float]) -> FloorResu
                 steps += 1
     except (np.linalg.LinAlgError, FloatingPointError):
         pass
-    t_lo = _floor(base + np.tensordot(y, directions, axes=1))
-    return FloorResult(y, t_lo, t_hi, x_hi, steps)
+    lift = hermitize(base + np.tensordot(y, directions, axes=1))
+    return FloorResult(y, lift, _floor(lift), t_hi, x_hi, steps)
 
 
 def _meets(x: np.ndarray, rows: np.ndarray, target: np.ndarray, cut: np.ndarray) -> bool:

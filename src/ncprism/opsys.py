@@ -51,6 +51,7 @@ from .matkernel import (
     FloorSystem,
     Residual,
     _exact_diagonal,
+    _floor,
     _frobenius,
     _operands,
     constant,
@@ -170,7 +171,7 @@ class DiagTuple:
         return cls(k, q, np.tile(np.eye(q, dtype=complex), (k + 2, 1, 1)))
 
     def min_block_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(hermitize(self.blocks)).min())
+        return _floor(self.blocks)
 
 
 @dataclass(frozen=True)
@@ -383,7 +384,7 @@ def element_distance(e1: PrismElement, e2: PrismElement) -> float:
 
 def min_eigenvalue(e: PrismElement, pair: RepPair) -> float:
     """Smallest eigenvalue of the evaluation of ``e`` at ``pair``."""
-    return float(np.linalg.eigvalsh(hermitize(e.evaluate(pair))).min())
+    return _floor(e.evaluate(pair))
 
 
 def refuted_residuals(e: PrismElement, verdict: Refuted) -> list[Residual]:
@@ -503,16 +504,15 @@ def matrix_positivity_prism(e: PrismElement):
     elif t_char < STRICT_MARGIN and t_scalar >= -SPEC_TOL:
         return _unknown(t_scalar, t_char)
     middle = base + _kernel(k)[:, None, None] * ((base[k + side] - base[j]) / 2)
-    t_mid = min(float(np.linalg.eigvalsh(middle).min()), t_char)
+    t_mid = min(_floor(middle), t_char)
     if t_mid >= STRICT_MARGIN:
         return _certify(e, middle)
     if t_mid >= -SPEC_TOL and t_char < STRICT_MARGIN:
         return _unknown(t_mid, t_char)
 
-    system = _lift_system(k, e.q)
-    result = lmi_floor(base, system, (-SPEC_TOL, STRICT_MARGIN))
+    result = lmi_floor(base, _lift_system(k, e.q), (-SPEC_TOL, STRICT_MARGIN))
     if result.t_lo >= STRICT_MARGIN:
-        return _certify(e, base + np.tensordot(result.y, system.directions, axes=1))
+        return _certify(e, result.lift)
     if result.t_hi < -SPEC_TOL:
         verdict, residuals = _refuted(e, _dual_witness(result.x, k))
         require(residuals, RelationCheckFailedError, "refutation")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -34,15 +35,6 @@ from .errors import (
     SizeBudgetExceededError,
     OrderMismatchError,
     UnsupportedQError,
-)
-from .finitefield import (
-    FiniteFieldSpec,
-    GaloisField,
-    factor_prime_power,
-    generates_psl2,
-    prime_factors,
-    projective_action,
-    sl2_involutions,
 )
 from .matkernel import (
     ALG_TOL,
@@ -60,6 +52,9 @@ from .matkernel import (
     require,
     symmetry_residuals,
 )
+
+if TYPE_CHECKING:
+    from .finitefield import FiniteFieldSpec
 
 __all__ = [
     "RepPair",
@@ -555,6 +550,11 @@ def steinberg_pair(q: int, field: FiniteFieldSpec | None = None) -> RepPair:
     """
     if q > _PAIR_MAX_DIM:
         raise SizeBudgetExceededError(f"dimension q = {q} exceeds budget {_PAIR_MAX_DIM}")
+    # Imported here: only the Steinberg pairs need the field arithmetic.
+    from .finitefield import (
+        FiniteFieldSpec, GaloisField, factor_prime_power, generates_psl2, projective_action, sl2_involutions,
+    )
+
     try:
         p, e = factor_prime_power(q)
     except ValueError as exc:
@@ -625,6 +625,8 @@ def assemble_dimension(n: int) -> RepPair:
         raise SizeBudgetExceededError(f"dimension {n} exceeds budget {_PAIR_MAX_DIM}")
     if n == 1:
         return prism_character(3, 0, 1)
+
+    from .finitefield import prime_factors
 
     factors = sorted(p**e for p, e in prime_factors(n))
     if 9 in factors:

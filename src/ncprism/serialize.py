@@ -5,7 +5,10 @@ entries flattened row-major; complex scalars are [re, im] pairs. Floats
 pass through ``json`` using Python's shortest round-trip repr, so decimal
 literals survive a round trip bit-exactly up to 17 significant digits.
 The counts ``rows``, ``cols``, ``k`` and ``q`` must be JSON integers: a
-float or a bool there raises ``ValueError``.
+float or a bool there raises ``ValueError``. Every other scalar read (each
+part of a complex scalar, and the reals that ``real_from_json`` reads) must
+be a JSON number, an integer or a float: a bool or a string raises
+``ValueError`` naming it.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ __all__ = [
     "tuple_from_json",
     "complex_to_json",
     "complex_from_json",
+    "real_from_json",
     "rep_pair_to_json",
     "rep_pair_from_json",
     "symmetry_tuple_to_json",
@@ -43,6 +47,10 @@ __all__ = [
 ]
 
 
+# The types ``json`` reads a JSON number as; bool, a subclass of int, is not one.
+_NUMBER = (int, float)
+
+
 def complex_to_json(z: complex) -> list[float]:
     z = complex(z)
     return [z.real, z.imag]
@@ -50,10 +58,20 @@ def complex_to_json(z: complex) -> list[float]:
 
 def complex_from_json(pair) -> complex:
     re, im = pair
+    if type(re) not in _NUMBER or type(im) not in _NUMBER:
+        raise ValueError(f"complex scalars must be [re, im] pairs of JSON numbers, got {pair!r}")
     z = complex(float(re), float(im))
     if not cmath.isfinite(z):
         raise ValueError(f"complex scalars must be finite, got {z}")
     return z
+
+
+def real_from_json(value, what: str) -> float:
+    """``value`` as a float, refused with ``ValueError`` naming ``what``
+    unless it is a JSON number."""
+    if type(value) not in _NUMBER:
+        raise ValueError(f"{what} must be a JSON number, got {value!r}")
+    return float(value)
 
 
 def _integer(obj, key: str) -> int:

@@ -38,6 +38,23 @@ def record_eigh(monkeypatch):
     return calls
 
 
+def record_direction_products(monkeypatch):
+    """Replace ``np.tensordot``, as matkernel, dilation and opsys bind it
+    (through ``np``), by one that records the shape of each right operand
+    that is a (p, m, n, n) stack of ``lmi_floor`` directions: the products
+    that form a lift base + sum_i y_i D_i. Returns the list of shapes."""
+    calls = []
+    real = np.tensordot
+
+    def recording(a, b, *args, **kwargs):
+        if np.ndim(b) == 4:
+            calls.append(np.shape(b))
+        return real(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "tensordot", recording)
+    return calls
+
+
 def reference_dft(k):
     """The dense k x k matrix F[j, m] = exp(2 pi i r / k), r = j m mod k, each
     entry from its exact fraction r/k by the math module: the oracle for

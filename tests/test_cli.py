@@ -12,7 +12,7 @@ import pytest
 from helpers import random_unitary
 
 import ncprism
-from ncprism import cli, opsys, verify
+from ncprism import cli, opsys, serialize, verify
 from ncprism.serialize import matrix_from_json, matrix_to_json
 
 
@@ -313,6 +313,27 @@ class TestQuotient:
         assert out == ""
         assert message in err
 
+    def test_functional_refuses_a_pair_that_is_not_one(self, capsys, monkeypatch):
+        # W = V = 0 is no unitary pair: refused as word refuses it, not
+        # turned into dual coordinates.
+        payload = {"pair": {"k": 3, "W": scalar(0.0), "V": scalar(0.0)}, "density": scalar(1.0)}
+        code, out, err = run_cli(capsys, monkeypatch, ["quotient", "functional", "--k", "3"], stdin_obj=payload)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: input pair: w_unitary")
+
+    def test_functional_reports_the_input_pair_rows(self, capsys, monkeypatch):
+        pair = ncprism.s3_pair()
+        payload = {"pair": serialize.rep_pair_to_json(pair), "density": matrix_to_json(np.eye(2) / 2)}
+        code, out, _ = run_cli(
+            capsys, monkeypatch, ["quotient", "functional", "--k", "3", "--json"], stdin_obj=payload
+        )
+        assert code == 0
+        checks = json.loads(out)["report"]["checks"]
+        rows = [c["name"] for c in checks if c["of"] == "input pair"]
+        assert rows == [name for name, *_ in ncprism.reps.pair_residuals(pair)]
+        assert all(c["passed"] for c in checks)
+
 
 class TestReportAndDeterminism:
     def test_identical_runs_are_byte_identical(self, capsys, monkeypatch):
@@ -476,6 +497,39 @@ class TestMalformedMatrices:
         assert code == 2
         assert out == ""
         assert "finite" in err
+
+    # JSON numbers must be numbers: a string or a bool in a scalar's place is
+    # refused by name, never read through float().
+    @pytest.mark.parametrize(
+        "args, payload, named",
+        [
+            (["dilate", "halmos"], {"rows": 1, "cols": 1, "data": ["34"]}, "'34'"),
+            (["dilate", "halmos"], {"rows": 1, "cols": 1, "data": [[True, False]]}, "[True, False]"),
+            (["dilate", "halmos"], {"rows": 1, "cols": 1, "data": [["1e3", "2"]]}, "['1e3', '2']"),
+            (["quotient", "dual-member", "--k", "3"], {"z": ["12"] + [[0.0, 0.0]] * 4}, "'12'"),
+            (["positivity", "cube"], {"alpha": "3", "beta": ["1", True]}, "alpha must be a JSON number, got '3'"),
+            (["positivity", "cube"], {"alpha": 3, "beta": ["1", True]}, "got '1'"),
+            (["positivity", "cube"], {"alpha": 3, "beta": [1.0, True]}, "got True"),
+            (["positivity", "cube"], {"alpha": False, "beta": [0.5]}, "got False"),
+            (["positivity", "cube"], {"alpha": 3, "beta": "12"}, "beta must be a JSON list of numbers, got '12'"),
+        ],
+        ids=[
+            "string-entry", "bool-entry", "string-parts", "dual-member-string", "cube-string-alpha",
+            "cube-string-beta", "cube-bool-beta", "cube-bool-alpha", "cube-string-beta-list",
+        ],
+    )
+    def test_non_number_scalar_exits_two(self, capsys, monkeypatch, args, payload, named):
+        code, out, err = run_cli(capsys, monkeypatch, args, stdin_obj=payload)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and named in err
+
+    def test_integer_beyond_the_floats_exits_two(self, capsys, monkeypatch):
+        payload = {"rows": 1, "cols": 1, "data": [[10**400, 0]]}
+        code, out, err = run_cli(capsys, monkeypatch, ["dilate", "halmos"], stdin_obj=payload)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "too large" in err
 
 
 class TestOutsideInput:

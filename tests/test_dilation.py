@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import record_eigh, reference_dft, within_bounds
+from helpers import record_direction_products, record_eigh, reference_dft, within_bounds
 
 from ncprism import convexity, dilation, matkernel, reps
 from ncprism.convexity import (
@@ -253,7 +253,7 @@ class TestTriangleMembership:
         def refuse(*args):
             raise AssertionError("max_member called")
 
-        monkeypatch.setattr(dilation, "max_member", refuse)
+        monkeypatch.setattr(convexity, "max_member", refuse)
         triangle_povm(0.2 * np.eye(2))
         with pytest.raises(NumericalRangeOutsideTriangleError, match="facet 0"):
             triangle_povm(np.array([[1.2]]))
@@ -890,6 +890,42 @@ class TestModeSystemCache:
             counts.append((len(bases) - before[0], calls["eigvalsh"] - before[1]))
         (built, first), (again, second) = counts
         assert (built, again) == (1, 0) and first == second + 1 and second > 2
+
+
+class TestOneLift:
+    """``lmi_floor`` forms the effects base + sum_i y_i D_i once and returns
+    them as ``FloorResult.lift``; the band rule reads one ``FloorResult``
+    from either source of the bracket."""
+
+    @pytest.mark.parametrize("scale", [0.3, 0.9], ids=["no-step", "newton-steps"])
+    def test_one_direction_product_per_solve(self, monkeypatch, scale):
+        # A scale-0.3 point clears the band at y = 0; a scale-0.9 one takes
+        # Newton steps. Either way the lift is formed once, by lmi_floor.
+        a = random_prism_point(np.random.default_rng([20260117, 6, 9]), 4, 6, scale=scale)[0]
+        results, solve = [], dilation.lmi_floor
+
+        def counted(*args):
+            results.append(solve(*args))
+            return results[-1]
+
+        monkeypatch.setattr(dilation, "lmi_floor", counted)
+        products = record_direction_products(monkeypatch)
+        povm = order_k_povm(a, 6)
+        assert len(results) == 1 and (results[0].steps > 0) == (scale == 0.9)
+        assert products == [(3 * 16, 6, 4, 4)]
+        if results[0].t_lo > 0.0:
+            assert povm.effects is results[0].lift
+
+    def test_the_exact_floor_is_a_one_point_floor_result(self, monkeypatch):
+        a, _ = random_prism_point(np.random.default_rng(8), 4, 3, scale=0.8)
+        floors, settle = [], dilation._settle
+        monkeypatch.setattr(dilation, "_settle", lambda floor, band: floors.append(floor) or settle(floor, band))
+        povm = order_k_povm(a, 3)
+        (floor,) = floors
+        assert isinstance(floor, matkernel.FloorResult)
+        assert floor.t_lo == floor.t_hi == float(povm.spectrum[0].min()) > 0.0
+        assert floor.lift is povm.effects
+        assert floor.y.size == 0 and floor.steps == 0 and floor.x is None
 
 
 class TestSeededDecompositions:

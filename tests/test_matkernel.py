@@ -30,6 +30,7 @@ from ncprism.matkernel import (
     PSD_CLAMP,
     SPEC_TOL,
     FloorSystem,
+    _floor,
     _h_weights,
     _halmos_half,
     _schur,
@@ -858,6 +859,28 @@ class TestLmiFloor:
         assert len(stops) == 212
         digest = hashlib.sha256(repr(stops).encode()).hexdigest()
         assert digest == "350ef36e3c5e89e1cd18d53e5ee030655c42e2a67376a1762d105e9e04df9c9e"
+
+    def test_lift_is_the_stack_its_floor_was_taken_of(self):
+        # On the fixed problem (its y = 0 return included) and on every
+        # problem and lift of the pinned test above: lift is
+        # hermitize(base + sum_i y_i D_i) bit for bit, and t_lo its floor.
+        problems = [(self.BASE + 1.0, self.DIRECTIONS, 0.5), (self.BASE, self.DIRECTIONS, 0.4)]
+        problems += [(self.BASE, self.DIRECTIONS, 0.6)]
+        for seed in range(60):
+            if seed % 9:
+                base, directions = self.random_problem(seed)
+                low = float(np.linalg.eigvalsh(base).min())
+                problems += [(base, directions, low + lift) for lift in (0.05, 2.0)]
+        steps = []
+        for base, directions, t in problems:
+            system = FloorSystem(directions)
+            result = lmi_floor(base, system, (t, t))
+            stack = np.asarray(base, dtype=complex) + np.tensordot(result.y, system.directions, axes=1)
+            expected = hermitize(stack)
+            assert result.lift.dtype == expected.dtype and result.lift.tobytes() == expected.tobytes()
+            assert result.t_lo == _floor(result.lift)
+            steps.append(result.steps)
+        assert steps[0] == 0 < steps[1] and max(steps) > 1
 
     def test_a_reused_system_solves_as_fresh_ones(self):
         # On every problem and lift of the pinned test above, one system

@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_psd_trace_one, random_unitary, record_eigh, reference_dft, within_bounds
+from helpers import (
+    random_psd_trace_one,
+    random_unitary,
+    record_direction_products,
+    record_eigh,
+    reference_dft,
+    within_bounds,
+)
 
 from ncprism.convexity import random_prism_point
 from ncprism.dilation import joint_prism_dilation
@@ -453,6 +460,28 @@ class TestLiftSolver:
         assert within_bounds(certified_residuals(e, verdict))
         assert verdict.min_block_eigenvalue >= STRICT_MARGIN
         assert verdict.residual == element_distance(psi_k(verdict.lift), e)
+
+    @pytest.mark.parametrize("k, q, seed", [(3, 2, 0), (4, 2, 3)])
+    def test_the_solver_lift_is_certified_as_returned(self, monkeypatch, k, q, seed):
+        # t_scalar is 0.01 below 0, so only the solve certifies. The verdict
+        # certifies the solver's FloorResult.lift, and the one direction-stack
+        # tensordot is lmi_floor's own: no caller forms the lift again.
+        t_scalar, _ = TestFloorBracket.bracket(random_selfadjoint_element(k, q, seed, 0.0))
+        e = random_selfadjoint_element(k, q, seed, -0.01 - t_scalar)
+        results = []
+
+        def solve(*args):
+            results.append(lmi_floor(*args))
+            return results[-1]
+
+        monkeypatch.setattr("ncprism.opsys.lmi_floor", solve)
+        products = record_direction_products(monkeypatch)
+        verdict = matrix_positivity_prism(e)
+        assert isinstance(verdict, Certified) and len(results) == 1 and results[0].steps > 0
+        assert products == [(q * q, k + 2, q, q)]
+        assert verdict.lift.blocks.tobytes() == results[0].lift.tobytes()
+        assert verdict.min_block_eigenvalue == results[0].t_lo >= STRICT_MARGIN
+        assert within_bounds(certified_residuals(e, verdict))
 
     @pytest.mark.parametrize("q", [1, 2])
     def test_boundary_stays_unknown(self, q, monkeypatch):

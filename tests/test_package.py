@@ -40,12 +40,19 @@ ELEMENT = {"k": 3, "q": 1, "c": [scalar(2.0), scalar(0.0), scalar(0.0)], "g": sc
         (["check", "prism", "--k", "3"], PAIR, {"convexity"}),
         (["commutant"], {"tuple": [scalar(1.0)]}, set()),
         (["rep", "steinberg", "--q", "5"], None, {"reps", "finitefield"}),
-        (["dilate", "joint", "--k", "3"], PAIR, {"dilation", "convexity", "reps", "finitefield"}),
-        # A q = 1 element is decided without a dual witness, so dilation and
-        # convexity stay unloaded.
-        (["positivity", "matrix", "--k", "3"], ELEMENT, {"opsys", "reps", "finitefield"}),
+        # Only a decomposition over k >= 4 roots of unity screens the facets
+        # (convexity), and only a Steinberg pair needs finitefield.
+        (["dilate", "joint", "--k", "3"], PAIR, {"dilation", "reps"}),
+        (["dilate", "joint", "--k", "4"], PAIR, {"dilation", "convexity", "reps"}),
+        (["dilate", "mirman"], scalar(0.3), {"dilation", "reps"}),
+        # A q = 1 element is decided without a dual witness, so dilation
+        # stays unloaded.
+        (["positivity", "matrix", "--k", "3"], ELEMENT, {"opsys", "reps"}),
     ],
-    ids=["geometry", "check-prism", "commutant", "rep-steinberg", "dilate-joint", "positivity-matrix"],
+    ids=[
+        "geometry", "check-prism", "commutant", "rep-steinberg", "dilate-joint", "dilate-joint-k4",
+        "dilate-mirman", "positivity-matrix",
+    ],
 )
 def test_command_loads_only_its_modules(args, payload, loaded):
     # -X importtime names every module the process imports, on stderr.

@@ -561,7 +561,7 @@ class TestSteinberg:
             seen.append(bad)
             yield from sl2_involutions(gf)
 
-        monkeypatch.setattr(ncprism.reps, "sl2_involutions", walk)
+        monkeypatch.setattr(ncprism.finitefield, "sl2_involutions", walk)
         pair = steinberg_pair(7)
         assert seen == [bad]
         assert pair.w.tobytes() == expected.w.tobytes() and pair.v.tobytes() == expected.v.tobytes()
@@ -571,7 +571,7 @@ class TestSteinberg:
         def proper(gf):
             return (c for c in sl2_involutions(gf) if not closure_generates(gf, c))
 
-        monkeypatch.setattr(ncprism.reps, "sl2_involutions", proper)
+        monkeypatch.setattr(ncprism.finitefield, "sl2_involutions", proper)
         with pytest.raises(UnsupportedQError, match="no involution generating"):
             steinberg_pair(8)
 

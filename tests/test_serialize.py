@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from ncprism.errors import ShapeMismatchError
 from ncprism.opsys import DiagTuple, DualTuple, PrismElement, Unknown
 from ncprism.reps import s3_pair
 from ncprism.serialize import (
+    complex_from_json,
     diag_tuple_from_json,
     diag_tuple_to_json,
     dilation_result_to_json,
@@ -16,6 +19,7 @@ from ncprism.serialize import (
     matrix_to_json,
     prism_element_from_json,
     prism_element_to_json,
+    real_from_json,
     rep_pair_from_json,
     rep_pair_to_json,
     tuple_from_json,
@@ -72,6 +76,32 @@ class TestMatrixFormat:
     def test_non_integer_shape_rejected(self, obj):
         with pytest.raises(ValueError, match="'rows' must be a JSON integer"):
             matrix_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "pair", ["34", [True, False], ["1e3", "2"], [1.0, "2"], [None, 0.0], [0.5, False]],
+        ids=["two-character-string", "bools", "numeric-strings", "string-imaginary", "null", "bool-imaginary"],
+    )
+    def test_non_number_entry_rejected(self, pair):
+        with pytest.raises(ValueError, match=re.escape(f"pairs of JSON numbers, got {pair!r}")):
+            complex_from_json(pair)
+        with pytest.raises(ValueError, match=re.escape(repr(pair))):
+            matrix_from_json({"rows": 1, "cols": 2, "data": [[1.0, 0.0], pair]})
+
+    @pytest.mark.parametrize(
+        "pair, z", [([3, 4], 3 + 4j), ([0.5, -2], 0.5 - 2j), ([-0.0, 1e-310], complex(-0.0, 1e-310))]
+    )
+    def test_integer_and_float_parts_read(self, pair, z):
+        assert complex_from_json(pair) == z
+        assert math.copysign(1.0, complex_from_json(pair).real) == math.copysign(1.0, z.real)
+
+    @pytest.mark.parametrize("value", ["3", True, None, [1.0], 1j])
+    def test_non_number_real_rejected(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"alpha must be a JSON number, got {value!r}")):
+            real_from_json(value, "alpha")
+
+    @pytest.mark.parametrize("value", [3, -0.25])
+    def test_number_real_read(self, value):
+        assert real_from_json(value, "alpha") == value and type(real_from_json(value, "alpha")) is float
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ShapeMismatchError):
