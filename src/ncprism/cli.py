@@ -356,6 +356,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload, text = _read_input(args) if args.reads_input else (None, "")
+        if args.reads_input and payload is None:
+            name = " ".join(filter(None, (args.command, args.subcommand)))
+            raise NcprismError(f"{name} reads its input as JSON from stdin or --in, and got none")
         with measured() as records:
             artifact, exit_code, *table = _COMMANDS[args.command][1](args, payload)
         _render(args, text, records, artifact, *table)

@@ -477,7 +477,7 @@ def lmi_floor(base, system: FloorSystem, band: tuple[float, float]) -> FloorResu
     x was accepted only with no negative eigenvalue and with sum tr x = 1 and
     <D_i, x> = 0 to rounding.
 
-    y = 0 is tried first, so a base already above the band costs one
+    y = 0 is tried first: a base above the band is its own lift and costs one
     ``eigvalsh``. Otherwise an infeasible-start primal-dual interior-point
     method (Mehrotra's predictor-corrector on the HKM direction:
     Vandenberghe and Boyd, "Semidefinite programming", 1996; Helmberg,
@@ -511,7 +511,7 @@ def lmi_floor(base, system: FloorSystem, band: tuple[float, float]) -> FloorResu
         raise ShapeMismatchError(f"the directions have blocks {directions.shape[1:]}, the base {base.shape}")
     y, t_lo = np.zeros(len(directions)), _floor(base)
     if t_lo >= high:
-        return FloorResult(y, hermitize(base + np.tensordot(y, directions, axes=1)), t_lo, math.inf, None, 0)
+        return FloorResult(y, base, t_lo, math.inf, None, 0)
     constraints = system.constraints
     flat, pair, _, b, gram, slack_cut = constraints
     x = np.broadcast_to(np.eye(n), base.shape) / (m * n)
@@ -994,9 +994,9 @@ def symmetry_residuals(s) -> list[Residual]:
     ||S - S*||^2 = 2 (||P - P*||^2 + ||Q - Q*||^2) and
     ||S^2 - 1||^2 = 2 (||P^2 + Q^2 - 1||^2 + ||PQ - QP||^2), the upper row
     of S^2 being [P, Q] S = [P^2 + Q^2, PQ - QP]. When P and Q are exactly
-    Hermitian (the first residual is exactly 0), S is a symmetry exactly
-    when T = P + iQ is unitary: TT* and T*T are P^2 + Q^2 -+ i(PQ - QP), so
-    ||S^2 - 1||^2 = ||TT* - 1||^2 + ||T*T - 1||^2, two products."""
+    Hermitian (the first residual is exactly 0), TT* and T*T of T = P + iQ
+    are P^2 + Q^2 -+ i(PQ - QP) and have the same spectrum, so one product
+    gives ||S^2 - 1||^2 = ||TT* - 1||^2 + ||T*T - 1||^2 = 2 ||T*T - 1||^2."""
     (s,) = _operands("a symmetry must be square", s)
     return _symmetry_residuals(s)
 
@@ -1009,14 +1009,11 @@ def _symmetry_residuals(s: np.ndarray) -> list[Residual]:
     selfadjoint = scale * _frobenius(s[:rows] - dagger(s[:, :rows]))
     if m is not None and selfadjoint == 0.0:
         t = s[:m, :m] + 1j * s[:m, m:]
-        gap = np.stack([t @ dagger(t), dagger(t) @ t])
-        gap.reshape(2, -1)[:, :: m + 1] -= 1.0
-        square = _frobenius(gap)
+        gap = dagger(t) @ t
     else:
-        upper = s[:rows] @ s
-        upper.ravel()[:: len(s) + 1] -= 1.0
-        square = scale * _frobenius(upper)
-    return [("selfadjoint", selfadjoint, SPEC_TOL), ("squares_to_identity", square, SPEC_TOL)]
+        gap = s[:rows] @ s
+    gap.ravel()[:: gap.shape[1] + 1] -= 1.0
+    return [("selfadjoint", selfadjoint, SPEC_TOL), ("squares_to_identity", scale * _frobenius(gap), SPEC_TOL)]
 
 
 def _frobenius(a: np.ndarray) -> float:

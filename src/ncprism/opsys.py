@@ -325,7 +325,8 @@ def functional_to_tuple(pair: RepPair, density: np.ndarray, k: int) -> DualTuple
     (density,) = _operands(f"density must be {n} x {n}", density, error=InvalidDensityError, n=n)
     if opnorm(density - dagger(density)) > SPEC_TOL:
         raise InvalidDensityError("density must be Hermitian")
-    eigs = np.linalg.eigvalsh(hermitize(density))
+    density = hermitize(density)
+    eigs = np.linalg.eigvalsh(density)
     if eigs.min() < -PSD_CLAMP:
         raise InvalidDensityError(f"density has negative eigenvalue {eigs.min():.3e}")
     if abs(eigs.sum() - 1.0) > SPEC_TOL:

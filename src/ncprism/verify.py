@@ -3,11 +3,11 @@
 Each check is a row of ``_CHECKS``: a name, a bound, and a seeded sampler that
 builds constructions inside a ``matkernel.measured`` block, so that every
 residual their constructors require is recorded. A sampler returns residuals
-of its own only for what no constructor checks: labels at the roots, the
-recovered coupling, dimensions, the quotient map, irreducibility of the square
-and Hadamard families, the scalar positivity grid and compression
-monotonicity. A check reports the worst residual seen, so a report line
-documents not just pass/fail but how much slack remains.
+of its own only for what no constructor checks: the recovered coupling, the
+quotient map, irreducibility of the square and Hadamard families, the scalar
+positivity grid and compression monotonicity. A check reports the worst
+residual seen, so a report line documents not just pass/fail but how much
+slack remains.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .matkernel import (
     SPEC_TOL,
     compress,
     dagger,
-    hermitize,
     irreducibility_residual,
     measured,
 )
@@ -53,10 +52,8 @@ def _mirman(rng):
         raw = rng.standard_normal((big, small)) + 1j * rng.standard_normal((big, small))
         z0, _ = np.linalg.qr(raw)
         a = dagger(z0) @ np.diag(spectrum) @ z0
-        povm = dilation.triangle_povm(a)
-        dilation.naimark_normal(povm)
-        roots = np.abs(np.array(povm.outcome_labels) - omega ** np.arange(3)).max()
-        yield ("labels_at_roots", float(roots), SPEC_TOL)
+        dilation.naimark_normal(dilation.triangle_povm(a))
+    return ()
 
 
 def _joint(rng):
@@ -82,8 +79,9 @@ def _hadamard(rng):
 
 
 def _group_pairs(rng):
-    samples = ((reps.s3_pair, 2), (reps.a4_pair, 3), (lambda: reps.steinberg_pair(5), 5))
-    return [("dimension", float(abs(build().dim - dim)), 0.0) for build, dim in samples]
+    for build in (reps.s3_pair, reps.a4_pair, lambda: reps.steinberg_pair(5)):
+        build()
+    return ()
 
 
 def _vertices(rng):
@@ -112,7 +110,7 @@ def _dual(rng):
         pair, _ = reps.prism_vertex_rep(k, j, int(rng.choice([1, -1])))
         raw = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
         rho = raw @ dagger(raw)
-        opsys.functional_to_tuple(pair, hermitize(rho / np.trace(rho).real), k)
+        opsys.functional_to_tuple(pair, rho / np.trace(rho).real, k)
     return ()
 
 

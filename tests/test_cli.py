@@ -532,8 +532,35 @@ class TestMalformedMatrices:
         assert err.startswith("error:") and "too large" in err
 
 
+def _reading_rows():
+    """The name and argv of every row of the CLI's command table that reads
+    input, with a value for each required flag."""
+    rows = []
+    for command, (_, _, subcommands) in cli._COMMANDS.items():
+        for subcommand, (reads_input, flags) in subcommands.items():
+            if reads_input:
+                argv = [command, *filter(None, [subcommand])]
+                name = " ".join(argv)
+                for flag, kwargs in flags:
+                    if kwargs.get("required"):
+                        argv += [flag, "3" if kwargs.get("type") is int else "w"]
+                rows.append(pytest.param(name, argv, id=name.replace(" ", "-")))
+    return rows
+
+
 class TestOutsideInput:
     """Input the library cannot take is refused with exit 2 and its own message."""
+
+    @pytest.mark.parametrize("name, args", _reading_rows())
+    def test_no_input_is_refused_by_name(self, capsys, monkeypatch, tmp_path, name, args):
+        # An empty stdin, and a JSON null given with --in.
+        null = tmp_path / "null.json"
+        null.write_text("null")
+        for argv in (args, [*args, "--in", str(null)]):
+            code, out, err = run_cli(capsys, monkeypatch, argv, stdin_obj=None)
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: {name} reads its input as JSON from stdin or --in")
+            assert "NoneType" not in err
 
     @pytest.mark.parametrize(
         "args, payload, message",

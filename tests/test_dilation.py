@@ -899,8 +899,9 @@ class TestOneLift:
 
     @pytest.mark.parametrize("scale", [0.3, 0.9], ids=["no-step", "newton-steps"])
     def test_one_direction_product_per_solve(self, monkeypatch, scale):
-        # A scale-0.3 point clears the band at y = 0; a scale-0.9 one takes
-        # Newton steps. Either way the lift is formed once, by lmi_floor.
+        # A scale-0.3 point clears the band at y = 0, where the lift is the
+        # hermitized base and takes no direction product; a scale-0.9 one
+        # takes Newton steps, and its lift is formed once, by lmi_floor.
         a = random_prism_point(np.random.default_rng([20260117, 6, 9]), 4, 6, scale=scale)[0]
         results, solve = [], dilation.lmi_floor
 
@@ -912,9 +913,30 @@ class TestOneLift:
         products = record_direction_products(monkeypatch)
         povm = order_k_povm(a, 6)
         assert len(results) == 1 and (results[0].steps > 0) == (scale == 0.9)
-        assert products == [(3 * 16, 6, 4, 4)]
+        assert products == ([] if scale == 0.3 else [(3 * 16, 6, 4, 4)])
         if results[0].t_lo > 0.0:
             assert povm.effects is results[0].lift
+
+    def test_a_base_that_clears_the_band_is_the_lift(self, monkeypatch):
+        # At n = 16 and ||a|| = 0.2, y = 0 clears the band: the effects are
+        # the hermitized Fourier base, byte for byte, and no direction
+        # product is formed.
+        rng = np.random.default_rng(641)
+        a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        a *= 0.2 / opnorm(a)
+        calls, solve = [], dilation.lmi_floor
+
+        def counted(base, *args):
+            calls.append((base, solve(base, *args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(dilation, "lmi_floor", counted)
+        products = record_direction_products(monkeypatch)
+        povm = order_k_povm(a, 6)
+        ((base, result),) = calls
+        assert result.steps == 0 and products == []
+        assert result.lift.tobytes() == hermitize(base).tobytes()
+        assert povm.effects is result.lift
 
     def test_the_exact_floor_is_a_one_point_floor_result(self, monkeypatch):
         a, _ = random_prism_point(np.random.default_rng(8), 4, 3, scale=0.8)

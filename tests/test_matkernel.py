@@ -12,6 +12,7 @@ from helpers import (
     generic_pair,
     random_hermitian,
     random_unitary,
+    record_direction_products,
     reference_dft,
     within_bounds,
 )
@@ -328,6 +329,26 @@ class TestHalmosBlockResiduals:
         s[row + n * (block // 2), col + n * (block % 2)] += shift
         assert _halmos_half(s) is None
         assert max(value for _, value, _ in symmetry_residuals(s)) > SPEC_TOL
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), stretch=st.sampled_from([0.0, 1e-6]))
+    def test_exactly_hermitian_blocks_take_one_product(self, n, seed, stretch):
+        # P and Q exactly Hermitian: squares_to_identity is sqrt 2 ||T*T - 1||
+        # with T = P + iQ, which equals sqrt 2 ||TT* - 1|| and the dense
+        # ||S^2 - 1||, and flags the non-symmetry Q = (1 + 1e-6) defect.
+        rng = np.random.default_rng(seed)
+        b = random_hermitian(rng, n)
+        s = halmos_symmetry(b / (1.5 * opnorm(b)))
+        s[:n, n:] *= 1.0 + stretch
+        s[n:, :n] *= 1.0 + stretch
+        assert _halmos_half(s) == n
+        (_, selfadjoint, _), (_, square, _) = symmetry_residuals(s)
+        t = s[:n, :n] + 1j * s[:n, n:]
+        swapped = math.sqrt(2.0) * np.linalg.norm(t @ dagger(t) - np.eye(n))
+        assert selfadjoint == 0.0
+        for value in (swapped, self.dense(s)[1]):
+            assert abs(square - value) <= 1e-12 * max(1.0, value)
+        assert (square > SPEC_TOL) == (stretch > 0.0)
 
     def test_tuple_symmetries_match_the_dense_formulas(self):
         # With Z = diag(1, -1): 1 (x) 1 (x) Z and 1 (x) Z (x) 1 are off the block
@@ -881,6 +902,23 @@ class TestLmiFloor:
             assert result.t_lo == _floor(result.lift)
             steps.append(result.steps)
         assert steps[0] == 0 < steps[1] and max(steps) > 1
+
+    def test_a_clearing_base_is_its_own_lift(self, monkeypatch):
+        # When y = 0 clears the band, the lift is hermitize(base) byte for
+        # byte and no product with the directions is formed; dependent
+        # directions (seed % 9 == 0) raise nothing, as their constraints are
+        # never built.
+        problems = [(self.BASE + 1.0, self.DIRECTIONS, 0.5)]
+        for seed in range(60):
+            base, directions = self.random_problem(seed)
+            problems.append((base, directions, float(np.linalg.eigvalsh(base).min()) - 0.5))
+        products = record_direction_products(monkeypatch)
+        for base, directions, t in problems:
+            result = lmi_floor(base, FloorSystem(directions), (t, t))
+            expected = hermitize(np.asarray(base, dtype=complex))
+            assert result.steps == 0 and not result.y.any() and result.t_lo >= t
+            assert result.lift.dtype == expected.dtype and result.lift.tobytes() == expected.tobytes()
+        assert products == []
 
     def test_a_reused_system_solves_as_fresh_ones(self):
         # On every problem and lift of the pinned test above, one system

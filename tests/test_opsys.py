@@ -232,6 +232,18 @@ class TestFunctionalToTuple:
             assert dual_member(z)
             assert z.z.real.min() >= -1e-10
 
+    def test_moments_are_taken_of_the_checked_density(self):
+        # A density whose skew part is within SPEC_TOL: the moments come from
+        # its Hermitian part, whose spectrum was checked, so the coordinates
+        # are real to rounding (imaginary parts near 2.5e-10 from the raw rho).
+        pair, _ = prism_vertex_rep(3, 1, 1)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((3, 3))
+        k = rng.standard_normal((3, 3))
+        rho = x @ x.T / np.trace(x @ x.T) + 1e-10j * (k + k.T)
+        z = functional_to_tuple(pair, rho, 3)
+        assert np.abs(z.z.imag).max() < 1e-15
+
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_coordinates_are_the_state_on_basis_images(self, k):
         # z_i = tr(rho . psi(e_i)(W, V)) on random joint dilations, not only
