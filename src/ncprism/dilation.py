@@ -11,8 +11,8 @@ back through the composite isometry recovers the original pair exactly.
 Every positive decomposition, at every k, is made by :func:`order_k_povm`
 and starts from the Fourier-minimal effects (1 + omega^-j a + omega^j a*)/k,
 whose Fourier modes other than 0, 1 and k - 1 vanish. At k = 3 these are the
-barycentric coordinates; for k >= 4 ``matkernel.lmi_floor`` searches the free
-modes 2 .. k-2 for effects that are all positive, or proves that none are.
+barycentric coordinates; for k >= 4, unless they are positive, ``lmi_floor``
+searches the free modes 2 .. k-2 for positive effects, or proves none are.
 
 Each constructor checks the identities its own arithmetic can break. A block
 written from the data it would be compared with (a Halmos corner, the labels
@@ -52,7 +52,6 @@ from .matkernel import (
     _spectral_sqrt,
     _symmetry_residuals,
     as_matrix,
-    clamp_spectrum,
     compress,
     constant,
     dagger,
@@ -117,8 +116,9 @@ class Povm:
     """Positive effects summing to the identity, tagged with target spectrum points.
 
     The effects are one Hermitian (k, n, n) stack, and ``spectrum`` is its
-    ``eigh``, taken once here: the facet slacks, the band rule,
-    ``effects_positive`` and the Naimark roots all read it."""
+    ``eigh``, taken once here or by ``lmi_floor`` (:meth:`_built`): the
+    decision of :func:`order_k_povm`, ``effects_positive`` and the Naimark
+    roots all read it."""
 
     effects: np.ndarray
     outcome_labels: list[complex]
@@ -132,6 +132,13 @@ class Povm:
         if len(self.effects) != len(self.outcome_labels):
             raise InvalidPovmError("each effect needs exactly one outcome label")
         self.spectrum = np.linalg.eigh(hermitize(self.effects))
+
+    @classmethod
+    def _built(cls, effects: np.ndarray, labels: list[complex], spectrum) -> Povm:
+        """The POVM of an exactly Hermitian complex stack and its ``eigh``, taken as given."""
+        povm = object.__new__(cls)
+        povm.effects, povm.outcome_labels, povm.spectrum = effects, labels, spectrum
+        return povm
 
 
 def povm_residuals(effects, labels, a) -> list[Residual]:
@@ -282,12 +289,13 @@ def triangle_povm(a) -> Povm:
     return order_k_povm(a, 3)
 
 
-def _settle(floor: FloorResult, band: float) -> np.ndarray:
+def _settle(floor: FloorResult, band: float, labels: list[complex]) -> Povm:
     """The band rule of :func:`order_k_povm` for the effects ``floor.lift``
-    over the k roots of unity, from the bracket of ``floor``: the exact floor
-    at k = 3 (one point, no steps) or the ``lmi_floor`` solve at k >= 4."""
+    over the k roots of unity ``labels``, from the bracket of ``floor``: the
+    exact floor at k = 3 (one point, no steps) or the ``lmi_floor`` solve at
+    k >= 4. Its POVM keeps ``floor.spectrum``, or clamps it to >= 0."""
     if floor.t_lo > 0.0:
-        return floor.lift
+        return Povm._built(floor.lift, labels, floor.spectrum)
     k, t_lo, t_hi = len(floor.lift), floor.t_lo, floor.t_hi
     # A one-point bracket is the exact floor: it is printed to full precision.
     show = repr if t_lo == t_hi else "{:.3e}".format
@@ -304,12 +312,12 @@ def _settle(floor: FloorResult, band: float) -> np.ndarray:
         )
     # Exact renormalization: congruence by (sum h_j)^(-1/2) restores the
     # identity sum at machine precision while keeping every effect PSD.
-    effects = clamp_spectrum(floor.lift, 0.0)
+    effects = _spectral(floor.spectrum[1], np.clip(floor.spectrum[0], 0.0, None))
     w, u = np.linalg.eigh(hermitize(effects.sum(axis=0)))
     if w.min() <= 0.5:
         raise InfeasibleError("effect sum is too singular to renormalize")
     t = (u * (w**-0.5)) @ dagger(u)
-    return hermitize(t @ effects @ t)
+    return Povm(hermitize(t @ effects @ t), labels)
 
 
 def _fourier_base(a: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -369,9 +377,10 @@ def order_k_povm(a, k: int) -> Povm:
     """Positive decomposition of ``a`` over the k-th roots of unity.
 
     The effects start from the Fourier-minimal base
-    (1 + omega^-j a + omega^j a*)/k. Their best smallest eigenvalue is
-    bracketed in [t_lo, t_hi] and judged against the band (-band, 0),
-    band = SPEC_TOL / 4k:
+    (1 + omega^-j a + omega^j a*)/k, whose ``Povm`` is returned, with no
+    facet screen and no solve, when its ``eigh`` shows every effect positive.
+    Otherwise their best smallest eigenvalue is bracketed in [t_lo, t_hi] and
+    judged against the band (-band, 0), band = SPEC_TOL / 4k:
 
     - t_lo > 0: those effects, unclamped;
     - t_lo >= -band: the effects clamped to >= 0 and renormalised, which
@@ -381,23 +390,21 @@ def order_k_povm(a, k: int) -> Povm:
     - otherwise ``InfeasibleError`` naming the undecided bracket.
 
     At k = 3 the base is the only decomposition, the barycentric
-    coordinates, so t_lo = t_hi is its smallest eigenvalue. The POVM's
+    coordinates, so t_lo = t_hi is its smallest eigenvalue. The base's
     ``eigh`` decides membership as well: the slack of the facet opposite the
     vertex omega^j, facet (j + 1) mod 3 of ``convexity.make_polygon(3)``, is
     3/2 lambda_min(h_j), and W(a) lies in the triangle when the smallest
     slack, the first in facet order, is >= -SPEC_TOL (else
-    ``NumericalRangeOutsideTriangleError``). The same factorisation gives
-    ``effects_positive`` and the Naimark square roots, unless the band rule
-    changed the effects.
+    ``NumericalRangeOutsideTriangleError``).
 
     For k >= 4, once ``convexity.max_member`` has placed W(a) in Conv(C_k),
     the base may be moved by any Hermitian combination of the Fourier modes
     m = 2 .. k-2 (the (k-3) n^2 real unknowns that keep sum(h_j) = 1 and
     sum(omega^j h_j) = a), and ``matkernel.lmi_floor``, over the system kept
-    for (k, n) (:func:`_mode_system`), gives the bracket.
-
-    Returned effects always pass ``povm_residuals``, checked here as
-    ``order_k_povm(k=.., level=..)`` (else ``InvalidPovmError``).
+    for (k, n) (:func:`_mode_system`), gives the bracket and its lift's
+    ``eigh``. Returned effects are factored once, for ``effects_positive``
+    and the Naimark roots, and always pass ``povm_residuals``, checked here
+    as ``order_k_povm(k=.., level=..)`` (else ``InvalidPovmError``).
     """
     (a,) = _operands("order_k_povm requires a square matrix", a)
     return _order_k_povm(a, k)
@@ -409,41 +416,37 @@ def _order_k_povm(a: np.ndarray, k: int) -> Povm:
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
     labels = roots_of_unity(k)
-    base = _fourier_base(a, labels)
-    band = SPEC_TOL / (4 * k)
-    if k == 3:
-        povm = Povm(base, labels.tolist())
-        spectra = povm.spectrum[0]
-        # Facet i is opposite the vertex omega^(i - 1): slacks in facet order.
-        slacks = 1.5 * spectra.min(axis=-1)[[2, 0, 1]]
-        margin = float(slacks.min())
-        if not margin >= -SPEC_TOL:
-            # Slacks equal up to the rounding of the effects (two facets
-            # meeting at a vertex) name the first of them, as exact slacks would.
-            tie = 16 * np.finfo(float).eps * max(1.0, float(np.abs(spectra).max()))
-            facet = int(np.argmax(slacks <= margin + tie))
-            raise NumericalRangeOutsideTriangleError(
-                f"numerical range leaves the triangle: facet {facet} violated by {-margin:.3e}"
-            )
-        # The decomposition is unique: its smallest eigenvalue is the exact floor.
-        t = float(spectra.min())
-        floor = FloorResult(np.zeros(0), povm.effects, t, t, None, 0)
-    else:
-        # Imported here: only k >= 4 screens the facets.
-        from .convexity import make_polygon, max_member, real_imag_parts
+    povm = Povm(_fourier_base(a, labels), labels.tolist())
+    spectra = povm.spectrum[0]
+    if not spectra.min() > 0.0:
+        band = SPEC_TOL / (4 * k)
+        if k == 3:
+            # Facet i is opposite the vertex omega^(i - 1): slacks in facet order.
+            slacks = 1.5 * spectra.min(axis=-1)[[2, 0, 1]]
+            margin = float(slacks.min())
+            if not margin >= -SPEC_TOL:
+                # Slacks equal up to the rounding of the effects (two facets
+                # meeting at a vertex) name the first of them, as exact slacks would.
+                tie = 16 * np.finfo(float).eps * max(1.0, float(np.abs(spectra).max()))
+                facet = int(np.argmax(slacks <= margin + tie))
+                raise NumericalRangeOutsideTriangleError(
+                    f"numerical range leaves the triangle: facet {facet} violated by {-margin:.3e}"
+                )
+            # The decomposition is unique: its smallest eigenvalue is the exact floor.
+            floor = FloorResult(np.zeros(0), povm.effects, povm.spectrum, float(spectra.min()), None, 0)
+        else:
+            # Imported here: only a base that is not positive, at k >= 4, screens the facets.
+            from .convexity import make_polygon, max_member, real_imag_parts
 
-        povm = None
-        re, im = real_imag_parts(a)
-        verdict = max_member([re, im], make_polygon(k))
-        if not verdict.member:
-            raise InfeasibleError(
-                f"numerical range of a leaves Conv(C_{k}) "
-                f"(facet margin {verdict.margin:.3e}); no decomposition exists"
-            )
-        floor = lmi_floor(base, _mode_system(k, len(a)), (-band, 0.0))
-    effects = _settle(floor, band)
-    if povm is None or effects is not povm.effects:
-        povm = Povm(effects, labels.tolist())
+            re, im = real_imag_parts(a)
+            verdict = max_member([re, im], make_polygon(k))
+            if not verdict.member:
+                raise InfeasibleError(
+                    f"numerical range of a leaves Conv(C_{k}) "
+                    f"(facet margin {verdict.margin:.3e}); no decomposition exists"
+                )
+            floor = lmi_floor(povm.effects, _mode_system(k, len(a)), (-band, 0.0))
+        povm = _settle(floor, band, povm.outcome_labels)
     residuals = _povm_residuals(povm.effects, labels, a, povm.spectrum[0])
     require(residuals, InvalidPovmError, f"order_k_povm(k={k}, level={len(a)})")
     return povm

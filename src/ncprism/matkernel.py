@@ -55,7 +55,6 @@ __all__ = [
     "is_hermitian",
     "require_hermitian",
     "psd_sqrt",
-    "clamp_spectrum",
     "roots_of_unity",
     "fourier_values",
     "fourier_coefficients",
@@ -304,17 +303,6 @@ def _spectral(u: np.ndarray, values: np.ndarray) -> np.ndarray:
     return hermitize((u * values[..., None, :]) @ dagger(u))
 
 
-def clamp_spectrum(stack: np.ndarray, floor: float) -> np.ndarray:
-    """Nearest Hermitian matrices with spectrum >= ``floor``, one per slice.
-
-    Each slice of the (m, n, n) stack is hermitized and its eigenvalues below
-    ``floor`` are raised to it: the Frobenius-norm projection onto
-    {X = X*, X >= floor}. One batched ``eigh`` serves the whole stack.
-    """
-    w, u = np.linalg.eigh(hermitize(stack))
-    return _spectral(u, np.clip(w, floor, None))
-
-
 def roots_of_unity(k: int) -> np.ndarray:
     """omega^j = exp(2 pi i j/k), j = 0 .. k-1, each from its own fraction j/k (no power of a rounded omega)."""
     return np.exp(2j * np.pi * (np.arange(k) / k))
@@ -360,11 +348,11 @@ class FloorResult:
     """What :func:`lmi_floor` found.
 
     ``y`` is the best point, ``lift`` the Hermitian stack base + sum_i y_i
-    directions[i] it gives, formed once, and ``t_lo`` its floor, the least
-    eigenvalue of ``lift``. ``t_hi`` = <base, x> bounds every floor from
-    above through the primal point ``x``: PSD blocks of total trace 1,
-    orthogonal to every direction. While no such point is known, ``t_hi`` is
-    inf and ``x`` is None. ``steps`` counts Newton steps.
+    directions[i] it gives, formed once, ``spectrum`` its one ``eigh``, and
+    ``t_lo`` its floor, the least eigenvalue there. ``t_hi`` = <base, x>
+    bounds every floor from above through the primal point ``x``: PSD blocks
+    of total trace 1, orthogonal to every direction. While no such point is
+    known, ``t_hi`` is inf and ``x`` is None. ``steps`` counts Newton steps.
 
     A solve that stops because t_lo reaches the band's high end stops before
     it projects that step's primal iterate: ``t_hi`` and ``x`` are then those
@@ -373,10 +361,12 @@ class FloorResult:
 
     y: np.ndarray
     lift: np.ndarray
-    t_lo: float
+    spectrum: tuple[np.ndarray, np.ndarray]
     t_hi: float
     x: np.ndarray | None
     steps: int
+
+    t_lo = property(lambda self: float(self.spectrum[0].min()))
 
 
 class FloorConstraints(NamedTuple):
@@ -473,15 +463,22 @@ def lmi_floor(base, system: FloorSystem, band: tuple[float, float]) -> FloorResu
     whose new iterate (X, S) is not positive definite in rounding, so that
     its Cholesky factorisation fails, is taken again from the last good
     iterate at half the step lengths, up to ``_LMI_HALVINGS`` times. Before
-    return the lift of y is formed once and floored by a batched ``eigvalsh``;
-    x was accepted only with no negative eigenvalue and with sum tr x = 1 and
-    <D_i, x> = 0 to rounding.
+    return the lift of y is formed once and factored by one batched ``eigh``,
+    ``FloorResult.spectrum``, whose least eigenvalue is t_lo; x was accepted
+    only with no negative eigenvalue and with sum tr x = 1 and <D_i, x> = 0
+    to rounding.
 
-    y = 0 is tried first: a base above the band is its own lift and costs one
-    ``eigvalsh``. Otherwise an infeasible-start primal-dual interior-point
-    method (Mehrotra's predictor-corrector on the HKM direction:
-    Vandenberghe and Boyd, "Semidefinite programming", 1996; Helmberg,
-    Rendl, Vanderbei and Wolkowicz, 1996) solves
+    y = 0 is tried first, by one ``eigvalsh`` that also seeds the dual start:
+    the one repeat for ``dilation.order_k_povm``, which has factored the base,
+    kept since a start from that ``eigh`` would move Newton paths in the last
+    bits. A base above the band is its own lift. No caller reaches that return
+    on a tested input: ``order_k_povm`` returns a positive base unsolved, and
+    ``opsys`` certifies by its scalar bracket a base whose floor reaches
+    ``STRICT_MARGIN``, as t_scalar = (a + b)/2 is at least that floor.
+    Otherwise an infeasible-start primal-dual interior-point method
+    (Mehrotra's predictor-corrector on the HKM direction: Vandenberghe and
+    Boyd, "Semidefinite programming", 1996; Helmberg, Rendl, Vanderbei and
+    Wolkowicz, 1996) solves
 
         max t          s.t. S = base + sum_i y_i D_i - t 1 >= 0,
         min <base, X>  s.t. X >= 0, sum tr X = 1, <D_i, X> = 0 for all i,
@@ -511,7 +508,7 @@ def lmi_floor(base, system: FloorSystem, band: tuple[float, float]) -> FloorResu
         raise ShapeMismatchError(f"the directions have blocks {directions.shape[1:]}, the base {base.shape}")
     y, t_lo = np.zeros(len(directions)), _floor(base)
     if t_lo >= high:
-        return FloorResult(y, base, t_lo, math.inf, None, 0)
+        return FloorResult(y, base, np.linalg.eigh(base), math.inf, None, 0)
     constraints = system.constraints
     flat, pair, _, b, gram, slack_cut = constraints
     x = np.broadcast_to(np.eye(n), base.shape) / (m * n)
@@ -556,7 +553,7 @@ def lmi_floor(base, system: FloorSystem, band: tuple[float, float]) -> FloorResu
     except (np.linalg.LinAlgError, FloatingPointError):
         pass
     lift = hermitize(base + np.tensordot(y, directions, axes=1))
-    return FloorResult(y, lift, _floor(lift), t_hi, x_hi, steps)
+    return FloorResult(y, lift, np.linalg.eigh(lift), t_hi, x_hi, steps)
 
 
 def _meets(x: np.ndarray, rows: np.ndarray, target: np.ndarray, cut: np.ndarray) -> bool:

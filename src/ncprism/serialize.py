@@ -4,11 +4,11 @@ A matrix is {"rows": n, "cols": m, "data": [[re, im], ...]} with the
 entries flattened row-major; complex scalars are [re, im] pairs. Floats
 pass through ``json`` using Python's shortest round-trip repr, so decimal
 literals survive a round trip bit-exactly up to 17 significant digits.
-The counts ``rows``, ``cols``, ``k`` and ``q`` must be JSON integers: a
-float or a bool there raises ``ValueError``. Every other scalar read (each
-part of a complex scalar, and the reals that ``real_from_json`` reads) must
-be a JSON number, an integer or a float: a bool or a string raises
-``ValueError`` naming it.
+The counts ``rows``, ``cols``, ``k``, ``q`` and a pair's ``commutant_dim``
+(null or >= 1) must be JSON integers, its ``provenance`` a string, a matrix
+an object with a ``data`` list, and every other scalar (each part of a
+complex scalar, a list of two, and each real ``real_from_json`` reads) a
+JSON number, an integer or a float; else ``ValueError`` names the value.
 """
 
 from __future__ import annotations
@@ -57,10 +57,9 @@ def complex_to_json(z: complex) -> list[float]:
 
 
 def complex_from_json(pair) -> complex:
-    re, im = pair
-    if type(re) not in _NUMBER or type(im) not in _NUMBER:
+    if type(pair) is not list or len(pair) != 2 or not all(type(part) in _NUMBER for part in pair):
         raise ValueError(f"complex scalars must be [re, im] pairs of JSON numbers, got {pair!r}")
-    z = complex(float(re), float(im))
+    z = complex(float(pair[0]), float(pair[1]))
     if not cmath.isfinite(z):
         raise ValueError(f"complex scalars must be finite, got {z}")
     return z
@@ -89,6 +88,8 @@ def matrix_to_json(a) -> dict:
 
 
 def matrix_from_json(obj) -> np.ndarray:
+    if type(obj) is not dict or not {"rows", "cols", "data"} <= obj.keys() or type(obj["data"]) is not list:
+        raise ValueError(f"a matrix must be a JSON object with rows, cols and a data list, got {obj!r}")
     rows, cols = _integer(obj, "rows"), _integer(obj, "cols")
     if rows < 1 or cols < 1:
         raise ShapeMismatchError(f"matrix JSON needs rows and cols >= 1, got {rows}x{cols}")
@@ -122,13 +123,12 @@ def rep_pair_to_json(pair: RepPair) -> dict:
 def rep_pair_from_json(obj) -> RepPair:
     from .reps import RepPair
 
-    return RepPair(
-        matrix_from_json(obj["W"]),
-        matrix_from_json(obj["V"]),
-        _integer(obj, "k"),
-        provenance=str(obj.get("provenance", "")),
-        commutant_dim=obj.get("commutant_dim"),
-    )
+    provenance, dim = obj.get("provenance", ""), obj.get("commutant_dim")
+    if type(provenance) is not str:
+        raise ValueError(f"'provenance' must be a JSON string, got {provenance!r}")
+    if dim is not None and _integer(obj, "commutant_dim") < 1:
+        raise ValueError(f"'commutant_dim' must be null or a JSON integer >= 1, got {dim!r}")
+    return RepPair(matrix_from_json(obj["W"]), matrix_from_json(obj["V"]), _integer(obj, "k"), provenance, dim)
 
 
 def symmetry_tuple_to_json(st: SymmetryTuple) -> dict:

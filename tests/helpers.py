@@ -55,6 +55,22 @@ def record_direction_products(monkeypatch):
     return calls
 
 
+def record_factorisations(monkeypatch):
+    """Replace ``np.linalg.eigh`` and ``np.linalg.eigvalsh``, as every
+    ncprism module calls them, by functions that record each call as
+    (name, shape, a copy of the argument); returns the list of records."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def recording(a, *args, name=name, real=real, **kwargs):
+            calls.append((name, np.shape(a), np.array(a)))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    return calls
+
+
 def reference_dft(k):
     """The dense k x k matrix F[j, m] = exp(2 pi i r / k), r = j m mod k, each
     entry from its exact fraction r/k by the math module: the oracle for

@@ -12,7 +12,7 @@ import pytest
 from helpers import random_unitary
 
 import ncprism
-from ncprism import cli, opsys, serialize, verify
+from ncprism import cli, opsys, reps, serialize, verify
 from ncprism.serialize import matrix_from_json, matrix_to_json
 
 
@@ -523,6 +523,36 @@ class TestMalformedMatrices:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and named in err
+
+    # A matrix or a complex scalar of the wrong shape is refused by name, in
+    # the library's words rather than Python's unpacking or indexing errors.
+    @pytest.mark.parametrize(
+        "args, payload, named",
+        [
+            (["dilate", "halmos"], {"rows": 1, "cols": 1, "data": [[1, 0, 0]]}, "got [1, 0, 0]"),
+            (["dilate", "halmos"], {"rows": 1, "cols": 1, "data": [5]}, "got 5"),
+            (["dilate", "halmos"], {"rows": 1, "cols": 1}, "got {'rows': 1, 'cols': 1}"),
+            (["dilate", "halmos"], [1], "got [1]"),
+            (["dilate", "joint"], {"a": [1], "b": {"rows": 1, "cols": 1, "data": [[0.1, 0.0]]}}, "got [1]"),
+            (["quotient", "dual-member", "--k", "3"], {"z": [[1]] + [[0.0, 0.0]] * 4}, "got [1]"),
+        ],
+        ids=[
+            "three-part-entry", "number-entry", "no-data", "list-for-halmos", "list-for-joint", "dual-member-one-part",
+        ],
+    )
+    def test_malformed_matrix_or_scalar_exits_two(self, capsys, monkeypatch, args, payload, named):
+        code, out, err = run_cli(capsys, monkeypatch, args, stdin_obj=payload)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and named in err
+        assert "unpack" not in err and "indices" not in err
+
+    def test_pair_metadata_must_be_typed(self, capsys, monkeypatch):
+        pair = {**serialize.rep_pair_to_json(reps.s3_pair()), "commutant_dim": True, "provenance": {"a": 1}}
+        code, out, err = run_cli(capsys, monkeypatch, ["word", "--k", "3", "--letters", "wv"], stdin_obj=pair)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: 'provenance' must be a JSON string, got {'a': 1}")
 
     def test_integer_beyond_the_floats_exits_two(self, capsys, monkeypatch):
         payload = {"rows": 1, "cols": 1, "data": [[10**400, 0]]}

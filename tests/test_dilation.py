@@ -1,13 +1,14 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import record_direction_products, record_eigh, reference_dft, within_bounds
+from helpers import record_direction_products, record_eigh, record_factorisations, reference_dft, within_bounds
 
 from ncprism import convexity, dilation, matkernel, reps
 from ncprism.convexity import (
@@ -893,37 +894,13 @@ class TestModeSystemCache:
 
 
 class TestOneLift:
-    """``lmi_floor`` forms the effects base + sum_i y_i D_i once and returns
-    them as ``FloorResult.lift``; the band rule reads one ``FloorResult``
-    from either source of the bracket."""
+    """A positive Fourier base is its own POVM, with no solve; otherwise
+    ``lmi_floor`` forms the effects base + sum_i y_i D_i once and returns
+    them as ``FloorResult.lift`` with their ``eigh``, and the band rule reads
+    one ``FloorResult`` from either source of the bracket."""
 
-    @pytest.mark.parametrize("scale", [0.3, 0.9], ids=["no-step", "newton-steps"])
-    def test_one_direction_product_per_solve(self, monkeypatch, scale):
-        # A scale-0.3 point clears the band at y = 0, where the lift is the
-        # hermitized base and takes no direction product; a scale-0.9 one
-        # takes Newton steps, and its lift is formed once, by lmi_floor.
-        a = random_prism_point(np.random.default_rng([20260117, 6, 9]), 4, 6, scale=scale)[0]
-        results, solve = [], dilation.lmi_floor
-
-        def counted(*args):
-            results.append(solve(*args))
-            return results[-1]
-
-        monkeypatch.setattr(dilation, "lmi_floor", counted)
-        products = record_direction_products(monkeypatch)
-        povm = order_k_povm(a, 6)
-        assert len(results) == 1 and (results[0].steps > 0) == (scale == 0.9)
-        assert products == ([] if scale == 0.3 else [(3 * 16, 6, 4, 4)])
-        if results[0].t_lo > 0.0:
-            assert povm.effects is results[0].lift
-
-    def test_a_base_that_clears_the_band_is_the_lift(self, monkeypatch):
-        # At n = 16 and ||a|| = 0.2, y = 0 clears the band: the effects are
-        # the hermitized Fourier base, byte for byte, and no direction
-        # product is formed.
-        rng = np.random.default_rng(641)
-        a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-        a *= 0.2 / opnorm(a)
+    @staticmethod
+    def solves(monkeypatch):
         calls, solve = [], dilation.lmi_floor
 
         def counted(base, *args):
@@ -931,23 +908,124 @@ class TestOneLift:
             return calls[-1][1]
 
         monkeypatch.setattr(dilation, "lmi_floor", counted)
+        return calls
+
+    @pytest.mark.parametrize("scale", [0.3, 0.9], ids=["no-step", "newton-steps"])
+    def test_one_direction_product_per_solve(self, monkeypatch, scale):
+        # A scale-0.3 point has a positive Fourier base, which is returned
+        # byte for byte with no solve and no direction product; a scale-0.9
+        # one takes Newton steps, and its lift is formed once, by lmi_floor.
+        a = random_prism_point(np.random.default_rng([20260117, 6, 9]), 4, 6, scale=scale)[0]
+        calls = self.solves(monkeypatch)
         products = record_direction_products(monkeypatch)
         povm = order_k_povm(a, 6)
-        ((base, result),) = calls
-        assert result.steps == 0 and products == []
-        assert result.lift.tobytes() == hermitize(base).tobytes()
-        assert povm.effects is result.lift
+        if scale == 0.3:
+            assert calls == [] and products == []
+            assert povm.effects.tobytes() == dilation._fourier_base(a, roots_of_unity(6)).tobytes()
+            return
+        ((_, result),) = calls
+        assert result.steps > 0 and products == [(3 * 16, 6, 4, 4)]
+        if result.t_lo > 0.0:
+            assert povm.effects is result.lift and povm.spectrum is result.spectrum
+
+    def test_a_base_that_clears_the_band_is_the_lift(self, monkeypatch):
+        # At n = 16 and ||a|| = 0.2 the Fourier base is positive: the effects
+        # are that base, byte for byte, and no solve and no direction product
+        # is made.
+        rng = np.random.default_rng(641)
+        a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        a *= 0.2 / opnorm(a)
+        calls = self.solves(monkeypatch)
+        products = record_direction_products(monkeypatch)
+        povm = order_k_povm(a, 6)
+        assert calls == [] and products == []
+        assert povm.effects.tobytes() == dilation._fourier_base(a, roots_of_unity(6)).tobytes()
 
     def test_the_exact_floor_is_a_one_point_floor_result(self, monkeypatch):
-        a, _ = random_prism_point(np.random.default_rng(8), 4, 3, scale=0.8)
+        # diag(0.1, p) with p just past the midpoint of the edge [1, omega]:
+        # the effect at omega^2 has eigenvalue about -3e-12, inside the band,
+        # so the base is not positive and the band rule clamps it.
+        p = (1.0 + roots_of_unity(3)[1]) / 2.0 * (1.0 + 1e-11)
+        a = np.diag([0.1, p])
         floors, settle = [], dilation._settle
-        monkeypatch.setattr(dilation, "_settle", lambda floor, band: floors.append(floor) or settle(floor, band))
+        monkeypatch.setattr(dilation, "_settle", lambda floor, *args: floors.append(floor) or settle(floor, *args))
         povm = order_k_povm(a, 3)
         (floor,) = floors
         assert isinstance(floor, matkernel.FloorResult)
-        assert floor.t_lo == floor.t_hi == float(povm.spectrum[0].min()) > 0.0
-        assert floor.lift is povm.effects
+        assert floor.t_lo == floor.t_hi == float(floor.spectrum[0].min()) < 0.0
+        assert floor.lift.tobytes() == dilation._fourier_base(a, roots_of_unity(3)).tobytes()
         assert floor.y.size == 0 and floor.steps == 0 and floor.x is None
+        assert povm.effects is not floor.lift and povm.spectrum[0].min() >= 0.0
+
+
+class TestOneFactorisationPerDecidedStack:
+    """Every effect stack that ``order_k_povm`` decides is factored once: a
+    positive Fourier base by its POVM's ``eigh`` alone, an accepted lift by
+    the ``eigh`` that ``lmi_floor`` returns with it, and a k = 3 base that
+    the band rule clamps by the ``eigh`` its bracket was read from."""
+
+    @staticmethod
+    def factored(calls, stack):
+        """How often a recorded call took ``stack``, or its Hermitian part."""
+        return sum(c.shape == stack.shape and np.array_equal(hermitize(c), stack) for _, _, c in calls)
+
+    def test_a_positive_base_is_its_povm(self, monkeypatch):
+        # n = 16 and ||a|| = 0.2: the (6, 16, 16) base is positive, so one
+        # eigh of it decides, with no facet screen and no solve.
+        rng = np.random.default_rng(641)
+        a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        a *= 0.2 / opnorm(a)
+
+        def refuse(*args):
+            raise AssertionError("a positive base reached a solver or a facet screen")
+
+        monkeypatch.setattr(dilation, "lmi_floor", refuse)
+        monkeypatch.setattr(convexity, "max_member", refuse)
+        calls = record_factorisations(monkeypatch)
+        povm = order_k_povm(a, 6)
+        stacks = [(name, shape) for name, shape, _ in calls if shape == (6, 16, 16)]
+        assert stacks == [("eigh", (6, 16, 16))]
+        assert self.factored(calls, povm.effects) == 1
+
+    def test_an_accepted_lift_keeps_the_solvers_spectrum(self, monkeypatch):
+        # A scale-0.9 point takes Newton steps, and its lift clears the band:
+        # the POVM's spectrum is the FloorResult's, and the lift is factored
+        # once, by lmi_floor's closing eigh.
+        a = random_prism_point(np.random.default_rng([20260117, 6, 9]), 4, 6, scale=0.9)[0]
+        results, solve = [], dilation.lmi_floor
+        monkeypatch.setattr(dilation, "lmi_floor", lambda *args: results.append(solve(*args)) or results[-1])
+        calls = record_factorisations(monkeypatch)
+        povm = order_k_povm(a, 6)
+        (result,) = results
+        assert result.steps > 0 and result.t_lo > 0.0
+        assert povm.effects is result.lift and povm.spectrum is result.spectrum
+        assert self.factored(calls, result.lift) == 1
+
+    def test_a_triangle_base_is_factored_once(self, monkeypatch):
+        # k = 3: a positive base costs one eigh in all; a base inside the
+        # band (diag(0.1, p), p just past the edge [1, omega]) is factored
+        # once, and so are its clamped, renormalised effects, beside the
+        # eigh of their sum.
+        p = (1.0 + roots_of_unity(3)[1]) / 2.0 * (1.0 + 1e-11)
+        positive = random_prism_point(np.random.default_rng(8), 4, 3, scale=0.8)[0]
+        calls = record_factorisations(monkeypatch)
+        for a, count in ((positive, 1), (np.diag([0.1, p]), 3)):
+            del calls[:]
+            povm = order_k_povm(a, 3)
+            base = dilation._fourier_base(a, roots_of_unity(3))
+            assert self.factored(calls, base) == 1 and self.factored(calls, povm.effects) == 1
+            assert len(calls) == count
+
+    def test_a_large_order_base_takes_little_memory(self):
+        # A 1 x 1 point well inside Conv(C_2048): its positive base decides
+        # with no (k - 3) x k direction stack (168 MB when it was built).
+        tracemalloc.start()
+        try:
+            povm = order_k_povm(0.1 + 0.05j, 2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert povm.effects.shape == (2048, 1, 1) and peak < 2e6
 
 
 class TestSeededDecompositions:
@@ -978,7 +1056,8 @@ class TestSeededDecompositions:
     def test_outcomes_and_newton_steps(self, monkeypatch):
         # Started from the primal start's duality gap, the dual takes 219
         # Newton steps over the 160 inputs; started at t_lo - 1 it took 296,
-        # with the same outcome for every input.
+        # with the same outcome for every input. The 18 inputs whose Fourier
+        # base is positive are decided before any solve.
         steps, solve = [], dilation.lmi_floor
 
         def counted(*args):
@@ -999,7 +1078,7 @@ class TestSeededDecompositions:
         assert {key for key, outcome in outcomes.items() if outcome == "certified"} == self.CERTIFIED
         assert {key for key, outcome in outcomes.items() if outcome == "outside"} == self.OUTSIDE
         assert sum(outcome == "povm" for outcome in outcomes.values()) == 133
-        assert len(steps) == 156 and sum(steps) == 219
+        assert len(steps) == 138 and sum(steps) == 219
 
 
 @pytest.mark.parametrize(

@@ -31,12 +31,10 @@ from ncprism.matkernel import (
     PSD_CLAMP,
     SPEC_TOL,
     FloorSystem,
-    _floor,
     _h_weights,
     _halmos_half,
     _schur,
     _step_lengths,
-    clamp_spectrum,
     commutant_dimension,
     commutant_residuals,
     compress,
@@ -744,19 +742,6 @@ class TestStacks:
             for got, block in zip(out, self.STACK):
                 assert np.array_equal(got, fn(block))
 
-    def test_clamp_spectrum_matches_per_block_projection(self):
-        out = clamp_spectrum(self.STACK, 0.25)
-        for got, block in zip(out, self.STACK):
-            w, u = np.linalg.eigh(hermitize(block))
-            expected = hermitize((u * np.clip(w, 0.25, None)) @ dagger(u))
-            assert np.abs(got - expected).max() <= 1e-13
-            assert np.linalg.eigvalsh(got).min() >= 0.25 - 1e-13
-            assert np.array_equal(got, dagger(got))
-
-    def test_clamp_spectrum_keeps_blocks_above_the_floor(self):
-        blocks = np.stack([np.diag([1.0, 2.0]), np.diag([0.5, 3.0])]).astype(complex)
-        assert np.abs(clamp_spectrum(blocks, 0.1) - blocks).max() <= 1e-14
-
 
 def near_parallel(delta):
     """Three 1 x 1 blocks, base (0, 1, -2), and the directions (1, -1, 0)
@@ -884,7 +869,8 @@ class TestLmiFloor:
     def test_lift_is_the_stack_its_floor_was_taken_of(self):
         # On the fixed problem (its y = 0 return included) and on every
         # problem and lift of the pinned test above: lift is
-        # hermitize(base + sum_i y_i D_i) bit for bit, and t_lo its floor.
+        # hermitize(base + sum_i y_i D_i) bit for bit, spectrum is its eigh
+        # bit for bit, and t_lo the least eigenvalue of that spectrum.
         problems = [(self.BASE + 1.0, self.DIRECTIONS, 0.5), (self.BASE, self.DIRECTIONS, 0.4)]
         problems += [(self.BASE, self.DIRECTIONS, 0.6)]
         for seed in range(60):
@@ -899,7 +885,9 @@ class TestLmiFloor:
             stack = np.asarray(base, dtype=complex) + np.tensordot(result.y, system.directions, axes=1)
             expected = hermitize(stack)
             assert result.lift.dtype == expected.dtype and result.lift.tobytes() == expected.tobytes()
-            assert result.t_lo == _floor(result.lift)
+            w, u = np.linalg.eigh(expected)
+            assert result.spectrum[0].tobytes() == w.tobytes() and result.spectrum[1].tobytes() == u.tobytes()
+            assert result.t_lo == float(w.min())
             steps.append(result.steps)
         assert steps[0] == 0 < steps[1] and max(steps) > 1
 
@@ -987,8 +975,10 @@ class TestLmiFloor:
         assert (first.t_lo, first.t_hi, first.steps) == (again.t_lo, again.t_hi, again.steps)
 
     def test_floor_is_recomputed_from_y(self):
-        # 3 x 3 blocks: the floor the iterates carry differs from a fresh
-        # eigvalsh in the last bits, and the returned t_lo is the fresh one.
+        # 3 x 3 blocks: the floor the iterates carry may differ in the last
+        # bits from a fresh factorisation of the lift of y, and the returned
+        # t_lo is the least eigenvalue of the returned spectrum, which is the
+        # eigh of that lift bit for bit.
         rng = np.random.default_rng(0)
         base, directions = (
             hermitize(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
@@ -996,8 +986,10 @@ class TestLmiFloor:
         )
         for threshold in (-1.5, -0.5):
             result = lmi_floor(base, FloorSystem(directions), (threshold, threshold))
+            w, u = np.linalg.eigh(hermitize(base + np.tensordot(result.y, directions, axes=1)))
             assert result.steps > 0
-            assert result.t_lo == self.floor_of(result.y, base, directions)
+            assert result.spectrum[0].tobytes() == w.tobytes() and result.spectrum[1].tobytes() == u.tobytes()
+            assert result.t_lo == float(w.min())
 
     def test_projection_that_is_not_psd_bounds_nothing(self):
         # Direction (1, 3) is PSD, so every floor is reachable; the primal

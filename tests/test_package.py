@@ -40,10 +40,13 @@ ELEMENT = {"k": 3, "q": 1, "c": [scalar(2.0), scalar(0.0), scalar(0.0)], "g": sc
         (["check", "prism", "--k", "3"], PAIR, {"convexity"}),
         (["commutant"], {"tuple": [scalar(1.0)]}, set()),
         (["rep", "steinberg", "--q", "5"], None, {"reps", "finitefield"}),
-        # Only a decomposition over k >= 4 roots of unity screens the facets
-        # (convexity), and only a Steinberg pair needs finitefield.
+        # Only a decomposition over k >= 4 roots of unity whose Fourier base
+        # is not positive screens the facets (convexity): a = 0.9 puts the
+        # eigenvalue (1 - 1.8)/4 on the effect at -1, a = 0.3 none below 0.1.
+        # Only a Steinberg pair needs finitefield.
         (["dilate", "joint", "--k", "3"], PAIR, {"dilation", "reps"}),
-        (["dilate", "joint", "--k", "4"], PAIR, {"dilation", "convexity", "reps"}),
+        (["dilate", "joint", "--k", "4"], {"a": scalar(0.9), "b": scalar(-0.2)}, {"dilation", "convexity", "reps"}),
+        (["dilate", "joint", "--k", "4"], PAIR, {"dilation", "reps"}),
         (["dilate", "mirman"], scalar(0.3), {"dilation", "reps"}),
         # A q = 1 element is decided without a dual witness, so dilation
         # stays unloaded.
@@ -51,7 +54,7 @@ ELEMENT = {"k": 3, "q": 1, "c": [scalar(2.0), scalar(0.0), scalar(0.0)], "g": sc
     ],
     ids=[
         "geometry", "check-prism", "commutant", "rep-steinberg", "dilate-joint", "dilate-joint-k4",
-        "dilate-mirman", "positivity-matrix",
+        "dilate-joint-k4-positive-base", "dilate-mirman", "positivity-matrix",
     ],
 )
 def test_command_loads_only_its_modules(args, payload, loaded):

@@ -103,6 +103,23 @@ class TestMatrixFormat:
     def test_number_real_read(self, value):
         assert real_from_json(value, "alpha") == value and type(real_from_json(value, "alpha")) is float
 
+    @pytest.mark.parametrize(
+        "pair", [[1, 0, 0], 5, [1], [], None, (1.0, 0.0)],
+        ids=["three-entries", "number", "one-entry", "empty", "null", "tuple"],
+    )
+    def test_malformed_complex_rejected(self, pair):
+        with pytest.raises(ValueError, match=re.escape(f"pairs of JSON numbers, got {pair!r}")):
+            complex_from_json(pair)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [{"rows": 1, "cols": 1}, {"cols": 1, "data": [[1, 0]]}, [1], [[1, 0]], 5, {"rows": 1, "cols": 1, "data": 5}],
+        ids=["no-data", "no-rows", "list", "list-of-pairs", "number", "data-not-a-list"],
+    )
+    def test_malformed_matrix_rejected(self, obj):
+        with pytest.raises(ValueError, match=re.escape(f"rows, cols and a data list, got {obj!r}")):
+            matrix_from_json(obj)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ShapeMismatchError):
             matrix_from_json({"rows": 2, "cols": 2, "data": [[1.0, 0.0]]})
@@ -150,6 +167,34 @@ class TestStructured:
             if key in obj:
                 with pytest.raises(ValueError, match=f"'{key}' must be a JSON integer"):
                     read({**obj, key: value})
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("commutant_dim", True, "'commutant_dim' must be a JSON integer, got True"),
+            ("commutant_dim", 1.0, "'commutant_dim' must be a JSON integer, got 1.0"),
+            ("commutant_dim", "1", "'commutant_dim' must be a JSON integer, got '1'"),
+            ("commutant_dim", 0, "'commutant_dim' must be null or a JSON integer >= 1, got 0"),
+            ("provenance", {"a": 1}, "'provenance' must be a JSON string, got {'a': 1}"),
+            ("provenance", 3, "'provenance' must be a JSON string, got 3"),
+            ("provenance", None, "'provenance' must be a JSON string, got None"),
+        ],
+        ids=[
+            "dim-bool", "dim-float", "dim-string", "dim-zero", "provenance-object", "provenance-number", "provenance-null",
+        ],
+    )
+    def test_pair_metadata_rejected(self, key, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rep_pair_from_json({**rep_pair_to_json(s3_pair()), key: value})
+
+    @pytest.mark.parametrize("dim", [None, 1, 7])
+    def test_pair_metadata_read(self, dim):
+        obj = {**rep_pair_to_json(s3_pair()), "commutant_dim": dim, "provenance": "given"}
+        back = rep_pair_from_json(obj)
+        assert back.commutant_dim == dim and back.provenance == "given"
+        del obj["commutant_dim"], obj["provenance"]
+        back = rep_pair_from_json(obj)
+        assert back.commutant_dim is None and back.provenance == ""
 
     def test_dual_tuple(self):
         obj = dual_tuple_to_json(DualTuple(3, np.array([1, 1, 1, 1, 2.0])))
