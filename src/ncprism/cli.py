@@ -56,6 +56,33 @@ def _read_input(args) -> tuple[dict | None, str]:
     return (json.loads(text) if text.strip() else None), text
 
 
+# The JSON types a payload's keys may hold; a key ending in "?" may be absent.
+_KINDS = {"object": (dict,), "list": (list,), "integer": (int,), "number": (int, float)}
+_MATRIX = {"rows": "integer", "cols": "integer", "data": "list"}
+_TUPLE = {"tuple": "list"}
+_PAIR = {"W": "object", "V": "object", "k": "integer"}
+_ELEMENT = {"k": "integer", "q": "integer", "c": "list", "g": "object"}
+
+
+def _payload(args, payload, keys: dict):
+    """``payload`` once it is a JSON object holding each key of ``keys`` with
+    a value of the JSON type named there, else an error naming the command
+    and the key: the one reader of every input payload, so that no handler
+    indexes or iterates one unchecked."""
+    name = " ".join(filter(None, (args.command, args.subcommand)))
+    if payload is None:
+        raise NcprismError(f"{name} reads its input as JSON from stdin or --in, and got none")
+    if type(payload) is not dict:
+        raise ValueError(f"{name} input must be a JSON object, got {payload!r:.60}")
+    for key, kind in keys.items():
+        optional, key = key.endswith("?"), key.rstrip("?")
+        if key not in payload and not optional:
+            raise ValueError(f"{name} input has no key {key!r}, got {payload!r:.60}")
+        if key in payload and type(payload[key]) not in _KINDS[kind]:
+            raise ValueError(f"{name} input: {key!r} must be a JSON {kind}, got {payload[key]!r:.60}")
+    return payload
+
+
 def _render(args, input_text: str, records: list, artifact: dict, table: list[str] | None = None) -> None:
     """Write the artifact to ``--out``, print the report and artifact with
     ``--json``, and otherwise print ``table`` if the command has one, else
@@ -194,12 +221,8 @@ def _cmd_positivity(args, payload) -> tuple:
 
     sub = args.subcommand
     if sub == "cube":
-        alpha, beta = payload["alpha"], payload["beta"]
-        if type(beta) is not list:
-            raise ValueError(f"beta must be a JSON list of numbers, got {beta!r}")
-        alpha = serialize.real_from_json(alpha, "alpha")
-        beta = [serialize.real_from_json(b, "each beta entry") for b in beta]
-        positive, margin = opsys.scalar_positivity_cube(alpha, beta)
+        beta = [serialize.real_from_json(b, "each beta entry") for b in payload["beta"]]
+        positive, margin = opsys.scalar_positivity_cube(float(payload["alpha"]), beta)
         artifact = {"positive": positive, "margin": margin}
         return artifact, EXIT_OK if positive else EXIT_FALSE
     element = serialize.prism_element_from_json(payload)
@@ -241,7 +264,7 @@ def _cmd_geometry(args, payload) -> tuple:
 def _cmd_word(args, payload) -> tuple:
     from . import dilation, reps
 
-    pair = serialize.rep_pair_from_json(payload["pair"] if "pair" in payload else payload)
+    pair = serialize.rep_pair_from_json(_payload(args, payload.get("pair", payload), _PAIR))
     require(reps.pair_residuals(pair), RelationCheckFailedError, "input pair")
     word = dilation.GroupWord.from_string(args.letters, args.k)
     if "isometry" in payload:
@@ -268,7 +291,7 @@ def _cmd_quotient(args, payload) -> tuple:
         member = opsys.dual_member(z)
         return {"member": member}, EXIT_OK if member else EXIT_FALSE
     # "functional": the subparser admits no other choice.
-    pair = serialize.rep_pair_from_json(payload["pair"])
+    pair = serialize.rep_pair_from_json(_payload(args, payload["pair"], _PAIR))
     require(reps.pair_residuals(pair), RelationCheckFailedError, "input pair")
     density = serialize.matrix_from_json(payload["density"])
     z = opsys.functional_to_tuple(pair, density, args.k)
@@ -289,15 +312,17 @@ def _cmd_verify(args, payload) -> tuple:
 
 _INT = {"type": int, "required": True}
 _K = ("--k", _INT)
+_AB = {"a": "object", "b": "object"}
 
 # The command surface, declared once: each command's help, its handler and
-# its subcommands. Each subcommand says whether it reads JSON input (and so
-# takes --in) and lists its own flags as (flag, argparse kwargs) pairs; a
-# single-level command is its own one subcommand, None.
+# its subcommands. Each subcommand gives the keys of the JSON object it reads
+# for :func:`_payload` (and so takes --in), or False if it reads no input, and
+# lists its own flags as (flag, argparse kwargs) pairs; a single-level
+# command is its own one subcommand, None.
 _COMMANDS = {
     "dilate": ("construct dilations", _cmd_dilate, {
-        "halmos": (True, []), "mirman": (True, []),
-        "joint": (True, [("--k", {"type": int, "default": 3})]), "cube": (True, []),
+        "halmos": (_MATRIX, []), "mirman": (_MATRIX, []),
+        "joint": (_AB, [("--k", {"type": int, "default": 3})]), "cube": (_TUPLE, []),
     }),
     "rep": ("build representation pairs and tuples", _cmd_rep, {
         "square": (False, [("--lambda", {"dest": "lam", "type": float, "required": True})]),
@@ -308,20 +333,24 @@ _COMMANDS = {
         "steinberg": (False, [("--q", _INT)]), "assemble": (False, [("--n", _INT)]),
     }),
     "check": ("membership in max-type convex sets", _cmd_check, {
-        "cube": (True, [("--d", _INT)]), "prism": (True, [_K]),
+        "cube": (_TUPLE, [("--d", _INT)]), "prism": (_AB, [_K]),
     }),
-    "commutant": ("commutant dimension and basis", _cmd_commutant, {None: (True, [])}),
+    "commutant": ("commutant dimension and basis", _cmd_commutant, {None: (_TUPLE, [])}),
     "positivity": ("positivity tests", _cmd_positivity, {
-        "scalar": (True, [_K]), "matrix": (True, [_K]), "cube": (True, []),
+        "scalar": (_ELEMENT, [_K]), "matrix": (_ELEMENT, [_K]),
+        "cube": ({"alpha": "number", "beta": "list"}, []),
     }),
     "geometry": ("scaling-constant geometry table", _cmd_geometry, {
         None: (False, [_K, ("--d", {"type": int, "default": None})]),
     }),
     "word": ("evaluate a group word on a pair", _cmd_word, {
-        None: (True, [_K, ("--letters", {"required": True, "help": "word such as wvw*"})]),
+        None: ({"pair?": "object", "isometry?": "object"},
+               [_K, ("--letters", {"required": True, "help": "word such as wvw*"})]),
     }),
     "quotient": ("quotient map and dual system", _cmd_quotient, {
-        "psi": (True, [_K]), "dual-member": (True, [_K]), "functional": (True, [_K]),
+        "psi": ({"k": "integer", "q": "integer", "blocks": "list"}, [_K]),
+        "dual-member": ({"z": "list"}, [_K]),
+        "functional": ({"pair": "object", "density": "object"}, [_K]),
     }),
     "verify": ("run the invariant suite", _cmd_verify, {"all": (False, [])}),
 }
@@ -348,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
             # cannot block them, and their report digests the empty input.
             if reads_input:
                 sub.add_argument("--in", dest="infile", default=None, help="read input JSON from a file")
-            sub.set_defaults(reads_input=reads_input, subcommand=subcommand)
+            sub.set_defaults(reads_input=bool(reads_input), subcommand=subcommand)
     return parser
 
 
@@ -356,9 +385,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload, text = _read_input(args) if args.reads_input else (None, "")
-        if args.reads_input and payload is None:
-            name = " ".join(filter(None, (args.command, args.subcommand)))
-            raise NcprismError(f"{name} reads its input as JSON from stdin or --in, and got none")
+        if args.reads_input:
+            _payload(args, payload, _COMMANDS[args.command][2][args.subcommand][0])
         with measured() as records:
             artifact, exit_code, *table = _COMMANDS[args.command][1](args, payload)
         _render(args, text, records, artifact, *table)

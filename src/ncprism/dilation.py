@@ -22,6 +22,7 @@ functions check it too, for matrices a caller did not build.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -51,6 +52,7 @@ from .matkernel import (
     _spectral,
     _spectral_sqrt,
     _symmetry_residuals,
+    _unitary_residual,
     as_matrix,
     compress,
     constant,
@@ -58,7 +60,6 @@ from .matkernel import (
     hermitian_basis,
     hermitize,
     lmi_floor,
-    order_residuals,
     prefixed,
     require,
     roots_of_unity,
@@ -115,14 +116,19 @@ class DilationResult:
 class Povm:
     """Positive effects summing to the identity, tagged with target spectrum points.
 
-    The effects are one Hermitian (k, n, n) stack, and ``spectrum`` is its
-    ``eigh``, taken once here or by ``lmi_floor`` (:meth:`_built`): the
-    decision of :func:`order_k_povm`, ``effects_positive`` and the Naimark
-    roots all read it."""
+    The effects are one Hermitian (k, n, n) stack, factored once. A batched
+    Cholesky factorisation h_j = L_j L_j* decides it when it succeeds and
+    beta = sqrt(n) sum_j ||F_j* F_j - h_j||_F <= PSD_CLAMP, F_j = L_j*:
+    ``factors`` holds the F_j, the Naimark blocks, and ``negativity``, the
+    ``effects_positive`` row, is beta. Any other stack, and a lift that
+    ``lmi_floor`` hands over with its ``eigh`` (:meth:`_built`), has no
+    ``factors`` and is read through ``spectrum``, its ``eigh``, taken when
+    first read (by the k = 3 facet slacks, the band rule's clamp,
+    ``negativity`` or the Naimark roots)."""
 
     effects: np.ndarray
     outcome_labels: list[complex]
-    spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    factors: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         (self.effects,) = _operands(
@@ -131,34 +137,54 @@ class Povm:
         )
         if len(self.effects) != len(self.outcome_labels):
             raise InvalidPovmError("each effect needs exactly one outcome label")
-        self.spectrum = np.linalg.eigh(hermitize(self.effects))
+        try:
+            factors = dagger(np.linalg.cholesky(self.effects))
+        except np.linalg.LinAlgError:
+            return
+        gaps = np.linalg.norm(dagger(factors) @ factors - self.effects, axis=(1, 2))
+        beta = math.sqrt(self.effects.shape[1]) * float(gaps.sum())
+        if beta <= PSD_CLAMP:
+            self.factors, self.negativity = factors, beta
+
+    @functools.cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.linalg.eigh(hermitize(self.effects))
+
+    @functools.cached_property
+    def negativity(self) -> float:
+        return float(np.clip(-self.spectrum[0].min(axis=-1), 0.0, None).sum())
 
     @classmethod
     def _built(cls, effects: np.ndarray, labels: list[complex], spectrum) -> Povm:
         """The POVM of an exactly Hermitian complex stack and its ``eigh``, taken as given."""
         povm = object.__new__(cls)
-        povm.effects, povm.outcome_labels, povm.spectrum = effects, labels, spectrum
+        povm.effects, povm.outcome_labels, povm.factors, povm.spectrum = effects, labels, None, spectrum
         return povm
 
 
 def povm_residuals(effects, labels, a) -> list[Residual]:
     """Effects decompose ``a``: sum(label_j h_j) = a, sum(h_j) = 1, and the
-    summed negative parts of the effects stay within PSD_CLAMP.
+    negative parts of the effects' least eigenvalues, summed, stay within
+    PSD_CLAMP.
 
     ``effects`` is a list of n x n effects or their (k, n, n) stack."""
     effects = np.asarray(effects)
-    return _povm_residuals(effects, labels, a, np.linalg.eigvalsh(hermitize(effects)))
+    lowest = np.linalg.eigvalsh(hermitize(effects)).min(axis=-1)
+    return _povm_residuals(effects, labels, a, float(np.clip(-lowest, 0.0, None).sum()))
 
 
-def _povm_residuals(effects, labels, a, spectra) -> list[Residual]:
-    """:func:`povm_residuals` of an effect stack whose (k, n) eigenvalues,
-    those of its Hermitian parts, are ``spectra``."""
+def _povm_residuals(effects, labels, a, negativity: float) -> list[Residual]:
+    """:func:`povm_residuals` of an effect stack whose ``effects_positive``
+    row is ``negativity``, as its :class:`Povm` measured it: from the least
+    eigenvalues as above, or as beta = sqrt(n) sum_j ||E_j||_F of the
+    Cholesky gaps E_j = F_j* F_j - h_j. Weyl's inequality bounds the summed
+    negative eigenvalues of h_j = F_j* F_j - E_j by the trace norm ||E_j||_*
+    <= sqrt(n) ||E_j||_F, so beta bounds the first form."""
     moment_gap = np.tensordot(np.asarray(labels), effects, axes=1) - a
-    lowest = spectra.min(axis=-1)
     return [
         ("first_moment", _frobenius(moment_gap), SPEC_TOL),
         ("sum_to_identity", _frobenius(effects.sum(axis=0) - np.eye(len(a))), SPEC_TOL),
-        ("effects_positive", float(np.clip(-lowest, 0.0, None).sum()), PSD_CLAMP),
+        ("effects_positive", negativity, PSD_CLAMP),
     ]
 
 
@@ -226,17 +252,11 @@ def halmos_symmetry(b) -> np.ndarray:
 def _halmos_symmetry(b: np.ndarray, prefix: str) -> np.ndarray:
     """:func:`halmos_symmetry` of a Hermitian operand ``b``, recording its
     rows with ``prefix`` before each name."""
-    s = _symmetry_block(b, _hermitian_defect(b, "b"))
-    require(prefixed(prefix, _symmetry_residuals(s)), NotSymmetryError, "halmos_symmetry")
-    return s
-
-
-def _symmetry_block(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The block matrix [[P, Q], [Q, -P]] of two m x m blocks."""
-    m = len(p)
+    m, defect = len(b), _hermitian_defect(b, "b")
     s = np.empty((2 * m, 2 * m), dtype=complex)
-    s[:m, :m], s[:m, m:], s[m:, :m] = p, q, q
-    np.negative(p, out=s[m:, m:])
+    s[:m, :m], s[:m, m:], s[m:, :m] = b, defect, defect
+    np.negative(b, out=s[m:, m:])
+    require(prefixed(prefix, _symmetry_residuals(s)), NotSymmetryError, "halmos_symmetry")
     return s
 
 
@@ -317,7 +337,8 @@ def _settle(floor: FloorResult, band: float, labels: list[complex]) -> Povm:
     if w.min() <= 0.5:
         raise InfeasibleError("effect sum is too singular to renormalize")
     t = (u * (w**-0.5)) @ dagger(u)
-    return Povm(hermitize(t @ effects @ t), labels)
+    effects = hermitize(t @ effects @ t)
+    return Povm._built(effects, labels, np.linalg.eigh(effects))
 
 
 def _fourier_base(a: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -331,7 +352,7 @@ def _fourier_base(a: np.ndarray, labels: np.ndarray) -> np.ndarray:
 def naimark_normal(povm: Povm) -> DilationResult:
     """Dilate a POVM to a normal operator with spectrum at the outcome labels.
 
-    The isometry stacks the square roots of the effects (see
+    The isometry stacks the POVM's Naimark blocks F_j, F_j* F_j = h_j (see
     :func:`_naimark`); the normal operator is the direct sum of label_j times
     the identity. Compression returns sum(label_j h_j); effects that do not
     sum to the identity fail the isometry residual.
@@ -341,15 +362,22 @@ def naimark_normal(povm: Povm) -> DilationResult:
 
 
 def _naimark(povm: Povm, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """The Naimark isometry Z, the square roots of the effects stacked, and the
-    diagonal of N = (+)_j label_j 1, once Z*Z = 1 and Z*NZ = sum(label_j h_j)
-    hold (else ``InvalidPovmError`` naming ``what``). The roots come from the
-    POVM's own ``eigh``; N is applied through the labels it is written from."""
+    """The Naimark isometry Z, the Naimark blocks of :func:`_naimark_blocks`
+    stacked, and the diagonal of N = (+)_j label_j 1, once Z*Z = 1 and
+    Z*NZ = sum(label_j h_j) hold (else ``InvalidPovmError`` naming
+    ``what``). N is applied through the labels it is written from."""
     k, n = povm.effects.shape[:2]
-    z = _spectral_sqrt(*povm.spectrum).reshape(k * n, n)
+    z = _naimark_blocks(povm).reshape(k * n, n)
     labels = np.repeat(np.asarray(povm.outcome_labels, dtype=complex), n)
     require(_naimark_residuals(povm, z, labels[:, None] * z), InvalidPovmError, what)
     return z, labels
+
+
+def _naimark_blocks(povm: Povm) -> np.ndarray:
+    """Blocks F_j with F_j* F_j = h_j: the POVM's Cholesky ``factors``, else
+    the roots h_j^(1/2) from its ``spectrum``. The dilations of the two differ
+    by the unitaries (+)_j F_j h_j^(-1/2), which commute with N."""
+    return _spectral_sqrt(*povm.spectrum) if povm.factors is None else povm.factors
 
 
 def naimark_residuals(povm: Povm, result: DilationResult) -> list[Residual]:
@@ -378,9 +406,10 @@ def order_k_povm(a, k: int) -> Povm:
 
     The effects start from the Fourier-minimal base
     (1 + omega^-j a + omega^j a*)/k, whose ``Povm`` is returned, with no
-    facet screen and no solve, when its ``eigh`` shows every effect positive.
-    Otherwise their best smallest eigenvalue is bracketed in [t_lo, t_hi] and
-    judged against the band (-band, 0), band = SPEC_TOL / 4k:
+    eigenvalues, no facet screen and no solve, when its Cholesky
+    factorisation decides it (see :class:`Povm`). Otherwise their best
+    smallest eigenvalue is bracketed in [t_lo, t_hi] and judged against the
+    band (-band, 0), band = SPEC_TOL / 4k:
 
     - t_lo > 0: those effects, unclamped;
     - t_lo >= -band: the effects clamped to >= 0 and renormalised, which
@@ -402,9 +431,10 @@ def order_k_povm(a, k: int) -> Povm:
     m = 2 .. k-2 (the (k-3) n^2 real unknowns that keep sum(h_j) = 1 and
     sum(omega^j h_j) = a), and ``matkernel.lmi_floor``, over the system kept
     for (k, n) (:func:`_mode_system`), gives the bracket and its lift's
-    ``eigh``. Returned effects are factored once, for ``effects_positive``
-    and the Naimark roots, and always pass ``povm_residuals``, checked here
-    as ``order_k_povm(k=.., level=..)`` (else ``InvalidPovmError``).
+    ``eigh``; the base itself takes no ``eigh``. Returned effects are factored
+    once, by Cholesky or ``eigh``, for ``effects_positive`` and the Naimark
+    blocks, and always pass ``povm_residuals``, checked here as
+    ``order_k_povm(k=.., level=..)`` (else ``InvalidPovmError``).
     """
     (a,) = _operands("order_k_povm requires a square matrix", a)
     return _order_k_povm(a, k)
@@ -417,10 +447,10 @@ def _order_k_povm(a: np.ndarray, k: int) -> Povm:
         raise ValueError(f"k must be >= 3, got {k}")
     labels = roots_of_unity(k)
     povm = Povm(_fourier_base(a, labels), labels.tolist())
-    spectra = povm.spectrum[0]
-    if not spectra.min() > 0.0:
+    if povm.factors is None:
         band = SPEC_TOL / (4 * k)
         if k == 3:
+            spectra = povm.spectrum[0]
             # Facet i is opposite the vertex omega^(i - 1): slacks in facet order.
             slacks = 1.5 * spectra.min(axis=-1)[[2, 0, 1]]
             margin = float(slacks.min())
@@ -447,7 +477,7 @@ def _order_k_povm(a: np.ndarray, k: int) -> Povm:
                 )
             floor = lmi_floor(povm.effects, _mode_system(k, len(a)), (-band, 0.0))
         povm = _settle(floor, band, povm.outcome_labels)
-    residuals = _povm_residuals(povm.effects, labels, a, povm.spectrum[0])
+    residuals = _povm_residuals(povm.effects, labels, a, povm.negativity)
     require(residuals, InvalidPovmError, f"order_k_povm(k={k}, level={len(a)})")
     return povm
 
@@ -477,12 +507,13 @@ def joint_prism_dilation(a, b, k: int) -> tuple[RepPair, np.ndarray]:
     decomposition, carries ``b`` to the enlarged space as z b z*, dilates
     that to a Halmos symmetry, and extends y by the identity on the second
     summand. The returned isometry G satisfies G* W G = a and G* V G = b.
-    Each input is factored once: the effect stack by the POVM's own ``eigh``,
-    which decided the decomposition and also gives the Naimark roots, and b by
-    one ``eigh`` that checks ||b|| <= 1 and gives the symmetry's defect at
-    the level of ``b`` (see ``_carried_blocks``), so its identities are
-    checked here. ``a`` and ``b`` pass the operand rule once, together; the
-    decomposition, W, V and V's symmetry rows take them as passed.
+    Each input is factored once: the effect stack by the one factorisation
+    of its POVM, Cholesky or ``eigh``, which decided the decomposition and
+    also gives the Naimark blocks, and b by one ``eigh`` that checks
+    ||b|| <= 1 and gives the symmetry's defect at the level of ``b`` (see
+    ``_carried_symmetry``), so its identities are checked here. ``a`` and
+    ``b`` pass the operand rule once, together; the decomposition, W, V and
+    V's symmetry rows take them as passed.
     """
     a, b = _operands("a and b must be square of equal size", a, b)
     _require_hermitian([b], "joint_prism_dilation input b")
@@ -500,33 +531,35 @@ def _dilate_povm(
     G* V G = b. Every row checked is labelled with the pair's provenance,
     ``name(k=.., level=..)``.
 
-    W = N (+) 1 is written as its diagonal, the labels then ones; G = [Z; 0]."""
+    W = N (+) 1 is written as its diagonal d, the labels then ones, whose
+    unitary and order rows are taken on d; G = [Z; 0]."""
     k, n = len(povm.effects), b.shape[0]
     kn = k * n
     provenance = f"{name}(k={k}, level={n})"
     z, labels = _naimark(povm, provenance)
+    diagonal = np.concatenate([labels, np.ones(kn)])
     w_big = np.zeros((2 * kn, 2 * kn), dtype=complex)
-    w_big.ravel()[:: 2 * kn + 1] = np.concatenate([labels, np.ones(kn)])
-
-    b_tilde, d = _carried_blocks(z, b, defect)
-    v_big = _symmetry_block(b_tilde, d)
+    w_big.ravel()[:: 2 * kn + 1] = diagonal
+    v_big = _carried_symmetry(z, b, defect)
     g = np.vstack([z, np.zeros((kn, n), dtype=complex)])
     pair = RepPair._built(w_big, v_big, k, provenance)
+    unitary = _unitary_residual(w_big, diagonal)
     # The Naimark residuals certified G*G = Z*Z = 1 and G*WG = Z*NZ, which
     # the POVM ties to its first moment. Left: V a symmetry, W's order, and
     # G*VG = b, which is Z* V_11 Z as G's lower half is exactly zero.
     residuals = [
         *prefixed("v_", _symmetry_residuals(v_big)),
-        *prefixed("w_", order_residuals(w_big, k)),
+        *prefixed("w_", [unitary, (f"order_{k}", _frobenius(diagonal**k - 1.0), SPEC_TOL * k)]),
         ("v_compression", _frobenius(dagger(z) @ v_big[:kn, :kn] @ z - b), SPEC_TOL),
     ]
     require(residuals, RelationCheckFailedError, provenance)
     return pair, g
 
 
-def _carried_blocks(z, b, defect) -> np.ndarray:
-    """The blocks of the Halmos symmetry [[b~, D], [D, -b~]] of b~ = Z b Z*,
-    stacked: b~ and its defect D = sqrt(1 - b~^2), taken at the level of b.
+def _carried_symmetry(z, b, defect) -> np.ndarray:
+    """The Halmos symmetry [[b~, D], [D, -b~]] of b~ = Z b Z*, with its defect
+    D = sqrt(1 - b~^2) taken at the level of b, each block written once into
+    one array.
 
     Z*Z = 1 splits 1 - (Z b Z*)^2 = (1 - Z Z*) + Z (1 - b^2) Z* into PSD terms
     with orthogonal ranges, so D = (1 - Z Z*) + Z sqrt(1 - b^2) Z*, that is
@@ -535,10 +568,18 @@ def _carried_blocks(z, b, defect) -> np.ndarray:
     Z b Z* and Z (defect - 1) Z* are the Hermitian and skew parts (C + C*)/2
     and (C - C*)/2i of one product chain C = Z (b + i(defect - 1)) Z*, each
     exactly Hermitian. The caller checks the symmetry."""
+    m = z.shape[0]
     c = z @ (b + 1j * (defect - np.eye(len(b)))) @ dagger(z)
-    carried = np.stack([c + dagger(c), 1j * (dagger(c) - c)]) / 2.0
-    carried[1].ravel()[:: z.shape[0] + 1] += 1.0
-    return carried
+    adjoint = dagger(c)
+    v = np.empty((2 * m, 2 * m), dtype=complex)
+    np.add(c, adjoint, out=v[:m, :m])
+    np.multiply(np.subtract(adjoint, c, out=v[:m, m:]), 1j, out=v[:m, m:])
+    v[:m] /= 2.0
+    # D's diagonal, the entries (i, m + i) of V, gets the 1 of 1 + Z (defect - 1) Z*.
+    v.ravel()[m : 2 * m * m : 2 * m + 1] += 1.0
+    v[m:, :m] = v[:m, m:]
+    np.negative(v[:m, :m], out=v[m:, m:])
+    return v
 
 
 def joint_residuals(a, b, pair: RepPair, g) -> list[Residual]:

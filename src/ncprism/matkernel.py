@@ -468,12 +468,10 @@ def lmi_floor(base, system: FloorSystem, band: tuple[float, float]) -> FloorResu
     only with no negative eigenvalue and with sum tr x = 1 and <D_i, x> = 0
     to rounding.
 
-    y = 0 is tried first, by one ``eigvalsh`` that also seeds the dual start:
-    the one repeat for ``dilation.order_k_povm``, which has factored the base,
-    kept since a start from that ``eigh`` would move Newton paths in the last
-    bits. A base above the band is its own lift. No caller reaches that return
-    on a tested input: ``order_k_povm`` returns a positive base unsolved, and
-    ``opsys`` certifies by its scalar bracket a base whose floor reaches
+    y = 0 is tried first, by one ``eigvalsh`` that also seeds the dual start.
+    A base above the band is its own lift: ``order_k_povm`` sends one there
+    only when Cholesky refuses a positive definite base, and ``opsys``
+    certifies by its scalar bracket every base whose floor reaches
     ``STRICT_MARGIN``, as t_scalar = (a + b)/2 is at least that floor.
     Otherwise an infeasible-start primal-dual interior-point method
     (Mehrotra's predictor-corrector on the HKM direction: Vandenberghe and
@@ -977,7 +975,7 @@ def _halmos_half(s: np.ndarray) -> int | None:
     whose lower blocks are exactly Q and -P (the form of a Halmos symmetry),
     else None. Exact subtraction gives 0 only for equal finite entries."""
     m, odd = divmod(s.shape[0], 2)
-    if odd or np.count_nonzero(s[m:, :m] - s[:m, m:]) or np.count_nonzero(s[m:, m:] + s[:m, :m]):
+    if odd or (s[m:, :m] - s[:m, m:]).any() or (s[m:, m:] + s[:m, :m]).any():
         return None
     return m
 
@@ -1000,13 +998,17 @@ def symmetry_residuals(s) -> list[Residual]:
 
 def _symmetry_residuals(s: np.ndarray) -> list[Residual]:
     """:func:`symmetry_residuals` of an operand already passed through
-    :func:`_operands`, such as a symmetry a constructor has just written."""
+    :func:`_operands`, such as a symmetry a constructor has just written.
+    One scratch array holds the rows taken of S - S*, then T and T's conjugate."""
     m = _halmos_half(s)
     rows, scale = (len(s), 1.0) if m is None else (m, math.sqrt(2.0))
-    selfadjoint = scale * _frobenius(s[:rows] - dagger(s[:, :rows]))
+    scratch = np.empty((rows, len(s)), dtype=complex)
+    np.conjugate(s[:, :rows].T, out=scratch)
+    selfadjoint = scale * _frobenius(np.subtract(s[:rows], scratch, out=scratch))
     if m is not None and selfadjoint == 0.0:
-        t = s[:m, :m] + 1j * s[:m, m:]
-        gap = dagger(t) @ t
+        t, conj = scratch.reshape(2, m, m)
+        np.add(s[:m, :m], np.multiply(s[:m, m:], 1j, out=t), out=t)
+        gap = np.conjugate(t, out=conj).T @ t
     else:
         gap = s[:rows] @ s
     gap.ravel()[:: gap.shape[1] + 1] -= 1.0

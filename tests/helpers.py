@@ -8,7 +8,7 @@ import numpy as np
 
 from ncprism.errors import NoIrreduciblePolynomialError
 from ncprism.finitefield import FiniteFieldSpec
-from ncprism.matkernel import SPEC_TOL, dagger, hermitize
+from ncprism.matkernel import SPEC_TOL, dagger, hermitize, roots_of_unity
 
 # How many moduli of each genuine prime power the factory benchmark takes,
 # the first ones of irreducible_specs.
@@ -22,20 +22,6 @@ def within_bounds(residuals):
 
 def worst(residuals):
     return max(value for _, value, _ in residuals)
-
-
-def record_eigh(monkeypatch):
-    """Replace ``np.linalg.eigh``, the function every ncprism module calls, by
-    one that records a copy of each argument; returns the list of copies."""
-    calls = []
-    real = np.linalg.eigh
-
-    def recording(a, *args, **kwargs):
-        calls.append(np.array(a))
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", recording)
-    return calls
 
 
 def record_direction_products(monkeypatch):
@@ -56,11 +42,12 @@ def record_direction_products(monkeypatch):
 
 
 def record_factorisations(monkeypatch):
-    """Replace ``np.linalg.eigh`` and ``np.linalg.eigvalsh``, as every
-    ncprism module calls them, by functions that record each call as
-    (name, shape, a copy of the argument); returns the list of records."""
+    """Replace ``np.linalg.eigh``, ``np.linalg.eigvalsh`` and
+    ``np.linalg.cholesky``, as every ncprism module calls them, by functions
+    that record each call as (name, shape, a copy of the argument); returns
+    the list of records."""
     calls = []
-    for name in ("eigh", "eigvalsh"):
+    for name in ("eigh", "eigvalsh", "cholesky"):
         real = getattr(np.linalg, name)
 
         def recording(a, *args, name=name, real=real, **kwargs):
@@ -69,6 +56,27 @@ def record_factorisations(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, recording)
     return calls
+
+
+def square_root_dilation(effects, b):
+    """The joint dilation (W, V, G) of an effect stack over the k-th roots of
+    unity and a Hermitian contraction b by the square-root recipe, in the
+    arithmetic of the library's ``eigh`` path: the Naimark blocks are the
+    roots h_j^(1/2) from one ``eigh`` of the stack, and V is the Halmos
+    symmetry of Z b Z*, its defect 1 + Z (sqrt(1 - b^2) - 1) Z* taken from
+    one ``eigh`` of b and the Hermitian and skew parts of one product chain."""
+    k, n, _ = effects.shape
+    w, u = np.linalg.eigh(hermitize(effects))
+    z = hermitize((u * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ dagger(u)).reshape(k * n, n)
+    w, u = np.linalg.eigh(hermitize(b))
+    w = w / max(1.0, float(np.abs(w).max()))
+    defect = hermitize((u * np.sqrt((1.0 - w) * (1.0 + w))[None, :]) @ dagger(u))
+    c = z @ (b + 1j * (defect - np.eye(n))) @ dagger(z)
+    carried = np.stack([c + dagger(c), 1j * (dagger(c) - c)]) / 2.0
+    carried[1].ravel()[:: k * n + 1] += 1.0
+    v = np.block([[carried[0], carried[1]], [carried[1], -carried[0]]])
+    labels = np.repeat(roots_of_unity(k), n)
+    return np.diag(np.concatenate([labels, np.ones(k * n)])), v, np.vstack([z, np.zeros((k * n, n))])
 
 
 def reference_dft(k):

@@ -128,21 +128,22 @@ def _joint():
 
 
 # Every block the constructors call, each corrupted by 1e-6: the joint
-# dilation's effects, Naimark roots, defect of b, carried blocks and symmetry,
-# and the effects of a decomposition over C_4.
+# dilation's effects, Naimark blocks, defect of b, and V, whose carried
+# blocks and symmetry one helper writes, and the effects of a decomposition
+# over C_4.
 @pytest.mark.parametrize(
     "block, build, error",
     [
         ("_hermitian_defect", lambda: dilation.halmos_symmetry(HALF), NotSymmetryError),
         ("_unitary_defects", lambda: dilation.halmos_unitary(HALF), NotIsometryError),
         ("_hermitian_defect", lambda: dilation.cube_dilation([HALF, HALF]), NotSymmetryError),
-        ("_spectral_sqrt", lambda: dilation.naimark_normal(POVM), InvalidPovmError),
+        ("_naimark_blocks", lambda: dilation.naimark_normal(POVM), InvalidPovmError),
         ("_fourier_base", _joint, InvalidPovmError),
         ("_fourier_base", lambda: dilation.order_k_povm(A, 4), InvalidPovmError),
-        ("_spectral_sqrt", _joint, InvalidPovmError),
+        ("_naimark_blocks", _joint, InvalidPovmError),
         ("_hermitian_defect", _joint, RelationCheckFailedError),
-        ("_carried_blocks", _joint, RelationCheckFailedError),
-        ("_symmetry_block", _joint, RelationCheckFailedError),
+        ("_carried_symmetry", _joint, RelationCheckFailedError),
+        ("_carried_symmetry", _joint, RelationCheckFailedError),
     ],
     ids=[
         "halmos_symmetry-defect", "halmos_unitary-defects", "cube-defect", "naimark-roots",
@@ -160,7 +161,7 @@ def test_constructor_refuses_corrupted_block(monkeypatch, block, build, error):
 def test_joint_dilation_refuses_a_corrupted_defect_block(monkeypatch):
     # G = [Z; 0] sees only V's top-left block, so G*VG = b cannot catch a
     # corrupted lower-right block; V's own symmetry residual must.
-    original = dilation._symmetry_block
+    original = dilation._carried_symmetry
 
     def corrupted(*args):
         v = original(*args)
@@ -168,8 +169,34 @@ def test_joint_dilation_refuses_a_corrupted_defect_block(monkeypatch):
         v[half:, half:] += 1e-6 * np.eye(half)
         return v
 
-    monkeypatch.setattr(dilation, "_symmetry_block", corrupted)
+    monkeypatch.setattr(dilation, "_carried_symmetry", corrupted)
     with pytest.raises(RelationCheckFailedError, match="v_squares_to_identity"):
+        dilation.joint_prism_dilation(A, B, 3)
+
+
+@pytest.mark.parametrize(
+    "rows, cols, row",
+    [
+        (slice(None, 3), slice(None, 3), "v_squares_to_identity"),
+        (slice(None, 3), slice(3, None), "v_selfadjoint"),
+        (slice(3, None), slice(None, 3), "v_selfadjoint"),
+        (slice(3, None), slice(3, None), "v_squares_to_identity"),
+    ],
+    ids=["top-left", "top-right", "bottom-left", "bottom-right"],
+)
+def test_joint_dilation_refuses_each_corrupted_block_of_v(monkeypatch, rows, cols, row):
+    # V is written once, block by block: a 1e-6 change to any of its four
+    # 3 x 3 blocks after they are written breaks its Halmos form and is
+    # caught by its symmetry rows, which run first.
+    original = dilation._carried_symmetry
+
+    def corrupted(*args):
+        v = original(*args)
+        v[rows, cols] += 1e-6 * np.eye(3)
+        return v
+
+    monkeypatch.setattr(dilation, "_carried_symmetry", corrupted)
+    with pytest.raises(RelationCheckFailedError, match=row):
         dilation.joint_prism_dilation(A, B, 3)
 
 

@@ -507,11 +507,11 @@ class TestMalformedMatrices:
             (["dilate", "halmos"], {"rows": 1, "cols": 1, "data": [[True, False]]}, "[True, False]"),
             (["dilate", "halmos"], {"rows": 1, "cols": 1, "data": [["1e3", "2"]]}, "['1e3', '2']"),
             (["quotient", "dual-member", "--k", "3"], {"z": ["12"] + [[0.0, 0.0]] * 4}, "'12'"),
-            (["positivity", "cube"], {"alpha": "3", "beta": ["1", True]}, "alpha must be a JSON number, got '3'"),
+            (["positivity", "cube"], {"alpha": "3", "beta": ["1", True]}, "input: 'alpha' must be a JSON number, got '3'"),
             (["positivity", "cube"], {"alpha": 3, "beta": ["1", True]}, "got '1'"),
             (["positivity", "cube"], {"alpha": 3, "beta": [1.0, True]}, "got True"),
             (["positivity", "cube"], {"alpha": False, "beta": [0.5]}, "got False"),
-            (["positivity", "cube"], {"alpha": 3, "beta": "12"}, "beta must be a JSON list of numbers, got '12'"),
+            (["positivity", "cube"], {"alpha": 3, "beta": "12"}, "input: 'beta' must be a JSON list, got '12'"),
         ],
         ids=[
             "string-entry", "bool-entry", "string-parts", "dual-member-string", "cube-string-alpha",
@@ -633,6 +633,51 @@ class TestOutsideInput:
         assert code == 2
         assert out == ""
         assert err.startswith("error: commutant solve") and message in err
+
+
+ONE = scalar(0.1)
+PAIR = serialize.rep_pair_to_json(reps.s3_pair())
+
+# Each reading row of the command table -> a payload with a required key
+# left out, that key, a payload with a value of the wrong JSON type, and the
+# refusal that names it.
+PAYLOAD_ERRORS = {
+    "dilate halmos": ({"rows": 1, "cols": 1}, "data", {"rows": 1, "cols": 1, "data": 5}, "'data' must be a JSON list"),
+    "dilate mirman": ({"rows": 1, "data": []}, "cols", {"rows": "1", "cols": 1, "data": []}, "'rows' must be a JSON integer"),
+    "dilate joint": ({"a": ONE}, "b", {"a": [1], "b": ONE}, "'a' must be a JSON object"),
+    "dilate cube": ({}, "tuple", {"tuple": ONE}, "'tuple' must be a JSON list"),
+    "check cube": ({"tuples": []}, "tuple", {"tuple": 5}, "'tuple' must be a JSON list"),
+    "check prism": ({"b": ONE}, "a", {"a": ONE, "b": None}, "'b' must be a JSON object"),
+    "commutant": ({}, "tuple", {"tuple": "x"}, "'tuple' must be a JSON list"),
+    "positivity scalar": ({"k": 3, "c": [], "g": ONE}, "q", {"k": 3, "q": 1, "c": [], "g": []}, "'g' must be a JSON object"),
+    "positivity matrix": ({"k": 3, "q": 1, "c": []}, "g", {"k": 3, "q": 1, "c": 5, "g": ONE}, "'c' must be a JSON list"),
+    "positivity cube": ({"beta": []}, "alpha", {"alpha": 1, "beta": 0.5}, "'beta' must be a JSON list"),
+    "word": ({"pair": {"W": ONE, "V": ONE}}, "k", {"pair": PAIR, "isometry": [1]}, "'isometry' must be a JSON object"),
+    "quotient psi": ({"k": 3, "q": 1}, "blocks", {"k": True, "q": 1, "blocks": []}, "'k' must be a JSON integer"),
+    "quotient dual-member": ({"k": 3}, "z", {"z": {"re": 1}}, "'z' must be a JSON list"),
+    "quotient functional": ({"pair": PAIR}, "density", {"pair": {**PAIR, "W": 1}, "density": ONE}, "'W' must be a JSON object"),
+}
+
+
+class TestPayloadReader:
+    """Every reading row refuses, with exit 2 and a message naming the
+    command and the key, a payload that is not a JSON object, one without a
+    key it reads, and one whose key holds the wrong JSON type."""
+
+    def test_every_reading_row_has_a_case(self):
+        assert sorted(PAYLOAD_ERRORS) == sorted(row.values[0] for row in _reading_rows())
+
+    @pytest.mark.parametrize("name, args", _reading_rows())
+    def test_malformed_payload_is_refused_by_command_and_key(self, capsys, monkeypatch, name, args):
+        missing, key, typed, refusal = PAYLOAD_ERRORS[name]
+        for payload, message in (
+            ([1], f"{name} input must be a JSON object, got [1]"),
+            ("x", f"{name} input must be a JSON object, got 'x'"),
+            (missing, f"{name} input has no key {key!r}, got "),
+            (typed, f"{name} input: {refusal}, got "),
+        ):
+            code, out, err = run_cli(capsys, monkeypatch, args, stdin_obj=payload)
+            assert (code, out) == (2, "") and err.startswith(f"error: {message}"), err
 
 
 # Every option of every (command, subcommand): dest, type, default, choices,

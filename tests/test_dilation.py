@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import record_direction_products, record_eigh, record_factorisations, reference_dft, within_bounds
+from helpers import (
+    record_direction_products,
+    record_factorisations,
+    reference_dft,
+    square_root_dilation,
+    within_bounds,
+)
 
 from ncprism import convexity, dilation, matkernel, reps
 from ncprism.convexity import (
@@ -733,8 +739,8 @@ class TestMirmanInvariant:
 
 class TestOneFactorisation:
     """Each dilation factors each input once and checks its identities
-    with no SVD: the k = 3 joint dilation takes one ``eigh`` of the effect
-    stack and one of b."""
+    with no SVD: the k = 3 joint dilation takes one Cholesky factorisation
+    of the effect stack and one ``eigh`` of b."""
 
     @staticmethod
     def count(monkeypatch, *names):
@@ -776,35 +782,36 @@ class TestOneFactorisation:
         build(*args)
         assert calls["svd"] == 0
 
-    def test_joint_k3_takes_two_eigh(self, monkeypatch):
+    def test_joint_k3_takes_one_cholesky_and_one_eigh(self, monkeypatch):
         a, b = self.joint_input()
-        calls = self.count(monkeypatch, "eigh", "eigvalsh", "svd")
+        calls = self.count(monkeypatch, "cholesky", "eigh", "eigvalsh", "svd")
         joint_prism_dilation(a, b, 3)
-        assert calls == {"eigh": 2, "eigvalsh": 0, "svd": 0}
+        assert calls == {"cholesky": 1, "eigh": 1, "eigvalsh": 0, "svd": 0}
 
-    # Each effect stack is factored by one ``eigh``, the POVM's own: the
-    # membership test, the band rule, ``effects_positive`` and the Naimark
-    # roots all read it. A call counts when its argument is the stack of the
-    # effects returned (the solver's own stacks at k >= 4 are not).
+    # Each effect stack is factored once, by its POVM: a positive base by
+    # Cholesky, whose factors are the Naimark blocks, and a lift by the
+    # ``eigh`` that lmi_floor returns with it, which the Naimark roots read.
+    # A call counts when its argument is the stack of the effects returned
+    # (the solver's own stacks at k >= 4 are not).
     @staticmethod
     def factorisations(calls, effects):
         effects = np.asarray(effects)
-        return sum(c.shape == effects.shape and np.array_equal(hermitize(c), effects) for c in calls)
+        return [name for name, shape, c in calls if shape == effects.shape and np.array_equal(hermitize(c), effects)]
 
     def test_naimark_of_the_triangle_povm_factors_the_effects_once(self, monkeypatch):
         a, _ = random_prism_point(np.random.default_rng(8), 4, 3, scale=0.8)
-        calls = record_eigh(monkeypatch)
+        calls = record_factorisations(monkeypatch)
         povm = triangle_povm(a)
         naimark_normal(povm)
-        assert self.factorisations(calls, povm.effects) == 1
+        assert self.factorisations(calls, povm.effects) == ["cholesky"]
 
-    @pytest.mark.parametrize("k", [3, 5])
-    def test_joint_dilation_factors_the_effects_once(self, monkeypatch, k):
+    @pytest.mark.parametrize("k, factorisation", [(3, "cholesky"), (5, "eigh")], ids=["3", "5"])
+    def test_joint_dilation_factors_the_effects_once(self, monkeypatch, k, factorisation):
         a, b = random_prism_point(np.random.default_rng(k), 4, k, scale=0.8)
         effects = order_k_povm(a, k).effects
-        calls = record_eigh(monkeypatch)
+        calls = record_factorisations(monkeypatch)
         joint_prism_dilation(a, b, k)
-        assert self.factorisations(calls, effects) == 1
+        assert self.factorisations(calls, effects) == [factorisation]
 
     @pytest.mark.parametrize("k, passes", [(3, 2), (4, 4), (5, 4), (8, 4)])
     def test_each_array_passes_the_operand_rule_once(self, monkeypatch, k, passes):
@@ -960,9 +967,10 @@ class TestOneLift:
 
 class TestOneFactorisationPerDecidedStack:
     """Every effect stack that ``order_k_povm`` decides is factored once: a
-    positive Fourier base by its POVM's ``eigh`` alone, an accepted lift by
-    the ``eigh`` that ``lmi_floor`` returns with it, and a k = 3 base that
-    the band rule clamps by the ``eigh`` its bracket was read from."""
+    positive Fourier base by its POVM's Cholesky factorisation alone, an
+    accepted lift by the ``eigh`` that ``lmi_floor`` returns with it, and a
+    k = 3 base that the band rule clamps, once Cholesky has refused it, by
+    the ``eigh`` its bracket was read from."""
 
     @staticmethod
     def factored(calls, stack):
@@ -971,7 +979,8 @@ class TestOneFactorisationPerDecidedStack:
 
     def test_a_positive_base_is_its_povm(self, monkeypatch):
         # n = 16 and ||a|| = 0.2: the (6, 16, 16) base is positive, so one
-        # eigh of it decides, with no facet screen and no solve.
+        # Cholesky factorisation of it decides, with no eigenvalues, no facet
+        # screen and no solve.
         rng = np.random.default_rng(641)
         a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
         a *= 0.2 / opnorm(a)
@@ -984,7 +993,7 @@ class TestOneFactorisationPerDecidedStack:
         calls = record_factorisations(monkeypatch)
         povm = order_k_povm(a, 6)
         stacks = [(name, shape) for name, shape, _ in calls if shape == (6, 16, 16)]
-        assert stacks == [("eigh", (6, 16, 16))]
+        assert stacks == [("cholesky", (6, 16, 16))]
         assert self.factored(calls, povm.effects) == 1
 
     def test_an_accepted_lift_keeps_the_solvers_spectrum(self, monkeypatch):
@@ -1002,19 +1011,20 @@ class TestOneFactorisationPerDecidedStack:
         assert self.factored(calls, result.lift) == 1
 
     def test_a_triangle_base_is_factored_once(self, monkeypatch):
-        # k = 3: a positive base costs one eigh in all; a base inside the
-        # band (diag(0.1, p), p just past the edge [1, omega]) is factored
-        # once, and so are its clamped, renormalised effects, beside the
-        # eigh of their sum.
+        # k = 3: a positive base costs one Cholesky factorisation in all. A
+        # base inside the band (diag(0.1, p), p just past the edge [1, omega])
+        # is refused by Cholesky and factored by one eigh, and its clamped,
+        # renormalised effects by one more, beside the eigh of their sum.
         p = (1.0 + roots_of_unity(3)[1]) / 2.0 * (1.0 + 1e-11)
         positive = random_prism_point(np.random.default_rng(8), 4, 3, scale=0.8)[0]
         calls = record_factorisations(monkeypatch)
-        for a, count in ((positive, 1), (np.diag([0.1, p]), 3)):
+        cases = [(positive, ["cholesky"], 1), (np.diag([0.1, p]), ["cholesky", "eigh", "eigh", "eigh"], 2)]
+        for a, names, base_calls in cases:
             del calls[:]
             povm = order_k_povm(a, 3)
             base = dilation._fourier_base(a, roots_of_unity(3))
-            assert self.factored(calls, base) == 1 and self.factored(calls, povm.effects) == 1
-            assert len(calls) == count
+            assert [name for name, *_ in calls] == names
+            assert self.factored(calls, base) == base_calls and self.factored(calls, povm.effects) == 1
 
     def test_a_large_order_base_takes_little_memory(self):
         # A 1 x 1 point well inside Conv(C_2048): its positive base decides
@@ -1026,6 +1036,120 @@ class TestOneFactorisationPerDecidedStack:
         finally:
             tracemalloc.stop()
         assert povm.effects.shape == (2048, 1, 1) and peak < 2e6
+
+
+class TestCholeskyNaimarkBlocks:
+    """A positive effect stack is decided and dilated by one batched Cholesky
+    factorisation h_j = F_j* F_j: the F_j are its Naimark blocks, and the
+    dilation is the square-root recipe's (``helpers.square_root_dilation``)
+    conjugated by (+)_j U_j, U_j = F_j h_j^(-1/2). Any other stack keeps the
+    ``eigh`` path, whose dilation is that recipe's byte for byte."""
+
+    @staticmethod
+    def positive_input(n, k, seed=0):
+        # ||a|| <= 0.45 keeps every Fourier effect (1 + 2 Re omega^-j a)/k >= 0.1/k.
+        return random_prism_point(np.random.default_rng([seed, n, k]), n, k, scale=0.45)
+
+    def test_a_positive_base_takes_one_cholesky_and_no_eigenvalues(self, monkeypatch):
+        a, b = self.positive_input(32, 3)
+        calls = record_factorisations(monkeypatch)
+        joint_prism_dilation(a, b, 3)
+        assert [(name, shape) for name, shape, _ in calls if shape == (3, 32, 32)] == [("cholesky", (3, 32, 32))]
+
+    def test_a_k4_base_that_is_not_positive_takes_no_eigh_before_the_solve(self, monkeypatch):
+        a = TestModeSystemCache.draw(4)
+        base = dilation._fourier_base(a, roots_of_unity(4))
+        calls, solve = record_factorisations(monkeypatch), dilation.lmi_floor
+        before = []
+        monkeypatch.setattr(dilation, "lmi_floor", lambda *args: before.extend(calls) or solve(*args))
+        order_k_povm(a, 4)
+        assert np.linalg.eigvalsh(base).min() < 0.0 and before
+        assert [name for name, shape, c in before if shape == base.shape and np.array_equal(c, base)] == ["cholesky"]
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 32])
+    @pytest.mark.parametrize("k", [3, 4, 6])
+    def test_the_dilation_is_the_square_root_recipe_up_to_the_cholesky_unitaries(self, k, n):
+        a, b = self.positive_input(n, k)
+        povm = order_k_povm(a, k)
+        pair, g = joint_prism_dilation(a, b, k)
+        assert povm.factors is not None
+        w, v, g_root = square_root_dilation(povm.effects, b)
+        lam, q = np.linalg.eigh(povm.effects)
+        inverse_roots = (q / np.sqrt(lam)[:, None, :]) @ dagger(q)
+        u = np.kron(np.eye(2), matkernel.direct_sum(*(povm.factors @ inverse_roots)))
+        assert pair.w.tobytes() == w.tobytes()
+        assert opnorm(dagger(u) @ u - np.eye(len(u))) <= 1e-12
+        assert opnorm(u @ v @ dagger(u) - pair.v) <= 1e-12 and opnorm(u @ g_root - g) <= 1e-12
+
+    @staticmethod
+    def rejected_positive_base():
+        """The first seeded level-8 point, just inside the edge [1, omega],
+        whose Fourier base ``eigh`` finds positive definite, so that it is
+        returned unclamped, and Cholesky refuses."""
+        roots = roots_of_unity(3)
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            u = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))[0]
+            inside = 0.3 * rng.uniform(-1, 1, 7) + 0.3j * rng.uniform(-1, 1, 7)
+            a = u @ np.diag([(roots[0] + roots[1]) / 2 * (1 - 3e-16), *inside]) @ dagger(u)
+            base = dilation._fourier_base(a, roots)
+            try:
+                np.linalg.cholesky(base)
+            except np.linalg.LinAlgError:
+                if np.linalg.eigh(base)[0].min() > 0.0:
+                    return a, base
+        raise AssertionError("no seed gave a positive definite base that Cholesky refuses")
+
+    def test_a_stack_cholesky_refuses_takes_the_eigh_path(self):
+        # A positive definite base that Cholesky refuses is returned as it
+        # stands, and a base inside the band is clamped; each POVM has no
+        # factors, and its dilation is the square-root recipe's byte for byte.
+        a, base = self.rejected_positive_base()
+        p = (1.0 + roots_of_unity(3)[1]) / 2.0 * (1.0 + 1e-11)
+        b = 0.6 * np.diag(np.linspace(-1.0, 1.0, 8))
+        for a, b, stack in ((a, b, base), (np.diag([0.1, p]), b[:2, :2], None)):
+            povm = order_k_povm(a, 3)
+            assert povm.factors is None
+            if stack is not None:
+                assert povm.effects.tobytes() == stack.tobytes()
+            pair, g = joint_prism_dilation(a, b, 3)
+            for built, recipe in zip((pair.w, pair.v, g), square_root_dilation(povm.effects, b)):
+                assert built.tobytes() == recipe.tobytes()
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_large_positive_bases_take_the_cholesky_path(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        with measured() as records:
+            povm = order_k_povm(0.45 * x / opnorm(x), 3)
+        (positive,) = [value for name, value, _, _ in records if name == "effects_positive"]
+        assert povm.factors is not None and positive == povm.negativity <= PSD_CLAMP
+
+    def test_the_n32_joint_dilation_peaks_below_five_blocks_beside_its_output(self):
+        a, b = self.positive_input(32, 3)
+        joint_prism_dilation(a, b, 3)
+        tracemalloc.start()
+        try:
+            pair, g = joint_prism_dilation(a, b, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = 96 * 96 * 16
+        assert peak <= pair.w.nbytes + pair.v.nbytes + g.nbytes + 5 * block
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_w_rows_are_taken_on_the_diagonal_it_was_written_from(self, monkeypatch, k):
+        # The constructor makes no diagonal scan of W, and its rows are those
+        # of the public order_residuals, which scans once, bit for bit.
+        a, b = random_prism_point(np.random.default_rng(k), 4, k, scale=0.8)
+        scans, scan = [], matkernel._exact_diagonal
+        monkeypatch.setattr(matkernel, "_exact_diagonal", lambda u: scans.append(u.shape) or scan(u))
+        with measured() as records:
+            pair, _ = joint_prism_dilation(a, b, k)
+        assert scans == []
+        rows = [(name, value, bound) for name, value, bound, _ in records if name.startswith("w_")]
+        assert rows == matkernel.prefixed("w_", matkernel.order_residuals(pair.w, k))
+        assert scans == [pair.w.shape]
 
 
 class TestSeededDecompositions:

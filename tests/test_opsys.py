@@ -14,7 +14,7 @@ from helpers import (
     random_psd_trace_one,
     random_unitary,
     record_direction_products,
-    record_eigh,
+    record_factorisations,
     reference_dft,
     within_bounds,
 )
@@ -839,11 +839,12 @@ class TestDualWitness:
     def test_the_witness_effects_are_factored_once(self, monkeypatch):
         # The k = 3 effects are the only (3, r, r) stacks factored: the
         # solver's stacks have k + 2 slices, and R is a single q x q matrix.
+        # Positive definite, they are factored by Cholesky alone.
         e = gap_probe_element(3, 2, 9, -1e-3)
-        calls = record_eigh(monkeypatch)
+        calls = record_factorisations(monkeypatch)
         verdict = matrix_positivity_prism(e)
         assert verdict.witness.provenance == "dual_witness(k=3, level=2)"
-        assert sum(c.ndim == 3 and len(c) == 3 for c in calls) == 1
+        assert [name for name, shape, _ in calls if len(shape) == 3 and shape[0] == 3] == ["cholesky"]
 
 
 def vertex_element(k, q, j, sign, seed):
