@@ -490,11 +490,10 @@ def _mode_system(k: int, n: int) -> FloorSystem:
     ``hermitian_basis(n)``, as real vectors over j Re omega^(j m) up to k/2
     and Im omega^(j m) beyond (they pair with modes k - m).
 
-    An entry keeps the (k-3) n^2 x k x n x n direction stack and, once a
-    solve has built them, its constraints: about four copies of the stack,
-    0.07 MB at (4, 4), 0.3 MB at (6, 4), 5 MB at (6, 8) and 80 MB at
-    (6, 16), where one call peaks near 142 MB. Four entries hold k = 4 .. 7
-    at one level n <= 8 in 17 MB."""
+    An entry keeps the (k-3) n^2 x k x n x n direction stack and its
+    constraints, about four copies of the stack: 0.07 MB at (4, 4), 0.3 MB
+    at (6, 4), 5 MB at (6, 8) and 80 MB at (6, 16), where one call peaks
+    near 142 MB. Four entries hold k = 4 .. 7 at one level n <= 8 in 17 MB."""
     roots, j = roots_of_unity(k), np.arange(k)
     modes = [roots[j * m % k].real if 2 * m <= k else roots[j * m % k].imag for m in range(2, k - 1)]
     return FloorSystem(np.einsum("mj,eab->mejab", modes, hermitian_basis(n)).reshape(-1, k, n, n))

@@ -18,9 +18,8 @@ which is how ``verify`` and the CLI report what the constructors measured.
 Matrices are plain ``numpy.ndarray`` objects with ``complex128`` entries.
 All operations are pure functions; the only state is the collector that
 :func:`measured` opens for the block it encloses, and read-only shape
-constants built once: :func:`commutant_dimension`'s weights per input count,
-kept by :func:`constant`, the one process cache of the package, and the
-constraints of each :class:`FloorSystem`.
+constants built once, such as :func:`commutant_dimension`'s weights per
+input count, kept by :func:`constant`, the one process cache of the package.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -60,7 +58,6 @@ __all__ = [
     "fourier_coefficients",
     "hermitian_basis",
     "FloorResult",
-    "FloorConstraints",
     "FloorSystem",
     "lmi_floor",
     "commutant_dimension",
@@ -369,60 +366,42 @@ class FloorResult:
     t_lo = property(lambda self: float(self.spectrum[0].min()))
 
 
-class FloorConstraints(NamedTuple):
-    """The constraint matrices A_i of :func:`lmi_floor`: -D_i for each y_i,
-    then the identity for t, so that S = base - sum_i z_i A_i with z = (y, t)
-    and the primal constraints read <A_i, X> = b_i. ``flat`` holds them one
-    per row and ``pair`` conjugated, so that Re pair @ vec(X) is <A_i, X>;
-    block b of ``cols`` is the row of blocks [A_1b | ... | A_Pb]. ``gram``
-    is their real Gram matrix and ``slack_cut`` the rounding allowance of a
-    primal point's constraints (:func:`_meets`)."""
-
-    flat: np.ndarray
-    pair: np.ndarray
-    cols: np.ndarray
-    b: np.ndarray
-    gram: np.ndarray
-    slack_cut: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class FloorSystem:
-    """A (p, m, n, n) stack of Hermitian directions for :func:`lmi_floor`,
-    kept as a read-only view, and the constraints built from it.
+    """A (p, m, n, n) stack of Hermitian directions D_i for :func:`lmi_floor`
+    and the constraints formed from it when the system is made, every array
+    kept read-only.
 
-    The constraints depend on the directions alone: a caller that solves
-    many problems over one stack keeps its system and passes it to every
-    :func:`lmi_floor` call. They are built on first use,
-    by the first solve that gets past y = 0, and kept, read-only.
+    The constraint matrices A_i are -D_i for each y_i, then the identity for
+    t, so that S = base - sum_i z_i A_i with z = (y, t) and the primal
+    constraints read <A_i, X> = b_i. ``flat`` holds them one per row and
+    ``pair`` conjugated, so that Re pair @ vec(X) is <A_i, X>; block b of
+    ``cols`` is the row of blocks [A_1b | ... | A_Pb]. ``gram`` is their real
+    Gram matrix and ``slack_cut`` the rounding allowance of a primal point's
+    constraints (:func:`_meets`).
+
+    The system depends on the directions alone: a caller that solves many
+    problems over one stack keeps its system and passes it to every
+    :func:`lmi_floor` call. The directions and the identity must be linearly
+    independent to rounding: the smallest eigenvalue of ``gram`` must be
+    above sqrt(eps) times its largest, or ``ValueError`` is raised. The
+    callers' directions (Fourier modes or a kernel vector tensored with
+    :func:`hermitian_basis`) always are.
     """
 
-    directions: np.ndarray
-
-    def __post_init__(self):
-        directions = np.asarray(self.directions, dtype=complex).view()
+    def __init__(self, directions):
+        directions = np.asarray(directions, dtype=complex).view()
         if directions.ndim != 4:
             raise ShapeMismatchError(f"directions must be a (p, m, n, n) stack, got shape {directions.shape}")
-        directions.flags.writeable = False
-        object.__setattr__(self, "directions", directions)
-
-    @functools.cached_property
-    def constraints(self) -> FloorConstraints:
-        """The :class:`FloorConstraints` of the directions. The directions
-        and the identity must be linearly independent to rounding: the real
-        Gram matrix of -D_1, ..., -D_p, 1 must have its smallest eigenvalue
-        above sqrt(eps) times its largest, or ``ValueError`` is raised. The
-        callers' directions (Fourier modes or a kernel vector tensored with
-        :func:`hermitian_basis`) always are."""
-        _, m, n, _ = self.directions.shape
-        a = np.concatenate([-self.directions, np.broadcast_to(np.eye(n), (1, m, n, n))])
-        flat = a.reshape(len(a), -1)
-        pair = flat.conj()
-        b = np.zeros(len(a))
-        b[-1] = 1.0
-        cols = a.transpose(1, 2, 0, 3).reshape(m, n, -1)
-        gram = (pair @ flat.T).real
-        lam = np.linalg.eigvalsh(gram)
+        _, m, n, _ = directions.shape
+        a = np.concatenate([-directions, np.broadcast_to(np.eye(n), (1, m, n, n))])
+        self.directions = directions
+        self.flat = a.reshape(len(a), -1)
+        self.pair = self.flat.conj()
+        self.cols = a.transpose(1, 2, 0, 3).reshape(m, n, -1)
+        self.b = np.zeros(len(a))
+        self.b[-1] = 1.0
+        self.gram = (self.pair @ self.flat.T).real
+        lam = np.linalg.eigvalsh(self.gram)
         if not lam.min() > math.sqrt(np.finfo(float).eps) * lam.max():
             raise ValueError(
                 "the directions and the identity must be linearly independent to rounding: "
@@ -432,11 +411,9 @@ class FloorSystem:
         # A projected point bounds the floors only if tr X = 1 and <D_i, X> = 0
         # hold to the rounding of the products, which an ill-conditioned
         # projection need not achieve.
-        slack_cut = pair.shape[1] * np.finfo(float).eps * np.linalg.norm(pair, axis=1)
-        constraints = FloorConstraints(flat, pair, cols, b, gram, slack_cut)
-        for array in constraints:
+        self.slack_cut = self.pair.shape[1] * np.finfo(float).eps * np.linalg.norm(self.pair, axis=1)
+        for array in vars(self).values():
             array.flags.writeable = False
-        return constraints
 
 
 def lmi_floor(base, system: FloorSystem, band: tuple[float, float]) -> FloorResult:
@@ -445,11 +422,7 @@ def lmi_floor(base, system: FloorSystem, band: tuple[float, float]) -> FloorResu
 
     ``base`` is an (m, n, n) stack of Hermitian blocks and ``system`` the
     :class:`FloorSystem` of the directions, a (p, m, n, n) stack of p such
-    stacks; the order holds block by block. The constraints are taken from
-    the system only once y = 0 has failed to clear the band, so directions
-    that are not linearly independent with the identity to rounding
-    (:attr:`FloorSystem.constraints`) raise ``ValueError`` unless y = 0
-    already clears it.
+    stacks; the order holds block by block.
 
     The solver stops at the first bracket [t_lo, t_hi] that places the best
     floor against the band: t_lo >= high, with the first point y found whose
@@ -507,8 +480,7 @@ def lmi_floor(base, system: FloorSystem, band: tuple[float, float]) -> FloorResu
     y, t_lo = np.zeros(len(directions)), _floor(base)
     if t_lo >= high:
         return FloorResult(y, base, np.linalg.eigh(base), math.inf, None, 0)
-    constraints = system.constraints
-    flat, pair, _, b, gram, slack_cut = constraints
+    flat, pair, b = system.flat, system.pair, system.b
     x = np.broadcast_to(np.eye(n), base.shape) / (m * n)
     gap = float(np.vdot(base, x).real) - t_lo
     z = np.append(y, t_lo - (min(1.0, gap) if gap > 0.0 else 1.0))
@@ -522,11 +494,11 @@ def lmi_floor(base, system: FloorSystem, band: tuple[float, float]) -> FloorResu
                     y, t_lo = z[:-1].copy(), float(z[-1] + w.min())
                     if t_lo >= high:
                         break
-                shift = np.linalg.solve(gram, b - (pair @ x.ravel()).real)
+                shift = np.linalg.solve(system.gram, b - (pair @ x.ravel()).real)
                 projected = hermitize(x + (shift @ flat).reshape(x.shape))
                 if np.linalg.eigvalsh(projected).min() >= 0.0:
                     bound = float(np.vdot(base, projected).real)
-                    if bound < t_hi and _meets(projected, pair, b, slack_cut):
+                    if bound < t_hi and _meets(projected, pair, b, system.slack_cut):
                         t_hi, x_hi = bound, projected
                 decided = t_hi < low or (t_lo >= low and t_hi < high)
                 if decided or t_hi - t_lo <= _LMI_GAP or steps == _LMI_STEPS:
@@ -544,7 +516,7 @@ def lmi_floor(base, system: FloorSystem, band: tuple[float, float]) -> FloorResu
                     continue
                 halvings = 0
                 s_inv = (u / w[..., None, :]) @ dagger(u)
-                dz, dx, (step_x, step_z) = _newton_step(x, s, s_inv, factors, constraints)
+                dz, dx, (step_x, step_z) = _newton_step(x, s, s_inv, factors, system)
                 x_good, z_good = x, z
                 x, z = x + step_x * dx, z + step_z * dz
                 steps += 1
@@ -565,7 +537,7 @@ def _floor(stack: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(hermitize(stack)).min())
 
 
-def _newton_step(x, s, s_inv, factors, constraints: FloorConstraints) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _newton_step(x, s, s_inv, factors, system: FloorSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mehrotra's predictor-corrector on the HKM direction at (x, s): the
     steps dz and dX (dS = -sum_i dz_i A_i), and the lengths to take them by,
     for x and for z. ``factors`` holds L^-1 for the Cholesky factors L of X
@@ -582,9 +554,9 @@ def _newton_step(x, s, s_inv, factors, constraints: FloorConstraints) -> tuple[n
     step each take both step lengths from one batched ``eigvalsh``
     (:func:`_step_lengths`).
     """
-    flat, pair, cols, b, _, _ = constraints
+    flat, pair, b = system.flat, system.pair, system.b
     size = x.shape[0] * x.shape[1]
-    schur = _schur(x, s_inv, cols, pair)
+    schur = _schur(x, s_inv, system.cols, pair)
 
     def solve(rhs, w):
         dz = np.linalg.solve(schur, rhs)
@@ -930,11 +902,9 @@ def compress(a, z) -> np.ndarray:
         raise ShapeMismatchError(
             f"cannot compress {a.shape} through isometry of shape {z.shape}"
         )
-    gram = dagger(z) @ z
-    if opnorm(gram - np.eye(z.shape[1])) > ALG_TOL:
-        raise NotIsometryError(
-            f"Z*Z deviates from identity by {opnorm(gram - np.eye(z.shape[1])):.3e}"
-        )
+    deviation = opnorm(dagger(z) @ z - np.eye(z.shape[1]))
+    if deviation > ALG_TOL:
+        raise NotIsometryError(f"Z*Z deviates from identity by {deviation:.3e}")
     return dagger(z) @ a @ z
 
 

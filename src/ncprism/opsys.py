@@ -526,9 +526,9 @@ def matrix_positivity_prism(e: PrismElement):
 def _lift_system(k: int, q: int) -> FloorSystem:
     """The ``lmi_floor`` system of the level-q lifts through the quotient
     map, built once per (k, q) and read-only: its directions are the kernel
-    vector tensored with ``hermitian_basis(q)``. With the constraints a
-    solve builds, an entry keeps about four copies of the q^2 x (k + 2) x
-    q x q direction stack: 6 kB at (3, 2), 0.2 MB at (8, 4) and 2.7 MB at
+    vector tensored with ``hermitian_basis(q)``. An entry keeps the
+    q^2 x (k + 2) x q x q direction stack and its constraints, about four
+    copies of the stack: 6 kB at (3, 2), 0.2 MB at (8, 4) and 2.7 MB at
     (8, 8). At k <= 8 and q <= 4 the eight entries keep at most 1.4 MB."""
     return FloorSystem(_kernel(k)[:, None, None] * hermitian_basis(q)[:, None])
 

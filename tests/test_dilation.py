@@ -846,7 +846,7 @@ class TestModeSystemCache:
     @staticmethod
     def draw(k):
         # A scale-0.9 point at level 4, as in the benchmark's dilate pool: its
-        # decomposition takes Newton steps, so it reads the system's constraints.
+        # decomposition takes Newton steps over the cached system.
         return random_prism_point(np.random.default_rng([20260117, k, 9]), 4, k, scale=0.9)[0]
 
     @staticmethod
@@ -858,9 +858,11 @@ class TestModeSystemCache:
 
     def test_cached_arrays_are_read_only(self):
         system = dilation._mode_system(4, 4)
+        built = dict(vars(system))
         self.outcome(self.draw(4), 4)
         assert dilation._mode_system(4, 4) is system
-        for array in (system.directions, *system.constraints):
+        assert vars(system) == built
+        for array in built.values():
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 0.0
         for k in (3, 4, 6):

@@ -725,9 +725,17 @@ class TestBlocks:
         inclusion = np.vstack([np.eye(3), np.zeros((2, 3))])
         assert np.array_equal(compress(big, inclusion), a)
 
-    def test_compress_rejects_non_isometry(self):
-        with pytest.raises(NotIsometryError):
+    def test_compress_rejects_non_isometry(self, monkeypatch):
+        # Z*Z = 2 deviates from the identity by 1; the refusal reports the
+        # deviation that decided it, taken by one spectral norm.
+        import ncprism.matkernel as matkernel
+
+        norms = []
+        monkeypatch.setattr(matkernel, "opnorm", lambda a: norms.append(1) or opnorm(a))
+        with pytest.raises(NotIsometryError) as info:
             compress(np.eye(2), np.array([[1.0], [1.0]]))
+        assert str(info.value) == "Z*Z deviates from identity by 1.000e+00"
+        assert norms == [1]
 
 
 class TestStacks:
@@ -893,16 +901,16 @@ class TestLmiFloor:
 
     def test_a_clearing_base_is_its_own_lift(self, monkeypatch):
         # When y = 0 clears the band, the lift is hermitize(base) byte for
-        # byte and no product with the directions is formed; dependent
-        # directions (seed % 9 == 0) raise nothing, as their constraints are
-        # never built.
+        # byte and no product with the directions is formed.
         problems = [(self.BASE + 1.0, self.DIRECTIONS, 0.5)]
         for seed in range(60):
-            base, directions = self.random_problem(seed)
-            problems.append((base, directions, float(np.linalg.eigvalsh(base).min()) - 0.5))
+            if seed % 9:
+                base, directions = self.random_problem(seed)
+                problems.append((base, directions, float(np.linalg.eigvalsh(base).min()) - 0.5))
+        systems = [FloorSystem(directions) for _, directions, _ in problems]
         products = record_direction_products(monkeypatch)
-        for base, directions, t in problems:
-            result = lmi_floor(base, FloorSystem(directions), (t, t))
+        for (base, _, t), system in zip(problems, systems):
+            result = lmi_floor(base, system, (t, t))
             expected = hermitize(np.asarray(base, dtype=complex))
             assert result.steps == 0 and not result.y.any() and result.t_lo >= t
             assert result.lift.dtype == expected.dtype and result.lift.tobytes() == expected.tobytes()
@@ -911,36 +919,35 @@ class TestLmiFloor:
     def test_a_reused_system_solves_as_fresh_ones(self):
         # On every problem and lift of the pinned test above, one system
         # serves the four bands and gives a fresh system's result bit for
-        # bit; a dependent problem raises the same ValueError from a fresh
-        # solve as when the reused system's constraints are built.
+        # bit; a dependent problem is refused when its system is made.
         for seed in range(60):
             base, directions = self.random_problem(seed)
+            if seed % 9 == 0:
+                with pytest.raises(ValueError, match="linearly independent to rounding"):
+                    FloorSystem(directions)
+                continue
             system = FloorSystem(directions)
             for lift in (0.05, 0.5, 1.0, 2.0):
                 t = float(np.linalg.eigvalsh(base).min() + lift)
-                if seed % 9 == 0:
-                    with pytest.raises(ValueError, match="linearly independent to rounding") as fresh:
-                        lmi_floor(base, FloorSystem(directions), (t, t))
-                    with pytest.raises(ValueError, match="linearly independent to rounding") as built:
-                        system.constraints
-                    assert str(built.value) == str(fresh.value)
-                    continue
                 ours, theirs = lmi_floor(base, system, (t, t)), lmi_floor(base, FloorSystem(directions), (t, t))
                 assert (ours.t_lo, ours.t_hi, ours.steps) == (theirs.t_lo, theirs.t_hi, theirs.steps)
                 assert ours.y.tobytes() == theirs.y.tobytes()
                 assert (ours.x is None) == (theirs.x is None)
                 assert ours.x is None or ours.x.tobytes() == theirs.x.tobytes()
+                assert ours.lift.tobytes() == theirs.lift.tobytes()
 
-    def test_a_system_is_read_only_and_built_past_y_zero(self):
+    def test_a_system_is_read_only_and_built_when_made(self):
         system = FloorSystem(self.DIRECTIONS)
-        # A base that clears the band builds no constraints.
-        lmi_floor(self.BASE + 1.0, system, (0.5, 0.5))
-        assert "constraints" not in vars(system)
-        lmi_floor(self.BASE, system, (0.5, 0.5))
-        assert system.constraints is vars(system)["constraints"]
-        for array in (system.directions, *system.constraints):
+        built = dict(vars(system))
+        assert set(built) == {"directions", "flat", "pair", "cols", "b", "gram", "slack_cut"}
+        for array in built.values():
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 0.0
+        # Neither a clearing base nor a solve that takes steps adds to it or
+        # replaces an array (dict equality compares the arrays by identity).
+        for base in (self.BASE + 1.0, self.BASE):
+            lmi_floor(base, system, (0.5, 0.5))
+            assert vars(system) == built
         with pytest.raises(ShapeMismatchError, match="blocks"):
             lmi_floor(np.zeros((3, 1, 1)), system, (0.5, 0.5))
         with pytest.raises(ShapeMismatchError, match=r"\(p, m, n, n\)"):
@@ -1007,33 +1014,44 @@ class TestLmiFloor:
                 lmi_floor(self.BASE, FloorSystem(twice), (threshold, threshold))
             assert not isinstance(info.value, np.linalg.LinAlgError)
 
-    def test_dependent_directions_still_decide(self):
-        # A base that already clears the band is decided before the screen:
-        # no step, y = 0 in the caller's coordinates, and the base's floor.
-        twice = np.concatenate([self.DIRECTIONS, self.DIRECTIONS])
-        result = lmi_floor(self.BASE + 1.0, FloorSystem(twice), (0.5, 0.5))
-        assert result.steps == 0 and result.t_lo == 1.0
-        assert result.t_hi == math.inf and result.x is None
-        assert np.array_equal(result.y, [0.0, 0.0])
+    def test_a_system_holds_its_constraints(self):
+        # The constraint matrices are A_i = -D_i and then the identity:
+        # ``flat`` holds them one per row, ``pair`` conjugated, block b of
+        # ``cols`` is [A_1b | ... | A_Pb], b = (0, ..., 0, 1), ``gram`` is
+        # Re <A_i, A_j> and ``slack_cut`` the rounding allowance per row.
+        for seed in (1, 13, 50):
+            _, directions = self.random_problem(seed)
+            system = FloorSystem(directions)
+            p, m, n, _ = directions.shape
+            a = np.concatenate([-directions, [np.broadcast_to(np.eye(n), (m, n, n))]])
+            assert np.array_equal(system.directions, directions)
+            assert np.array_equal(system.flat, a.reshape(p + 1, -1))
+            assert np.array_equal(system.pair, a.reshape(p + 1, -1).conj())
+            for block in range(m):
+                assert np.array_equal(system.cols[block], np.hstack(list(a[:, block])))
+            assert np.array_equal(system.b, np.eye(p + 1)[-1])
+            gram = np.einsum("iabc,jabc->ij", a.conj(), a).real
+            assert np.abs(system.gram - gram).max() <= 1e-12 * np.abs(gram).max()
+            cut = m * n * n * np.finfo(float).eps * np.linalg.norm(a.reshape(p + 1, -1), axis=1)
+            assert np.allclose(system.slack_cut, cut, rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize(
-        "base, directions",
+        "directions",
         [
-            (BASE, np.concatenate([DIRECTIONS, DIRECTIONS])),
-            (BASE, np.concatenate([DIRECTIONS, [[[[1.0]], [[1.0]]]]])),
-            *(near_parallel(delta) for delta in (1e-6, 1e-7, 3e-8)),
+            np.concatenate([DIRECTIONS, DIRECTIONS]),
+            np.concatenate([DIRECTIONS, [[[[1.0]], [[1.0]]]]]),
+            *(near_parallel(delta)[1] for delta in (1e-6, 1e-7, 3e-8)),
         ],
         ids=["repeated", "identity-in-the-span", "delta-1e-06", "delta-1e-07", "delta-3e-08"],
     )
-    def test_dependent_directions_are_refused(self, base, directions):
+    def test_dependent_directions_are_refused(self, directions):
         # A repeated direction, directions whose span holds the identity, and
         # nearly parallel ones whose constraint Gram matrix is singular to
-        # within sqrt(eps) are outside the solver's contract. A base that
-        # already clears the band still costs one eigvalsh and no refusal.
+        # within sqrt(eps) are outside the solver's contract: the system is
+        # refused when it is made, before any base is seen, so a base that
+        # would clear the band at y = 0 gets no answer from them either.
         with pytest.raises(ValueError, match="linearly independent to rounding"):
-            lmi_floor(base, FloorSystem(directions), (0.4, 0.4))
-        low = float(np.linalg.eigvalsh(base).min())
-        assert lmi_floor(base, FloorSystem(directions), (low, low)).steps == 0
+            FloorSystem(directions)
 
     @pytest.mark.parametrize("delta", [1e-6, 1e-7, 3e-8, 1e-3])
     @pytest.mark.parametrize("threshold", [0.4, 0.6])

@@ -1215,11 +1215,12 @@ class TestCachedConstants:
         return json.dumps(verdict_to_json(matrix_positivity_prism(e)), sort_keys=True)
 
     def test_cached_lift_system_is_read_only(self):
-        e = self.solved()[0]
-        self.payload(e)
         system = opsys._lift_system(3, 2)
+        built = dict(vars(system))
+        self.payload(self.solved()[0])
         assert opsys._lift_system(3, 2) is system
-        for array in (system.directions, *system.constraints):
+        assert vars(system) == built
+        for array in built.values():
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 0.0
 
