@@ -1,12 +1,12 @@
 """Dilation constructions: Halmos blocks, barycentric POVMs, Naimark
 dilations, joint order-(k, 2) dilations, and cube dilations.
 
-The joint construction follows the classical route end to end: split the
+The joint construction pairs Naimark's and Halmos' dilations: split the
 operator with numerical range in the polygon into a positive decomposition
-summing to the identity, dilate that decomposition to a normal operator
-with spectrum at the polygon's vertices, carry the second operator to the
-enlarged space, and close with a 2x2 Halmos symmetry block. Compressing
-back through the composite isometry recovers the original pair exactly.
+summing to the identity, dilate it through the Naimark isometry Z to a
+normal operator with spectrum at the polygon's vertices, and place the
+Halmos symmetry of the second operator on the range of [Z Y] in the same
+space. Compressing through Z recovers the original pair exactly.
 
 Every positive decomposition, at every k, is made by :func:`order_k_povm`
 and starts from the Fourier-minimal effects (1 + omega^-j a + omega^j a*)/k,
@@ -16,8 +16,8 @@ searches the free modes 2 .. k-2 for positive effects, or proves none are.
 
 Each constructor checks the identities its own arithmetic can break. A block
 written from the data it would be compared with (a Halmos corner, the labels
-on N's diagonal, V's corner Z b Z*) is not checked; the public ``*_residuals``
-functions check it too, for matrices a caller did not build.
+on N's diagonal) is not checked; the public ``*_residuals`` functions check
+it too, for matrices a caller did not build.
 """
 
 from __future__ import annotations
@@ -252,11 +252,17 @@ def halmos_symmetry(b) -> np.ndarray:
 def _halmos_symmetry(b: np.ndarray, prefix: str) -> np.ndarray:
     """:func:`halmos_symmetry` of a Hermitian operand ``b``, recording its
     rows with ``prefix`` before each name."""
-    m, defect = len(b), _hermitian_defect(b, "b")
+    s = _symmetry_blocks(b, _hermitian_defect(b, "b"))
+    require(prefixed(prefix, _symmetry_residuals(s)), NotSymmetryError, "halmos_symmetry")
+    return s
+
+
+def _symmetry_blocks(b: np.ndarray, defect: np.ndarray) -> np.ndarray:
+    """[[b, D], [D, -b]] for D = ``defect``, each block written once into one array."""
+    m = len(b)
     s = np.empty((2 * m, 2 * m), dtype=complex)
     s[:m, :m], s[:m, m:], s[m:, :m] = b, defect, defect
     np.negative(b, out=s[m:, m:])
-    require(prefixed(prefix, _symmetry_residuals(s)), NotSymmetryError, "halmos_symmetry")
     return s
 
 
@@ -502,17 +508,18 @@ def _mode_system(k: int, n: int) -> FloorSystem:
 def joint_prism_dilation(a, b, k: int) -> tuple[RepPair, np.ndarray]:
     """Common dilation of (a, b) to unitaries of orders k and 2.
 
-    Builds the normal dilation (y, z) of ``a`` from its positive
-    decomposition, carries ``b`` to the enlarged space as z b z*, dilates
-    that to a Halmos symmetry, and extends y by the identity on the second
-    summand. The returned isometry G satisfies G* W G = a and G* V G = b.
+    Builds the normal dilation (W, Z) of ``a`` from its positive
+    decomposition, W = N = (+)_j omega^j 1 at the Naimark dimension kn, and
+    on the same space the symmetry V = 1 + M (H - 1) M* of
+    :func:`_joint_symmetry`, M = [Z Y], H the Halmos symmetry of ``b``. The
+    returned isometry G = Z satisfies G* W G = a and G* V G = b.
     Each input is factored once: the effect stack by the one factorisation
     of its POVM, Cholesky or ``eigh``, which decided the decomposition and
     also gives the Naimark blocks, and b by one ``eigh`` that checks
-    ||b|| <= 1 and gives the symmetry's defect at the level of ``b`` (see
-    ``_carried_symmetry``), so its identities are checked here. ``a`` and
-    ``b`` pass the operand rule once, together; the decomposition, W, V and
-    V's symmetry rows take them as passed.
+    ||b|| <= 1 and gives the symmetry's defect at the level of ``b``, so its
+    identities are checked here. ``a`` and ``b`` pass the operand rule once,
+    together; the decomposition, W, V and V's symmetry rows take them as
+    passed.
     """
     a, b = _operands("a and b must be square of equal size", a, b)
     _require_hermitian([b], "joint_prism_dilation input b")
@@ -527,57 +534,44 @@ def _dilate_povm(
     with labels at the k-th roots of unity, k its number of effects, and a
     Hermitian contraction b with its Halmos defect ``defect`` (of b rescaled
     into the unit ball): G* W^m G = sum_j omega^(j m) h_j for every m, and
-    G* V G = b. Every row checked is labelled with the pair's provenance,
-    ``name(k=.., level=..)``.
+    G* V G = b, at the Naimark dimension kn. Every row checked is labelled
+    with the pair's provenance, ``name(k=.., level=..)``.
 
-    W = N (+) 1 is written as its diagonal d, the labels then ones, whose
-    unitary and order rows are taken on d; G = [Z; 0]."""
+    W = N is written from the labels, whose unitary and order rows are taken
+    on them; G = Z; V is :func:`_joint_symmetry`."""
     k, n = len(povm.effects), b.shape[0]
-    kn = k * n
     provenance = f"{name}(k={k}, level={n})"
     z, labels = _naimark(povm, provenance)
-    diagonal = np.concatenate([labels, np.ones(kn)])
-    w_big = np.zeros((2 * kn, 2 * kn), dtype=complex)
-    w_big.ravel()[:: 2 * kn + 1] = diagonal
-    v_big = _carried_symmetry(z, b, defect)
-    g = np.vstack([z, np.zeros((kn, n), dtype=complex)])
-    pair = RepPair._built(w_big, v_big, k, provenance)
-    unitary = _unitary_residual(w_big, diagonal)
+    w, v = np.diag(labels), _joint_symmetry(z, b, defect)
+    pair = RepPair._built(w, v, k, provenance)
+    unitary = _unitary_residual(w, labels)
     # The Naimark residuals certified G*G = Z*Z = 1 and G*WG = Z*NZ, which
     # the POVM ties to its first moment. Left: V a symmetry, W's order, and
-    # G*VG = b, which is Z* V_11 Z as G's lower half is exactly zero.
+    # G*VG = b.
     residuals = [
-        *prefixed("v_", _symmetry_residuals(v_big)),
-        *prefixed("w_", [unitary, (f"order_{k}", _frobenius(diagonal**k - 1.0), SPEC_TOL * k)]),
-        ("v_compression", _frobenius(dagger(z) @ v_big[:kn, :kn] @ z - b), SPEC_TOL),
+        *prefixed("v_", _symmetry_residuals(v)),
+        *prefixed("w_", [unitary, (f"order_{k}", _frobenius(labels**k - 1.0), SPEC_TOL * k)]),
+        ("v_compression", _frobenius(dagger(z) @ v @ z - b), SPEC_TOL),
     ]
     require(residuals, RelationCheckFailedError, provenance)
-    return pair, g
+    return pair, z
 
 
-def _carried_symmetry(z, b, defect) -> np.ndarray:
-    """The Halmos symmetry [[b~, D], [D, -b~]] of b~ = Z b Z*, with its defect
-    D = sqrt(1 - b~^2) taken at the level of b, each block written once into
-    one array.
+def _joint_symmetry(z, b, defect) -> np.ndarray:
+    """V = 1 + M (H - 1) M* for the kn x n Naimark isometry Z, M = [Z Y] and
+    H = [[b, D], [D, -b]], D = ``defect`` (as in :func:`halmos_symmetry`).
 
-    Z*Z = 1 splits 1 - (Z b Z*)^2 = (1 - Z Z*) + Z (1 - b^2) Z* into PSD terms
-    with orthogonal ranges, so D = (1 - Z Z*) + Z sqrt(1 - b^2) Z*, that is
-    1 + Z (sqrt(1 - b^2) - 1) Z*. ``defect`` is sqrt(1 - b^2) for b rescaled
-    into the unit ball, as in :func:`halmos_symmetry`. Both are Hermitian, so
-    Z b Z* and Z (defect - 1) Z* are the Hermitian and skew parts (C + C*)/2
-    and (C - C*)/2i of one product chain C = Z (b + i(defect - 1)) Z*, each
-    exactly Hermitian. The caller checks the symmetry."""
-    m = z.shape[0]
-    c = z @ (b + 1j * (defect - np.eye(len(b)))) @ dagger(z)
-    adjoint = dagger(c)
-    v = np.empty((2 * m, 2 * m), dtype=complex)
-    np.add(c, adjoint, out=v[:m, :m])
-    np.multiply(np.subtract(adjoint, c, out=v[:m, m:]), 1j, out=v[:m, m:])
-    v[:m] /= 2.0
-    # D's diagonal, the entries (i, m + i) of V, gets the 1 of 1 + Z (defect - 1) Z*.
-    v.ravel()[m : 2 * m * m : 2 * m + 1] += 1.0
-    v[m:, :m] = v[:m, m:]
-    np.negative(v[:m, :m], out=v[m:, m:])
+    Y, columns n .. 2n-1 of a complete QR of Z, is an isometry into
+    (ran Z)^perp, of dimension (k - 1) n >= 2n. So M is an isometry,
+    V = (1 - MM*) + MHM* squares to 1 and Z* V Z = b: W and V satisfy no
+    joint relation, so G = Z serves both. V is formed exactly Hermitian;
+    the caller checks it."""
+    n = len(b)
+    m = np.hstack([z, np.linalg.qr(z, mode="complete")[0][:, n : 2 * n]])
+    h = _symmetry_blocks(b, defect)
+    h.ravel()[:: 2 * n + 1] -= 1.0
+    v = hermitize(m @ h @ dagger(m))
+    v.ravel()[:: len(v) + 1] += 1.0
     return v
 
 

@@ -207,7 +207,7 @@ class Refuted:
 
     The witness is a 1 x 1 character (omega^j, sign) when the element has an
     eigenvalue <= -SPEC_TOL at one, else the solver's dual witness, of
-    dimension at most 2kq; ``witness.provenance`` names which.
+    dimension at most kq; ``witness.provenance`` names which.
     """
 
     witness: RepPair
@@ -571,12 +571,14 @@ def _dual_witness(x: np.ndarray, k: int) -> RepPair:
     With R = sum_j Z_j^T, restricted to its support, the effects
     h_j = R^-1/2 Z_j^T R^-1/2 form a POVM with labels omega^j and
     b = R^-1/2 (Z_+ - Z_-)^T R^-1/2 is a Hermitian contraction; their joint
-    dilation (W, V, G) is the witness. Rounding in R^-1/2 can leave ||b|| a
-    little above 1, so the Halmos defect is taken at b / max(1, ||b||), with
-    no norm check, from one ``eigh`` of b. The vector xi = (1 (x) G R^1/2) Omega, Omega = sum_a e_a
-    (x) e_a, has <xi, e(W, V) xi> = <base, x> ||xi||^2 for every lift's base,
-    so e(W, V) has an eigenvalue at most t_hi = <base, x>. The dilation
-    checks its own identities, and the caller checks that eigenvalue.
+    dilation (W, V, G), of the Naimark dimension kr <= kq at the rank r of
+    R, is the witness. Rounding in R^-1/2 can leave ||b|| a little above 1,
+    so the Halmos defect is taken at b / max(1, ||b||), with no norm check,
+    from one ``eigh`` of b. The vector xi = (1 (x) G R^1/2) Omega,
+    Omega = sum_a e_a (x) e_a, has <xi, e(W, V) xi> = <base, x> ||xi||^2
+    for every lift's base, so e(W, V) has an eigenvalue at most
+    t_hi = <base, x>. The dilation checks its own identities, and the caller
+    checks that eigenvalue.
     """
     # Imported here: positivity decided without a dilation (every q = 1
     # element) then loads neither dilation nor convexity.

@@ -60,23 +60,24 @@ def record_factorisations(monkeypatch):
 
 def square_root_dilation(effects, b):
     """The joint dilation (W, V, G) of an effect stack over the k-th roots of
-    unity and a Hermitian contraction b by the square-root recipe, in the
-    arithmetic of the library's ``eigh`` path: the Naimark blocks are the
-    roots h_j^(1/2) from one ``eigh`` of the stack, and V is the Halmos
-    symmetry of Z b Z*, its defect 1 + Z (sqrt(1 - b^2) - 1) Z* taken from
-    one ``eigh`` of b and the Hermitian and skew parts of one product chain."""
+    unity and a Hermitian contraction b by the square-root recipe at the
+    Naimark dimension kn, in the arithmetic of the library's ``eigh`` path:
+    G = Z stacks the roots h_j^(1/2) from one ``eigh`` of the stack, W is the
+    diagonal of the labels, and V = 1 + M (H - 1) M*, exactly Hermitian, with
+    M = [Z Y], Y columns n .. 2n-1 of a complete QR of Z, and H the Halmos
+    symmetry [[b, D], [D, -b]], D = sqrt(1 - b^2) from one ``eigh`` of b."""
     k, n, _ = effects.shape
     w, u = np.linalg.eigh(hermitize(effects))
     z = hermitize((u * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ dagger(u)).reshape(k * n, n)
     w, u = np.linalg.eigh(hermitize(b))
     w = w / max(1.0, float(np.abs(w).max()))
     defect = hermitize((u * np.sqrt((1.0 - w) * (1.0 + w))[None, :]) @ dagger(u))
-    c = z @ (b + 1j * (defect - np.eye(n))) @ dagger(z)
-    carried = np.stack([c + dagger(c), 1j * (dagger(c) - c)]) / 2.0
-    carried[1].ravel()[:: k * n + 1] += 1.0
-    v = np.block([[carried[0], carried[1]], [carried[1], -carried[0]]])
-    labels = np.repeat(roots_of_unity(k), n)
-    return np.diag(np.concatenate([labels, np.ones(k * n)])), v, np.vstack([z, np.zeros((k * n, n))])
+    m = np.hstack([z, np.linalg.qr(z, mode="complete")[0][:, n : 2 * n]])
+    h = np.block([[b, defect], [defect, -b]]).astype(complex)
+    h.ravel()[:: 2 * n + 1] -= 1.0
+    v = hermitize(m @ h @ dagger(m))
+    v.ravel()[:: k * n + 1] += 1.0
+    return np.diag(np.repeat(roots_of_unity(k), n)), v, z
 
 
 def reference_dft(k):

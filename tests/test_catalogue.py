@@ -128,9 +128,8 @@ def _joint():
 
 
 # Every block the constructors call, each corrupted by 1e-6: the joint
-# dilation's effects, Naimark blocks, defect of b, and V, whose carried
-# blocks and symmetry one helper writes, and the effects of a decomposition
-# over C_4.
+# dilation's effects, Naimark blocks, defect of b, Halmos symmetry H of b and
+# V = 1 + M (H - 1) M*, and the effects of a decomposition over C_4.
 @pytest.mark.parametrize(
     "block, build, error",
     [
@@ -142,8 +141,8 @@ def _joint():
         ("_fourier_base", lambda: dilation.order_k_povm(A, 4), InvalidPovmError),
         ("_naimark_blocks", _joint, InvalidPovmError),
         ("_hermitian_defect", _joint, RelationCheckFailedError),
-        ("_carried_symmetry", _joint, RelationCheckFailedError),
-        ("_carried_symmetry", _joint, RelationCheckFailedError),
+        ("_joint_symmetry", _joint, RelationCheckFailedError),
+        ("_symmetry_blocks", _joint, RelationCheckFailedError),
     ],
     ids=[
         "halmos_symmetry-defect", "halmos_unitary-defects", "cube-defect", "naimark-roots",
@@ -158,45 +157,64 @@ def test_constructor_refuses_corrupted_block(monkeypatch, block, build, error):
         build()
 
 
+# The row of the level-1 joint dilation over C_3 that a corruption must fail.
+JOINT_ROW = r"joint_prism_dilation\(k=3, level=1\): v_"
+
+
+def test_joint_dilation_refuses_a_y_column_not_orthogonal_to_z(monkeypatch):
+    # Y, the second column of the complete QR of the 3 x 1 isometry Z, leans
+    # 1e-6 towards Z: M = [Z Y] is no isometry, so V is no symmetry.
+    qr = np.linalg.qr
+
+    def leaning(a, mode):
+        q, r = qr(a, mode)
+        q[:, 1] += 1e-6 * q[:, 0]
+        return q, r
+
+    monkeypatch.setattr(np.linalg, "qr", leaning)
+    with pytest.raises(RelationCheckFailedError, match=JOINT_ROW + "squares_to_identity"):
+        dilation.joint_prism_dilation(A, B, 3)
+
+
 def test_joint_dilation_refuses_a_corrupted_defect_block(monkeypatch):
-    # G = [Z; 0] sees only V's top-left block, so G*VG = b cannot catch a
-    # corrupted lower-right block; V's own symmetry residual must.
-    original = dilation._carried_symmetry
+    # G = Z sees only H's corner b, so G*VG = b cannot catch a moved entry of
+    # H's defect block D; V's own symmetry residual must.
+    original = dilation._symmetry_blocks
 
-    def corrupted(*args):
-        v = original(*args)
-        half = v.shape[0] // 2
-        v[half:, half:] += 1e-6 * np.eye(half)
-        return v
+    def corrupted(b, defect):
+        h = original(b, defect)
+        h[0, 1] += 1e-6
+        h[1, 0] += 1e-6
+        return h
 
-    monkeypatch.setattr(dilation, "_carried_symmetry", corrupted)
-    with pytest.raises(RelationCheckFailedError, match="v_squares_to_identity"):
+    monkeypatch.setattr(dilation, "_symmetry_blocks", corrupted)
+    with pytest.raises(RelationCheckFailedError, match=JOINT_ROW + "squares_to_identity"):
         dilation.joint_prism_dilation(A, B, 3)
 
 
 @pytest.mark.parametrize(
-    "rows, cols, row",
+    "entry, row",
     [
-        (slice(None, 3), slice(None, 3), "v_squares_to_identity"),
-        (slice(None, 3), slice(3, None), "v_selfadjoint"),
-        (slice(3, None), slice(None, 3), "v_selfadjoint"),
-        (slice(3, None), slice(3, None), "v_squares_to_identity"),
+        ((0, 0), "squares_to_identity"),
+        ((0, 2), "selfadjoint"),
+        ((2, 0), "selfadjoint"),
+        ((2, 2), "squares_to_identity"),
     ],
     ids=["top-left", "top-right", "bottom-left", "bottom-right"],
 )
-def test_joint_dilation_refuses_each_corrupted_block_of_v(monkeypatch, rows, cols, row):
-    # V is written once, block by block: a 1e-6 change to any of its four
-    # 3 x 3 blocks after they are written breaks its Halmos form and is
-    # caught by its symmetry rows, which run first.
-    original = dilation._carried_symmetry
+def test_joint_dilation_refuses_each_corrupted_corner_of_v(monkeypatch, entry, row):
+    # A 1e-6 move of one corner entry of the 3 x 3 V after it is written is
+    # caught by its symmetry rows, which run first: on the diagonal it keeps
+    # V Hermitian and breaks V^2 = 1, off it it breaks V = V*.
+    original = dilation._joint_symmetry
 
     def corrupted(*args):
         v = original(*args)
-        v[rows, cols] += 1e-6 * np.eye(3)
+        v[entry] += 1e-6
         return v
 
-    monkeypatch.setattr(dilation, "_carried_symmetry", corrupted)
-    with pytest.raises(RelationCheckFailedError, match=row):
+    monkeypatch.setattr(dilation, "_joint_symmetry", corrupted)
+    with pytest.raises(RelationCheckFailedError, match=JOINT_ROW + row):
         dilation.joint_prism_dilation(A, B, 3)
 
 

@@ -33,7 +33,6 @@ from ncprism.dilation import (
     evaluate_compressed_word,
     evaluate_word,
     halmos_symmetry,
-    halmos_symmetry_residuals,
     halmos_unitary,
     halmos_unitary_residuals,
     joint_prism_dilation,
@@ -525,7 +524,7 @@ class TestOrderKPovm:
 class TestJointPrismDilation:
     def test_zero_pair(self):
         pair, g = joint_prism_dilation(np.array([[0.0]]), np.array([[0.0]]), 3)
-        assert pair.dim == 6
+        assert pair.dim == 3
         assert abs(complex(compress(pair.w, g)[0, 0])) <= 1e-10
         assert abs(complex(compress(pair.v, g)[0, 0])) <= 1e-10
         assert within_bounds(pair_residuals(pair))
@@ -544,7 +543,7 @@ class TestJointPrismDilation:
         shift[0, 2] = shift[1, 0] = shift[2, 1] = 1.0
         b = np.diag([1.0, -1.0, 1.0]).astype(complex)
         pair, g = joint_prism_dilation(shift, b, 3)
-        assert pair.dim == 18
+        assert pair.dim == 9
         assert within_bounds(joint_residuals(shift, b, pair, g))
 
     def test_order_four(self):
@@ -554,16 +553,17 @@ class TestJointPrismDilation:
         assert within_bounds([*pair_residuals(pair), *joint_residuals(a, b, pair, g)])
 
     @staticmethod
-    def assert_symmetry_of_carried_b(a, b, k, bound=SPEC_TOL):
-        """V is a symmetry with corner Z b Z*, equals the Halmos symmetry of
-        Z b Z* built at level k n within ``bound``, and the whole output
-        passes its residuals."""
+    def assert_reflection_compressing_to_b(a, b, k):
+        """The pair has the Naimark dimension kn, V = 1 + M (H - 1) M* is the
+        reflection 1 - 2P in an n-dimensional range (n eigenvalues -1, the
+        rest +1, within SPEC_TOL), and the whole output passes its residuals,
+        G*VG = b among them."""
         pair, g = joint_prism_dilation(a, b, k)
-        z = g[: pair.dim // 2]
-        carried = hermitize(z @ b @ dagger(z))
-        reference = halmos_symmetry(carried)
-        assert opnorm(pair.v - reference) <= bound
-        assert within_bounds(halmos_symmetry_residuals(carried, pair.v))
+        n = len(b)
+        assert pair.dim == k * n
+        signs = np.repeat([-1.0, 1.0], [n, (k - 1) * n])
+        assert np.abs(np.linalg.eigvalsh(pair.v) - signs).max() <= SPEC_TOL
+        assert within_bounds(symmetry_residuals(pair.v))
         assert within_bounds([*pair_residuals(pair), *joint_residuals(a, b, pair, g)])
 
     # Scales up to 1/2 keep W(a) inside the square where the k = 4
@@ -575,9 +575,9 @@ class TestJointPrismDilation:
         seed=st.integers(0, 2**32 - 1),
         scale=st.floats(0.05, 0.5),
     )
-    def test_symmetry_matches_halmos_of_carried_b(self, k, n, seed, scale):
+    def test_symmetry_is_a_reflection_compressing_to_b(self, k, n, seed, scale):
         a, b = random_prism_point(np.random.default_rng(seed), n, k, scale=scale)
-        self.assert_symmetry_of_carried_b(a, b, k)
+        self.assert_reflection_compressing_to_b(a, b, k)
 
     @pytest.mark.parametrize(
         "b",
@@ -591,13 +591,14 @@ class TestJointPrismDilation:
     )
     def test_boundary_contractions(self, b):
         # The defect 1 - b^2 has eigenvalues at 0, whose computed square roots
-        # are fixed only to sqrt(psd_clamp), so the two constructions of V
-        # agree to that bound; both are symmetries within spec_tol.
+        # are fixed only to sqrt(psd_clamp) (and at 1 + psd_clamp/2 it is taken
+        # at b rescaled into the unit ball); V is still a reflection within
+        # spec_tol that compresses to b.
         rng = np.random.default_rng(3)
         u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
         a, _ = random_prism_point(rng, 3, 3, scale=0.8)
         for contraction in (b, u @ b @ dagger(u)):
-            self.assert_symmetry_of_carried_b(a, contraction, 3, math.sqrt(PSD_CLAMP))
+            self.assert_reflection_compressing_to_b(a, contraction, 3)
 
     @pytest.mark.parametrize("k", [3, 4, 6])
     def test_norm_at_the_clamp_edge(self, k):
@@ -619,8 +620,32 @@ class TestJointPrismDilation:
         u = np.linalg.qr(np.arange(9.0).reshape(3, 3) + 1j * np.eye(3))[0]
         for b in (np.diag([0.9, -0.4, 0.2]), np.diag([0.9, -0.4, 1.0])):
             for rotated in (a, u @ a @ dagger(u)):
-                self.assert_symmetry_of_carried_b(rotated, b, 3, math.sqrt(PSD_CLAMP))
+                self.assert_reflection_compressing_to_b(rotated, b, 3)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    @pytest.mark.parametrize("k", [3, 4, 5, 8, 12])
+    def test_boundary_points_whose_naimark_isometry_has_zero_blocks(self, monkeypatch, k, n):
+        # At the vertex omega and on the edge [1, omega] the effects off the
+        # vertex or edge vanish (to the band: blocks within sqrt(SPEC_TOL)),
+        # so Z has k - 1 or k - 2 zero blocks, and ||b|| = 1 exactly. The
+        # pair still has the Naimark dimension kn and G is Z itself.
+        omega = roots_of_unity(k)[1]
+        b = np.diag(np.linspace(1.0, -1.0, n))
+        naimark, isometries = dilation._naimark, []
+
+        def recorded(*args):
+            isometries.append(naimark(*args))
+            return isometries[-1]
+
+        monkeypatch.setattr(dilation, "_naimark", recorded)
+        for a, support in ((omega * np.eye(n), [1]), ((1.0 + omega) / 2.0 * np.eye(n), [0, 1])):
+            pair, g = joint_prism_dilation(a, b, k)
+            [(z, _)] = isometries
+            isometries.clear()
+            blocks = np.linalg.norm(z.reshape(k, n, n), axis=(1, 2))
+            assert np.delete(blocks, support).max() <= math.sqrt(SPEC_TOL)
+            assert pair.dim == k * n and g is z
+            assert within_bounds(joint_residuals(a, b, pair, g))
 
     @pytest.mark.parametrize("k", [3, 4, 6, 8])
     def test_dilation_of_a_given_povm(self, k):
@@ -638,7 +663,7 @@ class TestJointPrismDilation:
         b = 0.9 * b / opnorm(b)
         povm = Povm(list(effects), roots_of_unity(k).tolist())
         pair, g = _dilate_povm(povm, b, dilation._hermitian_defect(b, "b"))
-        assert pair.dim == 2 * k * n
+        assert pair.dim == k * n
         assert within_bounds(pair_residuals(pair))
         power = np.eye(pair.dim)
         for m in range(k):
@@ -1042,10 +1067,12 @@ class TestOneFactorisationPerDecidedStack:
 
 class TestCholeskyNaimarkBlocks:
     """A positive effect stack is decided and dilated by one batched Cholesky
-    factorisation h_j = F_j* F_j: the F_j are its Naimark blocks, and the
-    dilation is the square-root recipe's (``helpers.square_root_dilation``)
-    conjugated by (+)_j U_j, U_j = F_j h_j^(-1/2). Any other stack keeps the
-    ``eigh`` path, whose dilation is that recipe's byte for byte."""
+    factorisation h_j = F_j* F_j: the F_j are its Naimark blocks, and W and
+    G are the square-root recipe's (``helpers.square_root_dilation``)
+    conjugated by (+)_j U_j, U_j = F_j h_j^(-1/2). V need not be: its Y comes
+    from the QR of each Z, so it is checked through its compression and its
+    symmetry rows. Any other stack keeps the ``eigh`` path, whose dilation is
+    that recipe's byte for byte."""
 
     @staticmethod
     def positive_input(n, k, seed=0):
@@ -1075,13 +1102,15 @@ class TestCholeskyNaimarkBlocks:
         povm = order_k_povm(a, k)
         pair, g = joint_prism_dilation(a, b, k)
         assert povm.factors is not None
-        w, v, g_root = square_root_dilation(povm.effects, b)
+        w, _, g_root = square_root_dilation(povm.effects, b)
         lam, q = np.linalg.eigh(povm.effects)
         inverse_roots = (q / np.sqrt(lam)[:, None, :]) @ dagger(q)
-        u = np.kron(np.eye(2), matkernel.direct_sum(*(povm.factors @ inverse_roots)))
+        u = matkernel.direct_sum(*(povm.factors @ inverse_roots))
         assert pair.w.tobytes() == w.tobytes()
         assert opnorm(dagger(u) @ u - np.eye(len(u))) <= 1e-12
-        assert opnorm(u @ v @ dagger(u) - pair.v) <= 1e-12 and opnorm(u @ g_root - g) <= 1e-12
+        assert opnorm(u @ w @ dagger(u) - pair.w) <= 1e-12 and opnorm(u @ g_root - g) <= 1e-12
+        assert opnorm(compress(pair.v, g) - b) <= 1e-12
+        assert within_bounds(symmetry_residuals(pair.v))
 
     @staticmethod
     def rejected_positive_base():
@@ -1127,17 +1156,19 @@ class TestCholeskyNaimarkBlocks:
         (positive,) = [value for name, value, _, _ in records if name == "effects_positive"]
         assert povm.factors is not None and positive == povm.negativity <= PSD_CLAMP
 
-    def test_the_n32_joint_dilation_peaks_below_five_blocks_beside_its_output(self):
+    def test_the_n32_joint_dilation_peaks_within_nine_blocks(self):
+        # Output and temporaries together, in 96 x 96 complex blocks (1.33 MB). A
+        # dilation at twice the Naimark dimension cannot meet it: its
+        # 192 x 192 W and V alone take eight blocks.
         a, b = self.positive_input(32, 3)
         joint_prism_dilation(a, b, 3)
         tracemalloc.start()
         try:
-            pair, g = joint_prism_dilation(a, b, 3)
+            pair, _ = joint_prism_dilation(a, b, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        block = 96 * 96 * 16
-        assert peak <= pair.w.nbytes + pair.v.nbytes + g.nbytes + 5 * block
+        assert pair.dim == 96 and peak <= 9 * 96 * 96 * 16
 
     @pytest.mark.parametrize("k", [3, 5])
     def test_w_rows_are_taken_on_the_diagonal_it_was_written_from(self, monkeypatch, k):

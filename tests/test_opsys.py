@@ -810,7 +810,7 @@ class TestDualWitness:
         assert isinstance(verdict, Refuted) == (result.t_hi < -SPEC_TOL)
         if isinstance(verdict, Refuted):
             assert within_bounds([*pair_residuals(verdict.witness), *refuted_residuals(e, verdict)])
-            assert verdict.witness.dim <= 2 * k * q
+            assert verdict.witness.dim <= k * q
             scale = max(1.0, max(opnorm(b) for b in [*e.c, e.g]))
             assert verdict.min_eigenvalue <= result.t_hi + 1e-12 * scale
 
@@ -820,7 +820,7 @@ class TestDualWitness:
         # (omega^0, +1) and 2 times the unit. The primal point on that vertex
         # of the first coordinate alone has R = diag(1/2, 0), singular, and
         # b = 1 on its support; the witness lives on the support, at
-        # dimension 2k, and bounds the element by that vertex value.
+        # dimension k, and bounds the element by that vertex value.
         c = [np.diag([-0.7, 2.0]), np.diag([0.1, 0.0])]
         c += [np.zeros((2, 2))] * (k - 3) + [np.diag([0.1, 0.0])]
         e = PrismElement(k, 2, c, np.diag([0.2, 0.0]))
@@ -829,7 +829,7 @@ class TestDualWitness:
         bound = float(np.vdot(_particular_lift(e.blocks), x).real)
         assert bound == pytest.approx(-0.3, abs=1e-14)
         witness = _dual_witness(x, k)
-        assert witness.dim == 2 * k
+        assert witness.dim == k
         assert within_bounds(pair_residuals(witness))
         assert min_eigenvalue(e, witness) <= bound + 1e-12
         verdict = matrix_positivity_prism(e)
@@ -1123,7 +1123,7 @@ class TestDiagonalEvaluation:
     def test_dual_witness_at_order_32_in_little_memory(self):
         # Blocks 0.3 complex Gaussian (seed 0), c_0 shifted so that the least
         # character eigenvalue is +1e-3: only the dual witness, of dimension
-        # 2kq = 192, refutes. The power stack of its W peaked near 40 MB.
+        # kq = 96, refutes. The power stack of its W peaked near 40 MB.
         k, q = 32, 3
         rng = np.random.default_rng(0)
         raw = 0.3 * (rng.standard_normal((k + 1, q, q)) + 1j * rng.standard_normal((k + 1, q, q)))
@@ -1138,7 +1138,7 @@ class TestDiagonalEvaluation:
         finally:
             tracemalloc.stop()
         assert isinstance(verdict, Refuted)
-        assert verdict.witness.dim == 192
+        assert verdict.witness.dim == 96
         assert peak <= 25e6
 
     def test_a_cyclic_shift_takes_the_power_stack(self, monkeypatch):
