@@ -47,6 +47,7 @@ from .matkernel import (
     FloorSystem,
     Residual,
     _frobenius,
+    _halmos_residuals,
     _operands,
     _require_hermitian,
     _spectral,
@@ -250,10 +251,10 @@ def halmos_symmetry(b) -> np.ndarray:
 
 
 def _halmos_symmetry(b: np.ndarray, prefix: str) -> np.ndarray:
-    """:func:`halmos_symmetry` of a Hermitian operand ``b``, recording its
-    rows with ``prefix`` before each name."""
+    """:func:`halmos_symmetry` of a Hermitian operand ``b``, recording the
+    ``_halmos_residuals`` of the S it writes with ``prefix`` before each name."""
     s = _symmetry_blocks(b, _hermitian_defect(b, "b"))
-    require(prefixed(prefix, _symmetry_residuals(s)), NotSymmetryError, "halmos_symmetry")
+    require(prefixed(prefix, _halmos_residuals(s)), NotSymmetryError, "halmos_symmetry")
     return s
 
 
@@ -605,7 +606,9 @@ def cube_dilation(mats) -> DilationResult:
 
 
 def cube_residuals(mats, result: DilationResult) -> list[Residual]:
-    """Each operator is a symmetry that the isometry compresses to its entry."""
+    """Each entry has one operator, a symmetry that the isometry compresses to it."""
+    if len(mats) != len(result.operators):
+        raise ShapeMismatchError(f"cube_residuals got {len(mats)} entries for {len(result.operators)} operators")
     residuals = []
     for label, m, s, small in zip(result.labels, mats, result.operators, result.compressions()):
         compression = ("compression", _frobenius(small - m), ALG_TOL)

@@ -940,47 +940,39 @@ def _exact_diagonal(u: np.ndarray) -> np.ndarray | None:
     return None if off_diagonal.any() else np.diagonal(u)
 
 
-def _halmos_half(s: np.ndarray) -> int | None:
-    """Half the size m of a square ``s`` = [[P, Q], [Q, -P]] of m x m blocks
-    whose lower blocks are exactly Q and -P (the form of a Halmos symmetry),
-    else None. Exact subtraction gives 0 only for equal finite entries."""
-    m, odd = divmod(s.shape[0], 2)
-    if odd or (s[m:, :m] - s[:m, m:]).any() or (s[m:, m:] + s[:m, :m]).any():
-        return None
-    return m
-
-
 def symmetry_residuals(s) -> list[Residual]:
-    """``s`` is a symmetry: selfadjoint and squaring to the identity.
-
-    In the Halmos block form s = [[P, Q], [Q, -P]] (:func:`_halmos_half`)
-    the lower block rows of S - S* and S^2 - 1 repeat the upper ones up to
-    order and sign, so both Frobenius norms are taken from the upper rows:
-    ||S - S*||^2 = 2 (||P - P*||^2 + ||Q - Q*||^2) and
-    ||S^2 - 1||^2 = 2 (||P^2 + Q^2 - 1||^2 + ||PQ - QP||^2), the upper row
-    of S^2 being [P, Q] S = [P^2 + Q^2, PQ - QP]. When P and Q are exactly
-    Hermitian (the first residual is exactly 0), TT* and T*T of T = P + iQ
-    are P^2 + Q^2 -+ i(PQ - QP) and have the same spectrum, so one product
-    gives ||S^2 - 1||^2 = ||TT* - 1||^2 + ||T*T - 1||^2 = 2 ||T*T - 1||^2."""
+    """``s`` is a symmetry: selfadjoint and squaring to the identity."""
     (s,) = _operands("a symmetry must be square", s)
     return _symmetry_residuals(s)
 
 
 def _symmetry_residuals(s: np.ndarray) -> list[Residual]:
     """:func:`symmetry_residuals` of an operand already passed through
-    :func:`_operands`, such as a symmetry a constructor has just written.
-    One scratch array holds the rows taken of S - S*, then T and T's conjugate."""
-    m = _halmos_half(s)
-    rows, scale = (len(s), 1.0) if m is None else (m, math.sqrt(2.0))
-    scratch = np.empty((rows, len(s)), dtype=complex)
-    np.conjugate(s[:, :rows].T, out=scratch)
-    selfadjoint = scale * _frobenius(np.subtract(s[:rows], scratch, out=scratch))
-    if m is not None and selfadjoint == 0.0:
-        t, conj = scratch.reshape(2, m, m)
-        np.add(s[:m, :m], np.multiply(s[:m, m:], 1j, out=t), out=t)
-        gap = np.conjugate(t, out=conj).T @ t
+    :func:`_operands`: ||S - S*||_F and ||S^2 - 1||_F."""
+    gap = s @ s
+    gap.ravel()[:: len(s) + 1] -= 1.0
+    return [("selfadjoint", _frobenius(s - dagger(s)), SPEC_TOL), ("squares_to_identity", _frobenius(gap), SPEC_TOL)]
+
+
+def _halmos_residuals(s: np.ndarray) -> list[Residual]:
+    """:func:`symmetry_residuals` of S = [[P, Q], [Q, -P]], m x m blocks,
+    whose caller wrote its lower blocks as exactly Q and -P.
+
+    The lower block rows of S - S* and S^2 - 1 then repeat the upper ones
+    up to order and sign, so both norms are taken from the upper rows:
+    ||S - S*||^2 = 2 (||P - P*||^2 + ||Q - Q*||^2) and
+    ||S^2 - 1||^2 = 2 (||P^2 + Q^2 - 1||^2 + ||PQ - QP||^2), the upper row
+    of S^2 being [P, Q] S = [P^2 + Q^2, PQ - QP]. When P and Q are exactly
+    Hermitian (the first residual is exactly 0), TT* and T*T of T = P + iQ
+    are P^2 + Q^2 -+ i(PQ - QP) and have the same spectrum, so one product
+    gives ||S^2 - 1||^2 = ||TT* - 1||^2 + ||T*T - 1||^2 = 2 ||T*T - 1||^2."""
+    m, scale = len(s) // 2, math.sqrt(2.0)
+    selfadjoint = scale * _frobenius(s[:m] - dagger(s[:, :m]))
+    if selfadjoint == 0.0:
+        t = s[:m, :m] + s[:m, m:] * 1j
+        gap = dagger(t) @ t
     else:
-        gap = s[:rows] @ s
+        gap = s[:m] @ s
     gap.ravel()[:: gap.shape[1] + 1] -= 1.0
     return [("selfadjoint", selfadjoint, SPEC_TOL), ("squares_to_identity", scale * _frobenius(gap), SPEC_TOL)]
 

@@ -40,6 +40,7 @@ from .matkernel import (
     ALG_TOL,
     SPEC_TOL,
     Residual,
+    _halmos_residuals,
     _operands,
     commutant_dimension,
     constant,
@@ -139,12 +140,12 @@ def symmetry_tuple_residuals(mats) -> list[Residual]:
     return [r for i, m in enumerate(mats) for r in prefixed(f"s{i}_", symmetry_residuals(m))]
 
 
-def _verified_tuple(first, second, provenance: str) -> SymmetryTuple:
-    """The pair of symmetries (first, second), with only the second checked:
-    the first is an exact +-1 diagonal, a symmetry by construction, which
-    :func:`symmetry_tuple_residuals` keeps for re-checks."""
+def _verified_tuple(first, second, provenance: str, rows) -> SymmetryTuple:
+    """The pair of symmetries (first, second), with only the second checked
+    by ``rows``: the first is an exact +-1 diagonal, a symmetry by
+    construction, which :func:`symmetry_tuple_residuals` keeps for re-checks."""
     st = SymmetryTuple([first, second], provenance)
-    require(prefixed("s1_", symmetry_residuals(st.mats[1])), NotSymmetryError, provenance)
+    require(prefixed("s1_", rows(st.mats[1])), NotSymmetryError, provenance)
     return st
 
 
@@ -187,16 +188,17 @@ def _lambda_block(lam: float) -> np.ndarray:
 def square_irrep(lam: float) -> SymmetryTuple:
     """The 2-dimensional irreducible symmetry pair with coupling ``lam``.
 
-    Returns u1 = diag(-1, 1) and u2 = [[l, sqrt(1-l^2)], [sqrt(1-l^2), -l]]
-    for l strictly inside (-1, 1); at |l| = 1 the pair degenerates to
-    commuting multiples of u1 and is rejected.
+    Returns u1 = diag(-1, 1) and u2 = [[l, sqrt(1-l^2)], [sqrt(1-l^2), -l]],
+    in the Halmos form [[P, Q], [Q, -P]] (checked from its upper row), for l
+    strictly inside (-1, 1); at |l| = 1 the pair degenerates to commuting
+    multiples of u1 and is rejected.
     """
     if not -1.0 < lam < 1.0:
         raise LambdaOutOfRangeError(
             f"lambda must lie strictly in (-1, 1), got {lam}"
         )
     u1 = np.diag([-1.0, 1.0]).astype(complex)
-    return _verified_tuple(u1, _lambda_block(lam), f"square_irrep(lambda={lam})")
+    return _verified_tuple(u1, _lambda_block(lam), f"square_irrep(lambda={lam})", _halmos_residuals)
 
 
 def universal_square_pair(lambdas) -> SymmetryTuple:
@@ -216,7 +218,7 @@ def universal_square_pair(lambdas) -> SymmetryTuple:
             raise LambdaOutOfRangeError(f"coupling {lam} outside (-1, 1]")
     big1 = direct_sum(*[np.diag([-1.0, 1.0])] * len(lambdas))
     big2 = direct_sum(*[_lambda_block(lam) for lam in lambdas])
-    return _verified_tuple(big1, big2, f"universal_square_pair(n={len(lambdas)})")
+    return _verified_tuple(big1, big2, f"universal_square_pair(n={len(lambdas)})", symmetry_residuals)
 
 
 def two_symmetry_canonical_form(v1, v2) -> CanonicalForm:
@@ -299,10 +301,11 @@ def hadamard_symmetries(m: int) -> SymmetryTuple:
     """m+1 irreducible symmetries in dimension 2^m, the first m commuting.
 
     A_0..A_{m-1} are diagonal with entries (-1)**(i-th binary digit of the
-    index); A_m is the normalized m-fold tensor power of the 2x2 Hadamard
-    matrix. Only diagonal matrices commute with the first m, and only
-    scalars commute with all m+1. A dimension above ``_HADAMARD_MAX_DIM``
-    raises ``SizeBudgetExceededError`` before anything is built.
+    index); A_m, the normalized m-fold tensor power of the 2x2 Hadamard
+    matrix, is exactly [[h', h'], [h', -h']], in the Halmos form. Only
+    diagonal matrices commute with the first m, and only scalars commute
+    with all m+1. A dimension above ``_HADAMARD_MAX_DIM`` raises
+    ``SizeBudgetExceededError`` before anything is built.
     """
     if m < 1:
         raise IndexOutOfRangeError(f"m must be >= 1, got {m}")
@@ -321,9 +324,9 @@ def hadamard_symmetries(m: int) -> SymmetryTuple:
     mats.append((h / math.sqrt(n)).astype(complex))
     st = SymmetryTuple(mats, provenance=f"hadamard_symmetries(m={m})")
     # The heads are exact sign diagonals and the last entry an exactly
-    # symmetric real matrix: only its square can miss (hadamard_residuals
-    # keeps the other rows for re-checks).
-    squares = symmetry_residuals(st.mats[-1])[1:]
+    # symmetric real matrix: only its square can miss, taken from its upper
+    # block row (hadamard_residuals keeps the other rows for re-checks).
+    squares = _halmos_residuals(st.mats[-1])[1:]
     require(prefixed(f"s{m}_", squares), NotSymmetryError, st.provenance)
     return st
 

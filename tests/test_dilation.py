@@ -694,7 +694,9 @@ class TestCubeDilation:
 
     def test_rows_carry_the_labels_of_cube_residuals(self):
         # Each entry's symmetry rows are recorded under its own label, with
-        # the values that cube_residuals re-checks.
+        # the values that cube_residuals re-checks: the recorded rows come
+        # from the Halmos block formula, the re-check from the dense one, so
+        # they agree within 1e-12 max(1, value), not bit for bit.
         mats = [0.5 * np.eye(2), np.array([[0.3, 0.1j], [-0.1j, -0.2]])]
         with measured() as records:
             result = cube_dilation(mats)
@@ -703,7 +705,20 @@ class TestCubeDilation:
             "s1_selfadjoint", "s1_squares_to_identity", "s2_selfadjoint", "s2_squares_to_identity"
         ]
         for name, value, bound, what in records:
-            assert (value, bound) == rechecked[name] and what == "halmos_symmetry"
+            dense, dense_bound = rechecked[name]
+            assert abs(value - dense) <= 1e-12 * max(1.0, dense)
+            assert bound == dense_bound and what == "halmos_symmetry"
+
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_residuals_refuse_a_tuple_of_another_length(self, count):
+        # Three operators re-checked against one entry, or against four whose
+        # fourth, 5 * 1, has no operator: neither may be zipped away.
+        rng = np.random.default_rng(37)
+        mats = [random_hermitian_contraction(rng, 2) for _ in range(3)]
+        result = cube_dilation(mats)
+        given = [*mats, 5.0 * np.eye(2)][:count]
+        with pytest.raises(ShapeMismatchError, match=f"got {count} entries for 3 operators"):
+            cube_residuals(given, result)
 
 
 class TestWords:

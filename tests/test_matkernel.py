@@ -24,7 +24,7 @@ from ncprism.errors import (
     RelationCheckFailedError,
     ShapeMismatchError,
 )
-from ncprism.dilation import halmos_symmetry
+from ncprism.dilation import cube_dilation, halmos_symmetry
 from ncprism.matkernel import (
     _LMI_REACH,
     ALG_TOL,
@@ -32,7 +32,7 @@ from ncprism.matkernel import (
     SPEC_TOL,
     FloorSystem,
     _h_weights,
-    _halmos_half,
+    _halmos_residuals,
     _schur,
     _step_lengths,
     commutant_dimension,
@@ -290,25 +290,39 @@ class TestHermitianRule:
 
 
 class TestHalmosBlockResiduals:
-    """Symmetry residuals of [[P, Q], [Q, -P]] are taken from its blocks and
-    equal the dense formulas; a matrix off that form takes the dense ones."""
+    """``_halmos_residuals`` takes the symmetry rows of [[P, Q], [Q, -P]]
+    from its upper block row and equals the dense formulas; the constructors
+    that write that form record its values, and the public
+    ``symmetry_residuals`` re-checks any matrix densely."""
 
     @staticmethod
     def dense(s):
         return [np.linalg.norm(s - dagger(s)), np.linalg.norm(s @ s - np.eye(len(s)))]
 
-    @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), symmetry=st.booleans())
-    def test_block_values_match_the_dense_formulas(self, n, seed, symmetry):
+    @staticmethod
+    def symmetry(rng, n):
+        b = random_hermitian(rng, n)
+        return halmos_symmetry(b / (1.5 * opnorm(b)))
+
+    @settings(max_examples=90, deadline=None)
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["exact", "skew", "blocks"]))
+    def test_block_values_match_the_dense_formulas(self, n, seed, kind):
+        # Exactly Hermitian P and Q take T*T; a skew part of 1e-12 in P, or
+        # arbitrary blocks, take the upper block row of S^2.
         rng = np.random.default_rng(seed)
-        if symmetry:
-            b = random_hermitian(rng, n)
-            s = halmos_symmetry(b / (1.5 * opnorm(b)))
-        else:
+        if kind == "blocks":
             p, q = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2))
             s = np.block([[p, q], [q, -p]])
-        assert _halmos_half(s) == n
-        for (_, value, _), dense in zip(symmetry_residuals(s), self.dense(s)):
+        else:
+            s = self.symmetry(rng, n)
+            if kind == "skew":
+                x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                skew = 1e-12 * (x - dagger(x)) / np.linalg.norm(x - dagger(x))
+                s[:n, :n] += skew
+                s[n:, n:] -= skew
+        rows = _halmos_residuals(s)
+        assert (rows[0][1] == 0.0) == (kind == "exact")
+        for (_, value, _), dense in zip(rows, self.dense(s)):
             assert abs(value - dense) <= 1e-12 * max(1.0, dense)
 
     @settings(max_examples=80, deadline=None)
@@ -320,13 +334,14 @@ class TestHalmosBlockResiduals:
         data=st.data(),
     )
     def test_one_shifted_entry_is_flagged(self, n, seed, block, shift, data):
-        rng = np.random.default_rng(seed)
-        b = random_hermitian(rng, n)
-        s = halmos_symmetry(b / (1.5 * opnorm(b)))
+        # A shift in any block is flagged by the dense re-check; one in an
+        # upper block, which the block rows read, by those rows too.
+        s = self.symmetry(np.random.default_rng(seed), n)
         row, col = (data.draw(st.integers(0, n - 1)) for _ in range(2))
         s[row + n * (block // 2), col + n * (block % 2)] += shift
-        assert _halmos_half(s) is None
         assert max(value for _, value, _ in symmetry_residuals(s)) > SPEC_TOL
+        if block < 2:
+            assert max(value for _, value, _ in _halmos_residuals(s)) > SPEC_TOL
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), stretch=st.sampled_from([0.0, 1e-6]))
@@ -334,13 +349,10 @@ class TestHalmosBlockResiduals:
         # P and Q exactly Hermitian: squares_to_identity is sqrt 2 ||T*T - 1||
         # with T = P + iQ, which equals sqrt 2 ||TT* - 1|| and the dense
         # ||S^2 - 1||, and flags the non-symmetry Q = (1 + 1e-6) defect.
-        rng = np.random.default_rng(seed)
-        b = random_hermitian(rng, n)
-        s = halmos_symmetry(b / (1.5 * opnorm(b)))
+        s = self.symmetry(np.random.default_rng(seed), n)
         s[:n, n:] *= 1.0 + stretch
         s[n:, :n] *= 1.0 + stretch
-        assert _halmos_half(s) == n
-        (_, selfadjoint, _), (_, square, _) = symmetry_residuals(s)
+        (_, selfadjoint, _), (_, square, _) = _halmos_residuals(s)
         t = s[:n, :n] + 1j * s[:n, n:]
         swapped = math.sqrt(2.0) * np.linalg.norm(t @ dagger(t) - np.eye(n))
         assert selfadjoint == 0.0
@@ -348,15 +360,45 @@ class TestHalmosBlockResiduals:
             assert abs(square - value) <= 1e-12 * max(1.0, value)
         assert (square > SPEC_TOL) == (stretch > 0.0)
 
-    def test_tuple_symmetries_match_the_dense_formulas(self):
-        # With Z = diag(1, -1): 1 (x) 1 (x) Z and 1 (x) Z (x) 1 are off the block
-        # form; Z (x) 1 (x) 1, the Hadamard matrix and both square-irrep
-        # entries are in it.
-        mats = [*hadamard_symmetries(3).mats, *square_irrep(0.3).mats]
-        assert [_halmos_half(s) for s in mats] == [None, None, 4, 4, 1, 1]
-        for s in mats:
-            values = [value for _, value, _ in symmetry_residuals(s)]
-            assert values == pytest.approx(self.dense(s), abs=1e-15)
+    @staticmethod
+    def _halmos_writers():
+        # (records, operator of each row-name prefix) of every constructor
+        # that writes the Halmos form and records _halmos_residuals.
+        rng = np.random.default_rng(47)
+        for n in (1, 2, 5, 16):
+            mats = [b / (1.5 * opnorm(b)) for b in (random_hermitian(rng, n) for _ in range(3))]
+            with measured() as records:
+                s = halmos_symmetry(mats[0])
+            yield records, {"": s}
+            with measured() as records:
+                result = cube_dilation(mats)
+            yield records, {f"{label}_": op for label, op in zip(result.labels, result.operators)}
+        for lam in np.linspace(-0.99, 0.99, 23):
+            with measured() as records:
+                pair = square_irrep(float(lam))
+            yield records, {"s1_": pair.mats[1]}
+        for m in range(1, 7):
+            with measured() as records:
+                tuple_ = hadamard_symmetries(m)
+            yield records, {f"s{m}_": tuple_.mats[-1]}
+
+    def test_constructors_record_the_dense_values(self):
+        # Each recorded row is _halmos_residuals' own, bit for bit, and the
+        # dense formula's within 1e-12 max(1, value).
+        names = ["selfadjoint", "squares_to_identity"]
+        count = 0
+        for records, operators in self._halmos_writers():
+            assert records
+            for name, value, _, _ in records:
+                prefix = next(p for p in operators if name.startswith(p) and name[len(p):] in names)
+                row = names.index(name[len(prefix):])
+                dense = self.dense(operators[prefix])[row]
+                assert value == _halmos_residuals(operators[prefix])[row][1]
+                assert abs(value - dense) <= 1e-12 * max(1.0, dense), (name, value, dense)
+                count += 1
+        # halmos_symmetry 2 rows, cube_dilation 6, square_irrep 2 (23 of
+        # them) and hadamard_symmetries 1 (6 of them).
+        assert count == 4 * (2 + 6) + 23 * 2 + 6
 
 
 class TestCommutant:
