@@ -268,9 +268,21 @@ def _symmetry_blocks(b: np.ndarray, defect: np.ndarray) -> np.ndarray:
 
 
 def halmos_symmetry_residuals(b, s) -> list[Residual]:
-    """``s`` is a symmetry with top-left block ``b``."""
-    n = b.shape[0]
-    return [*symmetry_residuals(s), ("corner", _frobenius(s[:n, :n] - b), ALG_TOL)]
+    """``s`` is a symmetry with top-left block ``b`` (see :func:`_corner`)."""
+    corner = _corner("halmos_symmetry_residuals", b, s)
+    return [*symmetry_residuals(s), corner]
+
+
+def _corner(what: str, x, big) -> Residual:
+    """The row ``corner``: ``big``'s top-left block is ``x``. Unless ``x`` is
+    n x n and ``big`` 2n x 2n, ``ShapeMismatchError`` names both shapes,
+    rather than the row comparing a block of another size."""
+    x, big = as_matrix(x), as_matrix(big)
+    n = len(x)
+    if x.shape != (n, n) or big.shape != (2 * n, 2 * n):
+        shapes = " and ".join(" x ".join(map(str, m.shape)) for m in (x, big))
+        raise ShapeMismatchError(f"{what} needs an n x n corner of a 2n x 2n operator, got {shapes}")
+    return ("corner", _frobenius(big[:n, :n] - x), ALG_TOL)
 
 
 def halmos_unitary(x) -> np.ndarray:
@@ -305,9 +317,9 @@ def _unitary_defects(x: np.ndarray) -> np.ndarray:
 
 
 def halmos_unitary_residuals(x, u) -> list[Residual]:
-    """``u`` is unitary with top-left block ``x``."""
-    n = x.shape[0]
-    return [unitary_residual(u), ("corner", _frobenius(u[:n, :n] - x), ALG_TOL)]
+    """``u`` is unitary with top-left block ``x`` (see :func:`_corner`)."""
+    corner = _corner("halmos_unitary_residuals", x, u)
+    return [unitary_residual(u), corner]
 
 
 def triangle_povm(a) -> Povm:

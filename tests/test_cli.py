@@ -1,4 +1,5 @@
 import argparse
+import gc
 import hashlib
 import json
 import math
@@ -9,11 +10,15 @@ import sys
 import numpy as np
 import pytest
 
+from constructions import DUAL
 from helpers import random_unitary
 
 import ncprism
-from ncprism import cli, opsys, reps, serialize, verify
+from ncprism import cli, convexity, opsys, reps, serialize, verify
 from ncprism.serialize import matrix_from_json, matrix_to_json
+
+SRC = os.path.dirname(os.path.dirname(ncprism.__file__))
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(capsys, monkeypatch, args, stdin_obj=None):
@@ -381,15 +386,13 @@ class TestReportAndDeterminism:
     def test_input_free_command_ignores_open_stdin(self, args, tmp_path):
         # stdin is a pipe that is never written to or closed, as under a
         # background job or a CI step; a command that read it would block.
-        src = os.path.dirname(os.path.dirname(ncprism.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         target = tmp_path / "out.json"
         with open(target, "w") as out:
             proc = subprocess.Popen(
                 [sys.executable, "-m", "ncprism.cli", *args, "--json"],
                 stdin=subprocess.PIPE,
                 stdout=out,
-                env=env,
+                env=ENV,
             )
             try:
                 assert proc.wait(timeout=60) == 0
@@ -764,3 +767,57 @@ class TestRender:
                 cli._render(args, "", [], {"value": value})
         assert capsys.readouterr().out == ""
         assert not (path and os.path.exists(path))
+
+
+def python(*args, stdin=b""):
+    return subprocess.run([sys.executable, *args], input=stdin, capture_output=True, env=ENV, timeout=120)
+
+
+# A q = 2 element refuted by the dual witness (exit 1), and a 4 x 4 pair.
+_DUAL = serialize.prism_element_to_json(DUAL)
+_JOINT = dict(zip("ab", map(matrix_to_json, convexity.random_prism_point(np.random.default_rng(48), 4, 3, scale=0.8))))
+
+
+class TestProcessEntry:
+    """``ncprism`` and ``python -m ncprism.cli`` run :func:`cli.run`, which
+    freezes the collector's heap around ``main``; ``main`` itself and a plain
+    import of the module leave the collector as they found it."""
+
+    @pytest.mark.parametrize(
+        "args, payload", [(["geometry", "--k", "3"], None), (["positivity", "matrix", "--k", "3"], _DUAL)],
+        ids=["geometry", "positivity-matrix"],
+    )
+    def test_main_leaves_the_collector_alone(self, capsys, monkeypatch, args, payload):
+        before = gc.isenabled(), gc.get_freeze_count()
+        code, _, _ = run_cli(capsys, monkeypatch, args, payload)
+        assert code == (0 if payload is None else 1)
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    def test_import_leaves_the_collector_alone(self):
+        proc = python("-c", "import gc, ncprism.cli; print(gc.isenabled(), gc.get_freeze_count())")
+        assert (proc.returncode, proc.stdout) == (0, b"True 0\n"), proc.stderr
+
+    def test_run_returns_the_exit_code_of_main_and_freezes(self):
+        code = (
+            "import gc, sys; from ncprism import cli; "
+            "codes = [cli.run(['geometry', '--k', '3']), cli.run(['rep', 'assemble', '--n', '18'])]; "
+            "print(codes, gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr)"
+        )
+        proc = python("-c", code)
+        assert proc.returncode == 0 and proc.stderr.splitlines()[-1] == b"[0, 2] True True", proc.stderr
+
+    @pytest.mark.parametrize(
+        "args, payload, exit_code",
+        [
+            (["geometry", "--k", "3", "--json"], None, 0),
+            (["verify", "all", "--json", "--seed", "3"], None, 0),
+            (["positivity", "matrix", "--k", "3"], _DUAL, 1),
+            (["dilate", "joint", "--k", "3"], _JOINT, 0),
+        ],
+        ids=["geometry", "verify-all", "positivity-matrix-refuted", "dilate-joint"],
+    )
+    def test_module_run_prints_what_main_prints(self, capsys, monkeypatch, args, payload, exit_code):
+        code, out, _ = run_cli(capsys, monkeypatch, args, payload)
+        proc = python("-m", "ncprism.cli", *args, stdin=json.dumps(payload).encode() if payload else b"")
+        assert code == exit_code
+        assert (proc.returncode, proc.stdout) == (code, out.encode()), proc.stderr

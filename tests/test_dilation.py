@@ -163,6 +163,24 @@ class TestHalmosUnitary:
         assert within_bounds(halmos_unitary_residuals(x, u))
 
 
+@pytest.mark.parametrize("recheck, dilate", [
+    (dilation.halmos_symmetry_residuals, halmos_symmetry),
+    (halmos_unitary_residuals, halmos_unitary),
+], ids=["symmetry", "unitary"])
+@pytest.mark.parametrize("corner, cut, shapes", [
+    (np.array([[0.5]]), 4, "1 x 1 and 4 x 4"),
+    (np.eye(4), 4, "4 x 4 and 4 x 4"),
+    (np.array([[0.5, 0.1], [0.1, -0.3]]), 3, "2 x 2 and 4 x 3"),
+], ids=["smaller-corner", "larger-corner", "non-square"])
+def test_halmos_recheck_refuses_a_corner_of_another_size(recheck, dilate, corner, cut, shapes):
+    # The 4 x 4 dilation of a 2 x 2 b, re-checked against a corner that is
+    # not half its size, or with a column cut off: no row may compare only
+    # the block the two shapes share.
+    big = dilate(np.array([[0.5, 0.1], [0.1, -0.3]]))[:, :cut]
+    with pytest.raises(ShapeMismatchError, match=f"needs an n x n corner of a 2n x 2n operator, got {shapes}$"):
+        recheck(corner, big)
+
+
 class TestTrianglePovm:
     def test_centroid(self):
         povm = triangle_povm(np.array([[0.0]]))
