@@ -4,9 +4,10 @@ dilations, joint order-(k, 2) dilations, and cube dilations.
 The joint construction pairs Naimark's and Halmos' dilations: split the
 operator with numerical range in the polygon into a positive decomposition
 summing to the identity, dilate it through the Naimark isometry Z to a
-normal operator with spectrum at the polygon's vertices, and place the
-Halmos symmetry of the second operator on the range of [Z Y] in the same
-space. Compressing through Z recovers the original pair exactly.
+normal operator with spectrum at the polygon's vertices, and reflect the
+same space in the range of an isometry x = Y c_1 - Z c_0, V = 1 - 2 x x*,
+whose Z-corner is the second operator. Compressing through Z recovers the
+original pair exactly.
 
 Every positive decomposition, at every k, is made by :func:`order_k_povm`
 and starts from the Fourier-minimal effects (1 + omega^-j a + omega^j a*)/k,
@@ -52,7 +53,6 @@ from .matkernel import (
     _require_hermitian,
     _spectral,
     _spectral_sqrt,
-    _symmetry_residuals,
     _unitary_residual,
     as_matrix,
     compress,
@@ -168,8 +168,12 @@ def povm_residuals(effects, labels, a) -> list[Residual]:
     negative parts of the effects' least eigenvalues, summed, stay within
     PSD_CLAMP.
 
-    ``effects`` is a list of n x n effects or their (k, n, n) stack."""
-    effects = np.asarray(effects)
+    ``effects`` is a list of n x n effects or their (k, n, n) stack, one
+    label each, and ``a`` is n x n (else ``ShapeMismatchError``)."""
+    effects, a = np.asarray(effects), np.asarray(a)
+    fits = effects.ndim == 3 and a.shape == effects.shape[1:] == effects.shape[1:2] * 2
+    fits = fits and len(labels) == len(effects)
+    _require_shapes("povm_residuals", "k n x n effects, k labels and an n x n a", fits, effects, labels, a)
     lowest = np.linalg.eigvalsh(hermitize(effects)).min(axis=-1)
     return _povm_residuals(effects, labels, a, float(np.clip(-lowest, 0.0, None).sum()))
 
@@ -229,14 +233,13 @@ def _unit_ball(norm: float, name: str | None) -> float:
     return max(1.0, norm)
 
 
-def _hermitian_defect(b: np.ndarray, name: str | None) -> np.ndarray:
-    """The Halmos defect sqrt(1 - c^2) of c = b / max(1, ||b||) for a
-    Hermitian b, from one ``eigh`` of b: its eigenvalues w give both
-    ||b|| = max |w| for :func:`_unit_ball` and the defect's eigenvalues
-    sqrt((1 - w)(1 + w)) once rescaled, so |w| <= 1 exactly."""
+def _unit_spectrum(b: np.ndarray, name: str | None) -> tuple[np.ndarray, np.ndarray]:
+    """One ``eigh`` (w, U) of a Hermitian b, w divided by the :func:`_unit_ball`
+    divisor of ||b|| = max |w|: the spectrum of c = b / max(1, ||b||), so
+    |w| <= 1 exactly, from which the Halmos defect sqrt(1 - c^2) and the
+    joint reflector are taken."""
     w, u = np.linalg.eigh(hermitize(b))
-    w = w / _unit_ball(float(np.abs(w).max(initial=0.0)), name)
-    return _spectral(u, np.sqrt((1.0 - w) * (1.0 + w)))
+    return w / _unit_ball(float(np.abs(w).max(initial=0.0)), name), u
 
 
 def halmos_symmetry(b) -> np.ndarray:
@@ -253,17 +256,13 @@ def halmos_symmetry(b) -> np.ndarray:
 def _halmos_symmetry(b: np.ndarray, prefix: str) -> np.ndarray:
     """:func:`halmos_symmetry` of a Hermitian operand ``b``, recording the
     ``_halmos_residuals`` of the S it writes with ``prefix`` before each name."""
-    s = _symmetry_blocks(b, _hermitian_defect(b, "b"))
-    require(prefixed(prefix, _halmos_residuals(s)), NotSymmetryError, "halmos_symmetry")
-    return s
-
-
-def _symmetry_blocks(b: np.ndarray, defect: np.ndarray) -> np.ndarray:
-    """[[b, D], [D, -b]] for D = ``defect``, each block written once into one array."""
+    w, u = _unit_spectrum(b, "b")
     m = len(b)
     s = np.empty((2 * m, 2 * m), dtype=complex)
-    s[:m, :m], s[:m, m:], s[m:, :m] = b, defect, defect
+    s[:m, :m] = b
+    s[:m, m:] = s[m:, :m] = _spectral(u, np.sqrt((1.0 - w) * (1.0 + w)))
     np.negative(b, out=s[m:, m:])
+    require(prefixed(prefix, _halmos_residuals(s)), NotSymmetryError, "halmos_symmetry")
     return s
 
 
@@ -279,10 +278,17 @@ def _corner(what: str, x, big) -> Residual:
     rather than the row comparing a block of another size."""
     x, big = as_matrix(x), as_matrix(big)
     n = len(x)
-    if x.shape != (n, n) or big.shape != (2 * n, 2 * n):
-        shapes = " and ".join(" x ".join(map(str, m.shape)) for m in (x, big))
-        raise ShapeMismatchError(f"{what} needs an n x n corner of a 2n x 2n operator, got {shapes}")
+    fits = x.shape == (n, n) and big.shape == (2 * n, 2 * n)
+    _require_shapes(what, "an n x n corner of a 2n x 2n operator", fits, x, big)
     return ("corner", _frobenius(big[:n, :n] - x), ALG_TOL)
+
+
+def _require_shapes(what: str, need: str, fits: bool, *operands) -> None:
+    """Unless ``fits``, ``ShapeMismatchError`` naming the shapes of ``operands``,
+    rather than a row broadcasting operands of another level."""
+    if not fits:
+        shapes = " and ".join(" x ".join(map(str, np.shape(m))) for m in operands)
+        raise ShapeMismatchError(f"{what} needs {need}, got {shapes}")
 
 
 def halmos_unitary(x) -> np.ndarray:
@@ -401,8 +407,12 @@ def _naimark_blocks(povm: Povm) -> np.ndarray:
 
 def naimark_residuals(povm: Povm, result: DilationResult) -> list[Residual]:
     """Z is an isometry, Z* N Z = sum(label_j h_j), and N is the diagonal
-    matrix of the labels (so normal with spectrum at the labels)."""
+    matrix of the labels (so normal with spectrum at the labels). ``povm``
+    has k n x n effects and Z is kn x n (else ``ShapeMismatchError``)."""
     z, nd = result.isometry, result.operators[0]
+    k, n = povm.effects.shape[:2]
+    fits = z.shape == (k * n, n)
+    _require_shapes("naimark_residuals", "k n x n effects and a kn x n isometry", fits, povm.effects, z)
     labels = np.repeat(povm.outcome_labels, z.shape[1])
     return [
         *_naimark_residuals(povm, z, nd @ z),
@@ -523,46 +533,48 @@ def joint_prism_dilation(a, b, k: int) -> tuple[RepPair, np.ndarray]:
 
     Builds the normal dilation (W, Z) of ``a`` from its positive
     decomposition, W = N = (+)_j omega^j 1 at the Naimark dimension kn, and
-    on the same space the symmetry V = 1 + M (H - 1) M* of
-    :func:`_joint_symmetry`, M = [Z Y], H the Halmos symmetry of ``b``. The
-    returned isometry G = Z satisfies G* W G = a and G* V G = b.
+    on the same space the reflection V = 1 - 2 x x* of :func:`_dilate_povm`.
+    The returned isometry G = Z satisfies G* W G = a and G* V G = b.
     Each input is factored once: the effect stack by the one factorisation
     of its POVM, Cholesky or ``eigh``, which decided the decomposition and
     also gives the Naimark blocks, and b by one ``eigh`` that checks
-    ||b|| <= 1 and gives the symmetry's defect at the level of ``b``, so its
-    identities are checked here. ``a`` and ``b`` pass the operand rule once,
-    together; the decomposition, W, V and V's symmetry rows take them as
-    passed.
+    ||b|| <= 1 and gives x. ``a`` and ``b`` pass the operand rule once,
+    together; the decomposition, W, V and V's rows take them as passed.
     """
     a, b = _operands("a and b must be square of equal size", a, b)
     _require_hermitian([b], "joint_prism_dilation input b")
-    defect = _hermitian_defect(b, "b")
-    return _dilate_povm(_order_k_povm(a, k), b, defect)
+    spectrum = _unit_spectrum(b, "b")
+    return _dilate_povm(_order_k_povm(a, k), b, spectrum)
 
 
 def _dilate_povm(
-    povm: Povm, b: np.ndarray, defect: np.ndarray, name: str = "joint_prism_dilation"
+    povm: Povm, b: np.ndarray, spectrum: tuple[np.ndarray, np.ndarray], name: str = "joint_prism_dilation"
 ) -> tuple[RepPair, np.ndarray]:
     """The joint dilation of :func:`joint_prism_dilation` from a given POVM
     with labels at the k-th roots of unity, k its number of effects, and a
-    Hermitian contraction b with its Halmos defect ``defect`` (of b rescaled
-    into the unit ball): G* W^m G = sum_j omega^(j m) h_j for every m, and
-    G* V G = b, at the Naimark dimension kn. Every row checked is labelled
-    with the pair's provenance, ``name(k=.., level=..)``.
+    Hermitian contraction b with its :func:`_unit_spectrum` (w, U): G* W^m G
+    = sum_j omega^(j m) h_j for every m, and G* V G = b, at the Naimark
+    dimension kn. Every row checked is labelled with the pair's provenance,
+    ``name(k=.., level=..)``.
 
     W = N is written from the labels, whose unitary and order rows are taken
-    on them; G = Z; V is :func:`_joint_symmetry`."""
+    on them; G = Z; V = 1 - 2 x x*, exactly Hermitian, for the x of
+    :func:`_reflector`, and ``v_squares_to_identity`` is its n x n
+    certificate :func:`_reflection_bound`, with no kn x kn product V V."""
     k, n = len(povm.effects), b.shape[0]
     provenance = f"{name}(k={k}, level={n})"
     z, labels = _naimark(povm, provenance)
-    w, v = np.diag(labels), _joint_symmetry(z, b, defect)
-    pair = RepPair._built(w, v, k, provenance)
-    unitary = _unitary_residual(w, labels)
+    x = _reflector(z, *spectrum)
+    v = x @ dagger(x)
+    v = np.negative(v + dagger(v), out=v)
+    v.ravel()[:: k * n + 1] += 1.0
+    pair = RepPair._built(np.diag(labels), v, k, provenance)
+    unitary = _unitary_residual(pair.w, labels)
     # The Naimark residuals certified G*G = Z*Z = 1 and G*WG = Z*NZ, which
     # the POVM ties to its first moment. Left: V a symmetry, W's order, and
     # G*VG = b.
     residuals = [
-        *prefixed("v_", _symmetry_residuals(v)),
+        ("v_squares_to_identity", _reflection_bound(x), SPEC_TOL),
         *prefixed("w_", [unitary, (f"order_{k}", _frobenius(labels**k - 1.0), SPEC_TOL * k)]),
         ("v_compression", _frobenius(dagger(z) @ v @ z - b), SPEC_TOL),
     ]
@@ -570,26 +582,42 @@ def _dilate_povm(
     return pair, z
 
 
-def _joint_symmetry(z, b, defect) -> np.ndarray:
-    """V = 1 + M (H - 1) M* for the kn x n Naimark isometry Z, M = [Z Y] and
-    H = [[b, D], [D, -b]], D = ``defect`` (as in :func:`halmos_symmetry`).
+def _reflector(z: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """x = Y U sqrt((1 + w)/2) - Z U sqrt((1 - w)/2) for the kn x n Naimark
+    isometry Z and the spectrum (w, U) of b, |w| <= 1, with Y columns
+    n .. 2n-1 of a complete QR of Z, an isometry into (ran Z)^perp. Then x is
+    an isometry with Z* x = -U sqrt((1 - w)/2), so Z* V Z = U w U* = b, and
+    V = 1 - 2 x x* is the Halmos symmetry of b carried to the range of [Z Y]."""
+    n = z.shape[1]
+    y = np.linalg.qr(z, mode="complete")[0][:, n : 2 * n]
+    return y @ (u * np.sqrt((1.0 + w) / 2.0)) - z @ (u * np.sqrt((1.0 - w) / 2.0))
 
-    Y, columns n .. 2n-1 of a complete QR of Z, is an isometry into
-    (ran Z)^perp, of dimension (k - 1) n >= 2n. So M is an isometry,
-    V = (1 - MM*) + MHM* squares to 1 and Z* V Z = b: W and V satisfy no
-    joint relation, so G = Z serves both. V is formed exactly Hermitian;
-    the caller checks it."""
-    n = len(b)
-    m = np.hstack([z, np.linalg.qr(z, mode="complete")[0][:, n : 2 * n]])
-    h = _symmetry_blocks(b, defect)
-    h.ravel()[:: 2 * n + 1] -= 1.0
-    v = hermitize(m @ h @ dagger(m))
-    v.ravel()[:: len(v) + 1] += 1.0
-    return v
+
+def _reflection_bound(x: np.ndarray) -> float:
+    """A bound on ||V^2 - 1||_F for V = 1 - 2 x x* as formed from the kn x n x:
+    V^2 - 1 = 4 x (x* x - 1) x* and ||x||^2 <= 1 + delta give 4 (1 + d) d at
+    delta = ||x* x - 1||_F <= d, plus (2 ||V|| + e) e, ||V|| <= 1 + 2 d, for
+    the rounding e of forming V. With s = ||x||_F^2, d adds (kn + 4) eps s
+    to the computed delta (the Gram entries are inner products of length kn),
+    and e = eps ((2n + 10) s + sqrt(kn)) covers x x*, its adjoint added, and
+    the subtraction from 1."""
+    kn, n = x.shape
+    eps = float(np.finfo(float).eps)
+    s = float(np.vdot(x, x).real)
+    gram = dagger(x) @ x
+    gram.ravel()[:: n + 1] -= 1.0
+    d = _frobenius(gram) + (kn + 4) * eps * s
+    e = eps * ((2 * n + 10) * s + math.sqrt(kn))
+    return 4.0 * (1.0 + d) * d + (2.0 + 4.0 * d + e) * e
 
 
 def joint_residuals(a, b, pair: RepPair, g) -> list[Residual]:
-    """G is an isometry with G* W G = a and G* V G = b."""
+    """G is an isometry with G* W G = a and G* V G = b; a and b are n x n for
+    the m x n G of the m x m pair (else ``ShapeMismatchError``)."""
+    a, b, g = np.asarray(a), np.asarray(b), np.asarray(g)
+    m, n = g.shape if g.ndim == 2 else (-1, -1)
+    fits = a.shape == b.shape == (n, n) and pair.dim == m
+    _require_shapes("joint_residuals", "n x n a and b, an m x m pair and an m x n isometry", fits, a, b, pair.v, g)
     gs = dagger(g)
     return [
         ("isometry", _frobenius(gs @ g - np.eye(g.shape[1])), SPEC_TOL),
@@ -621,6 +649,9 @@ def cube_residuals(mats, result: DilationResult) -> list[Residual]:
     """Each entry has one operator, a symmetry that the isometry compresses to it."""
     if len(mats) != len(result.operators):
         raise ShapeMismatchError(f"cube_residuals got {len(mats)} entries for {len(result.operators)} operators")
+    n = result.isometry.shape[1]
+    fits = all(np.shape(m) == (n, n) for m in mats)
+    _require_shapes("cube_residuals", "n x n entries for an isometry of n columns", fits, *mats, result.isometry)
     residuals = []
     for label, m, s, small in zip(result.labels, mats, result.operators, result.compressions()):
         compression = ("compression", _frobenius(small - m), ALG_TOL)

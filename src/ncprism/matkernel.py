@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    NcprismError,
     NotHermitianError,
     NotIsometryError,
     NotPSDError,
@@ -922,9 +923,16 @@ def _unitary_residual(u: np.ndarray, d: np.ndarray | None) -> Residual:
 def order_residuals(u, k: int) -> list[Residual]:
     """``u`` is unitary and ``u**k`` is the identity (bound SPEC_TOL * k); for
     an exactly diagonal U, found by one scan, both are taken on its diagonal d."""
+    _require_order(k)
     d = _exact_diagonal(u)
     gap = np.linalg.matrix_power(u, k) - np.eye(u.shape[0]) if d is None else d**k - 1.0
     return [_unitary_residual(u, d), (f"order_{k}", _frobenius(gap), SPEC_TOL * k)]
+
+
+def _require_order(k: int) -> None:
+    """``NcprismError`` naming k unless k >= 1 (U^0 = 1 passes any U's order row)."""
+    if k < 1:
+        raise NcprismError(f"an order k must be at least 1, got k={k}")
 
 
 def _exact_diagonal(u: np.ndarray) -> np.ndarray | None:
@@ -941,14 +949,8 @@ def _exact_diagonal(u: np.ndarray) -> np.ndarray | None:
 
 
 def symmetry_residuals(s) -> list[Residual]:
-    """``s`` is a symmetry: selfadjoint and squaring to the identity."""
+    """``s`` is a symmetry: ||S - S*||_F and ||S^2 - 1||_F, taken densely."""
     (s,) = _operands("a symmetry must be square", s)
-    return _symmetry_residuals(s)
-
-
-def _symmetry_residuals(s: np.ndarray) -> list[Residual]:
-    """:func:`symmetry_residuals` of an operand already passed through
-    :func:`_operands`: ||S - S*||_F and ||S^2 - 1||_F."""
     gap = s @ s
     gap.ravel()[:: len(s) + 1] -= 1.0
     return [("selfadjoint", _frobenius(s - dagger(s)), SPEC_TOL), ("squares_to_identity", _frobenius(gap), SPEC_TOL)]

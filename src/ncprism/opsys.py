@@ -573,8 +573,8 @@ def _dual_witness(x: np.ndarray, k: int) -> RepPair:
     b = R^-1/2 (Z_+ - Z_-)^T R^-1/2 is a Hermitian contraction; their joint
     dilation (W, V, G), of the Naimark dimension kr <= kq at the rank r of
     R, is the witness. Rounding in R^-1/2 can leave ||b|| a little above 1,
-    so the Halmos defect is taken at b / max(1, ||b||), with no norm check,
-    from one ``eigh`` of b. The vector xi = (1 (x) G R^1/2) Omega,
+    so V is taken at b / max(1, ||b||), with no norm check, from one
+    ``eigh`` of b. The vector xi = (1 (x) G R^1/2) Omega,
     Omega = sum_a e_a (x) e_a, has <xi, e(W, V) xi> = <base, x> ||xi||^2
     for every lift's base, so e(W, V) has an eigenvalue at most
     t_hi = <base, x>. The dilation checks its own identities, and the caller
@@ -582,7 +582,7 @@ def _dual_witness(x: np.ndarray, k: int) -> RepPair:
     """
     # Imported here: positivity decided without a dilation (every q = 1
     # element) then loads neither dilation nor convexity.
-    from .dilation import Povm, _dilate_povm, _hermitian_defect
+    from .dilation import Povm, _dilate_povm, _unit_spectrum
 
     zt = np.swapaxes(x, -1, -2)
     lam, u = np.linalg.eigh(hermitize(zt[:k].sum(axis=0)))
@@ -591,5 +591,5 @@ def _dual_witness(x: np.ndarray, k: int) -> RepPair:
     parts = hermitize(dagger(root) @ zt @ root)
     b = parts[k] - parts[k + 1]
     povm = Povm(parts[:k], roots_of_unity(k).tolist())
-    pair, _ = _dilate_povm(povm, b, _hermitian_defect(b, None), "dual_witness")
+    pair, _ = _dilate_povm(povm, b, _unit_spectrum(b, None), "dual_witness")
     return pair

@@ -42,6 +42,7 @@ from .matkernel import (
     Residual,
     _halmos_residuals,
     _operands,
+    _require_order,
     commutant_dimension,
     constant,
     dagger,
@@ -95,6 +96,7 @@ class RepPair:
 
     def __post_init__(self):
         self.w, self.v = _operands("W and V must be square of equal size", self.w, self.v)
+        _require_order(self.k)
 
     @classmethod
     def _built(cls, w: np.ndarray, v: np.ndarray, k: int, provenance: str) -> RepPair:

@@ -63,19 +63,19 @@ def square_root_dilation(effects, b):
     unity and a Hermitian contraction b by the square-root recipe at the
     Naimark dimension kn, in the arithmetic of the library's ``eigh`` path:
     G = Z stacks the roots h_j^(1/2) from one ``eigh`` of the stack, W is the
-    diagonal of the labels, and V = 1 + M (H - 1) M*, exactly Hermitian, with
-    M = [Z Y], Y columns n .. 2n-1 of a complete QR of Z, and H the Halmos
-    symmetry [[b, D], [D, -b]], D = sqrt(1 - b^2) from one ``eigh`` of b."""
+    diagonal of the labels, and V is the reflection 1 - (P + P*), P = x x*,
+    with x = Y U sqrt((1 + w)/2) - Z U sqrt((1 - w)/2) for Y columns
+    n .. 2n-1 of a complete QR of Z and (w, U) one ``eigh`` of b, w divided
+    by max(1, ||b||)."""
     k, n, _ = effects.shape
     w, u = np.linalg.eigh(hermitize(effects))
     z = hermitize((u * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ dagger(u)).reshape(k * n, n)
     w, u = np.linalg.eigh(hermitize(b))
     w = w / max(1.0, float(np.abs(w).max()))
-    defect = hermitize((u * np.sqrt((1.0 - w) * (1.0 + w))[None, :]) @ dagger(u))
-    m = np.hstack([z, np.linalg.qr(z, mode="complete")[0][:, n : 2 * n]])
-    h = np.block([[b, defect], [defect, -b]]).astype(complex)
-    h.ravel()[:: 2 * n + 1] -= 1.0
-    v = hermitize(m @ h @ dagger(m))
+    y = np.linalg.qr(z, mode="complete")[0][:, n : 2 * n]
+    x = y @ (u * np.sqrt((1.0 + w) / 2.0)) - z @ (u * np.sqrt((1.0 - w) / 2.0))
+    p = x @ dagger(x)
+    v = -(p + dagger(p))
     v.ravel()[:: k * n + 1] += 1.0
     return np.diag(np.repeat(roots_of_unity(k), n)), v, z
 

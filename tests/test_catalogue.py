@@ -127,32 +127,36 @@ def _joint():
     return dilation.joint_prism_dilation(A, B, 3)
 
 
+def _spectrum_shifted(spectrum):
+    w, u = spectrum
+    return shift(w), u
+
+
 # Every block the constructors call, each corrupted by 1e-6: the joint
-# dilation's effects, Naimark blocks, defect of b, Halmos symmetry H of b and
-# V = 1 + M (H - 1) M*, and the effects of a decomposition over C_4.
+# dilation's effects and Naimark blocks, the spectrum of b that the Halmos
+# defect is taken from, the joint reflector x, and the effects of a
+# decomposition over C_4. x taken at a corrupted spectrum of b is
+# test_joint_dilation_refuses_a_corrupted_z_part_of_x.
 @pytest.mark.parametrize(
-    "block, build, error",
+    "block, build, error, corrupt",
     [
-        ("_hermitian_defect", lambda: dilation.halmos_symmetry(HALF), NotSymmetryError),
-        ("_unitary_defects", lambda: dilation.halmos_unitary(HALF), NotIsometryError),
-        ("_hermitian_defect", lambda: dilation.cube_dilation([HALF, HALF]), NotSymmetryError),
-        ("_naimark_blocks", lambda: dilation.naimark_normal(POVM), InvalidPovmError),
-        ("_fourier_base", _joint, InvalidPovmError),
-        ("_fourier_base", lambda: dilation.order_k_povm(A, 4), InvalidPovmError),
-        ("_naimark_blocks", _joint, InvalidPovmError),
-        ("_hermitian_defect", _joint, RelationCheckFailedError),
-        ("_joint_symmetry", _joint, RelationCheckFailedError),
-        ("_symmetry_blocks", _joint, RelationCheckFailedError),
+        ("_unit_spectrum", lambda: dilation.halmos_symmetry(HALF), NotSymmetryError, _spectrum_shifted),
+        ("_unitary_defects", lambda: dilation.halmos_unitary(HALF), NotIsometryError, shift),
+        ("_unit_spectrum", lambda: dilation.cube_dilation([HALF, HALF]), NotSymmetryError, _spectrum_shifted),
+        ("_naimark_blocks", lambda: dilation.naimark_normal(POVM), InvalidPovmError, shift),
+        ("_fourier_base", _joint, InvalidPovmError, shift),
+        ("_fourier_base", lambda: dilation.order_k_povm(A, 4), InvalidPovmError, shift),
+        ("_naimark_blocks", _joint, InvalidPovmError, shift),
+        ("_reflector", _joint, RelationCheckFailedError, shift),
     ],
     ids=[
         "halmos_symmetry-defect", "halmos_unitary-defects", "cube-defect", "naimark-roots",
-        "joint-effects", "order_k-effects", "joint-roots", "joint-defect", "joint-carried",
-        "joint-symmetry",
+        "joint-effects", "order_k-effects", "joint-roots", "joint-reflector",
     ],
 )
-def test_constructor_refuses_corrupted_block(monkeypatch, block, build, error):
+def test_constructor_refuses_corrupted_block(monkeypatch, block, build, error, corrupt):
     original = getattr(dilation, block)
-    monkeypatch.setattr(dilation, block, lambda *args: shift(original(*args)))
+    monkeypatch.setattr(dilation, block, lambda *args: corrupt(original(*args)))
     with pytest.raises(error):
         build()
 
@@ -163,7 +167,7 @@ JOINT_ROW = r"joint_prism_dilation\(k=3, level=1\): v_"
 
 def test_joint_dilation_refuses_a_y_column_not_orthogonal_to_z(monkeypatch):
     # Y, the second column of the complete QR of the 3 x 1 isometry Z, leans
-    # 1e-6 towards Z: M = [Z Y] is no isometry, so V is no symmetry.
+    # 1e-6 towards Z: x = Y c_1 - Z c_0 is no isometry, so V is no symmetry.
     qr = np.linalg.qr
 
     def leaning(a, mode):
@@ -176,46 +180,44 @@ def test_joint_dilation_refuses_a_y_column_not_orthogonal_to_z(monkeypatch):
         dilation.joint_prism_dilation(A, B, 3)
 
 
-def test_joint_dilation_refuses_a_corrupted_defect_block(monkeypatch):
-    # G = Z sees only H's corner b, so G*VG = b cannot catch a moved entry of
-    # H's defect block D; V's own symmetry residual must.
-    original = dilation._symmetry_blocks
+@pytest.mark.parametrize("block", [0, 1, 2])
+def test_joint_dilation_refuses_each_corrupted_block_of_x(monkeypatch, block):
+    # V = 1 - 2 x x* is formed from x, so a 1e-6 move of one 1 x 1 block of
+    # the 3 x 1 x (every entry nonzero) reaches V through x alone: x* x moves
+    # off 1, and V's certificate, from ||x* x - 1||_F, runs first.
+    original = dilation._reflector
 
-    def corrupted(b, defect):
-        h = original(b, defect)
-        h[0, 1] += 1e-6
-        h[1, 0] += 1e-6
-        return h
+    def corrupted(*args):
+        x = original(*args)
+        x[block] += 1e-6
+        return x
 
-    monkeypatch.setattr(dilation, "_symmetry_blocks", corrupted)
+    monkeypatch.setattr(dilation, "_reflector", corrupted)
     with pytest.raises(RelationCheckFailedError, match=JOINT_ROW + "squares_to_identity"):
         dilation.joint_prism_dilation(A, B, 3)
 
 
-@pytest.mark.parametrize(
-    "entry, row",
-    [
-        ((0, 0), "squares_to_identity"),
-        ((0, 2), "selfadjoint"),
-        ((2, 0), "selfadjoint"),
-        ((2, 2), "squares_to_identity"),
-    ],
-    ids=["top-left", "top-right", "bottom-left", "bottom-right"],
-)
-def test_joint_dilation_refuses_each_corrupted_corner_of_v(monkeypatch, entry, row):
-    # A 1e-6 move of one corner entry of the 3 x 3 V after it is written is
-    # caught by its symmetry rows, which run first: on the diagonal it keeps
-    # V Hermitian and breaks V^2 = 1, off it it breaks V = V*.
-    original = dilation._joint_symmetry
-
-    def corrupted(*args):
-        v = original(*args)
-        v[entry] += 1e-6
-        return v
-
-    monkeypatch.setattr(dilation, "_joint_symmetry", corrupted)
-    with pytest.raises(RelationCheckFailedError, match=JOINT_ROW + row):
+def test_joint_dilation_refuses_a_corrupted_z_part_of_x(monkeypatch):
+    # x taken at w + 1e-6: its Z part -Z U sqrt((1 - w)/2) moves, and its Y
+    # part with it, so x stays an isometry and V a symmetry; only G*VG = b,
+    # read from the stored V, can catch it.
+    original = dilation._reflector
+    monkeypatch.setattr(dilation, "_reflector", lambda z, w, u: original(z, w + 1e-6, u))
+    with pytest.raises(RelationCheckFailedError, match=JOINT_ROW + "compression"):
         dilation.joint_prism_dilation(A, B, 3)
+
+
+def test_joint_dilation_refuses_a_near_isometry_whose_v_is_no_symmetry(monkeypatch):
+    # x scaled so that x* x = 1 + t, t = SPEC_TOL / 2: ||x* x - 1||_F is
+    # within SPEC_TOL, but V^2 - 1 = 4 x (x* x - 1) x* has norm 4 t (1 + t),
+    # twice the bound, and the recorded row says so.
+    t = matkernel.SPEC_TOL / 2
+    original = dilation._reflector
+    monkeypatch.setattr(dilation, "_reflector", lambda *args: original(*args) * np.sqrt(1.0 + t))
+    with matkernel.measured() as rows, pytest.raises(RelationCheckFailedError, match=JOINT_ROW + "squares"):
+        dilation.joint_prism_dilation(A, B, 3)
+    name, recorded, _, _ = rows[-1]
+    assert name == "v_squares_to_identity" and recorded >= 4 * t * (1 + t)
 
 
 def _opnorm(gap):

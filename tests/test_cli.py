@@ -327,6 +327,20 @@ class TestQuotient:
         assert out == ""
         assert err.startswith("error: input pair: w_unitary")
 
+    @pytest.mark.parametrize("k", [0, -2])
+    @pytest.mark.parametrize(
+        "args", [["word", "--letters", "w*v"], ["quotient", "functional"]], ids=["word", "functional"]
+    )
+    def test_a_pair_of_order_below_one_is_refused(self, capsys, monkeypatch, k, args):
+        # At k = 0 the order rows pass any unitary pair (W^0 = 1), and the
+        # functional's transform has no points: refused by the pair itself.
+        pair = {"k": k, "W": scalar(1.0), "V": scalar(1.0)}
+        payload = {"pair": pair, "density": scalar(1.0)}
+        code, out, err = run_cli(capsys, monkeypatch, [*args, "--k", str(k)], stdin_obj=payload)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: an order k must be at least 1, got k={k}\n"
+
     def test_functional_reports_the_input_pair_rows(self, capsys, monkeypatch):
         pair = ncprism.s3_pair()
         payload = {"pair": serialize.rep_pair_to_json(pair), "density": matrix_to_json(np.eye(2) / 2)}

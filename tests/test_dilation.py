@@ -2,10 +2,11 @@ import itertools
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -181,6 +182,44 @@ def test_halmos_recheck_refuses_a_corner_of_another_size(recheck, dilate, corner
         recheck(corner, big)
 
 
+def _level_pair():
+    """The joint dilation of the 2 x 2 zero pair over C_3, and the level-2 POVM
+    and Naimark dilation of a = 0."""
+    povm = triangle_povm(np.zeros((2, 2)))
+    return joint_prism_dilation(np.zeros((2, 2)), np.zeros((2, 2)), 3), povm, naimark_normal(povm)
+
+
+@pytest.mark.parametrize("recheck, shapes", [
+    (lambda pair, g, povm, result: joint_residuals(np.zeros((1, 1)), np.zeros((1, 1)), pair, g),
+     "1 x 1 and 1 x 1 and 6 x 6 and 6 x 2"),
+    (lambda pair, g, povm, result: joint_residuals(np.zeros((2, 2)), np.zeros((2, 2)), pair, g[:3]),
+     "2 x 2 and 2 x 2 and 6 x 6 and 3 x 2"),
+    (lambda pair, g, povm, result: naimark_residuals(triangle_povm(np.zeros((1, 1))), result),
+     "3 x 1 x 1 and 6 x 2"),
+    (lambda pair, g, povm, result: naimark_residuals(povm, replace(result, isometry=g[:, :1])),
+     "3 x 2 x 2 and 6 x 1"),
+    (lambda pair, g, povm, result: cube_residuals([np.zeros((1, 1))], cube_dilation([np.zeros((2, 2))])),
+     "1 x 1 and 4 x 2"),
+    (lambda pair, g, povm, result: povm_residuals(povm.effects, povm.outcome_labels, np.zeros((1, 1))),
+     "3 x 2 x 2 and 3 and 1 x 1"),
+    (lambda pair, g, povm, result: povm_residuals(povm.effects[0], povm.outcome_labels[:2], np.zeros((2, 2))),
+     "2 x 2 and 2 and 2 x 2"),
+], ids=["joint-level", "joint-height", "naimark-level", "naimark-width", "cube-level", "povm-level", "povm-one-effect"])
+def test_rechecks_refuse_operands_of_another_level(recheck, shapes):
+    # Each re-check of a level-2 output against operands of level 1 (or a
+    # cut isometry) names both shapes, rather than a row broadcasting them
+    # into a pass: a 1 x 1 zero against a 2 x 2 one passed every row before.
+    (pair, g), povm, result = _level_pair()
+    with pytest.raises(ShapeMismatchError, match=f"got {shapes}$"):
+        recheck(pair, g, povm, result)
+
+
+def test_povm_residuals_refuse_a_label_count_other_than_the_effect_count():
+    povm = triangle_povm(np.zeros((2, 2)))
+    with pytest.raises(ShapeMismatchError, match="k labels and an n x n a, got 3 x 2 x 2 and 2 and 2 x 2$"):
+        povm_residuals(povm.effects, povm.outcome_labels[:2], np.zeros((2, 2)))
+
+
 class TestTrianglePovm:
     def test_centroid(self):
         povm = triangle_povm(np.array([[0.0]]))
@@ -335,7 +374,7 @@ class TestNaimark:
         with pytest.raises(InvalidPovmError, match="naimark_normal: compression"):
             naimark_normal(povm)
         with pytest.raises(InvalidPovmError, match=r"joint_prism_dilation\(k=3, level=2\): compression"):
-            _dilate_povm(povm, b, dilation._hermitian_defect(b, "b"))
+            _dilate_povm(povm, b, dilation._unit_spectrum(b, "b"))
 
     @pytest.mark.parametrize("k", [3, 4, 6])
     def test_effect_eigenvalue_at_the_clamp_edge(self, k):
@@ -665,6 +704,31 @@ class TestJointPrismDilation:
             assert pair.dim == k * n and g is z
             assert within_bounds(joint_residuals(a, b, pair, g))
 
+    # Scales up to 0.45 keep every Fourier effect positive, so no solve runs.
+    @settings(max_examples=25)
+    @given(
+        k=st.integers(3, 8),
+        n=st.integers(1, 16),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(0.05, 0.45),
+    )
+    @example(k=3, n=1, seed=0, scale=0.3)
+    def test_recorded_square_row_bounds_the_dense_one(self, k, n, seed, scale):
+        # v_squares_to_identity, from ||x* x - 1||_F alone, is at least the
+        # dense ||V^2 - 1||_F of the V returned, taken in extended precision
+        # up to that product's own rounding gamma_(kn+2) || |V| |V| ||_F.
+        a, b = random_prism_point(np.random.default_rng(seed), n, k, scale=scale)
+        with measured() as rows:
+            pair, _ = joint_prism_dilation(a, b, k)
+        [recorded] = [value for name, value, _, _ in rows if name == "v_squares_to_identity"]
+        v = pair.v.astype(np.clongdouble)
+        gap = v @ v - np.eye(k * n)
+        modulus = np.abs(v)
+        rounding = (k * n + 2) * np.finfo(np.longdouble).eps * np.sqrt((np.abs(modulus @ modulus) ** 2).sum())
+        assert recorded >= float(np.sqrt((np.abs(gap) ** 2).sum()) - rounding)
+        assert "v_selfadjoint" not in {name for name, _, _, _ in rows}
+        assert np.array_equal(pair.v, dagger(pair.v))
+
     @pytest.mark.parametrize("k", [3, 4, 6, 8])
     def test_dilation_of_a_given_povm(self, k):
         # A random POVM with labels at the k-th roots of unity, not one that
@@ -680,7 +744,7 @@ class TestJointPrismDilation:
         b = hermitize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         b = 0.9 * b / opnorm(b)
         povm = Povm(list(effects), roots_of_unity(k).tolist())
-        pair, g = _dilate_povm(povm, b, dilation._hermitian_defect(b, "b"))
+        pair, g = _dilate_povm(povm, b, dilation._unit_spectrum(b, "b"))
         assert pair.dim == k * n
         assert within_bounds(pair_residuals(pair))
         power = np.eye(pair.dim)

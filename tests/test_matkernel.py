@@ -18,6 +18,7 @@ from helpers import (
 )
 
 from ncprism.errors import (
+    NcprismError,
     NotHermitianError,
     NotIsometryError,
     NotPSDError,
@@ -1159,6 +1160,12 @@ class TestCheckOrder:
 
     def test_non_unitary_rejected(self):
         assert not within_bounds(order_residuals(np.diag([0.5, 1.0]), 1))
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_order_below_one_refused(self, k):
+        # U^0 = 1 would pass the order row of any unitary.
+        with pytest.raises(NcprismError, match=f"an order k must be at least 1, got k={k}$"):
+            order_residuals(np.eye(2), k)
 
 
 class TestDiagonalResiduals:

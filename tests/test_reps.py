@@ -26,6 +26,7 @@ import ncprism.reps
 
 from ncprism.errors import (
     AssemblyFailedError,
+    NcprismError,
     IndexOutOfRangeError,
     LambdaOutOfRangeError,
     NotSymmetryError,
@@ -335,6 +336,12 @@ class TestGroupPairs:
     def test_a4_irreducible(self):
         pair = a4_pair()
         assert commutant_dimension([pair.w, pair.v])[0] == 1
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_a_pair_of_order_below_one_is_refused(self, k):
+        # W^0 = 1 would pass the order rows of any unitary W.
+        with pytest.raises(NcprismError, match=f"an order k must be at least 1, got k={k}$"):
+            ncprism.reps.RepPair(np.eye(2), np.eye(2), k)
 
     def test_reducible_pair_with_the_s3_relation_is_refused(self):
         # W = 1 and V = diag(1, -1) satisfy the orders and VWV = W^-1 but
