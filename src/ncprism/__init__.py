@@ -88,7 +88,7 @@ _EXPORTS = {
     "finitefield": ("FiniteFieldSpec", "GaloisField"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset(_EXPORTS) | {"cli", "errors", "serialize", "verify"}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "errors", "floor", "serialize", "verify"}
 
 __all__ = list(_MODULE_OF)
 

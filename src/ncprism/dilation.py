@@ -45,12 +45,12 @@ from .matkernel import (
     PSD_CLAMP,
     SPEC_TOL,
     FloorResult,
-    FloorSystem,
     Residual,
     _frobenius,
     _halmos_residuals,
     _operands,
     _require_hermitian,
+    _require_shapes,
     _spectral,
     _spectral_sqrt,
     _unitary_residual,
@@ -60,7 +60,6 @@ from .matkernel import (
     dagger,
     hermitian_basis,
     hermitize,
-    lmi_floor,
     prefixed,
     require,
     roots_of_unity,
@@ -283,14 +282,6 @@ def _corner(what: str, x, big) -> Residual:
     return ("corner", _frobenius(big[:n, :n] - x), ALG_TOL)
 
 
-def _require_shapes(what: str, need: str, fits: bool, *operands) -> None:
-    """Unless ``fits``, ``ShapeMismatchError`` naming the shapes of ``operands``,
-    rather than a row broadcasting operands of another level."""
-    if not fits:
-        shapes = " and ".join(" x ".join(map(str, np.shape(m))) for m in operands)
-        raise ShapeMismatchError(f"{what} needs {need}, got {shapes}")
-
-
 def halmos_unitary(x) -> np.ndarray:
     """Dilate a contraction to a unitary on the doubled space.
 
@@ -458,7 +449,7 @@ def order_k_povm(a, k: int) -> Povm:
     For k >= 4, once ``convexity.max_member`` has placed W(a) in Conv(C_k),
     the base may be moved by any Hermitian combination of the Fourier modes
     m = 2 .. k-2 (the (k-3) n^2 real unknowns that keep sum(h_j) = 1 and
-    sum(omega^j h_j) = a), and ``matkernel.lmi_floor``, over the system kept
+    sum(omega^j h_j) = a), and ``floor.lmi_floor``, over the system kept
     for (k, n) (:func:`_mode_system`), gives the bracket and its lift's
     ``eigh``; the base itself takes no ``eigh``. Returned effects are factored
     once, by Cholesky or ``eigh``, for ``effects_positive`` and the Naimark
@@ -494,8 +485,10 @@ def _order_k_povm(a: np.ndarray, k: int) -> Povm:
             # The decomposition is unique: its smallest eigenvalue is the exact floor.
             floor = FloorResult(np.zeros(0), povm.effects, povm.spectrum, float(spectra.min()), None, 0)
         else:
-            # Imported here: only a base that is not positive, at k >= 4, screens the facets.
+            # Imported here: only a base that is not positive, at k >= 4, screens
+            # the facets and solves.
             from .convexity import make_polygon, max_member, real_imag_parts
+            from .floor import lmi_floor
 
             re, im = real_imag_parts(a)
             verdict = max_member([re, im], make_polygon(k))
@@ -512,7 +505,7 @@ def _order_k_povm(a: np.ndarray, k: int) -> Povm:
 
 
 @constant(maxsize=4)
-def _mode_system(k: int, n: int) -> FloorSystem:
+def _mode_system(k: int, n: int):
     """The ``lmi_floor`` system of the level-n decompositions over the k-th
     roots of unity, built once per (k, n) and read-only: its directions are
     the Hermitian Fourier modes m = 2 .. k-2 tensored with
@@ -523,6 +516,8 @@ def _mode_system(k: int, n: int) -> FloorSystem:
     constraints, about four copies of the stack: 0.07 MB at (4, 4), 0.3 MB
     at (6, 4), 5 MB at (6, 8) and 80 MB at (6, 16), where one call peaks
     near 142 MB. Four entries hold k = 4 .. 7 at one level n <= 8 in 17 MB."""
+    from .floor import FloorSystem
+
     roots, j = roots_of_unity(k), np.arange(k)
     modes = [roots[j * m % k].real if 2 * m <= k else roots[j * m % k].imag for m in range(2, k - 1)]
     return FloorSystem(np.einsum("mj,eab->mejab", modes, hermitian_basis(n)).reshape(-1, k, n, n))

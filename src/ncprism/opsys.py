@@ -23,7 +23,7 @@ a second closed-form lift, the midpoint lift, which puts the binding
 character's value (x_j + x_+/-)/2 on both of its blocks: its floor t_mid <=
 t* certifies at t_mid >= STRICT_MARGIN, and [t_mid, t_char] inside the band
 is ``Unknown``, which decides boundary elements such as a common null vector
-of x_j and x_+/-. Any other element gets one ``matkernel.lmi_floor`` solve
+of x_j and x_+/-. Any other element gets one ``floor.lmi_floor`` solve
 over the lifts: a strictly positive lift certifies, and the solver's primal
 point, a matrix state that separates the element, dilates to a refuting
 representation.
@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    IndexOutOfRangeError,
     InvalidDensityError,
     NotSelfadjointError,
     OrderMismatchError,
@@ -48,7 +49,6 @@ from .matkernel import (
     ALG_TOL,
     PSD_CLAMP,
     SPEC_TOL,
-    FloorSystem,
     Residual,
     _exact_diagonal,
     _floor,
@@ -60,7 +60,6 @@ from .matkernel import (
     fourier_values,
     hermitian_basis,
     hermitize,
-    lmi_floor,
     opnorm,
     opnorms,
     require,
@@ -276,7 +275,10 @@ def _basis_operators(pair: RepPair) -> np.ndarray:
 
 
 def psi_k_basis_element(k: int, index: int) -> PrismElement:
-    """Image under the quotient map of the index-th canonical basis vector."""
+    """Image under the quotient map of the index-th canonical basis vector,
+    0 <= index <= k + 1."""
+    if not 0 <= index <= k + 1:
+        raise IndexOutOfRangeError(f"basis index {index} outside 0..{k + 1}")
     return psi_k(DiagTuple(k, 1, (np.arange(k + 2) == index)[:, None, None]))
 
 
@@ -291,8 +293,21 @@ def quotient_residuals(k: int, q: int = 1) -> list[Residual]:
 
 
 def _dual_balance(z: DualTuple) -> Residual:
-    gap = abs(_kernel(z.k) @ z.z)
-    return ("dual_balance", float(gap), _LINEAR_TOL * max(1.0, float(np.abs(z.z).max())))
+    """The row ``dual_balance``: |sum_j z_j - z_+ - z_-| within _LINEAR_TOL
+    max(1, max_i |z_i|). Where that sum or max overflows, both are taken on
+    z times 2^-e, 2^e above every real and imaginary part, and scaled back by
+    the exact 2^e; a row that is still not finite is refused (``ValueError``)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap, size = abs(_kernel(z.k) @ z.z), float(np.abs(z.z).max())
+        if math.isfinite(gap) and math.isfinite(size):
+            return ("dual_balance", float(gap), _LINEAR_TOL * max(1.0, size))
+        e = math.frexp(max(float(np.abs(z.z.real).max()), float(np.abs(z.z.imag).max())))[1]
+        scaled = z.z * 2.0**-e
+        gap, size = abs(_kernel(z.k) @ scaled), float(np.abs(scaled).max())
+    try:
+        return ("dual_balance", math.ldexp(gap, e), math.ldexp(_LINEAR_TOL * max(2.0**-e, size), e))
+    except OverflowError:
+        raise ValueError(f"the dual balance |sum_j z_j - z_+ - z_-| overflows: 2^{e} times {gap:.3e}") from None
 
 
 def dual_member(z: DualTuple) -> bool:
@@ -464,7 +479,7 @@ def matrix_positivity_prism(e: PrismElement):
     - t_mid >= STRICT_MARGIN: the midpoint lift certifies;
     - t_mid >= -SPEC_TOL and t_char < STRICT_MARGIN: ``Unknown``, as above.
 
-    Otherwise ``matkernel.lmi_floor`` brackets t* against the same band,
+    Otherwise ``floor.lmi_floor`` brackets t* against the same band,
     over the system kept for (k, q) (:func:`_lift_system`):
 
     - t_lo >= STRICT_MARGIN: a lift with every block >= STRICT_MARGIN, and
@@ -511,6 +526,9 @@ def matrix_positivity_prism(e: PrismElement):
     if t_mid >= -SPEC_TOL and t_char < STRICT_MARGIN:
         return _unknown(t_mid, t_char)
 
+    # Imported here: an element decided in closed form loads no solver.
+    from .floor import lmi_floor
+
     result = lmi_floor(base, _lift_system(k, e.q), (-SPEC_TOL, STRICT_MARGIN))
     if result.t_lo >= STRICT_MARGIN:
         return _certify(e, result.lift)
@@ -523,13 +541,15 @@ def matrix_positivity_prism(e: PrismElement):
 
 
 @constant(maxsize=8)
-def _lift_system(k: int, q: int) -> FloorSystem:
+def _lift_system(k: int, q: int):
     """The ``lmi_floor`` system of the level-q lifts through the quotient
     map, built once per (k, q) and read-only: its directions are the kernel
     vector tensored with ``hermitian_basis(q)``. An entry keeps the
     q^2 x (k + 2) x q x q direction stack and its constraints, about four
     copies of the stack: 6 kB at (3, 2), 0.2 MB at (8, 4) and 2.7 MB at
     (8, 8). At k <= 8 and q <= 4 the eight entries keep at most 1.4 MB."""
+    from .floor import FloorSystem
+
     return FloorSystem(_kernel(k)[:, None, None] * hermitian_basis(q)[:, None])
 
 

@@ -43,6 +43,7 @@ from .matkernel import (
     _halmos_residuals,
     _operands,
     _require_order,
+    _require_shapes,
     commutant_dimension,
     constant,
     dagger,
@@ -138,7 +139,10 @@ class SymmetryTuple:
 
 
 def symmetry_tuple_residuals(mats) -> list[Residual]:
-    """Every entry is a symmetry; names carry the entry index."""
+    """Every entry is a symmetry; names carry the entry index. A tuple that
+    :class:`SymmetryTuple` refuses (empty, or not square of one size) raises
+    ``ShapeMismatchError`` by the same rule."""
+    mats = _operands("symmetry_tuple_residuals needs square entries of equal size", *mats)
     return [r for i, m in enumerate(mats) for r in prefixed(f"s{i}_", symmetry_residuals(m))]
 
 
@@ -287,8 +291,11 @@ def two_symmetry_canonical_form(v1, v2) -> CanonicalForm:
 
 
 def canonical_form_residuals(v1, v2, form: CanonicalForm) -> list[Residual]:
-    """The conjugator carries the canonical pair back to (v1, v2)."""
-    u = form.conjugator
+    """The conjugator carries the canonical pair back to (v1, v2), each
+    n x n for the form's dimension n."""
+    u, n = form.conjugator, form.dim
+    fits = np.shape(v1) == np.shape(v2) == np.shape(u) == (n, n)
+    _require_shapes("canonical_form_residuals", f"v1, v2 and a conjugator of size {n} x {n}", fits, v1, v2, u)
     c1, c2 = form.canonical_pair()
     err = max(opnorm(u @ c1 @ dagger(u) - v1), opnorm(u @ c2 @ dagger(u) - v2))
     return [("reconstruction", err, SPEC_TOL)]
@@ -400,7 +407,10 @@ def _checked_character(k: int, j: int, sign: int) -> str:
 
 
 def vertex_residuals(pair: RepPair, xi, j: int, sign: int) -> list[Residual]:
-    """The vector state of ``xi`` maps (W, V) to the vertex (omega^j, sign)."""
+    """The vector state of ``xi``, a vector or column of the pair's
+    dimension, maps (W, V) to the vertex (omega^j, sign)."""
+    fits = np.shape(xi) in ((pair.dim,), (pair.dim, 1))
+    _require_shapes("vertex_residuals", "a vector xi of the pair's dimension", fits, xi, pair.w)
     wval = complex(np.vdot(xi, pair.w @ xi))
     vval = complex(np.vdot(xi, pair.v @ xi))
     angle = 2 * math.pi * j / pair.k

@@ -25,7 +25,7 @@ def worst(residuals):
 
 
 def record_direction_products(monkeypatch):
-    """Replace ``np.tensordot``, as matkernel, dilation and opsys bind it
+    """Replace ``np.tensordot``, as floor, dilation and opsys bind it
     (through ``np``), by one that records the shape of each right operand
     that is a (p, m, n, n) stack of ``lmi_floor`` directions: the products
     that form a lift base + sum_i y_i D_i. Returns the list of shapes."""

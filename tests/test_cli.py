@@ -318,6 +318,29 @@ class TestQuotient:
         assert out == ""
         assert message in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "z, code, member",
+        [
+            ([1e308, 1e308, -1e308, 5e307, 5e307], 0, True),
+            ([1e8, 1e8, -1e8, 5e7, 5e7], 0, True),
+            ([1e308, 1e308, 1e308, -1e308, -1e308], 2, None),
+        ],
+        ids=["overflowing-terms", "small-terms", "overflowing-balance"],
+    )
+    def test_dual_member_near_the_float_limit(self, capsys, monkeypatch, z, code, member):
+        # Finite coordinates whose sum overflows are decided on an exact
+        # rescaling, as their 1e-300 multiple is; a balance past the float
+        # range is refused by name.
+        got, out, err = run_cli(
+            capsys, monkeypatch, ["quotient", "dual-member", "--k", "3"], stdin_obj={"z": [[x, 0.0] for x in z]}
+        )
+        assert got == code
+        if member is None:
+            assert out == "" and err.startswith("error: the dual balance |sum_j z_j - z_+ - z_-| overflows")
+        else:
+            assert json.loads(out)["member"] is member and err == ""
+
     def test_functional_refuses_a_pair_that_is_not_one(self, capsys, monkeypatch):
         # W = V = 0 is no unitary pair: refused as word refuses it, not
         # turned into dual coordinates.

@@ -17,7 +17,7 @@ from helpers import (
     within_bounds,
 )
 
-from ncprism import convexity, dilation, matkernel, reps
+from ncprism import convexity, dilation, floor, matkernel, reps
 from ncprism.convexity import (
     make_polygon,
     max_member,
@@ -1032,13 +1032,13 @@ class TestOneLift:
 
     @staticmethod
     def solves(monkeypatch):
-        calls, solve = [], dilation.lmi_floor
+        calls, solve = [], floor.lmi_floor
 
         def counted(base, *args):
             calls.append((base, solve(base, *args)))
             return calls[-1][1]
 
-        monkeypatch.setattr(dilation, "lmi_floor", counted)
+        monkeypatch.setattr(floor, "lmi_floor", counted)
         return calls
 
     @pytest.mark.parametrize("scale", [0.3, 0.9], ids=["no-step", "newton-steps"])
@@ -1112,7 +1112,7 @@ class TestOneFactorisationPerDecidedStack:
         def refuse(*args):
             raise AssertionError("a positive base reached a solver or a facet screen")
 
-        monkeypatch.setattr(dilation, "lmi_floor", refuse)
+        monkeypatch.setattr(floor, "lmi_floor", refuse)
         monkeypatch.setattr(convexity, "max_member", refuse)
         calls = record_factorisations(monkeypatch)
         povm = order_k_povm(a, 6)
@@ -1125,8 +1125,8 @@ class TestOneFactorisationPerDecidedStack:
         # the POVM's spectrum is the FloorResult's, and the lift is factored
         # once, by lmi_floor's closing eigh.
         a = random_prism_point(np.random.default_rng([20260117, 6, 9]), 4, 6, scale=0.9)[0]
-        results, solve = [], dilation.lmi_floor
-        monkeypatch.setattr(dilation, "lmi_floor", lambda *args: results.append(solve(*args)) or results[-1])
+        results, solve = [], floor.lmi_floor
+        monkeypatch.setattr(floor, "lmi_floor", lambda *args: results.append(solve(*args)) or results[-1])
         calls = record_factorisations(monkeypatch)
         povm = order_k_povm(a, 6)
         (result,) = results
@@ -1185,9 +1185,9 @@ class TestCholeskyNaimarkBlocks:
     def test_a_k4_base_that_is_not_positive_takes_no_eigh_before_the_solve(self, monkeypatch):
         a = TestModeSystemCache.draw(4)
         base = dilation._fourier_base(a, roots_of_unity(4))
-        calls, solve = record_factorisations(monkeypatch), dilation.lmi_floor
+        calls, solve = record_factorisations(monkeypatch), floor.lmi_floor
         before = []
-        monkeypatch.setattr(dilation, "lmi_floor", lambda *args: before.extend(calls) or solve(*args))
+        monkeypatch.setattr(floor, "lmi_floor", lambda *args: before.extend(calls) or solve(*args))
         order_k_povm(a, 4)
         assert np.linalg.eigvalsh(base).min() < 0.0 and before
         assert [name for name, shape, c in before if shape == base.shape and np.array_equal(c, base)] == ["cholesky"]
@@ -1312,14 +1312,14 @@ class TestSeededDecompositions:
         # Newton steps over the 160 inputs; started at t_lo - 1 it took 296,
         # with the same outcome for every input. The 18 inputs whose Fourier
         # base is positive are decided before any solve.
-        steps, solve = [], dilation.lmi_floor
+        steps, solve = [], floor.lmi_floor
 
         def counted(*args):
             result = solve(*args)
             steps.append(result.steps)
             return result
 
-        monkeypatch.setattr(dilation, "lmi_floor", counted)
+        monkeypatch.setattr(floor, "lmi_floor", counted)
         outcomes = {}
         for k, n, seed in itertools.product(range(4, 9), range(1, 5), range(8)):
             try:

@@ -26,16 +26,13 @@ from ncprism.errors import (
     ShapeMismatchError,
 )
 from ncprism.dilation import cube_dilation, halmos_symmetry
+from ncprism.floor import _LMI_REACH, FloorSystem, _schur, _step_lengths, lmi_floor
 from ncprism.matkernel import (
-    _LMI_REACH,
     ALG_TOL,
     PSD_CLAMP,
     SPEC_TOL,
-    FloorSystem,
     _h_weights,
     _halmos_residuals,
-    _schur,
-    _step_lengths,
     commutant_dimension,
     commutant_residuals,
     compress,
@@ -47,7 +44,6 @@ from ncprism.matkernel import (
     hermitize,
     is_hermitian,
     kron,
-    lmi_floor,
     measured,
     opnorm,
     opnorms,
@@ -403,6 +399,16 @@ class TestHalmosBlockResiduals:
 
 
 class TestCommutant:
+    @pytest.mark.parametrize("mats, basis, shapes", [
+        ([np.eye(2)], [np.eye(3)], "2 x 2 and 3 x 3"),
+        ([np.eye(2), np.eye(3)], [np.eye(2)], "2 x 2 and 3 x 3 and 2 x 2"),
+        ([np.eye(2)], [np.eye(2), np.ones(4)], "2 x 2 and 2 x 2 and 4"),
+    ], ids=["basis", "ragged-set", "flat-element"])
+    def test_residuals_refuse_operands_of_another_size(self, mats, basis, shapes):
+        # By name, not by numpy's reshape or matmul error.
+        with pytest.raises(ShapeMismatchError, match=f"needs n x n matrices and basis elements, got {shapes}$"):
+            commutant_residuals(mats, basis)
+
     def test_identity_has_full_commutant(self):
         dim, basis = commutant_dimension([np.eye(2)])
         assert dim == 4
@@ -1160,6 +1166,13 @@ class TestCheckOrder:
 
     def test_non_unitary_rejected(self):
         assert not within_bounds(order_residuals(np.diag([0.5, 1.0]), 1))
+
+    @pytest.mark.parametrize("u, shape", [(np.zeros((2, 3)), "2 x 3"), (1.0, "a scalar")], ids=["2x3", "scalar"])
+    def test_a_non_square_u_is_refused(self, u, shape):
+        # By name, not by numpy's LinAlgError from the matrix power (or an
+        # AttributeError on a scalar).
+        with pytest.raises(ShapeMismatchError, match=f"order_residuals needs a square u, got {shape}$"):
+            order_residuals(u, 3)
 
     @pytest.mark.parametrize("k", [0, -2])
     def test_order_below_one_refused(self, k):

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import re
 import sys
 import tracemalloc
@@ -22,21 +23,21 @@ from helpers import (
 from ncprism.convexity import random_prism_point
 from ncprism.dilation import joint_prism_dilation
 from ncprism.errors import (
+    IndexOutOfRangeError,
     InvalidDensityError,
     NotSelfadjointError,
     ShapeMismatchError,
     WrongLevelError,
 )
+from ncprism.floor import FloorSystem, lmi_floor
 from ncprism.matkernel import (
     ALG_TOL,
     SPEC_TOL,
-    FloorSystem,
     _exact_diagonal,
     dagger,
     hermitian_basis,
     hermitize,
     is_hermitian,
-    lmi_floor,
     measured,
     opnorm,
     roots_of_unity,
@@ -47,6 +48,7 @@ from ncprism.opsys import (
     Unknown,
     _basis_operators,
     _dual_witness,
+    _LINEAR_TOL,
     _kernel,
     _particular_lift,
     DiagTuple,
@@ -56,6 +58,7 @@ from ncprism.opsys import (
     certified_residuals,
     dual_member,
     element_distance,
+    functional_residuals,
     functional_to_tuple,
     matrix_positivity_prism,
     min_eigenvalue,
@@ -126,6 +129,13 @@ class TestPsiK:
             verdict = scalar_positivity_prism(e)
             assert verdict.positive
 
+    @pytest.mark.parametrize("index", [-1, 5, 9])
+    def test_basis_index_outside_the_coordinates_is_refused(self, index):
+        # The k + 2 coordinates are 0 .. k + 1; an index past them gave the
+        # zero element.
+        with pytest.raises(IndexOutOfRangeError, match=f"^basis index {index} outside 0..4$"):
+            psi_k_basis_element(3, index)
+
 
 class TestFourierSums:
     @staticmethod
@@ -191,6 +201,47 @@ class TestDualMember:
         # balanced k = 1 tuple (1 = 0 + 1) is no member of anything.
         with pytest.raises(ValueError, match="k must be >= 3"):
             DualTuple(k, np.array([1.0, 0.0, 1.0, 0.0])[: k + 2])
+
+    # Finite coordinates whose balance is 0 but whose sum 1e308 + 1e308
+    # overflows.
+    BIG = np.array([1e308, 1e308, -1e308, 5e307, 5e307])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 2.0**-1024, -1j])
+    def test_overflowing_terms_are_decided_on_an_exact_rescaling(self, scale):
+        # A member at every scale, as the exactly balanced tuple is: at 1.0
+        # and -1j the sum overflows and is taken on z times 2^-1024.
+        assert dual_member(DualTuple(3, self.BIG * scale))
+
+    @pytest.mark.filterwarnings("error")
+    def test_an_overflowing_row_is_the_rescaled_row_scaled_back(self):
+        # The balance of z is that of z 2^-1024, which no sum overflows, times
+        # the exact 2^1024: here 2^1000, against _LINEAR_TOL max |z_i|.
+        z = self.BIG + np.array([0.0, 0.0, 0.0, 0.0, 2.0**1000])
+        (name, gap, bound), *_ = functional_residuals(DualTuple(3, z))
+        (_, small_gap, _), *_ = functional_residuals(DualTuple(3, z * 2.0**-1024))
+        assert (name, gap, bound) == ("dual_balance", 2.0**1000, _LINEAR_TOL * 1e308)
+        assert gap == math.ldexp(small_gap, 1024)
+        assert not dual_member(DualTuple(3, z))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("z", [[1e308] * 3 + [-1e308] * 2, [1.5e308 + 1.5e308j] * 5], ids=["sum", "modulus"])
+    def test_a_balance_beyond_the_float_range_is_refused(self, z):
+        with pytest.raises(ValueError, match=r"^the dual balance \|sum_j z_j - z_\+ - z_-\| overflows"):
+            dual_member(DualTuple(3, np.array(z)))
+        with pytest.raises(ValueError, match="overflows"):
+            functional_residuals(DualTuple(3, np.array(z)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_finite_balance_keeps_its_row(self):
+        # Where the sum stays finite the row is |(1, .., 1, -1, -1) . z|
+        # within _LINEAR_TOL max(1, max |z_i|), bit for bit, up to 1e307.
+        rng = np.random.default_rng(50)
+        for k in (3, 4, 8):
+            for size in (1e-300, 1.0, 1e150, 1e307):
+                z = size * (rng.standard_normal(k + 2) + 1j * rng.standard_normal(k + 2))
+                row = ("dual_balance", float(abs(_kernel(k) @ z)), _LINEAR_TOL * max(1.0, float(np.abs(z).max())))
+                assert functional_residuals(DualTuple(k, z))[0] == row
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)], ids=["nan", "inf", "nan-imaginary"])
     def test_non_finite_coordinate_is_refused(self, value):
@@ -486,7 +537,7 @@ class TestLiftSolver:
             results.append(lmi_floor(*args))
             return results[-1]
 
-        monkeypatch.setattr("ncprism.opsys.lmi_floor", solve)
+        monkeypatch.setattr("ncprism.floor.lmi_floor", solve)
         products = record_direction_products(monkeypatch)
         verdict = matrix_positivity_prism(e)
         assert isinstance(verdict, Certified) and len(results) == 1 and results[0].steps > 0
@@ -503,7 +554,7 @@ class TestLiftSolver:
         # at the binding character and the characters give [t_mid, t_char].
         # The residual is the shortfall of the best lift found.
         e = preimage_element(q, True, 50 + q)
-        monkeypatch.setattr("ncprism.opsys.lmi_floor", refuse_to_solve)
+        monkeypatch.setattr("ncprism.floor.lmi_floor", refuse_to_solve)
         verdict = matrix_positivity_prism(e)
         assert isinstance(verdict, Unknown)
         assert "smallest block eigenvalue lies in [" in verdict.reason
@@ -515,7 +566,7 @@ class TestLiftSolver:
     def test_step_cap_is_named_in_the_reason(self, monkeypatch):
         # With one Newton step allowed, a floor 1e-3 below 0 is not yet placed.
         e = gap_probe_element(6, 3, 0, -1e-3)
-        monkeypatch.setattr("ncprism.matkernel._LMI_STEPS", 1)
+        monkeypatch.setattr("ncprism.floor._LMI_STEPS", 1)
         verdict = matrix_positivity_prism(e)
         assert isinstance(verdict, Unknown)
         assert "undecided after 1 Newton steps (step cap" in verdict.reason
@@ -591,7 +642,7 @@ class TestFloorBracket:
         t_char, t_mid = character_lows(e).min(), self.midpoint(e)
         assert abs(t_char) <= 1e-12 and t_mid <= 1e-12
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr("ncprism.opsys.lmi_floor", refuse_to_solve)
+            patch.setattr("ncprism.floor.lmi_floor", refuse_to_solve)
             try:
                 verdict = matrix_positivity_prism(e)
             except SolverReached:
@@ -619,7 +670,7 @@ class TestFloorBracket:
         margin = scalar_positivity_prism(e).margin
         near_edge = min(abs(margin + SPEC_TOL), abs(margin - STRICT_MARGIN)) <= 1e-15
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr("ncprism.opsys.lmi_floor", refuse_to_solve)
+            patch.setattr("ncprism.floor.lmi_floor", refuse_to_solve)
             try:
                 verdict = matrix_positivity_prism(e)
             except SolverReached:
@@ -649,7 +700,7 @@ class TestFloorBracket:
         t_scalar, t_char = self.bracket(e)
         assert t_scalar == pytest.approx(t_char, abs=1e-15)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr("ncprism.opsys.lmi_floor", refuse_to_solve)
+            patch.setattr("ncprism.floor.lmi_floor", refuse_to_solve)
             verdict = matrix_positivity_prism(e)
         assert isinstance(verdict, kind)
         if kind is Certified:
@@ -680,7 +731,7 @@ class TestFloorBracket:
             return lmi_floor(*args)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr("ncprism.opsys.lmi_floor", counted)
+            patch.setattr("ncprism.floor.lmi_floor", counted)
             verdict = matrix_positivity_prism(e)
         result = lmi_floor(*lift_problem(e), (-SPEC_TOL, STRICT_MARGIN))
         scale = max(1.0, max(opnorm(b) for b in [*e.c, e.g]))
@@ -754,7 +805,7 @@ class TestWorkloadBoundary:
     def test_no_solve_in_any_frame(self, shift, flip, monkeypatch):
         workloads = benchmark_workloads()
         pool = workloads._positivity_pool()
-        monkeypatch.setattr("ncprism.opsys.lmi_floor", refuse_to_solve)
+        monkeypatch.setattr("ncprism.floor.lmi_floor", refuse_to_solve)
         for frame in range(8):
             u = workloads.haar_unitary(np.random.default_rng(frame), 2)
             blocks = workloads._dihedral(pool[(2, "boundary")], 3, shift, flip)

@@ -78,6 +78,34 @@ from ncprism.reps import (
 NONCOMMUTING = "||WV - VW||_F >= 1"
 
 
+@pytest.mark.parametrize("recheck, shapes", [
+    (lambda: vertex_residuals(prism_vertex_rep(3, 0, 1)[0], np.ones(4) / 2, 0, 1), "4 and 3 x 3"),
+    (lambda: vertex_residuals(prism_vertex_rep(3, 0, 1)[0], np.ones((1, 3)), 0, 1), "1 x 3 and 3 x 3"),
+    (lambda: canonical_form_residuals(np.eye(2), np.eye(2), two_symmetry_canonical_form(np.eye(3), -np.eye(3))),
+     "2 x 2 and 2 x 2 and 3 x 3"),
+    (lambda: canonical_form_residuals(np.eye(3), np.eye(2), two_symmetry_canonical_form(np.eye(3), -np.eye(3))),
+     "3 x 3 and 2 x 2 and 3 x 3"),
+    (lambda: symmetry_tuple_residuals([np.eye(2), np.eye(3)]), "2 x 2, 3 x 3"),
+    (lambda: symmetry_tuple_residuals([]), "none"),
+], ids=["vertex-length", "vertex-row", "canonical-dimension", "canonical-ragged", "tuple-ragged", "tuple-empty"])
+def test_rechecks_refuse_operands_of_another_size(recheck, shapes):
+    # Named, rather than a numpy error (matmul, broadcast) or, for the
+    # ragged symmetry tuple, every row passing: SymmetryTuple refuses it.
+    with pytest.raises(ShapeMismatchError, match=f"got {shapes}$"):
+        recheck()
+
+
+def test_rechecks_of_valid_operands_keep_their_rows():
+    pair, xi = prism_vertex_rep(4, 1, -1)
+    assert vertex_residuals(pair, xi[:, None], 1, -1) == vertex_residuals(pair, xi, 1, -1)
+    assert [name for name, _, _ in vertex_residuals(pair, xi, 1, -1)] == ["vertex_attained"]
+    v1, v2 = square_irrep(0.3).mats
+    form = two_symmetry_canonical_form(v1, v2)
+    assert [name for name, _, _ in canonical_form_residuals(v1, v2, form)] == ["reconstruction"]
+    names = [name for name, _, _ in symmetry_tuple_residuals([v1, v2])]
+    assert names == ["s0_selfadjoint", "s0_squares_to_identity", "s1_selfadjoint", "s1_squares_to_identity"]
+
+
 class TestSquareIrrep:
     def test_lambda_zero(self):
         st = square_irrep(0.0)
