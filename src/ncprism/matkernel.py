@@ -599,6 +599,8 @@ def commutant_residuals(mats, basis) -> list[Residual]:
     """The basis commutes with every matrix (largest Frobenius norm of XA - AX,
     within ten times the null-space cutoff) and is Frobenius-orthonormal
     (||B*B - 1||_F, which bounds the operator norm, within SPEC_TOL)."""
+    if not (len(mats) and len(basis)):
+        raise ShapeMismatchError("commutant_residuals needs n x n matrices and basis elements, got none")
     n = mats[0].shape[0]
     fits = all(np.shape(m) == (n, n) for m in (*mats, *basis))
     _require_shapes("commutant_residuals", "n x n matrices and basis elements", fits, *mats, *basis)

@@ -403,7 +403,9 @@ class TestCommutant:
         ([np.eye(2)], [np.eye(3)], "2 x 2 and 3 x 3"),
         ([np.eye(2), np.eye(3)], [np.eye(2)], "2 x 2 and 3 x 3 and 2 x 2"),
         ([np.eye(2)], [np.eye(2), np.ones(4)], "2 x 2 and 2 x 2 and 4"),
-    ], ids=["basis", "ragged-set", "flat-element"])
+        ([], [], "none"),
+        ([np.eye(2)], [], "none"),
+    ], ids=["basis", "ragged-set", "flat-element", "empty-set", "empty-basis"])
     def test_residuals_refuse_operands_of_another_size(self, mats, basis, shapes):
         # By name, not by numpy's reshape or matmul error.
         with pytest.raises(ShapeMismatchError, match=f"needs n x n matrices and basis elements, got {shapes}$"):

@@ -2,8 +2,10 @@
 modules it calls. Module sets are read from fresh interpreters: this test
 process has imported every module already."""
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -13,6 +15,7 @@ import ncprism
 import ncprism.reps
 
 SRC = os.path.dirname(os.path.dirname(ncprism.__file__))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
@@ -120,3 +123,15 @@ def test_package_shows_what_its_module_holds_now(monkeypatch):
     assert ncprism.s3_pair is len
     monkeypatch.undo()
     assert ncprism.s3_pair is original is ncprism.reps.s3_pair
+
+
+def test_workflow_calls_only_functions_of_checks_artifacts():
+    # CI re-checks artifacts as `artifacts NAME ARGS...`, a shell function for `python -m checks.artifacts`, which
+    # calls the function NAME: a renamed or deleted check fails here rather than leave CI calling nothing.
+    with open(os.path.join(ROOT, ".github", "workflows", "tests.yml")) as f:
+        workflow = f.read()
+    with open(os.path.join(ROOT, "checks", "artifacts.py")) as f:
+        defined = {node.name for node in ast.parse(f.read()).body if isinstance(node, ast.FunctionDef)}
+    assert 'artifacts() { PYTHONPATH="$GITHUB_WORKSPACE" python -m checks.artifacts "$@"; }' in workflow
+    called = set(re.findall(r"\bartifacts (\w+)", workflow))
+    assert {"inputs", "jointcheck", "reflection", "strict"} <= called <= defined, called - defined
